@@ -3,132 +3,34 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"distbasics/internal/check"
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/node"
 )
 
-// e2eOptions parameterize the kill -9 survival demo.
+// e2eOptions parameterize the kill -9 survival demo: the shared cluster
+// shape plus this daemon's workload size.
 type e2eOptions struct {
-	Bin     string // basicsd binary for serve subprocesses ("" = self)
-	Dir     string // journal + artifact directory ("" = temp dir)
-	Nodes   int    // cluster size (default 5)
-	Clients int    // concurrent KV clients (default 3)
-	OpsPer  int    // KV ops per client (default 24; <= check.MaxOps per key)
-	Kill    int    // nodes to SIGKILL mid-run (default 2; must stay a minority)
-	Chaos   bool   // inject drop/delay chaos on every node's links
-	Compact bool   // force aggressive journal compaction mid-campaign
-	Keep    bool   // keep artifacts even on success
+	node.E2EOptions
+	OpsPer int // KV ops per client (default 24; <= check.MaxOps per key)
 }
 
 func (o e2eOptions) withDefaults() (e2eOptions, error) {
-	if o.Bin == "" {
-		self, err := os.Executable()
-		if err != nil {
-			return o, fmt.Errorf("basicsd: resolve self: %w", err)
-		}
-		o.Bin = self
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 5
-	}
-	if o.Clients <= 0 {
-		o.Clients = 3
+	var err error
+	if o.E2EOptions, err = o.E2EOptions.WithDefaults("basicsd"); err != nil {
+		return o, err
 	}
 	if o.OpsPer <= 0 {
 		o.OpsPer = 24
 	}
 	if o.OpsPer > check.MaxOps {
-		return o, fmt.Errorf("basicsd: %d ops per client exceeds checker bound %d", o.OpsPer, check.MaxOps)
-	}
-	if o.Kill < 0 || 2*o.Kill >= o.Nodes {
-		return o, fmt.Errorf("basicsd: killing %d of %d nodes loses the majority", o.Kill, o.Nodes)
-	}
-	if o.Dir == "" {
-		dir, err := os.MkdirTemp("", "basicsd-e2e-")
-		if err != nil {
-			return o, err
-		}
-		o.Dir = dir
-	} else if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return o, err
+		return o, fmt.Errorf("%d ops per client exceeds checker bound %d", o.OpsPer, check.MaxOps)
 	}
 	return o, nil
-}
-
-// cluster manages the serve subprocesses.
-type cluster struct {
-	opt     e2eOptions
-	cfgPath string
-	cfg     *Config
-
-	mu    sync.Mutex
-	procs []*exec.Cmd
-}
-
-// startNode (re)spawns node i with its stdout/stderr appended to the
-// node's log artifact.
-func (c *cluster) startNode(i int) error {
-	logf, err := os.OpenFile(filepath.Join(c.opt.Dir, fmt.Sprintf("node%d.log", i)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	cmd := exec.Command(c.opt.Bin, "serve", "-config", c.cfgPath, "-id", fmt.Sprint(i))
-	cmd.Stdout = logf
-	cmd.Stderr = logf
-	if err := cmd.Start(); err != nil {
-		logf.Close()
-		return fmt.Errorf("basicsd: start node %d: %w", i, err)
-	}
-	go func() { cmd.Wait(); logf.Close() }()
-	c.mu.Lock()
-	c.procs[i] = cmd
-	c.mu.Unlock()
-	return nil
-}
-
-// kill9 sends SIGKILL to node i — the real thing, not a graceful stop.
-func (c *cluster) kill9(i int) {
-	c.mu.Lock()
-	cmd := c.procs[i]
-	c.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Signal(syscall.SIGKILL)
-	}
-}
-
-func (c *cluster) stopAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cmd := range c.procs {
-		if cmd != nil && cmd.Process != nil {
-			cmd.Process.Signal(syscall.SIGKILL)
-		}
-	}
-}
-
-// waitReady blocks until node i answers a stat RPC (or the deadline
-// passes).
-func (c *cluster) waitReady(i int, deadline time.Duration) error {
-	cl := clientrpc.NewClient(c.cfg.Clients[i])
-	defer cl.Close()
-	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		if _, err := cl.Stat(2 * time.Second); err == nil {
-			return nil
-		}
-		cl.Close()
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("basicsd: node %d not ready after %s", i, deadline)
 }
 
 // runE2E is the headline demo: an n-node TCP cluster under chaos runs
@@ -145,50 +47,15 @@ func runE2E(opt e2eOptions) (err error) {
 	log.Printf("e2e: %d nodes, %d clients x %d ops, kill %d, chaos=%v, dir=%s",
 		opt.Nodes, opt.Clients, opt.OpsPer, opt.Kill, opt.Chaos, opt.Dir)
 
-	peers, err := allocAddrs(opt.Nodes)
+	cfg, err := opt.Config()
 	if err != nil {
 		return err
 	}
-	clientAddrs, err := allocAddrs(opt.Nodes)
+	cl, err := node.Launch(opt.E2EOptions, cfg, cfg.Clients, "id")
 	if err != nil {
 		return err
 	}
-	cfg := &Config{Peers: peers, Clients: clientAddrs, Journals: make([]string, opt.Nodes)}
-	for i := range cfg.Journals {
-		cfg.Journals[i] = filepath.Join(opt.Dir, fmt.Sprintf("node%d.journal", i))
-	}
-	if opt.Compact {
-		// A threshold far below the campaign's apply volume keeps every
-		// node compacting throughout the run, so the SIGKILLs land around
-		// live snapshot installs and the restarted victims recover from a
-		// snapshot plus a short journal suffix.
-		cfg.CompactRecords = 32
-	}
-	if opt.Chaos {
-		// Mild, permanent background chaos on every link: enough to
-		// exercise retry/backoff continuously without starving progress.
-		cfg.Chaos = []ChaosConfig{
-			{Kind: "drop", Pct: 10, Seed: 1},
-			{Kind: "delay", Pct: 10, Seed: 2},
-			{Kind: "duplicate", Pct: 5, Seed: 3},
-		}
-	}
-	cl := &cluster{opt: opt, cfg: cfg, cfgPath: filepath.Join(opt.Dir, "cluster.json"), procs: make([]*exec.Cmd, opt.Nodes)}
-	if err := cfg.Write(cl.cfgPath); err != nil {
-		return err
-	}
-	defer cl.stopAll()
-
-	for i := 0; i < opt.Nodes; i++ {
-		if err := cl.startNode(i); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < opt.Nodes; i++ {
-		if err := cl.waitReady(i, 10*time.Second); err != nil {
-			return err
-		}
-	}
+	defer cl.StopAll()
 	log.Printf("e2e: cluster up")
 
 	// --- workloads -------------------------------------------------------
@@ -203,14 +70,14 @@ func runE2E(opt e2eOptions) (err error) {
 		go func() {
 			defer kvWG.Done()
 			key := fmt.Sprintf("k%d", ci)
-			node := ci % opt.Nodes
+			at := ci % opt.Nodes
 			if ci == opt.Clients-1 && opt.Kill > 0 {
 				// One client submits to a kill victim, so client-visible
 				// recovery (timeout -> pending -> reconnect to the
 				// restarted process) is part of the demo.
-				node = opt.Nodes - 1
+				at = opt.Nodes - 1
 			}
-			rpc := clientrpc.NewClient(cfg.Clients[node])
+			rpc := clientrpc.NewClient(cfg.Clients[at])
 			defer rpc.Close()
 			// gen is bumped after every failed op: the op stays pending
 			// (it may or may not have taken effect — either is consistent
@@ -224,13 +91,13 @@ func runE2E(opt e2eOptions) (err error) {
 				if op%3 == 2 {
 					inv := rec.Call(proc, check.KeyedOp{Key: key, Op: check.ReadOp{}})
 					var v any
-					if v, err = rpc.Get(key, rpcTimeout); err == nil {
+					if v, err = rpc.Get(key, node.RPCTimeout); err == nil {
 						inv.Return(v)
 					}
 				} else {
 					val := 1 + op + ci*1000
 					inv := rec.Call(proc, check.KeyedOp{Key: key, Op: check.WriteOp{V: val}})
-					if err = rpc.Put(key, val, rpcTimeout); err == nil {
+					if err = rpc.Put(key, val, node.RPCTimeout); err == nil {
 						inv.Return(nil)
 					}
 				}
@@ -291,7 +158,7 @@ func runE2E(opt e2eOptions) (err error) {
 			rpc := clientrpc.NewClient(cfg.Clients[i])
 			defer rpc.Close()
 			for b := 0; b < bcastPer; b++ {
-				if err := rpc.Bcast(fmt.Sprintf("n%d-m%d", i, b), rpcTimeout); err == nil {
+				if err := rpc.Bcast(fmt.Sprintf("n%d-m%d", i, b), node.RPCTimeout); err == nil {
 					bcastOK.Add(1)
 				} else {
 					rpc.Close()
@@ -330,160 +197,113 @@ func runE2E(opt e2eOptions) (err error) {
 		waitFor(total / 3)
 		for _, v := range victims {
 			log.Printf("e2e: kill -9 node %d", v)
-			cl.kill9(v)
+			cl.Kill9(v)
 		}
 		// Let the survivors make progress without the victims, then
 		// restart from the journals.
 		if waitFor(2 * total / 3) {
 			time.Sleep(500 * time.Millisecond)
 		}
-		for _, v := range victims {
-			log.Printf("e2e: restart node %d", v)
-			if err := cl.startNode(v); err != nil {
-				killErr <- err
-				return
-			}
-		}
-		for _, v := range victims {
-			if err := cl.waitReady(v, 15*time.Second); err != nil {
-				killErr <- err
-				return
-			}
-		}
-		killErr <- nil
+		log.Printf("e2e: restart nodes %v", victims)
+		killErr <- cl.Restart(victims, 15*time.Second)
 	}()
 
 	kvWG.Wait()
 	close(kvDone)
 	uidWG.Wait()
 	bcastWG.Wait()
-	if err := <-killErr; err != nil {
-		return dumpArtifacts(opt, rec, nil, nil, err)
+	err = <-killErr
+	var orders [][]string
+	var bases []int
+	if err == nil {
+		log.Printf("e2e: workload done: %d/%d kv ops completed, %d/%d broadcasts delivered, %d uids issued",
+			completed.Load(), total, bcastOK.Load(), opt.Nodes*bcastPer, len(uids))
+		// Every node converges to the same absolute applied count (the
+		// restarted victims catch up via anti-entropy). A victim that
+		// recovered from a snapshot only retains the suffix past the
+		// snapshot's coverage; bases[i] is that suffix's start position.
+		orders, bases, err = collectOrders(cl.Clients)
 	}
-	log.Printf("e2e: workload done: %d/%d kv ops completed, %d/%d broadcasts delivered, %d uids issued",
-		completed.Load(), total, bcastOK.Load(), opt.Nodes*bcastPer, len(uids))
-
-	// --- verification ----------------------------------------------------
-	// 1. Every node converges to the same absolute applied count (the
-	//    restarted victims catch up via anti-entropy). A victim that
-	//    recovered from a snapshot only retains the suffix past the
-	//    snapshot's coverage; bases[i] is that suffix's start position.
-	orders, bases, err := collectOrders(cfg, opt)
+	h := rec.History()
+	partitions := 0
+	if err == nil {
+		partitions, err = verify(h, orders, bases, uids)
+	}
+	if err == nil && opt.Compact {
+		err = cl.CheckJournals()
+	}
 	if err != nil {
-		return dumpArtifacts(opt, rec, orders, bases, err)
+		dumpArtifacts(cl, h, orders, bases)
+		return cl.Fail(err)
 	}
-	// 2. Total order safety: all applied orders agree at every absolute
+	log.Printf("e2e: PASS — %d ops linearizable over %d partitions, %d nodes agree on %d applied entries, %d unique ids",
+		len(h), partitions, opt.Nodes, len(orders[0]), len(uids))
+	cl.Passed()
+	return nil
+}
+
+// verify checks the campaign's safety claims on what the run recorded
+// and returns how many per-key partitions the history split into.
+func verify(h check.History, orders [][]string, bases []int, uids map[string]int) (int, error) {
+	// 1. Total order safety: all applied orders agree at every absolute
 	//    position both retain.
 	for i := 1; i < len(orders); i++ {
 		lo := max(bases[0], bases[i])
 		hi := min(bases[0]+len(orders[0]), bases[i]+len(orders[i]))
 		for a := lo; a < hi; a++ {
 			if orders[0][a-bases[0]] != orders[i][a-bases[i]] {
-				return dumpArtifacts(opt, rec, orders, bases,
-					fmt.Errorf("nodes 0 and %d diverge at applied index %d: %s vs %s",
-						i, a, orders[0][a-bases[0]], orders[i][a-bases[i]]))
+				return 0, fmt.Errorf("nodes 0 and %d diverge at applied index %d: %s vs %s",
+					i, a, orders[0][a-bases[0]], orders[i][a-bases[i]])
 			}
 		}
 	}
-	// 3. Broadcast exactly-once: no entry (KV command or broadcast
+	// 2. Broadcast exactly-once: no entry (KV command or broadcast
 	//    message) appears twice in the applied sequence — retries and
 	//    chaos duplicates must be absorbed by idempotent apply. Node 0
 	//    is never killed, so it retains the full sequence.
 	if bases[0] != 0 {
-		return dumpArtifacts(opt, rec, orders, bases,
-			fmt.Errorf("node 0 was never restarted but reports applied base %d", bases[0]))
+		return 0, fmt.Errorf("node 0 was never restarted but reports applied base %d", bases[0])
 	}
 	seen := make(map[string]bool, len(orders[0]))
 	for _, id := range orders[0] {
 		if seen[id] {
-			return dumpArtifacts(opt, rec, orders, bases,
-				fmt.Errorf("entry %s applied twice (broadcast exactly-once violated)", id))
+			return 0, fmt.Errorf("entry %s applied twice (broadcast exactly-once violated)", id)
 		}
 		seen[id] = true
 	}
-	// 4. Unique IDs really are unique.
+	// 3. Unique IDs really are unique.
 	for id, n := range uids {
 		if n > 1 {
-			return dumpArtifacts(opt, rec, orders, bases, fmt.Errorf("uid %q issued %d times", id, n))
+			return 0, fmt.Errorf("uid %q issued %d times", id, n)
 		}
 	}
-	// 5. The KV history linearizes (per-key partitions).
-	h := rec.History()
+	// 4. The KV history linearizes (per-key partitions).
 	spec := check.RegisterArraySpec{}
 	lin, err := check.Linearizable(spec, h)
 	if err != nil {
-		return dumpArtifacts(opt, rec, orders, bases, fmt.Errorf("checker: %w", err))
+		return 0, fmt.Errorf("checker: %w", err)
 	}
 	if !lin.OK {
-		return dumpArtifacts(opt, rec, orders, bases,
-			fmt.Errorf("history of %d ops is NOT linearizable", len(h)))
+		return 0, fmt.Errorf("history of %d ops is NOT linearizable", len(h))
 	}
 	if err := check.ValidateOrder(spec, h, lin.Order); err != nil {
-		return dumpArtifacts(opt, rec, orders, bases, fmt.Errorf("witness invalid: %w", err))
+		return 0, fmt.Errorf("witness invalid: %w", err)
 	}
-	// 6. With compaction forced, every node must actually have compacted:
-	//    at least one snapshot installed, and the live journal strictly
-	//    smaller than the lifetime append volume — bounded growth, not
-	//    just survival. Write errors or a degraded journal fail the run.
-	if opt.Compact {
-		liveSnaps := int64(0)
-		for i := 0; i < opt.Nodes; i++ {
-			rpc := clientrpc.NewClient(cfg.Clients[i])
-			resp, err := rpc.Stats(5 * time.Second)
-			rpc.Close()
-			if err != nil {
-				return dumpArtifacts(opt, rec, orders, bases, fmt.Errorf("stat node %d: %w", i, err))
-			}
-			js := resp.Journal
-			if js == nil {
-				return dumpArtifacts(opt, rec, orders, bases, fmt.Errorf("node %d reports no journal stats", i))
-			}
-			// Snapshots/LifeRecords count this incarnation only; Gen is
-			// persisted in the journal's file layout, so a restarted victim
-			// that recovered from a snapshot but hasn't re-compacted yet
-			// still reports the generation its killed predecessor reached.
-			if js.Snapshots == 0 && js.Gen == 0 {
-				return dumpArtifacts(opt, rec, orders, bases,
-					fmt.Errorf("node %d never compacted (life records %d)", i, js.LifeRecords))
-			}
-			if js.Snapshots > 0 && (js.Records >= js.LifeRecords || js.Bytes >= js.LifeBytes) {
-				return dumpArtifacts(opt, rec, orders, bases,
-					fmt.Errorf("node %d journal not bounded: %d/%d records, %d/%d bytes live/lifetime",
-						i, js.Records, js.LifeRecords, js.Bytes, js.LifeBytes))
-			}
-			if js.WriteErrs > 0 || js.Degraded {
-				return dumpArtifacts(opt, rec, orders, bases,
-					fmt.Errorf("node %d journal degraded (%d write errors)", i, js.WriteErrs))
-			}
-			liveSnaps += js.Snapshots
-			log.Printf("e2e: node %d journal: %d snapshots, %d/%d live/lifetime records, gen %d",
-				i, js.Snapshots, js.Records, js.LifeRecords, js.Gen)
-		}
-		if liveSnaps == 0 {
-			return dumpArtifacts(opt, rec, orders, bases,
-				fmt.Errorf("no node installed a snapshot during the campaign"))
-		}
-	}
-	log.Printf("e2e: PASS — %d ops linearizable over %d partitions, %d nodes agree on %d applied entries, %d unique ids",
-		len(h), lin.Partitions, opt.Nodes, len(orders[0]), len(uids))
-	if !opt.Keep {
-		os.RemoveAll(opt.Dir)
-	}
-	return nil
+	return lin.Partitions, nil
 }
 
 // collectOrders polls every node until all report the same absolute
 // applied count (quiesced + caught up), then returns the retained
 // orders and each node's applied base (non-zero after a recovery from
 // a snapshot).
-func collectOrders(cfg *Config, opt e2eOptions) ([][]string, []int, error) {
+func collectOrders(clients []string) ([][]string, []int, error) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		orders := make([][]string, opt.Nodes)
-		bases := make([]int, opt.Nodes)
+		orders := make([][]string, len(clients))
+		bases := make([]int, len(clients))
 		ok := true
-		for i := 0; i < opt.Nodes; i++ {
-			rpc := clientrpc.NewClient(cfg.Clients[i])
+		for i, addr := range clients {
+			rpc := clientrpc.NewClient(addr)
 			o, base, err := rpc.Order(5 * time.Second)
 			rpc.Close()
 			if err != nil {
@@ -494,7 +314,7 @@ func collectOrders(cfg *Config, opt e2eOptions) ([][]string, []int, error) {
 		}
 		if ok {
 			same := true
-			for i := 1; i < opt.Nodes; i++ {
+			for i := 1; i < len(clients); i++ {
 				if bases[i]+len(orders[i]) != bases[0]+len(orders[0]) {
 					same = false
 					break
@@ -506,23 +326,22 @@ func collectOrders(cfg *Config, opt e2eOptions) ([][]string, []int, error) {
 		}
 		if time.Now().After(deadline) {
 			if !ok {
-				return nil, nil, fmt.Errorf("basicsd: nodes unreachable while collecting applied orders")
+				return nil, nil, fmt.Errorf("nodes unreachable while collecting applied orders")
 			}
-			return orders, bases, fmt.Errorf("basicsd: applied counts did not converge within 30s")
+			return orders, bases, fmt.Errorf("applied counts did not converge within 30s")
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
 }
 
 // dumpArtifacts writes the recorded history and applied orders next to
-// the node logs and journals so a failure is diagnosable, then returns
-// the original error annotated with the artifact path.
-func dumpArtifacts(opt e2eOptions, rec *check.Recorder, orders [][]string, bases []int, cause error) error {
+// the node logs and journals so a failure is diagnosable.
+func dumpArtifacts(cl *node.Cluster, h check.History, orders [][]string, bases []int) {
 	var sb []byte
-	for _, op := range rec.History() {
+	for _, op := range h {
 		sb = append(sb, fmt.Sprintf("p%d %v @[%d,%d] -> %v\n", op.Proc, op.Arg, op.Call, op.Return, op.Out)...)
 	}
-	os.WriteFile(filepath.Join(opt.Dir, "history.log"), sb, 0o644)
+	cl.Artifact("history.log", sb)
 	var ob []byte
 	for i, o := range orders {
 		base := 0
@@ -531,6 +350,5 @@ func dumpArtifacts(opt e2eOptions, rec *check.Recorder, orders [][]string, bases
 		}
 		ob = append(ob, fmt.Sprintf("node%d (base=%d, %d): %v\n", i, base, len(o), o)...)
 	}
-	os.WriteFile(filepath.Join(opt.Dir, "orders.log"), ob, 0o644)
-	return fmt.Errorf("%w (artifacts in %s)", cause, opt.Dir)
+	cl.Artifact("orders.log", ob)
 }

@@ -4,6 +4,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"distbasics/internal/node"
 )
 
 // TestE2EKillMinority is the headline robustness demo as a test: a
@@ -21,17 +23,16 @@ func TestE2EKillMinority(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	err := runE2E(e2eOptions{
+	err := runE2E(e2eOptions{OpsPer: 12, E2EOptions: node.E2EOptions{
 		Bin:     bin,
 		Dir:     t.TempDir(),
 		Nodes:   5,
 		Clients: 3,
-		OpsPer:  12,
 		Kill:    2,
 		Chaos:   true,
 		Compact: true, // SIGKILLs land amid live snapshot installs
 		Keep:    true, // t.TempDir cleans up; keep artifacts for -v debugging
-	})
+	}})
 	if err != nil {
 		t.Fatalf("e2e: %v", err)
 	}
@@ -40,10 +41,13 @@ func TestE2EKillMinority(t *testing.T) {
 // TestE2ERejectsMajorityKill guards the option validation: killing a
 // majority can never satisfy the demo's liveness claims.
 func TestE2ERejectsMajorityKill(t *testing.T) {
-	if _, err := (e2eOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: 4, Kill: 2}).withDefaults(); err == nil {
+	shape := func(nodes, kill int) e2eOptions {
+		return e2eOptions{E2EOptions: node.E2EOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: nodes, Kill: kill}}
+	}
+	if _, err := shape(4, 2).withDefaults(); err == nil {
 		t.Fatal("want error for kill=2 of nodes=4")
 	}
-	if _, err := (e2eOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: 5, Kill: 2}).withDefaults(); err != nil {
+	if _, err := shape(5, 2).withDefaults(); err != nil {
 		t.Fatalf("kill=2 of nodes=5 is a minority: %v", err)
 	}
 }

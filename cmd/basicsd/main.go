@@ -5,7 +5,9 @@
 // through transport.Runtime over Resilient (send timeout, bounded retry
 // with backoff+jitter, suspected-peer parking) over TCP, optionally
 // wrapped in Chaos for fault injection, with a FileJournal making the
-// process safe to kill -9 and restart.
+// process safe to kill -9 and restart. That stack is internal/node, the
+// skeleton shared with basicskv and basicsjobd; this command adds the
+// verb table (node.go) and the e2e's workload and verifier (e2e.go).
 //
 // Subcommands:
 //
@@ -30,6 +32,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+
+	"distbasics/internal/node"
 )
 
 func main() {
@@ -39,28 +43,14 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "serve":
-		fs := flag.NewFlagSet("serve", flag.ExitOnError)
-		cfgPath := fs.String("config", "", "cluster config file (JSON)")
-		id := fs.Int("id", -1, "this node's id")
-		fs.Parse(os.Args[2:])
-		if *cfgPath == "" || *id < 0 {
-			fs.Usage()
-			os.Exit(2)
-		}
-		if err := runServe(*cfgPath, *id); err != nil {
+		if err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
 	case "e2e":
 		fs := flag.NewFlagSet("e2e", flag.ExitOnError)
 		var opt e2eOptions
-		fs.IntVar(&opt.Nodes, "nodes", 5, "cluster size")
-		fs.IntVar(&opt.Clients, "clients", 3, "concurrent KV clients")
+		opt.Flags(fs)
 		fs.IntVar(&opt.OpsPer, "ops", 24, "KV ops per client")
-		fs.IntVar(&opt.Kill, "kill", 2, "nodes to SIGKILL mid-run (must be a minority)")
-		fs.BoolVar(&opt.Chaos, "chaos", true, "inject drop/delay/duplicate chaos")
-		fs.BoolVar(&opt.Compact, "compact", true, "force journal compaction mid-campaign and assert bounded journals")
-		fs.StringVar(&opt.Dir, "dir", "", "journal/artifact directory (default: temp)")
-		fs.BoolVar(&opt.Keep, "keep", false, "keep artifacts on success")
 		fs.Parse(os.Args[2:])
 		if err := runE2E(opt); err != nil {
 			log.Fatalf("e2e: FAIL: %v", err)

@@ -8,48 +8,26 @@ import (
 
 	"distbasics/internal/amp"
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/node"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
 
-// tcpPolicy is the retry policy tuned to localhost TCP under the
-// default 2ms tick: the socket RTT is sub-tick, so a 25-tick (50ms)
-// send timeout is already many RTTs out, and retries back off from
-// 20ms to a 500ms cap. (Compare tpPolicy in internal/scenario/models:
-// policies are tuned to the transport's RTT, not fixed constants.)
-func tcpPolicy(id int) transport.Policy {
-	return transport.Policy{SendTimeout: 25, RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
-}
-
-// hbPeriod is the runtime heartbeat period in ticks. The
-// simulation-scale default (8) outruns a chaos-degraded link's service
-// rate (one in-flight frame per link); real clusters heartbeat at a
-// rate the links sustain.
-const hbPeriod = 40
-
-// server is one running basicsd node: the full
-// TCP(+Chaos)→Resilient→Runtime stack under an rsm replica, plus the
-// line-JSON client RPC front end (internal/clientrpc's epoll reactor
-// and bounded worker pool — not a goroutine per connection).
+// server is one running basicsd node: the shared replica skeleton
+// (internal/node: TCP(+Chaos)→Resilient→Runtime under an rsm replica,
+// journaled) plus this daemon's verb table behind the line-JSON client
+// RPC front end (internal/clientrpc's epoll reactor and bounded worker
+// pool — not a goroutine per connection).
 type server struct {
-	id      int
-	cfg     *Config
-	node    *rsm.Node
-	rt      *transport.Runtime
-	tcp     *transport.TCP
-	res     *transport.Resilient
-	journal *rsm.FileJournal
-	clock   *transport.RealClock
+	id  int
+	rep *node.Replica
+	rpc *clientrpc.Server
 
-	rpc    *clientrpc.Server
 	boot   int64 // uid epoch: distinguishes restarts of the same id
 	uidSeq atomic.Int64
 
-	// waiters maps a submitted command to its completion channel. It is
-	// only touched inside the runtime's event loop (rt.Do and OnApply
-	// both run under the actor mutex), so it needs no lock of its own.
-	waiters map[rbcast.MsgID]chan any
+	waiters node.Waiters[any]
 }
 
 // runServe is the `basicsd serve` entrypoint: bring up node `id` of the
@@ -58,112 +36,27 @@ type server struct {
 // model is crash-stop (kill -9), and the journal plus the peers'
 // anti-entropy carry it through restart.
 func runServe(cfgPath string, id int) error {
-	cfg, err := LoadConfig(cfgPath)
+	cfg := &node.Config{}
+	if err := node.Load(cfgPath, cfg); err != nil {
+		return err
+	}
+	s := &server{id: id, boot: time.Now().UnixNano()}
+	_, err := cfg.Start(id, transport.NewRealClock(cfg.Unit()), func(r *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
+		s.rep = r
+		nd := rsm.NewNode(len(cfg.Peers), opts...)
+		nd.OnApply = s.onApply
+		return nd
+	})
 	if err != nil {
 		return err
 	}
-	if id < 0 || id >= len(cfg.Peers) {
-		return fmt.Errorf("basicsd: node id %d out of range [0,%d)", id, len(cfg.Peers))
-	}
-	s, err := startServer(cfg, id)
-	if err != nil {
-		return err
+	if s.rpc, err = clientrpc.NewServer(cfg.Clients[id], s.handle); err != nil {
+		s.rep.Close()
+		return fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
 	}
 	log.Printf("basicsd: node %d up: peers=%s clients=%s journal=%s",
-		id, s.tcp.Addr(), s.rpc.Addr(), cfg.Journals[id])
+		id, s.rep.Addr(), s.rpc.Addr(), cfg.Journals[id])
 	select {} // crash-stop: run until killed
-}
-
-// startServer builds and starts the node stack and its RPC listener.
-func startServer(cfg *Config, id int) (*server, error) {
-	amp.RegisterWire(transport.Register)
-	rsm.RegisterWire(transport.Register)
-
-	s := &server{
-		id:      id,
-		cfg:     cfg,
-		boot:    time.Now().UnixNano(),
-		waiters: make(map[rbcast.MsgID]chan any),
-	}
-
-	opts := []rsm.NodeOption{}
-	if path := cfg.Journals[id]; path != "" {
-		j, rec, err := rsm.OpenFileJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = j
-		opts = append(opts, rsm.WithJournal(j))
-		cr, cb := cfg.compaction()
-		opts = append(opts, rsm.WithCompaction(cr, cb))
-		if rec.Snap != nil || rec.NextSeq > 0 || len(rec.Accepts) > 0 || len(rec.Decides) > 0 {
-			opts = append(opts, rsm.WithRecovery(rec))
-		}
-	}
-	opts = append(opts, cfg.rsmOptions()...)
-	s.node = rsm.NewNode(len(cfg.Peers), opts...)
-	s.node.Omega.Period = hbPeriod
-	s.node.OnApply = s.onApply
-
-	s.clock = transport.NewRealClock(cfg.Unit())
-	tcp, err := transport.NewTCP(id, cfg.Peers, transport.TCPOptions{})
-	if err != nil {
-		return nil, err
-	}
-	s.tcp = tcp
-	var tr transport.Transport = tcp
-	if rules := cfg.chaosRules(id); len(rules) > 0 {
-		tr = transport.NewChaos(tr, s.clock, rules...)
-	}
-	res := transport.NewResilient(tr, s.clock, tcpPolicy(id))
-	s.res = res
-	s.rt = transport.NewRuntime(res, s.clock, s.node.Stack,
-		transport.WithRuntimeSeed(int64(id+1)),
-		transport.WithSuspectSource(s.node.Omega.Suspects),
-		transport.WithSuspectKick(res.Kick),
-	)
-	res.SetSuspected(s.rt.Suspected)
-	s.rt.Start()
-
-	rpcSrv, err := clientrpc.NewServer(cfg.Clients[id], s.handle)
-	if err != nil {
-		tcp.Close()
-		return nil, fmt.Errorf("basicsd: client listen %s: %w", cfg.Clients[id], err)
-	}
-	s.rpc = rpcSrv
-	return s, nil
-}
-
-// netStats snapshots the Resilient layer's counters for the "stat" op:
-// retry-exhaustion drops and queue sheds are the transport's two
-// explicit loss modes, and surfacing them per node is what lets the e2e
-// harness (and an operator) tell "slow consensus" from "dying links".
-func netStats(res *transport.Resilient) *clientrpc.NetStats {
-	st := res.Stats()
-	return &clientrpc.NetStats{
-		Sent:         st.Sent.Load(),
-		Delivered:    st.Delivered.Load(),
-		Retries:      st.Retries.Load(),
-		RetryDropped: st.Dropped.Load(),
-		Shed:         st.Shed.Load(),
-	}
-}
-
-// journalStats snapshots the journal/compaction counters for the
-// "stat" op; nil when the node runs without persistence. Records <
-// LifeRecords is the external proof that compaction is truncating, and
-// Degraded flags a dying disk while the replica still runs.
-func journalStats(j *rsm.FileJournal) *clientrpc.JournalStats {
-	if j == nil {
-		return nil
-	}
-	st := j.Stats()
-	return &clientrpc.JournalStats{
-		Records: st.Records, Bytes: st.Bytes,
-		LifeRecords: st.LifeRecords, LifeBytes: st.LifeBytes,
-		Snapshots: st.Snapshots, SnapBytes: st.SnapBytes, Gen: st.Gen,
-		WriteErrs: st.WriteErrs, Degraded: st.Degraded,
-	}
 }
 
 // onApply runs inside the event loop after every applied entry and
@@ -171,40 +64,19 @@ func journalStats(j *rsm.FileJournal) *clientrpc.JournalStats {
 // at the entry's linearization point, which is what makes a "get"
 // no-op command a linearizable read.
 func (s *server) onApply(e rsm.Entry, _ amp.Time) {
-	ch, ok := s.waiters[e.ID]
-	if !ok {
-		return
-	}
-	delete(s.waiters, e.ID)
-	var out any
-	if cmd, ok := e.Payload.(rsm.Command); ok && cmd.Op == "get" {
-		out = s.node.Get(cmd.Key)
-	}
-	select {
-	case ch <- out:
-	default:
-	}
+	s.waiters.Complete(e.ID, func() any {
+		if cmd, ok := e.Payload.(rsm.Command); ok && cmd.Op == "get" {
+			return s.rep.Node.Get(cmd.Key)
+		}
+		return nil
+	})
 }
 
 // submit runs cmd through consensus and waits for its local apply.
-func (s *server) submit(cmd rsm.Command, timeout time.Duration) (any, error) {
-	ch := make(chan any, 1)
-	s.rt.Do(func(amp.Context) {
-		id := s.node.Submit(s.node.Ctx(), cmd)
-		s.waiters[id] = ch
-	})
-	select {
-	case out := <-ch:
-		return out, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("timeout after %s (op may still apply)", timeout)
-	}
+func (s *server) submit(cmd rsm.Command) (any, error) {
+	nd := s.rep.Node
+	return s.waiters.Submit(s.rep.RT, node.RPCTimeout, func() rbcast.MsgID { return nd.Submit(nd.Ctx(), cmd) })
 }
-
-// rpcTimeout bounds one consensus round-trip from the client's side.
-// Long enough to ride out a chaos window plus leader re-election, short
-// enough that the e2e driver can mark the op pending and move on.
-const rpcTimeout = 15 * time.Second
 
 // handle serves one client request; it runs on a clientrpc pool
 // worker, so blocking on a consensus round-trip here is what the
@@ -216,7 +88,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 	switch req.Op {
 	case "put", "del":
 		cmd := rsm.Command{Op: req.Op, Key: req.Key, Val: clientrpc.NormalizeVal(req.Val)}
-		if _, err := s.submit(cmd, rpcTimeout); err != nil {
+		if _, err := s.submit(cmd); err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		return clientrpc.Response{OK: true}
@@ -224,14 +96,14 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		// Total-order broadcast of an order-only message: the command
 		// touches no KV state but lands in every replica's applied
 		// sequence exactly once, in the same position.
-		if _, err := s.submit(rsm.Command{Op: "bcast", Key: req.Key}, rpcTimeout); err != nil {
+		if _, err := s.submit(rsm.Command{Op: "bcast", Key: req.Key}); err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		return clientrpc.Response{OK: true}
 	case "get":
 		// A "get" rides through consensus as a no-op command; its apply
 		// point at this replica is the read's linearization point.
-		out, err := s.submit(rsm.Command{Op: "get", Key: req.Key}, rpcTimeout)
+		out, err := s.submit(rsm.Command{Op: "get", Key: req.Key})
 		if err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
@@ -248,17 +120,15 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		// coverage is retained; OrderBase is its absolute position.
 		var ids []string
 		var base int
-		s.rt.Do(func(amp.Context) {
-			for _, e := range s.node.Applied() {
+		s.rep.RT.Do(func(amp.Context) {
+			for _, e := range s.rep.Node.Applied() {
 				ids = append(ids, e.ID.String())
 			}
-			base = s.node.Len() - len(ids)
+			base = s.rep.Node.Len() - len(ids)
 		})
 		return clientrpc.Response{OK: true, Order: ids, OrderBase: base, Applied: base + len(ids)}
 	case "stat":
-		var n int
-		s.rt.Do(func(amp.Context) { n = s.node.Len() })
-		return clientrpc.Response{OK: true, Applied: n, Net: netStats(s.res), Journal: journalStats(s.journal)}
+		return clientrpc.Response{OK: true, Applied: s.rep.Applied(), Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep)}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -1,47 +1,20 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"net"
-	"os"
-	"time"
-
 	"distbasics/internal/amp"
 	"distbasics/internal/jobq"
-	"distbasics/internal/rsm"
-	"distbasics/internal/transport"
+	"distbasics/internal/node"
 )
 
 // Config is the cluster description shared by every node and the e2e
-// driver: one entry per node in each list, all indexed by node id.
-// Every node is both a queue replica and a worker.
+// driver: the common cluster file (one entry per node in each list, all
+// indexed by node id) plus the queue policy. Every node is both a queue
+// replica and a worker.
 type Config struct {
-	// Peers are the transport (node-to-node) listen addresses.
-	Peers []string `json:"peers"`
-	// Clients are the client-RPC listen addresses.
-	Clients []string `json:"clients"`
-	// Journals are the per-node journal file paths ("" disables
-	// persistence, losing kill -9 survival).
-	Journals []string `json:"journals"`
-	// Chaos is the fault schedule every node injects on its outbound
-	// links (windows are in clock ticks since that node's boot).
-	Chaos []ChaosConfig `json:"chaos,omitempty"`
-	// UnitMS is the clock tick length in milliseconds (default 2).
-	UnitMS int `json:"unit_ms,omitempty"`
-	// Pipeline / MaxBatch tune the consensus replica (defaults from rsm).
-	Pipeline int `json:"pipeline,omitempty"`
-	MaxBatch int `json:"max_batch,omitempty"`
-	// CompactRecords / CompactBytes are the journal auto-compaction
-	// thresholds: once the active segment passes either one, the node
-	// snapshots the queue state and truncates the journal behind it.
-	// 0 takes rsm.DefaultCompactRecords / rsm.DefaultCompactBytes;
-	// negative disables that threshold.
-	CompactRecords int64 `json:"compact_records,omitempty"`
-	CompactBytes   int64 `json:"compact_bytes,omitempty"`
+	node.Config
 
 	// Queue policy, in clock ticks (zero values take the daemon
-	// defaults in node.go, not the jobq simulation-scale defaults).
+	// defaults below, not the jobq simulation-scale defaults).
 	// GraceTicks is the continuous-suspicion age that lapses a worker's
 	// lease; StepTicks the scheduler pulse period; ReproposeTicks how
 	// long the scheduler waits before re-proposing an assign/expire
@@ -57,75 +30,45 @@ type Config struct {
 	RetryBudget    int `json:"retry_budget,omitempty"`
 }
 
-// ChaosConfig is one transport.ChaosRule in JSON form.
-type ChaosConfig struct {
-	Kind  string `json:"kind"` // drop, partition, isolate, delay, duplicate
-	From  int64  `json:"from,omitempty"`
-	Until int64  `json:"until,omitempty"`
-	Pct   int    `json:"pct,omitempty"`
-	Group []int  `json:"group,omitempty"`
-	Seed  int64  `json:"seed,omitempty"`
-}
+// Daemon-scale queue policy defaults (ticks; 2ms each by default).
+// Grace = 10 heartbeats: a worker must miss ~800ms of heartbeats
+// continuously before its lease lapses and its jobs are reassigned.
+//
+// ReproposeTicks is the critical one: it must sit well ABOVE the
+// worst-case consensus round-trip on the real transport (hundreds of
+// milliseconds under chaos), unlike the jobq library default of
+// 8*StepEvery, which is tuned to simulation-scale decide latency. Too
+// low and every scheduler pulse re-broadcasts the same still-undecided
+// assignment as a fresh TO payload; the duplicates swell every
+// subsequent proposal batch, bigger batches slow the rounds down
+// further, and the feedback loop congestion-collapses consensus (the
+// observed failure mode: thousands of duplicate assigns pending, slot
+// ballots in the hundreds, no decision for minutes).
+const (
+	defaultGraceTicks     = 10 * int(node.HeartbeatPeriod)
+	defaultStepTicks      = 25   // 50ms pulse: responsive, cheap when idle
+	defaultReproposeTicks = 1500 // 3s: >> a chaos-degraded consensus round
+)
 
-var chaosKinds = map[string]transport.ChaosKind{
-	"drop":      transport.ChaosDrop,
-	"partition": transport.ChaosPartition,
-	"isolate":   transport.ChaosIsolate,
-	"delay":     transport.ChaosDelay,
-	"duplicate": transport.ChaosDuplicate,
-}
-
-// LoadConfig reads and validates a config file.
-func LoadConfig(path string) (*Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("basicsjobd: parse %s: %w", path, err)
-	}
-	n := len(cfg.Peers)
-	if n == 0 {
-		return nil, fmt.Errorf("basicsjobd: %s: no peers", path)
-	}
-	if len(cfg.Clients) != n || len(cfg.Journals) != n {
-		return nil, fmt.Errorf("basicsjobd: %s: peers/clients/journals lengths differ (%d/%d/%d)",
-			path, n, len(cfg.Clients), len(cfg.Journals))
-	}
-	for _, cc := range cfg.Chaos {
-		if _, ok := chaosKinds[cc.Kind]; !ok {
-			return nil, fmt.Errorf("basicsjobd: %s: unknown chaos kind %q", path, cc.Kind)
-		}
-	}
-	return &cfg, nil
-}
-
-// Write stores the config as JSON.
-func (c *Config) Write(path string) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Unit returns the configured clock tick duration.
-func (c *Config) Unit() time.Duration {
-	if c.UnitMS <= 0 {
-		return transport.DefaultUnit
-	}
-	return time.Duration(c.UnitMS) * time.Millisecond
-}
+// defaultRunnerRetryTicks is the worker's at-least-once re-proposal
+// period for joins and outcome reports (2s real time) — same reasoning
+// as defaultReproposeTicks, against the jobq default of 500 ticks.
+const defaultRunnerRetryTicks = 1000
 
 // jobqConfig assembles the queue policy for node id (the retry jitter
 // stream is seeded per node so leaders that take over after a failover
 // do not re-derive their predecessor's jitter).
 func (c *Config) jobqConfig(id int) jobq.Config {
+	or := func(v, def int) amp.Time {
+		if v == 0 {
+			v = def
+		}
+		return amp.Time(v)
+	}
 	return jobq.Config{
-		Grace:          amp.Time(c.GraceTicks),
-		StepEvery:      amp.Time(c.StepTicks),
-		ReproposeEvery: amp.Time(c.ReproposeTicks),
+		Grace:          or(c.GraceTicks, defaultGraceTicks),
+		StepEvery:      or(c.StepTicks, defaultStepTicks),
+		ReproposeEvery: or(c.ReproposeTicks, defaultReproposeTicks),
 		MaxPerWorker:   c.MaxPerWorker,
 		Retry: jobq.RetryPolicy{
 			Base:   amp.Time(c.RetryBase),
@@ -134,69 +77,4 @@ func (c *Config) jobqConfig(id int) jobq.Config {
 			Seed:   int64(id + 1),
 		},
 	}
-}
-
-// rsmOptions returns the replica tuning options this config carries.
-func (c *Config) rsmOptions() []rsm.NodeOption {
-	var opts []rsm.NodeOption
-	if c.Pipeline > 0 {
-		opts = append(opts, rsm.WithPipeline(c.Pipeline))
-	}
-	if c.MaxBatch > 0 {
-		opts = append(opts, rsm.WithMaxBatch(c.MaxBatch))
-	}
-	return opts
-}
-
-// compaction resolves the configured auto-compaction thresholds
-// (0 = rsm default, negative = disabled).
-func (c *Config) compaction() (records, bytes int64) {
-	return resolveThreshold(c.CompactRecords, rsm.DefaultCompactRecords),
-		resolveThreshold(c.CompactBytes, rsm.DefaultCompactBytes)
-}
-
-func resolveThreshold(v, def int64) int64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// chaosRules converts the schedule for one sending node, giving each
-// rule a per-sender stream so the cluster's faults decorrelate.
-func (c *Config) chaosRules(sender int) []transport.ChaosRule {
-	var rules []transport.ChaosRule
-	for _, cc := range c.Chaos {
-		rules = append(rules, transport.ChaosRule{
-			Kind: chaosKinds[cc.Kind],
-			From: amp.Time(cc.From), Until: amp.Time(cc.Until),
-			Pct: cc.Pct, Group: append([]int(nil), cc.Group...),
-			Seed: cc.Seed ^ int64(sender+1)<<8,
-		})
-	}
-	return rules
-}
-
-// allocAddrs reserves n distinct localhost TCP addresses by binding
-// ephemeral ports and releasing them.
-func allocAddrs(n int) ([]string, error) {
-	addrs := make([]string, 0, n)
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	return addrs, nil
 }

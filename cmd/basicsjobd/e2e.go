@@ -3,60 +3,30 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/node"
 )
 
-// e2eOptions parameterize the job-queue kill -9 survival demo.
+// e2eOptions parameterize the job-queue kill -9 survival demo: the
+// shared cluster shape plus this daemon's workload size.
 type e2eOptions struct {
-	Bin     string // basicsjobd binary for serve subprocesses ("" = self)
-	Dir     string // journal + artifact directory ("" = temp dir)
-	Nodes   int    // cluster size (default 5)
-	Clients int    // concurrent submitters (default 3)
-	JobsPer int    // jobs per submitter (default 18)
-	Kill    int    // nodes to SIGKILL mid-run; victim set includes node 0
-	Chaos   bool   // inject drop/delay/duplicate chaos on every link
-	Compact bool   // force aggressive journal compaction mid-campaign
-	Keep    bool   // keep artifacts even on success
+	node.E2EOptions
+	JobsPer int // jobs per submitter (default 18)
 }
 
 func (o e2eOptions) withDefaults() (e2eOptions, error) {
-	if o.Bin == "" {
-		self, err := os.Executable()
-		if err != nil {
-			return o, fmt.Errorf("basicsjobd: resolve self: %w", err)
-		}
-		o.Bin = self
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 5
-	}
-	if o.Clients <= 0 {
-		o.Clients = 3
+	var err error
+	if o.E2EOptions, err = o.E2EOptions.WithDefaults("basicsjobd"); err != nil {
+		return o, err
 	}
 	if o.JobsPer <= 0 {
 		o.JobsPer = 18
-	}
-	if o.Kill < 0 || 2*o.Kill >= o.Nodes {
-		return o, fmt.Errorf("basicsjobd: killing %d of %d nodes loses the majority", o.Kill, o.Nodes)
-	}
-	if o.Dir == "" {
-		dir, err := os.MkdirTemp("", "basicsjobd-e2e-")
-		if err != nil {
-			return o, err
-		}
-		o.Dir = dir
-	} else if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return o, err
 	}
 	return o, nil
 }
@@ -74,77 +44,6 @@ func (o e2eOptions) victims() []int {
 		v = append(v, o.Nodes-k)
 	}
 	return v
-}
-
-// cluster manages the serve subprocesses.
-type cluster struct {
-	opt     e2eOptions
-	cfgPath string
-	cfg     *Config
-
-	mu    sync.Mutex
-	procs []*exec.Cmd
-}
-
-// startNode (re)spawns node i with its output appended to the node's
-// log artifact.
-func (c *cluster) startNode(i int) error {
-	logf, err := os.OpenFile(filepath.Join(c.opt.Dir, fmt.Sprintf("node%d.log", i)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	cmd := exec.Command(c.opt.Bin, "serve", "-config", c.cfgPath, "-id", fmt.Sprint(i))
-	cmd.Stdout = logf
-	cmd.Stderr = logf
-	if err := cmd.Start(); err != nil {
-		logf.Close()
-		return fmt.Errorf("basicsjobd: start node %d: %w", i, err)
-	}
-	go func() { cmd.Wait(); logf.Close() }()
-	c.mu.Lock()
-	c.procs[i] = cmd
-	c.mu.Unlock()
-	return nil
-}
-
-// kill9 sends SIGKILL to node i.
-func (c *cluster) kill9(i int) {
-	c.mu.Lock()
-	cmd := c.procs[i]
-	c.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		cmd.Process.Signal(syscall.SIGKILL)
-	}
-}
-
-func (c *cluster) stopAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cmd := range c.procs {
-		if cmd != nil && cmd.Process != nil {
-			cmd.Process.Signal(syscall.SIGKILL)
-		}
-	}
-}
-
-// waitReady blocks until node i answers a stat RPC.
-func (c *cluster) waitReady(i int, deadline time.Duration) error {
-	return waitReadyAddr(c.cfg.Clients[i], deadline)
-}
-
-func waitReadyAddr(addr string, deadline time.Duration) error {
-	cl := clientrpc.NewClient(addr)
-	defer cl.Close()
-	end := time.Now().Add(deadline)
-	for time.Now().Before(end) {
-		if _, err := cl.Stat(2 * time.Second); err == nil {
-			return nil
-		}
-		cl.Close()
-		time.Sleep(100 * time.Millisecond)
-	}
-	return fmt.Errorf("basicsjobd: node at %s not ready after %s", addr, deadline)
 }
 
 // jobPlan is one planned job and its expected behavior.
@@ -193,48 +92,16 @@ func runE2E(opt e2eOptions) (err error) {
 	log.Printf("e2e: %d nodes, %d submitters x %d jobs, kill %v, chaos=%v, dir=%s",
 		opt.Nodes, opt.Clients, opt.JobsPer, opt.victims(), opt.Chaos, opt.Dir)
 
-	peers, err := allocAddrs(opt.Nodes)
+	base, err := opt.Config()
 	if err != nil {
 		return err
 	}
-	clientAddrs, err := allocAddrs(opt.Nodes)
+	cfg := &Config{Config: *base}
+	cl, err := node.Launch(opt.E2EOptions, cfg, cfg.Clients, "id")
 	if err != nil {
 		return err
 	}
-	cfg := &Config{Peers: peers, Clients: clientAddrs, Journals: make([]string, opt.Nodes)}
-	for i := range cfg.Journals {
-		cfg.Journals[i] = filepath.Join(opt.Dir, fmt.Sprintf("node%d.journal", i))
-	}
-	if opt.Compact {
-		// A threshold far below the campaign's record volume keeps every
-		// node compacting throughout the run, so the SIGKILLs land around
-		// live snapshot installs and the victims restart from a snapshot
-		// plus a short journal suffix.
-		cfg.CompactRecords = 32
-	}
-	if opt.Chaos {
-		cfg.Chaos = []ChaosConfig{
-			{Kind: "drop", Pct: 10, Seed: 1},
-			{Kind: "delay", Pct: 10, Seed: 2},
-			{Kind: "duplicate", Pct: 5, Seed: 3},
-		}
-	}
-	cl := &cluster{opt: opt, cfg: cfg, cfgPath: filepath.Join(opt.Dir, "cluster.json"), procs: make([]*exec.Cmd, opt.Nodes)}
-	if err := cfg.Write(cl.cfgPath); err != nil {
-		return err
-	}
-	defer cl.stopAll()
-
-	for i := 0; i < opt.Nodes; i++ {
-		if err := cl.startNode(i); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < opt.Nodes; i++ {
-		if err := cl.waitReady(i, 10*time.Second); err != nil {
-			return err
-		}
-	}
+	defer cl.StopAll()
 	log.Printf("e2e: cluster up")
 
 	// --- submission workload ---------------------------------------------
@@ -255,11 +122,11 @@ func runE2E(opt e2eOptions) (err error) {
 			// through a dying scheduler (timeout → retry elsewhere) is part
 			// of the demo. Submission is idempotent by job ID, so blind
 			// retries across nodes are safe.
-			node := ci % opt.Nodes
+			at := ci % opt.Nodes
 			if ci == 0 && opt.Kill > 0 {
-				node = 0
+				at = 0
 			}
-			rpc := clientrpc.NewClient(cfg.Clients[node])
+			rpc := clientrpc.NewClient(cfg.Clients[at])
 			defer func() { rpc.Close() }()
 			for _, p := range byClient[ci] {
 				ok := false
@@ -267,14 +134,14 @@ func runE2E(opt e2eOptions) (err error) {
 					resp, err := rpc.Call(clientrpc.Request{
 						Op: "submit", Key: p.ID,
 						Val: map[string]any{"cost_ms": p.CostMS, "fails": p.Fails, "poison": p.Poison, "budget": p.Budget},
-					}, rpcTimeout)
+					}, node.RPCTimeout)
 					if err == nil && resp.OK {
 						ok = true
 						break
 					}
 					rpc.Close()
-					node = (node + 1) % opt.Nodes
-					rpc = clientrpc.NewClient(cfg.Clients[node])
+					at = (at + 1) % opt.Nodes
+					rpc = clientrpc.NewClient(cfg.Clients[at])
 					time.Sleep(200 * time.Millisecond)
 				}
 				if !ok {
@@ -300,52 +167,54 @@ func runE2E(opt e2eOptions) (err error) {
 		}
 		for _, v := range opt.victims() {
 			log.Printf("e2e: kill -9 node %d", v)
-			cl.kill9(v)
+			cl.Kill9(v)
 		}
 		// Long enough for the survivors to elect a new leader, lapse the
 		// victims' worker leases (grace = 10 heartbeats ≈ 800ms), and
 		// reassign their in-flight jobs.
 		time.Sleep(2 * time.Second)
-		for _, v := range opt.victims() {
-			log.Printf("e2e: restart node %d", v)
-			if err := cl.startNode(v); err != nil {
-				killErr <- err
-				return
-			}
-		}
-		for _, v := range opt.victims() {
-			if err := cl.waitReady(v, 15*time.Second); err != nil {
-				killErr <- err
-				return
-			}
-		}
-		killErr <- nil
+		log.Printf("e2e: restart nodes %v", opt.victims())
+		killErr <- cl.Restart(opt.victims(), 15*time.Second)
 	}()
 
 	subWG.Wait()
 	close(subErr)
-	if err := <-subErr; err != nil {
-		<-killErr
-		return dumpArtifacts(opt, nil, err)
+	err = <-subErr
+	if kerr := <-killErr; err == nil {
+		err = kerr
 	}
-	if err := <-killErr; err != nil {
-		return dumpArtifacts(opt, nil, err)
+	// Drain — all jobs terminal, all replicas agree — then verify.
+	var perNode []map[string]map[string]any
+	var summary string
+	if err == nil {
+		log.Printf("e2e: %d jobs submitted, draining", submitted.Load())
+		perNode, err = collectJobs(cl.Clients, plans)
 	}
-	log.Printf("e2e: %d jobs submitted, draining", submitted.Load())
-
-	// --- drain: all jobs terminal, all replicas agree --------------------
-	perNode, err := collectJobs(cfg, opt, plans)
+	if err == nil {
+		summary, err = verify(plans, perNode[0])
+	}
+	if err == nil && opt.Compact {
+		err = cl.CheckJournals()
+	}
 	if err != nil {
-		return dumpArtifacts(opt, perNode, err)
+		dumpArtifacts(cl, perNode)
+		return cl.Fail(err)
 	}
+	logStats(cl)
+	log.Printf("e2e: PASS — %d jobs all terminal on %d agreeing replicas: %s", len(plans), opt.Nodes, summary)
+	cl.Passed()
+	return nil
+}
 
-	// --- verification ----------------------------------------------------
-	jobs := perNode[0]
+// verify checks the replicated records against the plan: no job lost,
+// every one terminal, completions exactly once, dead letters exactly at
+// their budget and never a poison job completed.
+func verify(plans []jobPlan, jobs map[string]map[string]any) (string, error) {
 	completed, dead, nonPoisonDead := 0, 0, 0
 	for _, p := range plans {
 		j, ok := jobs[p.ID]
 		if !ok {
-			return dumpArtifacts(opt, perNode, fmt.Errorf("job %s lost: absent from replicated state", p.ID))
+			return "", fmt.Errorf("job %s lost: absent from replicated state", p.ID)
 		}
 		state, _ := j["state"].(string)
 		effects := int(jnum(j, "effects"))
@@ -355,76 +224,31 @@ func runE2E(opt e2eOptions) (err error) {
 		case "completed":
 			completed++
 			if effects != 1 {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("job %s: exactly-once violated: %d effects (%v)", p.ID, effects, j))
+				return "", fmt.Errorf("job %s: exactly-once violated: %d effects (%v)", p.ID, effects, j)
 			}
 			if p.Poison {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("poison job %s completed: %v", p.ID, j))
+				return "", fmt.Errorf("poison job %s completed: %v", p.ID, j)
 			}
 		case "failed":
 			dead++
 			if effects != 0 {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("dead-lettered job %s has %d effects (%v)", p.ID, effects, j))
+				return "", fmt.Errorf("dead-lettered job %s has %d effects (%v)", p.ID, effects, j)
 			}
 			if attempt != budget {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("job %s dead-lettered at attempt %d of budget %d (%v)", p.ID, attempt, budget, j))
+				return "", fmt.Errorf("job %s dead-lettered at attempt %d of budget %d (%v)", p.ID, attempt, budget, j)
 			}
 			if !p.Poison {
 				nonPoisonDead++ // possible: its budget burned on lease expiries
 			}
 		default:
-			return dumpArtifacts(opt, perNode, fmt.Errorf("no-lost-jobs violated: job %s ended %q (%v)", p.ID, state, j))
+			return "", fmt.Errorf("no-lost-jobs violated: job %s ended %q (%v)", p.ID, state, j)
 		}
 	}
 	if completed == 0 {
-		return dumpArtifacts(opt, perNode, fmt.Errorf("nothing completed"))
+		return "", fmt.Errorf("nothing completed")
 	}
-	// Journal-growth leg: with compaction forced, journals must stay
-	// bounded — snapshots installed, the live journal strictly smaller
-	// than the lifetime append volume, and no write errors. Snapshots
-	// and Life* counters are per-incarnation; Gen persists in the file
-	// layout, so a freshly restarted victim that recovered from a
-	// snapshot but hasn't re-compacted yet still proves its history.
-	if opt.Compact {
-		liveSnaps := int64(0)
-		for i := 0; i < opt.Nodes; i++ {
-			rpc := clientrpc.NewClient(cfg.Clients[i])
-			resp, err := rpc.Stats(5 * time.Second)
-			rpc.Close()
-			if err != nil {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("stat node %d: %w", i, err))
-			}
-			js := resp.Journal
-			if js == nil {
-				return dumpArtifacts(opt, perNode, fmt.Errorf("node %d reports no journal stats", i))
-			}
-			if js.Snapshots == 0 && js.Gen == 0 {
-				return dumpArtifacts(opt, perNode,
-					fmt.Errorf("node %d never compacted (life records %d)", i, js.LifeRecords))
-			}
-			if js.Snapshots > 0 && (js.Records >= js.LifeRecords || js.Bytes >= js.LifeBytes) {
-				return dumpArtifacts(opt, perNode,
-					fmt.Errorf("node %d journal not bounded: %d/%d records, %d/%d bytes live/lifetime",
-						i, js.Records, js.LifeRecords, js.Bytes, js.LifeBytes))
-			}
-			if js.WriteErrs > 0 || js.Degraded {
-				return dumpArtifacts(opt, perNode,
-					fmt.Errorf("node %d journal degraded (%d write errors)", i, js.WriteErrs))
-			}
-			liveSnaps += js.Snapshots
-			log.Printf("e2e: node %d journal: %d snapshots, %d/%d live/lifetime records, gen %d",
-				i, js.Snapshots, js.Records, js.LifeRecords, js.Gen)
-		}
-		if liveSnaps == 0 {
-			return dumpArtifacts(opt, perNode, fmt.Errorf("no node installed a snapshot during the campaign"))
-		}
-	}
-	logStats(cfg, opt)
-	log.Printf("e2e: PASS — %d jobs all terminal on %d agreeing replicas: %d completed (exactly once), %d dead-lettered (%d poison, %d budget-burned by expiries)",
-		len(plans), opt.Nodes, completed, dead, dead-nonPoisonDead, nonPoisonDead)
-	if !opt.Keep {
-		os.RemoveAll(opt.Dir)
-	}
-	return nil
+	return fmt.Sprintf("%d completed (exactly once), %d dead-lettered (%d poison, %d budget-burned by expiries)",
+		completed, dead, dead-nonPoisonDead, nonPoisonDead), nil
 }
 
 // jnum pulls a numeric field out of a JSON-decoded job record.
@@ -435,15 +259,15 @@ func jnum(j map[string]any, k string) float64 {
 
 // collectJobs polls every node's "jobs" op until every planned job is
 // terminal on every node and all nodes return identical records.
-func collectJobs(cfg *Config, opt e2eOptions, plans []jobPlan) ([]map[string]map[string]any, error) {
+func collectJobs(clients []string, plans []jobPlan) ([]map[string]map[string]any, error) {
 	deadline := time.Now().Add(90 * time.Second)
 	var last []map[string]map[string]any
 	var lastWhy error
 	for time.Now().Before(deadline) {
-		perNode := make([]map[string]map[string]any, opt.Nodes)
+		perNode := make([]map[string]map[string]any, len(clients))
 		why := func() error {
-			for i := 0; i < opt.Nodes; i++ {
-				rpc := clientrpc.NewClient(cfg.Clients[i])
+			for i, addr := range clients {
+				rpc := clientrpc.NewClient(addr)
 				resp, err := rpc.Call(clientrpc.Request{Op: "jobs"}, 5*time.Second)
 				rpc.Close()
 				if err != nil {
@@ -459,7 +283,7 @@ func collectJobs(cfg *Config, opt e2eOptions, plans []jobPlan) ([]map[string]map
 				perNode[i] = jobs
 			}
 			for _, p := range plans {
-				for i := 0; i < opt.Nodes; i++ {
+				for i := range clients {
 					j, ok := perNode[i][p.ID]
 					if !ok {
 						return fmt.Errorf("node %d missing job %s", i, p.ID)
@@ -481,29 +305,25 @@ func collectJobs(cfg *Config, opt e2eOptions, plans []jobPlan) ([]map[string]map
 		lastWhy = why
 		time.Sleep(300 * time.Millisecond)
 	}
-	return last, fmt.Errorf("basicsjobd: cluster did not drain/converge within 90s: %w", lastWhy)
+	return last, fmt.Errorf("cluster did not drain/converge within 90s: %w", lastWhy)
 }
 
 // logStats prints each node's queue counters and transport-resilience
 // counters — the satellite observability surface, exercised end to end.
-func logStats(cfg *Config, opt e2eOptions) {
-	for i := 0; i < opt.Nodes; i++ {
-		rpc := clientrpc.NewClient(cfg.Clients[i])
-		resp, err := rpc.Call(clientrpc.Request{Op: "stat"}, 5*time.Second)
-		rpc.Close()
-		if err != nil {
+func logStats(cl *node.Cluster) {
+	for i := range cl.Clients {
+		resp, err := cl.Stats(i)
+		if err != nil || resp.Net == nil {
 			continue
 		}
-		if resp.Net != nil {
-			log.Printf("e2e: node %d: applied=%d queue=%v net: sent=%d delivered=%d retries=%d retryDropped=%d shed=%d",
-				i, resp.Applied, resp.Val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Retries, resp.Net.RetryDropped, resp.Net.Shed)
-		}
+		log.Printf("e2e: node %d: applied=%d queue=%v net: sent=%d delivered=%d retries=%d retryDropped=%d shed=%d",
+			i, resp.Applied, resp.Val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Retries, resp.Net.RetryDropped, resp.Net.Shed)
 	}
 }
 
 // dumpArtifacts writes every node's view of every job next to the node
-// logs and journals, then annotates the error with the artifact path.
-func dumpArtifacts(opt e2eOptions, perNode []map[string]map[string]any, cause error) error {
+// logs and journals.
+func dumpArtifacts(cl *node.Cluster, perNode []map[string]map[string]any) {
 	var sb []byte
 	for i, jobs := range perNode {
 		ids := make([]string, 0, len(jobs))
@@ -515,6 +335,5 @@ func dumpArtifacts(opt e2eOptions, perNode []map[string]map[string]any, cause er
 			sb = append(sb, fmt.Sprintf("node%d %s %v\n", i, id, jobs[id])...)
 		}
 	}
-	os.WriteFile(filepath.Join(opt.Dir, "jobs.log"), sb, 0o644)
-	return fmt.Errorf("%w (artifacts in %s)", cause, opt.Dir)
+	cl.Artifact("jobs.log", sb)
 }

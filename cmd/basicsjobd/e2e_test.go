@@ -4,6 +4,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+
+	"distbasics/internal/node"
 )
 
 // TestJobQE2EKillMinorityIncludingScheduler is the headline robustness
@@ -24,17 +26,16 @@ func TestJobQE2EKillMinorityIncludingScheduler(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	err := runE2E(e2eOptions{
+	err := runE2E(e2eOptions{JobsPer: 12, E2EOptions: node.E2EOptions{
 		Bin:     bin,
 		Dir:     t.TempDir(),
 		Nodes:   5,
 		Clients: 3,
-		JobsPer: 12,
 		Kill:    2,
 		Chaos:   true,
 		Compact: true, // SIGKILLs land amid live snapshot installs
 		Keep:    true, // t.TempDir cleans up; keep artifacts for -v debugging
-	})
+	}})
 	if err != nil {
 		t.Fatalf("e2e: %v", err)
 	}
@@ -43,10 +44,13 @@ func TestJobQE2EKillMinorityIncludingScheduler(t *testing.T) {
 // TestJobQE2ERejectsMajorityKill guards the option validation: killing
 // a majority of replicas can never satisfy the demo's liveness claims.
 func TestJobQE2ERejectsMajorityKill(t *testing.T) {
-	if _, err := (e2eOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: 4, Kill: 2}).withDefaults(); err == nil {
+	shape := func(nodes, kill int) e2eOptions {
+		return e2eOptions{E2EOptions: node.E2EOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: nodes, Kill: kill}}
+	}
+	if _, err := shape(4, 2).withDefaults(); err == nil {
 		t.Fatal("want error for kill=2 of nodes=4")
 	}
-	if _, err := (e2eOptions{Bin: "x", Dir: filepath.Join(t.TempDir(), "d"), Nodes: 5, Kill: 2}).withDefaults(); err != nil {
+	if _, err := shape(5, 2).withDefaults(); err != nil {
 		t.Fatalf("kill=2 of nodes=5 is a minority: %v", err)
 	}
 }

@@ -21,7 +21,7 @@
 //	    {"op":"job","key":"job-1"} / {"op":"jobs"} / {"op":"stat"}.
 //
 //	basicsjobd e2e [-nodes 5] [-clients 3] [-jobs 18] [-kill 2] [-chaos=true]
-//	            [-dir DIR] [-keep]
+//	            [-compact=true] [-dir DIR] [-keep]
 //	    The kill -9 survival demo: a local cluster runs a mixed job
 //	    workload (transient failures, poison jobs) under link chaos; a
 //	    minority of nodes — including node 0, the Ω leader and thus the
@@ -30,10 +30,10 @@
 //	    completion effect, every replica must agree on every record, and
 //	    poison jobs must sit dead-lettered at their attempt budget.
 //
-//	basicsjobd bench [-out BENCH_jobq.json] [-duration 6s] [-workers 48]
-//	    Closed-loop jobs-per-second benchmark over real TCP serve
-//	    subprocesses: a steady-state row, and a row where one worker
-//	    node is SIGKILLed and restarted on a ~20% downtime duty cycle.
+// The node stack under the queue (journal, TCP, Resilient, Runtime, Ω
+// wiring, stat counters) and the e2e's subprocess harness are
+// internal/node, shared with basicsd and basicskv. The load benchmark
+// is `bash bench/run.sh` (workload jobq-tcp-steady; see bench/README.md).
 package main
 
 import (
@@ -41,7 +41,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
+
+	"distbasics/internal/node"
 )
 
 func main() {
@@ -51,42 +52,17 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "serve":
-		fs := flag.NewFlagSet("serve", flag.ExitOnError)
-		cfgPath := fs.String("config", "", "cluster config file (JSON)")
-		id := fs.Int("id", -1, "this node's id")
-		fs.Parse(os.Args[2:])
-		if *cfgPath == "" || *id < 0 {
-			fs.Usage()
-			os.Exit(2)
-		}
-		if err := runServe(*cfgPath, *id); err != nil {
+		if err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
 	case "e2e":
 		fs := flag.NewFlagSet("e2e", flag.ExitOnError)
 		var opt e2eOptions
-		fs.IntVar(&opt.Nodes, "nodes", 5, "cluster size")
-		fs.IntVar(&opt.Clients, "clients", 3, "concurrent submitters")
+		opt.Flags(fs)
 		fs.IntVar(&opt.JobsPer, "jobs", 18, "jobs per submitter")
-		fs.IntVar(&opt.Kill, "kill", 2, "nodes to SIGKILL mid-run (must be a minority; includes node 0)")
-		fs.BoolVar(&opt.Chaos, "chaos", true, "inject drop/delay/duplicate chaos")
-		fs.BoolVar(&opt.Compact, "compact", true, "force journal compaction mid-campaign and assert bounded journals")
-		fs.StringVar(&opt.Dir, "dir", "", "journal/artifact directory (default: temp)")
-		fs.BoolVar(&opt.Keep, "keep", false, "keep artifacts on success")
 		fs.Parse(os.Args[2:])
 		if err := runE2E(opt); err != nil {
 			log.Fatalf("e2e: FAIL: %v", err)
-		}
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		var opt benchOptions
-		fs.StringVar(&opt.Out, "out", "BENCH_jobq.json", "output file")
-		fs.DurationVar(&opt.Duration, "duration", 6*time.Second, "measured window per row")
-		fs.IntVar(&opt.Workers, "workers", 48, "closed-loop submitter connections")
-		fs.StringVar(&opt.Rows, "rows", "steady,crash20", "comma-separated rows")
-		fs.Parse(os.Args[2:])
-		if err := runBench(opt); err != nil {
-			log.Fatalf("bench: FAIL: %v", err)
 		}
 	default:
 		usage()
@@ -94,6 +70,6 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: basicsjobd serve -config FILE -id N | basicsjobd e2e [flags] | basicsjobd bench [flags]\n")
+	fmt.Fprintf(os.Stderr, "usage: basicsjobd serve -config FILE -id N | basicsjobd e2e [flags]\n")
 	os.Exit(2)
 }

@@ -8,45 +8,11 @@ import (
 	"distbasics/internal/amp"
 	"distbasics/internal/clientrpc"
 	"distbasics/internal/jobq"
+	"distbasics/internal/node"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
-
-// tcpPolicy is the retry policy tuned to localhost TCP under the
-// default 2ms tick (same reasoning as basicsd's).
-func tcpPolicy(id int) transport.Policy {
-	return transport.Policy{SendTimeout: 25, RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
-}
-
-// hbPeriod is the runtime heartbeat period in ticks; the jobq grace
-// default below is expressed in multiples of it.
-const hbPeriod = 40
-
-// Daemon-scale queue policy defaults (ticks; 2ms each by default).
-// Grace = 10 heartbeats: a worker must miss ~800ms of heartbeats
-// continuously before its lease lapses and its jobs are reassigned.
-//
-// ReproposeTicks is the critical one: it must sit well ABOVE the
-// worst-case consensus round-trip on the real transport (hundreds of
-// milliseconds under chaos), unlike the jobq library default of
-// 8*StepEvery, which is tuned to simulation-scale decide latency. Too
-// low and every scheduler pulse re-broadcasts the same still-undecided
-// assignment as a fresh TO payload; the duplicates swell every
-// subsequent proposal batch, bigger batches slow the rounds down
-// further, and the feedback loop congestion-collapses consensus (the
-// observed failure mode: thousands of duplicate assigns pending, slot
-// ballots in the hundreds, no decision for minutes).
-const (
-	defaultGraceTicks     = 10 * hbPeriod
-	defaultStepTicks      = 25   // 50ms pulse: responsive, cheap when idle
-	defaultReproposeTicks = 1500 // 3s: >> a chaos-degraded consensus round
-)
-
-// defaultRunnerRetryTicks is the worker's at-least-once re-proposal
-// period for joins and outcome reports (2s real time) — same reasoning
-// as defaultReproposeTicks, against the jobq default of 500 ticks.
-const defaultRunnerRetryTicks = 1000
 
 // jobSpec is the replicated job payload: what a submitted job costs to
 // run and how it behaves. It rides inside jobq.Cmd through consensus,
@@ -59,25 +25,21 @@ type jobSpec struct {
 	Poison bool // every attempt fails: must dead-letter
 }
 
-// server is one running basicsjobd node: a queue replica (rsm replica
-// + scheduler driver) over the TCP(+Chaos)→Resilient→Runtime stack,
-// co-located with its worker runner, plus the line-JSON RPC front end.
+// server is one running basicsjobd node: a queue replica (jobq.Node =
+// rsm replica + scheduler driver) on the shared skeleton of
+// internal/node, co-located with its worker runner, plus the line-JSON
+// RPC verb table.
 type server struct {
-	id      int
-	cfg     *Config
-	nd      *jobq.Node
-	runner  *jobq.Runner
-	rt      *transport.Runtime
-	tcp     *transport.TCP
-	res     *transport.Resilient
-	journal *rsm.FileJournal
-	clock   *transport.RealClock
-	rpc     *clientrpc.Server
+	id     int
+	nd     *jobq.Node
+	runner *jobq.Runner
+	rep    *node.Replica
+	rpc    *clientrpc.Server
 
-	// waiters maps a proposed command to its local-apply channel;
-	// jobWaiters holds "run" RPCs blocked until a job turns terminal.
-	// Both are touched only inside the runtime's event loop.
-	waiters    map[rbcast.MsgID]chan jobq.Event
+	// waiters completes "submit"/"run" proposals at their local apply;
+	// jobWaiters holds "run" RPCs blocked until a job turns terminal and
+	// is touched only inside the runtime's event loop.
+	waiters    node.Waiters[jobq.Event]
 	jobWaiters map[string][]chan jobq.Job
 }
 
@@ -85,108 +47,65 @@ type server struct {
 // model: no graceful shutdown, the journal and the peers' anti-entropy
 // carry a kill -9 through restart.
 func runServe(cfgPath string, id int) error {
-	cfg, err := LoadConfig(cfgPath)
-	if err != nil {
+	cfg := &Config{}
+	if err := node.Load(cfgPath, cfg); err != nil {
 		return err
 	}
-	if id < 0 || id >= len(cfg.Peers) {
-		return fmt.Errorf("basicsjobd: node id %d out of range [0,%d)", id, len(cfg.Peers))
-	}
-	s, err := startServer(cfg, id)
-	if err != nil {
-		return err
-	}
-	log.Printf("basicsjobd: node %d up: peers=%s clients=%s journal=%s grace=%d ticks",
-		id, s.tcp.Addr(), s.rpc.Addr(), cfg.Journals[id], s.nd.Config().Grace)
-	select {}
-}
-
-// startServer builds and starts the node stack, worker runner,
-// scheduler pulse, and RPC listener.
-func startServer(cfg *Config, id int) (*server, error) {
-	// Wire registration must precede both transport traffic and journal
-	// replay (journal records carry jobq.Cmd and jobSpec through `any`
-	// fields, and gob decodes by registered name).
-	amp.RegisterWire(transport.Register)
-	rsm.RegisterWire(transport.Register)
+	// Journal records carry jobq.Cmd and jobSpec through `any` fields,
+	// and gob decodes by registered name.
 	jobq.RegisterWire(transport.Register)
 	transport.Register(jobSpec{})
 
-	if cfg.GraceTicks == 0 {
-		cfg.GraceTicks = defaultGraceTicks
-	}
-	if cfg.StepTicks == 0 {
-		cfg.StepTicks = defaultStepTicks
-	}
-	if cfg.ReproposeTicks == 0 {
-		cfg.ReproposeTicks = defaultReproposeTicks
-	}
-
-	s := &server{
-		id:         id,
-		cfg:        cfg,
-		waiters:    make(map[rbcast.MsgID]chan jobq.Event),
-		jobWaiters: make(map[string][]chan jobq.Job),
-	}
-
-	opts := []rsm.NodeOption{}
-	if path := cfg.Journals[id]; path != "" {
-		j, rec, err := rsm.OpenFileJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = j
-		opts = append(opts, rsm.WithJournal(j))
-		cr, cb := cfg.compaction()
-		opts = append(opts, rsm.WithCompaction(cr, cb))
-		if rec.Snap != nil || rec.NextSeq > 0 || len(rec.Accepts) > 0 || len(rec.Decides) > 0 {
-			opts = append(opts, rsm.WithRecovery(rec))
-		}
-	}
-	opts = append(opts, cfg.rsmOptions()...)
-	// jobq.New installs the apply hook before recovery replay, so a
-	// restarted node's queue state is rebuilt here, before any traffic.
-	s.nd = jobq.New(len(cfg.Peers), cfg.jobqConfig(id), opts...)
-	s.nd.RSM.Omega.Period = hbPeriod
-	s.nd.Subscribe(s.onQueueEvent)
-
-	s.clock = transport.NewRealClock(cfg.Unit())
-	tcp, err := transport.NewTCP(id, cfg.Peers, transport.TCPOptions{})
+	s := &server{id: id, jobWaiters: make(map[string][]chan jobq.Job)}
+	clock := transport.NewRealClock(cfg.Unit())
+	_, err := cfg.Start(id, clock, func(r *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
+		s.rep = r
+		// jobq.New installs the apply hook before recovery replay, so a
+		// restarted node's queue state is rebuilt here, before any traffic.
+		s.nd = jobq.New(len(cfg.Peers), cfg.jobqConfig(id), opts...)
+		s.nd.Subscribe(s.onQueueEvent)
+		s.runner = s.newRunner(clock, cfg.Unit())
+		return s.nd.RSM
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.tcp = tcp
-	var tr transport.Transport = tcp
-	if rules := cfg.chaosRules(id); len(rules) > 0 {
-		tr = transport.NewChaos(tr, s.clock, rules...)
-	}
-	s.res = transport.NewResilient(tr, s.clock, tcpPolicy(id))
-	s.rt = transport.NewRuntime(s.res, s.clock, s.nd.RSM.Stack,
-		transport.WithRuntimeSeed(int64(id+1)),
-		transport.WithSuspectSource(s.nd.RSM.Omega.Suspects),
-		transport.WithSuspectKick(s.res.Kick),
-	)
-	s.res.SetSuspected(s.rt.Suspected)
+	// This is the same Start used on fresh boot and after a kill -9 — in
+	// the latter case the journal-recovered state still assigns this
+	// worker its pre-crash attempts, and Start re-executes them under
+	// their original tokens.
+	s.rep.RT.Do(func(amp.Context) { s.runner.Start() })
 
-	// The worker runner executes inside the event loop; its Defer rides
-	// the real clock back into the loop. This is the same Start used on
-	// fresh boot and after a kill -9 — in the latter case the journal-
-	// recovered state still assigns this worker its pre-crash attempts,
-	// and Start re-executes them under their original tokens.
-	s.runner = jobq.NewRunner(s.nd, id)
-	s.runner.RetryEvery = defaultRunnerRetryTicks
-	s.runner.Defer = func(d amp.Time, f func()) {
-		s.clock.AfterFunc(d, func() { s.rt.Do(func(amp.Context) { f() }) })
+	// Scheduler pulse: every replica drives Step; only the Ω leader acts.
+	var pulse func()
+	pulse = func() {
+		s.rep.RT.Do(func(amp.Context) { s.nd.Step(s.nd.Ctx()) })
+		clock.AfterFunc(s.nd.Config().StepEvery, pulse)
 	}
-	s.runner.Cost = func(j jobq.Job) amp.Time {
+	clock.AfterFunc(s.nd.Config().StepEvery, pulse)
+
+	if s.rpc, err = clientrpc.NewServer(cfg.Clients[id], s.handle); err != nil {
+		s.rep.Close()
+		return fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
+	}
+	log.Printf("basicsjobd: node %d up: peers=%s clients=%s journal=%s grace=%d ticks",
+		id, s.rep.Addr(), s.rpc.Addr(), cfg.Journals[id], s.nd.Config().Grace)
+	select {}
+}
+
+// newRunner attaches the worker runner. It executes inside the event
+// loop; its Defer rides the real clock back into the loop.
+func (s *server) newRunner(clock transport.Clock, unit time.Duration) *jobq.Runner {
+	r := jobq.NewRunner(s.nd, s.id)
+	r.RetryEvery = defaultRunnerRetryTicks
+	r.Defer = func(d amp.Time, f func()) {
+		clock.AfterFunc(d, func() { s.rep.RT.Do(func(amp.Context) { f() }) })
+	}
+	r.Cost = func(j jobq.Job) amp.Time {
 		spec, _ := j.Payload.(jobSpec)
-		ticks := amp.Time(time.Duration(spec.CostMS) * time.Millisecond / cfg.Unit())
-		if ticks < 1 {
-			ticks = 1
-		}
-		return ticks
+		return max(1, amp.Time(time.Duration(spec.CostMS)*time.Millisecond/unit))
 	}
-	s.runner.Work = func(j jobq.Job) (any, string, bool) {
+	r.Work = func(j jobq.Job) (any, string, bool) {
 		spec, _ := j.Payload.(jobSpec)
 		if spec.Poison {
 			return nil, "poison", false
@@ -196,38 +115,14 @@ func startServer(cfg *Config, id int) (*server, error) {
 		}
 		return fmt.Sprintf("done:%s by %d attempt %d", j.ID, s.id, j.Attempt), "", true
 	}
-
-	s.rt.Start()
-	s.rt.Do(func(amp.Context) { s.runner.Start() })
-
-	// Scheduler pulse: every replica drives Step; only the Ω leader acts.
-	var pulse func()
-	pulse = func() {
-		s.rt.Do(func(amp.Context) { s.nd.Step(s.nd.Ctx()) })
-		s.clock.AfterFunc(s.nd.Config().StepEvery, pulse)
-	}
-	s.clock.AfterFunc(s.nd.Config().StepEvery, pulse)
-
-	rpcSrv, err := clientrpc.NewServer(cfg.Clients[id], s.handle)
-	if err != nil {
-		tcp.Close()
-		return nil, fmt.Errorf("basicsjobd: client listen %s: %w", cfg.Clients[id], err)
-	}
-	s.rpc = rpcSrv
-	return s, nil
+	return r
 }
 
 // onQueueEvent runs inside the event loop after every applied queue
 // command: it completes proposal waiters and, on terminal transitions,
 // releases "run" RPCs blocked on the job.
 func (s *server) onQueueEvent(ev jobq.Event, e rsm.Entry, _ amp.Time) {
-	if ch, ok := s.waiters[e.ID]; ok {
-		delete(s.waiters, e.ID)
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+	s.waiters.Complete(e.ID, func() jobq.Event { return ev })
 	if ev.Kind != jobq.EvCompleted && ev.Kind != jobq.EvDeadLettered {
 		return
 	}
@@ -260,26 +155,13 @@ func (s *server) finishJob(id string) {
 // propose runs cmd through consensus and waits for its local apply,
 // returning the apply-time event (which may be EvNop/EvStale for a
 // validated-away duplicate — idempotent for the caller either way).
-func (s *server) propose(cmd jobq.Cmd, timeout time.Duration) (jobq.Event, error) {
-	ch := make(chan jobq.Event, 1)
-	s.rt.Do(func(amp.Context) {
-		id := s.nd.Propose(s.nd.Ctx(), cmd)
-		s.waiters[id] = ch
-	})
-	select {
-	case ev := <-ch:
-		return ev, nil
-	case <-time.After(timeout):
-		return jobq.Event{}, fmt.Errorf("timeout after %s (op may still apply)", timeout)
-	}
+func (s *server) propose(cmd jobq.Cmd) (jobq.Event, error) {
+	return s.waiters.Submit(s.rep.RT, node.RPCTimeout, func() rbcast.MsgID { return s.nd.Propose(s.nd.Ctx(), cmd) })
 }
 
-// rpcTimeout bounds one consensus round-trip; runTimeout bounds a full
-// job lifetime (queueing + retries with backoff included).
-const (
-	rpcTimeout = 15 * time.Second
-	runTimeout = 60 * time.Second
-)
+// runTimeout bounds a full job lifetime (queueing + retries with
+// backoff included).
+const runTimeout = 60 * time.Second
 
 // jobMap serializes a job record for the JSON front end.
 func jobMap(j jobq.Job) map[string]any {
@@ -340,7 +222,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 			// Register the terminal waiter BEFORE proposing, or a fast
 			// completion could slip between apply and registration.
 			runCh = make(chan jobq.Job, 1)
-			s.rt.Do(func(amp.Context) {
+			s.rep.RT.Do(func(amp.Context) {
 				if j, ok := s.nd.State().Job(req.Key); ok && j.State.Terminal() {
 					runCh <- j
 					return
@@ -348,7 +230,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 				s.jobWaiters[req.Key] = append(s.jobWaiters[req.Key], runCh)
 			})
 		}
-		if _, err := s.propose(jobq.Cmd{Kind: jobq.CmdSubmit, Job: req.Key, Budget: budget, Payload: spec}, rpcTimeout); err != nil {
+		if _, err := s.propose(jobq.Cmd{Kind: jobq.CmdSubmit, Job: req.Key, Budget: budget, Payload: spec}); err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		if req.Op == "submit" {
@@ -362,7 +244,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		}
 	case "job":
 		var resp clientrpc.Response
-		s.rt.Do(func(amp.Context) {
+		s.rep.RT.Do(func(amp.Context) {
 			if j, ok := s.nd.State().Job(req.Key); ok {
 				resp = clientrpc.Response{OK: true, Val: jobMap(j)}
 			} else {
@@ -372,7 +254,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		return resp
 	case "jobs":
 		all := map[string]any{}
-		s.rt.Do(func(amp.Context) {
+		s.rep.RT.Do(func(amp.Context) {
 			for _, j := range s.nd.State().Jobs() {
 				all[j.ID] = jobMap(j)
 			}
@@ -382,12 +264,12 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		var n int
 		var ctr jobq.Counters
 		var workers []int
-		s.rt.Do(func(amp.Context) {
+		s.rep.RT.Do(func(amp.Context) {
 			n = s.nd.RSM.Len()
 			ctr = s.nd.State().Counters()
 			workers = s.nd.State().Workers()
 		})
-		return clientrpc.Response{OK: true, Applied: n, Net: netStats(s.res), Journal: journalStats(s.journal), Val: map[string]any{
+		return clientrpc.Response{OK: true, Applied: n, Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep), Val: map[string]any{
 			"submitted":   ctr.Submitted,
 			"assigns":     ctr.Assigns,
 			"completions": ctr.Completions,
@@ -400,33 +282,5 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		}}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-}
-
-// journalStats snapshots the journal/compaction counters for the
-// "stat" op; nil when the node runs without persistence.
-func journalStats(j *rsm.FileJournal) *clientrpc.JournalStats {
-	if j == nil {
-		return nil
-	}
-	st := j.Stats()
-	return &clientrpc.JournalStats{
-		Records: st.Records, Bytes: st.Bytes,
-		LifeRecords: st.LifeRecords, LifeBytes: st.LifeBytes,
-		Snapshots: st.Snapshots, SnapBytes: st.SnapBytes, Gen: st.Gen,
-		WriteErrs: st.WriteErrs, Degraded: st.Degraded,
-	}
-}
-
-// netStats snapshots the Resilient layer's counters (retry-exhaustion
-// drops and queue sheds are the transport's two explicit loss modes).
-func netStats(res *transport.Resilient) *clientrpc.NetStats {
-	st := res.Stats()
-	return &clientrpc.NetStats{
-		Sent:         st.Sent.Load(),
-		Delivered:    st.Delivered.Load(),
-		Retries:      st.Retries.Load(),
-		RetryDropped: st.Dropped.Load(),
-		Shed:         st.Shed.Load(),
 	}
 }

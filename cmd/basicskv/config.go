@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"distbasics/internal/amp"
 	"distbasics/internal/kv"
+	"distbasics/internal/node"
 )
 
 // Config describes a multi-process basicskv cluster. Process i runs
@@ -24,16 +22,12 @@ type Config struct {
 	// shard s (same shape as Peers; empty/absent disables persistence,
 	// losing kill -9 survival for state not re-replicated from peers).
 	Journals [][]string `json:"journals,omitempty"`
-	// CompactRecords / CompactBytes are per-shard journal auto-
-	// compaction thresholds (0 = rsm defaults, negative disables).
-	CompactRecords int64 `json:"compact_records,omitempty"`
-	CompactBytes   int64 `json:"compact_bytes,omitempty"`
 
-	// UnitMS is the clock tick in milliseconds (default 2).
-	UnitMS int `json:"unit_ms,omitempty"`
-	// MaxBatch / Pipeline tune the rsm proposer (0 = its defaults).
-	MaxBatch int `json:"max_batch,omitempty"`
-	Pipeline int `json:"pipeline,omitempty"`
+	// Tuning is the clock unit, the rsm proposer's max_batch/pipeline
+	// and the per-shard journal compaction thresholds — the same keys
+	// as in basicsd's and basicsjobd's cluster files.
+	node.Tuning
+
 	// LeaseTTL in ticks; 0 = default, negative disables lease reads.
 	LeaseTTL int `json:"lease_ttl,omitempty"`
 	// LeaseMargin in ticks, discounted from the holder side of each
@@ -42,69 +36,46 @@ type Config struct {
 	LeaseMargin int `json:"lease_margin,omitempty"`
 }
 
-// LoadConfig reads and validates a cluster config.
-func LoadConfig(path string) (*Config, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c Config
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return nil, fmt.Errorf("basicskv: parse %s: %w", path, err)
-	}
+// Validate checks the shape node.Load accepts: one peer row per shard,
+// all rows as long as the client list, journals (if any) the same shape.
+func (c *Config) Validate() error {
 	if c.Shards == 0 {
 		c.Shards = len(c.Peers)
 	}
 	if c.Shards != len(c.Peers) || c.Shards == 0 {
-		return nil, fmt.Errorf("basicskv: %d shards but %d peer rows", c.Shards, len(c.Peers))
+		return fmt.Errorf("%d shards but %d peer rows", c.Shards, len(c.Peers))
 	}
-	n := len(c.Peers[0])
+	if len(c.Journals) != 0 && len(c.Journals) != c.Shards {
+		return fmt.Errorf("%d journal rows for %d shards", len(c.Journals), c.Shards)
+	}
+	n := len(c.Clients)
 	for s, row := range c.Peers {
 		if len(row) != n {
-			return nil, fmt.Errorf("basicskv: shard %d has %d replicas, shard 0 has %d", s, len(row), n)
+			return fmt.Errorf("shard %d has %d replicas for %d client addrs", s, len(row), n)
 		}
 	}
-	if len(c.Clients) != n {
-		return nil, fmt.Errorf("basicskv: %d client addrs for %d processes", len(c.Clients), n)
-	}
-	if len(c.Journals) != 0 {
-		if len(c.Journals) != c.Shards {
-			return nil, fmt.Errorf("basicskv: %d journal rows for %d shards", len(c.Journals), c.Shards)
-		}
-		for s, row := range c.Journals {
-			if len(row) != n {
-				return nil, fmt.Errorf("basicskv: journal row %d has %d entries for %d processes", s, len(row), n)
-			}
+	for s, row := range c.Journals {
+		if len(row) != n {
+			return fmt.Errorf("journal row %d has %d entries for %d processes", s, len(row), n)
 		}
 	}
-	return &c, nil
+	return nil
 }
 
 // hostConfig translates the file config into a kv.HostConfig for
 // process self.
 func (c *Config) hostConfig(self int) kv.HostConfig {
-	unit := 2 * time.Millisecond
-	if c.UnitMS > 0 {
-		unit = time.Duration(c.UnitMS) * time.Millisecond
-	}
 	var journals []string
-	if len(c.Journals) == c.Shards {
-		journals = make([]string, c.Shards)
-		for s := range c.Journals {
-			journals[s] = c.Journals[s][self]
-		}
+	for _, row := range c.Journals {
+		journals = append(journals, row[self])
 	}
 	return kv.HostConfig{
-		Shards:         c.Shards,
-		Peers:          c.Peers,
-		Self:           self,
-		Unit:           unit,
-		LeaseTTL:       amp.Time(c.LeaseTTL),
-		LeaseMargin:    amp.Time(c.LeaseMargin),
-		MaxBatch:       c.MaxBatch,
-		Pipeline:       c.Pipeline,
-		Journals:       journals,
-		CompactRecords: c.CompactRecords,
-		CompactBytes:   c.CompactBytes,
+		Shards:      c.Shards,
+		Peers:       c.Peers,
+		Self:        self,
+		Tuning:      c.Tuning,
+		LeaseTTL:    amp.Time(c.LeaseTTL),
+		LeaseMargin: amp.Time(c.LeaseMargin),
+		Journals:    journals,
 	}
 }

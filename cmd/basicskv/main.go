@@ -13,23 +13,18 @@
 //	    {"op":"put","key":"x","val":1} / {"op":"get","key":"x"} /
 //	    {"op":"del","key":"x"} / {"op":"stat"}.
 //
-//	basicskv bench [-out BENCH_kv.json] [-rows 1shard,8shard,tcp]
-//	               [-duration 3s] [-workers 512] [-readfrac 0.95]
-//	    Closed-loop load benchmark. Loopback rows run the in-process
-//	    engine (every shard a 3-replica group over a deterministic
-//	    virtual-time network); the tcp row spawns real serve processes
-//	    and drives them over client sockets. Every row runs sampled-key
-//	    prober histories through the partitioned linearizability
-//	    checker alongside the load, and a row only reports histOk=true
-//	    if they linearize.
+// Each local shard replica runs on the node skeleton shared with basicsd
+// and basicsjobd (internal/node, via kv.Host). The load benchmark is
+// `bash bench/run.sh` (workloads kv-tcp-write, kv-tcp-read,
+// kv-tcp-failover, kv-inproc-write; see bench/README.md).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
-	"time"
+
+	"distbasics/internal/node"
 )
 
 func main() {
@@ -39,28 +34,8 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "serve":
-		fs := flag.NewFlagSet("serve", flag.ExitOnError)
-		cfgPath := fs.String("config", "", "cluster config file (JSON)")
-		self := fs.Int("self", -1, "this process's replica index")
-		fs.Parse(os.Args[2:])
-		if *cfgPath == "" || *self < 0 {
-			fs.Usage()
-			os.Exit(2)
-		}
-		if err := runServe(*cfgPath, *self); err != nil {
+		if err := runServe(node.ServeArgs(os.Args[2:], "self")); err != nil {
 			log.Fatalf("serve: %v", err)
-		}
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		var opt benchOptions
-		fs.StringVar(&opt.Out, "out", "BENCH_kv.json", "result file")
-		fs.StringVar(&opt.Rows, "rows", "1shard,8shard,tcp", "comma-separated row set")
-		fs.DurationVar(&opt.Duration, "duration", 3*time.Second, "measured window per row")
-		fs.IntVar(&opt.Workers, "workers", 512, "closed-loop workers (loopback rows)")
-		fs.Float64Var(&opt.ReadFrac, "readfrac", 0.95, "fraction of operations that are reads")
-		fs.Parse(os.Args[2:])
-		if err := runBench(opt); err != nil {
-			log.Fatalf("bench: %v", err)
 		}
 	default:
 		usage()
@@ -68,9 +43,6 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
-  basicskv serve -config kv.json -self N
-  basicskv bench [-out BENCH_kv.json] [-rows 1shard,8shard,tcp] [-duration 3s] [-workers 512] [-readfrac 0.95]
-`)
+	fmt.Fprintf(os.Stderr, "usage: basicskv serve -config kv.json -self N\n")
 	os.Exit(2)
 }

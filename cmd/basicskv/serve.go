@@ -6,6 +6,7 @@ import (
 
 	"distbasics/internal/clientrpc"
 	"distbasics/internal/kv"
+	"distbasics/internal/node"
 )
 
 // runServe is the `basicskv serve` entrypoint: start this process's
@@ -14,12 +15,12 @@ import (
 // shutdown path; replication through the other processes is what
 // carries state across a kill.
 func runServe(cfgPath string, self int) error {
-	cfg, err := LoadConfig(cfgPath)
-	if err != nil {
+	cfg := &Config{}
+	if err := node.Load(cfgPath, cfg); err != nil {
 		return err
 	}
 	if self >= len(cfg.Clients) {
-		return fmt.Errorf("basicskv: self %d out of range [0,%d)", self, len(cfg.Clients))
+		return fmt.Errorf("self %d out of range [0,%d)", self, len(cfg.Clients))
 	}
 	host, err := kv.NewHost(cfg.hostConfig(self))
 	if err != nil {
@@ -28,7 +29,7 @@ func runServe(cfgPath string, self int) error {
 	rpc, err := clientrpc.NewServer(cfg.Clients[self], host.Handle)
 	if err != nil {
 		host.Close()
-		return fmt.Errorf("basicskv: client listen %s: %w", cfg.Clients[self], err)
+		return fmt.Errorf("client listen %s: %w", cfg.Clients[self], err)
 	}
 	log.Printf("basicskv: process %d up: %d shards, clients=%s", self, cfg.Shards, rpc.Addr())
 	select {} // crash-stop: run until killed

@@ -169,6 +169,18 @@
 // bounded shed queue when internal/fd suspects a peer; see the
 // internal/transport package docs for the precise guarantees).
 //
+// The three daemons below — basicsd, basicskv, basicsjobd — are one
+// node skeleton with three state machines plugged in. internal/node
+// owns, once, what each of them needs to carry a replica onto sockets:
+// the JSON cluster file (peers/clients/journals, chaos schedule, clock
+// unit, proposer and compaction tuning), the bring-up (open journal →
+// recover → TCP → Chaos → Resilient → Runtime with the Ω suspicion
+// wiring → start), the stat counters, the
+// submit-then-wait-for-local-apply table behind every client write,
+// and the subprocess harness (spawn, kill -9, restart, bounded-journal
+// assertion) that the kill -9 tests of all three run on. A daemon's own
+// code is its verb table and, for the e2es, a workload and a verifier.
+//
 // To run a node of a real cluster, write a JSON config listing every
 // node's transport address, client-RPC address, and journal path, then
 // start one process per id:
@@ -228,14 +240,17 @@
 // over TCP:
 //
 //	basicskv serve -config kv.json -self 0
-//	basicskv bench -out BENCH_kv.json
 //
-// The bench drives closed-loop load rows (single shard, 8 shards, and
-// a 3-process TCP cluster), reporting throughput and latency
-// percentiles while sampled per-key prober histories run through the
-// partitioned linearizability checker; see cmd/basicskv's README for
-// the sharding map, batching knobs, lease semantics, and fallback
-// conditions. The batching/pipelining invariants themselves are fuzzed
+// Its load benchmark is the repository's one benchmark, `bash
+// bench/run.sh` (bench/README.md): closed-loop write, lease-read,
+// consensus-read and kill -9 failover workloads against three serve
+// processes, plus an in-process write workload, each with sampled
+// per-key prober histories run through the partitioned linearizability
+// checker. See cmd/basicskv's README for the sharding map, batching
+// knobs, lease semantics, and fallback conditions. A subprocess test
+// kills -9 one of three serve processes, restarts it from its journals
+// and reads every acknowledged key back through it. The
+// batching/pipelining invariants themselves are fuzzed
 // by the scenario harness's kv model (exactly-once apply, identical
 // applied order across replicas, batching evidence on benign seeds).
 //
@@ -263,7 +278,9 @@
 //
 //	basicsjobd serve -config cluster.json -id 0
 //	basicsjobd e2e -nodes 5 -clients 3 -kill 2 -chaos=true
-//	basicsjobd bench -out BENCH_jobq.json
+//
+// (Throughput and job latency are the jobq-tcp-steady workload of
+// `bash bench/run.sh`.)
 //
 // The e2e demo SIGKILLs a minority including node 0 — the Ω leader,
 // i.e. the acting scheduler — mid-campaign while forced compaction

@@ -17,10 +17,11 @@ const Op = "jobq"
 type Config struct {
 	// Grace is how long a worker must stay CONTINUOUSLY suspected before
 	// the scheduler declares its lease lapsed and releases its jobs
-	// (default 10 heartbeat periods' worth: 400 ticks at the runtime's
-	// hbPeriod=40). Too short and a network hiccup double-executes work
-	// (safe — the attempt token rejects one effect — but wasteful); too
-	// long and a crashed worker's jobs stall for the full grace.
+	// (default 10 heartbeat periods' worth: 400 ticks at the daemons'
+	// node.HeartbeatPeriod=40). Too short and a network hiccup
+	// double-executes work (safe — the attempt token rejects one effect —
+	// but wasteful); too long and a crashed worker's jobs stall for the
+	// full grace.
 	Grace amp.Time
 	// MaxPerWorker caps concurrent assignments per worker (default 4).
 	MaxPerWorker int

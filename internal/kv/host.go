@@ -2,10 +2,10 @@ package kv
 
 import (
 	"fmt"
-	"time"
 
 	"distbasics/internal/amp"
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/node"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
@@ -24,8 +24,10 @@ type HostConfig struct {
 	Peers  [][]string
 	// Self is this process's replica index.
 	Self int
-	// Unit is the tick duration for the real clock (default 2ms).
-	Unit time.Duration
+	// Tuning is the clock unit, proposer batching/pipelining and
+	// per-shard journal auto-compaction thresholds, as in the cluster
+	// file (zero values take the defaults).
+	node.Tuning
 	// LeaseTTL in ticks; 0 = DefaultHostLeaseTTL, negative disables.
 	LeaseTTL amp.Time
 	// LeaseMargin (ticks) is subtracted from the holder-side validity
@@ -38,30 +40,17 @@ type HostConfig struct {
 	// plus two ticks of scheduling jitter), negative = no margin (only
 	// sane for tests that control both clocks).
 	LeaseMargin amp.Time
-	// MaxBatch / Pipeline pass through to the rsm proposer.
-	MaxBatch, Pipeline int
-	// Timeout bounds one client op's consensus round-trip (default 15s).
-	Timeout time.Duration
 	// Journals[s] is this process's journal path for its replica of
 	// shard s (len == Shards; "" or a nil slice disables persistence
 	// for that shard, losing kill -9 survival). Each journal compacts
-	// automatically behind state snapshots (see CompactRecords).
+	// automatically behind state snapshots (see Tuning).
 	Journals []string
-	// CompactRecords / CompactBytes are the per-shard journal
-	// auto-compaction thresholds (active-segment records / bytes).
-	// 0 = rsm.DefaultCompactRecords / rsm.DefaultCompactBytes;
-	// negative disables that threshold.
-	CompactRecords int64
-	CompactBytes   int64
 }
 
-const (
-	// DefaultHostLeaseTTL (ticks) is several heartbeat periods: at the
-	// 2ms default unit and hostHeartbeatPeriod=40, a 500-tick lease is
-	// one second, renewed every 80ms.
-	DefaultHostLeaseTTL amp.Time = 500
-	hostHeartbeatPeriod amp.Time = 40
-)
+// DefaultHostLeaseTTL (ticks) is several heartbeat periods: at the
+// 2ms default unit and node.HeartbeatPeriod=40, a 500-tick lease is
+// one second, renewed every 80ms.
+const DefaultHostLeaseTTL amp.Time = 500
 
 func (c HostConfig) withDefaults() (HostConfig, error) {
 	if c.Shards <= 0 {
@@ -78,9 +67,6 @@ func (c HostConfig) withDefaults() (HostConfig, error) {
 	if c.Self < 0 || len(c.Peers) == 0 || c.Self >= len(c.Peers[0]) {
 		return c, fmt.Errorf("kv: self %d out of range", c.Self)
 	}
-	if c.Unit <= 0 {
-		c.Unit = 2 * time.Millisecond
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = DefaultHostLeaseTTL
 	}
@@ -90,29 +76,10 @@ func (c HostConfig) withDefaults() (HostConfig, error) {
 	case c.LeaseMargin < 0:
 		c.LeaseMargin = 0
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 15 * time.Second
-	}
 	if len(c.Journals) != 0 && len(c.Journals) != c.Shards {
 		return c, fmt.Errorf("kv: %d journal paths for %d shards", len(c.Journals), c.Shards)
 	}
-	if c.CompactRecords == 0 {
-		c.CompactRecords = rsm.DefaultCompactRecords
-	} else if c.CompactRecords < 0 {
-		c.CompactRecords = 0
-	}
-	if c.CompactBytes == 0 {
-		c.CompactBytes = rsm.DefaultCompactBytes
-	} else if c.CompactBytes < 0 {
-		c.CompactBytes = 0
-	}
 	return c, nil
-}
-
-type hostShard struct {
-	rep     *replica
-	tcp     *transport.TCP
-	journal *rsm.FileJournal // nil when persistence is disabled
 }
 
 // Host runs this process's replicas; see HostConfig.
@@ -120,12 +87,8 @@ type Host struct {
 	cfg    HostConfig
 	rmap   RangeMap
 	clock  *transport.RealClock
-	shards []*hostShard
-}
-
-// hostPolicy mirrors basicsd's localhost-TCP retry tuning.
-func hostPolicy(id int) transport.Policy {
-	return transport.Policy{SendTimeout: 25, RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
+	shards []*replica      // the kv side of each local shard replica
+	stacks []*node.Replica // and the node stack under it
 }
 
 // NewHost starts every local shard replica. On error, transports
@@ -135,72 +98,48 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	registerWire()
-	h := &Host{cfg: cfg, rmap: UniformHexBounds(cfg.Shards), clock: transport.NewRealClock(cfg.Unit)}
+	h := &Host{cfg: cfg, rmap: UniformHexBounds(cfg.Shards), clock: transport.NewRealClock(cfg.Unit())}
 	for s := 0; s < cfg.Shards; s++ {
-		hs, err := h.startShard(s)
-		if err != nil {
+		if err := h.startShard(s); err != nil {
 			h.Close()
 			return nil, fmt.Errorf("kv: shard %d: %w", s, err)
 		}
-		h.shards = append(h.shards, hs)
 	}
 	return h, nil
 }
 
-func (h *Host) startShard(s int) (*hostShard, error) {
+// startShard brings this process's replica of shard s up on the shared
+// node skeleton; the kv part is the lease options and the replica's
+// apply hook.
+func (h *Host) startShard(s int) error {
 	cfg := h.cfg
 	n := len(cfg.Peers[s])
-	nodeOpts := []rsm.NodeOption{rsm.WithoutAppliedLog()}
-	if cfg.MaxBatch > 0 {
-		nodeOpts = append(nodeOpts, rsm.WithMaxBatch(cfg.MaxBatch))
+	sp := node.Spec{Self: cfg.Self, Peers: cfg.Peers[s], Seed: int64(s*n + cfg.Self + 1)}
+	if len(cfg.Journals) > s {
+		sp.Journal = cfg.Journals[s]
 	}
-	if cfg.Pipeline > 0 {
-		nodeOpts = append(nodeOpts, rsm.WithPipeline(cfg.Pipeline))
-	}
-	if cfg.LeaseTTL > 0 {
-		nodeOpts = append(nodeOpts, rsm.WithReadLease(cfg.LeaseTTL), rsm.WithLeaseMargin(cfg.LeaseMargin))
-	}
-	var journal *rsm.FileJournal
-	if len(cfg.Journals) > s && cfg.Journals[s] != "" {
-		j, rec, err := rsm.OpenFileJournal(cfg.Journals[s])
-		if err != nil {
-			return nil, err
+	var rep *replica
+	stack, err := node.StartTCP(sp, &cfg.Tuning, h.clock, func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
+		opts = append(opts, rsm.WithoutAppliedLog())
+		if cfg.LeaseTTL > 0 {
+			opts = append(opts, rsm.WithReadLease(cfg.LeaseTTL), rsm.WithLeaseMargin(cfg.LeaseMargin))
 		}
-		journal = j
-		nodeOpts = append(nodeOpts,
-			rsm.WithJournal(j),
-			rsm.WithCompaction(cfg.CompactRecords, cfg.CompactBytes))
-		if rec.Snap != nil || rec.NextSeq > 0 || len(rec.Accepts) > 0 || len(rec.Decides) > 0 {
-			nodeOpts = append(nodeOpts, rsm.WithRecovery(rec))
-		}
-	}
-	nd := rsm.NewNode(n, nodeOpts...)
-	nd.Omega.Period = hostHeartbeatPeriod
-
-	tcp, err := transport.NewTCP(cfg.Self, cfg.Peers[s], transport.TCPOptions{})
+		rep = newReplica(rsm.NewNode(n, opts...))
+		return rep.nd
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := transport.NewResilient(tcp, h.clock, hostPolicy(cfg.Self))
-	rt := transport.NewRuntime(res, h.clock, nd.Stack,
-		transport.WithRuntimeSeed(int64(s*n+cfg.Self+1)),
-		transport.WithSuspectSource(nd.Omega.Suspects),
-		transport.WithSuspectKick(res.Kick),
-	)
-	res.SetSuspected(rt.Suspected)
-	rt.Start()
-	return &hostShard{rep: newReplica(nd, rt), tcp: tcp, journal: journal}, nil
+	rep.rt = stack.RT // only client calls use it, and none can precede NewHost's return
+	h.shards = append(h.shards, rep)
+	h.stacks = append(h.stacks, stack)
+	return nil
 }
 
-// Close stops every shard runtime and transport.
+// Close stops every shard runtime, transport and journal.
 func (h *Host) Close() {
-	for _, hs := range h.shards {
-		hs.rep.rt.Stop()
-		hs.tcp.Close()
-		if hs.journal != nil {
-			hs.journal.Close()
-		}
+	for _, stack := range h.stacks {
+		stack.Close()
 	}
 }
 
@@ -210,54 +149,29 @@ func (h *Host) Handle(req clientrpc.Request) clientrpc.Response {
 	switch req.Op {
 	case "put", "del":
 		cmd := rsm.Command{Op: req.Op, Key: req.Key, Val: clientrpc.NormalizeVal(req.Val)}
-		if _, err := h.shardFor(req.Key).rep.submit(cmd, h.cfg.Timeout); err != nil {
+		if _, err := h.shardFor(req.Key).submit(cmd); err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		return clientrpc.Response{OK: true}
 	case "get":
-		rep := h.shardFor(req.Key).rep
+		rep := h.shardFor(req.Key)
 		if v, ok := rep.leaseRead(req.Key); ok {
 			return clientrpc.Response{OK: true, Val: v}
 		}
-		out, err := rep.submit(rsm.Command{Op: "get", Key: req.Key}, h.cfg.Timeout)
+		out, err := rep.submit(rsm.Command{Op: "get", Key: req.Key})
 		if err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		return clientrpc.Response{OK: true, Val: out}
 	case "stat":
 		total := 0
-		var js *clientrpc.JournalStats
-		for _, hs := range h.shards {
-			rep := hs.rep
-			rep.rt.Do(func(amp.Context) { total += rep.node.Len() })
-			if hs.journal != nil {
-				if js == nil {
-					js = &clientrpc.JournalStats{}
-				}
-				addJournalStats(js, hs.journal.Stats())
-			}
+		for _, stack := range h.stacks {
+			total += stack.Applied()
 		}
-		return clientrpc.Response{OK: true, Applied: total, Journal: js}
+		return clientrpc.Response{OK: true, Applied: total, Net: node.NetStats(h.stacks...), Journal: node.JournalStats(h.stacks...)}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-func (h *Host) shardFor(key string) *hostShard { return h.shards[h.rmap.Shard(key)] }
-
-// addJournalStats folds one shard's journal counters into the summed
-// client-facing snapshot. Gen reports the maximum across shards (the
-// sum would be meaningless); Degraded is sticky if ANY shard is.
-func addJournalStats(dst *clientrpc.JournalStats, s rsm.JournalStats) {
-	dst.Records += s.Records
-	dst.Bytes += s.Bytes
-	dst.LifeRecords += s.LifeRecords
-	dst.LifeBytes += s.LifeBytes
-	dst.Snapshots += s.Snapshots
-	dst.SnapBytes += s.SnapBytes
-	if s.Gen > dst.Gen {
-		dst.Gen = s.Gen
-	}
-	dst.WriteErrs += s.WriteErrs
-	dst.Degraded = dst.Degraded || s.Degraded
-}
+func (h *Host) shardFor(key string) *replica { return h.shards[h.rmap.Shard(key)] }

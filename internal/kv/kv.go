@@ -230,7 +230,7 @@ func (e *Engine) Stats() Stats {
 		st.QuorumReads += sh.quorumReads.Load()
 		st.Writes += sh.writes.Load()
 		rep := sh.reps[0]
-		rep.rt.Do(func(amp.Context) { st.Slots += rep.node.SlotsDelivered() })
+		rep.rt.Do(func(amp.Context) { st.Slots += rep.nd.SlotsDelivered() })
 	}
 	return st
 }
@@ -275,7 +275,9 @@ func newShard(idx int, opts Options) *shard {
 		nd.Omega.Period = opts.HeartbeatPeriod
 		rt := transport.NewRuntime(sh.lb.Node(i), sh.lb.Clock(), nd.Stack,
 			transport.WithRuntimeSeed(opts.Seed+int64(idx*opts.Replicas+i+1)))
-		sh.reps = append(sh.reps, newReplica(nd, rt))
+		rep := newReplica(nd)
+		rep.rt = rt
+		sh.reps = append(sh.reps, rep)
 	}
 	for _, rep := range sh.reps {
 		rep.rt.Start()
@@ -385,7 +387,7 @@ func (sh *shard) pump() {
 func (sh *shard) probeLeader() {
 	rep := sh.reps[0]
 	rep.rt.Do(func(amp.Context) {
-		if ld := rep.node.Omega.Leader(); ld >= 0 && ld < len(sh.reps) {
+		if ld := rep.nd.Omega.Leader(); ld >= 0 && ld < len(sh.reps) {
 			sh.leader.Store(int32(ld))
 		}
 	})

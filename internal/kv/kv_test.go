@@ -2,7 +2,6 @@ package kv
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"distbasics/internal/check"
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/node"
 )
 
 // spreadKey builds a key routed by its two-hex-digit prefix, matching
@@ -220,21 +220,6 @@ func TestEngineLinearizable(t *testing.T) {
 	}
 }
 
-// allocAddrs grabs n distinct localhost ports.
-func allocAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
-
 // TestHostTCP brings up a 3-replica, 2-shard Host mesh over real TCP
 // (three Hosts in one process — the transport neither knows nor cares)
 // and round-trips operations through each host, exercising
@@ -246,11 +231,14 @@ func TestHostTCP(t *testing.T) {
 	const replicas, shards = 3, 2
 	peers := make([][]string, shards)
 	for s := range peers {
-		peers[s] = allocAddrs(t, replicas)
+		var err error
+		if peers[s], err = node.AllocAddrs(replicas); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hosts := make([]*Host, replicas)
 	for i := range hosts {
-		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i, Unit: time.Millisecond})
+		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i, Tuning: node.Tuning{UnitMS: 1}})
 		if err != nil {
 			t.Fatalf("host %d: %v", i, err)
 		}
@@ -281,7 +269,7 @@ func TestHostTCP(t *testing.T) {
 	key := spreadKey(0, "tcp")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, ok := hosts[0].shardFor(key).rep.leaseRead(key); ok {
+		if _, ok := hosts[0].shardFor(key).leaseRead(key); ok {
 			break
 		}
 		if time.Now().After(deadline) {

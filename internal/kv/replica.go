@@ -1,10 +1,8 @@
 package kv
 
 import (
-	"sync"
-	"time"
-
 	"distbasics/internal/amp"
+	"distbasics/internal/node"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
@@ -23,11 +21,9 @@ import (
 // is in that replica's applied prefix, so a lease read here observes
 // every write it is real-time-ordered after.
 type replica struct {
-	node *rsm.Node
-	rt   *transport.Runtime
-
-	mu      sync.Mutex
-	waiters map[rbcast.MsgID]chan any
+	nd      *rsm.Node
+	rt      *transport.Runtime
+	waiters node.Waiters[any]
 }
 
 // pendingOp is one client operation staged for submission.
@@ -40,9 +36,9 @@ func newPendingOp(cmd rsm.Command) *pendingOp {
 	return &pendingOp{cmd: cmd, done: make(chan any, 1)}
 }
 
-func newReplica(node *rsm.Node, rt *transport.Runtime) *replica {
-	r := &replica{node: node, rt: rt, waiters: make(map[rbcast.MsgID]chan any)}
-	node.OnApply = r.onApply
+func newReplica(nd *rsm.Node) *replica {
+	r := &replica{nd: nd}
+	nd.OnApply = r.onApply
 	return r
 }
 
@@ -51,23 +47,12 @@ func newReplica(node *rsm.Node, rt *transport.Runtime) *replica {
 // the entry's linearization point, which is what makes a "get" no-op
 // command a linearizable quorum read.
 func (r *replica) onApply(e rsm.Entry, _ amp.Time) {
-	r.mu.Lock()
-	ch, ok := r.waiters[e.ID]
-	if ok {
-		delete(r.waiters, e.ID)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return
-	}
-	var out any
-	if cmd, isCmd := e.Payload.(rsm.Command); isCmd && cmd.Op == "get" {
-		out = r.node.Get(cmd.Key)
-	}
-	select {
-	case ch <- out:
-	default:
-	}
+	r.waiters.Complete(e.ID, func() any {
+		if cmd, isCmd := e.Payload.(rsm.Command); isCmd && cmd.Op == "get" {
+			return r.nd.Get(cmd.Key)
+		}
+		return nil
+	})
 }
 
 // submitWave registers and submits a wave of staged operations in one
@@ -76,27 +61,15 @@ func (r *replica) onApply(e rsm.Entry, _ amp.Time) {
 func (r *replica) submitWave(ops []*pendingOp) {
 	r.rt.Do(func(amp.Context) {
 		for _, o := range ops {
-			id := r.node.Submit(r.node.Ctx(), o.cmd)
-			r.mu.Lock()
-			r.waiters[id] = o.done
-			r.mu.Unlock()
+			r.waiters.Register(r.nd.Submit(r.nd.Ctx(), o.cmd), o.done)
 		}
 	})
 }
 
 // submit runs one command through consensus and waits for the local
 // apply, with a deadline (the Host RPC path).
-func (r *replica) submit(cmd rsm.Command, timeout time.Duration) (any, error) {
-	op := newPendingOp(cmd)
-	r.submitWave([]*pendingOp{op})
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case out := <-op.done:
-		return out, nil
-	case <-t.C:
-		return nil, errTimeout{cmd.Op, timeout}
-	}
+func (r *replica) submit(cmd rsm.Command) (any, error) {
+	return r.waiters.Submit(r.rt, node.RPCTimeout, func() rbcast.MsgID { return r.nd.Submit(r.nd.Ctx(), cmd) })
 }
 
 // leaseRead serves key locally iff this replica currently holds the
@@ -106,19 +79,10 @@ func (r *replica) submit(cmd rsm.Command, timeout time.Duration) (any, error) {
 // commit writes this replica has not seen while the grant set is live.
 func (r *replica) leaseRead(key string) (val any, ok bool) {
 	r.rt.Do(func(ctx amp.Context) {
-		if r.node.HoldsLease(ctx.Now()) {
-			val = r.node.Get(key)
+		if r.nd.HoldsLease(ctx.Now()) {
+			val = r.nd.Get(key)
 			ok = true
 		}
 	})
 	return val, ok
-}
-
-type errTimeout struct {
-	op string
-	d  time.Duration
-}
-
-func (e errTimeout) Error() string {
-	return "kv: " + e.op + " timeout after " + e.d.String() + " (op may still apply)"
 }

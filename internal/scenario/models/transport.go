@@ -5,6 +5,7 @@ import (
 
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
+	"distbasics/internal/node"
 	"distbasics/internal/rsm"
 	"distbasics/internal/scenario"
 	"distbasics/internal/transport"
@@ -85,28 +86,11 @@ func tpPolicy(seed int64) transport.Policy {
 	return transport.Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 80, Seed: seed}
 }
 
-// tpNode is one replica's live stack; crash faults tear it down and
-// rebuild it in place.
-type tpNode struct {
-	node *rsm.Node
-	res  *transport.Resilient
-	rt   *transport.Runtime
-}
-
-// tpStart builds and starts replica i's runtime over tr.
-func tpStart(i int, tr transport.Transport, clock transport.Clock, opts ...rsm.NodeOption) *tpNode {
-	nd := rsm.NewNode(tpReplicas, opts...)
-	// Heartbeat at a rate the one-in-flight links sustain under chaos.
-	nd.Omega.Period = 40
-	res := transport.NewResilient(tr, clock, tpPolicy(int64(i+1)))
-	rt := transport.NewRuntime(res, clock, nd.Stack,
-		transport.WithRuntimeSeed(int64(i+1)),
-		transport.WithSuspectSource(nd.Omega.Suspects),
-		transport.WithSuspectKick(res.Kick),
-	)
-	res.SetSuspected(rt.Suspected)
-	rt.Start()
-	return &tpNode{node: nd, res: res, rt: rt}
+// tpStart builds and starts replica i's stack over tr — the daemons'
+// own bring-up (node.Start), here on Loopback and its virtual clock;
+// crash faults tear the stack down and rebuild it in place.
+func tpStart(i int, tr transport.Transport, clock transport.Clock, opts ...rsm.NodeOption) *node.Replica {
+	return node.Start(rsm.NewNode(tpReplicas, opts...), tr, clock, tpPolicy(int64(i+1)), int64(i+1))
 }
 
 // tpChaos maps scenario faults onto each sender's chaos rule schedule.
@@ -154,7 +138,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	clock := lb.Clock()
 	rec := check.NewRecorder()
 
-	nodes := make([]*tpNode, tpReplicas)
+	nodes := make([]*node.Replica, tpReplicas)
 	journals := make([]*rsm.MemJournal, tpReplicas)
 	for i := 0; i < tpReplicas; i++ {
 		journals[i] = rsm.NewMemJournal()
@@ -206,7 +190,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 					return
 				}
 				fired, down[p] = true, true
-				nodes[p].rt.Stop()
+				nodes[p].RT.Stop()
 				lb.SetDown(p, true)
 				res.Tracef("crash p%d @%d", p, f.From)
 			})
@@ -216,7 +200,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 						return
 					}
 					restart(p)
-					res.Tracef("restart p%d @%d applied=%d", p, f.Until, nodes[p].node.Len())
+					res.Tracef("restart p%d @%d applied=%d", p, f.Until, nodes[p].Node.Len())
 				})
 			}
 		case scenario.FaultSnapCrash:
@@ -227,13 +211,13 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 					return
 				}
 				fired, down[p] = true, true
-				nodes[p].rt.Do(func(amp.Context) {
+				nodes[p].RT.Do(func(amp.Context) {
 					journals[p].SetInstallCrash(step)
-					err := nodes[p].node.Compact()
+					err := nodes[p].Node.Compact()
 					journals[p].SetInstallCrash(rsm.SnapStepNone)
 					res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
 				})
-				nodes[p].rt.Stop()
+				nodes[p].RT.Stop()
 				lb.SetDown(p, true)
 			})
 			clock.AfterFunc(amp.Time(f.Until), func() {
@@ -271,11 +255,11 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 			op := chain[next]
 			key := fmt.Sprintf("k%d", op.Key)
 			inv = rec.Call(c, check.KeyedOp{Key: key, Op: check.WriteOp{V: op.Val}})
-			nodes[c].rt.Do(func(amp.Context) {
-				waitID = nodes[c].node.Submit(nodes[c].node.Ctx(), rsm.Command{Op: "put", Key: key, Val: op.Val})
+			nodes[c].RT.Do(func(amp.Context) {
+				waitID = nodes[c].Node.Submit(nodes[c].Node.Ctx(), rsm.Command{Op: "put", Key: key, Val: op.Val})
 			})
 		}
-		nodes[c].node.OnApply = func(e rsm.Entry, _ amp.Time) {
+		nodes[c].Node.OnApply = func(e rsm.Entry, _ amp.Time) {
 			if inv == nil || e.ID != waitID {
 				return
 			}
@@ -284,7 +268,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 			inv.Return(nil)
 			inv = nil
 			rinv := rec.Call(c, check.KeyedOp{Key: key, Op: check.ReadOp{}})
-			rinv.Return(nodes[c].node.Get(key))
+			rinv.Return(nodes[c].Node.Get(key))
 			next++
 			done++
 			clock.AfterFunc(amp.Time(1+think.Int63n(400)), submit)
@@ -314,10 +298,10 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	// replica restarted from a snapshot only holds the suffix past the
 	// snapshot's coverage, so sequences are compared at absolute apply
 	// positions (appliedBase[i] + local index).
-	ref := nodes[0].node.Applied()
+	ref := nodes[0].Node.Applied()
 	refBase := appliedBase[0]
 	for i := 1; i < tpReplicas; i++ {
-		got := nodes[i].node.Applied()
+		got := nodes[i].Node.Applied()
 		gotBase := appliedBase[i]
 		lo := refBase
 		if gotBase > lo {

@@ -88,16 +88,23 @@ func NewRuntime(tr Transport, clock Clock, proc amp.Process, opts ...RuntimeOpti
 	return rt
 }
 
-// Start installs the delivery handler and runs the process's Init.
-// When the transport offers the in-process value fast path, messages
-// skip the byte codec in both directions.
+// Start installs the delivery handler and runs the process's Init, in
+// one critical section of the actor mutex: a peer that is already
+// running can have a frame in flight the moment the handler exists, and
+// that frame must wait on the mutex until Init has run (amp.Process:
+// "Init runs once before any message is delivered") rather than be
+// dropped or reach an uninitialised process. When the transport offers
+// the in-process value fast path, messages skip the byte codec in both
+// directions.
 func (rt *Runtime) Start() {
-	rt.tr.Handle(rt.onFrame)
-	if vt, ok := rt.tr.(ValueTransport); ok {
-		rt.vt = vt
-		vt.HandleValue(rt.onValue)
-	}
-	rt.exec(func() { rt.proc.Init(rt.ctx) })
+	rt.exec(func() {
+		rt.tr.Handle(rt.onFrame)
+		if vt, ok := rt.tr.(ValueTransport); ok {
+			rt.vt = vt
+			vt.HandleValue(rt.onValue)
+		}
+		rt.proc.Init(rt.ctx)
+	})
 }
 
 // Stop halts event processing; in-flight timers become no-ops. The

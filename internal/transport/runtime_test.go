@@ -2,6 +2,7 @@ package transport
 
 import (
 	"testing"
+	"time"
 
 	"distbasics/internal/amp"
 	"distbasics/internal/rsm"
@@ -214,5 +215,64 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 		if ref[i].ID != got[i].ID {
 			t.Fatalf("restarted order diverges at %d", i)
 		}
+	}
+}
+
+// eagerTransport is a peer that is already running when this node
+// starts: the instant a handler exists it delivers one frame, and
+// Handle does not return until that delivery has finished or is
+// visibly held up (by the actor mutex, after the fix).
+type eagerTransport struct {
+	frame     []byte
+	delivered chan struct{}
+}
+
+func (e *eagerTransport) Self() int              { return 0 }
+func (e *eagerTransport) N() int                 { return 2 }
+func (e *eagerTransport) Send(int, []byte) error { return nil }
+func (e *eagerTransport) Close() error           { return nil }
+func (e *eagerTransport) Handle(h Handler) {
+	go func() {
+		h(1, e.frame)
+		close(e.delivered)
+	}()
+	select {
+	case <-e.delivered:
+	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+// orderProc records the order of its upcalls.
+type orderProc struct{ calls []string }
+
+func (p *orderProc) Init(amp.Context)                        { p.calls = append(p.calls, "init") }
+func (p *orderProc) OnMessage(amp.Context, int, amp.Message) { p.calls = append(p.calls, "msg") }
+func (p *orderProc) OnTimer(amp.Context, int)                {}
+
+// TestRuntimeStartInitBeforeFirstFrame pins the start-up race a daemon
+// joining a live cluster used to lose about once in 1700 set-ups (a
+// panic under onFrame: amp.Stack.OnMessage on a stack whose Init had
+// not run): a frame that arrives as soon as the handler is installed
+// must be dispatched after Init, and must not be lost.
+func TestRuntimeStartInitBeforeFirstFrame(t *testing.T) {
+	amp.RegisterWire(Register)
+	rsm.RegisterWire(Register)
+	frame, err := Codec{}.Encode(rsm.Command{Op: "put", Key: "k", Val: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &eagerTransport{frame: frame, delivered: make(chan struct{})}
+	proc := &orderProc{}
+	rt := NewRuntime(tr, NewFakeClock(), proc)
+	rt.Start()
+	select {
+	case <-tr.delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the early frame was never dispatched")
+	}
+	var calls []string
+	rt.Do(func(amp.Context) { calls = append(calls, proc.calls...) })
+	if len(calls) != 2 || calls[0] != "init" || calls[1] != "msg" {
+		t.Fatalf("upcall order = %v, want [init msg]", calls)
 	}
 }
