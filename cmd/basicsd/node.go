@@ -8,26 +8,28 @@ import (
 
 	"distbasics/internal/amp"
 	"distbasics/internal/clientrpc"
+	"distbasics/internal/kv"
 	"distbasics/internal/node"
-	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
 
 // server is one running basicsd node: the shared replica skeleton
 // (internal/node: TCP(+Chaos)→Resilient→Runtime under an rsm replica,
-// journaled) plus this daemon's verb table behind the line-JSON client
-// RPC front end (internal/clientrpc's epoll reactor and bounded worker
-// pool — not a goroutine per connection).
+// journaled), the shared KV front end (kv.Replica: submit-and-wait plus
+// the put/del/get verbs — no lease is configured here, so a get is
+// always a consensus no-op read at its apply point) and this daemon's
+// own verbs behind the line-JSON client RPC front end
+// (internal/clientrpc's epoll reactor and bounded worker pool — not a
+// goroutine per connection).
 type server struct {
 	id  int
 	rep *node.Replica
+	kv  *kv.Replica
 	rpc *clientrpc.Server
 
 	boot   int64 // uid epoch: distinguishes restarts of the same id
 	uidSeq atomic.Int64
-
-	waiters node.Waiters[any]
 }
 
 // runServe is the `basicsd serve` entrypoint: bring up node `id` of the
@@ -41,15 +43,16 @@ func runServe(cfgPath string, id int) error {
 		return err
 	}
 	s := &server{id: id, boot: time.Now().UnixNano()}
-	_, err := cfg.Start(id, transport.NewRealClock(cfg.Unit()), func(r *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
-		s.rep = r
+	var err error
+	s.rep, err = cfg.Start(id, transport.NewRealClock(cfg.Unit()), func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
 		nd := rsm.NewNode(len(cfg.Peers), opts...)
-		nd.OnApply = s.onApply
+		s.kv = kv.NewReplica(nd)
 		return nd
 	})
 	if err != nil {
 		return err
 	}
+	s.kv.Bind(s.rep.RT) // only client calls use it, and the RPC server is not up yet
 	if s.rpc, err = clientrpc.NewServer(cfg.Clients[id], s.handle); err != nil {
 		s.rep.Close()
 		return fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
@@ -59,25 +62,6 @@ func runServe(cfgPath string, id int) error {
 	select {} // crash-stop: run until killed
 }
 
-// onApply runs inside the event loop after every applied entry and
-// completes any RPC waiting on it. Reads of the local state here are
-// at the entry's linearization point, which is what makes a "get"
-// no-op command a linearizable read.
-func (s *server) onApply(e rsm.Entry, _ amp.Time) {
-	s.waiters.Complete(e.ID, func() any {
-		if cmd, ok := e.Payload.(rsm.Command); ok && cmd.Op == "get" {
-			return s.rep.Node.Get(cmd.Key)
-		}
-		return nil
-	})
-}
-
-// submit runs cmd through consensus and waits for its local apply.
-func (s *server) submit(cmd rsm.Command) (any, error) {
-	nd := s.rep.Node
-	return s.waiters.Submit(s.rep.RT, node.RPCTimeout, func() rbcast.MsgID { return nd.Submit(nd.Ctx(), cmd) })
-}
-
 // handle serves one client request; it runs on a clientrpc pool
 // worker, so blocking on a consensus round-trip here is what the
 // pool's bound admission-controls. Requests on one connection are
@@ -85,29 +69,18 @@ func (s *server) submit(cmd rsm.Command) (any, error) {
 // must be sequential anyway) — clientrpc guarantees per-connection
 // FIFO.
 func (s *server) handle(req clientrpc.Request) clientrpc.Response {
+	if resp, ok := s.kv.Serve(req); ok {
+		return resp // put, del, get
+	}
 	switch req.Op {
-	case "put", "del":
-		cmd := rsm.Command{Op: req.Op, Key: req.Key, Val: clientrpc.NormalizeVal(req.Val)}
-		if _, err := s.submit(cmd); err != nil {
-			return clientrpc.Response{Err: err.Error()}
-		}
-		return clientrpc.Response{OK: true}
 	case "bcast":
 		// Total-order broadcast of an order-only message: the command
 		// touches no KV state but lands in every replica's applied
 		// sequence exactly once, in the same position.
-		if _, err := s.submit(rsm.Command{Op: "bcast", Key: req.Key}); err != nil {
+		if _, err := s.kv.Submit(rsm.Command{Op: "bcast", Key: req.Key}); err != nil {
 			return clientrpc.Response{Err: err.Error()}
 		}
 		return clientrpc.Response{OK: true}
-	case "get":
-		// A "get" rides through consensus as a no-op command; its apply
-		// point at this replica is the read's linearization point.
-		out, err := s.submit(rsm.Command{Op: "get", Key: req.Key})
-		if err != nil {
-			return clientrpc.Response{Err: err.Error()}
-		}
-		return clientrpc.Response{OK: true, Val: out}
 	case "uid":
 		// Unique IDs need no consensus: node id + boot epoch + local
 		// counter is collision-free across nodes and restarts (§2 of the

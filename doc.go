@@ -159,15 +159,18 @@
 // # Running a real cluster
 //
 // Everything above runs in virtual time; internal/transport and
-// cmd/basicsd take the same protocol stacks onto real sockets. A
-// transport.Runtime adapts any Transport backend — deterministic
-// in-process Loopback, length-prefixed TCP, or a fault-injecting Chaos
-// wrapper — to amp.Context, so the abd/rbcast/mpcons/rsm processes run
-// unmodified over real concurrency. The shared Resilient layer adds the
-// robustness contract (per-link send timeouts, bounded retry with
-// exponential backoff and jitter, heartbeat-driven degradation to a
-// bounded shed queue when internal/fd suspects a peer; see the
-// internal/transport package docs for the precise guarantees).
+// cmd/basicsd take the same protocol stacks onto real sockets. An
+// amp.Process has exactly two runtimes: amp.Sim, the deterministic lab,
+// and transport.Runtime, which adapts any Transport backend —
+// deterministic in-process Loopback, length-prefixed TCP, or a
+// fault-injecting Chaos wrapper — to amp.Context, so the
+// abd/rbcast/mpcons/rsm processes run unmodified over real concurrency,
+// on one of two clocks (Loopback's virtual one, or transport.RealClock).
+// The shared Resilient layer adds the robustness contract (per-link
+// send timeouts, bounded retry with exponential backoff and jitter,
+// heartbeat-driven degradation to a bounded shed queue when internal/fd
+// suspects a peer; see the internal/transport package docs for the
+// precise guarantees).
 //
 // The three daemons below — basicsd, basicskv, basicsjobd — are one
 // node skeleton with three state machines plugged in. internal/node

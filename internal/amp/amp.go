@@ -4,15 +4,19 @@
 // creation, or corruption), with arbitrary-but-finite message delays and
 // up to t process crashes.
 //
-// Two runtimes execute the same Process code:
+// Two runtimes execute the same Process code, one here and one in
+// internal/transport:
 //
 //   - Sim: a deterministic virtual-time discrete-event simulator. Message
 //     delays come from a pluggable DelayModel (fixed Δ, uniform,
 //     partially-synchronous with a GST). Virtual time is what lets tests
 //     measure the paper's Δ-denominated claims (ABD write = 2Δ, read =
 //     4Δ; the fast-read variant's 2Δ) exactly.
-//   - Live: one goroutine per process over real channels, for integration
-//     tests under the race detector.
+//   - transport.Runtime: everything real — the same Process over byte
+//     frames on the in-process Loopback, on TCP sockets with a wall
+//     clock, under Chaos and the Resilient retry layer. It is what the
+//     daemons deploy and what runs the protocols on real goroutines
+//     under the race detector.
 //
 // # The calendar-queue event engine
 //

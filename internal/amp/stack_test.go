@@ -1,9 +1,6 @@
 package amp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // echoComp replies to "hello" with "world" and counts both; its timers
 // re-arm twice.
@@ -78,30 +75,5 @@ func TestStackDropsForeignMessages(t *testing.T) {
 	sim.Run(0)
 	if got := s.Component(0).(*echoComp).hellos; got != 0 {
 		t.Fatalf("foreign message reached component: %d", got)
-	}
-}
-
-func TestLiveRuntimePingPong(t *testing.T) {
-	// Reads happen only after Stop (whose WaitGroup join gives the
-	// happens-before edge), keeping the test race-free.
-	pps := []*pingPong{{}, {}, {}}
-	procs := []Process{pps[0], pps[1], pps[2]}
-	l := NewLive(procs, WithUnit(100*time.Microsecond))
-	l.Wait(200) // plenty for a 1-unit-delay round trip
-	l.Stop()
-	if pps[0].pongs != 2 {
-		t.Fatalf("pongs = %d, want 2", pps[0].pongs)
-	}
-}
-
-func TestLiveRuntimeCrash(t *testing.T) {
-	qs := []*quiet{{}, {}}
-	l := NewLive([]Process{qs[0], qs[1]}, WithUnit(100*time.Microsecond))
-	l.Crash(0)
-	l.ctxs[1].Send(0, "x")
-	l.Wait(50)
-	l.Stop()
-	if len(qs[0].got) != 0 {
-		t.Fatal("crashed live process received a message")
 	}
 }

@@ -87,7 +87,7 @@ type Host struct {
 	cfg    HostConfig
 	rmap   RangeMap
 	clock  *transport.RealClock
-	shards []*replica      // the kv side of each local shard replica
+	shards []*Replica      // the kv side of each local shard replica
 	stacks []*node.Replica // and the node stack under it
 }
 
@@ -118,19 +118,19 @@ func (h *Host) startShard(s int) error {
 	if len(cfg.Journals) > s {
 		sp.Journal = cfg.Journals[s]
 	}
-	var rep *replica
+	var rep *Replica
 	stack, err := node.StartTCP(sp, &cfg.Tuning, h.clock, func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
 		opts = append(opts, rsm.WithoutAppliedLog())
 		if cfg.LeaseTTL > 0 {
 			opts = append(opts, rsm.WithReadLease(cfg.LeaseTTL), rsm.WithLeaseMargin(cfg.LeaseMargin))
 		}
-		rep = newReplica(rsm.NewNode(n, opts...))
+		rep = NewReplica(rsm.NewNode(n, opts...))
 		return rep.nd
 	})
 	if err != nil {
 		return err
 	}
-	rep.rt = stack.RT // only client calls use it, and none can precede NewHost's return
+	rep.Bind(stack.RT) // only client calls use it, and none can precede NewHost's return
 	h.shards = append(h.shards, rep)
 	h.stacks = append(h.stacks, stack)
 	return nil
@@ -146,23 +146,10 @@ func (h *Host) Close() {
 // Handle serves one client RPC (wire-compatible with basicsd's KV
 // subset); it is the clientrpc.Handler for a serving process.
 func (h *Host) Handle(req clientrpc.Request) clientrpc.Response {
+	if resp, ok := h.shardFor(req.Key).Serve(req); ok {
+		return resp
+	}
 	switch req.Op {
-	case "put", "del":
-		cmd := rsm.Command{Op: req.Op, Key: req.Key, Val: clientrpc.NormalizeVal(req.Val)}
-		if _, err := h.shardFor(req.Key).submit(cmd); err != nil {
-			return clientrpc.Response{Err: err.Error()}
-		}
-		return clientrpc.Response{OK: true}
-	case "get":
-		rep := h.shardFor(req.Key)
-		if v, ok := rep.leaseRead(req.Key); ok {
-			return clientrpc.Response{OK: true, Val: v}
-		}
-		out, err := rep.submit(rsm.Command{Op: "get", Key: req.Key})
-		if err != nil {
-			return clientrpc.Response{Err: err.Error()}
-		}
-		return clientrpc.Response{OK: true, Val: out}
 	case "stat":
 		total := 0
 		for _, stack := range h.stacks {
@@ -174,4 +161,4 @@ func (h *Host) Handle(req clientrpc.Request) clientrpc.Response {
 	}
 }
 
-func (h *Host) shardFor(key string) *replica { return h.shards[h.rmap.Shard(key)] }
+func (h *Host) shardFor(key string) *Replica { return h.shards[h.rmap.Shard(key)] }

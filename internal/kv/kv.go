@@ -191,9 +191,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// ShardFor exposes the routing decision (bench reporting).
-func (e *Engine) ShardFor(key string) int { return e.rmap.Shard(key) }
-
 // Put stores key=val, completing when the write is applied at the
 // submitting replica.
 func (e *Engine) Put(key string, val any) error {
@@ -239,7 +236,7 @@ func (e *Engine) Stats() Stats {
 type shard struct {
 	opts Options
 	lb   *transport.Loopback
-	reps []*replica
+	reps []*Replica
 
 	subc   chan *pendingOp
 	stopc  chan struct{}
@@ -275,8 +272,8 @@ func newShard(idx int, opts Options) *shard {
 		nd.Omega.Period = opts.HeartbeatPeriod
 		rt := transport.NewRuntime(sh.lb.Node(i), sh.lb.Clock(), nd.Stack,
 			transport.WithRuntimeSeed(opts.Seed+int64(idx*opts.Replicas+i+1)))
-		rep := newReplica(nd)
-		rep.rt = rt
+		rep := NewReplica(nd)
+		rep.Bind(rt)
 		sh.reps = append(sh.reps, rep)
 	}
 	for _, rep := range sh.reps {

@@ -2,15 +2,20 @@ package kv
 
 import (
 	"distbasics/internal/amp"
+	"distbasics/internal/clientrpc"
 	"distbasics/internal/node"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
 
-// replica drives one rsm replica this process hosts: operation
-// submission with completion at the LOCAL apply, and the leader
-// read-lease fast path.
+// Replica drives one rsm replica this process hosts: operation
+// submission with completion at the LOCAL apply, the leader read-lease
+// fast path, and the put/del/get verbs of the line-JSON client RPC. It
+// is the one KV front end: Host runs one per shard, the in-process
+// Engine one per shard replica, and cmd/basicsd one beside its
+// broadcast verbs (with no lease configured, so every get there is a
+// consensus read).
 //
 // Completing a waiter only at the submitting replica's own apply point
 // (never at a peer's) is a correctness decision, not an optimization:
@@ -20,7 +25,7 @@ import (
 // local-apply completion, every operation completed through a replica
 // is in that replica's applied prefix, so a lease read here observes
 // every write it is real-time-ordered after.
-type replica struct {
+type Replica struct {
 	nd      *rsm.Node
 	rt      *transport.Runtime
 	waiters node.Waiters[any]
@@ -36,17 +41,24 @@ func newPendingOp(cmd rsm.Command) *pendingOp {
 	return &pendingOp{cmd: cmd, done: make(chan any, 1)}
 }
 
-func newReplica(nd *rsm.Node) *replica {
-	r := &replica{nd: nd}
+// NewReplica hooks a Replica onto nd's apply stream (nd.OnApply). The
+// node's runtime usually does not exist yet: Bind it before the first
+// client call.
+func NewReplica(nd *rsm.Node) *Replica {
+	r := &Replica{nd: nd}
 	nd.OnApply = r.onApply
 	return r
 }
+
+// Bind sets the runtime whose event loop Submit, Serve and the lease
+// read enter.
+func (r *Replica) Bind(rt *transport.Runtime) { r.rt = rt }
 
 // onApply runs inside the event loop after every applied entry and
 // completes a waiting submission. Reads of the local state here are at
 // the entry's linearization point, which is what makes a "get" no-op
 // command a linearizable quorum read.
-func (r *replica) onApply(e rsm.Entry, _ amp.Time) {
+func (r *Replica) onApply(e rsm.Entry, _ amp.Time) {
 	r.waiters.Complete(e.ID, func() any {
 		if cmd, isCmd := e.Payload.(rsm.Command); isCmd && cmd.Op == "get" {
 			return r.nd.Get(cmd.Key)
@@ -58,7 +70,7 @@ func (r *replica) onApply(e rsm.Entry, _ amp.Time) {
 // submitWave registers and submits a wave of staged operations in one
 // event-loop entry, amortizing the actor-mutex round trip across the
 // whole wave.
-func (r *replica) submitWave(ops []*pendingOp) {
+func (r *Replica) submitWave(ops []*pendingOp) {
 	r.rt.Do(func(amp.Context) {
 		for _, o := range ops {
 			r.waiters.Register(r.nd.Submit(r.nd.Ctx(), o.cmd), o.done)
@@ -66,9 +78,9 @@ func (r *replica) submitWave(ops []*pendingOp) {
 	})
 }
 
-// submit runs one command through consensus and waits for the local
-// apply, with a deadline (the Host RPC path).
-func (r *replica) submit(cmd rsm.Command) (any, error) {
+// Submit runs one command through consensus and waits for the local
+// apply, with a deadline (the RPC path).
+func (r *Replica) Submit(cmd rsm.Command) (any, error) {
 	return r.waiters.Submit(r.rt, node.RPCTimeout, func() rbcast.MsgID { return r.nd.Submit(r.nd.Ctx(), cmd) })
 }
 
@@ -77,7 +89,7 @@ func (r *replica) submit(cmd rsm.Command) (any, error) {
 // unexpired). The read runs under the actor mutex, so it observes a
 // consistent applied prefix; the lease guarantees no other replica can
 // commit writes this replica has not seen while the grant set is live.
-func (r *replica) leaseRead(key string) (val any, ok bool) {
+func (r *Replica) leaseRead(key string) (val any, ok bool) {
 	r.rt.Do(func(ctx amp.Context) {
 		if r.nd.HoldsLease(ctx.Now()) {
 			val = r.nd.Get(key)
@@ -85,4 +97,27 @@ func (r *replica) leaseRead(key string) (val any, ok bool) {
 		}
 	})
 	return val, ok
+}
+
+// Serve answers the KV verbs of a client RPC — put and del through
+// consensus, get from the lease when held and else as a consensus no-op
+// read — and reports false for any other op.
+func (r *Replica) Serve(req clientrpc.Request) (clientrpc.Response, bool) {
+	var cmd rsm.Command
+	switch req.Op {
+	case "put", "del":
+		cmd = rsm.Command{Op: req.Op, Key: req.Key, Val: clientrpc.NormalizeVal(req.Val)}
+	case "get":
+		if v, ok := r.leaseRead(req.Key); ok {
+			return clientrpc.Response{OK: true, Val: v}, true
+		}
+		cmd = rsm.Command{Op: "get", Key: req.Key}
+	default:
+		return clientrpc.Response{}, false
+	}
+	out, err := r.Submit(cmd)
+	if err != nil {
+		return clientrpc.Response{Err: err.Error()}, true
+	}
+	return clientrpc.Response{OK: true, Val: out}, true
 }

@@ -19,8 +19,7 @@ type synodMux struct {
 	omega   *fd.Detector
 	journal Journal
 
-	pipeline    int
-	retryPeriod amp.Time
+	pipeline int
 
 	ctx    amp.Context
 	insts  map[int]*mpcons.Synod
@@ -78,17 +77,16 @@ const (
 	muxLearnGap = 8
 )
 
-func newSynodMux(tb *TOBroadcast, omega *fd.Detector, j Journal, pipeline int, retry amp.Time) *synodMux {
+func newSynodMux(tb *TOBroadcast, omega *fd.Detector, j Journal, pipeline int) *synodMux {
 	return &synodMux{
-		tb:          tb,
-		omega:       omega,
-		journal:     j,
-		pipeline:    pipeline,
-		retryPeriod: retry,
-		insts:       make(map[int]*mpcons.Synod),
-		slotCx:      make(map[int]*muxCtx),
-		learnLast:   make(map[int]amp.Time),
-		restoreAcc:  make(map[int]Acceptor),
+		tb:         tb,
+		omega:      omega,
+		journal:    j,
+		pipeline:   pipeline,
+		insts:      make(map[int]*mpcons.Synod),
+		slotCx:     make(map[int]*muxCtx),
+		learnLast:  make(map[int]amp.Time),
+		restoreAcc: make(map[int]Acceptor),
 	}
 }
 
@@ -170,7 +168,6 @@ func (mx *synodMux) instance(s int) *mpcons.Synod {
 	slot := s // capture per-instance
 	syn := &mpcons.Synod{
 		Omega:        mx.omega,
-		RetryPeriod:  mx.retryPeriod,
 		KickoffDelay: muxKickoff,
 		LeaseHolder:  mx.omega.GrantHolder,
 		InputFn:      func() any { return mx.tb.proposalFor(slot) },

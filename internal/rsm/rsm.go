@@ -60,7 +60,6 @@ type TOBroadcast struct {
 	nextDeliver  int // first undelivered slot
 	maxSeen      int // highest slot with a known decision (here or at a peer)
 	compactFloor int // decided batches below this are compacted away
-	retain       int // delivered batches kept for anti-entropy
 	maxBatch     int // proposal size cap
 	unsched      int // pending entries not yet placed in a decided slot
 
@@ -419,16 +418,13 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 	}
 }
 
-// compact drops decided batches more than retain slots behind the
-// delivery frontier. They are no longer needed locally (their entries
+// compact drops decided batches more than DefaultRetention slots behind
+// the delivery frontier. They are no longer needed locally (their entries
 // are applied) and anti-entropy only serves what is retained; a replica
 // further behind than every peer's retention window must be reseeded
 // from its own journal.
 func (tb *TOBroadcast) compact() {
-	if tb.retain <= 0 {
-		return
-	}
-	floor := tb.nextDeliver - tb.retain
+	floor := tb.nextDeliver - DefaultRetention
 	for tb.compactFloor < floor {
 		delete(tb.decided, tb.compactFloor)
 		tb.compactFloor++
@@ -485,9 +481,7 @@ type nodeConfig struct {
 	journal      Journal
 	recovery     *Recovery
 	pipeline     int
-	retain       int
 	maxBatch     int
-	retryPeriod  amp.Time
 	leaseTTL     amp.Time
 	leaseMargin  amp.Time
 	noLog        bool
@@ -525,24 +519,10 @@ func WithPipeline(k int) NodeOption {
 	return func(c *nodeConfig) { c.pipeline = k }
 }
 
-// WithRetention sets how many delivered slots keep their decided batch
-// for anti-entropy catch-up (default DefaultRetention). A replica that
-// falls further behind than every peer's retention window can only
-// recover from its own journal.
-func WithRetention(slots int) NodeOption {
-	return func(c *nodeConfig) { c.retain = slots }
-}
-
 // WithMaxBatch caps the number of commands a proposer packs into one
 // slot (default DefaultMaxBatch).
 func WithMaxBatch(m int) NodeOption {
 	return func(c *nodeConfig) { c.maxBatch = m }
-}
-
-// WithRetryPeriod sets the Synod ballot retry period for this replica's
-// slots (default 40 virtual units; see mpcons.Synod.RetryPeriod).
-func WithRetryPeriod(d amp.Time) NodeOption {
-	return func(c *nodeConfig) { c.retryPeriod = d }
 }
 
 // WithReadLease enables the leader read-lease protocol with the given
@@ -620,7 +600,6 @@ func WithCompaction(records, bytes int64) NodeOption {
 func NewNode(n int, opts ...NodeOption) *Node {
 	cfg := nodeConfig{
 		pipeline: DefaultPipeline,
-		retain:   DefaultRetention,
 		maxBatch: DefaultMaxBatch,
 	}
 	for _, o := range opts {
@@ -640,13 +619,12 @@ func NewNode(n int, opts ...NodeOption) *Node {
 	det.LeaseTTL = cfg.leaseTTL
 	det.LeaseMargin = cfg.leaseMargin
 	tb := newTOBroadcast(n, det, func(e Entry, at amp.Time) { node.apply(e, at) })
-	tb.retain = cfg.retain
 	tb.maxBatch = cfg.maxBatch
 	if j := cfg.journal; j != nil {
 		tb.persistSeq = j.SaveSeq
 		tb.persistDecide = func(slot int, b batch) { j.SaveDecide(slot, b) }
 	}
-	mux := newSynodMux(tb, det, cfg.journal, cfg.pipeline, cfg.retryPeriod)
+	mux := newSynodMux(tb, det, cfg.journal, cfg.pipeline)
 	tb.onNewWork = mux.ensureWindow
 	node.TO = tb
 	node.Omega = det
@@ -923,5 +901,5 @@ func (nd *Node) SlotsDelivered() int { return nd.TO.nextDeliver }
 func (nd *Node) LiveInstances() int { return len(nd.mux.insts) }
 
 // RetainedBatches returns the number of decided batches currently held
-// for anti-entropy (bounded by WithRetention plus the undelivered span).
+// for anti-entropy (bounded by DefaultRetention plus the undelivered span).
 func (nd *Node) RetainedBatches() int { return len(nd.TO.decided) }

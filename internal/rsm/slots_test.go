@@ -175,7 +175,6 @@ func (f *fetchCtx) Halt()                        {}
 // and a frontier-only acknowledgement when there is nothing to serve.
 func TestRSMFetchAnswerRateLimit(t *testing.T) {
 	tb := newTOBroadcast(3, nil, nil)
-	tb.retain = DefaultRetention
 	for s := 0; s < 200; s++ {
 		tb.decided[s] = batch{}
 		if s > tb.maxSeen {

@@ -59,6 +59,21 @@ func regOpString(arg any) string {
 	}
 }
 
+// traceRegisterHistory counts h's completed and pending operations
+// into res and traces one line per operation, in the register models'
+// format (abd; abdmulti, whose KeyedOp arguments render as themselves).
+func traceRegisterHistory(res *scenario.Result, h check.History) {
+	for _, op := range h {
+		if op.Return == check.Pending {
+			res.Pending++
+			res.Tracef("p%d %s pending @%d", op.Proc, regOpString(op.Arg), op.Call)
+		} else {
+			res.Completed++
+			res.Tracef("p%d %s -> %v @[%d,%d]", op.Proc, regOpString(op.Arg), op.Out, op.Call, op.Return)
+		}
+	}
+}
+
 // Run implements scenario.Model.
 func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
@@ -140,35 +155,10 @@ func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 	sim.Run(30_000)
 
 	h := check.History(ops)
-	for _, op := range h {
-		if op.Return == check.Pending {
-			res.Pending++
-			res.Tracef("p%d %s pending @%d", op.Proc, regOpString(op.Arg), op.Call)
-		} else {
-			res.Completed++
-			res.Tracef("p%d %s -> %v @[%d,%d]", op.Proc, regOpString(op.Arg), op.Out, op.Call, op.Return)
-		}
-	}
-	if len(h) == 0 {
-		res.Tracef("empty history")
-		return res
-	}
-	lin, err := check.Linearizable(check.RegisterSpec{}, h)
-	if err != nil {
-		res.Failf("checker error: %v", err)
-		return res
-	}
-	if !lin.OK {
-		res.Failf("linearizability violation: %d completed + %d pending ops, %d states explored",
-			res.Completed, res.Pending, lin.Explored)
-		return res
-	}
-	// Every witness the checker emits must replay: the shared validator
-	// catches a checker that fabricates orders.
-	if err := check.ValidateOrder(check.RegisterSpec{}, h, lin.Order); err != nil {
-		res.Failf("witness invalid: %v", err)
-		return res
-	}
-	res.Tracef("linearizable: order %v (%d explored)", lin.Order, lin.Explored)
-	return res
+	traceRegisterHistory(res, h)
+	return linearize(res, check.RegisterSpec{}, h,
+		func(lin check.Result) string {
+			return fmt.Sprintf("%d completed + %d pending ops, %d states explored", res.Completed, res.Pending, lin.Explored)
+		},
+		func(lin check.Result) string { return fmt.Sprintf(": order %v (%d explored)", lin.Order, lin.Explored) })
 }

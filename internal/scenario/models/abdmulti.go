@@ -1,6 +1,8 @@
 package models
 
 import (
+	"fmt"
+
 	"distbasics/internal/abd"
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
@@ -144,34 +146,13 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 	sim.Run(60_000)
 
 	h := check.History(ops)
-	for _, op := range h {
-		if op.Return == check.Pending {
-			res.Pending++
-			res.Tracef("p%d %v pending @%d", op.Proc, op.Arg, op.Call)
-		} else {
-			res.Completed++
-			res.Tracef("p%d %v -> %v @[%d,%d]", op.Proc, op.Arg, op.Out, op.Call, op.Return)
-		}
-	}
-	if len(h) == 0 {
-		res.Tracef("empty history")
-		return res
-	}
-	spec := check.RegisterArraySpec{}
-	lin, err := check.Linearizable(spec, h)
-	if err != nil {
-		res.Failf("checker error: %v", err)
-		return res
-	}
-	if !lin.OK {
-		res.Failf("linearizability violation: n=%d, %d completed + %d pending ops over %d partitions, %d states explored",
-			n, res.Completed, res.Pending, lin.Partitions, lin.Explored)
-		return res
-	}
-	if err := check.ValidateOrder(spec, h, lin.Order); err != nil {
-		res.Failf("witness invalid: %v", err)
-		return res
-	}
-	res.Tracef("linearizable over %d partitions (%d explored)", lin.Partitions, lin.Explored)
-	return res
+	traceRegisterHistory(res, h)
+	return linearize(res, check.RegisterArraySpec{}, h,
+		func(lin check.Result) string {
+			return fmt.Sprintf("n=%d, %d completed + %d pending ops over %d partitions, %d states explored",
+				n, res.Completed, res.Pending, lin.Partitions, lin.Explored)
+		},
+		func(lin check.Result) string {
+			return fmt.Sprintf(" over %d partitions (%d explored)", lin.Partitions, lin.Explored)
+		})
 }

@@ -65,6 +65,31 @@ func genAmpFaults(rng *scenario.Rand, n int, horizon int64) []scenario.Fault {
 	return faults
 }
 
+// genHealingFaults draws the bounded schedule of the rsm-backed Sim
+// models (rsm, kv), every fault of which heals: one minority partition
+// window, one crash-recovery of the bystander replica, and sometimes an
+// early lossy window.
+func genHealingFaults(rng *scenario.Rand, replicas, bystander int) []scenario.Fault {
+	from := 200 + rng.Int63n(800)
+	faults := []scenario.Fault{{
+		Kind: scenario.FaultPartition,
+		From: from, Until: from + 200 + rng.Int63n(600),
+		Group: []int{rng.Intn(replicas)},
+	}}
+	at := rng.Int63n(1200)
+	faults = append(faults, scenario.Fault{
+		Kind: scenario.FaultCrash, Proc: bystander,
+		From: at, Until: at + 100 + rng.Int63n(500),
+	})
+	if rng.Intn(2) == 0 {
+		lf := rng.Int63n(600)
+		faults = append(faults, scenario.Fault{
+			Kind: scenario.FaultDrop, Pct: 15, From: lf, Until: lf + 200, Sub: rng.Int63(),
+		})
+	}
+	return faults
+}
+
 // ampDelay picks the run's delay model from the scenario's private
 // config stream (a function of the seed only, so it survives shrinking).
 func ampDelay(rng *scenario.Rand) amp.DelayModel {

@@ -88,15 +88,7 @@ func (*JobQ) Generate(seed uint64) *scenario.Scenario {
 	}
 	if seed%2 == 1 {
 		sc.Faults = genAmpFaults(rng, jqReplicas, jqFaultHz)
-		// Snapshot-crash: one replica compacts its journal mid-campaign
-		// with a SIGKILL after install step Pct (0 = clean install), then
-		// reboots from whatever the journal recovers.
-		sf := 500 + rng.Int63n(jqFaultHz)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultSnapCrash, Proc: rng.Intn(jqReplicas),
-			From: sf, Until: sf + 500 + rng.Int63n(3_000),
-			Pct: rng.Intn(4),
-		})
+		sc.Faults = append(sc.Faults, genSnapCrash(rng, 500+rng.Int63n(jqFaultHz), rng.Intn(jqReplicas), 500, 3_000))
 	}
 	return sc
 }
@@ -121,13 +113,9 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	hook := func(j int) func(e rsm.Entry, at amp.Time) {
 		return func(e rsm.Entry, _ amp.Time) { applied[j] = append(applied[j], e.ID) }
 	}
-	build := func(j int, rec *rsm.Recovery) *jobq.Node {
-		opts := []rsm.NodeOption{rsm.WithMaxBatch(8), rsm.WithPipeline(2),
-			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j))}
-		if rec != nil {
-			opts = append(opts, rsm.WithRecovery(rec))
-		}
-		nd := jobq.New(jqReplicas, cfgs[j], opts...)
+	build := func(j int, rec *rsm.Recovery) *jobq.Node { // rec is nil on first boot
+		nd := jobq.New(jqReplicas, cfgs[j], rsm.WithMaxBatch(8), rsm.WithPipeline(2),
+			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.RSM.Omega.Period = 16
 		return nd
 	}
@@ -190,37 +178,12 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		sim.Schedule(amp.Time(2+j), func() { runners[j].Start() })
 	}
 
-	// Snapshot-crash faults: at From the victim compacts its journal
-	// with a SIGKILL after install step Pct; at Until a NEW incarnation
-	// (fresh node, fresh runner) boots from whatever the journal
-	// recovers. The queue oracles below are unchanged — a restart may
-	// delay jobs, never strand or double-complete them.
-	for _, f := range sc.Faults {
-		if f.Kind != scenario.FaultSnapCrash || f.Proc < 0 || f.Proc >= jqReplicas {
-			continue
-		}
-		p, step := f.Proc, rsm.SnapStep(f.Pct%4)
-		until := f.Until
-		sim.Schedule(amp.Time(f.From), func() {
-			if sim.Crashed(p) {
-				return
-			}
-			journals[p].SetInstallCrash(step)
-			err := nodes[p].RSM.Compact()
-			journals[p].SetInstallCrash(rsm.SnapStepNone)
-			res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
-			sim.CrashAt(p, sim.Now())
-		})
-		sim.Schedule(amp.Time(until), func() {
-			rec := journals[p].Recovery()
-			base := 0
-			if rec.Snap != nil {
-				base = rec.Snap.Applies
-			}
-			if base > len(applied[p]) {
-				base = len(applied[p])
-			}
-			applied[p] = applied[p][:base]
+	// Snapshot-crash faults (simSnapCrashes): the new incarnation is a
+	// fresh node with a fresh runner. The queue oracles below are
+	// unchanged — a restart may delay jobs, never strand or
+	// double-complete them.
+	simSnapCrashes(sim, sc, res, journals, applied, func(p int) *rsm.Node { return nodes[p].RSM },
+		func(p int, rec *rsm.Recovery, base int) {
 			inc[p]++
 			nodes[p] = build(p, rec)
 			sim.Replace(p, nodes[p].RSM.Stack)
@@ -228,7 +191,6 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 			runners[p].Start()
 			res.Tracef("snaprestart p%d base=%d", p, base)
 		})
-	}
 
 	// Scheduler pulse on every replica; only the Ω leader acts. Crashed
 	// replicas skip their pulse (their timers are down too).
@@ -313,13 +275,10 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	// deeply equal queue states.
 	for a := 0; a < jqReplicas; a++ {
 		for b := a + 1; b < jqReplicas; b++ {
-			n := min(len(applied[a]), len(applied[b]))
-			for i := 0; i < n; i++ {
-				if applied[a][i] != applied[b][i] {
-					res.Failf("order divergence at entry %d: replica %d %v, replica %d %v",
-						i, a, applied[a][i], b, applied[b][i])
-					return res
-				}
+			if i := divergence(applied[a], applied[b], 0, 0); i >= 0 {
+				res.Failf("order divergence at entry %d: replica %d %v, replica %d %v",
+					i, a, applied[a][i], b, applied[b][i])
+				return res
 			}
 			if len(applied[a]) == len(applied[b]) &&
 				!reflect.DeepEqual(nodes[a].State().Jobs(), nodes[b].State().Jobs()) {

@@ -51,32 +51,8 @@ func (*KV) Generate(seed uint64) *scenario.Scenario {
 		}
 	}
 	if seed%2 == 1 {
-		from := 200 + rng.Int63n(800)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultPartition,
-			From: from, Until: from + 200 + rng.Int63n(600),
-			Group: []int{rng.Intn(kvReplicas)},
-		})
-		at := rng.Int63n(1200)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultCrash, Proc: kvClients,
-			From: at, Until: at + 100 + rng.Int63n(500),
-		})
-		if rng.Intn(2) == 0 {
-			lf := rng.Int63n(600)
-			sc.Faults = append(sc.Faults, scenario.Fault{
-				Kind: scenario.FaultDrop, Pct: 15, From: lf, Until: lf + 200, Sub: rng.Int63(),
-			})
-		}
-		// Snapshot-crash: one replica compacts its journal mid-run with a
-		// SIGKILL landing after install step Pct (0 = after a clean
-		// install), then reboots from whatever the journal recovers.
-		sf := 400 + rng.Int63n(1_500)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultSnapCrash, Proc: rng.Intn(kvReplicas),
-			From: sf, Until: sf + 300 + rng.Int63n(900),
-			Pct: rng.Intn(4),
-		})
+		sc.Faults = genHealingFaults(rng, kvReplicas, kvClients)
+		sc.Faults = append(sc.Faults, genSnapCrash(rng, 400+rng.Int63n(1_500), rng.Intn(kvReplicas), 300, 900))
 	}
 	return sc
 }
@@ -111,15 +87,9 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 			}
 		}
 	}
-	build := func(j int, rec *rsm.Recovery) *rsm.Node {
-		opts := []rsm.NodeOption{
-			rsm.WithMaxBatch(kvMaxBatch), rsm.WithPipeline(kvPipeline),
-			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)),
-		}
-		if rec != nil {
-			opts = append(opts, rsm.WithRecovery(rec))
-		}
-		nd := rsm.NewNode(kvReplicas, opts...)
+	build := func(j int, rec *rsm.Recovery) *rsm.Node { // rec is nil on first boot
+		nd := rsm.NewNode(kvReplicas, rsm.WithMaxBatch(kvMaxBatch), rsm.WithPipeline(kvPipeline),
+			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.Omega.Period = 16
 		return nd
 	}
@@ -135,48 +105,19 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithDelay(amp.UniformDelay{Min: 1, Max: amp.Time(2 + cfg.Int63n(6))}),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
-	// Snapshot-crash faults: at From the victim compacts its journal
-	// with a SIGKILL landing after install step Pct, and at Until a NEW
-	// incarnation boots from whatever the journal recovers — the old
-	// snapshot or the new one, never a hybrid. The oracles are
-	// unchanged: the restarted replica must slot back into the same
-	// total order and never re-apply an entry within an incarnation.
-	for _, f := range sc.Faults {
-		if f.Kind != scenario.FaultSnapCrash || f.Proc < 0 || f.Proc >= kvReplicas {
-			continue
-		}
-		p, step := f.Proc, rsm.SnapStep(f.Pct%4)
-		until := f.Until
-		sim.Schedule(amp.Time(f.From), func() {
-			if sim.Crashed(p) {
-				return
-			}
-			journals[p].SetInstallCrash(step)
-			err := nodes[p].Compact()
-			journals[p].SetInstallCrash(rsm.SnapStepNone)
-			res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
-			sim.CrashAt(p, sim.Now())
-		})
-		sim.Schedule(amp.Time(until), func() {
-			rec := journals[p].Recovery()
-			base := 0
-			if rec.Snap != nil {
-				base = rec.Snap.Applies
-			}
-			if base > len(applied[p]) {
-				base = len(applied[p])
-			}
-			applied[p] = applied[p][:base]
-			ns := make(map[rbcast.MsgID]bool, base)
+	// Snapshot-crash faults (simSnapCrashes): the rebooted incarnation
+	// must slot back into the same total order and never re-apply an
+	// entry within an incarnation, so seen is rewound with applied.
+	simSnapCrashes(sim, sc, res, journals, applied, func(p int) *rsm.Node { return nodes[p] },
+		func(p int, rec *rsm.Recovery, base int) {
+			seen[p] = make(map[rbcast.MsgID]bool, base)
 			for _, id := range applied[p] {
-				ns[id] = true
+				seen[p][id] = true
 			}
-			seen[p] = ns
 			nodes[p] = build(p, rec)
 			sim.Replace(p, nodes[p].Stack)
 			res.Tracef("snaprestart p%d base=%d applied=%d", p, base, len(applied[p]))
 		})
-	}
 
 	submitted := 0
 	for c := 0; c < kvClients; c++ {
@@ -226,13 +167,10 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 	// Identical total order: every pair of applied sequences must agree
 	// on their common prefix (replicas may lag, never diverge).
 	for j := 1; j < kvReplicas; j++ {
-		n := min(len(applied[0]), len(applied[j]))
-		for i := 0; i < n; i++ {
-			if applied[0][i] != applied[j][i] {
-				res.Failf("order divergence at slot-entry %d: replica 0 %v, replica %d %v",
-					i, applied[0][i], j, applied[j][i])
-				return res
-			}
+		if i := divergence(applied[0], applied[j], 0, 0); i >= 0 {
+			res.Failf("order divergence at slot-entry %d: replica 0 %v, replica %d %v",
+				i, applied[0][i], j, applied[j][i])
+			return res
 		}
 	}
 	slots := nodes[0].SlotsDelivered()

@@ -1,0 +1,200 @@
+package models
+
+import (
+	"fmt"
+
+	"distbasics/internal/amp"
+	"distbasics/internal/check"
+	"distbasics/internal/rbcast"
+	"distbasics/internal/rsm"
+	"distbasics/internal/scenario"
+)
+
+// This file holds, once, what the models of a replicated or
+// history-checked system each used to rebuild: the linearizability
+// verdict (abd, abdmulti, rsm, transport, universal), the applied-order
+// oracle (kv, jobq, transport), the snapshot-crash fault (kv, jobq on
+// amp.Sim; transport on Loopback) and the put-then-read-at-apply client
+// chain (rsm, transport). The models keep their own trace formats and
+// failure messages: a Result is a reproducer, byte for byte.
+
+// traceHistory counts h's completed and pending operations into res and
+// traces one line per operation.
+func traceHistory(res *scenario.Result, h check.History) {
+	for _, op := range h {
+		if op.Return == check.Pending {
+			res.Pending++
+		} else {
+			res.Completed++
+		}
+		res.Tracef("p%d %v @[%d,%d] -> %v", op.Proc, op.Arg, op.Call, op.Return, op.Out)
+	}
+}
+
+// linearize is the verdict every history-checked model ends on: h must
+// be linearizable against spec, and the witness order the checker emits
+// must replay through the shared validator (which catches a checker
+// that fabricates orders). violation and ok word the model's own
+// failure reason and closing trace line.
+func linearize(res *scenario.Result, spec check.Spec, h check.History, violation, ok func(lin check.Result) string) *scenario.Result {
+	if len(h) == 0 {
+		res.Tracef("empty history")
+		return res
+	}
+	lin, err := check.Linearizable(spec, h)
+	if err != nil {
+		res.Failf("checker error: %v", err)
+		return res
+	}
+	if !lin.OK {
+		res.Failf("linearizability violation: %s", violation(lin))
+		return res
+	}
+	if err := check.ValidateOrder(spec, h, lin.Order); err != nil {
+		res.Failf("witness invalid: %v", err)
+		return res
+	}
+	res.Tracef("linearizable%s", ok(lin))
+	return res
+}
+
+// linearizeKeyed is linearize for the per-key put/read histories of the
+// rsm-backed models (rsm, transport).
+func linearizeKeyed(res *scenario.Result, h check.History) *scenario.Result {
+	sum := func(lin check.Result) string { return fmt.Sprintf("%d ops over %d partitions", len(h), lin.Partitions) }
+	return linearize(res, check.RegisterArraySpec{}, h, sum, func(lin check.Result) string { return ": " + sum(lin) })
+}
+
+// divergence is the applied-order oracle: replicas may lag, never
+// diverge. a and b are two replicas' applied ID sequences starting at
+// absolute apply positions aBase and bBase (non-zero after a reboot from
+// a snapshot, which retains only the suffix past the snapshot's
+// coverage); it returns the first absolute position both hold where
+// they disagree, or -1.
+func divergence(a, b []rbcast.MsgID, aBase, bBase int) int {
+	for p := max(aBase, bBase); p < min(aBase+len(a), bBase+len(b)); p++ {
+		if a[p-aBase] != b[p-bBase] {
+			return p
+		}
+	}
+	return -1
+}
+
+// genSnapCrash draws a snapshot-crash fault: at from, replica proc
+// compacts its journal with a SIGKILL landing after install step Pct
+// (0 = after a clean install), stays down at least minDown ticks, then
+// reboots from whatever the journal recovers.
+func genSnapCrash(rng *scenario.Rand, from int64, proc int, minDown, spread int64) scenario.Fault {
+	return scenario.Fault{
+		Kind: scenario.FaultSnapCrash, Proc: proc,
+		From: from, Until: from + minDown + rng.Int63n(spread),
+		Pct: rng.Intn(4),
+	}
+}
+
+// snapCrash is the first half of a snapshot-crash fault, run inside the
+// victim's event loop: compact nd's journal j with a SIGKILL landing
+// after install step `step` (SnapStepNone = a clean install). The
+// caller then crashes the replica and later reboots a NEW incarnation
+// from whatever j.Recovery() holds — the old snapshot or the new one,
+// never a hybrid.
+func snapCrash(res *scenario.Result, p int, step rsm.SnapStep, j *rsm.MemJournal, nd *rsm.Node) {
+	j.SetInstallCrash(step)
+	err := nd.Compact()
+	j.SetInstallCrash(rsm.SnapStepNone)
+	res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
+}
+
+// recoveredBase is how many applies rec's snapshot covers: the absolute
+// apply position a replica rebooted from rec resumes at.
+func recoveredBase(rec *rsm.Recovery) int {
+	if rec.Snap == nil {
+		return 0
+	}
+	return rec.Snap.Applies
+}
+
+// simSnapCrashes schedules sc's snapshot-crash faults on sim: at From
+// the victim (node(p), journal journals[p]) runs snapCrash and crashes;
+// at Until applied[p] — the sequence the victim's construction-time
+// apply hook records — is rewound to the recovered snapshot's coverage
+// (recovery replays the suffix through the same hook) and reboot builds
+// and installs the new incarnation from rec. The models' oracles are
+// unchanged by the fault: the rebooted replica must slot back into the
+// same total order.
+func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, journals []*rsm.MemJournal,
+	applied [][]rbcast.MsgID, node func(p int) *rsm.Node, reboot func(p int, rec *rsm.Recovery, base int)) {
+	for _, f := range sc.Faults {
+		if f.Kind != scenario.FaultSnapCrash || f.Proc < 0 || f.Proc >= len(journals) {
+			continue
+		}
+		p, step := f.Proc, rsm.SnapStep(f.Pct%4)
+		sim.Schedule(amp.Time(f.From), func() {
+			if sim.Crashed(p) {
+				return
+			}
+			snapCrash(res, p, step, journals[p], node(p))
+			sim.CrashAt(p, sim.Now())
+		})
+		sim.Schedule(amp.Time(f.Until), func() {
+			rec := journals[p].Recovery()
+			base := min(recoveredBase(rec), len(applied[p]))
+			applied[p] = applied[p][:base]
+			reboot(p, rec, base)
+		})
+	}
+}
+
+// putChain is one client's chain of puts to keys it owns, through its
+// own replica: a put returns when THAT replica applies it, and the
+// follow-up read of the key's local state at the apply point is a valid
+// linearization read, because the client's prior puts are exactly the
+// completed operations on the key. The next put follows a think time
+// later.
+type putChain struct {
+	rec  *check.Recorder
+	proc int
+	ops  []scenario.Op
+	node *rsm.Node // the client's replica
+	// submit proposes cmd at the replica, entering its event loop the
+	// way the run's runtime requires; after is the run's timer.
+	submit func(cmd rsm.Command) rbcast.MsgID
+	after  func(d amp.Time, f func())
+	// think draws the delays: below first ticks before the first put,
+	// below gap ticks between an apply and the next put.
+	think      *scenario.Rand
+	first, gap int64
+	done       func() // called after each completed put
+}
+
+// start arms the chain (an empty one — a shrunk scenario — arms nothing).
+func (pc putChain) start() {
+	if len(pc.ops) == 0 {
+		return
+	}
+	next := 0
+	var waitID rbcast.MsgID
+	var inv *check.Invocation
+	key := func() string { return fmt.Sprintf("k%d", pc.ops[next].Key) }
+	submit := func() {
+		if next >= len(pc.ops) {
+			return
+		}
+		val := pc.ops[next].Val
+		inv = pc.rec.Call(pc.proc, check.KeyedOp{Key: key(), Op: check.WriteOp{V: val}})
+		waitID = pc.submit(rsm.Command{Op: "put", Key: key(), Val: val})
+	}
+	pc.node.OnApply = func(e rsm.Entry, _ amp.Time) {
+		if inv == nil || e.ID != waitID {
+			return
+		}
+		inv.Return(nil)
+		inv = nil
+		rinv := pc.rec.Call(pc.proc, check.KeyedOp{Key: key(), Op: check.ReadOp{}})
+		rinv.Return(pc.node.Get(key()))
+		next++
+		pc.done()
+		pc.after(amp.Time(1+pc.think.Int63n(pc.gap)), submit)
+	}
+	pc.after(amp.Time(1+pc.think.Int63n(pc.first)), submit)
+}

@@ -1,10 +1,9 @@
 package models
 
 import (
-	"fmt"
-
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
+	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/scenario"
 )
@@ -43,26 +42,7 @@ func (*RSM) Generate(seed uint64) *scenario.Scenario {
 		}
 	}
 	if seed%2 == 1 {
-		// Bounded faults that always heal: one minority partition window,
-		// one crash-recovery of the bystander replica, and sometimes an
-		// early lossy window.
-		from := 200 + rng.Int63n(800)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultPartition,
-			From: from, Until: from + 200 + rng.Int63n(600),
-			Group: []int{rng.Intn(rsmReplicas)},
-		})
-		at := rng.Int63n(1200)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultCrash, Proc: rsmClients,
-			From: at, Until: at + 100 + rng.Int63n(500),
-		})
-		if rng.Intn(2) == 0 {
-			lf := rng.Int63n(600)
-			sc.Faults = append(sc.Faults, scenario.Fault{
-				Kind: scenario.FaultDrop, Pct: 15, From: lf, Until: lf + 200, Sub: rng.Int63(),
-			})
-		}
+		sc.Faults = genHealingFaults(rng, rsmReplicas, rsmClients)
 	}
 	return sc
 }
@@ -86,71 +66,18 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
 	for c := 0; c < rsmClients; c++ {
-		c := c
-		chain := sc.OpsFor(c)
-		if len(chain) == 0 {
-			continue
-		}
-		think := scenario.NewRand(sc.Seed).Derive(uint64(200 + c))
-		next := 0
-		var waitID any
-		var inv *check.Invocation
-		var submit func()
-		submit = func() {
-			if next >= len(chain) {
-				return
-			}
-			op := chain[next]
-			key := fmt.Sprintf("k%d", op.Key)
-			inv = rec.Call(c, check.KeyedOp{Key: key, Op: check.WriteOp{V: op.Val}})
-			waitID = nodes[c].Submit(nodes[c].Ctx(), rsm.Command{Op: "put", Key: key, Val: op.Val})
-		}
-		nodes[c].OnApply = func(e rsm.Entry, _ amp.Time) {
-			if inv == nil || e.ID != waitID {
-				return
-			}
-			op := chain[next]
-			key := fmt.Sprintf("k%d", op.Key)
-			inv.Return(nil)
-			inv = nil
-			// Read the key at the apply point: state reflects exactly the
-			// totally-ordered prefix including this put.
-			rinv := rec.Call(c, check.KeyedOp{Key: key, Op: check.ReadOp{}})
-			rinv.Return(nodes[c].Get(key))
-			next++
-			sim.Schedule(sim.Now()+amp.Time(1+think.Int63n(120)), submit)
-		}
-		sim.Schedule(amp.Time(1+think.Int63n(100)), submit)
+		nd := nodes[c]
+		putChain{
+			rec: rec, proc: c, ops: sc.OpsFor(c), node: nd,
+			submit: func(cmd rsm.Command) rbcast.MsgID { return nd.Submit(nd.Ctx(), cmd) },
+			after:  func(d amp.Time, f func()) { sim.Schedule(sim.Now()+d, f) },
+			think:  scenario.NewRand(sc.Seed).Derive(uint64(200 + c)), first: 100, gap: 120,
+			done: func() {},
+		}.start()
 	}
 	sim.Run(400_000)
 
 	h := rec.History()
-	for _, op := range h {
-		if op.Return == check.Pending {
-			res.Pending++
-		} else {
-			res.Completed++
-		}
-		res.Tracef("p%d %v @[%d,%d] -> %v", op.Proc, op.Arg, op.Call, op.Return, op.Out)
-	}
-	if len(h) == 0 {
-		res.Tracef("empty history")
-		return res
-	}
-	spec := check.RegisterArraySpec{}
-	lin, err := check.Linearizable(spec, h)
-	if err != nil {
-		res.Failf("checker error: %v", err)
-		return res
-	}
-	if !lin.OK {
-		res.Failf("linearizability violation: %d ops over %d partitions", len(h), lin.Partitions)
-		return res
-	}
-	if err := check.ValidateOrder(spec, h, lin.Order); err != nil {
-		res.Failf("witness invalid: %v", err)
-		return res
-	}
-	res.Tracef("linearizable: %d ops over %d partitions", len(h), lin.Partitions)
-	return res
+	traceHistory(res, h)
+	return linearizeKeyed(res, h)
 }

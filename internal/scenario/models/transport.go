@@ -1,11 +1,10 @@
 package models
 
 import (
-	"fmt"
-
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
 	"distbasics/internal/node"
+	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/scenario"
 	"distbasics/internal/transport"
@@ -66,15 +65,9 @@ func (*Transport) Generate(seed uint64) *scenario.Scenario {
 			Kind: scenario.FaultCrash, Proc: tpClients,
 			From: cf, Until: cu,
 		})
-		// Snapshot-crash on the bystander, disjoint from the plain crash
-		// window: compact the journal with a SIGKILL landing after install
-		// step Pct, then reboot from whatever the journal recovers.
-		sf := cu + 2_000 + rng.Int63n(20_000)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultSnapCrash, Proc: tpClients,
-			From: sf, Until: sf + 2_000 + rng.Int63n(10_000),
-			Pct: rng.Intn(4),
-		})
+		// The snapshot-crash also hits the bystander, after the plain
+		// crash window.
+		sc.Faults = append(sc.Faults, genSnapCrash(rng, cu+2_000+rng.Int63n(20_000), tpClients, 2_000, 10_000))
 	}
 	return sc
 }
@@ -86,11 +79,13 @@ func tpPolicy(seed int64) transport.Policy {
 	return transport.Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 80, Seed: seed}
 }
 
-// tpStart builds and starts replica i's stack over tr — the daemons'
-// own bring-up (node.Start), here on Loopback and its virtual clock;
-// crash faults tear the stack down and rebuild it in place.
-func tpStart(i int, tr transport.Transport, clock transport.Clock, opts ...rsm.NodeOption) *node.Replica {
-	return node.Start(rsm.NewNode(tpReplicas, opts...), tr, clock, tpPolicy(int64(i+1)), int64(i+1))
+// tpStart builds and starts replica i's stack on lb under the scenario's
+// chaos schedule — the daemons' own bring-up (node.Start), here on
+// Loopback and its virtual clock; crash faults tear the stack down and
+// rebuild it in place.
+func tpStart(sc *scenario.Scenario, i int, lb *transport.Loopback, opts ...rsm.NodeOption) *node.Replica {
+	tr := transport.NewChaos(lb.Node(i), lb.Clock(), tpChaos(sc, i)...)
+	return node.Start(rsm.NewNode(tpReplicas, opts...), tr, lb.Clock(), tpPolicy(int64(i+1)), int64(i+1))
 }
 
 // tpChaos maps scenario faults onto each sender's chaos rule schedule.
@@ -134,19 +129,14 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
 	amp.RegisterWire(transport.Register)
 	rsm.RegisterWire(transport.Register)
-	lb := transport.NewLoopback(tpReplicas)
-	clock := lb.Clock()
+	lb := transport.NewLoopback(tpReplicas) // also the run's clock
 	rec := check.NewRecorder()
 
 	nodes := make([]*node.Replica, tpReplicas)
 	journals := make([]*rsm.MemJournal, tpReplicas)
 	for i := 0; i < tpReplicas; i++ {
 		journals[i] = rsm.NewMemJournal()
-		var tr transport.Transport = lb.Node(i)
-		if rules := tpChaos(sc, i); len(rules) > 0 {
-			tr = transport.NewChaos(tr, clock, rules...)
-		}
-		nodes[i] = tpStart(i, tr, clock, rsm.WithJournal(journals[i]))
+		nodes[i] = tpStart(sc, i, lb, rsm.WithJournal(journals[i]))
 	}
 
 	// Crash faults: stop the victim's runtime and take its endpoint down
@@ -164,70 +154,45 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	restart := func(p int) {
 		lb.SetDown(p, false)
 		rec := journals[p].Recovery()
-		appliedBase[p] = 0
-		if rec.Snap != nil {
-			appliedBase[p] = rec.Snap.Applies
-		}
-		var tr transport.Transport = lb.Node(p)
-		if rules := tpChaos(sc, p); len(rules) > 0 {
-			tr = transport.NewChaos(tr, clock, rules...)
-		}
-		nodes[p] = tpStart(p, tr, clock,
-			rsm.WithJournal(journals[p]), rsm.WithRecovery(rec))
+		appliedBase[p] = recoveredBase(rec)
+		nodes[p] = tpStart(sc, p, lb, rsm.WithJournal(journals[p]), rsm.WithRecovery(rec))
 		down[p] = false
 	}
 	for _, f := range sc.Faults {
-		f := f
-		p := f.Proc
-		if p < 0 || p >= tpReplicas {
+		p, snap := f.Proc, f.Kind == scenario.FaultSnapCrash
+		if p < 0 || p >= tpReplicas || (!snap && f.Kind != scenario.FaultCrash) {
 			continue
 		}
-		switch f.Kind {
-		case scenario.FaultCrash:
-			fired := false
-			clock.AfterFunc(amp.Time(f.From), func() {
-				if down[p] {
-					return
-				}
-				fired, down[p] = true, true
-				nodes[p].RT.Stop()
-				lb.SetDown(p, true)
-				res.Tracef("crash p%d @%d", p, f.From)
-			})
-			if f.Until > f.From {
-				clock.AfterFunc(amp.Time(f.Until), func() {
-					if !fired {
-						return
-					}
-					restart(p)
-					res.Tracef("restart p%d @%d applied=%d", p, f.Until, nodes[p].Node.Len())
-				})
+		fired := false
+		lb.AfterFunc(amp.Time(f.From), func() {
+			if down[p] {
+				return
 			}
-		case scenario.FaultSnapCrash:
-			fired := false
-			step := rsm.SnapStep(f.Pct % 4)
-			clock.AfterFunc(amp.Time(f.From), func() {
-				if down[p] {
-					return
-				}
-				fired, down[p] = true, true
-				nodes[p].RT.Do(func(amp.Context) {
-					journals[p].SetInstallCrash(step)
-					err := nodes[p].Node.Compact()
-					journals[p].SetInstallCrash(rsm.SnapStepNone)
-					res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
-				})
-				nodes[p].RT.Stop()
-				lb.SetDown(p, true)
-			})
-			clock.AfterFunc(amp.Time(f.Until), func() {
-				if !fired {
-					return
-				}
-				restart(p)
-				res.Tracef("snaprestart p%d @%d base=%d", p, f.Until, appliedBase[p])
-			})
+			fired, down[p] = true, true
+			if snap {
+				step := rsm.SnapStep(f.Pct % 4)
+				nodes[p].RT.Do(func(amp.Context) { snapCrash(res, p, step, journals[p], nodes[p].Node) })
+			}
+			nodes[p].RT.Stop()
+			lb.SetDown(p, true)
+			if !snap {
+				res.Tracef("crash p%d @%d", p, f.From)
+			}
+		})
+		if !snap && f.Until <= f.From {
+			continue // a plain crash with no recovery window stays down
 		}
+		lb.AfterFunc(amp.Time(f.Until), func() {
+			if !fired {
+				return
+			}
+			restart(p)
+			if snap {
+				res.Tracef("snaprestart p%d @%d base=%d", p, f.Until, appliedBase[p])
+			} else {
+				res.Tracef("restart p%d @%d applied=%d", p, f.Until, nodes[p].Node.Len())
+			}
+		})
 	}
 
 	// Client chains, as in the rsm model: a put returns when the
@@ -235,45 +200,18 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	// key's local state at that point is a valid linearization read.
 	total, done := 0, 0
 	for c := 0; c < tpClients; c++ {
-		total += len(sc.OpsFor(c))
-	}
-	for c := 0; c < tpClients; c++ {
-		c := c
-		chain := sc.OpsFor(c)
-		if len(chain) == 0 {
-			continue
-		}
-		think := scenario.NewRand(sc.Seed).Derive(uint64(200 + c))
-		next := 0
-		var waitID any
-		var inv *check.Invocation
-		var submit func()
-		submit = func() {
-			if next >= len(chain) {
-				return
-			}
-			op := chain[next]
-			key := fmt.Sprintf("k%d", op.Key)
-			inv = rec.Call(c, check.KeyedOp{Key: key, Op: check.WriteOp{V: op.Val}})
-			nodes[c].RT.Do(func(amp.Context) {
-				waitID = nodes[c].Node.Submit(nodes[c].Node.Ctx(), rsm.Command{Op: "put", Key: key, Val: op.Val})
-			})
-		}
-		nodes[c].Node.OnApply = func(e rsm.Entry, _ amp.Time) {
-			if inv == nil || e.ID != waitID {
-				return
-			}
-			op := chain[next]
-			key := fmt.Sprintf("k%d", op.Key)
-			inv.Return(nil)
-			inv = nil
-			rinv := rec.Call(c, check.KeyedOp{Key: key, Op: check.ReadOp{}})
-			rinv.Return(nodes[c].Node.Get(key))
-			next++
-			done++
-			clock.AfterFunc(amp.Time(1+think.Int63n(400)), submit)
-		}
-		clock.AfterFunc(amp.Time(1+think.Int63n(300)), submit)
+		ops := sc.OpsFor(c)
+		total += len(ops)
+		putChain{
+			rec: rec, proc: c, ops: ops, node: nodes[c].Node,
+			submit: func(cmd rsm.Command) (id rbcast.MsgID) {
+				nodes[c].RT.Do(func(amp.Context) { id = nodes[c].Node.Submit(nodes[c].Node.Ctx(), cmd) })
+				return id
+			},
+			after: func(d amp.Time, f func()) { lb.AfterFunc(d, f) },
+			think: scenario.NewRand(sc.Seed).Derive(uint64(200 + c)), first: 300, gap: 400,
+			done: func() { done++ },
+		}.start()
 	}
 	// Run in fixed chunks with a deterministic early exit once every
 	// chain completes (chunk boundaries are part of the scenario's
@@ -286,57 +224,26 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 
 	h := rec.History()
-	for _, op := range h {
-		if op.Return == check.Pending {
-			res.Pending++
-		} else {
-			res.Completed++
-		}
-		res.Tracef("p%d %v @[%d,%d] -> %v", op.Proc, op.Arg, op.Call, op.Return, op.Out)
-	}
+	traceHistory(res, h)
 	// Cross-replica safety: applied orders must agree position-wise. A
 	// replica restarted from a snapshot only holds the suffix past the
 	// snapshot's coverage, so sequences are compared at absolute apply
 	// positions (appliedBase[i] + local index).
-	ref := nodes[0].Node.Applied()
-	refBase := appliedBase[0]
+	ids := func(i int) []rbcast.MsgID {
+		var out []rbcast.MsgID
+		for _, e := range nodes[i].Node.Applied() {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+	ref := ids(0)
 	for i := 1; i < tpReplicas; i++ {
-		got := nodes[i].Node.Applied()
-		gotBase := appliedBase[i]
-		lo := refBase
-		if gotBase > lo {
-			lo = gotBase
-		}
-		hi := refBase + len(ref)
-		if h := gotBase + len(got); h < hi {
-			hi = h
-		}
-		for a := lo; a < hi; a++ {
-			if got[a-gotBase].ID != ref[a-refBase].ID {
-				res.Failf("replicas 0 and %d diverge at slot order %d: %v vs %v",
-					i, a, ref[a-refBase].ID, got[a-gotBase].ID)
-				return res
-			}
+		got := ids(i)
+		if a := divergence(ref, got, appliedBase[0], appliedBase[i]); a >= 0 {
+			res.Failf("replicas 0 and %d diverge at slot order %d: %v vs %v",
+				i, a, ref[a-appliedBase[0]], got[a-appliedBase[i]])
+			return res
 		}
 	}
-	if len(h) == 0 {
-		res.Tracef("empty history")
-		return res
-	}
-	spec := check.RegisterArraySpec{}
-	lin, err := check.Linearizable(spec, h)
-	if err != nil {
-		res.Failf("checker error: %v", err)
-		return res
-	}
-	if !lin.OK {
-		res.Failf("linearizability violation: %d ops over %d partitions", len(h), lin.Partitions)
-		return res
-	}
-	if err := check.ValidateOrder(spec, h, lin.Order); err != nil {
-		res.Failf("witness invalid: %v", err)
-		return res
-	}
-	res.Tracef("linearizable: %d ops over %d partitions", len(h), lin.Partitions)
-	return res
+	return linearizeKeyed(res, h)
 }

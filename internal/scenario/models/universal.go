@@ -116,33 +116,11 @@ func (*Universal) Run(sc *scenario.Scenario) *scenario.Result {
 	out := shm.Execute(&shm.Run{Bodies: bodies}, pol, 50_000_000)
 
 	h := rec.History()
-	for _, op := range h {
-		if op.Return == check.Pending {
-			res.Pending++
-		} else {
-			res.Completed++
-		}
-		res.Tracef("p%d %v @[%d,%d] -> %v", op.Proc, op.Arg, op.Call, op.Return, op.Out)
-	}
+	traceHistory(res, h)
 	res.Tracef("steps=%d finished=%v crashed=%v", out.Steps, out.Finished, out.Crashed)
-	if len(h) == 0 {
-		res.Tracef("empty history")
-		return res
-	}
-	lin, err := check.Linearizable(universal.KVSpec{}, h)
-	if err != nil {
-		res.Failf("checker error: %v", err)
-		return res
-	}
-	if !lin.OK {
-		res.Failf("linearizability violation: %d-op KV history (%d explored over %d partitions)",
-			len(h), lin.Explored, lin.Partitions)
-		return res
-	}
-	if err := check.ValidateOrder(universal.KVSpec{}, h, lin.Order); err != nil {
-		res.Failf("witness invalid: %v", err)
-		return res
-	}
-	res.Tracef("linearizable over %d partitions", lin.Partitions)
-	return res
+	return linearize(res, universal.KVSpec{}, h,
+		func(lin check.Result) string {
+			return fmt.Sprintf("%d-op KV history (%d explored over %d partitions)", len(h), lin.Explored, lin.Partitions)
+		},
+		func(lin check.Result) string { return fmt.Sprintf(" over %d partitions", lin.Partitions) })
 }

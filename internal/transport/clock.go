@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"distbasics/internal/amp"
@@ -10,9 +8,10 @@ import (
 
 // Clock is the time source the robustness layer and the Runtime share.
 // Time is measured in amp.Time ticks so the same retry policies and
-// failure-detector periods work over the virtual Loopback clock, a
-// wall clock (RealClock), and the manual FakeClock the policy unit
-// tests drive. Implementations must be safe for concurrent use.
+// failure-detector periods work over both implementations: Loopback's
+// virtual clock (Loopback.Clock, advanced only by Loopback.Run — also
+// the manual clock of the policy unit tests) and the wall clock
+// (RealClock). Implementations must be safe for concurrent use.
 type Clock interface {
 	// Now returns the current tick.
 	Now() amp.Time
@@ -27,10 +26,6 @@ type Timer interface {
 	// not yet fired.
 	Stop() bool
 }
-
-// ---------------------------------------------------------------------------
-// Wall clock.
-// ---------------------------------------------------------------------------
 
 // RealClock maps ticks onto the wall clock: one tick is Unit of real
 // time. It is the clock of the TCP runtime; with the default 2ms unit,
@@ -52,9 +47,6 @@ func NewRealClock(unit time.Duration) *RealClock {
 	return &RealClock{unit: unit, start: time.Now()}
 }
 
-// Unit returns the real duration of one tick.
-func (c *RealClock) Unit() time.Duration { return c.unit }
-
 // Now implements Clock.
 func (c *RealClock) Now() amp.Time {
 	return amp.Time(time.Since(c.start) / c.unit)
@@ -71,116 +63,3 @@ func (c *RealClock) AfterFunc(d amp.Time, f func()) Timer {
 type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) Stop() bool { return rt.t.Stop() }
-
-// ---------------------------------------------------------------------------
-// Manual test clock.
-// ---------------------------------------------------------------------------
-
-// FakeClock is a manually advanced clock for unit tests: callbacks
-// fire, in (time, arm-order) order, only inside Advance. It lets the
-// retry/backoff policy tests step a link through timeout -> backoff ->
-// retransmit cycles deterministically without sleeping.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     amp.Time
-	seq     int
-	pending []*fakeTimer
-}
-
-type fakeTimer struct {
-	clock   *FakeClock
-	at      amp.Time
-	seq     int
-	f       func()
-	stopped bool
-	fired   bool
-}
-
-// NewFakeClock returns a fake clock at tick 0.
-func NewFakeClock() *FakeClock { return &FakeClock{} }
-
-// Now implements Clock.
-func (c *FakeClock) Now() amp.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// AfterFunc implements Clock.
-func (c *FakeClock) AfterFunc(d amp.Time, f func()) Timer {
-	if d < 1 {
-		d = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{clock: c, at: c.now + d, seq: c.seq, f: f}
-	c.seq++
-	c.pending = append(c.pending, t)
-	return t
-}
-
-// Stop implements Timer.
-func (t *fakeTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.fired || t.stopped {
-		return false
-	}
-	t.stopped = true
-	return true
-}
-
-// Advance moves the clock forward by d ticks, firing every due
-// callback in deterministic order. Callbacks may arm new timers; those
-// due within the advance fire too.
-func (c *FakeClock) Advance(d amp.Time) {
-	c.mu.Lock()
-	target := c.now + d
-	for {
-		var next *fakeTimer
-		for _, t := range c.pending {
-			if t.stopped || t.fired || t.at > target {
-				continue
-			}
-			if next == nil || t.at < next.at || (t.at == next.at && t.seq < next.seq) {
-				next = t
-			}
-		}
-		if next == nil {
-			break
-		}
-		if next.at > c.now {
-			c.now = next.at
-		}
-		next.fired = true
-		f := next.f
-		c.mu.Unlock()
-		f()
-		c.mu.Lock()
-	}
-	c.now = target
-	// Compact fired/stopped timers.
-	live := c.pending[:0]
-	for _, t := range c.pending {
-		if !t.fired && !t.stopped {
-			live = append(live, t)
-		}
-	}
-	c.pending = live
-	c.mu.Unlock()
-}
-
-// PendingAt returns the due times of armed timers (sorted), a test
-// introspection hook for jitter-bound assertions.
-func (c *FakeClock) PendingAt() []amp.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []amp.Time
-	for _, t := range c.pending {
-		if !t.fired && !t.stopped {
-			out = append(out, t.at)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

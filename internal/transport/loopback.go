@@ -9,43 +9,32 @@ import (
 
 // Loopback is the in-process deterministic network: n endpoints, a
 // virtual clock, and one event queue ordered by (time, enqueue-seq).
-// Deliveries and timer callbacks fire only inside Run, on the calling
-// goroutine, so a seeded run replays byte-identically — the property
-// the scenario harness and cmd/basicsfuzz build on. SetDown emulates
-// kill -9 deterministically: a down node's sends error, frames
-// addressed to it evaporate, and a restarted node re-installs its
-// handler via Node(i).Handle.
+// Every frame takes exactly one tick (reordering and loss come from a
+// Chaos wrapper, never from the network itself). Deliveries and timer
+// callbacks fire only inside Run, on the calling goroutine, so a seeded
+// run replays byte-identically — the property the scenario harness and
+// cmd/basicsfuzz build on. SetDown emulates kill -9 deterministically:
+// a down node's sends error, frames addressed to it evaporate, and a
+// restarted node re-installs its handler via Node(i).Handle.
+//
+// Its Clock is also the repository's one manually driven clock: a
+// node-less NewLoopback(0).Clock() with Run(Now()+d) as "advance" is
+// what the Resilient and Runtime policy tests step through timeout ->
+// backoff -> retransmit cycles without sleeping.
 type Loopback struct {
 	mu    sync.Mutex
 	now   amp.Time
 	seq   int64
 	queue lbQueue
 	nodes []*LoopbackNode
-	delay func(src, dst int, at amp.Time) amp.Time
 	down  []bool
 	stats Stats
 }
 
-// LoopbackOption configures a Loopback.
-type LoopbackOption func(*Loopback)
-
-// WithLoopbackDelay sets the per-link delivery delay function (clamped
-// to >= 1 tick; default constant 1).
-func WithLoopbackDelay(d func(src, dst int, at amp.Time) amp.Time) LoopbackOption {
-	return func(l *Loopback) { l.delay = d }
-}
-
 // NewLoopback returns an n-endpoint in-process network.
-func NewLoopback(n int, opts ...LoopbackOption) *Loopback {
-	l := &Loopback{
-		delay: func(_, _ int, _ amp.Time) amp.Time { return 1 },
-		down:  make([]bool, n),
-	}
-	for _, o := range opts {
-		o(l)
-	}
-	l.nodes = make([]*LoopbackNode, n)
-	for i := 0; i < n; i++ {
+func NewLoopback(n int) *Loopback {
+	l := &Loopback{down: make([]bool, n), nodes: make([]*LoopbackNode, n)}
+	for i := range l.nodes {
 		l.nodes[i] = &LoopbackNode{net: l, id: i}
 	}
 	return l
@@ -57,8 +46,9 @@ func (l *Loopback) Node(i int) *LoopbackNode {
 	return l.nodes[i]
 }
 
-// Clock returns the network's virtual clock (shared by all endpoints).
-func (l *Loopback) Clock() Clock { return (*loopbackClock)(l) }
+// Clock returns the network's virtual clock (shared by all endpoints):
+// the Loopback itself, whose Now and AfterFunc implement Clock.
+func (l *Loopback) Clock() Clock { return l }
 
 // Stats returns the network's counters.
 func (l *Loopback) Stats() *Stats { return &l.stats }
@@ -73,7 +63,7 @@ func (l *Loopback) SetDown(i int, down bool) {
 	l.mu.Unlock()
 }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time (and implements Clock).
 func (l *Loopback) Now() amp.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -98,6 +88,7 @@ func (l *Loopback) Run(until amp.Time) int {
 		if ev.at > l.now {
 			l.now = ev.at
 		}
+		ev.fired = true
 		l.mu.Unlock()
 		if !ev.stopped {
 			ev.f()
@@ -106,14 +97,19 @@ func (l *Loopback) Run(until amp.Time) int {
 	}
 }
 
-// push enqueues f at time at (callers hold no loopback locks).
-func (l *Loopback) push(at amp.Time, f func()) *lbEvent {
+// AfterFunc implements Clock: f joins the event queue d ticks out.
+func (l *Loopback) AfterFunc(d amp.Time, f func()) Timer {
+	if d < 1 {
+		d = 1
+	}
+	return l.push(d, f)
+}
+
+// push enqueues f d ticks from now (callers hold no loopback locks).
+func (l *Loopback) push(d amp.Time, f func()) *lbEvent {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if at < l.now {
-		at = l.now
-	}
-	ev := &lbEvent{at: at, seq: l.seq, f: f}
+	ev := &lbEvent{at: l.now + d, seq: l.seq, f: f}
 	l.seq++
 	heap.Push(&l.queue, ev)
 	return ev
@@ -125,12 +121,12 @@ type lbEvent struct {
 	seq     int64
 	f       func()
 	stopped bool
-	idx     int
+	fired   bool // popped by Run: too late to Stop
 }
 
 // Stop implements Timer.
 func (ev *lbEvent) Stop() bool {
-	if ev.stopped {
+	if ev.stopped || ev.fired {
 		return false
 	}
 	ev.stopped = true
@@ -147,15 +143,8 @@ func (q lbQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q lbQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx, q[j].idx = i, j
-}
-func (q *lbQueue) Push(x any) {
-	ev := x.(*lbEvent)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
+func (q lbQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *lbQueue) Push(x any)   { *q = append(*q, x.(*lbEvent)) }
 func (q *lbQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -163,21 +152,6 @@ func (q *lbQueue) Pop() any {
 	old[n-1] = nil
 	*q = old[:n-1]
 	return ev
-}
-
-// loopbackClock adapts the network's event queue to Clock.
-type loopbackClock Loopback
-
-// Now implements Clock.
-func (c *loopbackClock) Now() amp.Time { return (*Loopback)(c).Now() }
-
-// AfterFunc implements Clock.
-func (c *loopbackClock) AfterFunc(d amp.Time, f func()) Timer {
-	if d < 1 {
-		d = 1
-	}
-	l := (*Loopback)(c)
-	return l.push(l.Now()+d, f)
 }
 
 // LoopbackNode is one endpoint of a Loopback network.
@@ -212,54 +186,25 @@ func (n *LoopbackNode) HandleValue(h ValueHandler) {
 	n.mu.Unlock()
 }
 
-// SendValue implements ValueTransport: delivery semantics (delay,
-// down/closed drops, stats) match Send exactly, minus the codec — the
-// message value itself crosses, uncopied, so both ends must treat it
-// as immutable.
-func (n *LoopbackNode) SendValue(to int, msg any) error {
-	validatePeer(to, n.N())
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	l := n.net
-	l.mu.Lock()
-	if l.down[n.id] {
-		l.mu.Unlock()
-		return ErrDown
-	}
-	now := l.now
-	l.mu.Unlock()
-	d := l.delay(n.id, to, now)
-	if d < 1 {
-		d = 1
-	}
-	from := n.id
-	l.stats.Sent.Add(1)
-	l.push(now+d, func() {
-		dst := l.nodes[to]
-		l.mu.Lock()
-		dstDown := l.down[to]
-		l.mu.Unlock()
-		dst.mu.Lock()
-		h := dst.vhandler
-		dstClosed := dst.closed
-		dst.mu.Unlock()
-		if dstDown || dstClosed || h == nil {
-			l.stats.Dropped.Add(1)
-			return
-		}
-		l.stats.Delivered.Add(1)
-		h(from, msg)
-	})
-	return nil
+// Send implements Transport: the frame is copied and delivered one tick
+// later, unless either end is down.
+func (n *LoopbackNode) Send(to int, frame []byte) error {
+	return n.deliver(to, append([]byte(nil), frame...), nil, false)
 }
 
-// Send implements Transport: the frame is copied and delivered after
-// the network's per-link delay, unless either end is down.
-func (n *LoopbackNode) Send(to int, frame []byte) error {
+// SendValue implements ValueTransport: delivery semantics (delay,
+// down/closed drops, stats) are Send's, minus the codec — the message
+// value itself crosses, uncopied, so both ends must treat it as
+// immutable.
+func (n *LoopbackNode) SendValue(to int, msg any) error {
+	return n.deliver(to, nil, msg, true)
+}
+
+// deliver is the one path under Send and SendValue: refuse if this end
+// is closed or down, else queue the hand-over to the destination's
+// frame handler (or value handler, for value) one tick out; a
+// destination that is down, closed or handler-less by then drops it.
+func (n *LoopbackNode) deliver(to int, frame []byte, msg any, value bool) error {
 	validatePeer(to, n.N())
 	n.mu.Lock()
 	closed := n.closed
@@ -269,34 +214,32 @@ func (n *LoopbackNode) Send(to int, frame []byte) error {
 	}
 	l := n.net
 	l.mu.Lock()
-	if l.down[n.id] {
-		l.mu.Unlock()
+	down := l.down[n.id]
+	l.mu.Unlock()
+	if down {
 		return ErrDown
 	}
-	now := l.now
-	l.mu.Unlock()
-	d := l.delay(n.id, to, now)
-	if d < 1 {
-		d = 1
-	}
-	cp := append([]byte(nil), frame...)
 	from := n.id
 	l.stats.Sent.Add(1)
-	l.push(now+d, func() {
+	l.push(1, func() {
 		dst := l.nodes[to]
 		l.mu.Lock()
 		dstDown := l.down[to]
 		l.mu.Unlock()
 		dst.mu.Lock()
-		h := dst.handler
+		h, vh := dst.handler, dst.vhandler
 		dstClosed := dst.closed
 		dst.mu.Unlock()
-		if dstDown || dstClosed || h == nil {
+		if dstDown || dstClosed || (value && vh == nil) || (!value && h == nil) {
 			l.stats.Dropped.Add(1)
 			return
 		}
 		l.stats.Delivered.Add(1)
-		h(from, cp)
+		if value {
+			vh(from, msg)
+		} else {
+			h(from, frame)
+		}
 	})
 	return nil
 }

@@ -8,13 +8,15 @@ import (
 	"distbasics/internal/amp"
 )
 
-// trace records deliveries as "at:from->to:payload" strings for
-// byte-identical determinism comparisons.
+// reorder is the always-on ChaosDelay rule that gives a scenario
+// reordering pressure: Loopback itself delivers every frame in one tick.
+var reorder = ChaosRule{Kind: ChaosDelay, Pct: 4, Seed: 22}
+
+// runLoopbackScenario records deliveries as "at:from->to:payload"
+// strings for byte-identical determinism comparisons.
 func runLoopbackScenario(extraRules []ChaosRule) []string {
 	const n = 3
-	lb := NewLoopback(n, WithLoopbackDelay(func(src, dst int, at amp.Time) amp.Time {
-		return amp.Time(1 + (src+dst+int(at))%5)
-	}))
+	lb := NewLoopback(n)
 	var trace []string
 	sends := make([]Transport, n)
 	for i := 0; i < n; i++ {
@@ -40,8 +42,8 @@ func runLoopbackScenario(extraRules []ChaosRule) []string {
 }
 
 func TestLoopbackDeterministic(t *testing.T) {
-	a := runLoopbackScenario(nil)
-	b := runLoopbackScenario(nil)
+	a := runLoopbackScenario([]ChaosRule{reorder})
+	b := runLoopbackScenario([]ChaosRule{reorder})
 	if len(a) == 0 {
 		t.Fatal("scenario delivered nothing")
 	}
@@ -110,18 +112,86 @@ func TestLoopbackClockTimers(t *testing.T) {
 	var fired []amp.Time
 	clock.AfterFunc(10, func() { fired = append(fired, lb.Now()) })
 	tm := clock.AfterFunc(5, func() { fired = append(fired, -1) })
-	tm.Stop()
-	clock.AfterFunc(20, func() { fired = append(fired, lb.Now()) })
+	if !tm.Stop() {
+		t.Fatal("Stop of a pending timer reported it had already fired")
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop of the same timer reported true")
+	}
+	late := clock.AfterFunc(20, func() { fired = append(fired, lb.Now()) })
 	lb.Run(100)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 20 {
 		t.Fatalf("fired = %v", fired)
+	}
+	// The Timer contract: Stop reports whether the callback had not yet
+	// fired, so stopping a timer that already ran is false.
+	if late.Stop() {
+		t.Fatal("Stop of a timer that already fired reported true")
+	}
+}
+
+// TestLoopbackPinnedOrder fences Loopback's delivery order across
+// commits, not only run against run: the trace below is written out, so
+// any change to the queue's (time, enqueue-seq) order — how a delivery
+// and a timer due on the same tick interleave, what a stopped timer
+// leaves behind, where a timer far beyond any bucketed horizon (>32
+// ticks out) lands among nearer events — fails here.
+func TestLoopbackPinnedOrder(t *testing.T) {
+	lb := NewLoopback(2)
+	clock := lb.Clock()
+	var trace []string
+	log := func(format string, args ...any) {
+		trace = append(trace, fmt.Sprintf("%d:", lb.Now())+fmt.Sprintf(format, args...))
+	}
+	for i := 0; i < 2; i++ {
+		i := i
+		lb.Node(i).Handle(func(from int, frame []byte) { log("%d->%d:%s", from, i, frame) })
+	}
+	send := func(from, to int, s string) { _ = lb.Node(from).Send(to, []byte(s)) }
+
+	// Tick 1 holds, in enqueue order: a timer, a delivery, a timer.
+	clock.AfterFunc(1, func() { log("timer-a") })
+	send(0, 1, "m1")
+	clock.AfterFunc(1, func() {
+		log("timer-b")
+		send(1, 0, "m2")                              // lands on tick 2 ...
+		clock.AfterFunc(1, func() { log("timer-c") }) // ... ahead of this timer
+	})
+	// A stopped timer between two live ones on tick 2 leaves no trace
+	// and does not disturb its neighbours' order.
+	clock.AfterFunc(2, func() { log("timer-d") })
+	clock.AfterFunc(2, func() { log("stopped") }).Stop()
+	clock.AfterFunc(2, func() { log("timer-e") })
+	// Far timers, armed before the near ones fire, keep arm order among
+	// themselves and tie-break against a delivery sent on tick 39.
+	clock.AfterFunc(40, func() { log("far-a") })
+	clock.AfterFunc(39, func() {
+		log("timer-f")
+		send(0, 1, "m3") // lands on tick 40, enqueued after far-a and far-b
+	})
+	clock.AfterFunc(40, func() { log("far-b") })
+	clock.AfterFunc(100, func() { log("far-c") })
+
+	if fired := lb.Run(99); fired != 11 {
+		t.Fatalf("Run(99) fired %d events, want 11 (far-c is due later, the stopped timer never counts)", fired)
+	}
+	lb.Run(200)
+	want := []string{
+		"1:timer-a", "1:0->1:m1", "1:timer-b",
+		"2:timer-d", "2:timer-e", "2:1->0:m2", "2:timer-c",
+		"39:timer-f",
+		"40:far-a", "40:far-b", "40:0->1:m3",
+		"100:far-c",
+	}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("delivery order changed:\n got %v\nwant %v", trace, want)
 	}
 }
 
 func TestChaosDeterministicAndComposable(t *testing.T) {
 	rules := []ChaosRule{
 		{Kind: ChaosDrop, Pct: 30, Seed: 11},
-		{Kind: ChaosDelay, Pct: 4, Seed: 22},
+		reorder,
 		{Kind: ChaosDuplicate, Pct: 20, Seed: 33},
 	}
 	a := runLoopbackScenario(rules)

@@ -12,8 +12,7 @@ import (
 // when wrapped by Resilient: per-link send timeout, bounded retry with
 // exponential backoff plus seeded jitter, and failure-detector-driven
 // degradation for suspected peers. All durations are clock ticks, so
-// one policy works over the virtual Loopback clock, the wall clock,
-// and the FakeClock of the unit tests.
+// one policy works over the virtual Loopback clock and the wall clock.
 type Policy struct {
 	// SendTimeout is how long one attempt waits for an ack (default 40).
 	SendTimeout amp.Time

@@ -75,6 +75,31 @@ func (m *mockInner) ackLast(t *testing.T, peer int) {
 	m.deliver(peer, append([]byte{envAck}, last[1:envSize]...))
 }
 
+// The policy tests drive Resilient from a node-less Loopback: its Clock
+// fires timers, in (time, arm-order) order, only inside Run, so a link
+// steps through timeout -> backoff -> retransmit cycles deterministically
+// without sleeping.
+
+// advance moves lb's clock d ticks on, firing every timer due on the way
+// (including those armed by the callbacks it fires).
+func advance(lb *Loopback, d amp.Time) { lb.Run(lb.Now() + d) }
+
+// nextSendTick steps lb one tick at a time until inner has handed one
+// more frame to peer 1, and returns the tick that happened at: the
+// retransmission schedule read off the send log.
+func nextSendTick(t *testing.T, lb *Loopback, inner *mockInner) amp.Time {
+	t.Helper()
+	n := len(inner.sentTo(1))
+	for i := 0; i < 10_000; i++ {
+		advance(lb, 1)
+		if len(inner.sentTo(1)) > n {
+			return lb.Now()
+		}
+	}
+	t.Fatalf("no send to peer 1 within 10000 ticks of tick %d", lb.Now()-10_000)
+	return 0
+}
+
 func TestBackoffDoublesAndCaps(t *testing.T) {
 	p := Policy{RetryBase: 10, RetryCap: 80, JitterPct: 1} // jitter span rounds to 0
 	rng := newSplitMix64(7)
@@ -123,8 +148,8 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 
 func TestResilientAckCompletesSend(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{})
 	var got [][]byte
 	r.Handle(func(from int, frame []byte) { got = append(got, append([]byte(nil), frame...)) })
 
@@ -146,7 +171,7 @@ func TestResilientAckCompletesSend(t *testing.T) {
 		t.Fatalf("QueueLen = %d, want 0", r.QueueLen(1))
 	}
 	// No retransmission after the ack.
-	clock.Advance(10_000)
+	advance(lb, 10_000)
 	if n := len(inner.sentTo(1)); n != 1 {
 		t.Fatalf("acked frame was retransmitted: %d sends", n)
 	}
@@ -154,26 +179,19 @@ func TestResilientAckCompletesSend(t *testing.T) {
 
 func TestResilientRetransmitOnTimeout(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{SendTimeout: 40, RetryBase: 20, RetryCap: 400, JitterPct: 1, Budget: 8, Seed: 3})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{SendTimeout: 40, RetryBase: 20, RetryCap: 400, JitterPct: 1, Budget: 8, Seed: 3})
 	r.Handle(func(int, []byte) {})
 
 	if err := r.Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// One ack timer pending, due exactly at SendTimeout.
-	if due := clock.PendingAt(); len(due) != 1 || due[0] != 40 {
-		t.Fatalf("pending after send: %v, want [40]", due)
+	// The ack timeout fires at SendTimeout=40 and the backoff for attempt
+	// 1 is RetryBase=20 (jitter span rounds to 0): the retransmission goes
+	// out at tick 60 exactly, not a tick before.
+	if at := nextSendTick(t, lb, inner); at != 60 {
+		t.Fatalf("retransmitted at tick %d, want 60 (timeout 40 + backoff 20)", at)
 	}
-	clock.Advance(40) // timeout -> backoff timer
-	// Backoff for attempt 1 is RetryBase=20 (jitter span rounds to 0).
-	if due := clock.PendingAt(); len(due) != 1 || due[0] != 60 {
-		t.Fatalf("pending after timeout: %v, want [60]", due)
-	}
-	if n := len(inner.sentTo(1)); n != 1 {
-		t.Fatalf("retransmitted before backoff elapsed: %d", n)
-	}
-	clock.Advance(20) // backoff elapses -> retransmit
 	frames := inner.sentTo(1)
 	if len(frames) != 2 {
 		t.Fatalf("sends = %d, want 2", len(frames))
@@ -186,7 +204,7 @@ func TestResilientRetransmitOnTimeout(t *testing.T) {
 	}
 	// A late ack still completes it.
 	inner.ackLast(t, 1)
-	clock.Advance(10_000)
+	advance(lb, 10_000)
 	if n := len(inner.sentTo(1)); n != 2 {
 		t.Fatalf("sends after ack = %d, want 2", n)
 	}
@@ -194,16 +212,17 @@ func TestResilientRetransmitOnTimeout(t *testing.T) {
 
 func TestResilientJitteredBackoffWithinBounds(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{SendTimeout: 40, RetryBase: 100, RetryCap: 800, JitterPct: 25, Budget: 100, Seed: 9})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{SendTimeout: 40, RetryBase: 100, RetryCap: 800, JitterPct: 25, Budget: 100, Seed: 9})
 	r.Handle(func(int, []byte) {})
 	if err := r.Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// Walk several timeout->backoff cycles; each armed backoff timer must
-	// land within +/-25% of the capped exponential schedule.
+	// Walk several timeout->backoff cycles; each retransmission must go
+	// out SendTimeout plus a backoff within +/-25% of the capped
+	// exponential schedule after the previous transmission.
 	for attempt := 1; attempt <= 8; attempt++ {
-		clock.Advance(40) // fire the ack timeout
+		sent := lb.Now()
 		base := amp.Time(100)
 		for i := 1; i < attempt; i++ {
 			base *= 2
@@ -213,22 +232,17 @@ func TestResilientJitteredBackoffWithinBounds(t *testing.T) {
 			}
 		}
 		span := int64(base) * 25 / 100
-		due := clock.PendingAt()
-		if len(due) != 1 {
-			t.Fatalf("attempt %d: %d pending timers", attempt, len(due))
-		}
-		d := int64(due[0] - clock.Now())
+		d := int64(nextSendTick(t, lb, inner) - sent - 40)
 		if d < int64(base)-span || d > int64(base)+span {
 			t.Fatalf("attempt %d: backoff %d outside [%d, %d]", attempt, d, int64(base)-span, int64(base)+span)
 		}
-		clock.Advance(amp.Time(d)) // fire the retransmit
 	}
 }
 
 func TestResilientBudgetExhaustion(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{SendTimeout: 10, RetryBase: 10, RetryCap: 20, JitterPct: 1, Budget: 3, Seed: 1})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{SendTimeout: 10, RetryBase: 10, RetryCap: 20, JitterPct: 1, Budget: 3, Seed: 1})
 	r.Handle(func(int, []byte) {})
 	var drops []error
 	r.OnDrop = func(to int, err error) { drops = append(drops, err) }
@@ -239,7 +253,7 @@ func TestResilientBudgetExhaustion(t *testing.T) {
 	if err := r.Send(1, []byte("next")); err != nil {
 		t.Fatal(err) // queues behind the in-flight frame
 	}
-	clock.Advance(10_000) // burn both frames through the whole budget
+	advance(lb, 10_000) // burn both frames through the whole budget
 	if len(drops) != 2 {
 		t.Fatalf("drops = %d, want 2 (both frames exhaust)", len(drops))
 	}
@@ -269,15 +283,15 @@ func TestResilientBudgetExhaustion(t *testing.T) {
 func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 	inner := newMockInner(0, 2)
 	inner.fail[1] = fmt.Errorf("connection refused")
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 10, JitterPct: 1, Budget: 3, Seed: 1})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 10, JitterPct: 1, Budget: 3, Seed: 1})
 	r.Handle(func(int, []byte) {})
 	var drops []error
 	r.OnDrop = func(to int, err error) { drops = append(drops, err) }
 	if err := r.Send(1, []byte("x")); err != nil {
 		t.Fatal(err) // async contract: synchronous inner failure still retries
 	}
-	clock.Advance(1_000)
+	advance(lb, 1_000)
 	if len(drops) != 1 {
 		t.Fatalf("drops = %d, want 1", len(drops))
 	}
@@ -292,9 +306,9 @@ func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 
 func TestResilientShedAtQueueCap(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
+	lb := NewLoopback(0)
 	suspected := true
-	r := NewResilient(inner, clock, Policy{
+	r := NewResilient(inner, lb.Clock(), Policy{
 		QueueCap:  4,
 		Suspected: func(peer int) bool { return peer == 1 && suspected },
 	})
@@ -339,9 +353,9 @@ func TestResilientShedAtQueueCap(t *testing.T) {
 
 func TestResilientSuspectedParksThenRecovers(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
+	lb := NewLoopback(0)
 	suspected := false
-	r := NewResilient(inner, clock, Policy{
+	r := NewResilient(inner, lb.Clock(), Policy{
 		SendTimeout: 10, RetryBase: 5, RetryCap: 10, JitterPct: 1, Budget: 3,
 		ProbeEvery: 50, Seed: 2,
 		Suspected: func(peer int) bool { return peer == 1 && suspected },
@@ -353,10 +367,10 @@ func TestResilientSuspectedParksThenRecovers(t *testing.T) {
 	if err := r.Send(1, []byte("parked")); err != nil {
 		t.Fatal(err)
 	}
-	suspected = true  // detector suspects the peer after the send
-	clock.Advance(10) // ack timeout fires -> frame parks, probe arms
+	suspected = true // detector suspects the peer after the send
+	advance(lb, 10)  // ack timeout fires -> frame parks, probe arms
 	before := len(inner.sentTo(1))
-	clock.Advance(1000) // many probe periods: budget must NOT burn
+	advance(lb, 1000) // many probe periods: budget must NOT burn
 	if len(drops) != 0 {
 		t.Fatalf("parked frame dropped while suspected: %v", drops)
 	}
@@ -375,7 +389,7 @@ func TestResilientSuspectedParksThenRecovers(t *testing.T) {
 	// tick so the ack lands before the retry budget burns the frame.
 	target := before + probeSends
 	for i := 0; i < 120 && len(inner.sentTo(1)) == target; i++ {
-		clock.Advance(1)
+		advance(lb, 1)
 	}
 	if got := len(inner.sentTo(1)); got <= target {
 		t.Fatalf("parked frame not retransmitted after recovery: %d sends", got)
@@ -388,9 +402,9 @@ func TestResilientSuspectedParksThenRecovers(t *testing.T) {
 
 func TestResilientKickDrainsImmediately(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
+	lb := NewLoopback(0)
 	suspected := true
-	r := NewResilient(inner, clock, Policy{
+	r := NewResilient(inner, lb.Clock(), Policy{
 		ProbeEvery: 10_000, // probe alone would take ages
 		Suspected:  func(peer int) bool { return peer == 1 && suspected },
 	})
@@ -410,8 +424,8 @@ func TestResilientKickDrainsImmediately(t *testing.T) {
 
 func TestResilientDuplicateDeliveryReAcked(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{})
 	var got int
 	r.Handle(func(from int, frame []byte) { got++ })
 
@@ -435,8 +449,8 @@ func TestResilientDuplicateDeliveryReAcked(t *testing.T) {
 
 func TestResilientStaleAckIgnored(t *testing.T) {
 	inner := newMockInner(0, 2)
-	clock := NewFakeClock()
-	r := NewResilient(inner, clock, Policy{})
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{})
 	r.Handle(func(int, []byte) {})
 	if err := r.Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -453,7 +467,7 @@ func TestResilientStaleAckIgnored(t *testing.T) {
 
 func TestResilientClosedSendErrors(t *testing.T) {
 	inner := newMockInner(0, 2)
-	r := NewResilient(inner, NewFakeClock(), Policy{})
+	r := NewResilient(inner, NewLoopback(0).Clock(), Policy{})
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func TestRuntimeStartInitBeforeFirstFrame(t *testing.T) {
 	}
 	tr := &eagerTransport{frame: frame, delivered: make(chan struct{})}
 	proc := &orderProc{}
-	rt := NewRuntime(tr, NewFakeClock(), proc)
+	rt := NewRuntime(tr, NewLoopback(0).Clock(), proc)
 	rt.Start()
 	select {
 	case <-tr.delivered:
@@ -274,5 +274,99 @@ func TestRuntimeStartInitBeforeFirstFrame(t *testing.T) {
 	rt.Do(func(amp.Context) { calls = append(calls, proc.calls...) })
 	if len(calls) != 2 || calls[0] != "init" || calls[1] != "msg" {
 		t.Fatalf("upcall order = %v, want [init msg]", calls)
+	}
+}
+
+// ctxProc exercises one amp.Context behaviour per mode and records what
+// it saw, for TestRuntimeContextBehaviours.
+type ctxProc struct {
+	mode   string
+	msgs   []int // senders of the messages handled
+	timers int
+	last   amp.Time // tick of the latest upcall
+	draw   int64
+}
+
+func (p *ctxProc) Init(ctx amp.Context) {
+	switch p.mode {
+	case "broadcast":
+		if ctx.ID() == 0 {
+			ctx.Broadcast(rsm.Command{Op: "hello"})
+		}
+	case "halt":
+		ctx.SetTimer(2, 1)
+		ctx.Broadcast(rsm.Command{Op: "tick"})
+	case "rand":
+		p.draw = ctx.Rand().Int63()
+	}
+}
+
+func (p *ctxProc) OnMessage(ctx amp.Context, from int, _ amp.Message) {
+	p.msgs = append(p.msgs, from)
+	p.last = ctx.Now()
+	if p.mode == "halt" {
+		// Keep traffic flowing so a halted process has something to ignore.
+		ctx.Send(from, rsm.Command{Op: "tock"})
+	}
+}
+
+func (p *ctxProc) OnTimer(ctx amp.Context, id int) {
+	p.timers++
+	p.last = ctx.Now()
+	if p.mode == "halt" && ctx.ID() == 0 && p.timers == 3 {
+		ctx.Halt()
+		return
+	}
+	ctx.SetTimer(2, id)
+}
+
+// TestRuntimeContextBehaviours pins, on Runtime over Loopback, the
+// amp.Context behaviours a protocol relies on and no stack test
+// isolates: Broadcast reaches the sender itself, Halt stops every later
+// handler and timer of the halting process (and only of it), and
+// WithRuntimeSeed gives each process its own Rand stream.
+func TestRuntimeContextBehaviours(t *testing.T) {
+	amp.RegisterWire(Register)
+	rsm.RegisterWire(Register)
+	const n = 3
+	for _, tc := range []struct {
+		mode  string
+		check func(t *testing.T, procs []*ctxProc)
+	}{
+		{"broadcast", func(t *testing.T, procs []*ctxProc) {
+			for i, p := range procs {
+				if len(p.msgs) != 1 || p.msgs[0] != 0 {
+					t.Fatalf("process %d handled messages from %v, want exactly one from 0 (self included)", i, p.msgs)
+				}
+			}
+		}},
+		{"halt", func(t *testing.T, procs []*ctxProc) {
+			// p0 halts inside its third timer (tick 6); nothing after that
+			// reaches it, while p1 and p2 keep running to the horizon.
+			if procs[0].timers != 3 || procs[0].last != 6 {
+				t.Fatalf("halted process saw %d timers, last upcall at tick %d; want 3 and 6", procs[0].timers, procs[0].last)
+			}
+			for i := 1; i < n; i++ {
+				if procs[i].timers < 100 || procs[i].last < 299 {
+					t.Fatalf("Halt leaked to process %d: timers=%d, last upcall at tick %d", i, procs[i].timers, procs[i].last)
+				}
+			}
+		}},
+		{"rand", func(t *testing.T, procs []*ctxProc) {
+			if procs[0].draw == procs[1].draw || procs[1].draw == procs[2].draw || procs[0].draw == procs[2].draw {
+				t.Fatalf("per-process Rand streams collide: %d %d %d", procs[0].draw, procs[1].draw, procs[2].draw)
+			}
+		}},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			lb := NewLoopback(n)
+			procs := make([]*ctxProc, n)
+			for i := range procs {
+				procs[i] = &ctxProc{mode: tc.mode}
+				NewRuntime(lb.Node(i), lb.Clock(), procs[i], WithRuntimeSeed(int64(i+1))).Start()
+			}
+			lb.Run(300)
+			tc.check(t, procs)
+		})
 	}
 }

@@ -1,10 +1,11 @@
-// Package transport is the repository's real-network runtime: the same
-// Process code that runs inside internal/amp's virtual-time simulator
-// runs here over actual byte-frame transports — in-process, TCP, or a
-// fault-injecting wrapper — via a thin amp.Context adapter (Runtime).
-// The simulator stays the scenario lab; this package proves the
-// algorithms survive real concurrency, real timeouts, and real crashes
-// (kill -9 a node mid-campaign and restart it).
+// Package transport is the repository's real-network runtime, the
+// second of the two runtimes an amp.Process has: the same Process code
+// that runs inside internal/amp's virtual-time simulator runs here over
+// actual byte-frame transports — in-process, TCP, or a fault-injecting
+// wrapper — via a thin amp.Context adapter (Runtime). The simulator
+// stays the scenario lab; this package proves the algorithms survive
+// real concurrency, real timeouts, and real crashes (kill -9 a node
+// mid-campaign and restart it).
 //
 // # Architecture
 //
@@ -57,8 +58,9 @@
 // Runtime (runtime.go) adapts a Transport to amp.Context, so
 // abd/rbcast/mpcons/rsm stacks run unmodified: handlers execute under
 // an actor mutex (one at a time per node, as in the simulator), timers
-// come from the transport's Clock (virtual for Loopback, wall for TCP),
-// and messages are encoded with the gob-based Codec (wire.go) whose
+// come from the transport's Clock (there are two: Loopback's virtual
+// one, which tests also advance by hand, and RealClock for TCP), and
+// messages are encoded with the gob-based Codec (wire.go) whose
 // concrete types each protocol package registers via its RegisterWire
 // function — unless the transport offers the in-process ValueTransport
 // fast path, in which case message values cross uncopied and the codec
@@ -188,30 +190,6 @@ type Stats struct {
 	// Duplicated counts chaos-injected duplicate deliveries (Chaos
 	// only).
 	Duplicated atomic.Uint64
-}
-
-// Snapshot returns a plain-struct copy for logging and tests.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Sent:       s.Sent.Load(),
-		Delivered:  s.Delivered.Load(),
-		Acked:      s.Acked.Load(),
-		Retries:    s.Retries.Load(),
-		Dropped:    s.Dropped.Load(),
-		Shed:       s.Shed.Load(),
-		Duplicated: s.Duplicated.Load(),
-	}
-}
-
-// StatsSnapshot is a point-in-time copy of Stats.
-type StatsSnapshot struct {
-	Sent, Delivered, Acked, Retries, Dropped, Shed, Duplicated uint64
-}
-
-// String renders the snapshot compactly for traces.
-func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("sent=%d delivered=%d acked=%d retries=%d dropped=%d shed=%d dup=%d",
-		s.Sent, s.Delivered, s.Acked, s.Retries, s.Dropped, s.Shed, s.Duplicated)
 }
 
 // validatePeer panics on an out-of-range peer id (programming error,
