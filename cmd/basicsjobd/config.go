@@ -16,11 +16,11 @@ type Config struct {
 	// Queue policy, in clock ticks (zero values take the daemon
 	// defaults below, not the jobq simulation-scale defaults).
 	// GraceTicks is the continuous-suspicion age that lapses a worker's
-	// lease; StepTicks the scheduler pulse period; ReproposeTicks how
-	// long the scheduler waits before re-proposing an assign/expire
-	// whose decision has not landed; RetryBase/RetryCap the
-	// reassignment backoff curve; RetryBudget the default per-job
-	// attempt budget.
+	// lease; StepTicks the scheduler's fallback pulse period (the healthy
+	// path schedules on apply, see jobq.Config.StepEvery); ReproposeTicks
+	// how long the scheduler waits before re-proposing an assign/expire
+	// whose decision has not landed; RetryBase/RetryCap the reassignment
+	// backoff curve; RetryBudget the default per-job attempt budget.
 	GraceTicks     int `json:"grace_ticks,omitempty"`
 	StepTicks      int `json:"step_ticks,omitempty"`
 	ReproposeTicks int `json:"repropose_ticks,omitempty"`
@@ -38,7 +38,7 @@ type Config struct {
 // worst-case consensus round-trip on the real transport (hundreds of
 // milliseconds under chaos), unlike the jobq library default of
 // 8*StepEvery, which is tuned to simulation-scale decide latency. Too
-// low and every scheduler pulse re-broadcasts the same still-undecided
+// low and every scheduler pass re-broadcasts the same still-undecided
 // assignment as a fresh TO payload; the duplicates swell every
 // subsequent proposal batch, bigger batches slow the rounds down
 // further, and the feedback loop congestion-collapses consensus (the
@@ -46,8 +46,13 @@ type Config struct {
 // ballots in the hundreds, no decision for minutes).
 const (
 	defaultGraceTicks     = 10 * int(node.HeartbeatPeriod)
-	defaultStepTicks      = 25   // 50ms pulse: responsive, cheap when idle
+	defaultStepTicks      = 25   // 50ms fallback pulse: bounds back-off/grace lateness, cheap when idle
 	defaultReproposeTicks = 1500 // 3s: >> a chaos-degraded consensus round
+	// defaultPaceTicks spaces the leader's ballots (rsm.WithPace). Five
+	// replicas on one box spend more than a tick or two on each, so at 1
+	// or 2 the queue runs as fast as the CPU lets it that minute (110 to
+	// 160 jobs/s); at 3 it follows the clock (two thirds busy, 96 jobs/s).
+	defaultPaceTicks = 3
 )
 
 // defaultRunnerRetryTicks is the worker's at-least-once re-proposal

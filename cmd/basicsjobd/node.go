@@ -62,6 +62,7 @@ func runServe(cfgPath string, id int) error {
 		s.rep = r
 		// jobq.New installs the apply hook before recovery replay, so a
 		// restarted node's queue state is rebuilt here, before any traffic.
+		opts = append(opts, rsm.WithPace(defaultPaceTicks))
 		s.nd = jobq.New(len(cfg.Peers), cfg.jobqConfig(id), opts...)
 		s.nd.Subscribe(s.onQueueEvent)
 		s.runner = s.newRunner(clock, cfg.Unit())
@@ -76,7 +77,8 @@ func runServe(cfgPath string, id int) error {
 	// their original tokens.
 	s.rep.RT.Do(func(amp.Context) { s.runner.Start() })
 
-	// Scheduler pulse: every replica drives Step; only the Ω leader acts.
+	// Fallback pulse (the healthy path schedules on apply): every replica
+	// drives Step; only the Ω leader acts.
 	var pulse func()
 	pulse = func() {
 		s.rep.RT.Do(func(amp.Context) { s.nd.Step(s.nd.Ctx()) })

@@ -42,8 +42,10 @@ import (
 // acceptors consult GrantHolder and ignore ballot messages from any
 // other proposer while a grant is live (see mpcons.Synod.LeaseHolder).
 // Dropping ballots never violates Paxos safety; at worst it delays a
-// rival leader by one TTL. A leader that loses its lease (or never had
-// one) must fall back to ordering reads through consensus.
+// rival leader by one TTL — exactly one: the rival reads its own grant's
+// expiry from GrantHolder and runs its first ballot the tick it lapses,
+// not ballots into the lease and a back-off past its end. A leader that
+// loses its lease (or never had one) orders reads through consensus.
 
 // leaseGrant is the follower's time-bounded leadership promise; Seq
 // echoes the eliciting heartbeat.
@@ -151,23 +153,25 @@ func (d *Detector) selfCounts(now amp.Time) bool {
 }
 
 // GrantHolder reports the process this detector is currently bound to
-// honor as leaseholder, if any: the process it granted to (until the
-// grant expires, regardless of later leader changes), or itself while
-// it holds the lease. Acceptors use this to ignore rival ballots. A
-// live grant to another process takes precedence over any self claim —
-// the promise binds this process's acceptor even if it believes it has
-// since reassembled a lease of its own.
-func (d *Detector) GrantHolder(now amp.Time) (int, bool) {
+// honor as leaseholder, if any, and until when: the process it granted
+// to (until the grant expires, regardless of later leader changes), or
+// itself while it holds the lease. Acceptors use this to ignore rival
+// ballots, a proposer to wait out its own promise. A live grant to
+// another process takes precedence over any self claim — the promise
+// binds this process's acceptor even if it believes it has since
+// reassembled a lease of its own. until is the granter-side expiry of
+// a grant to another process; a self-held lease reports 0.
+func (d *Detector) GrantHolder(now amp.Time) (holder int, until amp.Time, ok bool) {
 	if d.LeaseTTL <= 0 {
-		return -1, false
+		return -1, 0, false
 	}
 	if d.lease.grantTo >= 0 && d.lease.grantTo != d.id && now < d.lease.grantUntil {
-		return d.lease.grantTo, true
+		return d.lease.grantTo, d.lease.grantUntil, true
 	}
 	if d.HoldsLease(now) {
-		return d.id, true
+		return d.id, 0, true
 	}
-	return -1, false
+	return -1, 0, false
 }
 
 // updateLease fires OnLeaseChange on HoldsLease transitions. Called at

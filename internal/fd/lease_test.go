@@ -71,7 +71,7 @@ func TestLeaseLeaderAcquires(t *testing.T) {
 		if c.dets[i].HoldsLease(2_000) {
 			t.Fatalf("follower %d claims the lease", i)
 		}
-		if h, ok := c.dets[i].GrantHolder(2_000); !ok || h != 0 {
+		if h, _, ok := c.dets[i].GrantHolder(2_000); !ok || h != 0 {
 			t.Fatalf("follower %d grant holder = (%d,%v), want (0,true)", i, h, ok)
 		}
 	}
@@ -84,7 +84,7 @@ func TestLeaseDisabledByDefault(t *testing.T) {
 	if c.dets[0].HoldsLease(1_000) {
 		t.Fatal("lease held with LeaseTTL unset")
 	}
-	if _, ok := c.dets[1].GrantHolder(1_000); ok {
+	if _, _, ok := c.dets[1].GrantHolder(1_000); ok {
 		t.Fatal("grant outstanding with LeaseTTL unset")
 	}
 }
@@ -161,14 +161,14 @@ func TestLeaseSelfRenouncedWhileGrantLive(t *testing.T) {
 	if d.HoldsLease(40) {
 		t.Fatal("counted self into a lease majority while a grant to 1 was live")
 	}
-	if h, ok := d.GrantHolder(40); !ok || h != 1 {
-		t.Fatalf("GrantHolder = (%d,%v), want (1,true): the live promise binds the acceptor", h, ok)
+	if h, until, ok := d.GrantHolder(40); !ok || h != 1 || until != 100 {
+		t.Fatalf("GrantHolder = (%d,%d,%v), want (1,100,true): the live promise binds the acceptor until it lapses", h, until, ok)
 	}
 	// Once the promise lapses the self vote counts again.
 	if !d.HoldsLease(120) {
 		t.Fatal("lease not assembled after the outstanding grant expired")
 	}
-	if h, ok := d.GrantHolder(120); !ok || h != 0 {
+	if h, _, ok := d.GrantHolder(120); !ok || h != 0 {
 		t.Fatalf("GrantHolder = (%d,%v), want (0,true) after the grant expired", h, ok)
 	}
 }

@@ -18,15 +18,33 @@ type jqCluster struct {
 
 func newJQCluster(t *testing.T, n int, cfg Config, cost amp.Time, advs ...amp.Adversary) *jqCluster {
 	t.Helper()
+	c := newJQSim(n, cfg, cost, amp.WithSeed(7),
+		amp.WithDelay(amp.UniformDelay{Min: 1, Max: 3}),
+		amp.WithAdversary(advs...))
+	for j := 0; j < n; j++ {
+		j := j
+		var pulse func()
+		pulse = func() {
+			if !c.sim.Crashed(j) {
+				c.nodes[j].Step(c.nodes[j].Ctx())
+			}
+			c.sim.Schedule(c.sim.Now()+c.nodes[j].Config().StepEvery, pulse)
+		}
+		c.sim.Schedule(amp.Time(5+j), pulse)
+	}
+	return c
+}
+
+// newJQSim is the cluster without any pulse: nothing calls Step but the
+// replicas' own apply path.
+func newJQSim(n int, cfg Config, cost amp.Time, opts ...amp.SimOption) *jqCluster {
 	c := &jqCluster{nodes: make([]*Node, n), runners: make([]*Runner, n)}
 	procs := make([]amp.Process, n)
 	for j := 0; j < n; j++ {
 		c.nodes[j] = New(n, cfg)
 		procs[j] = c.nodes[j].RSM.Stack
 	}
-	c.sim = amp.NewSim(procs, amp.WithSeed(7),
-		amp.WithDelay(amp.UniformDelay{Min: 1, Max: 3}),
-		amp.WithAdversary(advs...))
+	c.sim = amp.NewSim(procs, opts...)
 	for j := 0; j < n; j++ {
 		j := j
 		r := NewRunner(c.nodes[j], j)
@@ -43,17 +61,6 @@ func newJQCluster(t *testing.T, n int, cfg Config, cost amp.Time, advs ...amp.Ad
 		}
 		r.Cost = func(Job) amp.Time { return cost }
 		c.runners[j] = r
-	}
-	for j := 0; j < n; j++ {
-		j := j
-		var pulse func()
-		pulse = func() {
-			if !c.sim.Crashed(j) {
-				c.nodes[j].Step(c.nodes[j].Ctx())
-			}
-			c.sim.Schedule(c.sim.Now()+c.nodes[j].Config().StepEvery, pulse)
-		}
-		c.sim.Schedule(amp.Time(5+j), pulse)
 	}
 	return c
 }

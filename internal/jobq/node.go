@@ -1,8 +1,6 @@
 package jobq
 
 import (
-	"sort"
-
 	"distbasics/internal/amp"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
@@ -25,8 +23,11 @@ type Config struct {
 	Grace amp.Time
 	// MaxPerWorker caps concurrent assignments per worker (default 4).
 	MaxPerWorker int
-	// StepEvery is the scheduler tick period hosts should drive Pulse
-	// with (default 50).
+	// StepEvery is the period of the fallback pulse hosts drive Step
+	// with (default 50). The healthy path does not wait for it: the
+	// leader runs a pass whenever an applied command changes what is
+	// schedulable (see onApply). The pulse serves what no apply announces:
+	// a back-off running out, a suspicion aging past Grace, a lost proposal.
 	StepEvery amp.Time
 	// ReproposeEvery is how long the scheduler waits for a proposal
 	// (assign/expire) to take effect before proposing it again —
@@ -70,11 +71,20 @@ type Node struct {
 	// reassignment time on THIS replica's clock. Every replica tracks it
 	// (cheap) so whichever replica becomes leader enforces backoff.
 	eligibleAt map[string]amp.Time
-	// proposedAt dedups in-flight scheduler proposals (key "a/<job>" or
-	// "x/<worker>") so the leader does not flood consensus re-proposing
-	// every Step while a decision is in flight.
-	proposedAt map[string]amp.Time
-	rng        jitterRand
+	// assigning (by job) and expiring (by worker) hold the scheduler's
+	// in-flight proposals, so the leader does not flood consensus
+	// re-proposing every Step while a decision is in flight — and so a
+	// pass counts the assignments earlier passes proposed, which the
+	// replicated state does not show yet, against their worker's cap.
+	assigning map[string]assignment
+	expiring  map[int]amp.Time
+	rng       jitterRand
+}
+
+// assignment is one in-flight CmdAssign proposal.
+type assignment struct {
+	worker int
+	at     amp.Time
 }
 
 // New builds a queue replica for an n-replica group. The rsm options
@@ -86,7 +96,8 @@ func New(n int, cfg Config, opts ...rsm.NodeOption) *Node {
 		cfg:        cfg.withDefaults(),
 		st:         NewState(),
 		eligibleAt: make(map[string]amp.Time),
-		proposedAt: make(map[string]amp.Time),
+		assigning:  make(map[string]assignment),
+		expiring:   make(map[int]amp.Time),
 	}
 	jn.rng = newJitterRand(jn.cfg.Retry.Seed)
 	opts = append(opts, rsm.WithApplyHook(jn.onApply), rsm.WithSnapshotter(jn))
@@ -120,7 +131,14 @@ func (jn *Node) Propose(ctx amp.Context, c Cmd) rbcast.MsgID {
 // onApply consumes the replica's totally-ordered entry stream (and the
 // recovery replay, via rsm.WithApplyHook): queue commands mutate the
 // State; the leader-local backoff gate and proposal dedup are updated
-// from the resulting event; subscribers run last.
+// from the resulting event; subscribers run; and when the event changed
+// what is schedulable — a job or a worker arrived, or a worker's
+// capacity came free — the scheduler runs one pass in this same turn.
+// That pass proposes from inside the rsm's delivery loop: the mux opens
+// the next slot before the deciding slot's own bookkeeping has finished.
+// The TO layer has advanced its decide frontier and recorded the batch
+// by then, so the nested call sees a consistent window; proposals only
+// queue messages, never re-enter apply.
 func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	cmd, ok := e.Payload.(rsm.Command)
 	if !ok || cmd.Op != Op {
@@ -134,14 +152,14 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	switch ev.Kind {
 	case EvAssigned:
 		delete(jn.eligibleAt, ev.Job)
-		delete(jn.proposedAt, "a/"+ev.Job)
+		delete(jn.assigning, ev.Job)
 	case EvRetried:
 		// The attempt failed on its merits: exponential backoff.
 		jn.eligibleAt[ev.Job] = at + jn.cfg.Retry.Backoff(ev.Attempt, &jn.rng)
 	case EvCompleted, EvDeadLettered:
 		delete(jn.eligibleAt, ev.Job)
 	case EvWorkerExpired, EvWorkerLeft:
-		delete(jn.proposedAt, xKey(ev.Worker))
+		delete(jn.expiring, ev.Worker)
 		// Released jobs lost their worker, not the work: one base delay
 		// (jittered), not the exponential curve — expiry is the lease's
 		// fault, not the job's.
@@ -152,11 +170,19 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	for _, fn := range jn.subs {
 		fn(ev, e, at)
 	}
+	switch ev.Kind {
+	case EvSubmitted, EvWorkerJoined, EvCompleted, EvRetried, EvDeadLettered, EvWorkerExpired, EvWorkerLeft:
+		if jn.RSM != nil { // nil during the recovery replay inside rsm.NewNode
+			jn.Step(jn.Ctx())
+		}
+	}
 }
 
-// Step runs one scheduler pass. Call it periodically on every replica
-// (hosts: Sim.Schedule loop or clock.AfterFunc + Runtime.Do); only the
-// current Ω leader acts, and nothing it proposes is trusted — apply-time
+// Step runs one scheduler pass. onApply runs it when the replicated
+// state changes; hosts also call it every StepEvery on every replica
+// (Sim.Schedule loop or clock.AfterFunc + Runtime.Do) as the fallback
+// for what only the passage of time makes schedulable. Only the current
+// Ω leader acts, and nothing it proposes is trusted — apply-time
 // validation makes stale or duplicate proposals harmless, so leadership
 // flaps and split brains during partitions cost traffic, never safety.
 func (jn *Node) Step(ctx amp.Context) {
@@ -182,9 +208,10 @@ func (jn *Node) expireWorkers(ctx amp.Context, now amp.Time) {
 		if !ok || now-since < jn.cfg.Grace {
 			continue
 		}
-		if !jn.shouldPropose(xKey(w), now) {
+		if at, ok := jn.expiring[w]; ok && jn.inFlight(at, now) {
 			continue
 		}
+		jn.expiring[w] = now
 		jn.Propose(ctx, Cmd{Kind: CmdExpire, Worker: w})
 	}
 }
@@ -193,11 +220,19 @@ func (jn *Node) expireWorkers(ctx amp.Context, now amp.Time) {
 // unsuspected workers, oldest submission first, respecting the
 // per-worker cap and the backoff gate.
 func (jn *Node) assign(ctx amp.Context, now amp.Time) {
-	// Current load per live worker, from replicated state.
+	// Current load per live worker: what the replicated state shows plus
+	// what is proposed and not yet decided. There are several passes per
+	// consensus round trip; without the second term each would see the
+	// same idle worker.
 	load := make(map[int]int)
-	for _, j := range jn.st.Jobs() {
+	for _, j := range jn.st.jobs {
 		if j.State == Assigned || j.State == Running {
 			load[j.Worker]++
+		}
+	}
+	for _, a := range jn.assigning {
+		if jn.inFlight(a.at, now) {
+			load[a.worker]++
 		}
 	}
 	var cands []int
@@ -215,7 +250,7 @@ func (jn *Node) assign(ctx amp.Context, now amp.Time) {
 		if j.State != Pending || jn.eligibleAt[id] > now {
 			continue
 		}
-		if !jn.shouldPropose("a/"+id, now) {
+		if a, ok := jn.assigning[id]; ok && jn.inFlight(a.at, now) {
 			continue
 		}
 		// Least-loaded candidate, smallest ID on ties (cands is sorted).
@@ -229,56 +264,16 @@ func (jn *Node) assign(ctx amp.Context, now amp.Time) {
 			}
 		}
 		if best < 0 {
-			delete(jn.proposedAt, "a/"+id) // all workers full; retry next Step
-			break
+			break // all workers full; retry next Step
 		}
+		jn.assigning[id] = assignment{worker: best, at: now}
 		jn.Propose(ctx, Cmd{Kind: CmdAssign, Job: id, Worker: best, Attempt: j.Attempt + 1})
 		load[best]++
 	}
 }
 
-// shouldPropose gates duplicate scheduler proposals: a key is proposed
-// at most once per ReproposeEvery until its effect (or rejection)
-// clears it.
-func (jn *Node) shouldPropose(key string, now amp.Time) bool {
-	if t, ok := jn.proposedAt[key]; ok && now-t < jn.cfg.ReproposeEvery {
-		return false
-	}
-	jn.proposedAt[key] = now
-	return true
-}
-
-// xKey is the proposal-dedup key for expiring worker w.
-func xKey(w int) string { return "x/" + itoa(w) }
-
-// itoa avoids strconv for the tiny IDs used here.
-func itoa(n int) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + string(rune('0'+n%10))
-}
-
-// PendingEligible reports how many Pending jobs are currently past
-// their backoff gate (introspection for hosts deciding whether the
-// queue is drained or merely backing off).
-func (jn *Node) PendingEligible(now amp.Time) int {
-	n := 0
-	for _, id := range jn.st.order {
-		if jn.st.jobs[id].State == Pending && jn.eligibleAt[id] <= now {
-			n++
-		}
-	}
-	return n
-}
-
-// SortedJobIDs returns every job ID, sorted (stable introspection
-// order for dumps).
-func (jn *Node) SortedJobIDs() []string {
-	out := append([]string(nil), jn.st.order...)
-	sort.Strings(out)
-	return out
+// inFlight reports whether a scheduler proposal made at `at` is still
+// awaited: one per ReproposeEvery until its effect clears it.
+func (jn *Node) inFlight(at, now amp.Time) bool {
+	return now-at < jn.cfg.ReproposeEvery
 }

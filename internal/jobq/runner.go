@@ -113,9 +113,10 @@ func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
 	}
 }
 
-// execute runs one attempt: acknowledge Running, then report the
-// outcome after the job's cost. j is the assignment-time snapshot —
-// j.Attempt is the idempotency token for the whole attempt.
+// execute runs one attempt: acknowledge Running in the turn the
+// assignment applies (or the runner restarts), then report the outcome
+// after the job's cost. j is the assignment-time snapshot; j.Attempt is
+// the idempotency token for the whole attempt.
 func (r *Runner) execute(j Job) {
 	cost := amp.Time(1)
 	if r.Cost != nil {
@@ -123,16 +124,10 @@ func (r *Runner) execute(j Job) {
 			cost = c
 		}
 	}
-	r.Defer(1, func() {
-		if r.stopped {
-			return
-		}
-		if cur, ok := r.nd.State().Job(j.ID); !ok || cur.State != Assigned || cur.Worker != r.self || cur.Attempt != j.Attempt {
-			return // already started (a resume), or moved on: no stale Start spam
-		}
+	if j.State == Assigned { // a resumed Running attempt already said so
 		r.nd.Propose(r.nd.Ctx(), Cmd{Kind: CmdStart, Job: j.ID, Worker: r.self, Attempt: j.Attempt})
-	})
-	r.Defer(1+cost, func() {
+	}
+	r.Defer(cost, func() {
 		if r.stopped {
 			return
 		}

@@ -1,8 +1,6 @@
 package local
 
 import (
-	"sort"
-
 	"distbasics/internal/knowset"
 	"distbasics/internal/round"
 )
@@ -109,14 +107,6 @@ func (p *Flood) Output() any {
 // KnewAllAt returns the first round at which this process knew every input,
 // or 0 if it never did (or if it knew everything initially, n=1).
 func (p *Flood) KnewAllAt() int { return p.knewAllAt }
-
-// Known returns a sorted snapshot of the ids whose inputs this process has
-// learned. Exposed for dissemination-progress assertions in tests.
-func (p *Flood) Known() []int {
-	ids := p.known.IDs(make([]int, 0, p.known.Size()))
-	sort.Ints(ids)
-	return ids
-}
 
 // NewFlood returns one Flood process per vertex with inputs[i] as process
 // i's input, all halting after haltAfter rounds and applying fn.

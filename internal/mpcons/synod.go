@@ -25,29 +25,29 @@ type Synod struct {
 	// Omega supplies the leader estimate (same Stack, separate slot).
 	Omega *fd.Detector
 	// RetryPeriod is how often an undecided leader re-attempts a ballot
-	// (default 40 virtual units). Consecutive retries that abandon a
-	// still-inflight ballot back the period off exponentially (capped at
-	// 16x): restarting ballots faster than replies return only floods the
-	// leader's inbound links with stale promises, which delays replies
+	// (default 40 virtual units), starting one period after Init: the
+	// timer is the liveness fallback, not the start signal. A host that
+	// knows when there is something to decide (rsm's slot multiplexer)
+	// calls Kick then; a standalone instance waits out the first period,
+	// which is also time for Ω to settle. Consecutive retries that abandon
+	// a still-inflight ballot back the period off exponentially (capped
+	// at 16x): restarting ballots faster than replies return only floods
+	// the leader's inbound links with stale promises, delaying replies
 	// further — a self-sustaining retry storm under lossy transports.
 	RetryPeriod amp.Time
-	// KickoffDelay, when > 0, is the delay before the FIRST ballot
-	// attempt (default RetryPeriod). A slot multiplexer that creates
-	// instances lazily at the moment there is work sets this small so a
-	// fresh slot does not idle a whole retry period before its first
-	// ballot; subsequent retries use RetryPeriod as usual.
-	KickoffDelay amp.Time
 	// OnDecide fires on decision.
 	OnDecide DecideFn
 	// LeaseHolder, if set, reports the read-lease holder this process is
-	// currently bound to honor (see fd.Detector.GrantHolder). While a
-	// holder h is live, the acceptor ignores prepare/accept messages
-	// from every other proposer — that refusal is exactly the promise
-	// that makes h's local reads linearizable, since no rival ballot can
-	// assemble a quorum before the lease expires. Dropping ballots never
-	// violates Paxos safety; at worst it delays a rival leader by one
-	// lease TTL.
-	LeaseHolder func(now amp.Time) (holder int, ok bool)
+	// currently bound to honor and when that binding lapses (see
+	// fd.Detector.GrantHolder). While a holder h is live, the acceptor
+	// ignores prepare/accept messages from every other proposer — that
+	// refusal is exactly the promise that makes h's local reads
+	// linearizable, since no rival ballot can assemble a quorum before
+	// the lease expires. Dropping ballots never violates Paxos safety;
+	// at worst it delays a rival leader by one lease TTL: the proposer
+	// reads the same binding, sends no ballot its own acceptor would
+	// refuse, and looks again at until.
+	LeaseHolder func(now amp.Time) (holder int, until amp.Time, ok bool)
 	// OnAcceptorChange, if set, fires synchronously whenever the acceptor
 	// triple (promised, acceptedBal, acceptedVal) changes — BEFORE the
 	// corresponding promise/accepted reply is sent. Persisting the triple
@@ -125,15 +125,6 @@ func (s *Synod) RestoreAcceptor(promised, acceptedBal int, acceptedVal any) {
 	s.acceptedVal = acceptedVal
 }
 
-// MarkDecided reinstates a journaled decision after a restart: the
-// instance stops initiating ballots and ignores further decide
-// messages. OnDecide is NOT re-invoked (the caller replays the
-// decision's effects itself).
-func (s *Synod) MarkDecided(v any) {
-	s.decided = true
-	s.decidedVal = v
-}
-
 // Release drops the proposer-side quorum maps and upcall references so
 // a decided, garbage-collected instance retains no more than its
 // acceptor triple. A released instance must receive no further events
@@ -154,8 +145,23 @@ func (s *Synod) leaseBlocks(ctx amp.Context, from int) bool {
 	if s.LeaseHolder == nil {
 		return false
 	}
-	h, ok := s.LeaseHolder(ctx.Now())
+	h, _, ok := s.LeaseHolder(ctx.Now())
 	return ok && h != from
+}
+
+// leaseWait is the proposer's reading of leaseBlocks: how long this
+// process's own acceptor stays bound to another leaseholder (0 = not
+// bound). A ballot started inside that span can only stall: it is
+// refused here and at every peer that granted the same lease.
+func (s *Synod) leaseWait(ctx amp.Context) amp.Time {
+	if s.LeaseHolder == nil {
+		return 0
+	}
+	h, until, ok := s.LeaseHolder(ctx.Now())
+	if !ok || h == s.id {
+		return 0
+	}
+	return max(until-ctx.Now(), 1)
 }
 
 // acceptorChanged persists the acceptor triple via the hook, if any.
@@ -172,28 +178,54 @@ func (s *Synod) Init(ctx amp.Context) {
 	if s.RetryPeriod == 0 {
 		s.RetryPeriod = 40
 	}
-	first := s.KickoffDelay
-	if first <= 0 {
-		first = s.RetryPeriod
-	}
-	ctx.SetTimer(first, synodRetryTimer)
+	s.armRetry(ctx)
 }
 
-// OnTimer implements amp.Component: the leader-retry loop.
+// leads reports whether this process should be running ballots for the
+// instance: undecided, the Ω leader, and Enabled.
+func (s *Synod) leads() bool {
+	return !s.decided && s.Omega != nil && s.Omega.Leader() == s.id &&
+		(s.Enabled == nil || s.Enabled())
+}
+
+// Kick starts the instance's first ballot in the caller's event-loop
+// turn, if this process leads and no lease binds its acceptor to
+// another holder, and reports whether it did. The host calls it on the
+// events that can make that true — work arriving, a decision moving the
+// window, Ω electing this process; later attempts are the retry timer's.
+func (s *Synod) Kick(ctx amp.Context) bool {
+	if s.ballot == 0 && s.leads() && s.leaseWait(ctx) == 0 {
+		s.startBallot(ctx)
+		return true
+	}
+	return false
+}
+
+// OnTimer implements amp.Component: the leader-retry loop. A leader
+// bound by a lease it granted sends nothing and counts no stall: no
+// ballot of its own is outstanding, so there is nothing to back off from.
 func (s *Synod) OnTimer(ctx amp.Context, id int) {
-	if id != synodRetryTimer {
+	if id != synodRetryTimer || s.decided {
 		return
 	}
-	if !s.decided && s.Omega != nil && s.Omega.Leader() == s.id &&
-		(s.Enabled == nil || s.Enabled()) {
+	if s.leads() && s.leaseWait(ctx) == 0 {
 		if s.inBallot && s.stalls < synodMaxStalls {
 			s.stalls++ // the previous ballot never completed: back off
 		}
 		s.startBallot(ctx)
 	}
-	if !s.decided {
-		ctx.SetTimer(s.RetryPeriod<<s.stalls, synodRetryTimer)
+	s.armRetry(ctx)
+}
+
+// armRetry sets the next retry: one backed-off period from now, or the
+// moment this process's grant to another leaseholder lapses if that
+// comes first — the first instant a ballot from here can succeed.
+func (s *Synod) armRetry(ctx amp.Context) {
+	d := s.RetryPeriod << s.stalls
+	if w := s.leaseWait(ctx); w > 0 && w < d {
+		d = w
 	}
+	ctx.SetTimer(d, synodRetryTimer)
 }
 
 // synodMaxStalls caps the retry backoff at RetryPeriod << 4 = 16x.

@@ -96,6 +96,7 @@ func TestCheckJournals(t *testing.T) {
 		{"bounded", []*clientrpc.JournalStats{&healthy, &restarted}, ""},
 		{"no journal", []*clientrpc.JournalStats{&healthy, nil}, "no journal stats"},
 		{"never compacted", []*clientrpc.JournalStats{&healthy, {Records: 40, LifeRecords: 40}}, "never compacted"},
+		{"below threshold", []*clientrpc.JournalStats{&healthy, {Records: 30, Bytes: 300, LifeRecords: 30, LifeBytes: 300}}, ""}, // killed early, restarted late: no compaction was due
 		{"unbounded", []*clientrpc.JournalStats{{Records: 90, Bytes: 900, LifeRecords: 90, LifeBytes: 900, Snapshots: 1}}, "not bounded"},
 		{"degraded", []*clientrpc.JournalStats{{Records: 1, Bytes: 1, LifeRecords: 9, LifeBytes: 9, Snapshots: 1, WriteErrs: 2, Degraded: true}}, "degraded"},
 		{"only restarts", []*clientrpc.JournalStats{&restarted, &restarted}, "no node installed a snapshot"},

@@ -157,9 +157,5 @@ func (in DenseInbox) At(k int) Message {
 	return m
 }
 
-// Received reports whether a message (possibly a nil payload) arrived from
-// neighbor k this round.
-func (in DenseInbox) Received(k int) bool { return in.slots[k] != nil }
-
 // Sender returns the process id behind slot k (equal to Env.Neighbors[k]).
 func (in DenseInbox) Sender(k int) int { return int(in.nbrs[k]) }

@@ -20,6 +20,8 @@ type synodMux struct {
 	journal Journal
 
 	pipeline int
+	pace     amp.Time // least spacing between turns that start first ballots
+	paced    bool     // a start is younger than that (see ensureWindow)
 
 	ctx    amp.Context
 	insts  map[int]*mpcons.Synod
@@ -54,9 +56,10 @@ type muxLearn struct {
 }
 
 const (
-	// muxTickTimer is the mux's own periodic timer id; per-slot timers
-	// are offset past it with muxTimerStride ids per slot.
+	// muxTickTimer and muxPaceTimer are the mux's own timer ids; per-slot
+	// timers are offset past them with muxTimerStride ids per slot.
 	muxTickTimer   = 0
+	muxPaceTimer   = 1
 	muxTickPeriod  = 16
 	muxTimerStride = 4
 
@@ -67,18 +70,14 @@ const (
 	// otherwise grow the instance map without bound.
 	muxMaxAhead = 4096
 
-	// muxKickoff is the delay before a freshly materialized instance's
-	// first ballot attempt: near-immediate, since the mux only creates
-	// proposer-side instances when there is already work to order.
-	muxKickoff = 1
-
 	// muxLearnGap is the per-peer minimum spacing between muxLearn
 	// answers to straggler ballot messages for decided slots.
 	muxLearnGap = 8
 )
 
-func newSynodMux(tb *TOBroadcast, omega *fd.Detector, j Journal, pipeline int) *synodMux {
+func newSynodMux(tb *TOBroadcast, omega *fd.Detector, j Journal, pipeline int, pace amp.Time) *synodMux {
 	return &synodMux{
+		pace:       pace,
 		tb:         tb,
 		omega:      omega,
 		journal:    j,
@@ -133,8 +132,8 @@ func (mx *synodMux) Init(ctx amp.Context) {
 }
 
 // slotTimer encodes per-slot timer ids past the mux's own.
-func slotTimer(slot, tid int) int       { return 1 + slot*muxTimerStride + tid }
-func decodeSlotTimer(id int) (s, t int) { return (id - 1) / muxTimerStride, (id - 1) % muxTimerStride }
+func slotTimer(slot, tid int) int       { return 2 + slot*muxTimerStride + tid }
+func decodeSlotTimer(id int) (s, t int) { return (id - 2) / muxTimerStride, (id - 2) % muxTimerStride }
 
 // muxCtx namespaces one slot's Synod: sends wrap in muxMsg, timers in
 // the slot-strided id space. The Synod never notices it shares a
@@ -167,10 +166,9 @@ func (mx *synodMux) instance(s int) *mpcons.Synod {
 	}
 	slot := s // capture per-instance
 	syn := &mpcons.Synod{
-		Omega:        mx.omega,
-		KickoffDelay: muxKickoff,
-		LeaseHolder:  mx.omega.GrantHolder,
-		InputFn:      func() any { return mx.tb.proposalFor(slot) },
+		Omega:       mx.omega,
+		LeaseHolder: mx.omega.GrantHolder,
+		InputFn:     func() any { return mx.tb.proposalFor(slot) },
 		Enabled: func() bool {
 			// Pipeline window: slots [nextDecide, nextDecide+pipeline)
 			// may run ballots concurrently. A leader opens slot s either
@@ -219,20 +217,32 @@ func (mx *synodMux) onDecide(slot int, v any, at amp.Time) {
 }
 
 // ensureWindow materializes proposer-side instances for the current
-// pipeline window when there is (or may be) work for them. Called on
-// new local/relayed payloads, after every decision, and from the tick
-// timer as a liveness backstop.
+// pipeline window when there is (or may be) work for them, and kicks
+// each one: on the leader a slot's first ballot starts in this very
+// turn, not a timer tick later — the proposal is still built at phase 2,
+// so commands submitted later in the turn ride the same slot. Called on
+// new payloads, after every decision, when Ω changes leader, and from
+// the tick timer as a liveness backstop. Turns that start ballots are
+// at least pace apart (see WithPace): work reaching the leader sooner
+// shares the slots the pace timer opens.
 func (mx *synodMux) ensureWindow() {
 	if mx.ctx == nil {
 		return // pre-Init (recovery replay); Init will call back
 	}
+	started := false
 	for s := mx.tb.nextDecide; s < mx.tb.nextDecide+mx.pipeline; s++ {
 		if mx.tb.isDecided(s) {
 			continue
 		}
 		if mx.tb.backlogReaches(s) || mx.tb.maxSeen > s {
-			mx.instance(s)
+			if syn := mx.instance(s); syn != nil && !mx.paced && syn.Kick(mx.slotCx[s]) {
+				started = true
+			}
 		}
+	}
+	if started {
+		mx.paced = true
+		mx.ctx.SetTimer(mx.pace, muxPaceTimer)
 	}
 }
 
@@ -313,6 +323,11 @@ func (mx *synodMux) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 // slot timers route to their instance — or die silently if the slot was
 // delivered and freed.
 func (mx *synodMux) OnTimer(ctx amp.Context, id int) {
+	if id == muxPaceTimer {
+		mx.paced = false
+		mx.ensureWindow()
+		return
+	}
 	if id == muxTickTimer {
 		mx.ensureWindow()
 		ctx.SetTimer(muxTickPeriod, muxTickTimer)

@@ -481,6 +481,7 @@ type nodeConfig struct {
 	journal      Journal
 	recovery     *Recovery
 	pipeline     int
+	pace         amp.Time
 	maxBatch     int
 	leaseTTL     amp.Time
 	leaseMargin  amp.Time
@@ -517,6 +518,17 @@ func WithRecovery(rec *Recovery) NodeOption {
 // is unaffected.
 func WithPipeline(k int) NodeOption {
 	return func(c *nodeConfig) { c.pipeline = k }
+}
+
+// WithPace sets the least spacing, in clock ticks, between the ballots
+// a leader starts for new slots (default 1). A ballot still starts in
+// the turn work reaches a leader that started none for that long; work
+// arriving sooner shares the next start. Over a network a ballot
+// outlasts the spacing and it never binds; among replicas sharing one
+// box it is what a closed loop of clients waits on, so the consensus
+// load follows the clock, not the CPU the replicas compete for.
+func WithPace(d amp.Time) NodeOption {
+	return func(c *nodeConfig) { c.pace = d }
 }
 
 // WithMaxBatch caps the number of commands a proposer packs into one
@@ -600,6 +612,7 @@ func WithCompaction(records, bytes int64) NodeOption {
 func NewNode(n int, opts ...NodeOption) *Node {
 	cfg := nodeConfig{
 		pipeline: DefaultPipeline,
+		pace:     1,
 		maxBatch: DefaultMaxBatch,
 	}
 	for _, o := range opts {
@@ -624,8 +637,9 @@ func NewNode(n int, opts ...NodeOption) *Node {
 		tb.persistSeq = j.SaveSeq
 		tb.persistDecide = func(slot int, b batch) { j.SaveDecide(slot, b) }
 	}
-	mux := newSynodMux(tb, det, cfg.journal, cfg.pipeline)
+	mux := newSynodMux(tb, det, cfg.journal, cfg.pipeline, cfg.pace)
 	tb.onNewWork = mux.ensureWindow
+	det.OnLeaderChange = func(int, amp.Time) { mux.ensureWindow() }
 	node.TO = tb
 	node.Omega = det
 	node.mux = mux

@@ -192,8 +192,8 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 			res.Tracef("snaprestart p%d base=%d", p, base)
 		})
 
-	// Scheduler pulse on every replica; only the Ω leader acts. Crashed
-	// replicas skip their pulse (their timers are down too).
+	// Fallback pulse on every replica (the healthy path schedules on
+	// apply); only the Ω leader acts. Crashed replicas skip theirs.
 	for j := 0; j < jqReplicas; j++ {
 		j := j
 		var pulse func()
