@@ -52,9 +52,10 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "serve":
-		if err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
+		if _, err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
+		select {}
 	case "e2e":
 		fs := flag.NewFlagSet("e2e", flag.ExitOnError)
 		var opt e2eOptions

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"distbasics/internal/amp"
@@ -41,22 +42,23 @@ type server struct {
 	// is touched only inside the runtime's event loop.
 	waiters    node.Waiters[jobq.Event]
 	jobWaiters map[string][]chan jobq.Job
+	runTimeout time.Duration
 }
 
-// runServe is the `basicsjobd serve` entrypoint. Crash-stop process
-// model: no graceful shutdown, the journal and the peers' anti-entropy
-// carry a kill -9 through restart.
-func runServe(cfgPath string, id int) error {
+// runServe is the `basicsjobd serve` entrypoint; it returns with the node
+// serving. Crash-stop process model: no graceful shutdown, the journal
+// and the peers' anti-entropy carry a kill -9 through restart.
+func runServe(cfgPath string, id int) (*server, error) {
 	cfg := &Config{}
 	if err := node.Load(cfgPath, cfg); err != nil {
-		return err
+		return nil, err
 	}
 	// Journal records carry jobq.Cmd and jobSpec through `any` fields,
 	// and gob decodes by registered name.
 	jobq.RegisterWire(transport.Register)
 	transport.Register(jobSpec{})
 
-	s := &server{id: id, jobWaiters: make(map[string][]chan jobq.Job)}
+	s := &server{id: id, jobWaiters: make(map[string][]chan jobq.Job), runTimeout: runTimeout}
 	clock := transport.NewRealClock(cfg.Unit())
 	_, err := cfg.Start(id, clock, func(r *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
 		s.rep = r
@@ -69,7 +71,7 @@ func runServe(cfgPath string, id int) error {
 		return s.nd.RSM
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// This is the same Start used on fresh boot and after a kill -9 — in
 	// the latter case the journal-recovered state still assigns this
@@ -88,11 +90,11 @@ func runServe(cfgPath string, id int) error {
 
 	if s.rpc, err = clientrpc.NewServer(cfg.Clients[id], s.handle); err != nil {
 		s.rep.Close()
-		return fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
+		return nil, fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
 	}
 	log.Printf("basicsjobd: node %d up: peers=%s clients=%s journal=%s grace=%d ticks",
 		id, s.rep.Addr(), s.rpc.Addr(), cfg.Journals[id], s.nd.Config().Grace)
-	select {}
+	return s, nil
 }
 
 // newRunner attaches the worker runner. It executes inside the event
@@ -152,13 +154,6 @@ func (s *server) finishJob(id string) {
 		default:
 		}
 	}
-}
-
-// propose runs cmd through consensus and waits for its local apply,
-// returning the apply-time event (which may be EvNop/EvStale for a
-// validated-away duplicate — idempotent for the caller either way).
-func (s *server) propose(cmd jobq.Cmd) (jobq.Event, error) {
-	return s.waiters.Submit(s.rep.RT, node.RPCTimeout, func() rbcast.MsgID { return s.nd.Propose(s.nd.Ctx(), cmd) })
 }
 
 // runTimeout bounds a full job lifetime (queueing + retries with
@@ -232,18 +227,27 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 				s.jobWaiters[req.Key] = append(s.jobWaiters[req.Key], runCh)
 			})
 		}
-		if _, err := s.propose(jobq.Cmd{Kind: jobq.CmdSubmit, Job: req.Key, Budget: budget, Payload: spec}); err != nil {
-			return clientrpc.Response{Err: err.Error()}
-		}
-		if req.Op == "submit" {
+		// Placed here, through consensus, to the local apply (a duplicate's EvNop is fine).
+		_, err := s.waiters.Submit(s.rep.RT, node.RPCTimeout, func() rbcast.MsgID { return s.nd.Submit(s.nd.Ctx(), req.Key, budget, spec) })
+		if err == nil && req.Op == "submit" {
 			return clientrpc.Response{OK: true, ID: req.Key}
 		}
-		select {
-		case j := <-runCh:
-			return clientrpc.Response{OK: true, ID: j.ID, Val: jobMap(j)}
-		case <-time.After(runTimeout):
-			return clientrpc.Response{Err: fmt.Sprintf("job %s not terminal after %s", req.Key, runTimeout)}
+		if err == nil {
+			select {
+			case j := <-runCh:
+				return clientrpc.Response{OK: true, ID: j.ID, Val: jobMap(j)}
+			case <-time.After(s.runTimeout):
+				err = fmt.Errorf("job %s not terminal after %s", req.Key, s.runTimeout)
+			}
 		}
+		// finishJob sees neither of these exits: take the run's waiter back.
+		s.rep.RT.Do(func(amp.Context) {
+			rest := slices.DeleteFunc(s.jobWaiters[req.Key], func(c chan jobq.Job) bool { return c == runCh })
+			if s.jobWaiters[req.Key] = rest; len(rest) == 0 {
+				delete(s.jobWaiters, req.Key)
+			}
+		})
+		return clientrpc.Response{Err: err.Error()}
 	case "job":
 		var resp clientrpc.Response
 		s.rep.RT.Do(func(amp.Context) {

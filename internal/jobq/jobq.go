@@ -19,6 +19,14 @@
 // identically at every replica. That validation is the whole
 // exactly-once argument; no replica ever needs to trust a proposer.
 //
+// Placement rides the same rule. Every replica holds the worker set and
+// a failure detector, so the replica a job is submitted at names the
+// worker of its first attempt in the submit itself (Node.Submit): a
+// healthy job is two consensus rounds, not three. Apply takes the choice
+// iff that worker is joined and holds fewer jobs than the cap the command
+// carries, at that point of the total order, so MaxPerWorker is a hard
+// bound however many replicas place at once.
+//
 //   - Liveness: workers are replicas; internal/fd's heartbeat suspicion
 //     is the worker lease. The scheduler (the Ω leader) expires a worker
 //     only after its suspicion has aged past a grace period
@@ -39,6 +47,7 @@ package jobq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -85,6 +94,9 @@ type CmdKind uint8
 const (
 	// CmdSubmit enqueues a new job (idempotent by job ID: a duplicate
 	// submit of an existing ID is rejected, so client retries are safe).
+	// With Attempt 1 it carries a placement (Node.Submit): the job starts
+	// Assigned to Worker if that worker is joined and holds fewer than Cap
+	// jobs at that point of the total order, and Pending otherwise.
 	CmdSubmit CmdKind = iota
 	// CmdJoin marks a worker alive and eligible for assignment.
 	CmdJoin
@@ -92,7 +104,8 @@ const (
 	// like an expiry.
 	CmdLeave
 	// CmdAssign hands a Pending job to a worker, beginning attempt
-	// job.Attempt+1. Proposed only by the scheduler (Ω leader).
+	// job.Attempt+1: the scheduler's (Ω leader's) command for jobs no
+	// placement took and for retries. Refused when the worker holds Cap jobs.
 	CmdAssign
 	// CmdStart is the worker's acknowledgment that the attempt is
 	// executing (Assigned→Running).
@@ -142,6 +155,7 @@ type Cmd struct {
 	Job     string // job ID (submit/assign/start/complete/fail)
 	Worker  int    // worker ID (join/leave/expire/assign/start/complete/fail)
 	Attempt int    // idempotency token: the attempt this command is about
+	Cap     int    // submit/assign: the proposer's MaxPerWorker, checked at apply (0 on assign: unchecked)
 	Budget  int    // submit: max attempts before dead-letter
 	Payload any    // submit: opaque job payload
 	Result  any    // complete: job result
@@ -154,8 +168,9 @@ type Job struct {
 	Payload any
 	Budget  int // max attempts before dead-letter
 	State   JobState
-	Attempt int // attempts begun; while Assigned/Running, the current attempt number
-	Worker  int // current assignee (Assigned/Running), else -1
+	pos     int32 // index in State.order (here, in State's padding, the record stays 112 bytes)
+	Attempt int   // attempts begun; while Assigned/Running, the current attempt number
+	Worker  int   // current assignee (Assigned/Running), else -1
 	Result  any
 	Err     string // last failure diagnosis (dead-letter reason once Failed)
 	DoneBy  int    // worker whose completion was accepted (-1 until Completed)
@@ -186,6 +201,8 @@ const (
 	// EvStale: a Start/Complete/Fail whose worker+attempt token did not
 	// match the job's current assignment — the exactly-once rejection.
 	EvStale
+	// EvSubmitted: a job was created — Assigned to Worker for Attempt 1
+	// if its placement took (as on EvAssigned), else Worker -1, Attempt 0.
 	EvSubmitted
 	EvWorkerJoined
 	EvWorkerLeft
@@ -220,11 +237,31 @@ type State struct {
 	order   []string // job IDs in submission (apply) order
 	workers map[int]bool
 	ctr     Counters
+	// Derived, so that no scheduler read walks the history: the
+	// Assigned+Running jobs per worker, and the Pending jobs as ascending
+	// indices into order.
+	load    map[int]int
+	pending []int32
 }
 
 // NewState returns an empty queue state.
 func NewState() *State {
-	return &State{jobs: make(map[string]*Job), workers: make(map[int]bool)}
+	return &State{jobs: make(map[string]*Job), workers: make(map[int]bool), load: make(map[int]int)}
+}
+
+// hold moves j to Assigned at worker w for the given attempt.
+func (st *State) hold(j *Job, w, attempt int) {
+	j.State, j.Worker, j.Attempt = Assigned, w, attempt
+	st.load[w]++
+	st.ctr.Assigns++
+}
+
+// setPending takes j from its worker, if any, to Pending at its
+// submission rank.
+func (st *State) setPending(j *Job) {
+	j.State, j.Worker = Pending, -1
+	i, _ := slices.BinarySearch(st.pending, j.pos)
+	st.pending = slices.Insert(st.pending, i, j.pos)
 }
 
 // Apply executes one command, validating it against the current state.
@@ -244,10 +281,16 @@ func (st *State) Apply(c Cmd) Event {
 		if budget < 1 {
 			budget = 1
 		}
-		st.jobs[c.Job] = &Job{ID: c.Job, Payload: c.Payload, Budget: budget, State: Pending, Worker: -1, DoneBy: -1}
+		j := &Job{ID: c.Job, Payload: c.Payload, Budget: budget, Worker: -1, DoneBy: -1, pos: int32(len(st.order))}
+		st.jobs[c.Job] = j
 		st.order = append(st.order, c.Job)
 		st.ctr.Submitted++
-		return Event{Kind: EvSubmitted, Job: c.Job}
+		if c.Attempt == 1 && st.workers[c.Worker] && st.load[c.Worker] < c.Cap {
+			st.hold(j, c.Worker, 1)
+			return Event{Kind: EvSubmitted, Job: c.Job, Worker: c.Worker, Attempt: 1}
+		}
+		st.setPending(j)
+		return Event{Kind: EvSubmitted, Job: c.Job, Worker: -1}
 
 	case CmdJoin:
 		if st.workers[c.Worker] {
@@ -261,6 +304,7 @@ func (st *State) Apply(c Cmd) Event {
 			return Event{Kind: EvNop, Worker: c.Worker} // already gone: duplicate expiry
 		}
 		delete(st.workers, c.Worker)
+		delete(st.load, c.Worker)
 		st.ctr.Expiries++
 		ev := Event{Kind: EvWorkerExpired, Worker: c.Worker}
 		if c.Kind == CmdLeave {
@@ -280,7 +324,7 @@ func (st *State) Apply(c Cmd) Event {
 				st.ctr.DeadLetters++
 				ev.Dead = append(ev.Dead, id)
 			} else {
-				j.State = Pending
+				st.setPending(j)
 				ev.Released = append(ev.Released, id)
 			}
 		}
@@ -288,14 +332,13 @@ func (st *State) Apply(c Cmd) Event {
 
 	case CmdAssign:
 		j, ok := st.jobs[c.Job]
-		if !ok || j.State != Pending || !st.workers[c.Worker] ||
+		if !ok || j.State != Pending || !st.workers[c.Worker] || c.Cap > 0 && st.load[c.Worker] >= c.Cap ||
 			c.Attempt != j.Attempt+1 || c.Attempt > j.Budget {
 			return Event{Kind: EvNop, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 		}
-		j.State = Assigned
-		j.Worker = c.Worker
-		j.Attempt = c.Attempt
-		st.ctr.Assigns++
+		i, _ := slices.BinarySearch(st.pending, j.pos)
+		st.pending = slices.Delete(st.pending, i, i+1)
+		st.hold(j, c.Worker, c.Attempt)
 		return Event{Kind: EvAssigned, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 
 	case CmdStart:
@@ -315,8 +358,8 @@ func (st *State) Apply(c Cmd) Event {
 			// reassigned (different worker or attempt), or never assigned.
 			return st.stale(c)
 		}
-		j.State = Completed
-		j.Worker = -1
+		j.State, j.Worker = Completed, -1
+		st.load[c.Worker]--
 		j.Result = c.Result
 		j.DoneBy = c.Worker
 		j.Effects++
@@ -329,14 +372,14 @@ func (st *State) Apply(c Cmd) Event {
 			j.Worker != c.Worker || j.Attempt != c.Attempt {
 			return st.stale(c)
 		}
-		j.Worker = -1
+		st.load[c.Worker]--
 		j.Err = c.Err
 		if j.Attempt >= j.Budget {
-			j.State = Failed
+			j.State, j.Worker = Failed, -1
 			st.ctr.DeadLetters++
 			return Event{Kind: EvDeadLettered, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 		}
-		j.State = Pending
+		st.setPending(j)
 		st.ctr.Retries++
 		return Event{Kind: EvRetried, Job: c.Job, Worker: c.Worker, Attempt: c.Attempt}
 	}
@@ -382,17 +425,6 @@ func (st *State) Alive(w int) bool { return st.workers[w] }
 
 // Counters returns the aggregate counters.
 func (st *State) Counters() Counters { return st.ctr }
-
-// Terminal returns how many jobs are in an end state.
-func (st *State) Terminal() int {
-	n := 0
-	for _, j := range st.jobs {
-		if j.State.Terminal() {
-			n++
-		}
-	}
-	return n
-}
 
 // RegisterWire registers the queue's wire types with reg — required on
 // every process exchanging jobq traffic (transport.Register) and before

@@ -71,17 +71,18 @@ type Node struct {
 	// reassignment time on THIS replica's clock. Every replica tracks it
 	// (cheap) so whichever replica becomes leader enforces backoff.
 	eligibleAt map[string]amp.Time
-	// assigning (by job) and expiring (by worker) hold the scheduler's
-	// in-flight proposals, so the leader does not flood consensus
-	// re-proposing every Step while a decision is in flight — and so a
-	// pass counts the assignments earlier passes proposed, which the
+	// assigning (by job) and expiring (by worker) hold this replica's
+	// in-flight proposals — the leader's assigns and expiries, and any
+	// replica's placements (Submit) — so the leader does not flood
+	// consensus re-proposing every Step while a decision is in flight,
+	// and so a choice of worker counts the jobs proposed here, which the
 	// replicated state does not show yet, against their worker's cap.
 	assigning map[string]assignment
 	expiring  map[int]amp.Time
 	rng       jitterRand
 }
 
-// assignment is one in-flight CmdAssign proposal.
+// assignment is one in-flight proposal that names a worker for a job.
 type assignment struct {
 	worker int
 	at     amp.Time
@@ -128,6 +129,20 @@ func (jn *Node) Propose(ctx amp.Context, c Cmd) rbcast.MsgID {
 	return jn.RSM.Submit(ctx, rsm.Command{Op: Op, Val: c})
 }
 
+// Submit TO-broadcasts a new job (budget attempts before it dead-letters)
+// with this replica's choice of worker for its first attempt: the
+// least-loaded joined worker it does not suspect that has room under
+// MaxPerWorker, itself on ties. Apply checks the choice (see CmdSubmit);
+// a job it refuses is the scheduler's. Must run inside the event loop.
+func (jn *Node) Submit(ctx amp.Context, job string, budget int, payload any) rbcast.MsgID {
+	c := Cmd{Kind: CmdSubmit, Job: job, Budget: budget, Payload: payload}
+	if w := leastLoaded(jn.candidates(ctx, ctx.Now()), jn.cfg.MaxPerWorker, ctx.ID()); w != nil {
+		jn.assigning[job] = assignment{worker: w.id, at: ctx.Now()}
+		c.Worker, c.Attempt, c.Cap = w.id, 1, jn.cfg.MaxPerWorker
+	}
+	return jn.Propose(ctx, c)
+}
+
 // onApply consumes the replica's totally-ordered entry stream (and the
 // recovery replay, via rsm.WithApplyHook): queue commands mutate the
 // State; the leader-local backoff gate and proposal dedup are updated
@@ -149,10 +164,14 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 		return
 	}
 	ev := jn.st.Apply(jc)
+	// An applied submit or assign settles what this replica proposed for
+	// the job, refused or not: the next pass must not sit out ReproposeEvery.
+	if jc.Kind == CmdSubmit || ev.Kind == EvAssigned || jc.Kind == CmdAssign && jn.assigning[jc.Job].worker == jc.Worker {
+		delete(jn.assigning, jc.Job)
+	}
 	switch ev.Kind {
 	case EvAssigned:
 		delete(jn.eligibleAt, ev.Job)
-		delete(jn.assigning, ev.Job)
 	case EvRetried:
 		// The attempt failed on its merits: exponential backoff.
 		jn.eligibleAt[ev.Job] = at + jn.cfg.Retry.Backoff(ev.Attempt, &jn.rng)
@@ -216,59 +235,64 @@ func (jn *Node) expireWorkers(ctx amp.Context, now amp.Time) {
 	}
 }
 
+// candidate is a worker a job may go to, with the jobs it holds.
+type candidate struct{ id, load int }
+
+// candidates lists, by id, the joined workers this replica does not
+// suspect with their load: what the replicated state shows plus what was
+// proposed here and is not yet decided — several choices are made per
+// consensus round trip, and each would otherwise see the same idle worker.
+func (jn *Node) candidates(ctx amp.Context, now amp.Time) []candidate {
+	proposed := make(map[int]int)
+	for _, a := range jn.assigning {
+		if jn.inFlight(a.at, now) {
+			proposed[a.worker]++
+		}
+	}
+	var cands []candidate
+	for _, w := range jn.st.Workers() {
+		if w == ctx.ID() || !jn.RSM.Omega.IsSuspected(w) { // joined is the queue's word, alive the detector's
+			cands = append(cands, candidate{id: w, load: jn.st.load[w] + proposed[w]})
+		}
+	}
+	return cands
+}
+
+// leastLoaded picks the candidate with the fewest jobs among those under
+// limit — prefer on ties, else the smallest id — or nil if all are full.
+func leastLoaded(cands []candidate, limit, prefer int) *candidate {
+	var best *candidate
+	for i := range cands {
+		if c := &cands[i]; c.load < limit && (best == nil || c.load < best.load || c.load == best.load && c.id == prefer) {
+			best = c
+		}
+	}
+	return best
+}
+
 // assign hands eligible Pending jobs to the least-loaded live,
 // unsuspected workers, oldest submission first, respecting the
 // per-worker cap and the backoff gate.
 func (jn *Node) assign(ctx amp.Context, now amp.Time) {
-	// Current load per live worker: what the replicated state shows plus
-	// what is proposed and not yet decided. There are several passes per
-	// consensus round trip; without the second term each would see the
-	// same idle worker.
-	load := make(map[int]int)
-	for _, j := range jn.st.jobs {
-		if j.State == Assigned || j.State == Running {
-			load[j.Worker]++
-		}
-	}
-	for _, a := range jn.assigning {
-		if jn.inFlight(a.at, now) {
-			load[a.worker]++
-		}
-	}
-	var cands []int
-	for _, w := range jn.st.Workers() {
-		if w != ctx.ID() && jn.RSM.Omega.IsSuspected(w) {
-			continue // alive per the queue, but not per the detector: skip
-		}
-		cands = append(cands, w)
-	}
-	if len(cands) == 0 {
+	if len(jn.st.pending) == 0 {
 		return
 	}
-	for _, id := range jn.st.order {
-		j := jn.st.jobs[id]
-		if j.State != Pending || jn.eligibleAt[id] > now {
+	cands := jn.candidates(ctx, now)
+	for _, pos := range jn.st.pending {
+		id := jn.st.order[pos]
+		if jn.eligibleAt[id] > now {
 			continue
 		}
 		if a, ok := jn.assigning[id]; ok && jn.inFlight(a.at, now) {
 			continue
 		}
-		// Least-loaded candidate, smallest ID on ties (cands is sorted).
-		best, bestLoad := -1, 0
-		for _, w := range cands {
-			if load[w] >= jn.cfg.MaxPerWorker {
-				continue
-			}
-			if best < 0 || load[w] < bestLoad {
-				best, bestLoad = w, load[w]
-			}
-		}
-		if best < 0 {
+		best := leastLoaded(cands, jn.cfg.MaxPerWorker, -1)
+		if best == nil {
 			break // all workers full; retry next Step
 		}
-		jn.assigning[id] = assignment{worker: best, at: now}
-		jn.Propose(ctx, Cmd{Kind: CmdAssign, Job: id, Worker: best, Attempt: j.Attempt + 1})
-		load[best]++
+		jn.assigning[id] = assignment{worker: best.id, at: now}
+		jn.Propose(ctx, Cmd{Kind: CmdAssign, Job: id, Worker: best.id, Attempt: jn.st.jobs[id].Attempt + 1, Cap: jn.cfg.MaxPerWorker})
+		best.load++
 	}
 }
 

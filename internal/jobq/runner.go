@@ -97,7 +97,7 @@ func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
 		return
 	}
 	switch ev.Kind {
-	case EvAssigned:
+	case EvAssigned, EvSubmitted: // a submit names this worker only when its placement took
 		if j, ok := r.nd.State().Job(ev.Job); ok {
 			r.execute(j)
 		}

@@ -51,11 +51,17 @@ func (jn *Node) RestoreState(data []byte) error {
 		return err
 	}
 	st := NewState()
-	for id, j := range w.Jobs {
-		job := j
-		st.jobs[id] = &job
-	}
 	st.order = append(st.order, w.Order...)
+	for i, id := range st.order {
+		job := w.Jobs[id]
+		job.pos = int32(i)
+		st.jobs[id] = &job
+		if job.State == Pending {
+			st.pending = append(st.pending, job.pos)
+		} else if !job.State.Terminal() {
+			st.load[job.Worker]++
+		}
+	}
 	for id, live := range w.Workers {
 		st.workers[id] = live
 	}

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"distbasics/internal/amp"
@@ -63,11 +64,12 @@ func (c *lbRSM) ticksToApply(t *testing.T, at, k int) amp.Time {
 // TestHealthyPathTicks pins "no timer on the healthy path": with a
 // settled leader and an idle window, a command costs exactly the Synod's
 // five message delays (prepare, promise, accept, accepted, decide) at
-// the leader and one more (the relayed payload) at a follower — the
-// ballot starts in the turn the work arrives, not a kickoff tick later.
-// A burst submitted in one turn still shares one slot, because the
-// proposal is built at phase 2. CI greps this test's "ticks" lines into
-// the PR log.
+// the leader and one more (the payload's way to the leader) at a
+// follower — the ballot starts in the turn the work arrives, not a
+// kickoff tick later — and nobody but the originator sends the payload,
+// which bounds the messages per command. A burst submitted in one turn
+// still shares one slot, because the proposal is built at phase 2. CI
+// greps this test's "ticks" lines into the PR log.
 func TestHealthyPathTicks(t *testing.T) {
 	c := newLBRSM(t, 3)
 	const cmds = 50
@@ -90,6 +92,9 @@ func TestHealthyPathTicks(t *testing.T) {
 		}
 		msgs := float64(c.lb.Stats().Sent.Load()-sent0) / cmds
 		t.Logf("rsm on Loopback, submit at %s: %.3f ticks per command, %.3f messages per command", row.name, float64(total)/cmds, msgs)
+		if msgs > 38.5 {
+			t.Errorf("submit at %s: %.3f messages per command, want <= 38.5: a payload relay or an extra ballot is back on the healthy path", row.name, msgs)
+		}
 	}
 
 	slots := c.nodes[0].SlotsDelivered()
@@ -99,6 +104,93 @@ func TestHealthyPathTicks(t *testing.T) {
 		t.Errorf("32 commands submitted in one turn took %d slots (%d applied), want 1 slot: the eager ballot must not split the burst", got, c.nodes[0].Len()-before)
 	}
 	t.Logf("rsm on Loopback, 32 commands in one turn: %d ticks, 1 slot", d)
+}
+
+// payloadTap is a replica's process as the simulator sees it, counting
+// the toPayload frames that reach it from anybody but the payload's
+// originator: the relays.
+type payloadTap struct {
+	amp.Process
+	relays *int
+}
+
+func (p payloadTap) OnMessage(ctx amp.Context, from int, msg amp.Message) {
+	// The Stack's envelope type is amp's own; its Inner field is exported.
+	if inner := reflect.ValueOf(msg).FieldByName("Inner"); inner.IsValid() {
+		if m, ok := inner.Interface().(toPayload); ok && from != m.ID.Sender {
+			*p.relays++
+		}
+	}
+	p.Process.OnMessage(ctx, from, msg)
+}
+
+func newTappedCluster(n int, relays *int, simOpts ...amp.SimOption) *rsmCluster {
+	c := &rsmCluster{}
+	procs := make([]amp.Process, n)
+	for i := range procs {
+		c.nodes = append(c.nodes, NewNode(n))
+		procs[i] = payloadTap{Process: c.nodes[i].Stack, relays: relays}
+	}
+	c.sim = amp.NewSim(procs, simOpts...)
+	return c
+}
+
+// TestHealthyRunRelaysNoPayload: with every link up the originator's
+// own broadcast is the only copy of a payload anybody sends — n frames
+// per command, not n squared.
+func TestHealthyRunRelaysNoPayload(t *testing.T) {
+	const n, cmds = 3, 100
+	relays := 0
+	c := newTappedCluster(n, &relays, amp.WithDelay(amp.FixedDelay{D: 1}))
+	for i := 0; i < cmds; i++ {
+		nd := c.nodes[i%n]
+		c.sim.Schedule(amp.Time(300+20*i), func() { nd.Submit(nd.Ctx(), Command{Op: "put", Key: "k", Val: i}) })
+	}
+	c.sim.Run(300 + 20*cmds + 5*tbSyncPeriod)
+	for i, nd := range c.nodes {
+		if nd.Len() != cmds {
+			t.Fatalf("replica %d applied %d of %d commands", i, nd.Len(), cmds)
+		}
+	}
+	if relays != 0 {
+		t.Errorf("%d toPayload frames came from a replica other than their originator, want 0 on a healthy run", relays)
+	}
+}
+
+// TestLingeringPayloadIsRelayed is reliable broadcast's agreement
+// clause under the lazy relay: the originator's broadcast reaches one
+// follower and nobody else — not the leader, who alone proposes — and
+// the originator crashes. The follower that holds the payload relays
+// it from its sync timer once it has lingered a full period, and every
+// correct replica delivers it within two periods and a ballot.
+func TestLingeringPayloadIsRelayed(t *testing.T) {
+	const n, submitAt = 3, 1000
+	relays := 0
+	c := newTappedCluster(n, &relays, amp.WithDelay(amp.FixedDelay{D: 1}),
+		amp.WithDropRule(func(src, dst int, at amp.Time) bool { return src == 2 && dst != 1 && at >= submitAt }))
+	appliedAt := make([]amp.Time, n)
+	for i, nd := range c.nodes {
+		nd.OnApply = func(_ Entry, at amp.Time) { appliedAt[i] = at }
+	}
+	c.sim.Schedule(submitAt, func() { c.nodes[2].Submit(c.nodes[2].Ctx(), Command{Op: "put", Key: "k", Val: 1}) })
+	c.sim.CrashAt(2, submitAt+1)
+	c.sim.Run(submitAt + 10*tbSyncPeriod)
+
+	const ballot = 6 // the relay's way to the leader, then the Synod's five delays
+	for _, i := range []int{0, 1} {
+		switch at := appliedAt[i]; {
+		case c.nodes[i].Len() != 1:
+			t.Errorf("replica %d applied %d commands, want the crashed originator's one", i, c.nodes[i].Len())
+		case at < submitAt+tbSyncPeriod:
+			t.Errorf("replica %d applied it at %d, under a sync period after the submit at %d: the relay was not lazy", i, at, submitAt)
+		case at > submitAt+1+2*tbSyncPeriod+ballot:
+			t.Errorf("replica %d applied it at %d, want within two sync periods and a ballot of the submit at %d", i, at, submitAt)
+		}
+	}
+	if relays == 0 || relays > n {
+		t.Errorf("%d relayed toPayload frames, want one broadcast from the one holder", relays)
+	}
+	t.Logf("payload held by one follower at %d, applied at %v after %d relayed frames", submitAt+1, appliedAt[:2], relays)
 }
 
 // TestPaceSpacesBallotStarts pins what WithPace promises, with a pace

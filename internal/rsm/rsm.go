@@ -6,6 +6,12 @@
 // requires consensus, it inherits consensus's impossibility in
 // AMPn,t[t > 0] without an oracle; here the oracle is Ω.
 //
+// Dissemination and ordering are separate layers: a payload goes from its
+// originator to every replica once (n frames, not n²), the leader orders
+// what it holds, and a decided batch carries its payloads. A replica
+// relays only a payload that is still unordered a sync period after it
+// arrived: its originator crashed or was cut off mid-broadcast.
+//
 // Consensus slots are allocated lazily and garbage-collected: a replica
 // group runs an unbounded sequence of Synod instances, materializing one
 // only when a slot first sees traffic (a ballot message, or the local
@@ -52,8 +58,10 @@ type TOBroadcast struct {
 	pending    map[rbcast.MsgID]any
 	delivered  map[rbcast.MsgID]bool
 	dlvLow     []int // per-sender watermark: all Seq < dlvLow[s] delivered
-	relayed    map[rbcast.MsgID]bool
-	scheduled  map[rbcast.MsgID]bool // in a decided-but-undelivered batch
+	// held and heldOld: other replicas' payloads first received since the
+	// last sync timer and in the period before it (see relayLingering).
+	held, heldOld []rbcast.MsgID
+	scheduled     map[rbcast.MsgID]bool // in a decided-but-undelivered batch
 
 	decided      map[int]batch
 	nextDecide   int // first undecided slot (gates ballot initiation)
@@ -111,7 +119,8 @@ const (
 )
 
 // toPayload disseminates an application message to all replicas' pending
-// sets (eager reliable broadcast).
+// sets: sent by its originator to everybody, and relayed by a replica
+// only if it lingers there (relayLingering).
 type toPayload struct {
 	ID      rbcast.MsgID
 	Payload any
@@ -126,7 +135,6 @@ func newTOBroadcast(n int, omega *fd.Detector, onDeliver DeliverFn) *TOBroadcast
 		pending:   make(map[rbcast.MsgID]any),
 		delivered: make(map[rbcast.MsgID]bool),
 		dlvLow:    make([]int, n),
-		relayed:   make(map[rbcast.MsgID]bool),
 		scheduled: make(map[rbcast.MsgID]bool),
 		decided:   make(map[int]batch),
 		fetchLast: make(map[int]amp.Time),
@@ -158,7 +166,6 @@ func (tb *TOBroadcast) Broadcast(ctx amp.Context, payload any) rbcast.MsgID {
 		tb.persistSeq(tb.nextSeq)
 	}
 	tb.pending[id] = payload
-	tb.relayed[id] = true
 	tb.unsched++
 	ctx.Broadcast(toPayload{ID: id, Payload: payload})
 	if tb.onNewWork != nil {
@@ -210,10 +217,7 @@ func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		}
 		if _, ok := tb.pending[m.ID]; !ok && !tb.scheduled[m.ID] {
 			tb.unsched++
-		}
-		if !tb.relayed[m.ID] {
-			tb.relayed[m.ID] = true
-			ctx.Broadcast(m) // eager relay: reliable dissemination
+			tb.held = append(tb.held, m.ID)
 		}
 		tb.pending[m.ID] = m.Payload
 		if tb.onNewWork != nil {
@@ -272,11 +276,12 @@ func (tb *TOBroadcast) answerFetch(ctx amp.Context, from, floor int) {
 
 // OnTimer implements amp.Component: while a decided-but-undeliverable
 // gap exists (a decision this replica missed), or a recovery fetch is
-// still unanswered, keep asking.
+// still unanswered, keep asking; and relay the payloads that lingered.
 func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 	if id != tbSyncTimer {
 		return
 	}
+	tb.relayLingering(ctx)
 	gap := false
 	if tb.maxSeen >= tb.nextDeliver {
 		_, have := tb.decided[tb.nextDeliver]
@@ -289,6 +294,19 @@ func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 		tb.afterDecide() // catch acceptor-churn growth between decisions
 	}
 	ctx.SetTimer(tbSyncPeriod, tbSyncTimer)
+}
+
+// relayLingering re-broadcasts, once each, the payloads of other
+// replicas held here for a full sync period with no decision scheduling
+// them: reliable broadcast's agreement clause. A healthy group orders a
+// payload within a ballot, so nothing gets that old.
+func (tb *TOBroadcast) relayLingering(ctx amp.Context) {
+	for _, id := range tb.heldOld {
+		if p, ok := tb.pending[id]; ok && !tb.scheduled[id] {
+			ctx.Broadcast(toPayload{ID: id, Payload: p})
+		}
+	}
+	tb.heldOld, tb.held = tb.held, tb.heldOld[:0]
 }
 
 // proposalFor builds slot's batch: the unscheduled backlog in
@@ -405,7 +423,6 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 			tb.markDelivered(e.ID)
 			delete(tb.pending, e.ID)
 			delete(tb.scheduled, e.ID)
-			delete(tb.relayed, e.ID)
 			if tb.onDeliver != nil {
 				tb.onDeliver(e, at)
 			}

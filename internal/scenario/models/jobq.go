@@ -29,6 +29,10 @@ import (
 //     records more than one effect (Job.Effects ≤ 1, == 1 iff
 //     Completed).
 //
+// Submissions go through jobq.Node.Submit, so several replicas and the
+// scheduler hand out jobs concurrently; the cap oracle checks that no
+// worker ever holds more than MaxPerWorker jobs at any replica.
+//
 // Plus the replication invariants underneath: pairwise prefix-equal
 // apply orders, and replicas at equal apply points holding deeply
 // equal queue states. Benign (even) seeds additionally require exact
@@ -50,6 +54,7 @@ const (
 	jqFaultHz  = 20_000 // faults are drawn over this prefix and heal well before jqHorizon
 	jqStep     = 40
 	jqGrace    = 300
+	jqCap      = 3 // MaxPerWorker
 )
 
 // Name implements scenario.Model.
@@ -117,6 +122,18 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		nd := jobq.New(jqReplicas, cfgs[j], rsm.WithMaxBatch(8), rsm.WithPipeline(2),
 			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.RSM.Omega.Period = 16
+		// The cap oracle: the job records at every live apply point here.
+		nd.Subscribe(func(ev jobq.Event, _ rsm.Entry, at amp.Time) {
+			held := 0
+			for _, job := range nd.State().Jobs() {
+				if (job.State == jobq.Assigned || job.State == jobq.Running) && job.Worker == ev.Worker {
+					held++
+				}
+			}
+			if held > jqCap {
+				res.Failf("cap violated at replica %d, t=%d: worker %d holds %d jobs after %s (MaxPerWorker %d)", j, at, ev.Worker, held, ev.Job, jqCap)
+			}
+		})
 		return nd
 	}
 	procs := make([]amp.Process, jqReplicas)
@@ -125,7 +142,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		cfgs[j] = jobq.Config{
 			Grace:        jqGrace,
 			StepEvery:    jqStep,
-			MaxPerWorker: 3,
+			MaxPerWorker: jqCap,
 			Retry:        jobq.RetryPolicy{Base: 40, Cap: 400, Budget: jqBudget, Seed: cfg.Int63()},
 		}
 		nodes[j] = build(j, nil)
@@ -252,8 +269,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 				if _, ok := nodes[s.proc].State().Job(s.id); ok {
 					return // accepted: stop retrying
 				}
-				nodes[s.proc].Propose(nodes[s.proc].Ctx(),
-					jobq.Cmd{Kind: jobq.CmdSubmit, Job: s.id, Budget: jqBudget, Payload: s.spec})
+				nodes[s.proc].Submit(nodes[s.proc].Ctx(), s.id, jqBudget, s.spec)
 			}
 			sim.Schedule(sim.Now()+2500, submit)
 		}
