@@ -20,8 +20,8 @@ import (
 // the put/del/get verbs — no lease is configured here, so a get is
 // always a consensus no-op read at its apply point) and this daemon's
 // own verbs behind the line-JSON client RPC front end
-// (internal/clientrpc's epoll reactor and bounded worker pool — not a
-// goroutine per connection).
+// (internal/clientrpc: a goroutine per connection, about 9 KB while it
+// idles, and a bound on concurrently running handlers).
 type server struct {
 	id  int
 	rep *node.Replica

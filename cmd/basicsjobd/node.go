@@ -203,7 +203,8 @@ func specFromVal(v any) (jobSpec, int) {
 	return spec, budget
 }
 
-// handle serves one client request on a clientrpc pool worker.
+// handle serves one client request, on its connection's clientrpc
+// goroutine: it may block, and the connection's next request waits.
 func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 	switch req.Op {
 	case "submit", "run":

@@ -1,23 +1,27 @@
 package clientrpc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"time"
 )
 
 // Handler serves one decoded request. It may block (consensus
-// round-trips routinely take network round-trip times); the worker
-// pool bound caps how many handlers run at once.
+// round-trips routinely take network round-trip times); MaxWorkers
+// caps how many handlers run at once.
 type Handler func(req Request) Response
 
 // Options tunes a Server.
 type Options struct {
 	// MaxWorkers bounds concurrently-running handlers (default
-	// DefaultMaxWorkers). This is the server's admission control: when
-	// every worker is busy, queued connections wait and the reactor
-	// eventually stops reading new requests.
+	// DefaultMaxWorkers). This is the server's admission control: a
+	// connection whose request finds every slot taken waits for one and
+	// reads nothing further meanwhile, so TCP backpressure does the rest.
 	MaxWorkers int
 	// MaxLine caps one request line's byte length (default
 	// DefaultMaxLine); a connection exceeding it is dropped.
@@ -28,37 +32,24 @@ const (
 	DefaultMaxWorkers = 128
 	DefaultMaxLine    = 1 << 20
 
-	// workerIdleExit is how long a pool worker waits for work before
-	// exiting; the pool grows lazily and shrinks back to zero, so an
-	// idle server holds no worker goroutines at all.
-	workerIdleExit = 2 * time.Second
-
 	// writeStall bounds how long one response write may stay blocked on
 	// a full socket buffer before the connection is declared dead.
 	writeStall = 10 * time.Second
 )
 
-// Server answers line-JSON requests on a TCP listen address. See the
-// package comment for the architecture; the platform-specific front
-// ends live in reactor_linux.go (epoll) and reactor_other.go
-// (portable fallback).
+// Server answers line-JSON requests on a TCP listen address: an accept
+// loop and one goroutine per connection, the same idiom as
+// transport.TCP. See the package comment for what that costs.
 type Server struct {
-	h    Handler
-	opts Options
+	h       Handler
+	maxLine int
+	ln      net.Listener
+	sem     chan struct{} // one slot per running handler
+	done    chan struct{} // closed by Close
 
-	mu      sync.Mutex
-	workers int
-	idle    int
-	closed  bool
-
-	// work carries connections with pending request lines to the pool.
-	// Each connection appears at most once (conn.busy); the buffer
-	// bounds how many such connections queue before the front end
-	// blocks, which is the designed backpressure.
-	work chan *conn
-
-	addr string
-	stop func() // platform teardown, called once by Close
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
 }
 
 // NewServer listens on addr (host:port; :0 allocates) and serves
@@ -74,218 +65,123 @@ func NewServer(addr string, h Handler, opts ...Options) (*Server, error) {
 	if o.MaxLine <= 0 {
 		o.MaxLine = DefaultMaxLine
 	}
-	s := &Server{h: h, opts: o, work: make(chan *conn, 1024)}
-	if err := s.listen(addr); err != nil {
-		return nil, err
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("clientrpc: listen %s: %w", addr, err)
 	}
+	s := &Server{
+		h:       h,
+		maxLine: o.MaxLine,
+		ln:      ln,
+		sem:     make(chan struct{}, o.MaxWorkers),
+		done:    make(chan struct{}),
+		conns:   make(map[net.Conn]struct{}),
+	}
+	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr is the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.addr }
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close tears the listener and every connection down. Handlers
-// already running are not interrupted; their response writes fail and
-// their workers drain away.
+// Close stops listening and closes every connection before it
+// returns. Handlers already running are not interrupted or waited for;
+// their response writes fail and their goroutines drain away.
 func (s *Server) Close() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
-	s.stop()
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// conn is one client connection. The read side is owned by the
-// platform front end (reactor or reader goroutine); handler execution
-// and response writes are owned by at most one pool worker at a time
-// (busy). The descriptor is reference-counted: one ref for the read
-// side, one while a worker is attached — whoever drops the last ref
-// runs closeIO, so neither side can close the transport out from
-// under the other (which, for raw fds, would risk writing into an
-// unrelated reused descriptor).
-type conn struct {
-	srv *Server
-
-	mu      sync.Mutex
-	pending [][]byte // complete request lines awaiting a worker
-	busy    bool     // a worker is attached (queued or draining)
-	dead    bool     // torn down or tearing down; drop further work
-	refs    int
-
-	// rbuf accumulates partial lines; touched only by the read side.
-	rbuf []byte
-
-	write   func(p []byte) error // serialized by busy
-	hangup  func()               // break the peer connection; safe while a ref is held
-	closeIO func()               // final transport teardown; called once, by unref
-}
-
-// unref drops a reference, running the final teardown on the last one.
-func (c *conn) unref() {
-	c.mu.Lock()
-	c.refs--
-	last := c.refs == 0
-	c.mu.Unlock()
-	if last {
-		c.closeIO()
+	close(s.done)
+	s.ln.Close()
+	for nc := range s.conns {
+		nc.Close()
 	}
 }
 
-// markDead flags the connection for teardown (idempotent).
-func (c *conn) markDead() {
-	c.mu.Lock()
-	c.dead = true
-	c.mu.Unlock()
-}
-
-// ingest runs on the read side: accumulate data, carve complete
-// lines, hand them to the pool. Returns false when the line-length
-// cap is breached and the connection must be dropped.
-func (s *Server) ingest(c *conn, data []byte) bool {
-	c.rbuf = append(c.rbuf, data...)
+func (s *Server) acceptLoop() {
 	for {
-		i := bytes.IndexByte(c.rbuf, '\n')
-		if i < 0 {
-			break
+		nc, err := s.ln.Accept()
+		if err != nil {
+			return // listener closed
 		}
-		line := make([]byte, i)
-		copy(line, c.rbuf[:i])
-		c.rbuf = c.rbuf[i+1:]
-		if len(bytes.TrimSpace(line)) > 0 {
-			s.feed(c, line)
-		}
-	}
-	if len(c.rbuf) == 0 {
-		c.rbuf = nil // idle connections hold no buffer
-	}
-	return len(c.rbuf) <= s.opts.MaxLine
-}
-
-// feed queues one complete request line. If no worker is attached to
-// the connection, one is requested; requests on one connection are
-// served strictly in arrival order by whichever single worker holds it.
-func (s *Server) feed(c *conn, line []byte) {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return
-	}
-	c.pending = append(c.pending, line)
-	if c.busy {
-		c.mu.Unlock()
-		return
-	}
-	c.busy = true
-	c.refs++ // worker ref, released when the drain detaches
-	c.mu.Unlock()
-	s.enqueue(c)
-}
-
-// enqueue hands a connection to the pool, growing it if every worker
-// is occupied and the bound allows.
-func (s *Server) enqueue(c *conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		c.markDead()
-		c.mu.Lock()
-		c.busy = false
-		c.mu.Unlock()
-		c.unref()
-		return
-	}
-	if s.idle == 0 && s.workers < s.opts.MaxWorkers {
-		s.workers++
-		go s.worker()
-	}
-	s.mu.Unlock()
-	s.work <- c
-}
-
-// worker serves queued connections until idle long enough to retire.
-func (s *Server) worker() {
-	timer := time.NewTimer(workerIdleExit)
-	defer timer.Stop()
-	for {
 		s.mu.Lock()
-		s.idle++
-		s.mu.Unlock()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(workerIdleExit)
-		select {
-		case c := <-s.work:
-			s.mu.Lock()
-			s.idle--
+		if s.closed {
 			s.mu.Unlock()
-			s.drain(c)
-		case <-timer.C:
-			s.mu.Lock()
-			s.idle--
-			s.workers--
-			s.mu.Unlock()
-			// An enqueue may have seen us idle and skipped spawning in
-			// the instant before we deregistered: drain any queued
-			// connection before actually exiting.
-			select {
-			case c := <-s.work:
-				s.mu.Lock()
-				s.workers++
-				s.mu.Unlock()
-				s.drain(c)
-			default:
-				return
-			}
-		}
-	}
-}
-
-// drain serves one connection's pending lines in order, then detaches.
-func (s *Server) drain(c *conn) {
-	for {
-		c.mu.Lock()
-		if len(c.pending) == 0 || c.dead {
-			c.pending = nil
-			c.busy = false
-			c.mu.Unlock()
-			c.unref()
+			nc.Close()
 			return
 		}
-		line := c.pending[0]
-		c.pending = c.pending[1:]
-		c.mu.Unlock()
-		if err := s.serveLine(c, line); err != nil {
-			c.markDead()
-			c.hangup() // wake the read side so it retires its ref too
+		s.conns[nc] = struct{}{}
+		s.mu.Unlock()
+		go s.serve(nc)
+	}
+}
+
+// serve answers one connection's requests in arrival order until the
+// connection drops. Each line is read, handled and answered before the
+// next is read, so a request fully received before the peer closed is
+// still served: the EOF is only seen after it.
+func (s *Server) serve(nc net.Conn) {
+	defer func() {
+		nc.Close()
+		s.mu.Lock()
+		delete(s.conns, nc)
+		s.mu.Unlock()
+	}()
+	br := bufio.NewReader(nc)
+	for {
+		line, err := readLine(br, s.maxLine)
+		if err != nil {
+			return
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var resp Response
+		var req Request
+		if err := json.Unmarshal(line, &req); err != nil {
+			resp = Response{Err: "bad request: " + err.Error()}
+		} else {
+			select {
+			case s.sem <- struct{}{}:
+			case <-s.done:
+				return
+			}
+			resp = s.h(req)
+			<-s.sem
+		}
+		out, err := json.Marshal(resp)
+		if err != nil {
+			out, _ = json.Marshal(Response{Err: "marshal: " + err.Error()})
+		}
+		nc.SetWriteDeadline(time.Now().Add(writeStall))
+		if _, err := nc.Write(append(out, '\n')); err != nil {
+			return
 		}
 	}
 }
 
-// serveLine decodes, handles, and answers one request line.
-func (s *Server) serveLine(c *conn, line []byte) error {
-	var resp Response
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		resp = Response{Err: "bad request: " + err.Error()}
-	} else {
-		resp = s.h(req)
+// readLine returns the next newline-terminated line without its
+// terminator, valid until the next read from br. A line that outgrows
+// max is an error however much of it has arrived.
+func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	var line []byte // the chunks so far of a line longer than br's buffer
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull {
+			return nil, err
+		}
+		if len(line)+len(chunk) > max+1 {
+			return nil, errors.New("clientrpc: request line over MaxLine")
+		}
+		if err == nil && line == nil {
+			return chunk[:len(chunk)-1], nil
+		}
+		line = append(line, chunk...)
+		if err == nil {
+			return line[:len(line)-1], nil
+		}
 	}
-	out, err := json.Marshal(resp)
-	if err != nil {
-		out, _ = json.Marshal(Response{Err: "marshal: " + err.Error()})
-	}
-	return c.write(append(out, '\n'))
 }

@@ -148,8 +148,9 @@ func (k CmdKind) String() string {
 
 // Cmd is one replicated job-queue command. It rides through consensus
 // as rsm.Command{Op: "jobq", Val: Cmd{...}} — the rsm KV apply ignores
-// the unknown op and the jobq layer interprets it from the OnApply
-// stream, so the queue needs no changes to the consensus core.
+// the unknown op and the jobq layer interprets it in the apply hook it
+// installs (rsm.WithApplyHook), so the queue needs no changes to the
+// consensus core.
 type Cmd struct {
 	Kind    CmdKind
 	Job     string // job ID (submit/assign/start/complete/fail)

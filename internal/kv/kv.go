@@ -16,8 +16,8 @@
 // # Batching and pipelining
 //
 // Writes ride the rsm proposer's batching: every consensus slot
-// carries up to MaxBatch commands, and up to Pipeline slots run
-// concurrently, each carrying a disjoint portion of the backlog. The
+// carries up to rsm's MaxBatch commands, and up to its Pipeline slots
+// run concurrently, each carrying a disjoint portion of the backlog. The
 // engine staged-submits client operations in waves (one actor-mutex
 // entry per wave, not per op), so a closed-loop load of thousands of
 // writers costs a handful of consensus rounds per batch, not per
@@ -78,34 +78,24 @@ func UniformHexBounds(shards int) RangeMap {
 
 // Options tunes an in-process Engine.
 type Options struct {
-	// Shards is the number of independent replica groups (default 1).
+	// Shards is the number of independent replica groups (default 1),
+	// routed by UniformHexBounds.
 	Shards int
-	// Replicas per shard group (default 3).
-	Replicas int
-	// Ranges overrides the key-range map (default UniformHexBounds).
-	Ranges *RangeMap
-	// MaxBatch caps commands per consensus slot (default rsm's).
-	MaxBatch int
-	// Pipeline caps concurrently-open slots (default rsm's).
-	Pipeline int
 	// LeaseTTL is the read-lease TTL in virtual ticks; 0 means
 	// DefaultLeaseTTL, negative disables the fast path entirely.
 	LeaseTTL amp.Time
-	// HeartbeatPeriod is the Ω heartbeat interval in virtual ticks
-	// (default DefaultHeartbeatPeriod). Lease grants renew with every
-	// heartbeat, so LeaseTTL should be several periods.
-	HeartbeatPeriod amp.Time
-	// Step is how many virtual ticks each pump pass advances (default
-	// DefaultStep).
-	Step amp.Time
 	// Seed varies the per-replica runtime seeds.
 	Seed int64
 }
 
 const (
-	DefaultLeaseTTL        amp.Time = 512
-	DefaultHeartbeatPeriod amp.Time = 64
-	DefaultStep            amp.Time = 16
+	// DefaultLeaseTTL is several heartbeat periods: lease grants renew
+	// with every Ω heartbeat.
+	DefaultLeaseTTL amp.Time = 512
+
+	replicas                 = 3  // per shard group
+	heartbeatPeriod amp.Time = 64 // Ω heartbeat interval, virtual ticks
+	step            amp.Time = 16 // virtual ticks per pump pass
 
 	// waveCap bounds staged submissions injected per pump pass.
 	waveCap = 256
@@ -114,25 +104,6 @@ const (
 	// leader index is refreshed from Ω.
 	leaderProbePasses = 64
 )
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
-	if o.LeaseTTL == 0 {
-		o.LeaseTTL = DefaultLeaseTTL
-	}
-	if o.HeartbeatPeriod <= 0 {
-		o.HeartbeatPeriod = DefaultHeartbeatPeriod
-	}
-	if o.Step <= 0 {
-		o.Step = DefaultStep
-	}
-	return o
-}
 
 // ErrClosed reports an operation against a closed engine.
 var ErrClosed = errors.New("kv: engine closed")
@@ -154,7 +125,6 @@ type Stats struct {
 // goroutine that advances virtual time and injects staged client
 // operations.
 type Engine struct {
-	opts   Options
 	rmap   RangeMap
 	shards []*shard
 }
@@ -170,14 +140,14 @@ func registerWire() {
 
 // Open builds and starts an engine.
 func Open(opts Options) *Engine {
-	opts = opts.withDefaults()
-	registerWire()
-	rmap := UniformHexBounds(opts.Shards)
-	if opts.Ranges != nil {
-		rmap = *opts.Ranges
-		opts.Shards = rmap.Shards()
+	if opts.Shards <= 0 {
+		opts.Shards = 1
 	}
-	e := &Engine{opts: opts, rmap: rmap}
+	if opts.LeaseTTL == 0 {
+		opts.LeaseTTL = DefaultLeaseTTL
+	}
+	registerWire()
+	e := &Engine{rmap: UniformHexBounds(opts.Shards)}
 	for s := 0; s < opts.Shards; s++ {
 		e.shards = append(e.shards, newShard(s, opts))
 	}
@@ -234,7 +204,6 @@ func (e *Engine) Stats() Stats {
 
 // shard is one replica group plus its pump.
 type shard struct {
-	opts Options
 	lb   *transport.Loopback
 	reps []*Replica
 
@@ -252,26 +221,19 @@ type shard struct {
 
 func newShard(idx int, opts Options) *shard {
 	sh := &shard{
-		opts:  opts,
-		lb:    transport.NewLoopback(opts.Replicas),
+		lb:    transport.NewLoopback(replicas),
 		subc:  make(chan *pendingOp, 4*waveCap),
 		stopc: make(chan struct{}),
 	}
-	for i := 0; i < opts.Replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		nodeOpts := []rsm.NodeOption{rsm.WithoutAppliedLog()}
-		if opts.MaxBatch > 0 {
-			nodeOpts = append(nodeOpts, rsm.WithMaxBatch(opts.MaxBatch))
-		}
-		if opts.Pipeline > 0 {
-			nodeOpts = append(nodeOpts, rsm.WithPipeline(opts.Pipeline))
-		}
 		if opts.LeaseTTL > 0 {
 			nodeOpts = append(nodeOpts, rsm.WithReadLease(opts.LeaseTTL))
 		}
-		nd := rsm.NewNode(opts.Replicas, nodeOpts...)
-		nd.Omega.Period = opts.HeartbeatPeriod
+		nd := rsm.NewNode(replicas, nodeOpts...)
+		nd.Omega.Period = heartbeatPeriod
 		rt := transport.NewRuntime(sh.lb.Node(i), sh.lb.Clock(), nd.Stack,
-			transport.WithRuntimeSeed(opts.Seed+int64(idx*opts.Replicas+i+1)))
+			transport.WithRuntimeSeed(opts.Seed+int64(idx*replicas+i+1)))
 		rep := NewReplica(nd)
 		rep.Bind(rt)
 		sh.reps = append(sh.reps, rep)
@@ -323,7 +285,7 @@ func (sh *shard) do(cmd rsm.Command) (any, error) {
 const idleTick = time.Millisecond
 
 // pump is the shard's event loop driver: inject staged operations at
-// the leader replica, advance the deterministic network by Step
+// the leader replica, advance the deterministic network by step
 // virtual ticks, and park while no client work is outstanding.
 // Virtual time advances only here, so heartbeat frequency and lease
 // TTLs scale with actual event throughput instead of wall-clock
@@ -354,7 +316,7 @@ func (sh *shard) pump() {
 		if len(wave) > 0 {
 			sh.reps[sh.leaderIdx()].submitWave(wave)
 		}
-		sh.lb.Run(sh.lb.Now() + sh.opts.Step)
+		sh.lb.Run(sh.lb.Now() + step)
 
 		pass++
 		if pass%leaderProbePasses == 0 {

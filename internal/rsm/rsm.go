@@ -56,8 +56,7 @@ type TOBroadcast struct {
 	nextSeq    int
 	persistSeq func(next int) // journal hook, may be nil
 	pending    map[rbcast.MsgID]any
-	delivered  map[rbcast.MsgID]bool
-	dlvLow     []int // per-sender watermark: all Seq < dlvLow[s] delivered
+	delivered  idSet
 	// held and heldOld: other replicas' payloads first received since the
 	// last sync timer and in the period before it (see relayLingering).
 	held, heldOld []rbcast.MsgID
@@ -133,8 +132,7 @@ func newTOBroadcast(n int, omega *fd.Detector, onDeliver DeliverFn) *TOBroadcast
 		omega:     omega,
 		onDeliver: onDeliver,
 		pending:   make(map[rbcast.MsgID]any),
-		delivered: make(map[rbcast.MsgID]bool),
-		dlvLow:    make([]int, n),
+		delivered: newIDSet(n),
 		scheduled: make(map[rbcast.MsgID]bool),
 		decided:   make(map[int]batch),
 		fetchLast: make(map[int]amp.Time),
@@ -174,35 +172,44 @@ func (tb *TOBroadcast) Broadcast(ctx amp.Context, payload any) rbcast.MsgID {
 	return id
 }
 
-// isDelivered reports whether id has already been TO-delivered locally,
-// consulting the per-sender watermark so long-delivered ids need no map
-// entry (the map stays bounded by the out-of-order delivery span).
-func (tb *TOBroadcast) isDelivered(id rbcast.MsgID) bool {
-	if id.Sender >= 0 && id.Sender < tb.n && id.Seq < tb.dlvLow[id.Sender] {
-		return true
-	}
-	return tb.delivered[id]
+// idSet is a set of message ids kept as a per-sender watermark plus
+// the members above it, so ids long in the set need no map entry and
+// the map stays bounded by the out-of-order span. The TO layer's
+// delivered set and the apply layer's seen set are both one.
+type idSet struct {
+	low   []int                 // every Seq < low[sender] is a member
+	above map[rbcast.MsgID]bool // members at or past their sender's watermark
 }
 
-// markDelivered records delivery of id and advances its sender's
-// watermark over any now-contiguous prefix, dropping the map entries it
-// subsumes.
-func (tb *TOBroadcast) markDelivered(id rbcast.MsgID) {
-	if id.Sender < 0 || id.Sender >= tb.n {
-		tb.delivered[id] = true
+func newIDSet(n int) idSet {
+	return idSet{low: make([]int, n), above: make(map[rbcast.MsgID]bool)}
+}
+
+func (s *idSet) has(id rbcast.MsgID) bool {
+	if id.Sender >= 0 && id.Sender < len(s.low) && id.Seq < s.low[id.Sender] {
+		return true
+	}
+	return s.above[id]
+}
+
+// add inserts id and advances its sender's watermark over any
+// now-contiguous prefix, dropping the map entries it subsumes.
+func (s *idSet) add(id rbcast.MsgID) {
+	if id.Sender < 0 || id.Sender >= len(s.low) {
+		s.above[id] = true
 		return
 	}
-	if id.Seq < tb.dlvLow[id.Sender] {
+	if id.Seq < s.low[id.Sender] {
 		return
 	}
-	tb.delivered[id] = true
+	s.above[id] = true
 	for {
-		probe := rbcast.MsgID{Sender: id.Sender, Seq: tb.dlvLow[id.Sender]}
-		if !tb.delivered[probe] {
+		probe := rbcast.MsgID{Sender: id.Sender, Seq: s.low[id.Sender]}
+		if !s.above[probe] {
 			return
 		}
-		delete(tb.delivered, probe)
-		tb.dlvLow[id.Sender]++
+		delete(s.above, probe)
+		s.low[id.Sender]++
 	}
 }
 
@@ -212,7 +219,7 @@ func (tb *TOBroadcast) markDelivered(id rbcast.MsgID) {
 func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 	switch m := msg.(type) {
 	case toPayload:
-		if tb.isDelivered(m.ID) {
+		if tb.delivered.has(m.ID) {
 			return // late duplicate of an already-ordered message
 		}
 		if _, ok := tb.pending[m.ID]; !ok && !tb.scheduled[m.ID] {
@@ -392,7 +399,7 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 	tb.fetchPending = false // decisions are reaching us; no blind re-fetch
 	tb.decided[s] = b
 	for _, e := range b {
-		if tb.isDelivered(e.ID) || tb.scheduled[e.ID] {
+		if tb.delivered.has(e.ID) || tb.scheduled[e.ID] {
 			continue
 		}
 		tb.scheduled[e.ID] = true
@@ -417,10 +424,10 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 			break
 		}
 		for _, e := range db {
-			if tb.isDelivered(e.ID) {
+			if tb.delivered.has(e.ID) {
 				continue
 			}
-			tb.markDelivered(e.ID)
+			tb.delivered.add(e.ID)
 			delete(tb.pending, e.ID)
 			delete(tb.scheduled, e.ID)
 			if tb.onDeliver != nil {
@@ -465,8 +472,7 @@ type Node struct {
 	applied []Entry
 	noLog   bool
 	hooks   []func(e Entry, at amp.Time) // construction-time observers; see WithApplyHook
-	seen    map[rbcast.MsgID]bool        // idempotency: dedup by (proposer, seq)
-	seenLow []int                        // per-sender watermark over seen
+	seen    idSet                        // idempotency: dedup by (proposer, seq)
 	applies int
 
 	snapshotter  Snapshotter
@@ -639,11 +645,10 @@ func NewNode(n int, opts ...NodeOption) *Node {
 		cfg.pipeline = 1
 	}
 	node := &Node{
-		state:   make(map[string]any),
-		seen:    make(map[rbcast.MsgID]bool),
-		seenLow: make([]int, n),
-		noLog:   cfg.noLog,
-		hooks:   cfg.hooks,
+		state: make(map[string]any),
+		seen:  newIDSet(n),
+		noLog: cfg.noLog,
+		hooks: cfg.hooks,
 	}
 	det := fd.NewDetector(n)
 	det.LeaseTTL = cfg.leaseTTL
@@ -713,13 +718,13 @@ func (nd *Node) restoreSnapshot(snap *Snapshot) {
 	if snap.Frontier-1 > tb.maxSeen {
 		tb.maxSeen = snap.Frontier - 1
 	}
-	copy(tb.dlvLow, snap.DlvLow)
+	copy(tb.delivered.low, snap.DlvLow)
 	for _, id := range snap.Delivered {
-		tb.delivered[id] = true
+		tb.delivered.above[id] = true
 	}
-	copy(nd.seenLow, snap.SeenLow)
+	copy(nd.seen.low, snap.SeenLow)
 	for _, id := range snap.Seen {
-		nd.seen[id] = true
+		nd.seen.above[id] = true
 	}
 	nd.applies = snap.Applies
 	for k, v := range snap.State {
@@ -758,16 +763,16 @@ func (nd *Node) captureSnapshot() (*Snapshot, error) {
 		Frontier: tb.nextDeliver,
 		NextSeq:  tb.nextSeq,
 		Applies:  nd.applies,
-		DlvLow:   append([]int(nil), tb.dlvLow...),
-		SeenLow:  append([]int(nil), nd.seenLow...),
+		DlvLow:   append([]int(nil), tb.delivered.low...),
+		SeenLow:  append([]int(nil), nd.seen.low...),
 		State:    make(map[string]any, len(nd.state)),
 		Accepts:  nd.mux.acceptorSnapshot(tb.nextDeliver),
 		Decides:  make(map[int][]Entry),
 	}
-	for id := range tb.delivered {
+	for id := range tb.delivered.above {
 		snap.Delivered = append(snap.Delivered, id)
 	}
-	for id := range nd.seen {
+	for id := range nd.seen.above {
 		snap.Seen = append(snap.Seen, id)
 	}
 	for k, v := range nd.state {
@@ -843,45 +848,16 @@ func (nd *Node) Submit(ctx amp.Context, cmd Command) rbcast.MsgID {
 // Ctx returns the TO component's context (for Schedule-driven Submits).
 func (nd *Node) Ctx() amp.Context { return nd.Stack.Ctx(1) }
 
-// isSeen / markSeen mirror the TO layer's delivery watermarks at the
-// apply level, so the dedup set stays bounded by the out-of-order span
-// instead of growing with the history.
-func (nd *Node) isSeen(id rbcast.MsgID) bool {
-	if id.Sender >= 0 && id.Sender < len(nd.seenLow) && id.Seq < nd.seenLow[id.Sender] {
-		return true
-	}
-	return nd.seen[id]
-}
-
-func (nd *Node) markSeen(id rbcast.MsgID) {
-	if id.Sender < 0 || id.Sender >= len(nd.seenLow) {
-		nd.seen[id] = true
-		return
-	}
-	if id.Seq < nd.seenLow[id.Sender] {
-		return
-	}
-	nd.seen[id] = true
-	for {
-		probe := rbcast.MsgID{Sender: id.Sender, Seq: nd.seenLow[id.Sender]}
-		if !nd.seen[probe] {
-			return
-		}
-		delete(nd.seen, probe)
-		nd.seenLow[id.Sender]++
-	}
-}
-
 // apply executes one delivered command on the local state. It is
 // idempotent by (proposer, seq): the TO layer already dedups batch
 // entries, but over a real at-least-once transport a retransmitted
 // decide could reach the delivery path twice, and applying a command
 // twice would corrupt the replica (and its linearizability history).
 func (nd *Node) apply(e Entry, at amp.Time) {
-	if nd.isSeen(e.ID) {
+	if nd.seen.has(e.ID) {
 		return
 	}
-	nd.markSeen(e.ID)
+	nd.seen.add(e.ID)
 	nd.applies++
 	if !nd.noLog {
 		nd.applied = append(nd.applied, e)

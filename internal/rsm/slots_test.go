@@ -91,10 +91,10 @@ func TestRSMTenThousandSlotsBoundedMemory(t *testing.T) {
 			t.Fatalf("replica %d retains %d decided batches, want <= %d (compaction leak)",
 				i, got, DefaultRetention+DefaultPipeline)
 		}
-		if got := len(nd.TO.delivered); got > 16 {
+		if got := len(nd.TO.delivered.above); got > 16 {
 			t.Fatalf("replica %d delivered-dedup map has %d entries, want watermark-bounded", i, got)
 		}
-		if got := len(nd.seen); got > 16 {
+		if got := len(nd.seen.above); got > 16 {
 			t.Fatalf("replica %d apply-dedup map has %d entries, want watermark-bounded", i, got)
 		}
 		if got := len(nd.TO.pending); got != 0 {

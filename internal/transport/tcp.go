@@ -23,7 +23,6 @@ import (
 type TCP struct {
 	self  int
 	addrs []string
-	opt   TCPOptions
 	ln    net.Listener
 	stats Stats
 
@@ -38,33 +37,16 @@ type TCP struct {
 	wg     sync.WaitGroup
 }
 
-// TCPOptions tune the backend.
-type TCPOptions struct {
-	// DialTimeout bounds connection establishment (default 500ms).
-	DialTimeout time.Duration
-	// WriteTimeout bounds one frame write (default 500ms).
-	WriteTimeout time.Duration
-	// MaxFrame bounds payload size (default DefaultMaxFrame).
-	MaxFrame int
-	// SelfQueue bounds buffered loopback frames to self (default 4096).
-	SelfQueue int
-}
+// TCPOptions is empty — the backend's timeouts and bounds are the
+// constants below and DefaultMaxFrame. The type and NewTCP's parameter
+// exist only because the frozen bench/ passes TCPOptions{}.
+type TCPOptions struct{}
 
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 500 * time.Millisecond
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 500 * time.Millisecond
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
-	if o.SelfQueue <= 0 {
-		o.SelfQueue = 4096
-	}
-	return o
-}
+const (
+	dialTimeout  = 500 * time.Millisecond // connection establishment
+	writeTimeout = 500 * time.Millisecond // one frame write
+	selfQueue    = 4096                   // buffered loopback frames to self
+)
 
 // tcpPeer is the outbound connection slot for one peer.
 type tcpPeer struct {
@@ -75,15 +57,14 @@ type tcpPeer struct {
 // NewTCP returns a TCP transport for endpoint self of the given peer
 // address list, listening on addrs[self]. Frames sent to self bypass
 // the network through a bounded in-process queue.
-func NewTCP(self int, addrs []string, opt TCPOptions) (*TCP, error) {
+func NewTCP(self int, addrs []string, _ TCPOptions) (*TCP, error) {
 	validatePeer(self, len(addrs))
 	t := &TCP{
 		self:    self,
 		addrs:   append([]string(nil), addrs...),
-		opt:     opt.withDefaults(),
 		peers:   make([]*tcpPeer, len(addrs)),
 		inbound: make(map[net.Conn]struct{}),
-		selfCh:  make(chan []byte, opt.withDefaults().SelfQueue),
+		selfCh:  make(chan []byte, selfQueue),
 		done:    make(chan struct{}),
 	}
 	for i := range t.peers {
@@ -161,7 +142,7 @@ func (t *TCP) Send(to int, frame []byte) error {
 			return fmt.Errorf("transport: self queue full (%d frames)", cap(t.selfCh))
 		}
 	}
-	buf, err := AppendFrame(nil, frame, t.opt.MaxFrame)
+	buf, err := AppendFrame(nil, frame, DefaultMaxFrame)
 	if err != nil {
 		return err
 	}
@@ -175,7 +156,7 @@ func (t *TCP) Send(to int, frame []byte) error {
 		}
 		p.conn = conn
 	}
-	p.conn.SetWriteDeadline(time.Now().Add(t.opt.WriteTimeout))
+	p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := p.conn.Write(buf); err != nil {
 		p.conn.Close()
 		p.conn = nil
@@ -189,7 +170,7 @@ func (t *TCP) Send(to int, frame []byte) error {
 // frame identifying this endpoint.
 func (t *TCP) dial(to int) (net.Conn, error) {
 	addr := t.peerAddr(to)
-	conn, err := net.DialTimeout("tcp", addr, t.opt.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial peer %d (%s): %w", to, addr, err)
 	}
@@ -198,8 +179,8 @@ func (t *TCP) dial(to int) (net.Conn, error) {
 	}
 	var hello [4]byte
 	binary.BigEndian.PutUint32(hello[:], uint32(t.self))
-	buf, _ := AppendFrame(nil, hello[:], t.opt.MaxFrame)
-	conn.SetWriteDeadline(time.Now().Add(t.opt.WriteTimeout))
+	buf, _ := AppendFrame(nil, hello[:], DefaultMaxFrame)
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(buf); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: hello to peer %d: %w", to, err)
@@ -240,7 +221,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	hello, err := ReadFrame(br, t.opt.MaxFrame)
+	hello, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil || len(hello) != 4 {
 		return
 	}
@@ -250,7 +231,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	for {
-		payload, err := ReadFrame(br, t.opt.MaxFrame)
+		payload, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			return
 		}
