@@ -649,8 +649,7 @@ func runE16() []row {
 
 // waitMajorityN4DPORRow times the wait-majority n=4 search with and
 // without DPOR (Options.DPOR): the reduction is what makes n=4
-// exhaustible, and the row keeps the config counts and wall times in
-// BENCH_amp/BENCH_explore.json across PRs.
+// exhaustible, and the row shows the config counts and wall times.
 func waitMajorityN4DPORRow() row {
 	inputs := []int{0, 1, 0, 1}
 	fullStart := time.Now()

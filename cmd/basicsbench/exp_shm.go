@@ -154,8 +154,7 @@ func runE4() []row {
 	})
 
 	// DPOR makes the hierarchy exhaustive at n=4: CAS with up to 3
-	// crashes, full enumeration vs the sleep-set reduction, timed so
-	// BENCH_shm/BENCH_explore.json track the reduction across PRs.
+	// crashes, full enumeration vs the sleep-set reduction.
 	n4 := func(dpor bool) shm.ExploreOpts {
 		return shm.ExploreOpts{
 			Factory: func() *shm.Run {

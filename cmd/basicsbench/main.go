@@ -8,23 +8,18 @@
 // experiment and prints a claim-vs-measured row per finding, exiting
 // non-zero if any measurement contradicts its claim.
 //
-//	go run ./cmd/basicsbench                         # run everything
-//	go run ./cmd/basicsbench -run E9                 # one experiment
-//	go run ./cmd/basicsbench -list                   # list experiments
-//	go run ./cmd/basicsbench -json BENCH_round.json  # machine-readable metrics
+//	go run ./cmd/basicsbench          # run everything
+//	go run ./cmd/basicsbench -run E9  # one experiment
+//	go run ./cmd/basicsbench -list    # list experiments
 //
-// The -json flag additionally writes per-experiment metrics (pass/fail and
-// wall time per experiment, plus every claim/measured row) so CI runs can
-// track the performance trajectory across PRs.
+// It checks claims, not speed: timing is bench/'s job (bash bench/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 )
 
 // row is one claim-vs-measured finding.
@@ -62,34 +57,9 @@ var experiments = []experiment{
 	{"E16", "FLP: bivalent initial configurations; no protocol keeps both properties", runE16},
 }
 
-// jsonRow is one claim-vs-measured finding in the -json report.
-type jsonRow struct {
-	Claim    string `json:"claim"`
-	Measured string `json:"measured"`
-	OK       bool   `json:"ok"`
-}
-
-// jsonExperiment is one experiment's entry in the -json report.
-type jsonExperiment struct {
-	ID         string    `json:"id"`
-	Title      string    `json:"title"`
-	OK         bool      `json:"ok"`
-	DurationMS float64   `json:"duration_ms"`
-	Rows       []jsonRow `json:"rows"`
-}
-
-// jsonReport is the top-level -json document (written to e.g.
-// BENCH_round.json so successive PRs can diff per-experiment wall times).
-type jsonReport struct {
-	GeneratedAt string           `json:"generated_at"`
-	OK          bool             `json:"ok"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
 func main() {
 	runFilter := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "write per-experiment metrics to this JSON file (e.g. BENCH_round.json)")
 	flag.Parse()
 
 	if *list {
@@ -107,47 +77,20 @@ func main() {
 	}
 
 	failures := 0
-	report := jsonReport{GeneratedAt: time.Now().UTC().Format(time.RFC3339), OK: true}
 	for _, e := range experiments {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
 		fmt.Printf("%s — %s\n", e.id, e.title)
-		start := time.Now()
-		rows := e.run()
-		je := jsonExperiment{
-			ID:         e.id,
-			Title:      e.title,
-			OK:         true,
-			DurationMS: float64(time.Since(start).Microseconds()) / 1000,
-		}
-		for _, r := range rows {
+		for _, r := range e.run() {
 			verdict := "ok"
 			if !r.ok {
 				verdict = "FAIL"
 				failures++
-				je.OK = false
-				report.OK = false
 			}
-			je.Rows = append(je.Rows, jsonRow{Claim: r.claim, Measured: r.measured, OK: r.ok})
 			fmt.Printf("  claim    %s\n  measured %s   [%s]\n", r.claim, r.measured, verdict)
 		}
-		report.Experiments = append(report.Experiments, je)
 		fmt.Println()
-	}
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "basicsbench: encoding -json report: %v\n", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "basicsbench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(2)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 
 	if failures > 0 {

@@ -18,17 +18,16 @@
 //	    {"op":"bcast","key":"tag"} / {"op":"uid"} / {"op":"order"} /
 //	    {"op":"stat"}.
 //
-//	basicsd e2e [-nodes 5] [-clients 3] [-ops 24] [-kill 2] [-chaos=true]
-//	            [-compact=true] [-dir DIR] [-keep]
-//	    The kill -9 survival demo: spawn a local cluster, run
-//	    linearizable-KV and unique-ID workloads under link chaos,
-//	    SIGKILL a minority mid-campaign, restart it from the journals,
-//	    then require converged identical applied orders, unique IDs,
-//	    and a linearizable history (internal/check).
+//	basicsd e2e [-dir DIR] [-keep]
+//	    The kill -9 survival demo: spawn a local 5-node cluster, run
+//	    linearizable-KV and unique-ID workloads (3 clients, 24 ops
+//	    each) under link chaos and forced journal compaction, SIGKILL
+//	    2 nodes mid-campaign, restart them from the journals, then
+//	    require converged identical applied orders, unique IDs, and a
+//	    linearizable history (internal/check).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -47,12 +46,7 @@ func main() {
 			log.Fatalf("serve: %v", err)
 		}
 	case "e2e":
-		fs := flag.NewFlagSet("e2e", flag.ExitOnError)
-		var opt e2eOptions
-		opt.Flags(fs)
-		fs.IntVar(&opt.OpsPer, "ops", 24, "KV ops per client")
-		fs.Parse(os.Args[2:])
-		if err := runE2E(opt); err != nil {
+		if err := runE2E(e2eOptions{E2EOptions: node.E2EArgs(os.Args[2:])}); err != nil {
 			log.Fatalf("e2e: FAIL: %v", err)
 		}
 	default:
@@ -61,6 +55,6 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: basicsd serve -config FILE -id N | basicsd e2e [flags]\n")
+	fmt.Fprintf(os.Stderr, "usage: basicsd serve -config FILE -id N | basicsd e2e [-dir DIR] [-keep]\n")
 	os.Exit(2)
 }

@@ -44,7 +44,7 @@ func runServe(cfgPath string, id int) error {
 	}
 	s := &server{id: id, boot: time.Now().UnixNano()}
 	var err error
-	s.rep, err = cfg.Start(id, transport.NewRealClock(cfg.Unit()), func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
+	s.rep, err = cfg.Start(id, transport.NewRealClock(transport.DefaultUnit), func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
 		nd := rsm.NewNode(len(cfg.Peers), opts...)
 		s.kv = kv.NewReplica(nd)
 		return nd

@@ -92,11 +92,10 @@ func runE2E(opt e2eOptions) (err error) {
 	log.Printf("e2e: %d nodes, %d submitters x %d jobs, kill %v, chaos=%v, dir=%s",
 		opt.Nodes, opt.Clients, opt.JobsPer, opt.victims(), opt.Chaos, opt.Dir)
 
-	base, err := opt.Config()
+	cfg, err := opt.Config()
 	if err != nil {
 		return err
 	}
-	cfg := &Config{Config: *base}
 	cl, err := node.Launch(opt.E2EOptions, cfg, cfg.Clients, "id")
 	if err != nil {
 		return err

@@ -20,12 +20,12 @@
 //	    {"op":"run","key":"job-2","val":{...}}   (blocks until terminal)
 //	    {"op":"job","key":"job-1"} / {"op":"jobs"} / {"op":"stat"}.
 //
-//	basicsjobd e2e [-nodes 5] [-clients 3] [-jobs 18] [-kill 2] [-chaos=true]
-//	            [-compact=true] [-dir DIR] [-keep]
-//	    The kill -9 survival demo: a local cluster runs a mixed job
-//	    workload (transient failures, poison jobs) under link chaos; a
-//	    minority of nodes — including node 0, the Ω leader and thus the
-//	    acting scheduler — is SIGKILLed mid-campaign and restarted from
+//	basicsjobd e2e [-dir DIR] [-keep]
+//	    The kill -9 survival demo: a local 5-node cluster runs a mixed
+//	    job workload (3 submitters, 18 jobs each; transient failures,
+//	    poison jobs) under link chaos and forced journal compaction; 2
+//	    nodes — including node 0, the Ω leader and thus the acting
+//	    scheduler — are SIGKILLed mid-campaign and restarted from
 //	    journals; afterwards every job must be terminal with exactly one
 //	    completion effect, every replica must agree on every record, and
 //	    poison jobs must sit dead-lettered at their attempt budget.
@@ -37,7 +37,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -57,12 +56,7 @@ func main() {
 		}
 		select {}
 	case "e2e":
-		fs := flag.NewFlagSet("e2e", flag.ExitOnError)
-		var opt e2eOptions
-		opt.Flags(fs)
-		fs.IntVar(&opt.JobsPer, "jobs", 18, "jobs per submitter")
-		fs.Parse(os.Args[2:])
-		if err := runE2E(opt); err != nil {
+		if err := runE2E(e2eOptions{E2EOptions: node.E2EArgs(os.Args[2:])}); err != nil {
 			log.Fatalf("e2e: FAIL: %v", err)
 		}
 	default:
@@ -71,6 +65,6 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: basicsjobd serve -config FILE -id N | basicsjobd e2e [flags]\n")
+	fmt.Fprintf(os.Stderr, "usage: basicsjobd serve -config FILE -id N | basicsjobd e2e [-dir DIR] [-keep]\n")
 	os.Exit(2)
 }

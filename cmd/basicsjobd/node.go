@@ -49,7 +49,7 @@ type server struct {
 // serving. Crash-stop process model: no graceful shutdown, the journal
 // and the peers' anti-entropy carry a kill -9 through restart.
 func runServe(cfgPath string, id int) (*server, error) {
-	cfg := &Config{}
+	cfg := &node.Config{}
 	if err := node.Load(cfgPath, cfg); err != nil {
 		return nil, err
 	}
@@ -59,15 +59,15 @@ func runServe(cfgPath string, id int) (*server, error) {
 	transport.Register(jobSpec{})
 
 	s := &server{id: id, jobWaiters: make(map[string][]chan jobq.Job), runTimeout: runTimeout}
-	clock := transport.NewRealClock(cfg.Unit())
+	clock := transport.NewRealClock(transport.DefaultUnit)
 	_, err := cfg.Start(id, clock, func(r *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
 		s.rep = r
 		// jobq.New installs the apply hook before recovery replay, so a
 		// restarted node's queue state is rebuilt here, before any traffic.
-		opts = append(opts, rsm.WithPace(defaultPaceTicks))
-		s.nd = jobq.New(len(cfg.Peers), cfg.jobqConfig(id), opts...)
+		opts = append(opts, rsm.WithPace(paceTicks))
+		s.nd = jobq.New(len(cfg.Peers), jobqConfig(id), opts...)
 		s.nd.Subscribe(s.onQueueEvent)
-		s.runner = s.newRunner(clock, cfg.Unit())
+		s.runner = s.newRunner(clock)
 		return s.nd.RSM
 	})
 	if err != nil {
@@ -99,15 +99,15 @@ func runServe(cfgPath string, id int) (*server, error) {
 
 // newRunner attaches the worker runner. It executes inside the event
 // loop; its Defer rides the real clock back into the loop.
-func (s *server) newRunner(clock transport.Clock, unit time.Duration) *jobq.Runner {
+func (s *server) newRunner(clock transport.Clock) *jobq.Runner {
 	r := jobq.NewRunner(s.nd, s.id)
-	r.RetryEvery = defaultRunnerRetryTicks
+	r.RetryEvery = runnerRetryTicks
 	r.Defer = func(d amp.Time, f func()) {
 		clock.AfterFunc(d, func() { s.rep.RT.Do(func(amp.Context) { f() }) })
 	}
 	r.Cost = func(j jobq.Job) amp.Time {
 		spec, _ := j.Payload.(jobSpec)
-		return max(1, amp.Time(time.Duration(spec.CostMS)*time.Millisecond/unit))
+		return max(1, amp.Time(time.Duration(spec.CostMS)*time.Millisecond/transport.DefaultUnit))
 	}
 	r.Work = func(j jobq.Job) (any, string, bool) {
 		spec, _ := j.Payload.(jobSpec)

@@ -19,7 +19,7 @@ func TestTimedOutRunLeavesNoWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgPath := filepath.Join(t.TempDir(), "cluster.json")
-	cfg := &Config{Config: node.Config{Peers: addrs[:1], Clients: addrs[1:], Journals: []string{""}}}
+	cfg := &node.Config{Peers: addrs[:1], Clients: addrs[1:], Journals: []string{""}}
 	if err := node.Write(cfgPath, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package main
 import (
 	"fmt"
 
-	"distbasics/internal/amp"
 	"distbasics/internal/kv"
-	"distbasics/internal/node"
 )
 
 // Config describes a multi-process basicskv cluster. Process i runs
@@ -22,18 +20,6 @@ type Config struct {
 	// shard s (same shape as Peers; empty/absent disables persistence,
 	// losing kill -9 survival for state not re-replicated from peers).
 	Journals [][]string `json:"journals,omitempty"`
-
-	// Tuning is the clock unit, the rsm proposer's max_batch/pipeline
-	// and the per-shard journal compaction thresholds — the same keys
-	// as in basicsd's and basicsjobd's cluster files.
-	node.Tuning
-
-	// LeaseTTL in ticks; 0 = default, negative disables lease reads.
-	LeaseTTL int `json:"lease_ttl,omitempty"`
-	// LeaseMargin in ticks, discounted from the holder side of each
-	// lease grant to cover clock drift between processes; 0 = default
-	// (LeaseTTL/10 + 2), negative = no margin.
-	LeaseMargin int `json:"lease_margin,omitempty"`
 }
 
 // Validate checks the shape node.Load accepts: one peer row per shard,
@@ -69,13 +55,5 @@ func (c *Config) hostConfig(self int) kv.HostConfig {
 	for _, row := range c.Journals {
 		journals = append(journals, row[self])
 	}
-	return kv.HostConfig{
-		Shards:      c.Shards,
-		Peers:       c.Peers,
-		Self:        self,
-		Tuning:      c.Tuning,
-		LeaseTTL:    amp.Time(c.LeaseTTL),
-		LeaseMargin: amp.Time(c.LeaseMargin),
-		Journals:    journals,
-	}
+	return kv.HostConfig{Shards: c.Shards, Peers: c.Peers, Self: self, Journals: journals}
 }

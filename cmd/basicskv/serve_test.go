@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,14 +184,12 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("journal rows/shard count mismatch accepted")
 	}
 
-	// The exact document bench/kvtcp.go writes (its four keys, map order),
-	// plus every tuning key the file may carry.
+	// The exact document bench/kvtcp.go writes: its four keys, map order.
 	cfg, err := load(`{
   "clients": ["c0", "c1", "c2"],
   "journals": [["s0p0.j", "s0p1.j", "s0p2.j"], ["s1p0.j", "s1p1.j", "s1p2.j"]],
   "peers": [["a0", "a1", "a2"], ["b0", "b1", "b2"]],
-  "shards": 2,
-  "unit_ms": 5, "max_batch": 64, "pipeline": 4, "compact_records": -1, "lease_ttl": 300, "lease_margin": -1
+  "shards": 2
 }`)
 	if err != nil {
 		t.Fatalf("bench document rejected: %v", err)
@@ -200,8 +199,13 @@ func TestConfigValidation(t *testing.T) {
 		len(hc.Journals) != 2 || hc.Journals[0] != "s0p1.j" || hc.Journals[1] != "s1p1.j" {
 		t.Fatalf("host config for process 1: %+v", hc)
 	}
-	if hc.Unit() != 5*time.Millisecond || hc.MaxBatch != 64 || hc.Pipeline != 4 ||
-		hc.CompactRecords != -1 || hc.LeaseTTL != 300 || hc.LeaseMargin != -1 {
-		t.Fatalf("tuning lost on the way to the host config: %+v", hc)
+
+	// The file is addresses and paths: every tuning key it once carried
+	// — and a misspelt one — is refused by name, not silently dropped.
+	for _, key := range []string{"unit_ms", "max_batch", "pipeline", "compact_records", "compact_bytes", "lease_ttl", "lease_margin", "shard"} {
+		_, err := load(`{"peers":[["a","b","c"]],"clients":["x","y","z"],"` + key + `":1}`)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("key %q: got %v, want an error naming it", key, err)
+		}
 	}
 }

@@ -6,22 +6,21 @@
 //
 // The library lives under internal/ (see DESIGN.md for the inventory);
 // the public surface is the examples/ programs, the cmd/basicsbench
-// claim-vs-measured harness, and the repository-level benchmarks in
-// bench_test.go, one per experiment E1–E16.
+// claim-vs-measured harness (experiments E0–E16), the three daemons, and
+// the one benchmark, bench/.
 //
 // # The synchronous round engine
 //
 // The synchronous experiments (E1–E3 and the LOCAL-model examples) run on
 // internal/round, an engine rebuilt for scale: pooled slice-backed
-// mailboxes reused across rounds (with a compatibility shim for map-based
-// processes), per-System cached adversary digraphs (the adv:∅ fast path
+// mailboxes reused across rounds, per-System cached adversary digraphs (the adv:∅ fast path
 // never builds a graph at all, and the madv adversaries refill one scratch
 // digraph per round), a persistent GOMAXPROCS-sized worker pool instead of
 // goroutine-per-process fan-out, and a quiescent-round skip. See the
-// internal/round package documentation for the architecture and for how to
-// run the E1–E16 benchmarks; differential tests in that package hold the
-// engine's three execution paths (sequential, worker-pool parallel, legacy
-// map mailboxes) to byte-identical Results.
+// internal/round package documentation for the architecture; differential
+// tests in that package hold the engine's two execution paths (sequential,
+// worker-pool parallel) to byte-identical Results, and to Results pinned on
+// the seed engine and on the map-mailbox path the slots replaced.
 //
 // # The asynchronous simulator
 //
@@ -175,8 +174,10 @@
 // The three daemons below — basicsd, basicskv, basicsjobd — are one
 // node skeleton with three state machines plugged in. internal/node
 // owns, once, what each of them needs to carry a replica onto sockets:
-// the JSON cluster file (peers/clients/journals, chaos schedule, clock
-// unit, proposer and compaction tuning), the bring-up (open journal →
+// the JSON cluster file (peers/clients/journals, and the chaos schedule
+// and compaction threshold the kill -9 harness writes — clock unit,
+// batching, leases and queue policy are constants; an unknown key fails
+// the load), the bring-up (open journal →
 // recover → TCP → Chaos → Resilient → Runtime with the Ω suspicion
 // wiring → start), the stat counters, the
 // submit-then-wait-for-local-apply table behind every client write,
@@ -200,8 +201,8 @@
 // acceptor state and decided slots, then catches up on missed decisions
 // via the TO-broadcast anti-entropy fetch. The journal does not grow
 // without bound: once it passes a records or bytes threshold
-// (compact_records / compact_bytes in the config; defaults from
-// internal/rsm, negative disables) the node snapshots its full applied
+// (internal/rsm's defaults; compact_records in the config lowers the
+// first, as the e2e does) the node snapshots its full applied
 // state and truncates the journal to the suffix past the snapshot, via
 // a crash-safe install protocol (write snapshot.tmp, fsync, atomic
 // rename, fresh journal segment, delete old segment) that recovers to
@@ -209,7 +210,7 @@
 // kill -9 lands. Recovery then restores the snapshot and replays only
 // the suffix. The whole lifecycle is packaged as a self-contained demo —
 //
-//	basicsd e2e -nodes 5 -clients 3 -kill 2 -chaos=true -compact=true
+//	basicsd e2e
 //
 // — which spawns a local 5-node TCP cluster, runs linearizable-KV and
 // unique-ID workloads under link chaos, forces continuous compaction,
@@ -249,8 +250,8 @@
 // consensus-read and kill -9 failover workloads against three serve
 // processes, plus an in-process write workload, each with sampled
 // per-key prober histories run through the partitioned linearizability
-// checker. See cmd/basicskv's README for the sharding map, batching
-// knobs, lease semantics, and fallback conditions. A subprocess test
+// checker. See cmd/basicskv's README for the sharding map, the batching
+// and lease constants, lease semantics, and fallback conditions. A subprocess test
 // kills -9 one of three serve processes, restarts it from its journals
 // and reads every acknowledged key back through it. The
 // batching/pipelining invariants themselves are fuzzed
@@ -280,7 +281,7 @@
 // as stale rejections, never second effects.
 //
 //	basicsjobd serve -config cluster.json -id 0
-//	basicsjobd e2e -nodes 5 -clients 3 -kill 2 -chaos=true
+//	basicsjobd e2e
 //
 // (Throughput and job latency are the jobq-tcp-steady workload of
 // `bash bench/run.sh`.)
@@ -294,6 +295,6 @@
 // bounded; CI runs it on every PR. The same scheduler,
 // runner, and oracles are fuzzed deterministically by the scenario
 // harness's jobq model. See cmd/basicsjobd's README for the state
-// machine, the policy knobs, and the congestion lesson baked into the
-// daemon defaults.
+// machine, the policy constants, and the congestion lesson baked into
+// them.
 package distbasics

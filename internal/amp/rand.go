@@ -1,28 +1,15 @@
 package amp
 
-import "math/rand"
+import (
+	"math/rand"
 
-// splitmix64 is Vigna's SplitMix64 generator as a math/rand Source64.
-// The standard library's default source carries a 607-word lazily-refilled
-// table (~4.9KB, plus a costly seeding loop); at n in the thousands the
-// simulator's per-process sources were its dominant allocation. SplitMix64
-// is 8 bytes of state, passes BigCrush, and is more than adequate for
-// choosing message delays and consensus coin flips.
-type splitmix64 struct{ state uint64 }
+	"distbasics/internal/splitmix"
+)
 
-func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
-
-func (s *splitmix64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// newRand returns a seeded *rand.Rand over a splitmix64 source — the
+// newRand returns a seeded *rand.Rand over a SplitMix64 source — the
 // simulator's internal randomness (root delay stream, per-process
 // streams, adversary streams).
-func newRand(seed int64) *rand.Rand { return rand.New(&splitmix64{state: uint64(seed)}) }
+func newRand(seed int64) *rand.Rand {
+	src := splitmix.Raw(uint64(seed))
+	return rand.New(&src)
+}

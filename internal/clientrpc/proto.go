@@ -1,6 +1,7 @@
 // Package clientrpc is the line-JSON client RPC layer shared by the
-// basicsd and basicskv daemons: one JSON value per line in each
-// direction, requests answered in order per connection.
+// three daemons (basicsd, basicskv, basicsjobd — each supplies its verb
+// table as the Handler): one JSON value per line in each direction,
+// requests answered in order per connection.
 //
 // The server is net.Listen, an accept loop and a goroutine per
 // connection that reads a line, runs the handler, writes the reply and
@@ -17,7 +18,7 @@ package clientrpc
 
 // Request is one client request line.
 type Request struct {
-	Op  string `json:"op"` // put, del, get, bcast, uid, order, stat
+	Op  string `json:"op"` // put, del, get, bcast, uid, order, stat; basicsjobd: submit, run, job, jobs
 	Key string `json:"key,omitempty"`
 	Val any    `json:"val,omitempty"`
 }

@@ -21,33 +21,25 @@ type FloodMin struct {
 	// Rounds is the number of rounds before deciding.
 	Rounds int
 
-	neighbors []int
-	min       int
-	decided   bool
+	min     int
+	decided bool
 }
 
 var _ round.Process = (*FloodMin)(nil)
 
 // Init implements round.Process.
 func (p *FloodMin) Init(env round.Env) {
-	p.neighbors = env.Neighbors
 	p.min = p.Input
 	p.decided = false
 }
 
 // Send implements round.Process.
-func (p *FloodMin) Send(_ int) round.Outbox {
-	out := make(round.Outbox, len(p.neighbors))
-	for _, nb := range p.neighbors {
-		out[nb] = p.min
-	}
-	return out
-}
+func (p *FloodMin) Send(_ int, out round.Outbox) { out.Broadcast(p.min) }
 
 // Compute implements round.Process.
 func (p *FloodMin) Compute(r int, in round.Inbox) bool {
-	for _, m := range in {
-		if v, ok := m.(int); ok && v < p.min {
+	for k := 0; k < in.Deg(); k++ {
+		if v, ok := in.At(k).(int); ok && v < p.min {
 			p.min = v
 		}
 	}

@@ -22,8 +22,7 @@ import (
 // they record the first round at which they knew all inputs.
 //
 // Knowledge lives in a knowset.Set, whose shared-prefix payloads make a
-// round's sends allocation-free; TreeFlood implements round.DenseProcess
-// to use the engine's slice mailboxes directly.
+// round's sends allocation-free.
 type TreeFlood struct {
 	// Input is this process's initial value v_i.
 	Input any
@@ -32,49 +31,27 @@ type TreeFlood struct {
 	Rounds int
 
 	id, n     int
-	neighbors []int
 	known     knowset.Set
 	knewAllAt int
 }
 
-var _ round.DenseProcess = (*TreeFlood)(nil)
+var _ round.Process = (*TreeFlood)(nil)
 
 // Init implements round.Process.
 func (p *TreeFlood) Init(env round.Env) {
 	p.id = env.ID
 	p.n = env.N
-	p.neighbors = env.Neighbors
 	p.known.Reset(p.n, p.id, p.Input)
 	p.knewAllAt = 0
 }
 
-// Send implements round.Process (the map-mailbox path).
-func (p *TreeFlood) Send(_ int) round.Outbox {
-	payload := p.known.Payload()
-	out := make(round.Outbox, len(p.neighbors))
-	for _, nb := range p.neighbors {
-		out[nb] = payload
-	}
-	return out
-}
-
-// Compute implements round.Process (the map-mailbox path).
-func (p *TreeFlood) Compute(r int, in round.Inbox) bool {
-	for _, m := range in {
-		if pairs, ok := m.([]knowset.Pair); ok {
-			p.known.Merge(pairs)
-		}
-	}
-	return p.afterRound(r)
-}
-
-// DenseSend implements round.DenseProcess.
-func (p *TreeFlood) DenseSend(_ int, out round.DenseOutbox) {
+// Send implements round.Process: forward all known pairs to every neighbor.
+func (p *TreeFlood) Send(_ int, out round.Outbox) {
 	out.Broadcast(p.known.Payload())
 }
 
-// DenseCompute implements round.DenseProcess.
-func (p *TreeFlood) DenseCompute(r int, in round.DenseInbox) bool {
+// Compute implements round.Process.
+func (p *TreeFlood) Compute(r int, in round.Inbox) bool {
 	for k := 0; k < in.Deg(); k++ {
 		if m := in.At(k); m != nil {
 			if pairs, ok := m.([]knowset.Pair); ok {
@@ -82,10 +59,6 @@ func (p *TreeFlood) DenseCompute(r int, in round.DenseInbox) bool {
 			}
 		}
 	}
-	return p.afterRound(r)
-}
-
-func (p *TreeFlood) afterRound(r int) bool {
 	if p.knewAllAt == 0 && p.known.Complete() {
 		p.knewAllAt = r
 	}

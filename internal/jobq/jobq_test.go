@@ -2,6 +2,8 @@ package jobq
 
 import (
 	"testing"
+
+	"distbasics/internal/splitmix"
 )
 
 // TestLifecycleHappyPath walks submit→assign→start→complete and checks
@@ -155,7 +157,7 @@ func TestExpiryOnFinalAttemptDeadLetters(t *testing.T) {
 // jitterless Base doubling to Cap, never below 1.
 func TestBackoffCurve(t *testing.T) {
 	p := RetryPolicy{Base: 50, Cap: 300, JitterPct: -1}.withDefaults()
-	rng := newJitterRand(1)
+	rng := splitmix.New(1)
 	want := []int64{50, 100, 200, 300, 300}
 	for i, w := range want {
 		if got := p.Backoff(i+1, &rng); int64(got) != w {
@@ -168,7 +170,7 @@ func TestBackoffCurve(t *testing.T) {
 // a same-seeded stream replays identically.
 func TestBackoffJitterBoundsAndDeterminism(t *testing.T) {
 	p := RetryPolicy{Base: 100, Cap: 1000, JitterPct: 25, Seed: 42}.withDefaults()
-	a, b := newJitterRand(42), newJitterRand(42)
+	a, b := splitmix.New(42), splitmix.New(42)
 	for i := 1; i <= 20; i++ {
 		da := p.Backoff(i, &a)
 		if db := p.Backoff(i, &b); da != db {

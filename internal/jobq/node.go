@@ -4,6 +4,7 @@ import (
 	"distbasics/internal/amp"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
+	"distbasics/internal/splitmix"
 )
 
 // Op is the rsm.Command.Op under which queue commands ride. The rsm KV
@@ -79,7 +80,7 @@ type Node struct {
 	// replicated state does not show yet, against their worker's cap.
 	assigning map[string]assignment
 	expiring  map[int]amp.Time
-	rng       jitterRand
+	rng       splitmix.Source
 }
 
 // assignment is one in-flight proposal that names a worker for a job.
@@ -100,7 +101,7 @@ func New(n int, cfg Config, opts ...rsm.NodeOption) *Node {
 		assigning:  make(map[string]assignment),
 		expiring:   make(map[int]amp.Time),
 	}
-	jn.rng = newJitterRand(jn.cfg.Retry.Seed)
+	jn.rng = splitmix.New(uint64(jn.cfg.Retry.Seed))
 	opts = append(opts, rsm.WithApplyHook(jn.onApply), rsm.WithSnapshotter(jn))
 	jn.RSM = rsm.NewNode(n, opts...)
 	return jn

@@ -2,6 +2,7 @@ package jobq
 
 import (
 	"distbasics/internal/amp"
+	"distbasics/internal/splitmix"
 )
 
 // RetryPolicy governs when a failed or released job becomes eligible
@@ -53,7 +54,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // Backoff returns the jittered delay before the job may be reassigned
 // after its attempt'th attempt failed: Base after the first, doubling
 // per attempt, bounded by Cap (same curve as transport.Policy.Backoff).
-func (p RetryPolicy) Backoff(attempt int, rng *jitterRand) amp.Time {
+func (p RetryPolicy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
 	d := p.Base
 	for i := 1; i < attempt; i++ {
 		d *= 2
@@ -68,30 +69,11 @@ func (p RetryPolicy) Backoff(attempt int, rng *jitterRand) amp.Time {
 	if p.JitterPct > 0 {
 		span := int64(d) * int64(p.JitterPct) / 100
 		if span > 0 {
-			d += amp.Time(int64(rng.next()%uint64(2*span+1)) - span)
+			d += amp.Time(int64(rng.Uint64()%uint64(2*span+1)) - span)
 		}
 	}
 	if d < 1 {
 		d = 1
 	}
 	return d
-}
-
-// jitterRand is the splitmix64 generator used everywhere else in the
-// repository (transport chaos, the scenario harness), local so jobq's
-// jitter stream is stable regardless of math/rand evolution.
-type jitterRand struct{ state uint64 }
-
-func newJitterRand(seed int64) jitterRand {
-	s := jitterRand{state: uint64(seed) ^ 0x9e3779b97f4a7c15}
-	s.next()
-	return s
-}
-
-func (s *jitterRand) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -24,33 +24,29 @@ type HostConfig struct {
 	Peers  [][]string
 	// Self is this process's replica index.
 	Self int
-	// Tuning is the clock unit, proposer batching/pipelining and
-	// per-shard journal auto-compaction thresholds, as in the cluster
-	// file (zero values take the defaults).
-	node.Tuning
-	// LeaseTTL in ticks; 0 = DefaultHostLeaseTTL, negative disables.
-	LeaseTTL amp.Time
-	// LeaseMargin (ticks) is subtracted from the holder-side validity
-	// of every lease grant. The lease protocol's safety needs the
-	// holder's belief to lapse before the granter's promise, which the
-	// virtual-time harness gets for free from its exact shared clock;
-	// under real clocks the two processes count their OWN ticks, which
-	// drift and jitter under load, so the Host path must leave slack.
-	// 0 = default LeaseTTL/10 + 2 (covers ~10% rate skew over one TTL
-	// plus two ticks of scheduling jitter), negative = no margin (only
-	// sane for tests that control both clocks).
-	LeaseMargin amp.Time
 	// Journals[s] is this process's journal path for its replica of
 	// shard s (len == Shards; "" or a nil slice disables persistence
 	// for that shard, losing kill -9 survival). Each journal compacts
-	// automatically behind state snapshots (see Tuning).
+	// automatically behind state snapshots, at the rsm default
+	// thresholds.
 	Journals []string
 }
 
-// DefaultHostLeaseTTL (ticks) is several heartbeat periods: at the
-// 2ms default unit and node.HeartbeatPeriod=40, a 500-tick lease is
-// one second, renewed every 80ms.
-const DefaultHostLeaseTTL amp.Time = 500
+// The Host's read lease, in ticks of transport.DefaultUnit (2ms).
+const (
+	// hostLeaseTTL is several heartbeat periods: at
+	// node.HeartbeatPeriod=40 a 500-tick lease is one second, renewed
+	// every 80ms.
+	hostLeaseTTL amp.Time = 500
+	// hostLeaseMargin is subtracted from the holder-side validity of
+	// every lease grant. The lease protocol's safety needs the holder's
+	// belief to lapse before the granter's promise, which the
+	// virtual-time harness gets for free from its exact shared clock;
+	// under real clocks the two processes count their OWN ticks, which
+	// drift and jitter under load, so the Host path must leave slack:
+	// ~10% rate skew over one TTL plus two ticks of scheduling jitter.
+	hostLeaseMargin = hostLeaseTTL/10 + 2
+)
 
 func (c HostConfig) withDefaults() (HostConfig, error) {
 	if c.Shards <= 0 {
@@ -66,15 +62,6 @@ func (c HostConfig) withDefaults() (HostConfig, error) {
 	}
 	if c.Self < 0 || len(c.Peers) == 0 || c.Self >= len(c.Peers[0]) {
 		return c, fmt.Errorf("kv: self %d out of range", c.Self)
-	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = DefaultHostLeaseTTL
-	}
-	switch {
-	case c.LeaseMargin == 0:
-		c.LeaseMargin = c.LeaseTTL/10 + 2
-	case c.LeaseMargin < 0:
-		c.LeaseMargin = 0
 	}
 	if len(c.Journals) != 0 && len(c.Journals) != c.Shards {
 		return c, fmt.Errorf("kv: %d journal paths for %d shards", len(c.Journals), c.Shards)
@@ -98,7 +85,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Host{cfg: cfg, rmap: UniformHexBounds(cfg.Shards), clock: transport.NewRealClock(cfg.Unit())}
+	h := &Host{cfg: cfg, rmap: UniformHexBounds(cfg.Shards), clock: transport.NewRealClock(transport.DefaultUnit)}
 	for s := 0; s < cfg.Shards; s++ {
 		if err := h.startShard(s); err != nil {
 			h.Close()
@@ -119,11 +106,8 @@ func (h *Host) startShard(s int) error {
 		sp.Journal = cfg.Journals[s]
 	}
 	var rep *Replica
-	stack, err := node.StartTCP(sp, &cfg.Tuning, h.clock, func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
-		opts = append(opts, rsm.WithoutAppliedLog())
-		if cfg.LeaseTTL > 0 {
-			opts = append(opts, rsm.WithReadLease(cfg.LeaseTTL), rsm.WithLeaseMargin(cfg.LeaseMargin))
-		}
+	stack, err := node.StartTCP(sp, h.clock, func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
+		opts = append(opts, rsm.WithoutAppliedLog(), rsm.WithReadLease(hostLeaseTTL), rsm.WithLeaseMargin(hostLeaseMargin))
 		rep = NewReplica(rsm.NewNode(n, opts...))
 		return rep.nd
 	})

@@ -238,7 +238,7 @@ func TestHostTCP(t *testing.T) {
 	}
 	hosts := make([]*Host, replicas)
 	for i := range hosts {
-		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i, Tuning: node.Tuning{UnitMS: 1}})
+		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i})
 		if err != nil {
 			t.Fatalf("host %d: %v", i, err)
 		}

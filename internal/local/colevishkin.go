@@ -19,37 +19,35 @@ import (
 // as its successor. The orientation is part of the model, as in the
 // original algorithm.
 type ColeVishkin struct {
-	id, n      int
-	succ, pred int
-	color      int
-	cvRounds   int // iterations of the bit-trick phase
-	done       bool
-	rounds     int // rounds actually executed (for reporting)
+	id, n    int
+	color    int
+	cvRounds int // iterations of the bit-trick phase
+	done     bool
+	rounds   int // rounds actually executed (for reporting)
 
 	// Mailbox slot indices of succ/pred in Env.Neighbors order, -1 when the
-	// vertex is not actually adjacent (then the engine drops the send, as
-	// the map path would).
+	// vertex is not actually adjacent (then nothing is sent that way).
 	succSlot, predSlot int
 }
 
-var _ round.DenseProcess = (*ColeVishkin)(nil)
+var _ round.Process = (*ColeVishkin)(nil)
 
 // Init implements round.Process.
 func (p *ColeVishkin) Init(env round.Env) {
 	p.id = env.ID
 	p.n = env.N
-	p.succ = (env.ID + 1) % env.N
-	p.pred = (env.ID - 1 + env.N) % env.N
+	succ := (env.ID + 1) % env.N
+	pred := (env.ID - 1 + env.N) % env.N
 	p.color = env.ID
 	p.cvRounds = CVIterations(env.N)
 	p.done = false
 	p.rounds = 0
 	p.succSlot, p.predSlot = -1, -1
 	for k, nb := range env.Neighbors {
-		if nb == p.succ {
+		if nb == succ {
 			p.succSlot = k
 		}
-		if nb == p.pred {
+		if nb == pred {
 			p.predSlot = k
 		}
 	}
@@ -57,48 +55,8 @@ func (p *ColeVishkin) Init(env round.Env) {
 
 // Send implements round.Process. During the bit-trick phase a process sends
 // its color to its successor only; during the 6→3 reduction it sends to
-// both neighbors.
-func (p *ColeVishkin) Send(r int) round.Outbox {
-	if r <= p.cvRounds {
-		return round.Outbox{p.succ: p.color}
-	}
-	return round.Outbox{p.succ: p.color, p.pred: p.color}
-}
-
-// Compute implements round.Process.
-func (p *ColeVishkin) Compute(r int, in round.Inbox) bool {
-	p.rounds = r
-	if r <= p.cvRounds {
-		prevRaw, ok := in[p.pred]
-		if !ok {
-			// Adversary-free model: this cannot happen on a ring; keep the
-			// color unchanged to stay safe if it does.
-			return false
-		}
-		prev := prevRaw.(int)
-		p.color = cvStep(p.color, prev)
-		return false
-	}
-	// Reduction rounds: eliminate color (5, then 4, then 3).
-	target := 5 - (r - p.cvRounds - 1)
-	if p.color == target {
-		used := make(map[int]bool, 2)
-		for _, m := range in {
-			used[m.(int)] = true
-		}
-		for c := 0; c < 3; c++ {
-			if !used[c] {
-				p.color = c
-				break
-			}
-		}
-	}
-	return r == p.cvRounds+3
-}
-
-// DenseSend implements round.DenseProcess; it mirrors Send on the engine's
-// slice mailboxes, boxing the color once per round.
-func (p *ColeVishkin) DenseSend(r int, out round.DenseOutbox) {
+// both neighbors. The color is boxed once per round.
+func (p *ColeVishkin) Send(r int, out round.Outbox) {
 	m := round.Message(p.color)
 	if p.succSlot >= 0 {
 		out.Put(p.succSlot, m)
@@ -108,8 +66,8 @@ func (p *ColeVishkin) DenseSend(r int, out round.DenseOutbox) {
 	}
 }
 
-// DenseCompute implements round.DenseProcess; it mirrors Compute.
-func (p *ColeVishkin) DenseCompute(r int, in round.DenseInbox) bool {
+// Compute implements round.Process.
+func (p *ColeVishkin) Compute(r int, in round.Inbox) bool {
 	p.rounds = r
 	if r <= p.cvRounds {
 		if p.predSlot < 0 {
@@ -124,6 +82,7 @@ func (p *ColeVishkin) DenseCompute(r int, in round.DenseInbox) bool {
 		p.color = cvStep(p.color, prevRaw.(int))
 		return false
 	}
+	// Reduction rounds: eliminate color (5, then 4, then 3).
 	target := 5 - (r - p.cvRounds - 1)
 	if p.color == target {
 		var used [3]bool

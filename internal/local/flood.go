@@ -17,8 +17,7 @@ import (
 // itself.
 //
 // Knowledge lives in a knowset.Set, whose shared-prefix payloads make a
-// round's sends allocation-free; Flood implements round.DenseProcess to use
-// the engine's slice mailboxes directly.
+// round's sends allocation-free.
 type Flood struct {
 	// Input is this process's private input in_i.
 	Input any
@@ -30,49 +29,27 @@ type Flood struct {
 	Fn func(vector []any) any
 
 	id, n     int
-	neighbors []int
 	known     knowset.Set
 	knewAllAt int // first round at which known covered all n processes; 0 if never
 }
 
-var _ round.DenseProcess = (*Flood)(nil)
+var _ round.Process = (*Flood)(nil)
 
 // Init implements round.Process.
 func (p *Flood) Init(env round.Env) {
 	p.id = env.ID
 	p.n = env.N
-	p.neighbors = env.Neighbors
 	p.known.Reset(p.n, p.id, p.Input)
 	p.knewAllAt = 0
 }
 
 // Send implements round.Process: forward all known pairs to every neighbor.
-func (p *Flood) Send(_ int) round.Outbox {
-	payload := p.known.Payload()
-	out := make(round.Outbox, len(p.neighbors))
-	for _, nb := range p.neighbors {
-		out[nb] = payload
-	}
-	return out
+func (p *Flood) Send(_ int, out round.Outbox) {
+	out.Broadcast(p.known.Payload())
 }
 
 // Compute implements round.Process.
 func (p *Flood) Compute(r int, in round.Inbox) bool {
-	for _, m := range in {
-		if pairs, ok := m.([]knowset.Pair); ok {
-			p.known.Merge(pairs)
-		}
-	}
-	return p.afterRound(r)
-}
-
-// DenseSend implements round.DenseProcess.
-func (p *Flood) DenseSend(_ int, out round.DenseOutbox) {
-	out.Broadcast(p.known.Payload())
-}
-
-// DenseCompute implements round.DenseProcess.
-func (p *Flood) DenseCompute(r int, in round.DenseInbox) bool {
 	for k := 0; k < in.Deg(); k++ {
 		if m := in.At(k); m != nil {
 			if pairs, ok := m.([]knowset.Pair); ok {
@@ -80,10 +57,6 @@ func (p *Flood) DenseCompute(r int, in round.DenseInbox) bool {
 			}
 		}
 	}
-	return p.afterRound(r)
-}
-
-func (p *Flood) afterRound(r int) bool {
 	if p.knewAllAt == 0 && p.known.Complete() {
 		p.knewAllAt = r
 	}

@@ -18,10 +18,8 @@ import (
 type MISRing struct {
 	cv *ColeVishkin
 
-	id        int
-	neighbors []int
-	colored   bool
-	cvRounds  int
+	colored  bool
+	cvRounds int
 
 	phase2Round int // 0,1,2 = color-class rounds
 	inMIS       bool
@@ -49,21 +47,16 @@ func NewMISRing(n int) []round.Process {
 
 // Init implements round.Process.
 func (p *MISRing) Init(env round.Env) {
-	p.id = env.ID
-	p.neighbors = append([]int(nil), env.Neighbors...)
 	p.cv.Init(env)
 }
 
 // Send implements round.Process.
-func (p *MISRing) Send(r int) round.Outbox {
+func (p *MISRing) Send(r int, out round.Outbox) {
 	if !p.colored {
-		return p.cv.Send(r)
+		p.cv.Send(r, out)
+		return
 	}
-	out := make(round.Outbox, len(p.neighbors))
-	for _, nb := range p.neighbors {
-		out[nb] = misFlag{InMIS: p.inMIS}
-	}
-	return out
+	out.Broadcast(misFlag{InMIS: p.inMIS})
 }
 
 // Compute implements round.Process.
@@ -78,8 +71,8 @@ func (p *MISRing) Compute(r int, in round.Inbox) bool {
 	}
 
 	// Phase 2: one round per color class.
-	for _, m := range in {
-		if f, ok := m.(misFlag); ok && f.InMIS {
+	for k := 0; k < in.Deg(); k++ {
+		if f, ok := in.At(k).(misFlag); ok && f.InMIS {
 			p.nbrInMIS = true
 		}
 	}

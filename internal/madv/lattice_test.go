@@ -11,34 +11,29 @@ import (
 // to compare adversary power (it cannot import dynnet — that would be a
 // cycle — so the few lines are restated here).
 type latticeFlood struct {
-	input     any
-	id, n     int
-	neighbors []int
-	known     map[int]any
-	rounds    int
+	input  any
+	id, n  int
+	known  map[int]any
+	rounds int
 }
 
 func (p *latticeFlood) Init(env round.Env) {
 	p.id, p.n = env.ID, env.N
-	p.neighbors = append([]int(nil), env.Neighbors...)
 	p.known = map[int]any{p.id: p.input}
 }
 
-func (p *latticeFlood) Send(int) round.Outbox {
-	out := make(round.Outbox, len(p.neighbors))
+func (p *latticeFlood) Send(_ int, out round.Outbox) {
 	snapshot := make(map[int]any, len(p.known))
 	for k, v := range p.known {
 		snapshot[k] = v
 	}
-	for _, nb := range p.neighbors {
-		out[nb] = snapshot
-	}
-	return out
+	out.Broadcast(snapshot)
 }
 
 func (p *latticeFlood) Compute(r int, in round.Inbox) bool {
-	for _, m := range in {
-		for k, v := range m.(map[int]any) {
+	for i := 0; i < in.Deg(); i++ {
+		m, _ := in.At(i).(map[int]any)
+		for k, v := range m {
 			p.known[k] = v
 		}
 	}

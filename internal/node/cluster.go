@@ -30,15 +30,18 @@ type E2EOptions struct {
 	Keep    bool   // keep artifacts even on success
 }
 
-// Flags registers the shared e2e flags on fs.
-func (o *E2EOptions) Flags(fs *flag.FlagSet) {
-	fs.IntVar(&o.Nodes, "nodes", 5, "cluster size")
-	fs.IntVar(&o.Clients, "clients", 3, "concurrent workload clients")
-	fs.IntVar(&o.Kill, "kill", 2, "nodes to SIGKILL mid-run (must be a minority)")
-	fs.BoolVar(&o.Chaos, "chaos", true, "inject drop/delay/duplicate chaos")
-	fs.BoolVar(&o.Compact, "compact", true, "force journal compaction mid-campaign and assert bounded journals")
+// E2EArgs parses the arguments of a daemon's `e2e` verb — where the
+// artifacts go and whether a passing run keeps them — around the one
+// campaign the verb runs: the default cluster, two nodes SIGKILLed,
+// link chaos and forced compaction. (Tests shape smaller runs through
+// the fields.)
+func E2EArgs(args []string) E2EOptions {
+	o := E2EOptions{Kill: 2, Chaos: true, Compact: true}
+	fs := flag.NewFlagSet("e2e", flag.ExitOnError)
 	fs.StringVar(&o.Dir, "dir", "", "journal/artifact directory (default: temp)")
 	fs.BoolVar(&o.Keep, "keep", false, "keep artifacts on success")
+	fs.Parse(args)
+	return o
 }
 
 // WithDefaults fills the zero fields, refuses a kill set that loses the

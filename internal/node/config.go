@@ -5,9 +5,9 @@
 // exactly once. The state machines are the plug-ins; this is the
 // substrate:
 //
-//   - the cluster file (Config, Tuning): load, validate, write, and the
-//     conversions to clock unit, rsm options, compaction thresholds and
-//     per-sender chaos rules;
+//   - the cluster file (Config): addresses, journal paths and faults —
+//     load (unknown keys refused), validate, write, and the conversion
+//     to per-sender chaos rules;
 //   - the replica bring-up (Start, StartTCP): journal → recovery → TCP →
 //     Chaos → Resilient → Runtime with the Ω suspect wiring, plus the
 //     stat snapshots (NetStats, JournalStats) and the
@@ -25,73 +25,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"distbasics/internal/amp"
-	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
-
-// Tuning is the part of a cluster file that is about the replica stack
-// and not about where the processes live; every daemon's file carries
-// it (basicskv around its per-shard address rows).
-type Tuning struct {
-	// UnitMS is the clock tick length in milliseconds (default 2).
-	UnitMS int `json:"unit_ms,omitempty"`
-	// Pipeline is how many consensus slots may run ballots concurrently
-	// per replica group (default rsm.DefaultPipeline). Slots themselves
-	// are unbounded: instances are allocated lazily and GCed once
-	// delivered.
-	Pipeline int `json:"pipeline,omitempty"`
-	// MaxBatch caps commands packed into one consensus slot (default
-	// rsm.DefaultMaxBatch).
-	MaxBatch int `json:"max_batch,omitempty"`
-	// CompactRecords / CompactBytes are the journal auto-compaction
-	// thresholds: once the active segment passes either one, the node
-	// snapshots its state and truncates the journal behind it. 0 takes
-	// rsm.DefaultCompactRecords / rsm.DefaultCompactBytes; negative
-	// disables that threshold (both negative = unbounded journal).
-	CompactRecords int64 `json:"compact_records,omitempty"`
-	CompactBytes   int64 `json:"compact_bytes,omitempty"`
-}
-
-// Unit returns the configured clock tick duration.
-func (t *Tuning) Unit() time.Duration {
-	if t.UnitMS <= 0 {
-		return transport.DefaultUnit
-	}
-	return time.Duration(t.UnitMS) * time.Millisecond
-}
-
-// rsmOptions returns the proposer tuning options the file carries.
-func (t *Tuning) rsmOptions() []rsm.NodeOption {
-	var opts []rsm.NodeOption
-	if t.Pipeline > 0 {
-		opts = append(opts, rsm.WithPipeline(t.Pipeline))
-	}
-	if t.MaxBatch > 0 {
-		opts = append(opts, rsm.WithMaxBatch(t.MaxBatch))
-	}
-	return opts
-}
-
-// compaction resolves the configured auto-compaction thresholds.
-func (t *Tuning) compaction() (records, bytes int64) {
-	return resolveThreshold(t.CompactRecords, rsm.DefaultCompactRecords),
-		resolveThreshold(t.CompactBytes, rsm.DefaultCompactBytes)
-}
-
-// resolveThreshold maps the file convention (0 = default, negative =
-// off) onto rsm.WithCompaction's (0 = off).
-func resolveThreshold(v, def int64) int64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
 
 // Config is the cluster description shared by every node and the
 // workload driver of a one-group daemon: one entry per node in each
@@ -108,7 +45,14 @@ type Config struct {
 	// Chaos is the fault schedule every node injects on its outbound
 	// links (windows are in clock ticks since that node's boot).
 	Chaos []ChaosConfig `json:"chaos,omitempty"`
-	Tuning
+	// CompactRecords is the journal auto-compaction threshold: once the
+	// active segment holds this many records the node snapshots its
+	// state and truncates the journal behind it. 0 (absent) takes
+	// rsm.DefaultCompactRecords; the kill -9 harness sets 32 so its
+	// SIGKILLs land amid snapshot installs. It is the file's one tuning
+	// key: the clock unit, batching, pipelining, leases and queue policy
+	// are constants of the daemons.
+	CompactRecords int64 `json:"compact_records,omitempty"`
 }
 
 // ChaosConfig is one transport.ChaosRule in JSON form.
@@ -163,14 +107,22 @@ func (c *Config) ChaosRules(sender int) []transport.ChaosRule {
 }
 
 // Load reads the JSON cluster file at path into cfg and validates it.
-// cfg is a *Config or a daemon's own struct around Config or Tuning.
+// cfg is a *Config or a daemon's own struct (around Config or not). A
+// key cfg has no field for is an error naming the key: a misspelt or
+// retired key must not leave the daemon running on another value.
 func Load(path string, cfg interface{ Validate() error }) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, cfg); err != nil {
+	defer f.Close() // only read
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(cfg); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("parse %s: data after the top-level object", path)
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)

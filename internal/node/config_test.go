@@ -5,9 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
 )
 
@@ -20,7 +18,7 @@ func TestConfigRoundTrip(t *testing.T) {
 			{Kind: "drop", Pct: 10, From: 100, Until: 200, Seed: 7},
 			{Kind: "partition", Group: []int{2}},
 		},
-		Tuning: Tuning{UnitMS: 5, Pipeline: 8},
+		CompactRecords: 32,
 	}
 	path := filepath.Join(t.TempDir(), "cluster.json")
 	if err := Write(path, cfg); err != nil {
@@ -30,14 +28,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	if err := Load(path, got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Peers) != 3 || got.Peers[1] != "127.0.0.1:2" || got.UnitMS != 5 || got.Pipeline != 8 {
+	if len(got.Peers) != 3 || got.Peers[1] != "127.0.0.1:2" || got.CompactRecords != 32 {
 		t.Fatalf("round trip mangled config: %+v", got)
-	}
-	if got.Unit() != 5*time.Millisecond {
-		t.Fatalf("unit = %v", got.Unit())
-	}
-	if (&Tuning{}).Unit() != transport.DefaultUnit {
-		t.Fatalf("default unit = %v", (&Tuning{}).Unit())
 	}
 
 	// Per-sender chaos streams must differ (decorrelated faults) while
@@ -82,11 +74,11 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 	}
 }
 
-// queueConfig stands in for basicsjobd's file: Config embedded next to
-// fields of its own.
+// queueConfig stands in for a daemon's file of its own: Config embedded
+// next to other fields.
 type queueConfig struct {
 	Config
-	GraceTicks int `json:"grace_ticks,omitempty"`
+	Queues int `json:"queues,omitempty"`
 }
 
 // TestConfigGolden pins the file format from both sides: the exact
@@ -125,13 +117,13 @@ func TestConfigGolden(t *testing.T) {
 	if bare.Peers[1] != "127.0.0.1:10002" || embedded.Clients[0] != "127.0.0.1:10003" || embedded.Journals[1] != "/tmp/node1.journal" {
 		t.Fatalf("bench document misread: %+v / %+v", bare, embedded)
 	}
-	if r, b := bare.compaction(); r != rsm.DefaultCompactRecords || b != rsm.DefaultCompactBytes || len(bare.rsmOptions()) != 0 {
-		t.Fatalf("absent tuning keys must mean the defaults: %d/%d, %d options", r, b, len(bare.rsmOptions()))
+	if bare.CompactRecords != 0 {
+		t.Fatalf("absent compact_records must read as 0 (the rsm default): %d", bare.CompactRecords)
 	}
 
 	embedded.Chaos = []ChaosConfig{{Kind: "drop", Pct: 10, Seed: 1}}
-	embedded.Tuning = Tuning{UnitMS: 3, Pipeline: 2, MaxBatch: 16, CompactRecords: 32, CompactBytes: -1}
-	embedded.GraceTicks = 400
+	embedded.CompactRecords = 32
+	embedded.Queues = 4
 	const golden = `{
   "peers": [
     "127.0.0.1:10001",
@@ -152,12 +144,8 @@ func TestConfigGolden(t *testing.T) {
       "seed": 1
     }
   ],
-  "unit_ms": 3,
-  "pipeline": 2,
-  "max_batch": 16,
   "compact_records": 32,
-  "compact_bytes": -1,
-  "grace_ticks": 400
+  "queues": 4
 }
 `
 	out := filepath.Join(dir, "out.json")
@@ -175,25 +163,46 @@ func TestConfigGolden(t *testing.T) {
 	if err := Load(out, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.GraceTicks != 400 || back.MaxBatch != 16 || back.Chaos[0].Kind != "drop" || len(back.rsmOptions()) != 2 {
+	if back.Queues != 4 || back.CompactRecords != 32 || back.Chaos[0].Kind != "drop" {
 		t.Fatalf("golden document misread: %+v", back)
 	}
 }
 
-func TestResolveThreshold(t *testing.T) {
-	for _, c := range []struct{ v, def, want int64 }{
-		{0, 1 << 14, 1 << 14}, // absent: the rsm default
-		{-1, 1 << 14, 0},      // negative: off (rsm.WithCompaction's 0)
-		{-1 << 40, 8, 0},
-		{32, 1 << 14, 32},
-		{1, 0, 1},
+// TestLoadRefusesUnknownKeys: a key the target has no field for — one
+// of the tuning keys the cluster files once carried, or a misspelt live
+// one — fails the load with an error naming it, where it used to be
+// dropped and the daemon ran on the default. The documents bench/ and
+// the kill -9 harness write must keep loading.
+func TestLoadRefusesUnknownKeys(t *testing.T) {
+	const addrs = `"peers":["a","b"],"clients":["c","d"],"journals":["",""]`
+	dir := t.TempDir()
+	load := func(doc string) error {
+		path := filepath.Join(dir, "cluster.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(path, &Config{})
+	}
+	for _, doc := range []string{
+		`{` + addrs + `}`, // bench/jobq.go's three keys
+		`{` + addrs + `,"compact_records":32,"chaos":[{"kind":"drop","pct":10,"seed":1}]}`, // E2EOptions.Config
 	} {
-		if got := resolveThreshold(c.v, c.def); got != c.want {
-			t.Errorf("resolveThreshold(%d, %d) = %d, want %d", c.v, c.def, got, c.want)
+		if err := load(doc); err != nil {
+			t.Errorf("%s: %v", doc, err)
 		}
 	}
-	recs, bytes := (&Tuning{CompactRecords: -1, CompactBytes: 4096}).compaction()
-	if recs != 0 || bytes != 4096 {
-		t.Errorf("compaction() = %d, %d", recs, bytes)
+	for _, key := range []string{
+		"unit_ms", "pipeline", "max_batch", "compact_bytes", // node.Tuning's
+		"lease_ttl", "lease_margin", // basicskv's
+		"grace_ticks", "step_ticks", "repropose_ticks", "max_per_worker", "retry_base", "retry_cap", "retry_budget", // basicsjobd's
+		"compact_record", "peer", // misspelt
+	} {
+		err := load(`{` + addrs + `,"` + key + `":1}`)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("key %q: got %v, want an error naming it", key, err)
+		}
+	}
+	if err := load(`{` + addrs + `} {}`); err == nil {
+		t.Error("a second document after the cluster object was accepted")
 	}
 }

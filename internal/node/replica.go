@@ -76,24 +76,27 @@ type Spec struct {
 	Journal string                // journal path; "" = no persistence
 	Seed    int64                 // the Runtime's seed
 	Chaos   []transport.ChaosRule // outbound fault schedule, usually none
+	// CompactRecords is the journal's auto-compaction record threshold;
+	// 0 = rsm.DefaultCompactRecords (see Config.CompactRecords).
+	CompactRecords int64
 }
 
 // StartTCP brings a replica up the way every daemon does: open the
 // journal and turn what it recovered into rsm options (journal,
 // compaction thresholds, and recovery only when there is something to
-// recover), hand those plus the file's proposer tuning to build — which
-// constructs the state machine's rsm.Node around them (rsm.NewNode,
-// jobq.New) and attaches its apply hooks — then listen, wrap in Chaos
-// if the file schedules faults, and start. build also receives the
-// Replica under construction, empty until the runtime starts, for hooks
-// that must re-enter the event loop (r.RT.Do) once events flow.
-func StartTCP(sp Spec, tu *Tuning, clock transport.Clock, build func(r *Replica, opts ...rsm.NodeOption) *rsm.Node) (*Replica, error) {
+// recover), hand those to build — which constructs the state machine's
+// rsm.Node around them (rsm.NewNode, jobq.New) and attaches its apply
+// hooks — then listen, wrap in Chaos if the file schedules faults, and
+// start. build also receives the Replica under construction, empty
+// until the runtime starts, for hooks that must re-enter the event loop
+// (r.RT.Do) once events flow.
+func StartTCP(sp Spec, clock transport.Clock, build func(r *Replica, opts ...rsm.NodeOption) *rsm.Node) (*Replica, error) {
 	// Wire registration must precede both transport traffic and journal
 	// replay; a state machine with wire types of its own registers them
 	// before calling.
 	amp.RegisterWire(transport.Register)
 	rsm.RegisterWire(transport.Register)
-	opts := tu.rsmOptions()
+	var opts []rsm.NodeOption
 	var journal *rsm.FileJournal
 	if sp.Journal != "" {
 		j, rec, err := rsm.OpenFileJournal(sp.Journal)
@@ -101,7 +104,11 @@ func StartTCP(sp Spec, tu *Tuning, clock transport.Clock, build func(r *Replica,
 			return nil, err
 		}
 		journal = j
-		opts = append(opts, rsm.WithJournal(j), rsm.WithCompaction(tu.compaction()))
+		records := sp.CompactRecords
+		if records == 0 {
+			records = rsm.DefaultCompactRecords
+		}
+		opts = append(opts, rsm.WithJournal(j), rsm.WithCompaction(records, rsm.DefaultCompactBytes))
 		if rec.Snap != nil || rec.NextSeq > 0 || len(rec.Accepts) > 0 || len(rec.Decides) > 0 {
 			opts = append(opts, rsm.WithRecovery(rec))
 		}
@@ -132,8 +139,8 @@ func (c *Config) Start(id int, clock transport.Clock, build func(r *Replica, opt
 	}
 	return StartTCP(Spec{
 		Self: id, Peers: c.Peers, Journal: c.Journals[id],
-		Seed: int64(id + 1), Chaos: c.ChaosRules(id),
-	}, &c.Tuning, clock, build)
+		Seed: int64(id + 1), Chaos: c.ChaosRules(id), CompactRecords: c.CompactRecords,
+	}, clock, build)
 }
 
 // Addr returns the TCP transport's listen address.

@@ -130,11 +130,10 @@ func TestStartTCPRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := Spec{Self: 0, Peers: addrs, Journal: filepath.Join(t.TempDir(), "n0.journal"), Seed: 1}
-	tu := &Tuning{UnitMS: 1, CompactRecords: 4}
+	sp := Spec{Self: 0, Peers: addrs, Journal: filepath.Join(t.TempDir(), "n0.journal"), Seed: 1, CompactRecords: 4}
 	start := func() (*Replica, *Waiters[any], int) {
 		w, nopts := &Waiters[any]{}, 0
-		r, err := StartTCP(sp, tu, transport.NewRealClock(tu.Unit()), func(r *Replica, opts ...rsm.NodeOption) *rsm.Node {
+		r, err := StartTCP(sp, transport.NewRealClock(time.Millisecond), func(r *Replica, opts ...rsm.NodeOption) *rsm.Node {
 			if r == nil || r.RT != nil {
 				t.Errorf("build must see the replica under construction, not yet started: %+v", r)
 			}

@@ -3,13 +3,18 @@ package round_test
 // Differential tests of the engine's execution paths, running on the
 // shared scenario harness: the "roundequiv" model executes each seeded
 // workload (Cole–Vishkin ring, TreeFlood under TREE and Drop
-// adversaries, Flood grid) on the dense sequential path, the
-// worker-pool parallel paths, and the legacy map-mailbox shim, and
-// requires byte-identical Results. A second set of tests pins Result
-// fields captured on the original map-churning engine (pre-rewrite), so
-// the rewrite provably changed no observable behavior.
+// adversaries, Flood grid) on the sequential path and the worker-pool
+// parallel paths, and requires byte-identical Results. A second set of
+// tests pins Result fields captured on the original map-churning engine
+// (pre-rewrite), and a third pins what the map-mailbox path (the
+// Send(r) Outbox / Compute(r, Inbox) pair every algorithm carried beside
+// the slot pair until it was deleted) produced, so neither change
+// altered observable behavior.
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"distbasics/internal/dynnet"
@@ -21,17 +26,90 @@ import (
 	"distbasics/internal/scenario/models"
 )
 
+// digest is the first 16 hex digits of sha256 over v's %v rendering.
+func digest(v any) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))[:16]
+}
+
 // TestEngineEquivalence is the seeded property test: for each workload
-// the dense sequential path, the worker-pool parallel path (two pool
-// sizes), and the legacy map-mailbox shim must agree on every Result
-// field. Failures print the exact basicsfuzz replay invocation.
+// the sequential path and the worker-pool parallel path (two pool
+// sizes) must agree on every Result field — and on the digest of the
+// reference Results recorded when the map-mailbox path was still there
+// to agree with. Failures print the exact basicsfuzz replay invocation.
 func TestEngineEquivalence(t *testing.T) {
+	want := []string{
+		"ab3f0e62188cf8ef", "d8a73ec5def557a4", "f7ffef7ecfee53e8",
+		"84b75c87edf1e993", "7e1ddf74febc4d4d", "39b87c97132022ba",
+	}
 	m := &models.RoundEquiv{}
 	for seed := uint64(1); seed <= 6; seed++ {
 		res := m.Run(m.Generate(seed))
 		if res.Failed {
 			scenario.Reportf(t, m.Name(), seed, "engine paths diverge: %s", res.Reason)
 		}
+		if got := digest(strings.Join(res.Trace, "\n")); got != want[seed-1] {
+			scenario.Reportf(t, m.Name(), seed, "Results digest %s, recorded %s", got, want[seed-1])
+		}
+	}
+}
+
+// TestPortedAlgorithmsMatchMapMailboxes pins the two algorithms the
+// seed-engine goldens below do not cover, MISRing and FloodMin, to the
+// Results their map-mailbox Send/Compute produced before they were
+// ported to slots.
+func TestPortedAlgorithmsMatchMapMailboxes(t *testing.T) {
+	check := func(name string, res *round.Result, rounds, sent, delivered int, outputs string) {
+		t.Helper()
+		if got := digest(res.Outputs); res.Rounds != rounds || res.MessagesSent != sent ||
+			res.MessagesDelivered != delivered || got != outputs {
+			t.Errorf("%s: got rounds=%d sent=%d delivered=%d outputs=%s; want %d/%d/%d/%s",
+				name, res.Rounds, res.MessagesSent, res.MessagesDelivered, got, rounds, sent, delivered, outputs)
+		}
+	}
+	for _, c := range []struct {
+		n, rounds, sent int
+		outputs         string
+	}{
+		{5, 6, 60, "5230d4f54471326f"},
+		{64, 9, 960, "02860faa954e76f7"},
+		{1000, 10, 16000, "5cd031d4d22060e9"},
+	} {
+		for _, opts := range [][]round.Option{nil, {round.WithParallelCompute()}} {
+			sys, err := round.NewSystem(graph.Ring(c.n), local.NewMISRing(c.n), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(local.CVIterations(c.n) + 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("mis-ring-%d/%d options", c.n, len(opts)), res, c.rounds, c.sent, c.sent, c.outputs)
+		}
+	}
+	inputs := make([]int, 12)
+	for i := range inputs {
+		inputs[i] = (i*7 + 3) % 12
+	}
+	for _, c := range []struct {
+		name                    string
+		adv                     round.Adversary
+		rounds, sent, delivered int
+		outputs                 string
+	}{
+		{"none", round.None{}, 1, 132, 132, "4eb4da090ba29db6"},
+		{"tournament-seed3", madv.NewTournament(3, 0.25), 1, 132, 75, "8679b8a3f130a264"},
+		{"drop-seed7", madv.NewDrop(7, 0.6), 2, 264, 116, "4eb4da090ba29db6"},
+		{"spanningtree-seed5", madv.NewSpanningTree(5), 3, 396, 66, "c6cf9c4f4a5c74eb"},
+	} {
+		sys, err := round.NewSystem(graph.Complete(12), dynnet.NewFloodMin(inputs, c.rounds)(), round.WithAdversary(c.adv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("floodmin-12-"+c.name, res, c.rounds, c.sent, c.delivered, c.outputs)
 	}
 }
 

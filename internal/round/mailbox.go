@@ -2,16 +2,12 @@ package round
 
 import "sort"
 
-// This file implements the engine's dense mailbox representation. Instead of
-// one Outbox map and one Inbox map per process per round, the engine keeps
-// two flat []Message buffers — one outgoing, one incoming — with one slot per
+// This file implements the engine's mailboxes: two flat []Message buffers —
+// one outgoing, one incoming — with one slot per
 // (process, neighbor) pair, laid out contiguously per process in neighbor
 // order. The buffers are allocated once per System and cleared (memclr)
 // between rounds, so a round's mailbox traffic costs zero allocations.
-//
-// Processes opt into the fast path by implementing DenseProcess; everything
-// else goes through a compatibility shim that translates map Outboxes into
-// slots on send and slots into pooled Inbox maps on receive.
+// Processes read and write their slots through the Outbox and Inbox views.
 
 // topology is the flattened, immutable neighbor layout of the base graph:
 // slot off[i]+k belongs to the k-th neighbor (ascending id order) of vertex
@@ -19,7 +15,6 @@ import "sort"
 // the receive phase can read "what my k-th neighbor sent me" with two array
 // loads and no search.
 type topology struct {
-	n    int
 	off  []int32 // len n+1: slot range of vertex i is off[i]..off[i+1]
 	nbrs []int32 // flattened sorted neighbor ids, len off[n]
 	rev  []int32 // rev[s]: index of the reverse slot within the sender's range
@@ -30,7 +25,7 @@ type topology struct {
 // repeated Runs on one System allocate nothing here; the layout is always
 // recomputed because the base graph may legally change between Runs.
 func buildTopology(nbrOf func(int) []int, n int, old *topology) *topology {
-	t := &topology{n: n}
+	t := &topology{}
 	if old != nil && cap(old.off) >= n+1 {
 		t.off = old.off[:n+1]
 	} else {
@@ -66,17 +61,6 @@ func buildTopology(nbrOf func(int) []int, n int, old *topology) *topology {
 	return t
 }
 
-// slotOf returns the slot index of neighbor dst within vertex i's range, or
-// -1 if dst is not a neighbor of i.
-func (t *topology) slotOf(i, dst int) int32 {
-	row := t.nbrs[t.off[i]:t.off[i+1]]
-	k := searchInt32(row, int32(dst))
-	if k < 0 {
-		return -1
-	}
-	return t.off[i] + int32(k)
-}
-
 func searchInt32(s []int32, v int32) int {
 	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
 	if i < len(s) && s[i] == v {
@@ -85,50 +69,26 @@ func searchInt32(s []int32, v int32) int {
 	return -1
 }
 
-// nilMessage stands in for an explicit nil payload sent through the map
-// shim, where a nil slot means "no message". It is unwrapped before any
-// process sees it, so legacy semantics — a nil-valued Outbox entry counts as
-// a sent (and deliverable) message — are preserved exactly.
-var nilMessage Message = &struct{}{}
-
-// DenseProcess is an optional extension of Process that exchanges messages
-// through the engine's dense mailboxes directly, skipping the per-round map
-// shim entirely. Slot k of both boxes corresponds to Env.Neighbors[k] (the
-// sorted neighbor order the process received at Init).
-//
-// A process implementing DenseProcess must keep its Send/Compute methods
-// behaviorally identical to DenseSend/DenseCompute: the engine may use
-// either pair (WithMapMailboxes forces the map pair), and the differential
-// tests in this package run both and require identical Results.
-type DenseProcess interface {
-	Process
-	// DenseSend writes this round's outgoing messages into out. Leaving a
-	// slot nil means no message to that neighbor; writing nil is a no-op.
-	DenseSend(r int, out DenseOutbox)
-	// DenseCompute consumes this round's inbox. The inbox (and any slot
-	// read from it) is only valid until DenseCompute returns.
-	DenseCompute(r int, in DenseInbox) (halt bool)
-}
-
-// DenseOutbox is a view of one process's outgoing mailbox slots for one
-// round. The zero value is an empty outbox.
-type DenseOutbox struct {
+// Outbox is a view of one process's outgoing mailbox slots for one round:
+// slot k goes to Env.Neighbors[k], so a process can only address its
+// neighbors in the base graph. The zero value is an empty outbox.
+type Outbox struct {
 	slots []Message
 }
 
 // Deg returns the number of slots (the process's degree).
-func (o DenseOutbox) Deg() int { return len(o.slots) }
+func (o Outbox) Deg() int { return len(o.slots) }
 
 // Put stores the message for neighbor k (the k-th entry of Env.Neighbors).
 // A nil message is ignored: nil slots mean "no message".
-func (o DenseOutbox) Put(k int, m Message) {
+func (o Outbox) Put(k int, m Message) {
 	if m != nil {
 		o.slots[k] = m
 	}
 }
 
 // Broadcast stores the same message in every slot.
-func (o DenseOutbox) Broadcast(m Message) {
+func (o Outbox) Broadcast(m Message) {
 	if m == nil {
 		return
 	}
@@ -137,25 +97,22 @@ func (o DenseOutbox) Broadcast(m Message) {
 	}
 }
 
-// DenseInbox is a read-only view of one process's delivered messages for one
-// round. The zero value is an empty inbox.
-type DenseInbox struct {
+// Inbox is a read-only view of one process's delivered messages for one
+// round, after adversary filtering; slot k holds what Env.Neighbors[k] sent.
+// The engine reuses the slots across rounds: an Inbox (and any slot read
+// from it) is only valid until the Compute call it was passed to returns.
+// The zero value is an empty inbox.
+type Inbox struct {
 	slots []Message
 	nbrs  []int32
 }
 
 // Deg returns the number of slots (the process's degree).
-func (in DenseInbox) Deg() int { return len(in.slots) }
+func (in Inbox) Deg() int { return len(in.slots) }
 
 // At returns the message received from neighbor k, or nil if none was
 // delivered this round.
-func (in DenseInbox) At(k int) Message {
-	m := in.slots[k]
-	if m == nilMessage {
-		return nil
-	}
-	return m
-}
+func (in Inbox) At(k int) Message { return in.slots[k] }
 
 // Sender returns the process id behind slot k (equal to Env.Neighbors[k]).
-func (in DenseInbox) Sender(k int) int { return int(in.nbrs[k]) }
+func (in Inbox) Sender(k int) int { return int(in.nbrs[k]) }

@@ -18,16 +18,13 @@
 //
 //   - Pooled dense mailboxes. All outboxes (and all inboxes) live in one
 //     flat []Message buffer with a slot per (process, neighbor) pair,
-//     allocated once per System and memclr'd between rounds. Processes that
-//     implement DenseProcess read and write slots directly; plain Process
-//     implementations are bridged by a shim that translates their Outbox
-//     maps into slots and materializes pooled, reused Inbox maps at compute
-//     time. An Inbox (or DenseInbox) is only valid for the duration of the
-//     Compute call that receives it.
+//     allocated once per System and memclr'd between rounds. Processes
+//     read and write their slots through the Outbox and Inbox views; an
+//     Inbox is only valid for the duration of the Compute call that
+//     receives it.
 //
 //   - Cached adversary digraphs. Under the default None adversary the
-//     engine skips graph construction and arc checks entirely (the full
-//     symmetric digraph is built at most once, for tracing). Other
+//     engine skips graph construction and arc checks entirely. Other
 //     adversaries are consulted every round; package madv's adversaries
 //     reuse a scratch Digraph (see graph.Digraph.Reset) instead of
 //     reallocating one.
@@ -42,17 +39,17 @@
 //     is still consulted so that seeded adversaries consume the same
 //     random stream regardless of traffic).
 //
-// # Running the experiment benchmarks
+// There are two execution paths, sequential and worker-pool, and one
+// mailbox; TestEngineMatchesSeedEngine pins Results recorded on the original
+// engine and the roundequiv scenario model holds the two paths to each
+// other.
 //
-// The repository-level bench_test.go drives this engine for experiments E1
+// # Running the experiments
+//
+// cmd/basicsbench re-derives the paper's claims for experiments E1
 // (Cole–Vishkin ring coloring), E2 (TREE-adversary dissemination) and E3
-// (TOUR separation):
-//
-//	go test -bench 'BenchmarkE[123]' -benchmem .
-//
-// and cmd/basicsbench re-derives the paper's claims from the same engine
-// (go run ./cmd/basicsbench -run E1,E2,E3; add -json BENCH_round.json for a
-// machine-readable metrics dump).
+// (TOUR separation) from this engine (go run ./cmd/basicsbench -run
+// E1,E2,E3), and bench/ times it (round.ns_per_proc_round).
 package round
 
 import (
@@ -66,22 +63,10 @@ import (
 // concrete types; the engine never inspects payloads.
 type Message any
 
-// Outbox maps a destination process id to the message sent to it during the
-// send phase. Destinations that are not neighbors in the base graph are
-// ignored by the engine (a process can only talk to its neighbors).
-type Outbox map[int]Message
-
-// Inbox maps a sender process id to the message received from it during the
-// receive phase, after adversary filtering. The engine reuses Inbox maps
-// across rounds: an Inbox is only valid until the Compute call it was passed
-// to returns, and must not be retained.
-type Inbox map[int]Message
-
 // Env describes a process's static local environment: its identity, the
 // total number of processes, and its neighborhood in the base graph. Per the
 // model, a process initially knows only this plus its own input. Neighbors
-// is sorted ascending; its order defines the slot layout seen by
-// DenseProcess implementations.
+// is sorted ascending; its order defines the slot layout of Outbox and Inbox.
 type Env struct {
 	ID        int
 	N         int
@@ -96,7 +81,10 @@ type Env struct {
 // receives none) and its Output is final.
 type Process interface {
 	Init(env Env)
-	Send(r int) Outbox
+	// Send writes this round's outgoing messages into out. Leaving a slot
+	// nil means no message to that neighbor.
+	Send(r int, out Outbox)
+	// Compute consumes this round's inbox.
 	Compute(r int, in Inbox) (halt bool)
 	Output() any
 }
@@ -144,9 +132,8 @@ type Result struct {
 	HaltRound []int
 	// MessagesSent counts messages passed to the engine over all rounds
 	// (before adversary suppression); MessagesDelivered counts those
-	// actually delivered. A message addressed to a non-neighbor is not
-	// counted at all; a message addressed to a halted neighbor counts as
-	// sent but is never delivered.
+	// actually delivered. A message addressed to a halted neighbor counts
+	// as sent but is never delivered.
 	MessagesSent      int
 	MessagesDelivered int
 }
@@ -179,21 +166,6 @@ func WithWorkers(k int) Option {
 	}
 }
 
-// WithMapMailboxes forces every process — including DenseProcess
-// implementations — through the legacy map-based Outbox/Inbox shim. This
-// exists for differential testing of the two mailbox paths; it is never
-// faster.
-func WithMapMailboxes() Option {
-	return func(s *System) { s.forceMap = true }
-}
-
-// WithTrace installs a per-round callback invoked after each round's
-// delivery with the round number and the adversary graph used. The digraph
-// is only valid during the callback (adversaries may reuse it).
-func WithTrace(fn func(r int, g *graph.Digraph)) Option {
-	return func(s *System) { s.trace = fn }
-}
-
 // System is a synchronous system SMPn[adv:AD]: a base graph, one Process
 // per vertex, and a message adversary.
 type System struct {
@@ -202,21 +174,16 @@ type System struct {
 	adv      Adversary
 	parallel bool
 	workers  int
-	forceMap bool
-	trace    func(r int, g *graph.Digraph)
 
 	// Engine state. The topology is recomputed at the start of every Run
 	// (the base graph may change between Runs) but all slices below are
 	// allocated once and reused, so repeated Runs — and every round within
 	// one — allocate nothing here.
-	topo     *topology
-	dense    []DenseProcess // dense[i] non-nil iff procs[i] takes the fast path
-	outBuf   []Message      // flat outgoing slots, indexed by topo layout
-	inBuf    []Message      // flat incoming slots
-	legacyIn []Inbox        // pooled inbox maps for shim processes
-	halted   []bool
-	haltNow  []bool
-	fullG    *graph.Digraph // cached adv:∅ digraph, built only when traced
+	topo    *topology
+	outBuf  []Message // flat outgoing slots, indexed by topo layout
+	inBuf   []Message // flat incoming slots
+	halted  []bool
+	haltNow []bool
 }
 
 // ErrSize is returned when the process slice does not match the graph.
@@ -240,14 +207,6 @@ func NewSystem(base *graph.Graph, procs []Process, opts ...Option) (*System, err
 	s := &System{base: base, procs: procs, adv: None{}, workers: defaultWorkers()}
 	for _, o := range opts {
 		o(s)
-	}
-	s.dense = make([]DenseProcess, len(procs))
-	if !s.forceMap {
-		for i, p := range procs {
-			if dp, ok := p.(DenseProcess); ok {
-				s.dense[i] = dp
-			}
-		}
 	}
 	return s, nil
 }
@@ -303,19 +262,9 @@ func (s *System) Run(maxRounds int) (*Result, error) {
 		// stream.
 		var gr *graph.Digraph
 		full := advIsNone
-		if advIsNone {
-			if s.trace != nil {
-				if s.fullG == nil {
-					s.fullG = graph.DigraphFromGraph(s.base)
-				}
-				gr = s.fullG
-			}
-		} else {
+		if !advIsNone {
 			gr = s.adv.Graph(r, s.base, s.procs)
 			full = gr == nil
-		}
-		if s.trace != nil {
-			s.trace(r, gr)
 		}
 
 		// Receive phase: deliver surviving messages into incoming slots.
@@ -379,16 +328,14 @@ func (s *System) prepare(n int) {
 	if len(s.halted) != n {
 		s.halted = make([]bool, n)
 		s.haltNow = make([]bool, n)
-		s.legacyIn = make([]Inbox, n)
 	} else {
 		clear(s.halted)
 		clear(s.haltNow)
 	}
-	s.fullG = nil
 }
 
 // sendRange runs the send phase for vertices [lo, hi) and returns the number
-// of messages accepted (addressed to base-graph neighbors).
+// of messages sent.
 func (s *System) sendRange(r, lo, hi int) int {
 	t := s.topo
 	sent := 0
@@ -396,30 +343,12 @@ func (s *System) sendRange(r, lo, hi int) int {
 		if s.halted[i] {
 			continue
 		}
-		if dp := s.dense[i]; dp != nil {
-			slots := s.outBuf[t.off[i]:t.off[i+1]]
-			dp.DenseSend(r, DenseOutbox{slots: slots})
-			for _, m := range slots {
-				if m != nil {
-					sent++
-				}
+		slots := s.outBuf[t.off[i]:t.off[i+1]]
+		s.procs[i].Send(r, Outbox{slots: slots})
+		for _, m := range slots {
+			if m != nil {
+				sent++
 			}
-			continue
-		}
-		out := s.procs[i].Send(r)
-		for dst, m := range out {
-			if dst < 0 || dst >= t.n {
-				continue
-			}
-			slot := t.slotOf(i, dst)
-			if slot < 0 {
-				continue
-			}
-			if m == nil {
-				m = nilMessage
-			}
-			s.outBuf[slot] = m
-			sent++
 		}
 	}
 	return sent
@@ -458,27 +387,7 @@ func (s *System) computeRange(r, lo, hi int) {
 		if s.halted[i] {
 			continue
 		}
-		slots := s.inBuf[t.off[i]:t.off[i+1]]
-		if dp := s.dense[i]; dp != nil {
-			s.haltNow[i] = dp.DenseCompute(r, DenseInbox{slots: slots, nbrs: t.nbrs[t.off[i]:t.off[i+1]]})
-			continue
-		}
-		in := s.legacyIn[i]
-		if in == nil {
-			in = make(Inbox, len(slots))
-			s.legacyIn[i] = in
-		} else {
-			clear(in)
-		}
-		for k, m := range slots {
-			if m == nil {
-				continue
-			}
-			if m == nilMessage {
-				m = nil
-			}
-			in[int(t.nbrs[t.off[i]+int32(k)])] = m
-		}
-		s.haltNow[i] = s.procs[i].Compute(r, in)
+		from, to := t.off[i], t.off[i+1]
+		s.haltNow[i] = s.procs[i].Compute(r, Inbox{slots: s.inBuf[from:to], nbrs: t.nbrs[from:to]})
 	}
 }

@@ -14,8 +14,8 @@ import (
 // RoundEquiv is the differential model for the synchronous round
 // engine's execution paths: for each seeded workload (Cole–Vishkin on a
 // ring, TreeFlood under TREE and Drop adversaries, Flood on a grid) the
-// dense sequential path, the worker-pool parallel paths, and the legacy
-// map-mailbox shim must produce identical Results.
+// sequential path and the worker-pool parallel paths must produce
+// identical Results.
 type RoundEquiv struct{}
 
 // Name implements scenario.Model.
@@ -113,8 +113,6 @@ func (*RoundEquiv) Run(sc *scenario.Scenario) *scenario.Result {
 	}{
 		{"parallel", []round.Option{round.WithParallelCompute()}},
 		{"parallel-2workers", []round.Option{round.WithParallelCompute(), round.WithWorkers(2)}},
-		{"map-mailboxes", []round.Option{round.WithMapMailboxes()}},
-		{"map-parallel", []round.Option{round.WithMapMailboxes(), round.WithParallelCompute()}},
 	}
 	for _, rs := range roundScenarios(sc.Seed) {
 		ref, err := runRoundScenario(rs)

@@ -1,51 +1,26 @@
 package scenario
 
-// Rand is the harness's deterministic pseudo-random source: SplitMix64,
-// the same generator the amp simulator uses for per-process streams. It
-// is owned by this package (rather than math/rand) so that scenario
-// generation is a stable function of the seed independent of the
-// standard library's generator evolution, and so that independent
-// sub-streams can be derived for fault events without consuming the
-// parent stream.
-type Rand struct{ state uint64 }
+import "distbasics/internal/splitmix"
 
-// NewRand returns a generator seeded with seed.
-func NewRand(seed uint64) *Rand {
-	// Pre-mix so nearby seeds (1, 2, 3, ... campaign seeds) produce
-	// uncorrelated streams.
-	r := &Rand{state: seed ^ 0x9e3779b97f4a7c15}
-	r.Uint64()
-	return r
-}
+// Rand is the harness's deterministic pseudo-random source: the
+// repository's SplitMix64 (package splitmix) with the draws scenario
+// generation needs, and independent sub-streams that can be derived for
+// fault events without consuming the parent stream.
+type Rand struct{ splitmix.Source }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// NewRand returns a generator seeded with seed (pre-mixed, so nearby
+// campaign seeds produce uncorrelated streams).
+func NewRand(seed uint64) *Rand { return &Rand{splitmix.New(seed)} }
 
 // Derive returns an independent sub-stream identified by stream; the
 // parent's state is not consumed.
 func (r *Rand) Derive(stream uint64) *Rand {
-	return NewRand(r.state ^ (stream+1)*0xbf58476d1ce4e5b9)
-}
-
-// Intn returns a uniform int in [0, n). n must be > 0.
-func (r *Rand) Intn(n int) int {
-	return int(r.Uint64() % uint64(n))
+	return NewRand(r.State() ^ (stream+1)*0xbf58476d1ce4e5b9)
 }
 
 // Int63n returns a uniform int64 in [0, n). n must be > 0.
 func (r *Rand) Int63n(n int64) int64 {
 	return int64(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"distbasics/internal/amp"
+	"distbasics/internal/splitmix"
 )
 
 // Chaos is a wrapping transport that perturbs outbound frames from a
@@ -68,34 +69,14 @@ type ChaosRule struct {
 type chaosRule struct {
 	ChaosRule
 	member map[int]bool
-	rng    splitMix64
+	rng    splitmix.Source
 }
-
-// splitMix64 is the same generator the scenario harness uses, local so
-// chaos verdicts are stable regardless of math/rand evolution.
-type splitMix64 struct{ state uint64 }
-
-func newSplitMix64(seed int64) splitMix64 {
-	s := splitMix64{state: uint64(seed) ^ 0x9e3779b97f4a7c15}
-	s.next()
-	return s
-}
-
-func (s *splitMix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitMix64) intn(n int) int { return int(s.next() % uint64(n)) }
 
 // NewChaos wraps inner with the given rule schedule.
 func NewChaos(inner Transport, clock Clock, rules ...ChaosRule) *Chaos {
 	c := &Chaos{inner: inner, clock: clock}
 	for _, r := range rules {
-		cr := &chaosRule{ChaosRule: r, rng: newSplitMix64(r.Seed)}
+		cr := &chaosRule{ChaosRule: r, rng: splitmix.New(uint64(r.Seed))}
 		if len(r.Group) > 0 {
 			cr.member = make(map[int]bool, len(r.Group))
 			for _, p := range r.Group {
@@ -140,7 +121,7 @@ func (c *Chaos) Send(to int, frame []byte) error {
 		}
 		switch r.Kind {
 		case ChaosDrop:
-			if !drop && r.rng.intn(100) < r.Pct {
+			if !drop && r.rng.Intn(100) < r.Pct {
 				drop = true
 			}
 		case ChaosPartition:
@@ -152,11 +133,11 @@ func (c *Chaos) Send(to int, frame []byte) error {
 				drop = true
 			}
 		case ChaosDelay:
-			if r.Pct > 0 && r.rng.intn(2) == 0 {
-				extra += amp.Time(1 + r.rng.intn(r.Pct))
+			if r.Pct > 0 && r.rng.Intn(2) == 0 {
+				extra += amp.Time(1 + r.rng.Intn(r.Pct))
 			}
 		case ChaosDuplicate:
-			if r.rng.intn(100) < r.Pct {
+			if r.rng.Intn(100) < r.Pct {
 				dup = true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"distbasics/internal/amp"
+	"distbasics/internal/splitmix"
 )
 
 // Policy is the shared robustness contract every backend runs under
@@ -75,7 +76,7 @@ func (p Policy) withDefaults() Policy {
 // Backoff returns the jittered backoff delay before retransmission
 // `attempt` (1-based), drawing jitter from rng. Exposed for the policy
 // unit tests.
-func (p Policy) Backoff(attempt int, rng *splitMix64) amp.Time {
+func (p Policy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
 	d := p.RetryBase
 	for i := 1; i < attempt; i++ {
 		d *= 2
@@ -90,7 +91,7 @@ func (p Policy) Backoff(attempt int, rng *splitMix64) amp.Time {
 	if p.JitterPct > 0 {
 		span := int64(d) * int64(p.JitterPct) / 100
 		if span > 0 {
-			d += amp.Time(int64(rng.next()%uint64(2*span+1)) - span)
+			d += amp.Time(int64(rng.Uint64()%uint64(2*span+1)) - span)
 		}
 	}
 	if d < 1 {
@@ -142,7 +143,7 @@ func NewResilient(inner Transport, clock Clock, policy Policy) *Resilient {
 	for i := range r.links {
 		r.links[i] = &link{
 			r: r, peer: i,
-			rng: newSplitMix64(r.policy.Seed ^ int64(inner.Self())<<16 ^ int64(i)),
+			rng: splitmix.New(uint64(r.policy.Seed ^ int64(inner.Self())<<16 ^ int64(i))),
 		}
 	}
 	inner.Handle(r.onFrame)
@@ -264,7 +265,7 @@ type link struct {
 	peer int
 
 	mu          sync.Mutex
-	rng         splitMix64 // private jitter stream
+	rng         splitmix.Source // private jitter stream
 	nextSeq     uint64
 	queue       [][]byte // payloads parked behind inflight/suspicion
 	inflight    []byte   // encoded data frame being retried

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"distbasics/internal/amp"
+	"distbasics/internal/splitmix"
 )
 
 // mockInner is a hand-cranked inner Transport: sends are captured, and
@@ -102,7 +103,7 @@ func nextSendTick(t *testing.T, lb *Loopback, inner *mockInner) amp.Time {
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
 	p := Policy{RetryBase: 10, RetryCap: 80, JitterPct: 1} // jitter span rounds to 0
-	rng := newSplitMix64(7)
+	rng := splitmix.New(7)
 	want := []amp.Time{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
 		got := p.Backoff(i+1, &rng)
@@ -115,7 +116,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 
 func TestBackoffJitterBounds(t *testing.T) {
 	p := Policy{RetryBase: 100, RetryCap: 800, JitterPct: 25}
-	rng := newSplitMix64(42)
+	rng := splitmix.New(42)
 	seen := map[amp.Time]bool{}
 	for attempt := 1; attempt <= 6; attempt++ {
 		base := amp.Time(100 << (attempt - 1))
@@ -138,7 +139,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
 	p := Policy{RetryBase: 20, RetryCap: 400, JitterPct: 25}
-	a, b := newSplitMix64(5), newSplitMix64(5)
+	a, b := splitmix.New(5), splitmix.New(5)
 	for i := 1; i <= 10; i++ {
 		if x, y := p.Backoff(i, &a), p.Backoff(i, &b); x != y {
 			t.Fatalf("same seed diverged at attempt %d: %d vs %d", i, x, y)
