@@ -2,9 +2,9 @@
 //
 // The paper (Raynal, "A Look at Basics of Distributed Computing", ICDCS
 // 2016) is a tutorial with no tables or figures; its evaluation surface
-// is the set of numbered claims inventoried in DESIGN.md as experiments
-// E0–E16 (round complexities, latency bounds in Δ, register counts,
-// consensus numbers, model separations). This command runs each
+// is the set of numbered claims indexed below (and by -list) as
+// experiments E0–E16 (round complexities, latency bounds in Δ, register
+// counts, consensus numbers, model separations). This command runs each
 // experiment and prints a claim-vs-measured row per finding, exiting
 // non-zero if any measurement contradicts its claim.
 //
@@ -29,14 +29,15 @@ type row struct {
 	ok       bool
 }
 
-// experiment is one reproducible claim bundle from DESIGN.md.
+// experiment is one reproducible claim bundle.
 type experiment struct {
 	id    string
 	title string
 	run   func() []row
 }
 
-// experiments is the E0–E16 index (DESIGN.md "Per-experiment index").
+// experiments is the E0–E16 index, what -list prints; the engines the
+// experiments run on are inventoried in the root doc.go, one section each.
 var experiments = []experiment{
 	{"E0", "Figure 1: function vs task (n=1 collapse)", runE0},
 	{"E1", "Cole–Vishkin 3-colors a ring in log*n+3 rounds; flooding needs D", runE1},

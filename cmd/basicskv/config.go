@@ -22,23 +22,17 @@ type Config struct {
 	Journals [][]string `json:"journals,omitempty"`
 }
 
-// Validate checks the shape node.Load accepts: one peer row per shard,
-// all rows as long as the client list, journals (if any) the same shape.
+// Validate checks the shape node.Load accepts: kv.ShardShape's (one
+// peer row per shard, rows of one length, journal rows absent or one per
+// shard) with every row as long as the client list.
 func (c *Config) Validate() error {
-	if c.Shards == 0 {
-		c.Shards = len(c.Peers)
-	}
-	if c.Shards != len(c.Peers) || c.Shards == 0 {
-		return fmt.Errorf("%d shards but %d peer rows", c.Shards, len(c.Peers))
-	}
-	if len(c.Journals) != 0 && len(c.Journals) != c.Shards {
-		return fmt.Errorf("%d journal rows for %d shards", len(c.Journals), c.Shards)
+	var err error
+	if c.Shards, err = kv.ShardShape(c.Shards, c.Peers, len(c.Journals)); err != nil {
+		return err
 	}
 	n := len(c.Clients)
-	for s, row := range c.Peers {
-		if len(row) != n {
-			return fmt.Errorf("shard %d has %d replicas for %d client addrs", s, len(row), n)
-		}
+	if len(c.Peers[0]) != n {
+		return fmt.Errorf("%d replicas per shard for %d client addrs", len(c.Peers[0]), n)
 	}
 	for s, row := range c.Journals {
 		if len(row) != n {

@@ -4,8 +4,9 @@
 // algorithm it cites is an implementation, and every quantitative claim
 // is an experiment.
 //
-// The library lives under internal/ (see DESIGN.md for the inventory);
-// the public surface is the examples/ programs, the cmd/basicsbench
+// The library lives under internal/ (the sections below are its
+// inventory, one per engine; go run ./cmd/basicsbench -list is the
+// experiments'); the public surface is the examples/ programs, the cmd/basicsbench
 // claim-vs-measured harness (experiments E0–E16), the three daemons, and
 // the one benchmark, bench/.
 //
@@ -77,7 +78,7 @@
 // explorer — the FLP impossibility of §2.4/§5.1 made executable —
 // identifies configurations by canonical binary encodings over interned
 // states, explores copy-on-write with undo instead of cloning, and fans
-// its top-level frontier across Options.Workers. Both seed engines
+// the root's branches across Options.Workers. Both seed engines
 // survive (check.LinearizableLegacy, flp.Options.Legacy) as oracles for
 // randomized equivalence property tests: identical verdicts, witness
 // orders, explored-state and configuration counts. Every linearization
@@ -94,13 +95,20 @@
 // instead of all of them — the n=4 consensus-hierarchy rows run at 17x
 // fewer executions (3472 vs 58920 for CAS with three crashes) and
 // wait-majority n=4 at 3x fewer configurations (39425 vs 118357),
-// which is what makes those instances exhaustible at all. The
-// reduction is fenced differentially: randomized program families run
-// under full enumeration, serial DPOR, parallel DPOR, and the legacy
-// engines, requiring identical violation presence, replayable
-// violation schedules, and exact serial/parallel agreement; the fences
-// are mutation-verified by wiring deliberately-wrong dependence
-// relations and requiring the fences to catch them.
+// which is what makes those instances exhaustible at all. In
+// internal/flp the reduction is not a second search: there is one
+// sleep-set search over one mask-carrying seen-table, and full
+// enumeration is that search with nothing put to sleep (see the flp
+// package comment). internal/shm keeps two explorers — the full one
+// holds the seed explorer's child order for the schedule-equality
+// fences, the reduced one runs on the instrumented engine — over one
+// parallel root dispatcher. The reduction is fenced differentially:
+// randomized program families run under full enumeration, serial DPOR,
+// parallel DPOR, and the legacy engines, requiring identical violation
+// presence, replayable violation schedules, and exact serial/parallel
+// agreement; the fences are mutation-verified by wiring
+// deliberately-wrong dependence relations and requiring the fences to
+// catch them.
 //
 // # The scenario harness
 //

@@ -1,41 +1,9 @@
 package flp
 
-// Dynamic partial-order reduction (Options.DPOR) for the configuration
-// search. Deliveries to DIFFERENT processes commute: each changes only
-// its receiver's state, and their sends union into the same in-flight
-// multiset either way. Crashing p commutes with every delivery to q != p
-// and with crashing q (a message sent to an already-crashed process is
-// inert — never deliverable, never consulted — so configurations that
-// differ only by inert messages are observationally equivalent, which is
-// all the reported properties see: Decided, valences, and both violation
-// classes are preserved by extending any execution to completion, and
-// equivalent complete executions share their final configuration).
-// Dependent pairs are exactly: two deliveries to the same process, and a
-// delivery to p versus crash(p).
-//
-// The search therefore keeps two sleep masks per recursion, one of
-// receivers and one of crash targets. Branches are enumerated grouped by
-// receiver; after a group with at least one explored delivery, its
-// receiver goes to sleep for the later groups and the crash branches,
-// and each explored crash goes to sleep for the later crash branches.
-// Descending a branch wakes the dependent entries: a delivery to r wakes
-// crash(r) and — because causally-new messages were not covered by the
-// sleeping receiver's earlier-sibling subtree — every receiver the
-// delivery sends to. Unlike the shm explorer there is no per-execution
-// step budget, so no crash/budget interaction arises; MaxConfigs
-// truncation makes any search a lower bound, DPOR or not.
-//
-// Because the search caches configurations, sleep sets alone are not
-// enough: a configuration first reached with sleep S may be reached
-// again with sleep S' not containing S, and the branches in S \ S' were
-// never explored. The seen table in DPOR mode therefore maps each
-// configuration to the masks it was explored with; a revisit prunes only
-// if the stored masks are a subset of the current ones, and otherwise
-// stores the intersection BEFORE re-exploring (so cycles terminate: the
-// stored masks strictly shrink). Configs counts first visits only, and
-// is identical between serial and parallel DPOR searches — the explored
-// set is the same order-independent fixpoint — but smaller than the full
-// search's count.
+// The search: one depth-first loop over one mutable configuration, one
+// mask-carrying seen-table, one fan-out of the root's branches. See the
+// package comment for the commutation rule and why the table stores
+// masks.
 
 import (
 	"hash/maphash"
@@ -46,89 +14,96 @@ import (
 // dporCovered decides whether a revisited configuration's stored sleep
 // masks cover the current ones (prune) or not (re-explore with the
 // intersection stored).
-var dporCovered = func(stored, cur dporMask) bool { return stored.subset(cur) }
+var dporCovered = func(stored, cur sleepMask) bool { return stored.subset(cur) }
 
 // dporSameReceiverDep gates the one dependence the reduction must never
 // drop: two deliveries to the same process. It is a variable only so the
 // differential fence can mutation-verify itself — flipping it to false
-// makes the search explore a single delivery per receiver group, the
-// textbook-wrong dependence relation, which the fence must catch.
+// makes the reduced search explore a single delivery per receiver group,
+// the textbook-wrong dependence relation, which the fence must catch.
 var dporSameReceiverDep = true
 
-// dporMask is the pair of sleep masks a configuration was explored with.
-type dporMask struct {
+// sleepMask is the pair of sleep masks a configuration is explored with.
+type sleepMask struct {
 	recv  uint64 // receivers whose deliveries are asleep
 	crash uint64 // processes whose crashes are asleep
 }
 
 // subset reports m ⊆ o for both masks.
-func (m dporMask) subset(o dporMask) bool {
+func (m sleepMask) subset(o sleepMask) bool {
 	return m.recv&^o.recv == 0 && m.crash&^o.crash == 0
 }
 
-// sharedSeenD is sharedSeen for DPOR searches: shards map configuration
-// keys to the masks they were explored with.
-type sharedSeenD struct {
-	shards [64]struct {
-		mu sync.Mutex
-		m  map[string]dporMask
-	}
-	count atomic.Int64
+// seenTable maps each explored configuration (by canonical encoding) to
+// the sleep masks it was explored with, and counts first visits against
+// MaxConfigs. A serial search has one shard and never locks it; parallel
+// workers share 64 mutex-guarded ones.
+type seenTable struct {
+	shards []seenShard
+	count  atomic.Int64
+	limit  int64
 }
 
-// visit implements the covered-check / intersection protocol under the
-// shard lock. explore reports whether the caller should (re-)explore the
-// configuration's branches; fresh reports a first visit (counted).
-func (ss *sharedSeenD) visit(key []byte, cur dporMask, limit int) (explore, fresh, truncated bool) {
-	sh := &ss.shards[maphash.Bytes(sharedSeenSeed, key)&63]
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]dporMask)
+type seenShard struct {
+	mu sync.Mutex
+	m  map[string]sleepMask
+}
+
+func newSeenTable(opts Options) *seenTable {
+	shards, limit := 1, opts.MaxConfigs
+	if opts.Workers > 1 {
+		shards = 64
+	}
+	if limit == 0 {
+		limit = DefaultMaxConfigs
+	}
+	st := &seenTable{shards: make([]seenShard, shards), limit: int64(limit)}
+	for i := range st.shards {
+		st.shards[i].m = make(map[string]sleepMask)
+	}
+	return st
+}
+
+var seenTableSeed = maphash.MakeSeed()
+
+// visit reports whether the caller should explore the configuration's
+// branches: on a first visit (counted, unless the budget is exhausted),
+// or on a revisit whose masks the stored ones do not cover — then the
+// intersection is stored BEFORE re-exploring, so cycles terminate.
+func (st *seenTable) visit(key []byte, cur sleepMask) (explore, truncated bool) {
+	sh := &st.shards[0]
+	if len(st.shards) > 1 {
+		sh = &st.shards[maphash.Bytes(seenTableSeed, key)%uint64(len(st.shards))]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
 	}
 	if stored, dup := sh.m[string(key)]; dup {
 		if dporCovered(stored, cur) {
-			sh.mu.Unlock()
-			return false, false, false
+			return false, false
 		}
-		sh.m[string(key)] = dporMask{stored.recv & cur.recv, stored.crash & cur.crash}
-		sh.mu.Unlock()
-		return true, false, false
+		sh.m[string(key)] = sleepMask{stored.recv & cur.recv, stored.crash & cur.crash}
+		return true, false
 	}
 	sh.m[string(key)] = cur
-	sh.mu.Unlock()
-	if ss.count.Add(1) > int64(limit) {
-		return false, false, true
+	if st.count.Add(1) > st.limit {
+		return false, true
 	}
-	return true, true, false
+	return true, false
 }
 
-// visitD is visit under sleep-set pruning: sr and sc are the sleep masks
-// at this configuration.
-func (e *explorer) visitD(sr, sc uint64) {
-	cur := dporMask{recv: sr, crash: sc}
-	if e.sharedD != nil {
-		explore, _, truncated := e.sharedD.visit(e.configKey(), cur, e.limit)
-		if truncated {
-			e.rep.Truncated = true
-		}
-		if !explore {
-			return
-		}
-	} else {
-		key := e.configKey()
-		if stored, dup := e.dporSeen[string(key)]; dup {
-			if dporCovered(stored, cur) {
-				return
-			}
-			e.dporSeen[string(key)] = dporMask{stored.recv & cur.recv, stored.crash & cur.crash}
-		} else {
-			if e.configs >= e.limit {
-				e.rep.Truncated = true
-				return
-			}
-			e.dporSeen[string(key)] = cur
-			e.configs++
-		}
+// configs is the number of configurations counted, capped at the budget.
+func (st *seenTable) configs() int {
+	return int(min(st.count.Load(), st.limit))
+}
+
+// visit explores the current configuration with the given sleep masks.
+func (e *explorer) visit(sleep sleepMask) {
+	explore, truncated := e.seen.visit(e.configKey(), sleep)
+	if truncated {
+		e.rep.Truncated = true
+	}
+	if !explore {
+		return
 	}
 
 	// Record decisions and check agreement among live, awake processes
@@ -157,6 +132,7 @@ func (e *explorer) visitD(sr, sc uint64) {
 	}
 
 	if quiet {
+		// Complete execution: every correct process must have decided.
 		if e.rep.TerminationViolation == "" {
 			for pid := 0; pid < e.n; pid++ {
 				bit := uint64(1) << uint(pid)
@@ -177,49 +153,50 @@ func (e *explorer) visitD(sr, sc uint64) {
 		return
 	}
 
-	// Deliveries, grouped by receiver; each explored group's receiver
-	// goes to sleep for the groups and crash branches after it.
-	var accum uint64
+	// Deliveries, grouped by receiver. Under DPOR a receiver with an
+	// explored delivery goes to sleep for the groups and crashes after it.
 	for r := 0; r < e.n; r++ {
 		bit := uint64(1) << uint(r)
-		if e.crashedMask&bit != 0 || (sr|accum)&bit != 0 {
+		if (e.crashedMask|sleep.recv)&bit != 0 {
 			continue
 		}
 		delivered := false
 		for i := 0; i < len(e.buf); i++ {
-			if int(e.buf[i].to) != r {
-				continue
+			if int(e.buf[i].to) != r || (e.asleepMask&bit != 0 && !e.buf[i].wake) {
+				continue // protocol messages wait until the target wakes
 			}
-			if e.asleepMask&bit != 0 && !e.buf[i].wake {
-				continue
-			}
-			e.deliverAtD(i, sr|accum, sc)
+			e.deliverAt(i, sleep)
 			delivered = true
-			if !dporSameReceiverDep {
+			if e.dpor && !dporSameReceiverDep {
 				break
 			}
 		}
-		if delivered {
-			accum |= bit
+		if delivered && e.dpor {
+			sleep.recv |= bit
 		}
 	}
 
-	// Crashes; each explored crash goes to sleep for the ones after it.
-	if e.crashes < e.maxCrashes {
-		for pid := 0; pid < e.n; pid++ {
-			bit := uint64(1) << uint(pid)
-			if e.crashedMask&bit != 0 || sc&bit != 0 {
-				continue
-			}
-			e.crashBranchD(pid, (sr|accum)&^bit, sc)
-			sc |= bit
+	// Crashes (budget permitting). Under DPOR an explored crash goes to
+	// sleep for the crashes after it.
+	if e.crashes >= e.maxCrashes {
+		return
+	}
+	for pid := 0; pid < e.n; pid++ {
+		bit := uint64(1) << uint(pid)
+		if (e.crashedMask|sleep.crash)&bit != 0 {
+			continue
+		}
+		e.crashBranch(pid, sleep)
+		if e.dpor {
+			sleep.crash |= bit
 		}
 	}
 }
 
-// deliverAtD is deliverAt recursing through visitD: the delivery wakes
-// the receiver's crash entry and every receiver it sends to.
-func (e *explorer) deliverAtD(i int, sr, sc uint64) {
+// deliverAt delivers buffer message i, recurses, and restores the
+// configuration exactly — no clone. The delivery wakes what depends on
+// it: the receiver's crash, and every receiver it sends to.
+func (e *explorer) deliverAt(i int, sleep sleepMask) {
 	m := e.buf[i]
 	last := len(e.buf) - 1
 	e.buf[i] = e.buf[last]
@@ -238,13 +215,15 @@ func (e *explorer) deliverAtD(i int, sr, sc uint64) {
 		s, outs = e.proto.Deliver(to, oldState, int(m.from), m.body)
 	}
 	e.setState(to, s)
-	var sends uint64
+	sleep.crash &^= 1 << uint(to)
 	for _, o := range outs {
 		e.buf = append(e.buf, e.newMsg(to, o.To, o.Body, false))
-		sends |= 1 << uint(o.To)
+		sleep.recv &^= 1 << uint(o.To)
 	}
-	e.visitD(sr&^sends, sc&^(1<<uint(to)))
 
+	e.visit(sleep)
+
+	// Undo: drop the sends, put m back where it was.
 	e.buf = e.buf[:last+1]
 	e.buf[last] = e.buf[i]
 	e.buf[i] = m
@@ -254,11 +233,11 @@ func (e *explorer) deliverAtD(i int, sr, sc uint64) {
 	}
 }
 
-// crashBranchD is crashBranch recursing through visitD. Crash/crash and
-// crash/delivery-to-others pairs are independent, so the masks pass
-// through unchanged (the caller already cleared the crashed pid's
-// receiver bit).
-func (e *explorer) crashBranchD(pid int, sr, sc uint64) {
+// crashBranch crashes pid (discarding its pending messages), recurses,
+// and restores the configuration from a pooled snapshot. A crash
+// commutes with other crashes and with deliveries to other processes,
+// so the masks pass through, minus the receiver that no longer exists.
+func (e *explorer) crashBranch(pid int, sleep sleepMask) {
 	var save []emsg
 	if k := len(e.scratch); k > 0 {
 		save, e.scratch = e.scratch[k-1][:0], e.scratch[:k-1]
@@ -274,8 +253,9 @@ func (e *explorer) crashBranchD(pid int, sr, sc uint64) {
 	e.buf = kept
 	e.crashedMask |= 1 << uint(pid)
 	e.crashes++
+	sleep.recv &^= 1 << uint(pid)
 
-	e.visitD(sr, sc)
+	e.visit(sleep)
 
 	e.crashes--
 	e.crashedMask &^= 1 << uint(pid)
@@ -283,85 +263,45 @@ func (e *explorer) crashBranchD(pid int, sr, sc uint64) {
 	e.scratch = append(e.scratch, save)
 }
 
-// exploreDPOR drives a DPOR search, serial or parallel.
-func exploreDPOR(proto Protocol, inputs []int, opts Options) Report {
-	if opts.Workers > 1 {
-		return exploreParallelDPOR(proto, inputs, opts)
-	}
-	e := newExplorer(proto, inputs, opts, nil, nil)
-	e.dporSeen = make(map[string]dporMask)
-	e.visitD(0, 0)
-	e.rep.Configs = e.configs
-	return *e.rep
-}
-
-// exploreParallelDPOR mirrors exploreParallel: the root's branches fan
-// out across workers sharing one mask-carrying deduplication table. The
-// sleep masks each top-level branch starts with depend only on branch
-// order, so they are computed statically — no root probing needed.
-func exploreParallelDPOR(proto Protocol, inputs []int, opts Options) Report {
-	sharedD := &sharedSeenD{}
+// exploreParallel charges the root configuration, then fans its
+// branches out across opts.Workers goroutines. Workers keep private
+// mutable configurations and read-through interning caches but share
+// the id assignment and the seen-table, so every reachable configuration
+// is explored by exactly one worker per mask set and the union of their
+// reports matches the serial search's. Reports merge in branch order.
+func exploreParallel(proto Protocol, inputs []int, opts Options, seen *seenTable) Report {
 	glob := &internTable{stateIDs: make(map[any]uint32), bodyIDs: make(map[any]uint32)}
-	root := newExplorer(proto, inputs, opts, nil, glob)
-	root.sharedD = sharedD
-	rep := Report{Decided: make(map[int]bool)}
-	limit := root.limit
-	sharedD.visit(root.configKey(), dporMask{}, limit) // the root: all asleep, no decisions
+	root := newExplorer(proto, inputs, opts, seen, glob)
+	seen.visit(root.configKey(), sleepMask{}) // the root: all asleep, no decisions
 
-	type dBranch struct {
-		deliver int // buffer index, or -1
-		crash   int // pid, or -1
-		sr, sc  uint64
+	// The root holds one wake per process and nothing else, so its
+	// branches and the masks visit would hand them are known statically.
+	type branch struct {
+		pid   int
+		crash bool // crash pid; otherwise deliver its wake, buffer message pid
+		sleep sleepMask
 	}
-	var branches []dBranch
-	var accum uint64
-	for r := 0; r < root.n; r++ {
-		bit := uint64(1) << uint(r)
-		if root.crashedMask&bit != 0 {
-			continue
-		}
-		delivered := false
-		for i := 0; i < len(root.buf); i++ {
-			if int(root.buf[i].to) != r {
-				continue
-			}
-			if root.asleepMask&bit != 0 && !root.buf[i].wake {
-				continue
-			}
-			branches = append(branches, dBranch{deliver: i, crash: -1, sr: accum})
-			delivered = true
-			if !dporSameReceiverDep {
-				break
-			}
-		}
-		if delivered {
-			accum |= bit
+	var branches []branch
+	var sleep sleepMask
+	for pid := 0; pid < root.n; pid++ {
+		branches = append(branches, branch{pid, false, sleep})
+		if opts.DPOR {
+			sleep.recv |= 1 << uint(pid)
 		}
 	}
-	if root.crashes < opts.MaxCrashes {
-		var crashAccum uint64
+	if opts.MaxCrashes > 0 {
 		for pid := 0; pid < root.n; pid++ {
-			bit := uint64(1) << uint(pid)
-			if root.crashedMask&bit != 0 {
-				continue
+			branches = append(branches, branch{pid, true, sleep})
+			if opts.DPOR {
+				sleep.crash |= 1 << uint(pid)
 			}
-			branches = append(branches, dBranch{deliver: -1, crash: pid, sr: accum &^ bit, sc: crashAccum})
-			crashAccum |= bit
 		}
 	}
-	if len(branches) == 0 {
-		rep.Configs = int(sharedD.count.Load())
-		return rep
-	}
 
-	workers := opts.Workers
-	if workers > len(branches) {
-		workers = len(branches)
-	}
 	subs := make([]*explorer, len(branches))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(opts.Workers, len(branches)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -370,20 +310,19 @@ func exploreParallelDPOR(proto Protocol, inputs []int, opts Options) Report {
 				if bi >= len(branches) {
 					return
 				}
-				sub := newExplorer(proto, inputs, opts, nil, glob)
-				sub.sharedD = sharedD
+				sub := newExplorer(proto, inputs, opts, seen, glob)
 				subs[bi] = sub
-				if br := branches[bi]; br.deliver >= 0 {
-					sub.deliverAtD(br.deliver, br.sr, br.sc)
+				if br := branches[bi]; br.crash {
+					sub.crashBranch(br.pid, br.sleep)
 				} else {
-					sub.crashBranchD(br.crash, br.sr, br.sc)
+					sub.deliverAt(br.pid, br.sleep)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	rep.Configs = int(sharedD.count.Load())
+	rep := Report{Decided: make(map[int]bool), Configs: seen.configs()}
 	for _, sub := range subs {
 		for v := range sub.rep.Decided {
 			rep.Decided[v] = true

@@ -23,7 +23,7 @@
 // directly; uncomparable ones fall back to a rendered identity), each
 // in-flight message packs to one uint64, and a configuration key is the
 // id vector plus the crashed bitmask plus the sorted message words.
-// Keys live in one hashed memo table; on the fast path nothing is
+// Keys live in one hashed seen-table; on the fast path nothing is
 // formatted or re-sorted as strings.
 //
 // The search itself never clones a configuration. One mutable
@@ -34,37 +34,72 @@
 // cached per interned state id, so Protocol.Decision runs once per
 // distinct state rather than once per process per configuration.
 //
-// Options.Workers mirrors shm.ExploreOpts.Workers: the top-level branch
-// frontier (every first delivery or first crash) fans out across
-// parallel workers. Workers keep private mutable configurations but
-// share the id-assignment tables (through per-worker read-through
-// caches) and one sharded deduplication table, so every reachable
-// configuration is explored by exactly one worker: Decided sets,
-// valences, violation classifications, and untruncated Configs counts
-// all match the serial engine. Reports merge deterministically in
-// branch order.
+// # The search
 //
-// Options.DPOR adds dynamic partial-order reduction (dpor.go):
-// deliveries to different processes commute, so per-branch sleep masks
-// prune reorderings of independent deliveries and crashes, with the
-// configuration cache carrying the masks each configuration was
-// explored with (plain sleep sets plus naive state caching is unsound).
-// Decided sets, valences, and violation presence are preserved; the
-// wait-majority n=4 instance drops from 118357 configurations to 39425.
+// There is one search (dpor.go): a sleep-set depth-first search over a
+// seen-table that maps each configuration to the sleep masks it was
+// explored with. Full enumeration is that search with nothing ever put
+// to sleep — every mask is empty and the table degenerates into a
+// seen-set; Options.DPOR turns the sleeping on.
+//
+// The reduction rests on commutation. Deliveries to DIFFERENT processes
+// commute: each changes only its receiver's state, and their sends union
+// into the same in-flight multiset either way. Crashing p commutes with
+// every delivery to q != p and with crashing q (a message sent to an
+// already-crashed process is inert — never deliverable, never consulted
+// — so configurations that differ only by inert messages are
+// observationally equivalent, which is all the reported properties see:
+// Decided, valences, and both violation classes are preserved by
+// extending any execution to completion, and equivalent complete
+// executions share their final configuration). Dependent pairs are
+// exactly: two deliveries to the same process, and a delivery to p
+// versus crash(p).
+//
+// The search therefore carries two sleep masks per recursion, one of
+// receivers and one of crash targets. Branches are enumerated grouped by
+// receiver; under DPOR, after a group with at least one explored
+// delivery its receiver goes to sleep for the later groups and the crash
+// branches, and each explored crash goes to sleep for the later crash
+// branches. Descending a branch wakes the dependent entries: a delivery
+// to r wakes crash(r) and — because causally-new messages were not
+// covered by the sleeping receiver's earlier-sibling subtree — every
+// receiver the delivery sends to. Unlike the shm explorer there is no
+// per-execution step budget, so no crash/budget interaction arises;
+// MaxConfigs truncation makes any search a lower bound, DPOR or not.
+//
+// Because the search caches configurations, sleep sets alone are not
+// enough: a configuration first reached with sleep S may be reached
+// again with sleep S' not containing S, and the branches in S \ S' were
+// never explored. A revisit therefore prunes only if the stored masks
+// are a subset of the current ones, and otherwise stores the
+// intersection BEFORE re-exploring (so cycles terminate: the stored
+// masks strictly shrink). Configs counts first visits only; under DPOR
+// it is smaller than the full search's count (wait-majority n=4, one
+// crash: 39425 against 118357) while Decided sets, valences, and
+// violation presence are preserved.
+//
+// Options.Workers mirrors shm.ExploreOpts.Workers: the root's branches
+// fan out across parallel workers. Workers keep private mutable
+// configurations but share the id-assignment tables (through per-worker
+// read-through caches) and one seen-table, sharded and mutex-guarded.
+// Decided sets, valences, violation classifications, and untruncated
+// Configs counts all match the serial search — the explored set is an
+// order-independent fixpoint, DPOR or not. Reports merge
+// deterministically in branch order.
 //
 // The seed explorer is preserved behind Options.Legacy and fenced by
 // equivalence property tests: identical Decided sets, valences,
-// violation classifications, and Configs counts on the serial path.
+// violation classifications, and Configs counts against the full
+// search; the full search in turn is the reference the reduction is
+// fenced against (dpor_test.go).
 package flp
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // State is an opaque per-process protocol state. States (and message
@@ -183,8 +218,8 @@ type Options struct {
 	MaxConfigs int
 	// Workers splits the top-level branch frontier across this many
 	// parallel explorers (0 or 1 = serial), mirroring
-	// shm.ExploreOpts.Workers. Workers share one sharded deduplication
-	// table, so each reachable configuration is explored exactly once:
+	// shm.ExploreOpts.Workers. Workers share one sharded seen-table, so
+	// no configuration is explored twice with the same sleep masks:
 	// Decided sets, valences, violation classifications, and (untruncated)
 	// Configs counts are identical to the serial engine's. Truncation
 	// under MaxConfigs is approximate because the budget races across
@@ -193,13 +228,13 @@ type Options struct {
 	// Legacy runs the seed explorer (Sprintf keys, full clones) instead
 	// of the rebuilt engine — the oracle for equivalence tests.
 	Legacy bool
-	// DPOR enables dynamic partial-order reduction (see dpor.go):
-	// deliveries to different processes commute, so the search prunes
-	// reorderings of independent deliveries and crashes with per-node
-	// sleep masks. Decided sets, valences, and the presence of agreement
-	// and termination violations are preserved exactly; Configs counts
-	// only the configurations the pruned search visits (fewer than the
-	// full search), and violation message details may differ. Ignored
+	// DPOR enables dynamic partial-order reduction (see the package
+	// comment): deliveries to different processes commute, so the search
+	// prunes reorderings of independent deliveries and crashes with
+	// per-node sleep masks. Decided sets, valences, and the presence of
+	// agreement and termination violations are preserved exactly; Configs
+	// counts only the configurations the pruned search visits (fewer than
+	// the full search), and violation message details may differ. Ignored
 	// under Legacy.
 	DPOR bool
 }
@@ -224,15 +259,13 @@ func Explore(proto Protocol, inputs []int, opts Options) Report {
 	if n > MaxProcs {
 		panic(fmt.Sprintf("flp: %d processes, max %d", n, MaxProcs))
 	}
-	if opts.DPOR {
-		return exploreDPOR(proto, inputs, opts)
-	}
+	seen := newSeenTable(opts)
 	if opts.Workers > 1 {
-		return exploreParallel(proto, inputs, opts)
+		return exploreParallel(proto, inputs, opts, seen)
 	}
-	e := newExplorer(proto, inputs, opts, nil, nil)
-	e.visit()
-	e.rep.Configs = e.configs
+	e := newExplorer(proto, inputs, opts, seen, nil)
+	e.visit(sleepMask{})
+	e.rep.Configs = seen.configs()
 	return *e.rep
 }
 
@@ -263,7 +296,6 @@ type explorer struct {
 	proto      Protocol
 	n          int
 	maxCrashes int
-	limit      int
 
 	states      []State
 	stateID     []uint32
@@ -281,16 +313,13 @@ type explorer struct {
 	bkey     internKeyer
 	glob     *internTable // shared id assignment across workers (nil when serial)
 
-	seen    map[string]struct{}
+	dpor    bool       // Options.DPOR: explored branches go to sleep for their later siblings
+	seen    *seenTable // shared across workers when parallel
 	keyBuf  []byte
 	msgKeys []uint64
 	scratch [][]emsg // buffer snapshots for crash branches
 
-	configs  int
-	shared   *sharedSeen         // cross-worker deduplication (nil when serial)
-	dporSeen map[string]dporMask // DPOR-mode seen table (serial; nil otherwise)
-	sharedD  *sharedSeenD        // DPOR-mode shared table (parallel; nil otherwise)
-	rep      *Report
+	rep *Report
 }
 
 // internTable assigns globally consistent state and body ids across
@@ -330,62 +359,20 @@ func (k *internKeyer) key(v any) any {
 	return rendered(fmt.Sprintf("%T|%#v", v, v))
 }
 
-// sharedSeen is the deduplication table parallel workers share: 64
-// mutex-guarded shards keyed by the canonical config encoding, plus the
-// global config counter that enforces MaxConfigs.
-type sharedSeen struct {
-	shards [64]struct {
-		mu sync.Mutex
-		m  map[string]struct{}
-	}
-	count atomic.Int64
-}
-
-var sharedSeenSeed = maphash.MakeSeed()
-
-// visit records the configuration, returning false if it was already
-// explored (by any worker) or the budget is exhausted.
-func (ss *sharedSeen) visit(key []byte, limit int) (fresh, truncated bool) {
-	sh := &ss.shards[maphash.Bytes(sharedSeenSeed, key)&63]
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]struct{})
-	}
-	_, dup := sh.m[string(key)]
-	if !dup {
-		sh.m[string(key)] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if dup {
-		return false, false
-	}
-	if ss.count.Add(1) > int64(limit) {
-		return false, true
-	}
-	return true, false
-}
-
-func newExplorer(proto Protocol, inputs []int, opts Options, shared *sharedSeen, glob *internTable) *explorer {
+func newExplorer(proto Protocol, inputs []int, opts Options, seen *seenTable, glob *internTable) *explorer {
 	n := proto.N()
-	limit := opts.MaxConfigs
-	if limit == 0 {
-		limit = DefaultMaxConfigs
-	}
 	e := &explorer{
 		proto:      proto,
 		n:          n,
 		maxCrashes: opts.MaxCrashes,
-		limit:      limit,
 		states:     make([]State, n),
 		stateID:    make([]uint32, n),
 		stateIDs:   make(map[any]uint32),
 		bodyIDs:    make(map[any]uint32),
 		glob:       glob,
-		shared:     shared,
+		dpor:       opts.DPOR,
+		seen:       seen,
 		rep:        &Report{Decided: make(map[int]bool)},
-	}
-	if shared == nil {
-		e.seen = make(map[string]struct{})
 	}
 	for i := 0; i < n; i++ {
 		e.setState(i, asleep{Input: inputs[i]})
@@ -491,246 +478,6 @@ func (e *explorer) configKey() []byte {
 	}
 	e.keyBuf, e.msgKeys = b, keys
 	return b
-}
-
-func (e *explorer) visit() {
-	if e.shared != nil {
-		fresh, truncated := e.shared.visit(e.configKey(), e.limit)
-		if truncated {
-			e.rep.Truncated = true
-		}
-		if !fresh {
-			return
-		}
-	} else {
-		if e.configs >= e.limit {
-			e.rep.Truncated = true
-			return
-		}
-		key := e.configKey()
-		if _, dup := e.seen[string(key)]; dup {
-			return
-		}
-		e.seen[string(key)] = struct{}{}
-	}
-	e.configs++
-
-	// Record decisions and check agreement among live, awake processes.
-	firstPid, firstVal := -1, 0
-	quiet := true
-	for i := range e.buf {
-		if e.crashedMask&(1<<uint(e.buf[i].to)) == 0 {
-			quiet = false
-			break
-		}
-	}
-	live := ^(e.crashedMask | e.asleepMask)
-	for pid := 0; pid < e.n; pid++ {
-		if live&(1<<uint(pid)) == 0 {
-			continue
-		}
-		if d, ok := e.decision(e.stateID[pid]); ok {
-			e.rep.Decided[d] = true
-			if firstPid < 0 {
-				firstPid, firstVal = pid, d
-			} else if d != firstVal && e.rep.AgreementViolation == "" {
-				e.rep.AgreementViolation = agreementMsg(firstPid, firstVal, pid, d, e.crashes, len(e.buf))
-			}
-		}
-	}
-
-	if quiet {
-		// Complete execution: every correct process must have decided.
-		if e.rep.TerminationViolation == "" {
-			for pid := 0; pid < e.n; pid++ {
-				bit := uint64(1) << uint(pid)
-				if e.crashedMask&bit != 0 {
-					continue
-				}
-				undecided := e.asleepMask&bit != 0
-				if !undecided {
-					_, decided := e.decision(e.stateID[pid])
-					undecided = !decided
-				}
-				if undecided {
-					e.rep.TerminationViolation = terminationMsg(e.crashes, pid)
-					break
-				}
-			}
-		}
-		return
-	}
-
-	// Branch on every deliverable message.
-	for i := 0; i < len(e.buf); i++ {
-		to := int(e.buf[i].to)
-		bit := uint64(1) << uint(to)
-		if e.crashedMask&bit != 0 {
-			continue
-		}
-		if e.asleepMask&bit != 0 && !e.buf[i].wake {
-			continue // protocol messages wait until the target wakes
-		}
-		e.deliverAt(i)
-	}
-
-	// Branch on crashing each live process (budget permitting).
-	if e.crashes < e.maxCrashes {
-		for pid := 0; pid < e.n; pid++ {
-			if e.crashedMask&(1<<uint(pid)) != 0 {
-				continue
-			}
-			e.crashBranch(pid)
-		}
-	}
-}
-
-// deliverAt delivers buffer message i, recurses, and restores the
-// configuration exactly — no clone.
-func (e *explorer) deliverAt(i int) {
-	m := e.buf[i]
-	last := len(e.buf) - 1
-	e.buf[i] = e.buf[last]
-	e.buf = e.buf[:last]
-
-	to := int(m.to)
-	oldState, oldID := e.states[to], e.stateID[to]
-	wasAsleep := e.asleepMask&(1<<uint(to)) != 0
-
-	var s State
-	var outs []Outgoing
-	if m.wake {
-		s, outs = e.proto.Initial(to, oldState.(asleep).Input)
-		e.asleepMask &^= 1 << uint(to)
-	} else {
-		s, outs = e.proto.Deliver(to, oldState, int(m.from), m.body)
-	}
-	e.setState(to, s)
-	for _, o := range outs {
-		e.buf = append(e.buf, e.newMsg(to, o.To, o.Body, false))
-	}
-
-	e.visit()
-
-	// Undo: drop the sends, put m back where it was.
-	e.buf = e.buf[:last+1]
-	e.buf[last] = e.buf[i]
-	e.buf[i] = m
-	e.states[to], e.stateID[to] = oldState, oldID
-	if wasAsleep {
-		e.asleepMask |= 1 << uint(to)
-	}
-}
-
-// crashBranch crashes pid (discarding its pending messages), recurses,
-// and restores the configuration from a pooled snapshot.
-func (e *explorer) crashBranch(pid int) {
-	var save []emsg
-	if k := len(e.scratch); k > 0 {
-		save, e.scratch = e.scratch[k-1][:0], e.scratch[:k-1]
-	}
-	save = append(save, e.buf...)
-
-	kept := e.buf[:0]
-	for i := range save {
-		if int(save[i].to) != pid {
-			kept = append(kept, save[i])
-		}
-	}
-	e.buf = kept
-	e.crashedMask |= 1 << uint(pid)
-	e.crashes++
-
-	e.visit()
-
-	e.crashes--
-	e.crashedMask &^= 1 << uint(pid)
-	e.buf = append(e.buf[:0], save...)
-	e.scratch = append(e.scratch, save)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel frontier fan-out.
-// ---------------------------------------------------------------------------
-
-// branch is one top-level successor of the initial configuration.
-type branch struct {
-	deliver int // buffer index, or -1
-	crash   int // pid, or -1
-}
-
-// exploreParallel charges the root configuration, then fans its
-// successor branches out across opts.Workers goroutines. Workers keep
-// private mutable configurations and interning but share the sharded
-// deduplication table, so every reachable configuration is explored by
-// exactly one worker and the union of their reports matches the serial
-// engine's. Reports merge in branch order.
-func exploreParallel(proto Protocol, inputs []int, opts Options) Report {
-	shared := &sharedSeen{}
-	glob := &internTable{stateIDs: make(map[any]uint32), bodyIDs: make(map[any]uint32)}
-	root := newExplorer(proto, inputs, opts, shared, glob)
-	rep := Report{Decided: make(map[int]bool)}
-	limit := root.limit
-	shared.visit(root.configKey(), limit) // the root; all asleep, no decisions
-
-	// Enumerate root branches exactly as visit would: the root is never
-	// quiescent (every wake is addressed to a live process) unless n=0.
-	var branches []branch
-	for i := 0; i < len(root.buf); i++ {
-		branches = append(branches, branch{deliver: i, crash: -1})
-	}
-	if root.crashes < opts.MaxCrashes {
-		for pid := 0; pid < root.n; pid++ {
-			branches = append(branches, branch{deliver: -1, crash: pid})
-		}
-	}
-	if len(branches) == 0 {
-		rep.Configs = int(shared.count.Load())
-		return rep
-	}
-
-	workers := opts.Workers
-	if workers > len(branches) {
-		workers = len(branches)
-	}
-	subs := make([]*explorer, len(branches))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(branches) {
-					return
-				}
-				sub := newExplorer(proto, inputs, opts, shared, glob)
-				subs[bi] = sub
-				if br := branches[bi]; br.deliver >= 0 {
-					sub.deliverAt(br.deliver)
-				} else {
-					sub.crashBranch(br.crash)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	rep.Configs = int(shared.count.Load())
-	for _, sub := range subs {
-		for v := range sub.rep.Decided {
-			rep.Decided[v] = true
-		}
-		if rep.AgreementViolation == "" {
-			rep.AgreementViolation = sub.rep.AgreementViolation
-		}
-		if rep.TerminationViolation == "" {
-			rep.TerminationViolation = sub.rep.TerminationViolation
-		}
-		rep.Truncated = rep.Truncated || sub.rep.Truncated
-	}
-	return rep
 }
 
 // InitialValences explores every binary input vector of proto and

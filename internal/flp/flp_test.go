@@ -180,3 +180,37 @@ func TestExplorePanicsOnBadInputLen(t *testing.T) {
 	}()
 	Explore(WaitAll{Procs: 3}, []int{0, 1}, Options{})
 }
+
+// TestFullSearchPutsNothingToSleep: with DPOR off the sleep-set search
+// is full enumeration — every mask stored in the seen-table is empty and
+// Configs is the table's size — serial and with two workers.
+func TestFullSearchPutsNothingToSleep(t *testing.T) {
+	proto, inputs := WaitMajority{Procs: 3}, []int{0, 1, 1}
+	for _, workers := range []int{1, 2} {
+		opts := Options{MaxCrashes: 1, Workers: workers}
+		seen := newSeenTable(opts)
+		var configs int
+		if workers > 1 {
+			configs = exploreParallel(proto, inputs, opts, seen).Configs
+		} else {
+			e := newExplorer(proto, inputs, opts, seen, nil)
+			e.visit(sleepMask{})
+			configs = seen.configs()
+		}
+		size := 0
+		for i := range seen.shards {
+			size += len(seen.shards[i].m)
+			for _, mask := range seen.shards[i].m {
+				if mask != (sleepMask{}) {
+					t.Fatalf("workers=%d: stored mask %+v, want empty", workers, mask)
+				}
+			}
+		}
+		if configs != size {
+			t.Errorf("workers=%d: Configs=%d, table holds %d", workers, configs, size)
+		}
+		if want := Explore(proto, inputs, Options{MaxCrashes: 1, Legacy: true}).Configs; configs != want {
+			t.Errorf("workers=%d: Configs=%d, seed engine %d", workers, configs, want)
+		}
+	}
+}

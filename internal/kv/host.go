@@ -48,23 +48,36 @@ const (
 	hostLeaseMargin = hostLeaseTTL/10 + 2
 )
 
-func (c HostConfig) withDefaults() (HostConfig, error) {
-	if c.Shards <= 0 {
-		c.Shards = len(c.Peers)
+// ShardShape checks the shape a HostConfig and basicskv's cluster file
+// share: one peer row per shard (shards 0 means one per row), at least
+// one, every row as long as the first, and journals — paths here, rows
+// in the file — either absent or one per shard. It returns the shard
+// count.
+func ShardShape(shards int, peers [][]string, journals int) (int, error) {
+	if shards == 0 {
+		shards = len(peers)
 	}
-	if c.Shards != len(c.Peers) {
-		return c, fmt.Errorf("kv: %d shards but %d peer rows", c.Shards, len(c.Peers))
+	if shards != len(peers) || shards == 0 {
+		return 0, fmt.Errorf("kv: %d shards but %d peer rows", shards, len(peers))
 	}
-	for s, row := range c.Peers {
-		if len(row) != len(c.Peers[0]) {
-			return c, fmt.Errorf("kv: shard %d has %d replicas, shard 0 has %d", s, len(row), len(c.Peers[0]))
+	for s, row := range peers {
+		if len(row) != len(peers[0]) {
+			return 0, fmt.Errorf("kv: shard %d has %d replicas, shard 0 has %d", s, len(row), len(peers[0]))
 		}
 	}
-	if c.Self < 0 || len(c.Peers) == 0 || c.Self >= len(c.Peers[0]) {
-		return c, fmt.Errorf("kv: self %d out of range", c.Self)
+	if journals != 0 && journals != shards {
+		return 0, fmt.Errorf("kv: %d journals for %d shards", journals, shards)
 	}
-	if len(c.Journals) != 0 && len(c.Journals) != c.Shards {
-		return c, fmt.Errorf("kv: %d journal paths for %d shards", len(c.Journals), c.Shards)
+	return shards, nil
+}
+
+func (c HostConfig) withDefaults() (HostConfig, error) {
+	var err error
+	if c.Shards, err = ShardShape(c.Shards, c.Peers, len(c.Journals)); err != nil {
+		return c, err
+	}
+	if c.Self < 0 || c.Self >= len(c.Peers[0]) {
+		return c, fmt.Errorf("kv: self %d out of range", c.Self)
 	}
 	return c, nil
 }

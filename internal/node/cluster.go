@@ -40,7 +40,7 @@ func E2EArgs(args []string) E2EOptions {
 	fs := flag.NewFlagSet("e2e", flag.ExitOnError)
 	fs.StringVar(&o.Dir, "dir", "", "journal/artifact directory (default: temp)")
 	fs.BoolVar(&o.Keep, "keep", false, "keep artifacts on success")
-	fs.Parse(args)
+	parseVerb(fs, args)
 	return o
 }
 

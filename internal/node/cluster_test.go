@@ -3,6 +3,7 @@ package node
 import (
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -80,6 +81,50 @@ func TestE2EOptions(t *testing.T) {
 	(&Cluster{opt: opt}).Passed()
 	if _, err := os.Stat(opt.Dir); !os.IsNotExist(err) {
 		t.Fatalf("a passed run without -keep must remove its artifacts: %v", err)
+	}
+}
+
+// TestVerbArgs: a verb's parser accepts its flags and refuses, with the
+// usage and exit status 2, a positional argument left over — `e2e keep`
+// must not run as `e2e` and then delete the artifacts. The parsers exit,
+// so each case runs in a re-execution of the test binary.
+func TestVerbArgs(t *testing.T) {
+	if verb := os.Getenv("NODE_TEST_VERB"); verb != "" {
+		args := strings.Fields(os.Getenv("NODE_TEST_ARGS"))
+		if verb == "serve" {
+			ServeArgs(args, "id")
+		} else {
+			E2EArgs(args)
+		}
+		os.Exit(0)
+	}
+	for _, tc := range []struct {
+		verb, args string
+		refused    bool
+	}{
+		{"serve", "-config f.json -id 1", false},
+		{"serve", "-config f.json -id 1 extra", true},
+		{"serve", "-config f.json 1", true},
+		{"e2e", "", false},
+		{"e2e", "-dir d -keep", false},
+		{"e2e", "keep", true},
+		{"e2e", "-dir d keep", true},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestVerbArgs$")
+		cmd.Env = append(os.Environ(), "NODE_TEST_VERB="+tc.verb, "NODE_TEST_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		if !tc.refused {
+			if err != nil {
+				t.Errorf("%s %q: refused: %v\n%s", tc.verb, tc.args, err, out)
+			}
+			continue
+		}
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%s %q: want exit status 2, got %v\n%s", tc.verb, tc.args, err, out)
+		}
+		if !strings.Contains(string(out), "unexpected argument") || !strings.Contains(string(out), "Usage of "+tc.verb) {
+			t.Errorf("%s %q: want the stray argument named and the usage, got:\n%s", tc.verb, tc.args, out)
+		}
 	}
 }
 

@@ -141,6 +141,19 @@ func Write(path string, cfg any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// parseVerb parses a verb's arguments and refuses a stray positional
+// one the way flag.ExitOnError refuses an unknown flag — message, usage,
+// exit 2. flag.Parse alone stops at the first non-flag and ignores the
+// rest, so `e2e keep` would run as `e2e` and delete what `-keep` keeps.
+func parseVerb(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
+}
+
 // ServeArgs parses the arguments of a daemon's `serve` verb: `-config
 // FILE` and this process's index in the file's lists, under the flag
 // the daemon has always used for it ("id", basicskv: "self"). A missing
@@ -150,7 +163,7 @@ func ServeArgs(args []string, idFlag string) (cfgPath string, id int) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.StringVar(&cfgPath, "config", "", "cluster config file (JSON)")
 	fs.IntVar(&id, idFlag, -1, "this process's index in the config's lists")
-	fs.Parse(args)
+	parseVerb(fs, args)
 	if cfgPath == "" || id < 0 {
 		fs.Usage()
 		os.Exit(2)

@@ -588,72 +588,14 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 		}
 	})
 
-	type rootResult struct {
-		executions int
-		violation  string
-		schedule   []Decision
-	}
-	results := make([]rootResult, len(frontier))
-	var nextRoot atomic.Int64
-	var minViol atomic.Int64
-	minViol.Store(int64(len(frontier))) // sentinel: no violation yet
-	var wg sync.WaitGroup
-	for wk := 0; wk < opts.Workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			withEngine(n, func(weng *engine) {
-				weng.dpor = &dporRec{crashDep: runs.crashDep}
-				sub := newDPORExplorer(weng, opts, runs, maxSteps, n)
-				for {
-					r := int(nextRoot.Add(1) - 1)
-					if r >= len(frontier) {
-						return
-					}
-					if int64(r) > minViol.Load() {
-						continue // beaten by an earlier subtree's violation
-					}
-					nd := frontier[r]
-					sub.executions, sub.violation, sub.schedule = 0, "", nil
-					aborted := false
-					sub.explore(nil, 0, 0, nd.prefix, nd.crashes, nd.sleep, func() bool {
-						if int64(r) > minViol.Load() {
-							aborted = true
-							return false
-						}
-						return true
-					})
-					if aborted {
-						continue
-					}
-					results[r] = rootResult{sub.executions, sub.violation, sub.schedule}
-					if sub.violation != "" {
-						for {
-							cur := minViol.Load()
-							if int64(r) >= cur || minViol.CompareAndSwap(cur, int64(r)) {
-								break
-							}
-						}
-					}
-				}
-			})
-		}()
-	}
-	wg.Wait()
-
-	res := &ExploreResult{}
-	rmin := int(minViol.Load())
-	if rmin < len(frontier) {
-		for r := 0; r < rmin; r++ {
-			res.Executions += results[r].executions
+	return dispatchRoots(opts.Workers, n, len(frontier), func(weng *engine) func(int, func() bool) rootResult {
+		weng.dpor = &dporRec{crashDep: runs.crashDep}
+		sub := newDPORExplorer(weng, opts, runs, maxSteps, n)
+		return func(r int, cont func() bool) rootResult {
+			nd := frontier[r]
+			sub.executions, sub.violation, sub.schedule = 0, "", nil
+			sub.explore(nil, 0, 0, nd.prefix, nd.crashes, nd.sleep, cont)
+			return rootResult{sub.executions, sub.violation, sub.schedule}
 		}
-		res.Executions += results[rmin].executions
-		res.Violation = results[rmin].violation
-		res.Schedule = results[rmin].schedule
-	} else {
-		for r := range results {
-			res.Executions += results[r].executions
-		}
-	}
-	return res
+	})
 }

@@ -301,45 +301,58 @@ func exploreParallel(opts *ExploreOpts, n, maxSteps int, first *Run) *ExploreRes
 		}
 	})
 
-	type rootResult struct {
-		executions int
-		violation  string
-		schedule   []Decision
-	}
-	results := make([]rootResult, len(frontier))
+	return dispatchRoots(opts.Workers, n, len(frontier), func(weng *engine) func(int, func() bool) rootResult {
+		sub := newSubExplorer(weng, opts, maxSteps, n)
+		return func(r int, cont func() bool) rootResult {
+			sub.executions, sub.violation, sub.schedule = 0, "", nil
+			sub.explore(nil, frontier[r].prefix, frontier[r].crashes, cont)
+			return rootResult{sub.executions, sub.violation, sub.schedule}
+		}
+	})
+}
+
+// rootResult is what exploring one frontier root's subtree produced.
+type rootResult struct {
+	executions int
+	violation  string
+	schedule   []Decision
+}
+
+// dispatchRoots is the parallel root dispatcher of both explorers:
+// workers claim the frontier's roots in depth-first order and explore
+// each with the function newWorker built for their engine, which polls
+// cont between leaves and stops when it returns false. The first
+// violation in global DFS order wins, and the execution count matches a
+// serial run: serial DFS would have fully explored every subtree before
+// the winning one and stopped inside it, so later subtrees are
+// abandoned or discarded.
+func dispatchRoots(workers, n, roots int, newWorker func(*engine) func(r int, cont func() bool) rootResult) *ExploreResult {
+	results := make([]rootResult, roots)
 	var nextRoot atomic.Int64
 	var minViol atomic.Int64
-	minViol.Store(int64(len(frontier))) // sentinel: no violation yet
+	minViol.Store(int64(roots)) // sentinel: no violation yet
 	var wg sync.WaitGroup
-	for wk := 0; wk < opts.Workers; wk++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			withEngine(n, func(weng *engine) {
-				sub := newSubExplorer(weng, opts, maxSteps, n)
+				explore := newWorker(weng)
 				for {
 					r := int(nextRoot.Add(1) - 1)
-					if r >= len(frontier) {
+					if r >= roots {
 						return
 					}
-					if int64(r) > minViol.Load() {
-						continue // beaten by an earlier subtree's violation
+					beaten := func() bool { return int64(r) > minViol.Load() }
+					if beaten() {
+						continue // an earlier subtree already holds a violation
 					}
-					nd := frontier[r]
-					sub.executions, sub.violation, sub.schedule = 0, "", nil
-					aborted := false
-					sub.explore(nil, nd.prefix, nd.crashes, func() bool {
-						if int64(r) > minViol.Load() {
-							aborted = true
-							return false
-						}
-						return true
-					})
-					if aborted {
+					res := explore(r, func() bool { return !beaten() })
+					if beaten() {
 						continue
 					}
-					results[r] = rootResult{sub.executions, sub.violation, sub.schedule}
-					if sub.violation != "" {
+					results[r] = res
+					if res.violation != "" {
 						for {
 							cur := minViol.Load()
 							if int64(r) >= cur || minViol.CompareAndSwap(cur, int64(r)) {
@@ -354,20 +367,14 @@ func exploreParallel(opts *ExploreOpts, n, maxSteps int, first *Run) *ExploreRes
 	wg.Wait()
 
 	res := &ExploreResult{}
-	rmin := int(minViol.Load())
-	if rmin < len(frontier) {
-		// Serial DFS would have fully explored every subtree before the
-		// winning one and stopped inside it; later subtrees never ran.
-		for r := 0; r < rmin; r++ {
-			res.Executions += results[r].executions
-		}
-		res.Executions += results[rmin].executions
+	last := roots - 1
+	if rmin := int(minViol.Load()); rmin < roots {
+		last = rmin
 		res.Violation = results[rmin].violation
 		res.Schedule = results[rmin].schedule
-	} else {
-		for r := range results {
-			res.Executions += results[r].executions
-		}
+	}
+	for r := 0; r <= last; r++ {
+		res.Executions += results[r].executions
 	}
 	return res
 }
