@@ -152,9 +152,9 @@ func runE9() []row {
 	}
 	sim4 := amp.NewSim(procs4,
 		amp.WithDelay(amp.FixedDelay{D: delta}),
-		amp.WithDropRule(func(src, dst int, _ amp.Time) bool {
-			return (src < 2) != (dst < 2) // cut the network in halves
-		}))
+		amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, _ amp.Time) amp.Verdict {
+			return amp.Verdict{Drop: (src < 2) != (dst < 2)} // cut the network in halves
+		})))
 	readDone := false
 	sim4.Schedule(1, func() { regs4[0].Read(stacks4[0].Ctx(0), func(_ any, _ amp.Time) { readDone = true }) })
 	sim4.Run(1_000_000)

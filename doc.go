@@ -95,20 +95,21 @@
 // instead of all of them — the n=4 consensus-hierarchy rows run at 17x
 // fewer executions (3472 vs 58920 for CAS with three crashes) and
 // wait-majority n=4 at 3x fewer configurations (39425 vs 118357),
-// which is what makes those instances exhaustible at all. In
-// internal/flp the reduction is not a second search: there is one
-// sleep-set search over one mask-carrying seen-table, and full
-// enumeration is that search with nothing put to sleep (see the flp
-// package comment). internal/shm keeps two explorers — the full one
-// holds the seed explorer's child order for the schedule-equality
-// fences, the reduced one runs on the instrumented engine — over one
-// parallel root dispatcher. The reduction is fenced differentially:
-// randomized program families run under full enumeration, serial DPOR,
-// parallel DPOR, and the legacy engines, requiring identical violation
-// presence, replayable violation schedules, and exact serial/parallel
-// agreement; the fences are mutation-verified by wiring
-// deliberately-wrong dependence relations and requiring the fences to
-// catch them.
+// which is what makes those instances exhaustible at all. In neither
+// package is the reduction a second search: there is one sleep-set
+// search (in internal/flp over one mask-carrying seen-table, in
+// internal/shm over one leaf-only DFS, frontier expansion and engine
+// extension), and full enumeration is that search with nothing put to
+// sleep (see the flp package comment and shm/dpor.go). In internal/shm
+// full enumeration also keeps the seed explorer's child order — step p,
+// crash p, ascending — for the schedule-equality fences, where the
+// reduction takes steps before crashes. The reduction is fenced
+// differentially: randomized program families run under full
+// enumeration, serial DPOR, parallel DPOR, and the legacy engines,
+// requiring identical violation presence, replayable violation
+// schedules, and exact serial/parallel agreement; the fences are
+// mutation-verified by wiring deliberately-wrong dependence relations
+// and requiring the fences to catch them.
 //
 // # The scenario harness
 //

@@ -18,7 +18,9 @@ import "math/rand"
 // Verdict is an adversary's decision on one message.
 type Verdict struct {
 	// Drop discards the message (it counts as sent and dropped, never
-	// delivered).
+	// delivered). AMPn,t[∅] channels are reliable, so protocols relying on
+	// that must only face drops in "what if" liveness probes like E9's
+	// t >= n/2 case.
 	Drop bool
 	// Skew is added to the delay model's chosen delay (timing skew: slow
 	// links, overloaded processes). The total delay is clamped to >= 1.

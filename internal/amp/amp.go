@@ -49,7 +49,7 @@
 //
 //   - E8 (reliable broadcast): CrashAfterSends truncates a broadcast
 //     mid-send; the all-or-none sweep runs one Sim per crash prefix.
-//   - E9 (ABD): FixedDelay Δ gives the 2Δ/4Δ latencies; WithDropRule or
+//   - E9 (ABD): FixedDelay Δ gives the 2Δ/4Δ latencies; an AdversaryFunc or
 //     Partition realizes the t >= n/2 liveness loss and the
 //     partition+heal scenarios; the scale row drives n=2048 registers.
 //   - E10 (TO-broadcast/RSM): rsm.Node stacks (Ω + TO + Synod slots) run

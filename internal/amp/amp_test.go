@@ -260,9 +260,9 @@ func TestDelayModelsFloorAtOne(t *testing.T) {
 
 func TestDropRule(t *testing.T) {
 	q0, q1 := &quiet{}, &quiet{}
-	sim := NewSim([]Process{q0, q1}, WithDropRule(func(src, dst int, _ Time) bool {
-		return dst == 1 // partition process 1 away
-	}))
+	sim := NewSim([]Process{q0, q1}, WithAdversary(AdversaryFunc(func(src, dst int, _ Time) Verdict {
+		return Verdict{Drop: dst == 1} // partition process 1 away
+	})))
 	sim.Schedule(1, func() { sim.ctxs[0].Send(1, "x") })
 	sim.Schedule(1, func() { sim.ctxs[1].Send(0, "y") })
 	sim.Run(0)

@@ -64,17 +64,6 @@ func WithSeed(seed int64) SimOption {
 	return func(s *Sim) { s.rng = newRand(seed) }
 }
 
-// WithDropRule installs a message filter: messages for which fn returns
-// true are silently dropped (network partitions for liveness experiments;
-// note AMPn,t[∅] channels are reliable, so protocols relying on that must
-// only face drops in "what if" liveness probes like E9's t >= n/2 case).
-// It is a convenience wrapper over WithAdversary.
-func WithDropRule(fn func(src, dst int, at Time) bool) SimOption {
-	return WithAdversary(AdversaryFunc(func(src, dst int, at Time) Verdict {
-		return Verdict{Drop: fn(src, dst, at)}
-	}))
-}
-
 // WithHeapEvents selects the legacy binary-heap event queue the simulator
 // used before the calendar-queue rewrite. It exists so differential tests
 // can hold both engines to identical delivery orders; there is no reason

@@ -167,7 +167,9 @@ func TestLingeringPayloadIsRelayed(t *testing.T) {
 	const n, submitAt = 3, 1000
 	relays := 0
 	c := newTappedCluster(n, &relays, amp.WithDelay(amp.FixedDelay{D: 1}),
-		amp.WithDropRule(func(src, dst int, at amp.Time) bool { return src == 2 && dst != 1 && at >= submitAt }))
+		amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, at amp.Time) amp.Verdict {
+			return amp.Verdict{Drop: src == 2 && dst != 1 && at >= submitAt}
+		})))
 	appliedAt := make([]amp.Time, n)
 	for i, nd := range c.nodes {
 		nd.OnApply = func(_ Entry, at amp.Time) { appliedAt[i] = at }

@@ -1,13 +1,53 @@
 package shm
 
-// Dynamic partial-order reduction (DPOR) for the exhaustive explorer
-// (ExploreOpts.DPOR). Two complete schedules that differ only in the
-// order of adjacent independent steps — steps of different processes
-// touching different objects, or at most reading the same one — are
-// Mazurkiewicz-equivalent: they visit the same states and produce the
-// same outcome. The full explorer enumerates every member of every
-// equivalence class; the DPOR explorer visits exactly one
-// representative per class, using sleep sets (Godefroid).
+// The search behind Explore: one leaf-only depth-first search with sleep
+// sets (Godefroid), which is both the full enumeration and, with
+// ExploreOpts.DPOR, its dynamic partial-order reduction. Two complete
+// schedules that differ only in the order of adjacent independent steps —
+// steps of different processes touching different objects, or at most
+// reading the same one — are Mazurkiewicz-equivalent: they visit the same
+// states and produce the same outcome. Full enumeration visits every
+// member of every equivalence class; the reduction visits exactly one
+// representative per class.
+//
+// # The search
+//
+// The program is executed once per COMPLETE schedule (one leaf of the
+// decision tree): each instrumented execution records the enabled set at
+// every decision point, so the DFS enumerates sibling branches from the
+// recording instead of re-executing the program at interior nodes the
+// way the seed explorer did (ExploreOpts.Legacy). All executions of a
+// search share one coroutine arena (engine.go), and the top-level
+// decision frontier can be fanned out across parallel workers
+// (ExploreOpts.Workers) with the reported violation still the first one
+// in depth-first order.
+//
+// Each node of the decision tree carries a sleep set: transitions whose
+// subtrees are already covered by an earlier sibling branch. Descending
+// into child t, the child's sleep set is the node's minus every entry
+// dependent with t; under the reduction, backtracking out of t adds t to
+// the node's set for its later siblings. The extension of each execution
+// steps the lowest enabled process whose step is not asleep; when every
+// enabled step is asleep, every completion from the node is equivalent
+// to one already explored, and the partial execution is abandoned (not
+// counted, not checked). In a tree search (no state caching) sleep sets
+// alone visit exactly one complete execution per Mazurkiewicz class,
+// which is optimal for trace reduction; the persistent/backtrack set at
+// every node is the full enabled set, which is trivially persistent and
+// keeps the search embarrassingly partitionable across workers (the
+// pruned partial executions are the price, bounded by one per abandoned
+// class).
+//
+// Full enumeration = nothing asleep, seed child order. With
+// ExploreOpts.DPOR off no finished child is ever put to sleep, so every
+// sleep set stays empty: the extension steps the lowest enabled process,
+// nothing is abandoned, and every schedule is a leaf. Children are then
+// ordered as the seed explorer ordered them (childDecision), so
+// Executions, Violation and Schedule equal ExploreOpts.Legacy's exactly.
+// That one bool is all that tells the two searches apart: it gates the
+// sleep entry of a finished child (DFS backtrack and frontier
+// expansion), the child order, the crash-dependence restart below, and
+// the construction mutex of dporRuns.make.
 //
 // # Dependence relation
 //
@@ -31,23 +71,6 @@ package shm
 // ever deviates from the first execution's (a non-deterministic factory,
 // or foreign construction racing the window), normalization degrades
 // every access to conflicts-with-everything — no pruning, never wrong.
-//
-// # Sleep sets
-//
-// Each node of the decision tree carries a sleep set: transitions whose
-// subtrees are already covered by an earlier sibling branch. Descending
-// into child t, the child's sleep set is the node's minus every entry
-// dependent with t; backtracking out of t adds t to the node's set for
-// its later siblings. The extension of each execution steps the lowest
-// enabled process whose step is not asleep; when every enabled step is
-// asleep, every completion from the node is equivalent to one already
-// explored, and the partial execution is abandoned (not counted, not
-// checked). In a tree search (no state caching) sleep sets alone visit
-// exactly one complete execution per Mazurkiewicz class, which is
-// optimal for trace reduction; the persistent/backtrack set at every
-// node is the full enabled set, which is trivially persistent and keeps
-// the search embarrassingly partitionable across workers (the pruned
-// partial executions are the price, bounded by one per abandoned class).
 //
 // # Step budgets and crashes
 //
@@ -174,7 +197,7 @@ func dporSleepContains(sleep []dporSleep, d Decision) bool {
 	return false
 }
 
-// dporRec is the engine-side access recorder of one DPOR exploration:
+// dporRec is the engine-side access recorder of one exploration:
 // raw object ids are normalized against the current execution's Factory
 // window as steps execute. accs holds one entry per step of the current
 // execution (replayed prefix included; crashes record nothing).
@@ -223,12 +246,17 @@ func newDPORRuns(crashDep bool) *dporRuns {
 	return r
 }
 
-// make runs factory under the construction mutex and returns the run
-// with its id window.
-func (r *dporRuns) make(factory func() *Run) (*Run, uint64, uint64) {
+// make runs the factory under the construction mutex and returns the run
+// with its id window. With the reduction off nothing is ever asleep and
+// no access class is ever consulted, so there is no window to reserve:
+// the mutex, which would serialize the workers' Factory calls, is skipped.
+func (r *dporRuns) make(opts *ExploreOpts) (*Run, uint64, uint64) {
+	if !opts.DPOR {
+		return opts.Factory(), 0, 0
+	}
 	dporFactoryMu.Lock()
 	base := objSeq.Load()
-	run := factory()
+	run := opts.Factory()
 	count := objSeq.Load() - base
 	dporFactoryMu.Unlock()
 	exp := r.expected.Load()
@@ -241,16 +269,28 @@ func (r *dporRuns) make(factory func() *Run) (*Run, uint64, uint64) {
 	return run, base, count
 }
 
-// childDecisionDPOR maps a child index to its scheduling decision under
-// the DPOR child order: the steps of every enabled id in ascending
-// order, then (crash budget permitting) the crashes in ascending order.
-// Steps-first keeps the extension loop — which takes the first
-// non-sleeping step child — purely step-shaped.
-func childDecisionDPOR(word uint64, idx int, canCrash bool) Decision {
+// childDecision maps a child index to its scheduling decision. Full
+// enumeration (stepsFirst false) orders children exactly as the seed
+// explorer did — for each enabled id in ascending order, first stepping
+// it, then (crash budget permitting) crashing it — so leaves are visited
+// in the same depth-first order. The reduction (stepsFirst true) puts the
+// steps of every enabled id in ascending order before the crashes in
+// ascending order: the extension loop takes the first non-sleeping STEP
+// child, and the backtrack only ever moves to later children, so no
+// crash may sit before a step that can still be taken.
+func childDecision(word uint64, idx int, canCrash, stepsFirst bool) Decision {
 	kind := StepProc
-	if k := bits.OnesCount64(word); canCrash && idx >= k {
-		kind = CrashProc
-		idx -= k
+	if canCrash {
+		if k := bits.OnesCount64(word); stepsFirst {
+			if idx >= k {
+				kind, idx = CrashProc, idx-k
+			}
+		} else {
+			if idx&1 == 1 {
+				kind = CrashProc
+			}
+			idx >>= 1
+		}
 	}
 	w := word
 	for ; idx > 0; idx-- {
@@ -259,7 +299,7 @@ func childDecisionDPOR(word uint64, idx int, canCrash bool) Decision {
 	return Decision{Kind: kind, Pid: bits.TrailingZeros64(w)}
 }
 
-// dporLevel is one decision point on the DPOR DFS stack.
+// dporLevel is one decision point on the DFS stack.
 type dporLevel struct {
 	word    uint64 // enabled set at this decision point
 	child   int    // child currently being explored (-1: none yet)
@@ -271,10 +311,10 @@ type dporLevel struct {
 	curAcc  dporAcc // access of the step child currently descending
 }
 
-// dporExplorer runs the sleep-set DFS over one subtree, mirroring
-// subExplorer's leaf-only architecture: one engine, one outcome, one
-// recording buffer, plus an arena of per-level sleep sets managed with
-// the same LIFO discipline as the level stack.
+// dporExplorer runs the leaf-only sleep-set DFS over one subtree, reusing
+// a single engine, outcome, and recording buffer across all of the
+// subtree's executions, plus an arena of per-level sleep sets managed
+// with the same LIFO discipline as the level stack.
 type dporExplorer struct {
 	eng      *engine
 	opts     *ExploreOpts
@@ -286,23 +326,26 @@ type dporExplorer struct {
 	stack    []dporLevel
 	arena    []dporSleep
 
-	executions int
-	violation  string
-	schedule   []Decision
+	rootResult // of the subtree last explored
 }
 
 func newDPORExplorer(eng *engine, opts *ExploreOpts, runs *dporRuns, maxSteps, n int) *dporExplorer {
+	eng.dpor = &dporRec{crashDep: runs.crashDep}
 	return &dporExplorer{eng: eng, opts: opts, runs: runs, maxSteps: maxSteps, out: newOutcome(n)}
 }
 
-// explore runs the pruned DFS over all extensions of base, whose at-node
-// sleep set is baseSleep. first (with its id window) is used for the
-// initial execution in place of a Factory call when non-nil. Semantics
-// of cont, executions, violation, and schedule match subExplorer.explore.
+// explore runs the DFS over all extensions of base (a schedule prefix
+// containing baseCrashes crashes, whose at-node sleep set is baseSleep),
+// counting from zero into s.executions and stopping at the subtree's
+// first violation. cont is polled between leaves; returning false stops the
+// search. If first is non-nil it (with its id window) is used as the
+// program for the initial execution in place of a Factory call.
 func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []Decision, baseCrashes int, baseSleep []dporSleep, cont func() bool) {
 	s.prefix = append(s.prefix[:0], base...)
 	s.stack = s.stack[:0]
 	s.arena = append(s.arena[:0], baseSleep...)
+	s.rootResult = rootResult{}
+	dpor := s.opts.DPOR // the reduction: finished children go to sleep, steps-first child order
 	crashes := baseCrashes
 	baseSteps := 0
 	for _, d := range base {
@@ -321,7 +364,7 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 		run := first
 		rb, rc := firstBase, firstCount
 		if run == nil {
-			run, rb, rc = s.runs.make(s.opts.Factory)
+			run, rb, rc = s.runs.make(s.opts)
 		}
 		first = nil
 		s.eng.dpor.setExec(rb, rc, s.runs.unstable.Load())
@@ -373,7 +416,9 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 		}
 		// The executed tail's decision points become stack levels. The
 		// child taken at each is the lowest enabled id whose step was not
-		// asleep — not necessarily child 0.
+		// asleep — not necessarily child 0, but always child 0 when nothing
+		// is asleep, so the steps-first index below is right in seed order
+		// too.
 		for i, w := range s.rec {
 			a := accs[stepIdx+i]
 			taken := bits.OnesCount64(w & (1<<(a.pid&63) - 1))
@@ -414,24 +459,25 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 			idx := len(s.stack) - 1
 			top := &s.stack[idx]
 			canCrash := top.crashes < s.opts.MaxCrashes
-			// Reclaim the arena above this node's set, then put the
-			// finished child to sleep for its later siblings.
+			// Reclaim the arena above this node's set, then (this is the
+			// reduction) put the finished child to sleep for its later
+			// siblings.
 			s.arena = s.arena[:top.soff+top.slen]
-			if top.child >= 0 {
-				d := childDecisionDPOR(top.word, top.child, canCrash)
+			if dpor && top.child >= 0 {
+				d := childDecision(top.word, top.child, canCrash, dpor)
 				s.arena = append(s.arena, dporSleep{pid: uint8(d.Pid), crash: d.Kind == CrashProc, acc: top.curAcc})
 				top.slen++
 			}
 			next := -1
 			for c := top.child + 1; c < top.nchild; c++ {
-				if !dporSleepContains(s.arena[top.soff:top.soff+top.slen], childDecisionDPOR(top.word, c, canCrash)) {
+				if !dporSleepContains(s.arena[top.soff:top.soff+top.slen], childDecision(top.word, c, canCrash, dpor)) {
 					next = c
 					break
 				}
 			}
 			if next >= 0 {
 				top.child = next
-				d := childDecisionDPOR(top.word, next, canCrash)
+				d := childDecision(top.word, next, canCrash, dpor)
 				s.prefix = s.prefix[:len(base)+len(s.stack)]
 				s.prefix[len(s.prefix)-1] = d
 				crashes = top.crashes
@@ -451,57 +497,41 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 	}
 }
 
-// exploreDPOR drives a DPOR exploration (Explore with opts.DPOR set),
-// serial or parallel. When the caller set no explicit step budget, the
-// first attempt treats crashes as independent of steps; if that attempt
-// finds no violation but some execution hit the (default) budget, the
-// independence was potentially unsound and the search is redone with
-// crash/step dependence on (see the package comment).
-func exploreDPOR(opts *ExploreOpts, maxSteps int) *ExploreResult {
-	crashDep := opts.MaxCrashes > 0 && opts.MaxSteps > 0
-	res, sawCutoff := exploreDPORAttempt(opts, maxSteps, crashDep)
-	if !crashDep && opts.MaxCrashes > 0 && res.Violation == "" && sawCutoff {
-		res, _ = exploreDPORAttempt(opts, maxSteps, true)
-	}
-	return res
-}
-
-func exploreDPORAttempt(opts *ExploreOpts, maxSteps int, crashDep bool) (*ExploreResult, bool) {
+// exploreAttempt runs one search, serial or parallel, in the given
+// crash/step dependence mode, and reports whether some counted execution
+// hit the step budget (Explore's restart trigger).
+func exploreAttempt(opts *ExploreOpts, maxSteps int, crashDep bool) (*ExploreResult, bool) {
 	runs := newDPORRuns(crashDep)
-	first, base, count := runs.make(opts.Factory)
+	first, base, count := runs.make(opts)
 	n := len(first.Bodies)
 	if n > 64 {
 		panic("shm: Explore supports at most 64 processes")
 	}
 	if opts.Workers > 1 && opts.MaxExecutions == 0 && n > 0 {
-		return exploreParallelDPOR(opts, runs, n, maxSteps, first, base, count), runs.sawCutoff.Load()
+		return exploreFanOut(opts, runs, n, maxSteps, first, base, count), runs.sawCutoff.Load()
 	}
 	res := &ExploreResult{}
 	withEngine(n, func(eng *engine) {
-		eng.dpor = &dporRec{crashDep: crashDep}
 		sub := newDPORExplorer(eng, opts, runs, maxSteps, n)
 		sub.explore(first, base, count, nil, 0, nil, func() bool {
-			if opts.MaxExecutions > 0 && sub.executions >= opts.MaxExecutions {
-				res.Truncated = true
-				return false
-			}
-			return true
+			res.Truncated = opts.MaxExecutions > 0 && sub.executions >= opts.MaxExecutions
+			return !res.Truncated
 		})
-		res.Executions = sub.executions
-		res.Violation = sub.violation
-		res.Schedule = sub.schedule
+		res.Executions, res.Violation, res.Schedule = sub.executions, sub.violation, sub.schedule
 	})
 	return res, runs.sawCutoff.Load()
 }
 
-// exploreParallelDPOR is exploreParallel under sleep-set pruning: the
-// breadth-first frontier expansion replicates the serial DFS's sleep
-// sets exactly — children are enumerated in DPOR child order, sleeping
-// children are skipped, and each explored sibling is added to the sleep
-// set of the ones after it — so the workers' subtrees partition exactly
-// the serial search's leaves and Executions/Violation/Schedule match a
-// serial DPOR run.
-func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, first *Run, firstBase, firstCount uint64) *ExploreResult {
+// exploreFanOut fans the exploration out over the top-level decision
+// frontier: the tree is expanded breadth-first (order-preserving) until
+// it is wider than the worker count, then workers claim subtrees in
+// depth-first order (dispatchRoots). The expansion replicates the serial
+// DFS's sleep sets exactly — children are enumerated in the search's
+// child order, sleeping children are skipped, and under the reduction
+// each explored sibling is added to the sleep set of the ones after it —
+// so the workers' subtrees partition exactly the serial search's leaves
+// and Executions/Violation/Schedule match a serial run.
+func exploreFanOut(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, first *Run, firstBase, firstCount uint64) *ExploreResult {
 	type dNode struct {
 		prefix  []Decision
 		crashes int
@@ -522,11 +552,11 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 			run := first
 			rb, rc := firstBase, firstCount
 			if run == nil {
-				run, rb, rc = runs.make(opts.Factory)
+				run, rb, rc = runs.make(opts)
 			}
 			first = nil
 			eng.dpor.setExec(rb, rc, runs.unstable.Load())
-			w, ok := eng.probeDPOR(run.Bodies, prefix, maxSteps, scratch)
+			w, ok := eng.probe(run.Bodies, prefix, maxSteps, scratch)
 			var last dporAcc
 			if accs := eng.dpor.accs; len(accs) > 0 {
 				last = accs[len(accs)-1].acc
@@ -534,11 +564,7 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 			return w, ok, last
 		}
 		rootWord, rootOK, _ := probe(nil)
-		if !rootOK {
-			frontier = []dNode{{leaf: true}}
-			return
-		}
-		frontier = []dNode{{word: rootWord}}
+		frontier = []dNode{{word: rootWord, leaf: !rootOK}}
 		for len(frontier) < target {
 			expanded := false
 			next := make([]dNode, 0, 2*len(frontier))
@@ -555,7 +581,7 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 				}
 				cur := append([]dporSleep(nil), nd.sleep...)
 				for c := 0; c < nc; c++ {
-					d := childDecisionDPOR(nd.word, c, canCrash)
+					d := childDecision(nd.word, c, canCrash, opts.DPOR)
 					if dporSleepContains(cur, d) {
 						continue
 					}
@@ -577,11 +603,16 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 					}
 					child.sleep = dporFilterSleep(append([]dporSleep(nil), cur...), uint8(d.Pid), d.Kind == CrashProc, acc, runs.crashDep)
 					next = append(next, child)
-					cur = append(cur, dporSleep{pid: uint8(d.Pid), crash: d.Kind == CrashProc, acc: acc})
+					if opts.DPOR {
+						cur = append(cur, dporSleep{pid: uint8(d.Pid), crash: d.Kind == CrashProc, acc: acc})
+					}
 				}
 			}
 			widened := len(next) > len(frontier)
 			frontier = next
+			// Stop when nothing expanded (all leaves) or when a pass added
+			// no width — a chain-shaped tree top would otherwise make each
+			// pass replay an ever-longer prefix for no extra parallelism.
 			if !expanded || !widened {
 				break
 			}
@@ -589,13 +620,11 @@ func exploreParallelDPOR(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, fir
 	})
 
 	return dispatchRoots(opts.Workers, n, len(frontier), func(weng *engine) func(int, func() bool) rootResult {
-		weng.dpor = &dporRec{crashDep: runs.crashDep}
 		sub := newDPORExplorer(weng, opts, runs, maxSteps, n)
 		return func(r int, cont func() bool) rootResult {
 			nd := frontier[r]
-			sub.executions, sub.violation, sub.schedule = 0, "", nil
 			sub.explore(nil, 0, 0, nd.prefix, nd.crashes, nd.sleep, cont)
-			return rootResult{sub.executions, sub.violation, sub.schedule}
+			return sub.rootResult
 		}
 	})
 }

@@ -254,7 +254,11 @@ func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 // a deliberately-wrong dependence relation (every pair of steps declared
 // independent), the pruned search must diverge from full enumeration on
 // at least one seed — proving the fence actually constrains the
-// dependence relation rather than passing vacuously.
+// dependence relation rather than passing vacuously. Full enumeration
+// runs the same loop with nothing asleep, and runDPORFence fatals when
+// full != legacy whatever wantAllAgree says, so this is also the proof
+// that the full reference stays full while the shared loop's dependence
+// relation is wrong.
 func TestDPORFenceCatchesWrongDependence(t *testing.T) {
 	orig := dporDepends
 	dporDepends = func(a, b dporAcc) bool { return false }

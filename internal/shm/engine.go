@@ -74,8 +74,8 @@ type engine struct {
 
 	// dpor, when non-nil, makes every granted step record its declared
 	// object access (normalized to a creation-order class) — the raw
-	// material of the DPOR explorer's dependence relation. Nil outside
-	// DPOR explorations, so ordinary executions pay one branch per step.
+	// material of the explorer's dependence relation. Nil outside Explore,
+	// so ordinary executions pay one branch per step.
 	dpor *dporRec
 }
 
@@ -155,7 +155,7 @@ func runBody(body func(*Proc) any, p *Proc) (output any, crashed bool) {
 // processes: consume one granted step, parking at a decision point when
 // the quota is exhausted. oid/write declare the shared-object access of
 // the step (oid 0: unknown object, conflicts with everything; oidNone:
-// touches nothing); they are recorded only under a DPOR exploration.
+// touches nothing); they are recorded only under an exploration.
 func (e *engine) stepAcc(sid int, oid uint64, write bool, op func()) {
 	s := &e.slots[sid]
 	if s.quota == 0 {
@@ -440,47 +440,23 @@ func (e *engine) replay(prefix []Decision) {
 	}
 }
 
-// runExplore executes one complete schedule: replay prefix, then extend
-// greedily (always stepping the lowest-id enabled process) until the run
-// completes or hits the step budget. The enabled set at every decision
-// point past the prefix is appended to rec as a bitset word, which is
-// what lets the exhaustive explorer enumerate sibling branches without
-// re-executing interior nodes. Supports n <= 64.
-func (e *engine) runExplore(bodies []func(*Proc) any, prefix []Decision, maxSteps int, out *Outcome, rec []uint64) []uint64 {
-	e.beginExplore(bodies, out)
-	e.replay(prefix)
-	for e.live > 0 {
-		if out.Steps >= maxSteps {
-			out.Cutoff = true
-			e.crashAllEnabled()
-			break
-		}
-		w := e.words[0]
-		pid := bits.TrailingZeros64(w)
-		// While pid runs, no other process moves, so the enabled set at
-		// each decision point of the batch is w and pid stays lowest.
-		before := out.StepsBy[pid]
-		e.grantStep(pid, maxSteps-out.Steps)
-		for used := out.StepsBy[pid] - before; used > 0; used-- {
-			rec = append(rec, w)
-		}
-	}
-	return rec
-}
-
-// runExploreDPOR is runExplore under sleep-set pruning: replay prefix,
-// then extend by always stepping the lowest enabled process whose step is
-// not in the sleep set, filtering the sleep set through each executed
-// step's access. sleep is the sleep set AT the node the prefix leads to
-// when filterLast is false; when filterLast is true it is the sleep set
-// at the prefix's parent node (including explored-sibling entries) and is
-// filtered through the prefix's final decision first. If every enabled
-// process's step is asleep the extension stops: the remaining subtree is
-// covered by earlier-explored sibling branches, and the partial execution
-// is reported with pruned == true (its word is the enabled set at the
-// pruned node; the outcome is meaningless and must not be checked).
-// Accesses of every step — replayed and extended — are left in
-// e.dpor.accs for the explorer.
+// runExploreDPOR executes one complete schedule: replay prefix, then
+// extend by always stepping the lowest enabled process whose step is not
+// in the sleep set, filtering the sleep set through each executed step's
+// access, until the run completes or hits the step budget. The enabled
+// set at every decision point past the prefix is appended to rec as a
+// bitset word, which is what lets the explorer enumerate sibling branches
+// without re-executing interior nodes. Supports n <= 64. sleep is the
+// sleep set AT the node the prefix leads to when filterLast is false;
+// when filterLast is true it is the sleep set at the prefix's parent node
+// (including explored-sibling entries) and is filtered through the
+// prefix's final decision first. If every enabled process's step is
+// asleep the extension stops: the remaining subtree is covered by
+// earlier-explored sibling branches, and the partial execution is
+// reported with pruned == true (its word is the enabled set at the pruned
+// node; the outcome is meaningless and must not be checked). Accesses of
+// every step — replayed and extended — are left in e.dpor.accs for the
+// explorer.
 func (e *engine) runExploreDPOR(bodies []func(*Proc) any, prefix []Decision, sleep []dporSleep, filterLast bool, maxSteps int, out *Outcome, rec []uint64) (recOut []uint64, prunedWord uint64, pruned bool) {
 	d := e.dpor
 	d.accs = d.accs[:0]
@@ -537,20 +513,14 @@ func (e *engine) runExploreDPOR(bodies []func(*Proc) any, prefix []Decision, sle
 	return rec, 0, false
 }
 
-// probeDPOR replays prefix (recording step accesses into e.dpor.accs) and
-// reports the enabled set at its end, exactly like probe. Used by the
-// parallel DPOR frontier expansion, which needs each branch step's access
-// to build sibling sleep entries.
-func (e *engine) probeDPOR(bodies []func(*Proc) any, prefix []Decision, maxSteps int, out *Outcome) (uint64, bool) {
-	e.dpor.accs = e.dpor.accs[:0]
-	return e.probe(bodies, prefix, maxSteps, out)
-}
-
-// probe replays prefix and reports the enabled set at its end: ok is
-// false when the run ends within (or exactly at) the prefix, i.e. the
-// prefix is a complete schedule. The execution is aborted either way; the
-// outcome is scratch. Supports n <= 64.
+// probe replays prefix (recording step accesses into e.dpor.accs: the
+// frontier expansion needs each branch step's access to build sibling
+// sleep entries) and reports the enabled set at its end: ok is false when
+// the run ends within (or exactly at) the prefix, i.e. the prefix is a
+// complete schedule. The execution is aborted either way; the outcome is
+// scratch. Supports n <= 64.
 func (e *engine) probe(bodies []func(*Proc) any, prefix []Decision, maxSteps int, out *Outcome) (uint64, bool) {
+	e.dpor.accs = e.dpor.accs[:0]
 	e.beginExplore(bodies, out)
 	e.replay(prefix)
 	if e.live == 0 || out.Steps >= maxSteps {
@@ -609,7 +579,7 @@ func getEngine(n int) *engine {
 func putEngine(e *engine) {
 	e.prof = nil // the launch profile belongs to one program only
 	e.out = nil  // don't pin the caller's Outcome from the pool
-	e.dpor = nil // access recording belongs to one DPOR exploration only
+	e.dpor = nil // access recording belongs to one exploration only
 	enginePool.Lock()
 	if enginePool.bySize == nil {
 		enginePool.bySize = make(map[int][]*engine)

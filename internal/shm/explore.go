@@ -6,19 +6,12 @@ package shm
 // optionally, every crash pattern). This is how the consensus-hierarchy
 // table (E4) is validated rather than asserted.
 //
-// The explorer executes the program once per COMPLETE schedule (one leaf
-// of the decision tree): each instrumented execution records the enabled
-// set at every decision point, so the DFS enumerates sibling branches
-// from the recording instead of re-executing the program at interior
-// nodes the way the seed explorer did (ExploreOpts.Legacy). All
-// executions of a search share one coroutine arena (engine.go), and the
-// top-level decision frontier can be fanned out across parallel workers
-// (ExploreOpts.Workers) with the reported violation still the first one
-// in depth-first order.
+// This file is the API, the parallel root dispatcher and the replay; the
+// one search behind Explore — full enumeration and its partial-order
+// reduction alike — is described and implemented in dpor.go.
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -52,9 +45,11 @@ type ExploreOpts struct {
 	// Violation, and Schedule match a serial run — but Factory and Check
 	// must be safe for concurrent use.
 	Workers int
-	// DPOR enables dynamic partial-order reduction (dpor.go): schedules
-	// that differ only in the order of adjacent independent steps are
-	// explored once per equivalence class instead of once per member.
+	// DPOR enables dynamic partial-order reduction (dpor.go): the same
+	// search, but a finished child is put to sleep for its later siblings,
+	// so schedules that differ only in the order of adjacent independent
+	// steps are explored once per equivalence class instead of once per
+	// member. Off, nothing ever sleeps and every schedule is explored.
 	// Violation presence is preserved — a violating execution exists iff
 	// the pruned search finds one — but Executions shrinks (it counts
 	// class representatives) and the reported Schedule may be a
@@ -94,221 +89,17 @@ func Explore(opts ExploreOpts) *ExploreResult {
 	if maxSteps <= 0 {
 		maxSteps = DefaultExploreSteps
 	}
-	if opts.DPOR {
-		return exploreDPOR(&opts, maxSteps)
+	// Under the reduction, when the caller set no explicit step budget the
+	// first attempt treats crashes as independent of steps; if that attempt
+	// finds no violation but some execution hit the (default) budget, the
+	// independence was potentially unsound and the search is redone with
+	// crash/step dependence on (see "Step budgets and crashes" in dpor.go).
+	crashDep := opts.DPOR && opts.MaxCrashes > 0 && opts.MaxSteps > 0
+	res, sawCutoff := exploreAttempt(&opts, maxSteps, crashDep)
+	if opts.DPOR && !crashDep && opts.MaxCrashes > 0 && res.Violation == "" && sawCutoff {
+		res, _ = exploreAttempt(&opts, maxSteps, true)
 	}
-	first := opts.Factory()
-	n := len(first.Bodies)
-	if n > 64 {
-		panic("shm: Explore supports at most 64 processes")
-	}
-	if opts.Workers > 1 && opts.MaxExecutions == 0 && n > 0 {
-		return exploreParallel(&opts, n, maxSteps, first)
-	}
-
-	res := &ExploreResult{}
-	withEngine(n, func(eng *engine) {
-		sub := newSubExplorer(eng, &opts, maxSteps, n)
-		sub.explore(first, nil, 0, func() bool {
-			if opts.MaxExecutions > 0 && sub.executions >= opts.MaxExecutions {
-				res.Truncated = true
-				return false
-			}
-			return true
-		})
-		res.Executions = sub.executions
-		res.Violation = sub.violation
-		res.Schedule = sub.schedule
-	})
 	return res
-}
-
-// exLevel is one decision point on the DFS stack: the enabled set
-// recorded there, and which of its children is being explored. Children
-// are ordered exactly as in the seed explorer — for each enabled id in
-// ascending order, first stepping it, then (crash budget permitting)
-// crashing it — so leaves are visited in the same depth-first order.
-type exLevel struct {
-	word    uint64 // enabled set at this decision point
-	child   int    // index of the child currently being explored
-	nchild  int    // total children of this node
-	crashes int    // CrashProc decisions in the schedule before this point
-}
-
-// childDecision maps a child index to its scheduling decision.
-func childDecision(word uint64, idx int, canCrash bool) Decision {
-	kind := StepProc
-	if canCrash {
-		if idx&1 == 1 {
-			kind = CrashProc
-		}
-		idx >>= 1
-	}
-	w := word
-	for ; idx > 0; idx-- {
-		w &= w - 1
-	}
-	return Decision{Kind: kind, Pid: bits.TrailingZeros64(w)}
-}
-
-// subExplorer runs the leaf-only DFS over one subtree of the decision
-// tree, reusing a single engine, outcome, and recording buffer across
-// all of the subtree's executions.
-type subExplorer struct {
-	eng      *engine
-	opts     *ExploreOpts
-	maxSteps int
-	out      *Outcome
-	rec      []uint64
-	prefix   []Decision
-	stack    []exLevel
-
-	executions int
-	violation  string
-	schedule   []Decision
-}
-
-func newSubExplorer(eng *engine, opts *ExploreOpts, maxSteps, n int) *subExplorer {
-	return &subExplorer{eng: eng, opts: opts, maxSteps: maxSteps, out: newOutcome(n)}
-}
-
-// explore runs the DFS over all extensions of base (a schedule prefix
-// containing baseCrashes crashes), accumulating into s.executions and
-// stopping at the subtree's first violation. cont is polled between
-// leaves; returning false stops the search. If first is non-nil it is
-// used as the program for the initial execution in place of a Factory
-// call.
-func (s *subExplorer) explore(first *Run, base []Decision, baseCrashes int, cont func() bool) {
-	s.prefix = append(s.prefix[:0], base...)
-	s.stack = s.stack[:0]
-	crashes := baseCrashes
-	for {
-		run := first
-		if run == nil {
-			run = s.opts.Factory()
-		}
-		first = nil
-		s.rec = s.eng.runExplore(run.Bodies, s.prefix, s.maxSteps, s.out, s.rec[:0])
-		s.executions++
-		if reason := s.opts.Check(s.out); reason != "" {
-			s.violation = reason
-			sched := make([]Decision, 0, len(s.prefix)+len(s.rec))
-			sched = append(sched, s.prefix...)
-			for _, w := range s.rec {
-				sched = append(sched, Decision{Kind: StepProc, Pid: bits.TrailingZeros64(w)})
-			}
-			s.schedule = sched
-			return
-		}
-		// The executed tail's decision points become stack levels; the
-		// tail took child 0 (step the lowest enabled id) at each.
-		for _, w := range s.rec {
-			nc := bits.OnesCount64(w)
-			if crashes < s.opts.MaxCrashes {
-				nc *= 2
-			}
-			s.stack = append(s.stack, exLevel{word: w, nchild: nc, crashes: crashes})
-			s.prefix = append(s.prefix, Decision{Kind: StepProc, Pid: bits.TrailingZeros64(w)})
-		}
-		// Backtrack to the deepest decision point with an unexplored
-		// child and descend into it.
-		for {
-			if len(s.stack) == 0 {
-				return // subtree exhausted
-			}
-			top := &s.stack[len(s.stack)-1]
-			top.child++
-			if top.child < top.nchild {
-				d := childDecision(top.word, top.child, top.crashes < s.opts.MaxCrashes)
-				s.prefix = s.prefix[:len(base)+len(s.stack)]
-				s.prefix[len(s.prefix)-1] = d
-				crashes = top.crashes
-				if d.Kind == CrashProc {
-					crashes++
-				}
-				break
-			}
-			s.stack = s.stack[:len(s.stack)-1]
-		}
-		if !cont() {
-			return
-		}
-	}
-}
-
-// exploreParallel fans the exploration out over the top-level decision
-// frontier: the tree is expanded breadth-first (order-preserving) until
-// it is wider than the worker count, then workers claim subtrees in
-// depth-first order. The first violation in global DFS order wins, and
-// the execution count matches a serial run: completed subtrees after the
-// winning one are discarded.
-func exploreParallel(opts *ExploreOpts, n, maxSteps int, first *Run) *ExploreResult {
-	type frontierNode struct {
-		prefix  []Decision
-		crashes int
-		leaf    bool
-	}
-
-	target := opts.Workers * 4
-	frontier := []frontierNode{{}}
-	withEngine(n, func(eng *engine) {
-		scratch := newOutcome(n)
-		for len(frontier) < target {
-			expanded := false
-			next := make([]frontierNode, 0, 2*len(frontier))
-			for _, nd := range frontier {
-				if nd.leaf {
-					next = append(next, nd)
-					continue
-				}
-				run := first
-				if run == nil {
-					run = opts.Factory()
-				}
-				first = nil
-				w, ok := eng.probe(run.Bodies, nd.prefix, maxSteps, scratch)
-				if !ok {
-					nd.leaf = true
-					next = append(next, nd)
-					continue
-				}
-				expanded = true
-				canCrash := nd.crashes < opts.MaxCrashes
-				nc := bits.OnesCount64(w)
-				if canCrash {
-					nc *= 2
-				}
-				for c := 0; c < nc; c++ {
-					d := childDecision(w, c, canCrash)
-					child := frontierNode{
-						prefix:  append(append(make([]Decision, 0, len(nd.prefix)+1), nd.prefix...), d),
-						crashes: nd.crashes,
-					}
-					if d.Kind == CrashProc {
-						child.crashes++
-					}
-					next = append(next, child)
-				}
-			}
-			widened := len(next) > len(frontier)
-			frontier = next
-			// Stop when nothing expanded (all leaves) or when a pass added
-			// no width — a chain-shaped tree top would otherwise make each
-			// pass replay an ever-longer prefix for no extra parallelism.
-			if !expanded || !widened {
-				break
-			}
-		}
-	})
-
-	return dispatchRoots(opts.Workers, n, len(frontier), func(weng *engine) func(int, func() bool) rootResult {
-		sub := newSubExplorer(weng, opts, maxSteps, n)
-		return func(r int, cont func() bool) rootResult {
-			sub.executions, sub.violation, sub.schedule = 0, "", nil
-			sub.explore(nil, frontier[r].prefix, frontier[r].crashes, cont)
-			return rootResult{sub.executions, sub.violation, sub.schedule}
-		}
-	})
 }
 
 // rootResult is what exploring one frontier root's subtree produced.
@@ -318,9 +109,9 @@ type rootResult struct {
 	schedule   []Decision
 }
 
-// dispatchRoots is the parallel root dispatcher of both explorers:
-// workers claim the frontier's roots in depth-first order and explore
-// each with the function newWorker built for their engine, which polls
+// dispatchRoots is the parallel root dispatcher of the search: workers
+// claim the frontier's roots in depth-first order and explore each
+// with the function newWorker built for their engine, which polls
 // cont between leaves and stops when it returns false. The first
 // violation in global DFS order wins, and the execution count matches a
 // serial run: serial DFS would have fully explored every subtree before
@@ -381,13 +172,17 @@ func dispatchRoots(workers, n, roots int, newWorker func(*engine) func(r int, co
 
 // ReplayViolation re-executes a violating schedule and returns its outcome
 // (for debugging reports). maxSteps must be the bound the schedule was
-// explored under (0 meaning DefaultMaxSteps), or a cutoff schedule cannot
-// replay. The error is non-nil when the schedule failed to replay — a
-// decision targeted a process that was not enabled, or the schedule ran
-// out with processes still running — which happens when the schedule is
-// stale (a different program, or a non-deterministic factory); the
-// returned Outcome is then the truncated run's and must not be trusted.
+// explored under (0 meaning DefaultExploreSteps, as in ExploreOpts), or a
+// cutoff schedule cannot replay. The error is non-nil when the schedule
+// failed to replay — a decision targeted a process that was not enabled,
+// or the schedule ran out with processes still running — which happens
+// when the schedule is stale (a different program, or a non-deterministic
+// factory); the returned Outcome is then the truncated run's and must not
+// be trusted.
 func ReplayViolation(factory func() *Run, schedule []Decision, maxSteps int) (*Outcome, error) {
+	if maxSteps <= 0 {
+		maxSteps = DefaultExploreSteps
+	}
 	pol := &FixedPolicy{Schedule: schedule}
 	out, stopped := executeInternal(factory(), pol, maxSteps)
 	if pol.Skipped > 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestExploreParallelExecutionsMatchSerialAtViolation pins the
-// Executions accounting of exploreParallel when workers abort subtrees
+// Executions accounting of exploreFanOut when workers abort subtrees
 // via cont() because an earlier root already found a violation: the
 // merge counts every root before the minimum violating root plus that
 // root's partial count, which must equal the serial explorer's
@@ -87,5 +87,31 @@ func TestReplayViolationReportsDivergence(t *testing.T) {
 		t.Fatal("truncated schedule: want incomplete-replay error, got nil")
 	} else if !strings.Contains(err.Error(), "still running") {
 		t.Fatalf("truncated schedule: unexpected error %v", err)
+	}
+	// A violation found on a cutoff leaf under the default budget replays
+	// with the same MaxSteps (0) it was searched under, full and DPOR alike.
+	spinner := func() *Run {
+		r := NewRegister(0)
+		return &Run{Bodies: []func(*Proc) any{
+			func(p *Proc) any {
+				for {
+					r.Read(p)
+				}
+			},
+		}}
+	}
+	for _, dpor := range []bool{false, true} {
+		res := Explore(ExploreOpts{Factory: spinner, DPOR: dpor, Check: func(out *Outcome) string {
+			if out.Cutoff {
+				return "cutoff"
+			}
+			return ""
+		}})
+		if res.Violation != "cutoff" || len(res.Schedule) != DefaultExploreSteps {
+			t.Fatalf("spinner (DPOR=%v): violation %q with %d decisions", dpor, res.Violation, len(res.Schedule))
+		}
+		if out, err := ReplayViolation(spinner, res.Schedule, 0); err != nil || !out.Cutoff {
+			t.Fatalf("spinner (DPOR=%v): cutoff schedule did not replay: %v", dpor, err)
+		}
 	}
 }

@@ -25,17 +25,18 @@
 // channels, no per-step allocation, no goroutine spawns per execution.
 // The enabled set is a bitset with a lazily rebuilt sorted-slice view,
 // and step grants carry a quota so runs of consecutive steps to the same
-// process cost one switch total. The exhaustive explorer (explore.go)
-// executes once per complete schedule — recording the enabled set at
-// every decision point, so sibling branches are enumerated without
-// re-executing interior tree nodes — optionally fanning the top-level
-// decision frontier out across parallel workers, and reuses one arena
-// across the millions of executions of a search. ExploreOpts.DPOR adds
-// dynamic partial-order reduction (dpor.go): steps that touch disjoint
-// objects commute, so sleep sets prune schedules that differ only by
-// reordering independent steps — one execution per Mazurkiewicz trace
-// class, with violation presence preserved (the E4 hierarchy rows at
-// n=4 drop from 58920 executions to 3472). The seed-era engine and
+// process cost one switch total. The exhaustive explorer (explore.go,
+// dpor.go) executes once per complete schedule — recording the enabled
+// set at every decision point, so sibling branches are enumerated
+// without re-executing interior tree nodes — optionally fanning the
+// top-level decision frontier out across parallel workers, and reuses
+// one arena across the millions of executions of a search. It is one
+// sleep-set search: ExploreOpts.DPOR turns on dynamic partial-order
+// reduction — steps that touch disjoint objects commute, so sleep sets
+// prune schedules that differ only by reordering independent steps, one
+// execution per Mazurkiewicz trace class, with violation presence
+// preserved (the E4 hierarchy rows at n=4 drop from 58920 executions to
+// 3472) — and without it nothing is put to sleep. The seed-era engine and
 // explorer remain available behind ExecuteLegacy and ExploreOpts.Legacy
 // (legacy.go); differential tests pin the rebuilt paths to them.
 package shm
