@@ -105,12 +105,12 @@ func runE8() []row {
 func runE9() []row {
 	const n, delta = 5, 10
 
-	newCluster := func(fast bool, opts ...amp.SimOption) (*amp.Sim, []*abd.Register, []*amp.Stack) {
-		regs := make([]*abd.Register, n)
-		stacks := make([]*amp.Stack, n)
-		procs := make([]amp.Process, n)
-		for i := 0; i < n; i++ {
-			r := abd.NewRegister(n, 0)
+	newCluster := func(size int, fast bool, opts ...amp.SimOption) (*amp.Sim, []*abd.Register, []*amp.Stack) {
+		regs := make([]*abd.Register, size)
+		stacks := make([]*amp.Stack, size)
+		procs := make([]amp.Process, size)
+		for i := 0; i < size; i++ {
+			r := abd.NewRegister(size, 0)
 			r.FastRead = fast
 			regs[i] = r
 			stacks[i] = amp.NewStack(r)
@@ -120,20 +120,20 @@ func runE9() []row {
 	}
 
 	// Write latency.
-	sim, regs, stacks := newCluster(false)
+	sim, regs, stacks := newCluster(n, false)
 	var wLat amp.Time = -1
 	sim.Schedule(1, func() { regs[0].Write(stacks[0].Ctx(0), "v", func(l amp.Time) { wLat = l }) })
 	sim.Run(0)
 
 	// Classic read latency.
-	sim2, regs2, stacks2 := newCluster(false)
+	sim2, regs2, stacks2 := newCluster(n, false)
 	var rLat amp.Time = -1
 	sim2.Schedule(1, func() { regs2[0].Write(stacks2[0].Ctx(0), "v", nil) })
 	sim2.Schedule(1000, func() { regs2[3].Read(stacks2[3].Ctx(0), func(_ any, l amp.Time) { rLat = l }) })
 	sim2.Run(0)
 
 	// Fast read, good circumstances (no concurrent write).
-	sim3, regs3, stacks3 := newCluster(true)
+	sim3, regs3, stacks3 := newCluster(n, true)
 	var fLat amp.Time = -1
 	sim3.Schedule(1, func() { regs3[0].Write(stacks3[0].Ctx(0), "v", nil) })
 	sim3.Schedule(1000, func() { regs3[2].Read(stacks3[2].Ctx(0), func(_ any, l amp.Time) { fLat = l }) })
@@ -141,17 +141,7 @@ func runE9() []row {
 
 	// Liveness loss at t >= n/2: a 2/2 partition of a 4-process system
 	// (majority quorums of size 3 are unreachable).
-	regs4 := make([]*abd.Register, 4)
-	stacks4 := make([]*amp.Stack, 4)
-	procs4 := make([]amp.Process, 4)
-	for i := 0; i < 4; i++ {
-		r := abd.NewRegister(4, 0)
-		regs4[i] = r
-		stacks4[i] = amp.NewStack(r)
-		procs4[i] = stacks4[i]
-	}
-	sim4 := amp.NewSim(procs4,
-		amp.WithDelay(amp.FixedDelay{D: delta}),
+	sim4, regs4, stacks4 := newCluster(4, false,
 		amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, _ amp.Time) amp.Verdict {
 			return amp.Verdict{Drop: (src < 2) != (dst < 2)} // cut the network in halves
 		})))
@@ -163,7 +153,7 @@ func runE9() []row {
 	// cannot reach a quorum, so an operation started inside the window
 	// blocks; ABD has no retransmission, so it stays blocked after the heal,
 	// but a fresh operation then completes with the pre-partition value.
-	sim5, regs5, stacks5 := newCluster(false, amp.WithAdversary(amp.Partition(100, 5000, []int{3, 4})))
+	sim5, regs5, stacks5 := newCluster(n, false, amp.WithAdversary(amp.Partition(100, 5000, []int{3, 4})))
 	blockedDone, healedVal := false, any(nil)
 	var healedLat amp.Time = -1
 	sim5.Schedule(1, func() { regs5[0].Write(stacks5[0].Ctx(0), "pre", nil) })
@@ -178,16 +168,7 @@ func runE9() []row {
 	// Δ-denominated latencies must be size-independent; the row also
 	// reports the event-processing throughput at that size.
 	const big = 2048
-	regsB := make([]*abd.Register, big)
-	stacksB := make([]*amp.Stack, big)
-	procsB := make([]amp.Process, big)
-	for i := 0; i < big; i++ {
-		r := abd.NewRegister(big, 0)
-		regsB[i] = r
-		stacksB[i] = amp.NewStack(r)
-		procsB[i] = stacksB[i]
-	}
-	simB := amp.NewSim(procsB, amp.WithDelay(amp.FixedDelay{D: delta}))
+	simB, regsB, stacksB := newCluster(big, false)
 	var bigW, bigR amp.Time = -1, -1
 	ops := 0
 	var chain func()

@@ -22,8 +22,14 @@ import (
 func runE4() []row {
 	var rows []row
 
+	// verify explores every schedule with up to n-1 crashes, fanned out
+	// across the cores.
+	verify := func(n int, e agreement.HierarchyEntry, proposals ...any) *shm.ExploreResult {
+		return agreement.VerifyConsensusExhaustive(proposals, func() agreement.Consensus { return e.Factory(n) },
+			true, shm.ExploreOpts{Workers: runtime.GOMAXPROCS(0)})
+	}
+
 	for _, e := range agreement.Hierarchy() {
-		e := e
 		cn := "∞"
 		if e.ConsensusNumber != agreement.Infinity {
 			cn = fmt.Sprintf("%d", e.ConsensusNumber)
@@ -31,22 +37,8 @@ func runE4() []row {
 
 		if e.ConsensusNumber == 1 && e.Factory != nil {
 			// Registers only: exhaustive search must FIND a violation. The
-			// search runs uncapped (the seed capped it at 300k executions)
-			// and fans out across the cores.
-			res := shm.Explore(shm.ExploreOpts{
-				Factory: func() *shm.Run {
-					c := e.Factory(2)
-					return &shm.Run{Bodies: []func(*shm.Proc) any{
-						func(p *shm.Proc) any { return c.Propose(p, 0) },
-						func(p *shm.Proc) any { return c.Propose(p, 1) },
-					}}
-				},
-				MaxCrashes: 1,
-				Workers:    runtime.GOMAXPROCS(0),
-				Check: func(out *shm.Outcome) string {
-					return agreement.CheckConsensusOutcome(out, []any{0, 1})
-				},
-			})
+			// search runs uncapped (the seed capped it at 300k executions).
+			res := verify(2, e, 0, 1)
 			rows = append(rows, row{
 				claim:    fmt.Sprintf("cons#(%s) = %s: registers cannot solve 2-consensus (§4.2, [23,32,44])", e.Object, cn),
 				measured: fmt.Sprintf("exhaustive n=2 uncapped (%d executions): violation found: %v (%s)", res.Executions, res.Violation != "", firstWords(res.Violation, 8)),
@@ -59,20 +51,7 @@ func runE4() []row {
 			continue
 		}
 		// Exhaustive verification at n=2.
-		res2 := shm.Explore(shm.ExploreOpts{
-			Factory: func() *shm.Run {
-				c := e.Factory(2)
-				return &shm.Run{Bodies: []func(*shm.Proc) any{
-					func(p *shm.Proc) any { return c.Propose(p, 0) },
-					func(p *shm.Proc) any { return c.Propose(p, 1) },
-				}}
-			},
-			MaxCrashes: 1,
-			Workers:    runtime.GOMAXPROCS(0),
-			Check: func(out *shm.Outcome) string {
-				return agreement.CheckConsensusOutcome(out, []any{0, 1})
-			},
-		})
+		res2 := verify(2, e, 0, 1)
 		ok2 := res2.Violation == "" && !res2.Truncated
 
 		measured := fmt.Sprintf("n=2 exhaustive (%d executions w/ crashes): correct: %v", res2.Executions, ok2)
@@ -81,22 +60,7 @@ func runE4() []row {
 		if e.ConsensusNumber == agreement.Infinity {
 			// Exhaustive verification at n=3 with up to two crashes — the
 			// scale the leaf-only explorer buys over the seed's n=2.
-			res3 := shm.Explore(shm.ExploreOpts{
-				Factory: func() *shm.Run {
-					c := e.Factory(3)
-					bodies := make([]func(*shm.Proc) any, 3)
-					for i := 0; i < 3; i++ {
-						i := i
-						bodies[i] = func(p *shm.Proc) any { return c.Propose(p, i%2) }
-					}
-					return &shm.Run{Bodies: bodies}
-				},
-				MaxCrashes: 2,
-				Workers:    runtime.GOMAXPROCS(0),
-				Check: func(out *shm.Outcome) string {
-					return agreement.CheckConsensusOutcome(out, []any{0, 1, 0})
-				},
-			})
+			res3 := verify(3, e, 0, 1, 0)
 			ok3 := res3.Violation == "" && !res3.Truncated
 			measured += fmt.Sprintf("; n=3 exhaustive (%d executions w/ ≤2 crashes): correct: %v", res3.Executions, ok3)
 			okAll = okAll && ok3
@@ -134,19 +98,9 @@ func runE4() []row {
 	// Binary suffices: multivalued consensus reduces to binary (sticky
 	// bits + registers), so "cons# = ∞" really covers §4.2's arbitrary-
 	// value consensus objects.
-	resMV := shm.Explore(shm.ExploreOpts{
-		Factory: func() *shm.Run {
-			c := agreement.NewMVConsensus(2, func() agreement.Consensus { return agreement.NewStickyConsensus() })
-			return &shm.Run{Bodies: []func(*shm.Proc) any{
-				func(p *shm.Proc) any { return c.Propose(p, "apple") },
-				func(p *shm.Proc) any { return c.Propose(p, "pear") },
-			}}
-		},
-		MaxCrashes: 1,
-		Check: func(out *shm.Outcome) string {
-			return agreement.CheckConsensusOutcome(out, []any{"apple", "pear"})
-		},
-	})
+	resMV := agreement.VerifyConsensusExhaustive([]any{"apple", "pear"}, func() agreement.Consensus {
+		return agreement.NewMVConsensus(2, func() agreement.Consensus { return agreement.NewStickyConsensus() })
+	}, true, shm.ExploreOpts{})
 	rows = append(rows, row{
 		claim:    "multivalued consensus reduces to binary consensus + registers (closes the sticky-bit gap)",
 		measured: fmt.Sprintf("exhaustive n=2 over arbitrary values (%d executions w/ crashes): correct: %v", resMV.Executions, resMV.Violation == ""),
@@ -155,29 +109,15 @@ func runE4() []row {
 
 	// DPOR makes the hierarchy exhaustive at n=4: CAS with up to 3
 	// crashes, full enumeration vs the sleep-set reduction.
-	n4 := func(dpor bool) shm.ExploreOpts {
-		return shm.ExploreOpts{
-			Factory: func() *shm.Run {
-				c := agreement.NewCASConsensus()
-				bodies := make([]func(*shm.Proc) any, 4)
-				for i := 0; i < 4; i++ {
-					i := i
-					bodies[i] = func(p *shm.Proc) any { return c.Propose(p, i) }
-				}
-				return &shm.Run{Bodies: bodies}
-			},
-			MaxCrashes: 3,
-			DPOR:       dpor,
-			Check: func(out *shm.Outcome) string {
-				return agreement.CheckConsensusOutcome(out, []any{0, 1, 2, 3})
-			},
-		}
+	n4 := func(dpor bool) *shm.ExploreResult {
+		return agreement.VerifyConsensusExhaustive([]any{0, 1, 2, 3},
+			func() agreement.Consensus { return agreement.NewCASConsensus() }, true, shm.ExploreOpts{DPOR: dpor})
 	}
 	fullStart := time.Now()
-	resFull := shm.Explore(n4(false))
+	resFull := n4(false)
 	fullNS := time.Since(fullStart)
 	dporStart := time.Now()
-	resDPOR := shm.Explore(n4(true))
+	resDPOR := n4(true)
 	dporNS := time.Since(dporStart)
 	okDPOR := resFull.Violation == "" && resDPOR.Violation == "" &&
 		!resFull.Truncated && !resDPOR.Truncated && resDPOR.Executions < resFull.Executions

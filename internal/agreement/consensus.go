@@ -3,6 +3,10 @@
 // primitives of Herlihy's hierarchy (§4.2), obstruction-free consensus and
 // k-set agreement from read/write registers only (§4.3), k-simultaneous
 // consensus, and abortable objects.
+//
+// This file holds the §4.2 constructions. The level-∞ objects each get
+// their own protocol; the level-2 objects share one, Consensus2, whose
+// only parameter is the operation the two processes race on.
 package agreement
 
 import (
@@ -94,85 +98,72 @@ func (c *StickyConsensus) Propose(p *shm.Proc, v any) any {
 	return c.bit.Set(p, b)
 }
 
-// TASConsensus2 solves 2-process wait-free consensus from one test&set
-// object and two registers (consensus number of Test&Set is 2, §4.2): the
-// processes publish their proposals, then race on the TAS; the winner
-// decides its own value, the loser adopts the winner's.
-type TASConsensus2 struct {
+// Consensus2 is the one 2-process wait-free protocol every object at
+// level 2 of the hierarchy solves consensus by (§4.2): the two processes
+// publish their proposals in two registers, then race on the object; the
+// winner decides its own value, the loser adopts the winner's. The one
+// parameter is the race: wins is a single operation on the level-2
+// object that answers true to exactly the first process to apply it.
+// Each constructor below supplies that step and nothing else.
+type Consensus2 struct {
 	prefs *shm.RegisterArray
-	tas   *shm.TestAndSet
+	wins  func(p *shm.Proc) bool
 }
 
-// NewTASConsensus2 returns a consensus object correct for processes with
-// ids 0 and 1.
-func NewTASConsensus2() *TASConsensus2 {
-	return &TASConsensus2{prefs: shm.NewRegisterArray(2, nil), tas: shm.NewTestAndSet()}
+func newConsensus2(wins func(p *shm.Proc) bool) *Consensus2 {
+	return &Consensus2{prefs: shm.NewRegisterArray(2, nil), wins: wins}
 }
 
 // Propose implements Consensus for p.ID() in {0, 1}.
-func (c *TASConsensus2) Propose(p *shm.Proc, v any) any {
+func (c *Consensus2) Propose(p *shm.Proc, v any) any {
 	id := p.ID()
 	c.prefs.Reg(id).Write(p, v)
-	if !c.tas.TestAndSet(p) {
-		return v // winner
+	if c.wins(p) {
+		return v
 	}
 	return c.prefs.Reg(1 - id).Read(p) // loser adopts the winner's proposal
 }
 
-// QueueConsensus2 solves 2-process consensus from one atomic queue
-// pre-loaded with a winner token and a loser token, plus two registers
-// (consensus number of a queue is 2).
-type QueueConsensus2 struct {
-	prefs *shm.RegisterArray
-	queue *shm.Queue
+// NewTASConsensus2 races on one test&set object (consensus number of
+// Test&Set is 2): the process that finds it unset wins.
+func NewTASConsensus2() *Consensus2 {
+	tas := shm.NewTestAndSet()
+	return newConsensus2(func(p *shm.Proc) bool { return !tas.TestAndSet(p) })
 }
 
-// queue tokens.
-const (
-	tokenWin  = "WIN"
-	tokenLose = "LOSE"
-)
-
-// NewQueueConsensus2 returns a consensus object correct for ids 0 and 1.
-func NewQueueConsensus2() *QueueConsensus2 {
-	return &QueueConsensus2{
-		prefs: shm.NewRegisterArray(2, nil),
-		queue: shm.NewQueue(tokenWin, tokenLose),
-	}
+// NewQueueConsensus2 races on one atomic queue pre-loaded with a winner
+// token and a loser token (consensus number of a queue is 2): the
+// process that dequeues the winner token wins.
+func NewQueueConsensus2() *Consensus2 {
+	const tokenWin, tokenLose = "WIN", "LOSE"
+	queue := shm.NewQueue(tokenWin, tokenLose)
+	return newConsensus2(func(p *shm.Proc) bool {
+		tok, ok := queue.Deq(p)
+		return ok && tok == tokenWin
+	})
 }
 
-// Propose implements Consensus for p.ID() in {0, 1}.
-func (c *QueueConsensus2) Propose(p *shm.Proc, v any) any {
-	id := p.ID()
-	c.prefs.Reg(id).Write(p, v)
-	tok, ok := c.queue.Deq(p)
-	if ok && tok == tokenWin {
-		return v
-	}
-	return c.prefs.Reg(1 - id).Read(p)
+// NewFAAConsensus2 races on one fetch&add object (consensus number of
+// Fetch&Add is 2): the process that increments first wins.
+func NewFAAConsensus2() *Consensus2 {
+	ctr := shm.NewFetchAndAdd(0)
+	return newConsensus2(func(p *shm.Proc) bool { return ctr.Add(p, 1) == 0 })
 }
 
-// FAAConsensus2 solves 2-process consensus from one fetch&add object plus
-// two registers (consensus number of Fetch&Add is 2): the process that
-// increments first wins.
-type FAAConsensus2 struct {
-	prefs *shm.RegisterArray
-	ctr   *shm.FetchAndAdd
-}
+// swapToken is the neutral initial content of the swap register.
+type swapToken struct{}
 
-// NewFAAConsensus2 returns a consensus object correct for ids 0 and 1.
-func NewFAAConsensus2() *FAAConsensus2 {
-	return &FAAConsensus2{prefs: shm.NewRegisterArray(2, nil), ctr: shm.NewFetchAndAdd(0)}
-}
-
-// Propose implements Consensus for p.ID() in {0, 1}.
-func (c *FAAConsensus2) Propose(p *shm.Proc, v any) any {
-	id := p.ID()
-	c.prefs.Reg(id).Write(p, v)
-	if old := c.ctr.Add(p, 1); old == 0 {
-		return v
-	}
-	return c.prefs.Reg(1 - id).Read(p)
+// NewSwapConsensus2 races on one atomic swap register — swap is one of
+// §4.2's "many others" at hierarchy level 2 ([32]). Each process swaps
+// its own marker into a register initialized with a neutral token:
+// whoever swaps first gets the token back and wins; the other gets the
+// winner's marker.
+func NewSwapConsensus2() *Consensus2 {
+	swp := shm.NewSwap(swapToken{})
+	return newConsensus2(func(p *shm.Proc) bool {
+		_, neutral := swp.Swap(p, p.ID()).(swapToken)
+		return neutral
+	})
 }
 
 // NaiveRegisterConsensus is a NATURAL BUT INCORRECT attempt at consensus
@@ -203,10 +194,11 @@ func (c *NaiveRegisterConsensus) Propose(p *shm.Proc, v any) any {
 }
 
 // TASConsensusN is the NATURAL BUT INCORRECT generalization of
-// TASConsensus2 to n >= 3 processes (the loser adopts the value of the
-// lowest-id other process it sees). The hierarchy tests use the exhaustive
-// explorer to find an agreement violation at n = 3, demonstrating that the
-// consensus number of Test&Set is exactly 2, not merely at least 2.
+// Consensus2 over Test&Set to n >= 3 processes (the loser adopts the
+// value of the lowest-id other process it sees). The hierarchy tests use
+// the exhaustive explorer to find an agreement violation at n = 3,
+// demonstrating that the consensus number of Test&Set is exactly 2, not
+// merely at least 2.
 type TASConsensusN struct {
 	prefs *shm.RegisterArray
 	tas   *shm.TestAndSet

@@ -46,12 +46,16 @@ func TestStickyConsensusSequentialAndPanics(t *testing.T) {
 	c.Propose(p, 7)
 }
 
+// verifyOpts is the per-execution step budget the exhaustive tests run
+// under (a cutoff reads as a termination violation).
+var verifyOpts = shm.ExploreOpts{MaxSteps: 5000}
+
 // verify2 exhaustively verifies a 2-process consensus object, with crash
 // branching (the wait-free model allows n-1 = 1 crash).
 func verify2(t *testing.T, name string, factory func() Consensus) {
 	t.Helper()
-	res := VerifyConsensusExhaustive(2, []any{"x", "y"}, factory, true)
-	if !res.OK {
+	res := VerifyConsensusExhaustive([]any{"x", "y"}, factory, true, verifyOpts)
+	if res.Violation != "" {
 		t.Fatalf("%s (n=2): %s", name, res.Violation)
 	}
 	if res.Executions == 0 {
@@ -81,23 +85,23 @@ func TestExhaustive2ProcLLSC(t *testing.T) {
 }
 
 func TestExhaustive2ProcSticky(t *testing.T) {
-	res := VerifyConsensusExhaustive(2, []any{0, 1}, func() Consensus { return NewStickyConsensus() }, true)
-	if !res.OK {
+	res := VerifyConsensusExhaustive([]any{0, 1}, func() Consensus { return NewStickyConsensus() }, true, verifyOpts)
+	if res.Violation != "" {
 		t.Fatalf("sticky bit (n=2): %s", res.Violation)
 	}
 }
 
 func TestExhaustive3ProcCAS(t *testing.T) {
-	res := VerifyConsensusExhaustive(3, []any{"a", "b", "c"}, func() Consensus { return NewCASConsensus() }, true)
-	if !res.OK {
+	res := VerifyConsensusExhaustive([]any{"a", "b", "c"}, func() Consensus { return NewCASConsensus() }, true, verifyOpts)
+	if res.Violation != "" {
 		t.Fatalf("CAS (n=3): %s", res.Violation)
 	}
 	t.Logf("CAS n=3: %d executions", res.Executions)
 }
 
 func TestExhaustive3ProcSticky(t *testing.T) {
-	res := VerifyConsensusExhaustive(3, []any{1, 0, 1}, func() Consensus { return NewStickyConsensus() }, true)
-	if !res.OK {
+	res := VerifyConsensusExhaustive([]any{1, 0, 1}, func() Consensus { return NewStickyConsensus() }, true, verifyOpts)
+	if res.Violation != "" {
 		t.Fatalf("sticky bit (n=3): %s", res.Violation)
 	}
 }
@@ -105,10 +109,10 @@ func TestExhaustive3ProcSticky(t *testing.T) {
 func TestRegisterOnlyConsensusImpossibleEmpirically(t *testing.T) {
 	// §4.2 impossibility, exhibited: the natural register-only protocol
 	// has a violating schedule even for n=2 WITHOUT crashes.
-	res := VerifyConsensusExhaustive(2, []any{"x", "y"}, func() Consensus {
+	res := VerifyConsensusExhaustive([]any{"x", "y"}, func() Consensus {
 		return NewNaiveRegisterConsensus(2)
-	}, false)
-	if res.OK {
+	}, false, verifyOpts)
+	if res.Violation == "" {
 		t.Fatal("register-only protocol verified correct — impossibility result contradicted!")
 	}
 	t.Logf("register protocol violation found: %s", res.Violation)
@@ -117,10 +121,10 @@ func TestRegisterOnlyConsensusImpossibleEmpirically(t *testing.T) {
 func TestTASConsensusNumberExactly2(t *testing.T) {
 	// The natural 3-process generalization of the Test&Set protocol must
 	// fail: Test&Set has consensus number exactly 2.
-	res := VerifyConsensusExhaustive(3, []any{"a", "b", "c"}, func() Consensus {
+	res := VerifyConsensusExhaustive([]any{"a", "b", "c"}, func() Consensus {
 		return NewTASConsensusN(3)
-	}, false)
-	if res.OK {
+	}, false, verifyOpts)
+	if res.Violation == "" {
 		t.Fatal("TAS 3-process protocol verified correct — but cons#(TAS)=2")
 	}
 	t.Logf("TAS n=3 violation found: %s", res.Violation)

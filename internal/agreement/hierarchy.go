@@ -97,49 +97,32 @@ func Hierarchy() []HierarchyEntry {
 	}
 }
 
-// VerifyResult reports an exhaustive consensus verification.
-type VerifyResult struct {
-	// OK reports that every explored schedule satisfied consensus.
-	OK bool
-	// Violation describes the failure when OK is false.
-	Violation string
-	// Executions is the number of complete executions explored.
-	Executions int
-}
-
-// VerifyConsensusExhaustive explores every schedule (with up to n-1
-// crashes when crashes is true) of n processes proposing distinct values
-// through a fresh object from factory, checking validity, agreement, and
-// wait-free termination of non-crashed processes.
+// VerifyConsensusExhaustive explores every schedule of len(proposals)
+// processes, process i proposing proposals[i] through a fresh object
+// from factory, checking validity, agreement, and wait-free termination
+// of non-crashed processes. It completes the caller's opts with what the
+// consensus specification fixes — Factory, Check, and the crash budget:
+// the wait-free model's n-1 when crashes is true, none otherwise — and
+// leaves the search's own knobs (Workers, DPOR, MaxSteps, ...) as given.
 //
-// proposals[i] is process i's proposal; binary objects (sticky bit) take
-// proposals in {0,1}.
-func VerifyConsensusExhaustive(n int, proposals []any, factory func() Consensus, crashes bool) *VerifyResult {
-	maxCrashes := 0
+// Binary objects (sticky bit) take proposals in {0,1}.
+func VerifyConsensusExhaustive(proposals []any, factory func() Consensus, crashes bool, opts shm.ExploreOpts) *shm.ExploreResult {
+	n := len(proposals)
+	opts.Factory = func() *shm.Run {
+		obj := factory()
+		bodies := make([]func(*shm.Proc) any, n)
+		for i := 0; i < n; i++ {
+			v := proposals[i]
+			bodies[i] = func(p *shm.Proc) any { return obj.Propose(p, v) }
+		}
+		return &shm.Run{Bodies: bodies}
+	}
+	opts.Check = func(out *shm.Outcome) string { return CheckConsensusOutcome(out, proposals) }
+	opts.MaxCrashes = 0
 	if crashes {
-		maxCrashes = n - 1
+		opts.MaxCrashes = n - 1
 	}
-	res := shm.Explore(shm.ExploreOpts{
-		Factory: func() *shm.Run {
-			obj := factory()
-			bodies := make([]func(*shm.Proc) any, n)
-			for i := 0; i < n; i++ {
-				v := proposals[i]
-				bodies[i] = func(p *shm.Proc) any { return obj.Propose(p, v) }
-			}
-			return &shm.Run{Bodies: bodies}
-		},
-		MaxCrashes: maxCrashes,
-		MaxSteps:   5000,
-		Check: func(out *shm.Outcome) string {
-			return CheckConsensusOutcome(out, proposals)
-		},
-	})
-	return &VerifyResult{
-		OK:         res.Violation == "",
-		Violation:  res.Violation,
-		Executions: res.Executions,
-	}
+	return shm.Explore(opts)
 }
 
 // CheckConsensusOutcome validates one execution outcome against the

@@ -4,197 +4,99 @@ import (
 	"distbasics/internal/amp"
 )
 
-// This file implements the two classical failure-detector classes of
-// Chandra–Toueg [15] that complement Ω (§5.3 of the paper): the perfect
-// detector P, sound only under known synchrony bounds, and the
-// eventually perfect detector ◇P, whose adaptive timeouts make it sound
-// after the system stabilizes. Each is an amp.Component emitting
-// heartbeats and maintaining a suspect list; they differ only in how
-// timeouts are chosen — which is precisely the paper's point that
-// "failure detectors can be seen as objects that abstract underlying
-// synchrony assumptions".
+// The Chandra–Toueg classes [15] that complement Ω (§5.3 of the paper),
+// each a row of the package table: the Detector of fd.go under that
+// row's timeout rule, plus the row's read-out. Nothing else differs —
+// which is precisely the paper's point that "failure detectors can be
+// seen as objects that abstract underlying synchrony assumptions". A
+// class hosts like any Detector (its own slot of an amp.Stack) and
+// keeps the whole Detector surface: ◇S's Leader is the classical
+// Ω-from-◇S reduction, leader := the smallest id currently trusted.
 
-// classHB is the heartbeat message of the class detectors (distinct
-// from Ω's so both can share a Stack).
-type classHB struct{}
+// perfectBound is P's synchrony assumption: no heartbeat takes longer.
+const perfectBound amp.Time = 10
 
-const (
-	classTimerHB = iota + 100
-	classTimerCheck
-)
+// The rules beside fd.go's addStep, as Detector.adapt takes them.
+
+// keep is P's: being wrong teaches it nothing.
+func keep(_ *Detector, timeout amp.Time) amp.Time { return timeout }
+
+// doubleSlack is ◇P's: the slack over one heartbeat period doubles.
+func doubleSlack(d *Detector, timeout amp.Time) amp.Time { return d.Period + 2*(timeout-d.Period) }
 
 // Perfect is the failure detector P: strong completeness (every crashed
 // process is eventually suspected by every correct process) and strong
-// accuracy (no process is suspected before it crashes). Accuracy is
-// sound only if Bound really bounds heartbeat latency — P is
-// implementable in synchronous systems and only there, which is why the
-// asynchronous world of §5.3 needs Ω instead.
-type Perfect struct {
-	// Period is the heartbeat period (default 4).
-	Period amp.Time
-	// Bound is the assumed worst-case heartbeat latency (default 10):
-	// silence longer than Period+Bound means "crashed".
-	Bound amp.Time
+// accuracy (no process is suspected before it crashes). Its rule is the
+// table's first row: silence longer than Period plus the assumed bound
+// means "crashed", and no evidence to the contrary ever moves that
+// timeout. Accuracy is sound only if the bound really bounds heartbeat
+// latency — P is implementable in synchronous systems and only there,
+// which is why the asynchronous world of §5.3 needs Ω instead.
+type Perfect struct{ *Detector }
 
-	n        int
-	lastSeen []amp.Time
-	suspect  []bool
-	// FalseSuspicions counts suspicions of processes that later spoke
-	// again — zero when the synchrony assumption holds.
-	falseSuspicions int
-}
-
-var _ amp.Component = (*Perfect)(nil)
-
-// NewPerfect returns a perfect failure detector for n processes.
+// NewPerfect returns a perfect failure detector for n processes:
+// heartbeat period 4, assumed latency bound 10.
 func NewPerfect(n int) *Perfect {
-	return &Perfect{Period: 4, Bound: 10, n: n, lastSeen: make([]amp.Time, n), suspect: make([]bool, n)}
-}
-
-// Init implements amp.Component.
-func (d *Perfect) Init(ctx amp.Context) {
-	for i := range d.lastSeen {
-		d.lastSeen[i] = 0
-	}
-	ctx.Broadcast(classHB{})
-	ctx.SetTimer(d.Period, classTimerHB)
-	ctx.SetTimer(d.Period+d.Bound, classTimerCheck)
-}
-
-// OnMessage implements amp.Component.
-func (d *Perfect) OnMessage(ctx amp.Context, from int, msg amp.Message) {
-	if _, ok := msg.(classHB); !ok {
-		return
-	}
-	d.lastSeen[from] = ctx.Now()
-	if d.suspect[from] {
-		d.suspect[from] = false
-		d.falseSuspicions++
-	}
-}
-
-// OnTimer implements amp.Component.
-func (d *Perfect) OnTimer(ctx amp.Context, id int) {
-	switch id {
-	case classTimerHB:
-		ctx.Broadcast(classHB{})
-		ctx.SetTimer(d.Period, classTimerHB)
-	case classTimerCheck:
-		for i := 0; i < d.n; i++ {
-			if i == ctx.ID() || d.suspect[i] {
-				continue
-			}
-			if ctx.Now()-d.lastSeen[i] > d.Period+d.Bound {
-				d.suspect[i] = true
-			}
-		}
-		ctx.SetTimer(d.Period, classTimerCheck)
-	}
-}
-
-// Suspects returns a copy of the suspect list.
-func (d *Perfect) Suspects() []bool {
-	out := make([]bool, d.n)
-	copy(out, d.suspect)
-	return out
+	d := NewDetector(n)
+	d.Period = 4
+	d.InitialTimeout = d.Period + perfectBound
+	d.firstSweep = d.InitialTimeout
+	d.adapt = keep
+	return &Perfect{d}
 }
 
 // FalseSuspicions counts accuracy violations observed so far (a
-// suspected process spoke again). Always 0 when Bound holds — the
+// suspected process spoke again). Always 0 when the bound holds — the
 // defining property of P.
-func (d *Perfect) FalseSuspicions() int { return d.falseSuspicions }
+func (p *Perfect) FalseSuspicions() int { return p.falseSuspicions }
 
 // EventuallyPerfect is ◇P: strong completeness plus *eventual* strong
-// accuracy. It starts from an optimistic timeout and doubles it on
-// every false suspicion, so after the system's Global Stabilization
-// Time the timeout exceeds the true bound and suspicions become
-// permanent-crash-only. ◇P suffices to build Ω, and is implementable in
-// partially synchronous systems ([21, 22] via §5.3).
-type EventuallyPerfect struct {
-	// Period is the heartbeat period (default 4).
-	Period amp.Time
-	// InitialTimeout seeds the per-process adaptive timeout (default 2).
-	InitialTimeout amp.Time
+// accuracy. Its rule is the table's second row: an optimistic slack
+// over one heartbeat period, doubled on every false suspicion, so after
+// the system's Global Stabilization Time the timeout exceeds the true
+// bound and suspicions become permanent-crash-only. ◇P suffices to
+// build Ω, and is implementable in partially synchronous systems
+// ([21, 22] via §5.3).
+type EventuallyPerfect struct{ *Detector }
 
-	n        int
-	lastSeen []amp.Time
-	timeout  []amp.Time
-	suspect  []bool
-
-	falseSuspicions int
-	lastFalse       amp.Time
-}
-
-var _ amp.Component = (*EventuallyPerfect)(nil)
-
-// NewEventuallyPerfect returns a ◇P detector for n processes.
+// NewEventuallyPerfect returns a ◇P detector for n processes: heartbeat
+// period 4, initial slack 2.
 func NewEventuallyPerfect(n int) *EventuallyPerfect {
-	d := &EventuallyPerfect{
-		Period:         4,
-		InitialTimeout: 2,
-		n:              n,
-		lastSeen:       make([]amp.Time, n),
-		timeout:        make([]amp.Time, n),
-		suspect:        make([]bool, n),
-	}
-	return d
-}
-
-// Init implements amp.Component.
-func (d *EventuallyPerfect) Init(ctx amp.Context) {
-	for i := range d.timeout {
-		d.timeout[i] = d.InitialTimeout
-	}
-	ctx.Broadcast(classHB{})
-	ctx.SetTimer(d.Period, classTimerHB)
-	ctx.SetTimer(d.Period, classTimerCheck)
-}
-
-// OnMessage implements amp.Component.
-func (d *EventuallyPerfect) OnMessage(ctx amp.Context, from int, msg amp.Message) {
-	if _, ok := msg.(classHB); !ok {
-		return
-	}
-	d.lastSeen[from] = ctx.Now()
-	if d.suspect[from] {
-		// False suspicion: repent and double the timeout — the adaptive
-		// step that buys eventual accuracy.
-		d.suspect[from] = false
-		d.timeout[from] *= 2
-		d.falseSuspicions++
-		d.lastFalse = ctx.Now()
-	}
-}
-
-// OnTimer implements amp.Component.
-func (d *EventuallyPerfect) OnTimer(ctx amp.Context, id int) {
-	switch id {
-	case classTimerHB:
-		ctx.Broadcast(classHB{})
-		ctx.SetTimer(d.Period, classTimerHB)
-	case classTimerCheck:
-		for i := 0; i < d.n; i++ {
-			if i == ctx.ID() || d.suspect[i] {
-				continue
-			}
-			if ctx.Now()-d.lastSeen[i] > d.Period+d.timeout[i] {
-				d.suspect[i] = true
-			}
-		}
-		ctx.SetTimer(d.Period, classTimerCheck)
-	}
-}
-
-// Suspects returns a copy of the suspect list.
-func (d *EventuallyPerfect) Suspects() []bool {
-	out := make([]bool, d.n)
-	copy(out, d.suspect)
-	return out
+	d := NewDetector(n)
+	d.Period = 4
+	d.InitialTimeout = d.Period + 2
+	d.adapt = doubleSlack
+	return &EventuallyPerfect{d}
 }
 
 // FalseSuspicions returns the count of accuracy violations and the time
 // of the last one — after stabilization the count stops growing, which
 // is ◇P's "eventual" accuracy made measurable.
-func (d *EventuallyPerfect) FalseSuspicions() (int, amp.Time) {
-	return d.falseSuspicions, d.lastFalse
+func (p *EventuallyPerfect) FalseSuspicions() (int, amp.Time) {
+	return p.falseSuspicions, p.lastFalse
+}
+
+// EventuallyStrong is ◇S, the weakest Chandra–Toueg class that solves
+// consensus with a majority of correct processes [15]: strong
+// completeness plus *eventual weak* accuracy — SOME correct process is
+// eventually never suspected by any correct process. A ◇P detector
+// trivially satisfies ◇S (eventual strong accuracy implies eventual
+// weak accuracy), so ◇S is ◇P's rule with the ◇S-level read-out.
+type EventuallyStrong struct{ *Detector }
+
+// NewEventuallyStrong returns a ◇S detector for n processes.
+func NewEventuallyStrong(n int) *EventuallyStrong {
+	return &EventuallyStrong{NewEventuallyPerfect(n).Detector}
+}
+
+// Trusted reports ◇S's defining output: some process this detector
+// currently does not suspect (the eventual-weak-accuracy witness). It
+// returns the smallest non-suspected id.
+func (s *EventuallyStrong) Trusted() int {
+	for i, suspected := range s.suspected {
+		if !suspected {
+			return i
+		}
+	}
+	return -1 // not in a run: a process never suspects itself
 }

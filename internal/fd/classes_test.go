@@ -67,8 +67,14 @@ func TestPerfectBreaksWithoutSynchrony(t *testing.T) {
 		amp.WithSeed(1), amp.WithDelay(amp.UniformDelay{Min: 1, Max: 60}))
 	sim.Run(5_000)
 	total := 0
-	for _, d := range dets {
+	for i, d := range dets {
 		total += d.FalseSuspicions()
+		// P's rule: being wrong teaches it nothing (adapting is ◇P's row).
+		for j, to := range d.timeout {
+			if to != d.InitialTimeout {
+				t.Fatalf("detector %d moved its timeout for %d to %d; P's is fixed at %d", i, j, to, d.InitialTimeout)
+			}
+		}
 	}
 	if total == 0 {
 		t.Fatal("delays above the bound must produce false suspicions (the accuracy assumption is load-bearing)")
@@ -146,7 +152,7 @@ func TestEventuallyPerfectAdaptsTimeouts(t *testing.T) {
 }
 
 // TestDetectorClassesShareAStack: P, ◇P and Ω coexist on one process
-// (distinct message types and timer ids).
+// (each in its own Stack slot, which namespaces messages and timers).
 func TestDetectorClassesShareAStack(t *testing.T) {
 	const n = 3
 	omegas := make([]*Detector, n)

@@ -6,14 +6,28 @@
 // variables contain the same correct process forever. Ω is the formal
 // definition of the leader service used in Paxos ([42]).
 //
-// The implementation is heartbeat-based with adaptive timeouts: each
-// process broadcasts ALIVE every Period; a peer is suspected when no
-// heartbeat arrives within its current timeout; a false suspicion
-// (heartbeat arrives from a suspected peer) retracts the suspicion and
-// increases that peer's timeout. Under partial synchrony (amp.GSTDelay)
-// timeouts eventually exceed the post-GST bound, suspicions stabilize,
-// and the detector behaves as ◇P; Leader() = smallest non-suspected id
-// then realizes Ω.
+// "Failure detectors can be seen as objects that abstract underlying
+// synchrony assumptions" (§5.3), and the code says so literally: there
+// is one heartbeat suspector, Detector — each process broadcasts ALIVE
+// every Period; a peer is suspected when no heartbeat arrives within
+// its current timeout; a heartbeat from a suspected peer retracts the
+// suspicion — and a class is a rule for that timeout plus the output
+// one reads off the suspect list (classes.go holds the named ones):
+//
+//	class  a peer's timeout                         read-out
+//	P      Period+bound, never adapted              Suspects; FalseSuspicions stays 0
+//	                                                exactly while the bound holds
+//	◇P     Period+slack, the slack doubled on a     Suspects; FalseSuspicions stops
+//	       false suspicion                          growing after GST
+//	◇S     ◇P's                                     Trusted: some unsuspected id
+//	Ω      InitialTimeout, +TimeoutStep on a        Leader: the smallest unsuspected
+//	       false suspicion                          id (and the leases of lease.go)
+//
+// Under partial synchrony (amp.GSTDelay) an adapted timeout eventually
+// exceeds the post-GST bound, suspicions stabilize, and the suspector
+// behaves as ◇P; Leader() = smallest non-suspected id then realizes Ω —
+// for any row: a ◇S detector's Leader is the classical Ω-from-◇S
+// reduction.
 package fd
 
 import (
@@ -31,8 +45,9 @@ const (
 	timerCheck  = 1 // suspicion sweep
 )
 
-// Detector is an eventually-perfect failure detector component with an Ω
-// leader output.
+// Detector is the heartbeat suspector every class shares. NewDetector's
+// is the Ω row of the package table: eventually perfect, with the
+// leader output and the read-leases the daemons run on.
 type Detector struct {
 	// Period is the heartbeat interval (default 8).
 	Period amp.Time
@@ -76,6 +91,19 @@ type Detector struct {
 	leader      int
 	changes     []LeaderChange
 
+	// adapt is the class's timeout rule, the one thing the classes differ
+	// in: a peer's timeout after a false suspicion, given the timeout
+	// that proved too short.
+	adapt func(d *Detector, timeout amp.Time) amp.Time
+	// firstSweep delays the first suspicion sweep (0 means one Period,
+	// like every later one); sweeps before the initial timeout could
+	// have run out find nothing, so a class may skip them.
+	firstSweep amp.Time
+	// falseSuspicions counts retracted suspicions, lastFalse times the
+	// latest: the accuracy read-out of the P and ◇P rows.
+	falseSuspicions int
+	lastFalse       amp.Time
+
 	lease leaseState // leader read-lease machinery (see lease.go)
 }
 
@@ -88,8 +116,12 @@ type LeaderChange struct {
 
 // NewDetector returns a detector for n processes.
 func NewDetector(n int) *Detector {
-	return &Detector{Period: 8, n: n}
+	return &Detector{Period: 8, n: n, adapt: addStep}
 }
+
+// addStep is Ω's timeout rule: every false suspicion buys the peer one
+// more TimeoutStep.
+func addStep(d *Detector, timeout amp.Time) amp.Time { return timeout + d.TimeoutStep }
 
 // Init implements amp.Component.
 func (d *Detector) Init(ctx amp.Context) {
@@ -113,7 +145,11 @@ func (d *Detector) Init(ctx amp.Context) {
 	d.refreshLeader(ctx)
 	d.sendHeartbeat(ctx)
 	ctx.SetTimer(d.Period, timerPeriod)
-	ctx.SetTimer(d.Period, timerCheck)
+	sweep := d.firstSweep
+	if sweep == 0 {
+		sweep = d.Period
+	}
+	ctx.SetTimer(sweep, timerCheck)
 }
 
 // OnMessage implements amp.Component.
@@ -122,9 +158,11 @@ func (d *Detector) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 	case heartbeat:
 		d.lastHeard[from] = ctx.Now()
 		if d.suspected[from] {
-			// False suspicion: retract and adapt (the ◇P mechanism).
+			// False suspicion: retract, and adapt as the class says.
 			d.suspected[from] = false
-			d.timeout[from] += d.TimeoutStep
+			d.timeout[from] = d.adapt(d, d.timeout[from])
+			d.falseSuspicions++
+			d.lastFalse = ctx.Now()
 			d.refreshLeader(ctx)
 		}
 		d.maybeGrant(ctx, from, m.Seq)

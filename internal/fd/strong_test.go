@@ -6,40 +6,16 @@ import (
 	"distbasics/internal/amp"
 )
 
-// omegaProbe pairs a ◇S detector with the Ω reduction and samples the
-// leader periodically so stabilization can be measured.
-type omegaProbe struct {
-	det   *EventuallyStrong
-	omega *OmegaFromSuspects
-}
-
-func (p *omegaProbe) Init(ctx amp.Context) {
-	p.det.Init(ctx)
-	ctx.SetTimer(7, 999)
-}
-
-func (p *omegaProbe) OnMessage(ctx amp.Context, from int, msg amp.Message) {
-	p.det.OnMessage(ctx, from, msg)
-}
-
-func (p *omegaProbe) OnTimer(ctx amp.Context, id int) {
-	if id == 999 {
-		p.omega.RecordAt(ctx.Now())
-		ctx.SetTimer(7, 999)
-		return
-	}
-	p.det.OnTimer(ctx, id)
-}
-
-func buildOmegaFromS(n int, opts ...amp.SimOption) (*amp.Sim, []*omegaProbe) {
-	probes := make([]*omegaProbe, n)
+// buildOmegaFromS runs one ◇S detector per process; its Leader — the
+// smallest id it trusts — is the Ω reduction under test.
+func buildOmegaFromS(n int, opts ...amp.SimOption) (*amp.Sim, []*EventuallyStrong) {
+	dets := make([]*EventuallyStrong, n)
 	procs := make([]amp.Process, n)
 	for i := 0; i < n; i++ {
-		det := NewEventuallyStrong(n)
-		probes[i] = &omegaProbe{det: det, omega: NewOmegaFromSuspects(det)}
-		procs[i] = probes[i]
+		dets[i] = NewEventuallyStrong(n)
+		procs[i] = dets[i]
 	}
-	return amp.NewSim(procs, opts...), probes
+	return amp.NewSim(procs, opts...), dets
 }
 
 // TestOmegaFromDiamondS: the classical reduction — smallest trusted id —
@@ -55,7 +31,7 @@ func TestOmegaFromDiamondS(t *testing.T) {
 
 	leaders := map[int]bool{}
 	for i := 1; i < n; i++ {
-		tau, leader := probes[i].omega.StabilizationTime()
+		tau, leader := probes[i].StabilizationTime()
 		if leader < 0 {
 			t.Fatalf("probe %d never observed a leader", i)
 		}
@@ -95,7 +71,7 @@ func TestDiamondSWeakAccuracy(t *testing.T) {
 			if sim.Crashed(i) {
 				continue
 			}
-			if probes[i].det.Suspects()[cand] {
+			if probes[i].Suspects()[cand] {
 				trustedByAll = false
 				break
 			}
@@ -120,7 +96,7 @@ func TestDiamondSCompleteness(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		if !probes[i].det.Suspects()[2] {
+		if !probes[i].Suspects()[2] {
 			t.Fatalf("probe %d does not suspect the crashed process", i)
 		}
 	}
@@ -129,16 +105,14 @@ func TestDiamondSCompleteness(t *testing.T) {
 func TestTrustedAllSuspected(t *testing.T) {
 	d := NewEventuallyStrong(2)
 	// Force the everyone-suspected transient by hand.
-	d.inner.suspect[0] = true
-	d.inner.suspect[1] = true
+	d.suspected = []bool{true, true}
 	if got := d.Trusted(); got != -1 {
 		t.Fatalf("Trusted = %d, want -1 when all are suspected", got)
 	}
 }
 
 func TestOmegaFromSuspectsNoRecords(t *testing.T) {
-	o := NewOmegaFromSuspects(NewEventuallyStrong(3))
-	if at, l := o.StabilizationTime(); at != 0 || l != -1 {
-		t.Fatalf("empty recorder = (%d, %d), want (0, -1)", at, l)
+	if at, l := NewEventuallyStrong(3).StabilizationTime(); at != 0 || l != 0 {
+		t.Fatalf("never-started Ω = (%d, %d), want (0, 0)", at, l)
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // RetryPolicy governs when a failed or released job becomes eligible
-// for reassignment. It deliberately mirrors transport.Policy's shape —
-// exponential base-to-cap backoff with seeded ± jitter and an attempt
+// for reassignment. It has transport.Policy's shape — amp.Backoff's
+// exponential base-to-cap curve with seeded ± jitter, and an attempt
 // budget — because the problem is the same at a different layer:
 // bounded, decorrelated retries against a possibly-degraded resource,
 // with a hard stop (there the frame is dropped with a RetryError, here
@@ -23,7 +23,8 @@ type RetryPolicy struct {
 	// Cap bounds the backoff (default 1000).
 	Cap amp.Time
 	// JitterPct spreads each backoff uniformly by +/- this percentage
-	// (default 25), so a burst of same-aged failures decorrelates.
+	// (default 25; negative for none), so a burst of same-aged failures
+	// decorrelates.
 	JitterPct int
 	// Budget is the default max attempts per job (default 3) — used by
 	// submitters that do not pick one; exhaustion dead-letters the job.
@@ -39,12 +40,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Cap <= 0 {
 		p.Cap = 1000
 	}
-	switch {
-	case p.JitterPct < 0: // explicit "no jitter"
-		p.JitterPct = 0
-	case p.JitterPct == 0:
-		p.JitterPct = 25
-	}
 	if p.Budget <= 0 {
 		p.Budget = 3
 	}
@@ -53,27 +48,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // Backoff returns the jittered delay before the job may be reassigned
 // after its attempt'th attempt failed: Base after the first, doubling
-// per attempt, bounded by Cap (same curve as transport.Policy.Backoff).
+// per attempt, bounded by Cap (amp.Backoff, transport.Policy's curve too).
 func (p RetryPolicy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
-	d := p.Base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= p.Cap {
-			d = p.Cap
-			break
-		}
-	}
-	if d > p.Cap {
-		d = p.Cap
-	}
-	if p.JitterPct > 0 {
-		span := int64(d) * int64(p.JitterPct) / 100
-		if span > 0 {
-			d += amp.Time(int64(rng.Uint64()%uint64(2*span+1)) - span)
-		}
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return amp.Backoff(p.Base, p.Cap, p.JitterPct, attempt, rng)
 }

@@ -14,7 +14,8 @@ import (
 // A Flood process halts after HaltAfter rounds (callers pass the graph
 // diameter, or n-1 as a universal upper bound) and applies Fn to the
 // gathered input vector to produce its output. A nil Fn returns the vector
-// itself.
+// itself. It never halts early, which is what lets §3.3 run it unchanged
+// under the TREE message adversary (dynnet.TreeFlood is this type).
 //
 // Knowledge lives in a knowset.Set, whose shared-prefix payloads make a
 // round's sends allocation-free.

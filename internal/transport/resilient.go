@@ -23,7 +23,8 @@ type Policy struct {
 	// RetryCap bounds the backoff (default 400).
 	RetryCap amp.Time
 	// JitterPct spreads each backoff uniformly by +/- this percentage
-	// (default 25), so synchronized retry storms decorrelate.
+	// (default 25; negative for none), so synchronized retry storms
+	// decorrelate.
 	JitterPct int
 	// Budget is the maximum number of attempts per frame (default 8);
 	// exhaustion drops the frame with a *RetryError.
@@ -55,12 +56,6 @@ func (p Policy) withDefaults() Policy {
 	if p.RetryCap <= 0 {
 		p.RetryCap = 400
 	}
-	if p.JitterPct < 0 {
-		p.JitterPct = 0
-	}
-	if p.JitterPct == 0 {
-		p.JitterPct = 25
-	}
 	if p.Budget <= 0 {
 		p.Budget = 8
 	}
@@ -77,27 +72,7 @@ func (p Policy) withDefaults() Policy {
 // `attempt` (1-based), drawing jitter from rng. Exposed for the policy
 // unit tests.
 func (p Policy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
-	d := p.RetryBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= p.RetryCap {
-			d = p.RetryCap
-			break
-		}
-	}
-	if d > p.RetryCap {
-		d = p.RetryCap
-	}
-	if p.JitterPct > 0 {
-		span := int64(d) * int64(p.JitterPct) / 100
-		if span > 0 {
-			d += amp.Time(int64(rng.Uint64()%uint64(2*span+1)) - span)
-		}
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return amp.Backoff(p.RetryBase, p.RetryCap, p.JitterPct, attempt, rng)
 }
 
 // Resilient envelope: [kind byte][seq uint64 BE][payload...]. Acks

@@ -102,14 +102,18 @@ func nextSendTick(t *testing.T, lb *Loopback, inner *mockInner) amp.Time {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := Policy{RetryBase: 10, RetryCap: 80, JitterPct: 1} // jitter span rounds to 0
-	rng := splitmix.New(7)
-	want := []amp.Time{10, 20, 40, 80, 80, 80}
-	for i, w := range want {
-		got := p.Backoff(i+1, &rng)
-		// span = w*1/100 == 0 for w < 100, so the value is exact.
-		if got != w {
-			t.Fatalf("Backoff(%d) = %d, want %d", i+1, got, w)
+	for _, p := range []Policy{
+		{RetryBase: 10, RetryCap: 80, JitterPct: 1},                       // jitter span rounds to 0
+		Policy{RetryBase: 10, RetryCap: 80, JitterPct: -1}.withDefaults(), // negative = none, and defaulting keeps it so
+	} {
+		rng := splitmix.New(7)
+		want := []amp.Time{10, 20, 40, 80, 80, 80}
+		for i, w := range want {
+			got := p.Backoff(i+1, &rng)
+			// span = w*1/100 == 0 for w < 100, so the value is exact.
+			if got != w {
+				t.Fatalf("JitterPct %d: Backoff(%d) = %d, want %d", p.JitterPct, i+1, got, w)
+			}
 		}
 	}
 }
