@@ -2,26 +2,20 @@
 // scenario harness's models (internal/scenario/models) and replays
 // reported failures.
 //
-// Campaign mode (the default) runs a seed range per model, shrinks any
-// failure to a minimal reproducer, and writes reproducers to -out:
+// Campaign mode (the default) runs a seed range per model, then
+// -mutants more runs that mutate coverage-novel scenarios
+// (scenario.Campaign; -mutants=0 is plain independent-seed sampling).
+// Every failure is shrunk to a minimal reproducer and written to -out;
+// -corpus-out archives the coverage-novel scenarios:
 //
 //	basicsfuzz -models=all -seeds=200
-//	basicsfuzz -models=abd,benor -seeds=5000 -out=cmd/basicsfuzz/testdata
-//
-// Mutation mode (-mutate) replaces independent-seed sampling with the
-// coverage-guided loop (scenario.MutationCampaign): a bootstrap phase
-// generates seeds, runs whose coverage signatures are novel join a
-// corpus, and the rest of the -runs budget mutates corpus entries.
-// Mutants are not derivable from a seed, so failures are written to
-// -out as encoded scenario files, and -corpus-out archives the corpus:
-//
-//	basicsfuzz -mutate -models=abd,benor -runs=2000 -out=fuzz-repro -corpus-out=fuzz-corpus
+//	basicsfuzz -models=abd,benor -seeds=500 -mutants=1500 -out=fuzz-repro -corpus-out=fuzz-corpus
 //
 // Replay mode re-runs one scenario — the invocation every harness
 // failure message prints:
 //
 //	basicsfuzz -model=abd -seed=1234 -v
-//	basicsfuzz -replay=cmd/basicsfuzz/testdata/abd-seed1234.scenario -v
+//	basicsfuzz -replay=fuzz-repro/abd-seed1234.scenario -v
 //
 // The exit status is non-zero iff any run failed its oracle.
 package main
@@ -39,19 +33,16 @@ import (
 
 func main() {
 	var (
-		modelsFlag   = flag.String("models", "all", "comma-separated model names for campaign mode (\"all\" = every model)")
-		modelFlag    = flag.String("model", "", "model name for single-seed replay mode (with -seed)")
-		seedFlag     = flag.Uint64("seed", 0, "seed to replay (with -model)")
-		replayFlag   = flag.String("replay", "", "encoded scenario file to replay")
-		seedsFlag    = flag.Uint64("seeds", 25, "seeds per model in campaign mode")
-		startFlag    = flag.Uint64("start", 1, "first seed in campaign mode")
-		shrinkFlag   = flag.Bool("shrink", true, "shrink failures to minimal reproducers")
-		shrinkBudget = flag.Int("shrink-budget", 2000, "max runs the shrinker may spend per failure")
-		outFlag      = flag.String("out", "", "directory to write found-crasher reproducers (empty = don't write)")
-		mutateFlag   = flag.Bool("mutate", false, "coverage-guided mutation campaign instead of independent-seed sampling")
-		runsFlag     = flag.Int("runs", 400, "total runs per model in mutation mode (bootstrap + mutants)")
-		corpusOut    = flag.String("corpus-out", "", "directory to archive the mutation corpus (with -mutate)")
-		verbose      = flag.Bool("v", false, "print run traces")
+		modelsFlag = flag.String("models", "all", "comma-separated model names for campaign mode (\"all\" = every model)")
+		modelFlag  = flag.String("model", "", "model name for single-seed replay mode (with -seed)")
+		seedFlag   = flag.Uint64("seed", 0, "seed to replay (with -model)")
+		replayFlag = flag.String("replay", "", "encoded scenario file to replay")
+		seedsFlag  = flag.Uint64("seeds", 25, "generated seeds per model in campaign mode")
+		startFlag  = flag.Uint64("start", 1, "first seed in campaign mode (also seeds the mutation stream)")
+		mutants    = flag.Int("mutants", 0, "runs per model spent mutating coverage-novel scenarios after the seeds")
+		outFlag    = flag.String("out", "", "directory to write found-crasher reproducers (empty = don't write)")
+		corpusOut  = flag.String("corpus-out", "", "directory to archive the coverage-novel scenarios")
+		verbose    = flag.Bool("v", false, "print run traces")
 	)
 	flag.Parse()
 
@@ -60,27 +51,9 @@ func main() {
 		os.Exit(replayFile(*replayFlag, *verbose))
 	case *modelFlag != "":
 		os.Exit(replaySeed(*modelFlag, *seedFlag, *verbose))
-	case *mutateFlag:
-		os.Exit(mutationCampaign(*modelsFlag, *startFlag, *runsFlag, *shrinkFlag, *shrinkBudget, *outFlag, *corpusOut, *verbose))
 	default:
-		os.Exit(campaign(*modelsFlag, *startFlag, *seedsFlag, *shrinkFlag, *shrinkBudget, *outFlag, *verbose))
+		os.Exit(campaign(*modelsFlag, *startFlag, *seedsFlag, *mutants, *outFlag, *corpusOut, *verbose))
 	}
-}
-
-// selectModels resolves a -models flag value.
-func selectModels(names string) ([]scenario.Model, error) {
-	if names == "all" {
-		return models.All(), nil
-	}
-	var selected []scenario.Model
-	for _, name := range strings.Split(names, ",") {
-		m, err := models.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		selected = append(selected, m)
-	}
-	return selected, nil
 }
 
 // writeScenario encodes sc into dir under name, creating dir as needed.
@@ -91,75 +64,10 @@ func writeScenario(dir, name string, sc *scenario.Scenario) error {
 	return os.WriteFile(filepath.Join(dir, name), sc.Encode(), 0o644)
 }
 
-// mutationCampaign runs the coverage-guided loop per model.
-func mutationCampaign(names string, start uint64, runs int, shrink bool, shrinkBudget int, out, corpusDir string, verbose bool) int {
-	selected, err := selectModels(names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	exit := 0
-	for _, m := range selected {
-		c := &scenario.MutationCampaign{
-			Model: m, Seed: start, Start: start, Runs: runs,
-			Shrink: shrink, MaxShrinkRuns: shrinkBudget,
-			Log: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-		}
-		failures, stats := c.Run()
-		fmt.Printf("%s: %d runs, %d failures (%d unique), %d signatures (%d at bootstrap), corpus %d, %d completed + %d pending ops\n",
-			m.Name(), stats.Runs, stats.Failures, len(failures),
-			stats.Signatures, stats.BootstrapSignatures, stats.CorpusSize,
-			stats.Completed, stats.Pending)
-		if stats.ShrinkRuns > 0 {
-			fmt.Printf("  (shrinking spent %d runs)\n", stats.ShrinkRuns)
-		}
-		for i, f := range failures {
-			exit = 1
-			repro := f.Scenario
-			if f.Shrunk != nil {
-				repro = f.Shrunk
-			}
-			fmt.Printf("  failure %d: %s\n  minimal reproducer: %s\n", i, f.Result.Reason, repro.Summary())
-			if verbose {
-				for _, line := range f.Result.Trace {
-					fmt.Printf("  | %s\n", line)
-				}
-			}
-			if out != "" {
-				name := fmt.Sprintf("%s-mutant%d.scenario", m.Name(), i)
-				if err := writeScenario(out, name, repro); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 2
-				}
-				fmt.Printf("  reproducer written to %s\n", filepath.Join(out, name))
-			}
-		}
-		if corpusDir != "" {
-			for i, sc := range stats.Corpus {
-				name := fmt.Sprintf("%s-corpus%03d.scenario", m.Name(), i)
-				if err := writeScenario(corpusDir, name, sc); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 2
-				}
-			}
-			fmt.Printf("  corpus archived to %s (%d scenarios)\n", corpusDir, len(stats.Corpus))
-		}
-	}
-	return exit
-}
-
-// printResult renders one run's outcome.
-func printResult(sc *scenario.Scenario, res *scenario.Result, verbose bool) {
-	fmt.Printf("scenario: %s\n", sc.Summary())
-	if verbose {
-		for _, line := range res.Trace {
-			fmt.Printf("  | %s\n", line)
-		}
-	}
-	if res.Failed {
-		fmt.Printf("FAIL: %s\n", res.Reason)
-	} else {
-		fmt.Printf("ok: %d completed, %d pending\n", res.Completed, res.Pending)
+// printTrace renders a result's trace lines.
+func printTrace(res *scenario.Result) {
+	for _, line := range res.Trace {
+		fmt.Printf("  | %s\n", line)
 	}
 }
 
@@ -169,13 +77,7 @@ func replaySeed(name string, seed uint64, verbose bool) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	sc := m.Generate(seed)
-	res := m.Run(sc)
-	printResult(sc, res, verbose)
-	if res.Failed {
-		return 1
-	}
-	return 0
+	return replay(m, m.Generate(seed), verbose)
 }
 
 func replayFile(path string, verbose bool) int {
@@ -194,58 +96,80 @@ func replayFile(path string, verbose bool) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	res := m.Run(sc)
-	printResult(sc, res, verbose)
+	return replay(m, sc, verbose)
+}
+
+// replay runs one scenario and prints its outcome.
+func replay(m scenario.Model, sc *scenario.Scenario, verbose bool) int {
+	res := scenario.Run(m, sc)
+	fmt.Printf("scenario: %s\n", sc.Summary())
+	if verbose {
+		printTrace(res)
+	}
 	if res.Failed {
+		fmt.Printf("FAIL: %s\n", res.Reason)
 		return 1
 	}
+	fmt.Printf("ok: %d completed, %d pending\n", res.Completed, res.Pending)
 	return 0
 }
 
-func campaign(names string, start, seeds uint64, shrink bool, shrinkBudget int, out string, verbose bool) int {
-	selected, err := selectModels(names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+func campaign(names string, start, seeds uint64, mutants int, out, corpusDir string, verbose bool) int {
+	selected := models.All()
+	if names != "all" {
+		selected = nil
+		for _, name := range strings.Split(names, ",") {
+			m, err := models.ByName(strings.TrimSpace(name))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 2
+			}
+			selected = append(selected, m)
+		}
 	}
 	exit := 0
 	for _, m := range selected {
 		c := &scenario.Campaign{
-			Model: m, Start: start, Count: seeds,
-			Shrink: shrink, MaxShrinkRuns: shrinkBudget,
+			Model: m, Start: start, Count: seeds, Mutants: mutants,
 			Log: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 		}
 		failures, stats := c.Run()
-		fmt.Printf("%s: %d seeds, %d failures, %d completed + %d pending ops\n",
-			m.Name(), stats.Seeds, stats.Failures, stats.Completed, stats.Pending)
+		fmt.Printf("%s: %d runs (%d seeds + %d mutants), %d failures (%d unique), %d signatures (%d after seeds), corpus %d, %d completed + %d pending ops\n",
+			m.Name(), stats.Runs, seeds, stats.Runs-int(seeds), stats.Failures, len(failures),
+			len(stats.Coverage), stats.SeedSignatures, len(stats.Corpus), stats.Completed, stats.Pending)
 		if stats.ShrinkRuns > 0 {
 			fmt.Printf("  (shrinking spent %d runs)\n", stats.ShrinkRuns)
 		}
-		for _, f := range failures {
+		for i, f := range failures {
 			exit = 1
-			repro := f.Scenario
-			if f.Shrunk != nil {
-				repro = f.Shrunk
+			// Only a generated seed regenerates its scenario; a mutant is
+			// replayed from its encoded form.
+			where, name := fmt.Sprintf("seed %d", f.Seed), fmt.Sprintf("%s-seed%d.scenario", m.Name(), f.Seed)
+			reproduce := "replay: " + scenario.ReplayCommand(m.Name(), f.Seed) + "\n"
+			if f.Mutant {
+				where, name = fmt.Sprintf("mutant %d", i), fmt.Sprintf("%s-mutant%d.scenario", m.Name(), i)
+				reproduce = "encoded reproducer (replay with -replay=FILE):\n" + string(f.Shrunk.Encode())
 			}
-			fmt.Printf("  seed %d: %s\n  minimal reproducer: %s\n  replay: %s\n",
-				f.Seed, f.Result.Reason, repro.Summary(), scenario.ReplayCommand(m.Name(), f.Seed))
+			fmt.Printf("  %s: %s\n  minimal reproducer: %s\n  %s", where, f.Result.Reason, f.Shrunk.Summary(), reproduce)
 			if verbose {
-				for _, line := range f.Result.Trace {
-					fmt.Printf("  | %s\n", line)
-				}
+				printTrace(f.Result)
 			}
 			if out != "" {
-				if err := os.MkdirAll(out, 0o755); err != nil {
+				if err := writeScenario(out, name, f.Shrunk); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					return 2
 				}
-				path := filepath.Join(out, fmt.Sprintf("%s-seed%d.scenario", m.Name(), f.Seed))
-				if err := os.WriteFile(path, repro.Encode(), 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					return 2
-				}
-				fmt.Printf("  reproducer written to %s\n", path)
+				fmt.Printf("  reproducer written to %s\n", filepath.Join(out, name))
 			}
+		}
+		if corpusDir != "" {
+			for i, sc := range stats.Corpus {
+				if err := writeScenario(corpusDir, fmt.Sprintf("%s-corpus%03d.scenario", m.Name(), i), sc); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					return 2
+				}
+			}
+			fmt.Printf("  corpus archived to %s (%d scenarios)\n", corpusDir, len(stats.Corpus))
 		}
 	}
 	return exit

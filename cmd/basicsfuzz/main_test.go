@@ -43,7 +43,7 @@ func TestCampaignWritesReproducer(t *testing.T) {
 	m := &models.ABD{WeakReadQuorum: 1}
 	var found *scenario.Failure
 	for seed := uint64(1); seed <= 60 && found == nil; seed++ {
-		c := &scenario.Campaign{Model: m, Start: seed, Count: 1, Shrink: true, MaxShrinkRuns: 400}
+		c := &scenario.Campaign{Model: m, Start: seed, Count: 1, MaxShrinkRuns: 400}
 		failures, _ := c.Run()
 		if len(failures) > 0 {
 			found = &failures[0]

@@ -128,17 +128,17 @@
 // quorum below majority, a Ben-Or coin that ignores phase-2 reports)
 // are caught by the oracles and shrunk to pinned minimal reproducers.
 //
-// Campaigns come in two shapes. Independent-seed sampling
-// (scenario.Campaign) runs a contiguous seed range. Coverage-guided
-// mutation (scenario.MutationCampaign, basicsfuzz -mutate) summarizes
-// each run into oracle-state coverage signatures — trace shapes, fault
-// combinations, decider profiles, via the scenario.CoverageModel hook
-// or a generic fallback — keeps coverage-novel scenarios in a corpus,
-// and spends the rest of its budget mutating corpus entries with
-// sub-stream-seeded DSL edits. At equal run budgets the mutation loop
-// provably reaches coverage independent sampling does not (asserted in
-// a test); mutants stay first-class reproducers — Encode/Decode
-// round-trip, ddmin shrinking, byte-stable replay all intact.
+// There is one campaign loop, scenario.Campaign: it runs a contiguous
+// seed range, summarizes each run into coverage signatures (trace-line
+// shapes, the fault-kind combination, completed operations per process
+// count), keeps coverage-novel scenarios in a corpus, and then spends
+// its Mutants budget (basicsfuzz -mutants) on sub-stream-seeded DSL
+// edits of corpus entries — with no mutants it is plain independent-seed
+// sampling. At equal run budgets the mutating campaign reaches coverage
+// sampling does not (asserted in a test); mutants stay first-class
+// reproducers — Encode/Decode round-trip, ddmin shrinking, byte-stable
+// replay all intact. A model that panics on a run fails that run
+// ("panic: …") and is shrunk like any oracle failure.
 //
 // # Reproducing a failure
 //

@@ -52,78 +52,128 @@ type Model interface {
 	// Scenario.Seed to seed, so a reported seed is a full reproducer.
 	Generate(seed uint64) *Scenario
 	// Run executes the scenario and checks the oracle. It must be
-	// deterministic and must tolerate shrunk scenarios (subsets of the
-	// generated ops/faults/sched lists).
+	// deterministic and must tolerate any scenario Decode accepts —
+	// shrunk scenarios (subsets of the generated lists) and mutants
+	// included — skipping what is invalid for the model rather than
+	// panicking.
 	Run(sc *Scenario) *Result
 }
 
-// Campaign runs a model over a contiguous seed range, shrinking any
-// failure found, and returns the failures. It is the engine behind
-// cmd/basicsfuzz and the package-level fuzz fences.
+// Run runs sc on m. It is the harness's one call of Model.Run: a panic
+// on the calling goroutine becomes a failed Result with reason
+// "panic: …", so it is shrunk and reported like any oracle failure
+// instead of killing the campaign and every model after it.
+func Run(m Model, sc *Scenario) (res *Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = &Result{}
+			res.Failf("panic: %v", p)
+		}
+	}()
+	return m.Run(sc)
+}
+
+// Campaign is the fuzz loop behind cmd/basicsfuzz and the package-level
+// fuzz fences. It runs the generated seeds [Start, Start+Count), then
+// spends Mutants more runs mutating coverage-novel corpus entries (see
+// mutate.go), so Mutants == 0 is plain independent-seed sampling. The
+// whole campaign is a deterministic function of its fields: the
+// mutation stream is derived from Start.
 type Campaign struct {
-	Model Model
-	// Start is the first seed; Count the number of seeds to run.
+	Model        Model
 	Start, Count uint64
-	// Shrink enables delta-debugging of failures (default budget when
-	// MaxShrinkRuns is 0: 2000 runs).
-	Shrink        bool
+	Mutants      int
+	// MaxShrinkRuns bounds the Model.Run calls ddmin may spend per
+	// failure (0: 2000).
 	MaxShrinkRuns int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
 
-// Failure is one found crasher: the scenario as generated, its result,
-// and (when shrinking was enabled) the minimized reproducer.
+// Failure is one found crasher: the scenario that failed, its result,
+// and the shrunk reproducer with its (still failing) result.
 type Failure struct {
-	Seed     uint64
-	Scenario *Scenario
-	Result   *Result
-	Shrunk   *Scenario
-	// ShrunkResult is the shrunk scenario's (still failing) result.
+	// Seed is the generated seed that failed. A failure found on a
+	// mutant has no seed that regenerates it (Mutant is set, Seed is 0):
+	// its Scenario is the reproducer.
+	Seed         uint64
+	Mutant       bool
+	Scenario     *Scenario
+	Result       *Result
+	Shrunk       *Scenario
 	ShrunkResult *Result
 }
 
 // Stats aggregates a campaign.
 type Stats struct {
-	Seeds, Failures    int
+	Runs, Failures     int
 	Completed, Pending int
 	// ShrinkRuns counts Model.Run calls spent shrinking failures (for
 	// tuning MaxShrinkRuns).
 	ShrinkRuns int
+	// Coverage is the set of coverage signatures reached, and
+	// SeedSignatures its size after the generated seeds: the difference
+	// is what mutation bought over pure generation.
+	Coverage       map[string]bool
+	SeedSignatures int
+	// Corpus holds the coverage-novel scenarios, in discovery order
+	// (basicsfuzz -corpus-out writes them as .scenario files).
+	Corpus []*Scenario
 }
 
-// Run executes the campaign.
+// Run executes the campaign. Every failing run is counted; the first
+// failure of each reason shape is returned, shrunk.
 func (c *Campaign) Run() ([]Failure, Stats) {
-	var failures []Failure
-	var stats Stats
 	logf := c.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	for seed := c.Start; seed < c.Start+c.Count; seed++ {
-		sc := c.Model.Generate(seed)
-		res := c.Model.Run(sc)
-		stats.Seeds++
+	shrinkBudget := c.MaxShrinkRuns
+	if shrinkBudget <= 0 {
+		shrinkBudget = 2000
+	}
+	var failures []Failure
+	stats := Stats{Coverage: make(map[string]bool)}
+	seenFail := make(map[string]bool)
+	try := func(sc *Scenario, f Failure) {
+		res := Run(c.Model, sc)
+		stats.Runs++
 		stats.Completed += res.Completed
 		stats.Pending += res.Pending
+		known := len(stats.Coverage)
+		for _, sig := range coverage(sc, res) {
+			stats.Coverage[sig] = true
+		}
+		if len(stats.Coverage) > known { // coverage-novel
+			stats.Corpus = append(stats.Corpus, sc)
+		}
 		if !res.Failed {
-			continue
+			return
 		}
 		stats.Failures++
-		f := Failure{Seed: seed, Scenario: sc, Result: res}
-		logf("%s: FAILURE at seed %d: %s", c.Model.Name(), seed, res.Reason)
-		if c.Shrink {
-			budget := c.MaxShrinkRuns
-			if budget <= 0 {
-				budget = 2000
+		if shape := coverageShape(res.Reason); !seenFail[shape] {
+			seenFail[shape] = true
+			where := fmt.Sprintf("seed %d", f.Seed)
+			if f.Mutant {
+				where = fmt.Sprintf("mutant (run %d)", stats.Runs)
 			}
-			shrunk, runs := Shrink(c.Model, sc, budget)
+			logf("%s: FAILURE on %s: %s", c.Model.Name(), where, res.Reason)
+			shrunk, runs := Shrink(c.Model, sc, shrinkBudget)
 			stats.ShrinkRuns += runs
-			f.Shrunk = shrunk
-			f.ShrunkResult = c.Model.Run(shrunk)
-			logf("%s: shrunk seed %d to %s in %d runs", c.Model.Name(), seed, shrunk.Summary(), runs)
+			f.Scenario, f.Result = sc, res
+			f.Shrunk, f.ShrunkResult = shrunk, Run(c.Model, shrunk)
+			logf("%s: shrunk to %s in %d runs", c.Model.Name(), shrunk.Summary(), runs)
+			failures = append(failures, f)
 		}
-		failures = append(failures, f)
+	}
+	for seed := c.Start; seed < c.Start+c.Count; seed++ {
+		try(c.Model.Generate(seed), Failure{Seed: seed})
+	}
+	stats.SeedSignatures = len(stats.Coverage)
+	mrng := NewRand(c.Start).Derive(0xFACADE)
+	for i := 0; i < c.Mutants && len(stats.Corpus) > 0; i++ {
+		parent := stats.Corpus[mrng.Intn(len(stats.Corpus))]
+		try(mutateScenario(mrng.Derive(uint64(stats.Runs)), parent), Failure{Mutant: true})
 	}
 	return failures, stats
 }

@@ -104,7 +104,8 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 
 	// One chain per scenario proc id: proc p drives register p/3; role
 	// p%3 is the writer chain (0) or a read chain at replica
-	// (reg+role)%n.
+	// (reg+role)%n. The writer replica belongs to the chain, so an op
+	// keyed to another register (a mutant's retarget) is skipped.
 	for p := 0; p < 3*amRegs; p++ {
 		chain := sc.OpsFor(p)
 		if len(chain) == 0 {
@@ -125,19 +126,19 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 				sim.Schedule(sim.Now()+amp.Time(1+think.Int63n(250)), func() { issue(k + 1) })
 			}
 			switch {
-			case op.Kind == scenario.OpWrite && role == 0:
-				idx := call(p, op.Key, check.WriteOp{V: op.Val})
-				regs[op.Key][writer].Write(stacks[writer].Ctx(op.Key), op.Val, func(amp.Time) {
+			case op.Key == reg && op.Kind == scenario.OpWrite && role == 0:
+				idx := call(p, reg, check.WriteOp{V: op.Val})
+				regs[reg][writer].Write(stacks[writer].Ctx(reg), op.Val, func(amp.Time) {
 					ret(idx, nil)
 					next()
 				})
-			case op.Kind == scenario.OpRead:
-				idx := call(p, op.Key, check.ReadOp{})
-				regs[op.Key][at].Read(stacks[at].Ctx(op.Key), func(val any, _ amp.Time) {
+			case op.Key == reg && op.Kind == scenario.OpRead:
+				idx := call(p, reg, check.ReadOp{})
+				regs[reg][at].Read(stacks[at].Ctx(reg), func(val any, _ amp.Time) {
 					ret(idx, val)
 					next()
 				})
-			default: // invalid for this model (hand-edited scenario): skip
+			default: // invalid for this model (hand-edited or mutated scenario): skip
 				issue(k + 1)
 			}
 		}

@@ -76,14 +76,14 @@ func TestAllModelsGreen(t *testing.T) {
 	for _, m := range models.All() {
 		m := m
 		t.Run(m.Name(), func(t *testing.T) {
-			c := &scenario.Campaign{Model: m, Start: 1, Count: seedBudget[m.Name()], Shrink: true, MaxShrinkRuns: 500}
+			c := &scenario.Campaign{Model: m, Start: 1, Count: seedBudget[m.Name()], MaxShrinkRuns: 500}
 			failures, stats := c.Run()
 			for _, f := range failures {
 				scenario.Reportf(t, m.Name(), f.Seed, "oracle failure: %s (shrunk to %s)",
 					f.Result.Reason, f.Shrunk.Summary())
 			}
-			if stats.Seeds != int(seedBudget[m.Name()]) {
-				t.Fatalf("campaign ran %d seeds, want %d", stats.Seeds, seedBudget[m.Name()])
+			if stats.Runs != int(seedBudget[m.Name()]) {
+				t.Fatalf("campaign ran %d seeds, want %d", stats.Runs, seedBudget[m.Name()])
 			}
 		})
 	}

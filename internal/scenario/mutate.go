@@ -2,42 +2,27 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// This file is the coverage-guided half of the fuzz harness. A plain
-// Campaign samples independent seeds: every run starts from
-// Model.Generate and no information flows between runs, so the search
-// never leaves the generator's distribution — fault combinations or op
-// shapes the generator draws rarely (or never) stay unexplored no
-// matter how many seeds are spent. MutationCampaign closes the loop:
-// each run is summarized into a set of coverage signatures, scenarios
-// that produce a signature never seen before join a corpus, and further
-// runs mutate corpus entries with the sub-stream-seeded DSL edits below.
-// Everything stays deterministic — the whole campaign is a pure function
-// of (Model, Seed, Start, Runs) — and mutated scenarios remain first-
-// class reproducers: they encode/decode through the v1 format, shrink
-// through the same ddmin shrinker, and replay byte-identically.
-
-// CoverageModel is an optional Model extension: Coverage summarizes one
-// run into oracle-state signatures (behaviors observed, not inputs
-// tried) — e.g. which fault kinds actually overlapped an operation,
-// which oracle branches fired, how many ops completed versus hung. A
-// signature string is an equivalence class: the mutation loop keeps a
-// scenario iff it produces a signature no earlier run produced. Models
-// that do not implement the hook fall back to TraceCoverage.
-type CoverageModel interface {
-	Model
-	Coverage(sc *Scenario, res *Result) []string
-}
+// This file is the coverage-guided half of Campaign. Independent seeds
+// never leave the generator's distribution: every run starts from
+// Model.Generate and no information flows between runs, so fault
+// combinations or op shapes the generator draws rarely (or never) stay
+// unexplored however many seeds are spent. Campaign closes the loop:
+// each run is summarized into coverage signatures, a scenario that
+// produces a signature no earlier run produced joins the corpus, and
+// the Mutants runs edit corpus entries with the sub-stream-seeded DSL
+// edits below. Mutants remain first-class reproducers: they
+// encode/decode through the v1 format, shrink through the same ddmin
+// shrinker, and replay byte-identically.
 
 // coverageShape normalizes a line into its shape: every digit run
 // becomes '#', so "p3 write(7) -> 7 @[141,209]" and "p0 write(2) ->
-// 2 @[87,90]" are the same signature. This is the generic "branch"
-// abstraction: trace lines are emitted by distinct code paths, and the
-// shape identifies the path while erasing run-specific values.
+// 2 @[87,90]" are the same signature.
 func coverageShape(s string) string {
 	var b strings.Builder
 	inDigits := false
@@ -55,71 +40,32 @@ func coverageShape(s string) string {
 	return b.String()
 }
 
-// coverageBucket maps a count to a log2 bucket so "3 pending ops" and
-// "200 pending ops" are different signatures but 200 and 210 are not.
-func coverageBucket(n int) int { return bits.Len(uint(n)) }
-
-// TraceCoverage is the generic coverage fallback: the shape of every
-// trace line, log-bucketed completed/pending counts, and the shape of
-// the failure reason. It is exported so CoverageModel implementations
-// can layer model-specific signatures on top of it.
-func TraceCoverage(res *Result) []string {
-	seen := make(map[string]bool, len(res.Trace)+3)
-	var sigs []string
-	add := func(sig string) {
-		if !seen[sig] {
-			seen[sig] = true
-			sigs = append(sigs, sig)
-		}
-	}
-	for _, line := range res.Trace {
-		add("t:" + coverageShape(line))
-	}
-	add(fmt.Sprintf("completed:%d", coverageBucket(res.Completed)))
-	add(fmt.Sprintf("pending:%d", coverageBucket(res.Pending)))
-	if res.Failed {
-		add("fail:" + coverageShape(res.Reason))
-	}
-	return sigs
-}
-
-// FaultComboCoverage renders the scenario's set of fault kinds as one
-// signature ("faults:crash+drop" — which fault species were composed),
-// a shared building block for model Coverage hooks.
-func FaultComboCoverage(sc *Scenario) string {
+// coverage summarizes one run into its signatures — behaviours
+// observed, not inputs tried. A signature is an equivalence class:
+//   - the shape of every trace line (failures included: Failf traces
+//     them), since trace lines are emitted by distinct code paths and
+//     the shape names the path while erasing run-specific values;
+//   - the combination of fault kinds composed against the run
+//     ("faults:crash+drop") — generators draw each kind with fixed
+//     odds, so a rare combination is reached far sooner by mutating a
+//     corpus entry that has two of three than by waiting for a seed
+//     to draw all of them at once;
+//   - how many operations completed (log2-bucketed, so 3 and 200 are
+//     different signatures but 200 and 210 are not) out of how many
+//     processes.
+func coverage(sc *Scenario, res *Result) []string {
 	kinds := make(map[string]bool)
 	for _, f := range sc.Faults {
 		kinds[f.Kind.String()] = true
 	}
-	names := make([]string, 0, len(kinds))
-	for k := range kinds {
-		names = append(names, k)
+	sigs := []string{
+		"faults:" + strings.Join(slices.Sorted(maps.Keys(kinds)), "+"),
+		fmt.Sprintf("completed:%d/%d", bits.Len(uint(res.Completed)), sc.Procs),
 	}
-	sort.Strings(names)
-	return "faults:" + strings.Join(names, "+")
-}
-
-// coverageOf summarizes one run via the model's hook or the fallback.
-func coverageOf(m Model, sc *Scenario, res *Result) []string {
-	if cm, ok := m.(CoverageModel); ok {
-		return cm.Coverage(sc, res)
+	for _, line := range res.Trace {
+		sigs = append(sigs, "t:"+coverageShape(line))
 	}
-	return TraceCoverage(res)
-}
-
-// SamplingCoverage returns the coverage set reached by plain
-// independent-seed sampling over [start, start+count) — the baseline
-// the mutation loop is measured against.
-func SamplingCoverage(m Model, start, count uint64) map[string]bool {
-	cov := make(map[string]bool)
-	for seed := start; seed < start+count; seed++ {
-		sc := m.Generate(seed)
-		res := m.Run(sc)
-		for _, sig := range coverageOf(m, sc, res) {
-			cov[sig] = true
-		}
-	}
-	return cov
+	return sigs
 }
 
 // mutateScenario applies 1–3 sub-stream-seeded DSL edits to a copy of
@@ -161,9 +107,9 @@ func mutateScenario(rng *Rand, sc *Scenario) *Scenario {
 				f := &c.Faults[rng.Intn(len(c.Faults))]
 				switch rng.Intn(4) {
 				case 0:
-					f.From = maxInt64(0, f.From+rng.Int63n(601)-300)
+					f.From = max(0, f.From+rng.Int63n(601)-300)
 				case 1:
-					f.Until = maxInt64(f.From, f.Until+rng.Int63n(601)-300)
+					f.Until = max(f.From, f.Until+rng.Int63n(601)-300)
 				case 2:
 					f.Pct = rng.Intn(101)
 				case 3:
@@ -176,8 +122,8 @@ func mutateScenario(rng *Rand, sc *Scenario) *Scenario {
 			if len(c.Faults) > 0 {
 				f := c.Faults[rng.Intn(len(c.Faults))]
 				f.Group = append([]int(nil), f.Group...)
-				f.From = maxInt64(0, f.From+rng.Int63n(601)-300)
-				f.Until = maxInt64(f.From, f.Until+rng.Int63n(601)-300)
+				f.From = max(0, f.From+rng.Int63n(601)-300)
+				f.Until = max(f.From, f.Until+rng.Int63n(601)-300)
 				if c.Procs > 0 {
 					f.Proc = rng.Intn(c.Procs)
 				}
@@ -202,139 +148,4 @@ func mutateScenario(rng *Rand, sc *Scenario) *Scenario {
 		}
 	}
 	return c
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MutationCampaign is the coverage-guided counterpart of Campaign: a
-// bootstrap phase seeds the corpus from Model.Generate, then the
-// remaining run budget mutates coverage-novel corpus entries. The whole
-// campaign is deterministic in (Model, Seed, Start, Runs).
-type MutationCampaign struct {
-	Model Model
-	// Seed masters the mutation streams (corpus picks and edits).
-	Seed uint64
-	// Start is the first bootstrap seed (the same role as
-	// Campaign.Start, so mutation and sampling campaigns are comparable
-	// over the same generator draws).
-	Start uint64
-	// Runs is the total Model.Run budget for fuzzing (bootstrap +
-	// mutants; shrinking is accounted separately, as in Campaign).
-	Runs int
-	// Bootstrap is the number of generated seeds before mutation takes
-	// over (default Runs/4, at least 1).
-	Bootstrap int
-	// Shrink enables ddmin on failures, with MaxShrinkRuns as in
-	// Campaign. Only the first failure of each reason shape is shrunk.
-	Shrink        bool
-	MaxShrinkRuns int
-	// Log, when non-nil, receives progress lines.
-	Log func(format string, args ...any)
-}
-
-// MutationStats aggregates a mutation campaign.
-type MutationStats struct {
-	Runs, Failures     int
-	Completed, Pending int
-	ShrinkRuns         int
-	// CorpusSize counts coverage-novel scenarios retained.
-	CorpusSize int
-	// BootstrapSignatures and Signatures count distinct coverage
-	// signatures after the bootstrap phase and at the end — their
-	// difference is what mutation bought over pure generation.
-	BootstrapSignatures, Signatures int
-	// Coverage is the full signature set reached.
-	Coverage map[string]bool
-	// Corpus holds the retained coverage-novel scenarios, in discovery
-	// order (basicsfuzz -corpus-out writes them as .scenario files).
-	Corpus []*Scenario
-}
-
-// Run executes the mutation campaign and returns the deduplicated
-// failures (one per reason shape) plus stats.
-func (c *MutationCampaign) Run() ([]Failure, MutationStats) {
-	logf := c.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	budget := c.Runs
-	if budget <= 0 {
-		budget = 200
-	}
-	bootstrap := c.Bootstrap
-	if bootstrap <= 0 {
-		bootstrap = budget / 4
-	}
-	if bootstrap < 1 {
-		bootstrap = 1
-	}
-
-	var (
-		failures []Failure
-		stats    = MutationStats{Coverage: make(map[string]bool)}
-		corpus   []*Scenario
-		seenFail = make(map[string]bool)
-	)
-	tryRun := func(sc *Scenario, seed uint64) {
-		res := c.Model.Run(sc)
-		stats.Runs++
-		stats.Completed += res.Completed
-		stats.Pending += res.Pending
-		novel := 0
-		for _, sig := range coverageOf(c.Model, sc, res) {
-			if !stats.Coverage[sig] {
-				stats.Coverage[sig] = true
-				novel++
-			}
-		}
-		if novel > 0 {
-			corpus = append(corpus, sc)
-		}
-		if !res.Failed {
-			return
-		}
-		stats.Failures++
-		shape := coverageShape(res.Reason)
-		if seenFail[shape] {
-			return
-		}
-		seenFail[shape] = true
-		f := Failure{Seed: seed, Scenario: sc, Result: res}
-		logf("%s: FAILURE (run %d): %s", c.Model.Name(), stats.Runs, res.Reason)
-		if c.Shrink {
-			sbudget := c.MaxShrinkRuns
-			if sbudget <= 0 {
-				sbudget = 2000
-			}
-			shrunk, runs := Shrink(c.Model, sc, sbudget)
-			stats.ShrinkRuns += runs
-			f.Shrunk = shrunk
-			f.ShrunkResult = c.Model.Run(shrunk)
-			logf("%s: shrunk to %s in %d runs", c.Model.Name(), shrunk.Summary(), runs)
-		}
-		failures = append(failures, f)
-	}
-
-	for i := 0; i < bootstrap && stats.Runs < budget; i++ {
-		seed := c.Start + uint64(i)
-		tryRun(c.Model.Generate(seed), seed)
-	}
-	stats.BootstrapSignatures = len(stats.Coverage)
-
-	mrng := NewRand(c.Seed).Derive(0xFACADE)
-	for stats.Runs < budget && len(corpus) > 0 {
-		parent := corpus[mrng.Intn(len(corpus))]
-		child := mutateScenario(mrng.Derive(uint64(stats.Runs)), parent)
-		tryRun(child, parent.Seed)
-	}
-
-	stats.CorpusSize = len(corpus)
-	stats.Signatures = len(stats.Coverage)
-	stats.Corpus = corpus
-	return failures, stats
 }

@@ -1,7 +1,6 @@
 package scenario_test
 
 import (
-	"fmt"
 	"testing"
 
 	"distbasics/internal/scenario"
@@ -9,35 +8,35 @@ import (
 )
 
 // TestMutationBeatsSamplingAtEqualBudget is the tentpole's acceptance
-// check for the fuzz half: at the SAME Model.Run budget, the
-// coverage-guided mutation campaign must reach oracle-state coverage
-// that independent-seed sampling does not. Both campaigns are
-// deterministic, so this is a stable property of the harness, not a
-// flaky statistical claim.
+// check for the fuzz half: at the SAME Model.Run budget, a campaign that
+// spends three quarters of it on mutants must reach oracle-state
+// coverage that independent-seed sampling (Mutants: 0) does not. Both
+// campaigns are deterministic, so this is a stable property of the
+// harness, not a flaky statistical claim.
 func TestMutationBeatsSamplingAtEqualBudget(t *testing.T) {
 	m, err := models.ByName("benor")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const budget = 120
-	sampling := scenario.SamplingCoverage(m, 1, budget)
+	_, sampling := (&scenario.Campaign{Model: m, Start: 1, Count: budget}).Run()
 
-	c := &scenario.MutationCampaign{Model: m, Seed: 1, Start: 1, Runs: budget, Bootstrap: budget / 4}
+	c := &scenario.Campaign{Model: m, Start: 1, Count: budget / 4, Mutants: budget - budget/4}
 	_, stats := c.Run()
-	if stats.Runs != budget {
-		t.Fatalf("mutation campaign spent %d runs, want %d", stats.Runs, budget)
+	if stats.Runs != budget || sampling.Runs != budget {
+		t.Fatalf("campaigns spent %d and %d runs, want %d", stats.Runs, sampling.Runs, budget)
 	}
 
 	var onlyMutation []string
 	for sig := range stats.Coverage {
-		if !sampling[sig] {
+		if !sampling.Coverage[sig] {
 			onlyMutation = append(onlyMutation, sig)
 		}
 	}
-	t.Logf("budget %d: sampling %d signatures, mutation %d (%d at bootstrap), %d mutation-only",
-		budget, len(sampling), stats.Signatures, stats.BootstrapSignatures, len(onlyMutation))
-	if stats.Signatures <= stats.BootstrapSignatures {
-		t.Fatalf("mutation phase added no coverage past bootstrap (%d signatures)", stats.BootstrapSignatures)
+	t.Logf("budget %d: sampling %d signatures, mutation %d (%d after seeds), %d mutation-only",
+		budget, len(sampling.Coverage), len(stats.Coverage), stats.SeedSignatures, len(onlyMutation))
+	if len(stats.Coverage) <= stats.SeedSignatures {
+		t.Fatalf("mutation phase added no coverage past the seeds (%d signatures)", stats.SeedSignatures)
 	}
 	if len(onlyMutation) == 0 {
 		t.Fatal("mutation campaign reached no coverage beyond equal-budget independent sampling")
@@ -45,21 +44,21 @@ func TestMutationBeatsSamplingAtEqualBudget(t *testing.T) {
 }
 
 // TestMutationCampaignDeterministic: the whole campaign is a pure
-// function of (Model, Seed, Start, Runs) — stats and coverage must be
-// identical across repeated runs.
+// function of (Model, Start, Count, Mutants) — stats and coverage must
+// be identical across repeated runs.
 func TestMutationCampaignDeterministic(t *testing.T) {
 	m, err := models.ByName("benor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() scenario.MutationStats {
-		c := &scenario.MutationCampaign{Model: m, Seed: 7, Start: 3, Runs: 40}
+	run := func() scenario.Stats {
+		c := &scenario.Campaign{Model: m, Start: 3, Count: 10, Mutants: 30}
 		_, stats := c.Run()
 		return stats
 	}
 	a, b := run(), run()
-	if a.Runs != b.Runs || a.Failures != b.Failures || a.Signatures != b.Signatures ||
-		a.CorpusSize != b.CorpusSize || a.Completed != b.Completed || a.Pending != b.Pending {
+	if a.Runs != b.Runs || a.Failures != b.Failures || len(a.Coverage) != len(b.Coverage) ||
+		len(a.Corpus) != len(b.Corpus) || a.Completed != b.Completed || a.Pending != b.Pending {
 		t.Fatalf("campaign not deterministic:\n  %+v\n  %+v", a, b)
 	}
 	for sig := range a.Coverage {
@@ -82,10 +81,10 @@ func TestMutantsRemainReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &scenario.MutationCampaign{Model: m, Seed: 11, Start: 1, Runs: 30, Bootstrap: 8}
+	c := &scenario.Campaign{Model: m, Start: 1, Count: 8, Mutants: 22}
 	_, stats := c.Run()
-	if stats.CorpusSize <= 8 {
-		t.Fatalf("mutation retained no corpus entries past bootstrap (corpus %d)", stats.CorpusSize)
+	if len(stats.Corpus) <= 8 {
+		t.Fatalf("mutation retained no corpus entries past the seeds (corpus %d)", len(stats.Corpus))
 	}
 	for i, sc := range stats.Corpus {
 		dec, err := scenario.Decode(sc.Encode())
@@ -107,10 +106,7 @@ func TestMutationCampaignShrinksFailures(t *testing.T) {
 	weak := &models.ABD{WeakReadQuorum: 1}
 	var found *scenario.Failure
 	for attempt := uint64(1); attempt <= 4 && found == nil; attempt++ {
-		c := &scenario.MutationCampaign{
-			Model: weak, Seed: attempt, Start: attempt * 50, Runs: 60,
-			Shrink: true, MaxShrinkRuns: 400,
-		}
+		c := &scenario.Campaign{Model: weak, Start: attempt * 50, Count: 15, Mutants: 45, MaxShrinkRuns: 400}
 		failures, _ := c.Run()
 		if len(failures) > 0 {
 			found = &failures[0]
@@ -137,34 +133,5 @@ func TestMutationCampaignShrinksFailures(t *testing.T) {
 	sound, _ := models.ByName("abd")
 	if sound.Run(dec).Failed {
 		t.Fatal("decoded mutant reproducer fails even under the sound model")
-	}
-}
-
-// TestTraceCoverageShapes pins the generic signature abstraction:
-// digit runs collapse, distinct shapes stay distinct.
-func TestTraceCoverageShapes(t *testing.T) {
-	res := &scenario.Result{Completed: 3}
-	res.Tracef("p%d write(%d) -> %d @[%d,%d]", 3, 7, 7, 141, 209)
-	res.Tracef("p%d write(%d) -> %d @[%d,%d]", 0, 2, 2, 87, 90)
-	res.Tracef("p%d read pending @%d", 1, 55)
-	sigs := scenario.TraceCoverage(res)
-	want := map[string]bool{
-		"t:p# write(#) -> # @[#,#]": true,
-		"t:p# read pending @#":      true,
-		"completed:2":               true,
-		"pending:0":                 true,
-	}
-	if len(sigs) != len(want) {
-		t.Fatalf("got %d signatures %v, want %d", len(sigs), sigs, len(want))
-	}
-	for _, sig := range sigs {
-		if !want[sig] {
-			t.Fatalf("unexpected signature %q in %v", sig, sigs)
-		}
-	}
-	if got := fmt.Sprint(scenario.FaultComboCoverage(&scenario.Scenario{
-		Faults: []scenario.Fault{{Kind: scenario.FaultDrop}, {Kind: scenario.FaultCrash}, {Kind: scenario.FaultDrop}},
-	})); got != "faults:crash+drop" {
-		t.Fatalf("FaultComboCoverage = %q", got)
 	}
 }

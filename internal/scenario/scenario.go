@@ -14,8 +14,13 @@
 // The paper's point is that the same basic problems recur across the
 // synchronous, asynchronous, and shared-memory models; this package is
 // the corresponding statement about testing: one scenario vocabulary,
-// one seed discipline, one failure-reporting channel (Reportf), and one
-// shrinker, reused by every model instead of per-package one-offs.
+// one seed discipline, one campaign loop (Campaign: generated seeds,
+// then optionally coverage-guided mutants of them), one shrinker, and
+// one failure-reporting channel (Reportf), reused by every model
+// instead of per-package one-offs. Every run goes through Run, which
+// turns a model's panic into a failed Result: a model must tolerate any
+// scenario Decode accepts and any mutant, and one that does not is
+// reported like any other oracle failure.
 //
 // # Determinism contract
 //
@@ -251,6 +256,9 @@ func Decode(data []byte) (*Scenario, error) {
 	if _, err := fmt.Sscanf(lines[1], "model=%s seed=%d procs=%d", &sc.Model, &sc.Seed, &sc.Procs); err != nil {
 		return nil, fmt.Errorf("scenario: bad header %q: %v", lines[1], err)
 	}
+	if sc.Procs < 0 {
+		return nil, fmt.Errorf("scenario: bad header %q: negative procs", lines[1])
+	}
 	kindByName := func(m map[OpKind]string, s string) (OpKind, bool) {
 		for k, n := range m {
 			if n == s {
@@ -298,6 +306,13 @@ func Decode(data []byte) (*Scenario, error) {
 						return nil, fmt.Errorf("scenario: bad fault group %q: %v", group, err)
 					}
 					f.Group = append(f.Group, v)
+				}
+			}
+			// Models index processes by these; no generator emits one
+			// outside the system.
+			for _, p := range append([]int{f.Proc}, f.Group...) {
+				if p < 0 || p >= sc.Procs {
+					return nil, fmt.Errorf("scenario: bad fault line %q: process %d outside [0,%d)", line, p, sc.Procs)
 				}
 			}
 			sc.Faults = append(sc.Faults, f)

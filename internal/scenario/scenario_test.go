@@ -217,18 +217,83 @@ func (thresholdModel) Run(sc *Scenario) *Result {
 }
 
 func TestCampaignCollectsAndShrinks(t *testing.T) {
-	c := &Campaign{Model: thresholdModel{}, Start: 1, Count: 10, Shrink: true}
+	c := &Campaign{Model: thresholdModel{}, Start: 1, Count: 10}
 	failures, stats := c.Run()
-	if stats.Seeds != 10 || stats.Failures != 2 {
+	if stats.Runs != 10 || stats.Failures != 2 {
 		t.Fatalf("stats = %+v, want 10 seeds / 2 failures", stats)
 	}
-	if len(failures) != 2 || failures[0].Seed != 1 || failures[1].Seed != 2 {
+	// Both failures share one reason shape: the first is returned.
+	if len(failures) != 1 || failures[0].Seed != 1 || failures[0].Mutant {
 		t.Fatalf("failures = %+v", failures)
 	}
 	for _, f := range failures {
 		if f.Shrunk == nil || f.ShrunkResult == nil || !f.ShrunkResult.Failed {
 			t.Fatalf("failure %d not shrunk: %+v", f.Seed, f)
 		}
+	}
+}
+
+// panicModel panics while its scenario holds the op with Val 3 — the
+// bug a mutated or hand-edited scenario reaches — and is green on
+// every other seed.
+type panicModel struct{}
+
+func (panicModel) Name() string { return "panicky" }
+func (panicModel) Generate(seed uint64) *Scenario {
+	return &Scenario{Model: "panicky", Seed: seed, Procs: 2, Ops: []Op{
+		{Kind: OpWrite, Val: 1}, {Kind: OpWrite, Val: int(seed)}, {Kind: OpRead, Val: 2},
+	}}
+}
+func (panicModel) Run(sc *Scenario) *Result {
+	res := &Result{Completed: len(sc.Ops)}
+	for _, op := range sc.Ops {
+		if op.Val == 3 {
+			var regs []int
+			res.Tracef("read %d", regs[op.Val])
+		}
+	}
+	return res
+}
+
+func TestCampaignSurvivesPanickingModel(t *testing.T) {
+	c := &Campaign{Model: panicModel{}, Start: 1, Count: 5}
+	failures, stats := c.Run()
+	if stats.Runs != 5 || stats.Failures != 1 || stats.Completed != 12 {
+		t.Fatalf("stats = %+v, want 5 runs / 1 failure / 12 ops completed by the other seeds", stats)
+	}
+	if len(failures) != 1 || failures[0].Seed != 3 {
+		t.Fatalf("failures = %+v, want seed 3", failures)
+	}
+	f := failures[0]
+	if !strings.HasPrefix(f.Result.Reason, "panic: runtime error: index out of range") {
+		t.Fatalf("reason = %q, want the recovered panic", f.Result.Reason)
+	}
+	if len(f.Shrunk.Ops) != 1 || f.Shrunk.Ops[0].Val != 3 || !strings.HasPrefix(f.ShrunkResult.Reason, "panic: ") {
+		t.Fatalf("shrunk to %s (%q), want the one panicking op", f.Shrunk.GoLiteral(), f.ShrunkResult.Reason)
+	}
+}
+
+// TestTraceCoverageShapes pins the coverage signature abstraction:
+// digit runs collapse, distinct shapes stay distinct, and the fault
+// kinds composed against the run form one signature.
+func TestTraceCoverageShapes(t *testing.T) {
+	res := &Result{Completed: 3}
+	res.Tracef("p%d write(%d) -> %d @[%d,%d]", 3, 7, 7, 141, 209)
+	res.Tracef("p%d write(%d) -> %d @[%d,%d]", 0, 2, 2, 87, 90)
+	res.Tracef("p%d read pending @%d", 1, 55)
+	sc := &Scenario{Procs: 4, Faults: []Fault{{Kind: FaultDrop}, {Kind: FaultCrash}, {Kind: FaultDrop}}}
+	got := make(map[string]bool)
+	for _, sig := range coverage(sc, res) {
+		got[sig] = true
+	}
+	want := map[string]bool{
+		"t:p# write(#) -> # @[#,#]": true,
+		"t:p# read pending @#":      true,
+		"faults:crash+drop":         true,
+		"completed:2/4":             true,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("signatures %v, want %v", got, want)
 	}
 }
 

@@ -23,7 +23,7 @@ func Shrink(m Model, sc *Scenario, maxRuns int) (*Scenario, int) {
 			return false
 		}
 		runs++
-		return m.Run(cand).Failed
+		return Run(m, cand).Failed
 	}
 
 	// One list at a time, to fixpoint over all three.
