@@ -10,7 +10,9 @@ import (
 // budget — is jobq's default. graceTicks = 10 heartbeats: a worker must
 // miss ~800ms of heartbeats continuously before its lease lapses and its
 // jobs are reassigned. stepTicks is the scheduler's fallback pulse (the
-// healthy path schedules on apply, see jobq.Config.StepEvery).
+// healthy path schedules on apply, see jobq.Config.StepEvery). Ballots
+// run at rsm's default pace, as kv's do: with one decide broadcast per
+// slot, five replicas on one box keep up with the clock unspaced.
 //
 // reproposeTicks is the critical one: it must sit well ABOVE the
 // worst-case consensus round-trip on the real transport (hundreds of
@@ -26,11 +28,6 @@ const (
 	graceTicks     = 10 * node.HeartbeatPeriod
 	stepTicks      = 25   // 50ms fallback pulse: bounds back-off/grace lateness, cheap when idle
 	reproposeTicks = 1500 // 3s: >> a chaos-degraded consensus round
-	// paceTicks spaces the leader's ballots (rsm.WithPace). Five
-	// replicas on one box spend more than a tick or two on each, so at 1
-	// or 2 the queue runs as fast as the CPU lets it that minute; at 3 it
-	// follows the clock (138 to 143 jobs/s, run after run).
-	paceTicks = 3
 	// runnerRetryTicks is the worker's at-least-once re-proposal period
 	// for joins and outcome reports (2s real time) — same reasoning as
 	// reproposeTicks, against the jobq default of 500 ticks.

@@ -64,7 +64,6 @@ func runServe(cfgPath string, id int) (*server, error) {
 		s.rep = r
 		// jobq.New installs the apply hook before recovery replay, so a
 		// restarted node's queue state is rebuilt here, before any traffic.
-		opts = append(opts, rsm.WithPace(paceTicks))
 		s.nd = jobq.New(len(cfg.Peers), jobqConfig(id), opts...)
 		s.nd.Subscribe(s.onQueueEvent)
 		s.runner = s.newRunner(clock)

@@ -208,8 +208,9 @@
 // (applied count plus transport and journal counters). The journal
 // makes a node safe to kill -9: on restart it replays its Paxos
 // acceptor state and decided slots, then catches up on missed decisions
-// via the TO-broadcast anti-entropy fetch. The journal does not grow
-// without bound: once it passes a records or bytes threshold
+// via the TO-broadcast anti-entropy fetch, as a live replica does when
+// its peers' frontier gossip shows it missed one. The journal does not
+// grow without bound: once it passes a records or bytes threshold
 // (internal/rsm's defaults; compact_records in the config lowers the
 // first, as the e2e does) the node snapshots its full applied
 // state and truncates the journal to the suffix past the snapshot, via

@@ -10,7 +10,9 @@ import (
 // the network) behave, and terminates once Ω stabilizes on a correct
 // leader. Every process is proposer, acceptor, and learner; only the
 // current Ω leader runs ballots, realizing the paper's "some process must
-// be more equal than the others" symmetry-breaking (§5.2).
+// be more equal than the others" symmetry-breaking (§5.2). The deciding
+// leader broadcasts the decision; a learner relays it once, and only if
+// Ω stops naming its sender (see OnTimer): n decide frames, not n².
 type Synod struct {
 	// Input is this process's proposal.
 	Input any
@@ -76,6 +78,7 @@ type Synod struct {
 
 	decided    bool
 	decidedVal any
+	relayFrom  int // the decision's sender while a relay is owed, else this process
 }
 
 type promise struct {
@@ -204,8 +207,17 @@ func (s *Synod) Kick(ctx amp.Context) bool {
 // OnTimer implements amp.Component: the leader-retry loop. A leader
 // bound by a lease it granted sends nothing and counts no stall: no
 // ballot of its own is outstanding, so there is nothing to back off from.
+// Once decided, it watches for the relay: the decision's sender may have
+// crashed mid-broadcast, and a decided Ω leader runs no ballot, so the
+// decision is relayed once Ω stops naming the sender, which otherwise
+// needs no help.
 func (s *Synod) OnTimer(ctx amp.Context, id int) {
-	if id != synodRetryTimer || s.decided {
+	if id != synodRetryTimer || (s.decided && s.relayFrom == s.id) {
+		return
+	}
+	if s.decided && (s.Omega == nil || s.Omega.Leader() != s.relayFrom) {
+		s.relayFrom = s.id
+		ctx.Broadcast(synDecide{Val: s.decidedVal})
 		return
 	}
 	if s.leads() && s.leaseWait(ctx) == 0 {
@@ -319,7 +331,7 @@ func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		}
 		s.decided = true
 		s.decidedVal = m.Val
-		ctx.Broadcast(synDecide{Val: m.Val}) // relay for reliability
+		s.relayFrom = from // relayed only if orphaned (OnTimer)
 		if s.OnDecide != nil {
 			s.OnDecide(m.Val, ctx.Now())
 		}

@@ -200,9 +200,10 @@ func (mx *synodMux) instance(s int) *mpcons.Synod {
 	return syn
 }
 
-// onDecide is every slot's decision callback: persist (write-ahead,
-// before any effect), deliver through the TO layer, free instances the
-// delivery frontier passed, and open the slots the window now reaches.
+// onDecide is every slot's decision callback, and muxLearn's: persist
+// (write-ahead, before any effect), deliver through the TO layer, free
+// instances the delivery frontier passed, and open the slots the window
+// now reaches.
 func (mx *synodMux) onDecide(slot int, v any, at amp.Time) {
 	if mx.tb.isDecided(slot) {
 		return
@@ -223,7 +224,7 @@ func (mx *synodMux) onDecide(slot int, v any, at amp.Time) {
 // so commands submitted later in the turn ride the same slot. Called on
 // new payloads, after every decision, when Ω changes leader, and from
 // the tick timer as a liveness backstop. Turns that start ballots are
-// at least pace apart (see WithPace): work reaching the leader sooner
+// at least pace apart (default 1): work reaching the leader sooner
 // shares the slots the pace timer opens.
 func (mx *synodMux) ensureWindow() {
 	if mx.ctx == nil {
@@ -291,7 +292,7 @@ func (mx *synodMux) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			// Answer stragglers with the outcome, but at most once per
 			// peer per muxLearnGap: chaos-duplicated ballot messages for
 			// an old slot must not amplify into a full-batch reply each.
-			if b, ok := mx.tb.batchOf(m.Slot); ok {
+			if b, ok := mx.tb.decided[m.Slot]; ok {
 				now := ctx.Now()
 				if last, ok := mx.learnLast[from]; !ok || now-last >= muxLearnGap {
 					mx.learnLast[from] = now
@@ -306,15 +307,7 @@ func (mx *synodMux) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		}
 		syn.OnMessage(mx.slotCx[m.Slot], from, m.Inner)
 	case muxLearn:
-		if mx.tb.isDecided(m.Slot) {
-			return
-		}
-		if mx.journal != nil {
-			mx.journal.SaveDecide(m.Slot, m.Batch)
-		}
-		mx.tb.onSlotDecide(m.Slot, m.Batch, ctx.Now())
-		mx.gc()
-		mx.ensureWindow()
+		mx.onDecide(m.Slot, m.Batch, ctx.Now())
 	}
 }
 

@@ -10,7 +10,8 @@
 // originator to every replica once (n frames, not n²), the leader orders
 // what it holds, and a decided batch carries its payloads. A replica
 // relays only a payload that is still unordered a sync period after it
-// arrived: its originator crashed or was cut off mid-broadcast.
+// arrived: its originator crashed or was cut off mid-broadcast. Only the
+// leader broadcasts a decision; a replica that missed one fetches it.
 //
 // Consensus slots are allocated lazily and garbage-collected: a replica
 // group runs an unbounded sequence of Synod instances, materializing one
@@ -73,6 +74,7 @@ type TOBroadcast struct {
 	onNewWork func() // synodMux window poke, set by NewNode
 
 	fetchLast map[int]amp.Time // per-peer last tbFetch answer (rate limit)
+	gossiped  int              // maxSeen as of the last frontier gossip
 
 	recovered     bool                    // restarted from a journal: fetch on Init
 	fetchPending  bool                    // keep re-fetching until any answer arrives
@@ -86,9 +88,9 @@ type TOBroadcast struct {
 
 // Anti-entropy messages: a replica that is (or may be) behind asks the
 // others for decided slots it is missing, and peers answer slot by
-// slot. This is the catch-up path for a crash-recovered replica — the
-// one-shot synDecide broadcasts it slept through will never repeat, so
-// without a fetch it would wait forever at its first undelivered slot.
+// slot. It missed the leader's one decide broadcast, and learns so from a
+// later decision, an answer's MaxSeen, or the frontier replicas gossip
+// on their sync timers — the only sign when it missed the last one.
 type (
 	tbFetch   struct{ From int }
 	tbDecided struct {
@@ -98,8 +100,8 @@ type (
 		// successful answer teaches a behind replica how far behind it
 		// is — the gap-driven periodic re-fetch then runs until the gap
 		// closes, even if most individual answers are lost. Slot -1
-		// carries only the frontier (the answerer had no retained slot
-		// to serve but still acknowledges the fetch).
+		// carries only the frontier: a gossip, or an answer with no
+		// retained slot to serve.
 		MaxSeen int
 	}
 )
@@ -137,6 +139,7 @@ func newTOBroadcast(n int, omega *fd.Detector, onDeliver DeliverFn) *TOBroadcast
 		decided:   make(map[int]batch),
 		fetchLast: make(map[int]amp.Time),
 		maxSeen:   -1,
+		gossiped:  -1,
 	}
 }
 
@@ -236,6 +239,9 @@ func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		}
 		tb.answerFetch(ctx, from, m.From)
 	case tbDecided:
+		if from == ctx.ID() {
+			return // our own frontier gossip looping back
+		}
 		tb.fetchPending = false
 		if m.MaxSeen > tb.maxSeen {
 			tb.maxSeen = m.MaxSeen // learn how far behind we are
@@ -283,7 +289,8 @@ func (tb *TOBroadcast) answerFetch(ctx amp.Context, from, floor int) {
 
 // OnTimer implements amp.Component: while a decided-but-undeliverable
 // gap exists (a decision this replica missed), or a recovery fetch is
-// still unanswered, keep asking; and relay the payloads that lingered.
+// still unanswered, keep asking; gossip a moved frontier; relay the
+// payloads that lingered.
 func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 	if id != tbSyncTimer {
 		return
@@ -296,6 +303,10 @@ func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 	}
 	if gap || tb.fetchPending {
 		ctx.Broadcast(tbFetch{From: tb.nextDeliver})
+	}
+	if tb.maxSeen > tb.gossiped {
+		tb.gossiped = tb.maxSeen
+		ctx.Broadcast(tbDecided{Slot: -1, MaxSeen: tb.maxSeen})
 	}
 	if tb.afterDecide != nil {
 		tb.afterDecide() // catch acceptor-churn growth between decisions
@@ -379,12 +390,6 @@ func (tb *TOBroadcast) isDecided(s int) bool {
 	}
 	_, ok := tb.decided[s]
 	return ok
-}
-
-// batchOf returns slot s's decided batch if it is still retained.
-func (tb *TOBroadcast) batchOf(s int) (batch, bool) {
-	b, ok := tb.decided[s]
-	return b, ok
 }
 
 // onSlotDecide records slot s's batch and delivers ready slots in order.
@@ -504,7 +509,7 @@ type nodeConfig struct {
 	journal      Journal
 	recovery     *Recovery
 	pipeline     int
-	pace         amp.Time
+	pace         amp.Time // least ticks between ballot starts (see ensureWindow)
 	maxBatch     int
 	leaseTTL     amp.Time
 	leaseMargin  amp.Time
@@ -541,17 +546,6 @@ func WithRecovery(rec *Recovery) NodeOption {
 // is unaffected.
 func WithPipeline(k int) NodeOption {
 	return func(c *nodeConfig) { c.pipeline = k }
-}
-
-// WithPace sets the least spacing, in clock ticks, between the ballots
-// a leader starts for new slots (default 1). A ballot still starts in
-// the turn work reaches a leader that started none for that long; work
-// arriving sooner shares the next start. Over a network a ballot
-// outlasts the spacing and it never binds; among replicas sharing one
-// box it is what a closed loop of clients waits on, so the consensus
-// load follows the clock, not the CPU the replicas compete for.
-func WithPace(d amp.Time) NodeOption {
-	return func(c *nodeConfig) { c.pace = d }
 }
 
 // WithMaxBatch caps the number of commands a proposer packs into one

@@ -303,14 +303,15 @@ func (l *link) transmitLocked() {
 		// Synchronous failure: no ack will come; go straight to backoff.
 		l.lastErr = err
 		delay := l.r.policy.Backoff(l.attempts, &l.rng)
-		l.timer = l.r.clock.AfterFunc(delay, func() { l.onTimeout(seq) })
+		l.timer = l.r.clock.AfterFunc(delay, func() { l.onTimeout(seq, true) })
 		return
 	}
-	l.timer = l.r.clock.AfterFunc(l.r.policy.SendTimeout, func() { l.onTimeout(seq) })
+	l.timer = l.r.clock.AfterFunc(l.r.policy.SendTimeout, func() { l.onTimeout(seq, false) })
 }
 
-// onTimeout handles an expired ack wait or backoff delay for seq.
-func (l *link) onTimeout(seq uint64) {
+// onTimeout handles an expired ack wait, or the backoff after a refused
+// attempt (refused), for seq; only the former backs off before retrying.
+func (l *link) onTimeout(seq uint64, refused bool) {
 	var dropErr error
 	l.mu.Lock()
 	if l.inflight == nil || l.inflightSeq != seq || l.r.closed.Load() {
@@ -334,6 +335,9 @@ func (l *link) onTimeout(seq uint64) {
 		l.inflight = nil
 		l.r.stats.Dropped.Add(1)
 		l.advanceLocked()
+		l.mu.Unlock()
+	} else if refused {
+		l.transmitLocked()
 		l.mu.Unlock()
 	} else {
 		delay := l.r.policy.Backoff(l.attempts, &l.rng)

@@ -309,6 +309,28 @@ func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 	}
 }
 
+// TestResilientRefusedSendWaitsOneBackoff: a peer that refuses the first
+// attempt (not listening yet) gets the frame one backoff later, not an
+// ack wait's or a second backoff's worth — a deployment's first quorum
+// waits on this when its processes start a millisecond apart.
+func TestResilientRefusedSendWaitsOneBackoff(t *testing.T) {
+	inner := newMockInner(0, 2)
+	inner.fail[1] = fmt.Errorf("connection refused")
+	lb := NewLoopback(0)
+	r := NewResilient(inner, lb.Clock(), Policy{SendTimeout: 25, RetryBase: 10, RetryCap: 250, JitterPct: -1, Seed: 1})
+	r.Handle(func(int, []byte) {})
+	if err := r.Send(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	t0 := lb.Now()
+	inner.mu.Lock()
+	delete(inner.fail, 1)
+	inner.mu.Unlock()
+	if at := nextSendTick(t, lb, inner); at-t0 != 10 {
+		t.Fatalf("refused frame re-sent %d ticks later, want one RetryBase (10)", at-t0)
+	}
+}
+
 func TestResilientShedAtQueueCap(t *testing.T) {
 	inner := newMockInner(0, 2)
 	lb := NewLoopback(0)
