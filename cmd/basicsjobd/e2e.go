@@ -155,14 +155,15 @@ func runE2E(opt e2eOptions) (err error) {
 
 	// --- the kill -9 schedule --------------------------------------------
 	total := int64(len(plans))
+	subDone := make(chan struct{})
 	killErr := make(chan error, 1)
 	go func() {
 		if opt.Kill == 0 {
 			killErr <- nil
 			return
 		}
-		for submitted.Load() < total/3 {
-			time.Sleep(25 * time.Millisecond)
+		if !waitSubmitted(&submitted, total/3, subDone) {
+			log.Printf("e2e: submission ended after %d of %d jobs, before the kill point", submitted.Load(), total)
 		}
 		for _, v := range opt.victims() {
 			log.Printf("e2e: kill -9 node %d", v)
@@ -177,6 +178,7 @@ func runE2E(opt e2eOptions) (err error) {
 	}()
 
 	subWG.Wait()
+	close(subDone)
 	close(subErr)
 	err = <-subErr
 	if kerr := <-killErr; err == nil {
@@ -203,6 +205,20 @@ func runE2E(opt e2eOptions) (err error) {
 	log.Printf("e2e: PASS — %d jobs all terminal on %d agreeing replicas: %s", len(plans), opt.Nodes, summary)
 	cl.Passed()
 	return nil
+}
+
+// waitSubmitted blocks until threshold jobs are submitted, or until done
+// closes — every submitter finished or gave up, so the count will not
+// grow — and reports whether the threshold was reached.
+func waitSubmitted(submitted *atomic.Int64, threshold int64, done <-chan struct{}) bool {
+	for submitted.Load() < threshold {
+		select {
+		case <-done:
+			return false
+		case <-time.After(25 * time.Millisecond):
+		}
+	}
+	return true
 }
 
 // verify checks the replicated records against the plan: no job lost,

@@ -3,7 +3,9 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"distbasics/internal/node"
 )
@@ -38,6 +40,32 @@ func TestJobQE2EKillMinorityIncludingScheduler(t *testing.T) {
 	}})
 	if err != nil {
 		t.Fatalf("e2e: %v", err)
+	}
+}
+
+// TestWaitSubmittedStopsWhenSubmissionEnds: the kill schedule waits for
+// a third of the jobs, but if every submitter gives up first the count
+// never gets there; the wait must end with submission, not spin, so the
+// run still reports its failure and writes its artifacts.
+func TestWaitSubmittedStopsWhenSubmissionEnds(t *testing.T) {
+	var submitted atomic.Int64
+	submitted.Store(2)
+	done := make(chan struct{})
+	close(done)
+	got := make(chan bool, 1)
+	go func() { got <- waitSubmitted(&submitted, 10, done) }()
+	select {
+	case reached := <-got:
+		if reached {
+			t.Fatal("waitSubmitted reported the threshold reached at 2 of 10")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waitSubmitted still waiting after submission ended")
+	}
+
+	submitted.Store(10)
+	if !waitSubmitted(&submitted, 10, make(chan struct{})) {
+		t.Fatal("waitSubmitted at the threshold reported it unreached")
 	}
 }
 

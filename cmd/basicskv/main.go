@@ -1,7 +1,7 @@
 // Command basicskv is the sharded, batched, replicated key-value store
 // built on the repository's universal construction (internal/kv): each
 // key-range shard is an independent rsm replica group — Ω failure
-// detector, batched+pipelined TO-broadcast, per-slot Synod consensus —
+// detector, batched TO-broadcast, per-slot Synod consensus —
 // and reads ride the leader's majority-granted read lease when it is
 // live, falling back to a consensus no-op read when it is not.
 //

@@ -242,7 +242,7 @@
 // group, so per-key linearizability composes into a linearizable map
 // while shards scale throughput. Client writes are staged in waves and
 // ride the rsm proposer's batching (up to MaxBatch commands per
-// consensus slot, up to Pipeline slots open concurrently); reads are
+// consensus slot, one slot open at a time); reads are
 // served locally at a shard's leader while it holds the
 // majority-granted read lease (internal/fd) — acceptors drop rival
 // ballots while a grant is live, so no write can commit that the
@@ -263,10 +263,10 @@
 // checker. See cmd/basicskv's README for the sharding map, the batching
 // and lease constants, lease semantics, and fallback conditions. A subprocess test
 // kills -9 one of three serve processes, restarts it from its journals
-// and reads every acknowledged key back through it. The
-// batching/pipelining invariants themselves are fuzzed
-// by the scenario harness's kv model (exactly-once apply, identical
-// applied order across replicas, batching evidence on benign seeds).
+// and reads every acknowledged key back through it. The batching
+// invariants themselves are fuzzed by the scenario harness's kv model
+// (exactly-once apply, identical applied order across replicas,
+// batching evidence on benign seeds).
 //
 // # Running a job queue
 //

@@ -13,11 +13,10 @@
 // is local (Herlihy & Wing), and the per-shard groups compose into a
 // linearizable map for free.
 //
-// # Batching and pipelining
+// # Batching
 //
 // Writes ride the rsm proposer's batching: every consensus slot
-// carries up to rsm's MaxBatch commands, and up to its Pipeline slots
-// run concurrently, each carrying a disjoint portion of the backlog. The
+// carries up to rsm's MaxBatch commands, one slot at a time. The
 // engine staged-submits client operations in waves (one actor-mutex
 // entry per wave, not per op), so a closed-loop load of thousands of
 // writers costs a handful of consensus rounds per batch, not per

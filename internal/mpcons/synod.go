@@ -103,6 +103,19 @@ type (
 	synDecide   struct{ Val any }
 )
 
+// IsBallot reports whether msg is a proposer's ballot message (a prepare
+// or an accept) rather than an acceptor's reply or a decision. A host
+// that has already forgotten a decided instance answers a ballot with the
+// decision — its sender is running consensus for a value it does not
+// know — and drops everything else.
+func IsBallot(msg amp.Message) bool {
+	switch msg.(type) {
+	case synPrepare, synAccept:
+		return true
+	}
+	return false
+}
+
 const synodRetryTimer = 0
 
 // NewSynod returns a Synod instance proposing input, using the given Ω.

@@ -101,3 +101,25 @@ func TestSynodHealthyDecideIsNotRelayed(t *testing.T) {
 		}
 	}
 }
+
+// TestIsBallot: only the proposer's two ballot messages are ballots;
+// acceptor replies, decisions and foreign messages are not.
+func TestIsBallot(t *testing.T) {
+	for _, row := range []struct {
+		msg  amp.Message
+		want bool
+	}{
+		{synPrepare{Bal: 1}, true},
+		{synAccept{Bal: 1, Val: "v"}, true},
+		{synPromise{Bal: 1}, false},
+		{synAccepted{Bal: 1}, false},
+		{synReject{Promised: 2}, false},
+		{synDecide{Val: "v"}, false},
+		{boDecide{}, false},
+		{nil, false},
+	} {
+		if got := IsBallot(row.msg); got != row.want {
+			t.Errorf("IsBallot(%#v) = %v, want %v", row.msg, got, row.want)
+		}
+	}
+}

@@ -50,8 +50,8 @@ type Config struct {
 	// state and truncates the journal behind it. 0 (absent) takes
 	// rsm.DefaultCompactRecords; the kill -9 harness sets 32 so its
 	// SIGKILLs land amid snapshot installs. It is the file's one tuning
-	// key: the clock unit, batching, pipelining, leases and queue policy
-	// are constants of the daemons.
+	// key: the clock unit, batching, leases and queue policy are
+	// constants of the daemons.
 	CompactRecords int64 `json:"compact_records,omitempty"`
 }
 

@@ -110,10 +110,15 @@ func TestHealthyPathTicks(t *testing.T) {
 
 // tapCounts is what the replicas of a tapped cluster count and lose.
 type tapCounts struct {
-	payloads int // toPayload frames from anybody but the payload's originator
-	decides  int // synDecide frames from anybody but node 0, the leader
-	deaf     int // a follower that loses every synDecide frame (0: none)
+	payloads int  // toPayload frames from anybody but the payload's originator
+	decides  int  // synDecide frames from anybody but node 0, the leader
+	answers  int  // frames that teach a decided slot outside a Synod decide
+	deaf     int  // a follower that loses every synDecide frame (0: none)
+	blind    bool // the deaf follower also loses every frontier gossip
 }
+
+// muxComponent is the synod mux's position in NewNode's Stack.
+const muxComponent = 2
 
 // relayTap is a replica's process as the simulator sees it, counting the
 // relays that reach it: copies of a payload or a decision sent by
@@ -125,12 +130,19 @@ type relayTap struct {
 }
 
 func (p relayTap) OnMessage(ctx amp.Context, from int, msg amp.Message) {
-	// The Stack's envelope type is amp's own; its Inner field is exported.
-	if inner := reflect.ValueOf(msg).FieldByName("Inner"); inner.IsValid() {
+	// The Stack's envelope type is amp's own; its fields are exported.
+	env := reflect.ValueOf(msg)
+	if inner := env.FieldByName("Inner"); inner.IsValid() {
 		switch m := inner.Interface().(type) {
 		case toPayload:
 			if from != m.ID.Sender {
 				p.c.payloads++
+			}
+		case tbDecided:
+			if m.Slot >= 0 {
+				p.c.answers++
+			} else if p.c.blind && p.id == p.c.deaf {
+				return
 			}
 		case muxMsg:
 			if fmt.Sprintf("%T", m.Inner) != "mpcons.synDecide" {
@@ -141,6 +153,10 @@ func (p relayTap) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			}
 			if p.c.deaf != 0 && p.id == p.c.deaf {
 				return
+			}
+		default:
+			if env.FieldByName("Slot").Int() == muxComponent {
+				p.c.answers++ // the mux carries nothing but slot envelopes
 			}
 		}
 	}
@@ -160,11 +176,11 @@ func newTappedCluster(n int, c *tapCounts, simOpts ...amp.SimOption) *rsmCluster
 
 // healthyRun submits 100 commands round-robin at n = 3 replicas with
 // every link up and checks that all of them apply everywhere.
-func healthyRun(t *testing.T) tapCounts {
+func healthyRun(t *testing.T, simOpts ...amp.SimOption) tapCounts {
 	t.Helper()
 	const n, cmds = 3, 100
 	var counts tapCounts
-	c := newTappedCluster(n, &counts, amp.WithDelay(amp.FixedDelay{D: 1}))
+	c := newTappedCluster(n, &counts, simOpts...)
 	for i := 0; i < cmds; i++ {
 		nd := c.nodes[i%n]
 		c.sim.Schedule(amp.Time(300+20*i), func() { nd.Submit(nd.Ctx(), Command{Op: "put", Key: "k", Val: i}) })
@@ -182,7 +198,7 @@ func healthyRun(t *testing.T) tapCounts {
 // own broadcast is the only copy of a payload anybody sends — n frames
 // per command, not n squared.
 func TestHealthyRunRelaysNoPayload(t *testing.T) {
-	if got := healthyRun(t).payloads; got != 0 {
+	if got := healthyRun(t, amp.WithDelay(amp.FixedDelay{D: 1})).payloads; got != 0 {
 		t.Errorf("%d toPayload frames came from a replica other than their originator, want 0 on a healthy run", got)
 	}
 }
@@ -192,8 +208,19 @@ func TestHealthyRunRelaysNoPayload(t *testing.T) {
 // followers' Synod instances are released on delivery, before their
 // lazy relay could fire.
 func TestHealthyRunRelaysNoDecide(t *testing.T) {
-	if got := healthyRun(t).decides; got != 0 {
+	if got := healthyRun(t, amp.WithDelay(amp.FixedDelay{D: 1})).decides; got != 0 {
 		t.Errorf("%d synDecide frames came from a replica other than the leader, want 0 on a healthy run", got)
+	}
+}
+
+// TestHealthyRunAnswersNoDecidedSlot: with every link up but delays
+// spread, acceptor replies reach the leader after it decided. A late
+// reply teaches nobody anything and is dropped; only a ballot for a
+// decided slot is answered, and a healthy run sends none.
+func TestHealthyRunAnswersNoDecidedSlot(t *testing.T) {
+	counts := healthyRun(t, amp.WithSeed(7), amp.WithDelay(amp.UniformDelay{Min: 1, Max: 4}))
+	if counts.answers != 0 {
+		t.Errorf("%d frames answered a decided slot, want 0 on a healthy run", counts.answers)
 	}
 }
 
@@ -232,6 +259,55 @@ func TestMissedLastDecideIsFetched(t *testing.T) {
 		t.Errorf("the follower that missed the last decide reads k = %v, want 1", got)
 	}
 	t.Logf("last slot decided at %d; the follower that missed it applied it at %d", decided, appliedAt[deaf])
+}
+
+// TestMissedDecideLearnedFromOwnBallot: at n = 5 follower 1 loses the
+// decision of a slot and every frontier gossip, so neither a fetch nor
+// a relay can teach it the slot; then the leader crashes and Ω elects
+// follower 1, which still holds the slot's command unscheduled. Its
+// first prepare for the slot reaches peers that decided and forgot it,
+// and their answer delivers the slot one round trip later — well
+// inside a sync period of the decision.
+func TestMissedDecideLearnedFromOwnBallot(t *testing.T) {
+	const n, submitAt, crashAt, deaf = 5, 500, 520, 1
+	counts := tapCounts{blind: true}
+	c := newTappedCluster(n, &counts, amp.WithDelay(amp.FixedDelay{D: 1}))
+	spy := &prepareSpy{}
+	c.sim.Schedule(1, func() {
+		spy.Context = c.nodes[deaf].mux.ctx
+		c.nodes[deaf].mux.ctx = spy
+	})
+	appliedAt := make([]amp.Time, n)
+	for i, nd := range c.nodes {
+		nd.OnApply = func(_ Entry, at amp.Time) { appliedAt[i] = at }
+	}
+	c.sim.Schedule(submitAt, func() {
+		counts.deaf = deaf
+		c.nodes[2].Submit(c.nodes[2].Ctx(), Command{Op: "put", Key: "k", Val: 1})
+	})
+	c.sim.CrashAt(0, crashAt)
+	c.sim.Run(submitAt + 4*tbSyncPeriod)
+
+	decided := appliedAt[2]
+	if decided == 0 || decided >= crashAt {
+		t.Fatalf("the slot applied at node 2 at %d, want decided before the leader crashed at %d", decided, crashAt)
+	}
+	if len(spy.at) == 0 {
+		t.Fatalf("node %d never sent a prepare", deaf)
+	}
+	prepared := spy.at[0]
+	switch at := appliedAt[deaf]; {
+	case c.nodes[deaf].Len() != 1 || c.nodes[deaf].Get("k") != 1:
+		t.Errorf("node %d applied %d commands (k = %v), want the one it missed", deaf, c.nodes[deaf].Len(), c.nodes[deaf].Get("k"))
+	case at != prepared+2:
+		t.Errorf("node %d applied the slot at %d, want one round trip after its prepare at %d", deaf, at, prepared)
+	case at >= decided+tbSyncPeriod:
+		t.Errorf("node %d applied the slot at %d, want within a sync period of the decision at %d", deaf, at, decided)
+	}
+	if counts.answers == 0 {
+		t.Error("no frame answered the decided slot")
+	}
+	t.Logf("slot decided at %d; node %d prepared at %d and applied it at %d", decided, deaf, prepared, appliedAt[deaf])
 }
 
 // TestLingeringPayloadIsRelayed is reliable broadcast's agreement

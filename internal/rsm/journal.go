@@ -644,7 +644,6 @@ func RegisterWire(reg func(any)) {
 	reg(tbFetch{})
 	reg(tbDecided{})
 	reg(muxMsg{})
-	reg(muxLearn{})
 	reg(batch{})
 	reg(Entry{})
 	reg(Command{})

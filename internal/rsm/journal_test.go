@@ -34,9 +34,9 @@ func TestApplyIdempotent(t *testing.T) {
 }
 
 // TestDuplicateSlotDecide feeds the same slot decision to the TO layer
-// twice — as a muxLearn answer, a tbDecided fetch answer or a re-ballot's
-// decide can deliver it after the first — and checks the delivery is not
-// duplicated.
+// twice — as a tbDecided answer (to a fetch or to a ballot for the slot)
+// or a re-ballot's decide can deliver it after the first — and checks
+// the delivery is not duplicated.
 func TestDuplicateSlotDecide(t *testing.T) {
 	nd := NewNode(3)
 	b := batch{{ID: rbcast.MsgID{Sender: 0, Seq: 0}, Payload: Command{Op: "put", Key: "k", Val: "v"}}}

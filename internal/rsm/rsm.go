@@ -17,9 +17,11 @@
 // group runs an unbounded sequence of Synod instances, materializing one
 // only when a slot first sees traffic (a ballot message, or the local
 // proposer opening it) and freeing it once its decision has been
-// delivered. Up to Pipeline slots run ballots concurrently, so slot s+1
-// does not stall on slot s's apply; delivery stays strictly in slot
-// order. The proposer batches up to MaxBatch pending commands per slot.
+// delivered. One slot is open at a time — the first undecided one — and
+// the proposer batches up to MaxBatch pending commands into it; a slot
+// decided at a peer fills a gap below it. A replica that missed a
+// decision learns it one way: a peer answers its fetch, or its ballot
+// for the slot, with the decided batch.
 package rsm
 
 import (
@@ -71,14 +73,14 @@ type TOBroadcast struct {
 	maxBatch     int // proposal size cap
 	unsched      int // pending entries not yet placed in a decided slot
 
-	onNewWork func() // synodMux window poke, set by NewNode
+	ctx amp.Context // this component's context, from Init
+	mux *synodMux   // the slot multiplexer beside it, set by NewNode
 
 	fetchLast map[int]amp.Time // per-peer last tbFetch answer (rate limit)
 	gossiped  int              // maxSeen as of the last frontier gossip
 
-	recovered     bool                    // restarted from a journal: fetch on Init
-	fetchPending  bool                    // keep re-fetching until any answer arrives
-	persistDecide func(slot int, b batch) // journal hook, may be nil
+	recovered    bool // restarted from a journal: fetch on Init
+	fetchPending bool // keep re-fetching until any answer arrives
 
 	// afterDecide runs after every slot decision (and on the sync
 	// timer): the auto-compaction threshold check, set by NewNode once
@@ -90,7 +92,9 @@ type TOBroadcast struct {
 // others for decided slots it is missing, and peers answer slot by
 // slot. It missed the leader's one decide broadcast, and learns so from a
 // later decision, an answer's MaxSeen, or the frontier replicas gossip
-// on their sync timers — the only sign when it missed the last one.
+// on their sync timers — the only sign when it missed the last one. A
+// replica that ballots for a slot its peers have decided is answered the
+// same way, without asking.
 type (
 	tbFetch   struct{ From int }
 	tbDecided struct {
@@ -145,6 +149,7 @@ func newTOBroadcast(n int, omega *fd.Detector, onDeliver DeliverFn) *TOBroadcast
 
 // Init implements amp.Component.
 func (tb *TOBroadcast) Init(ctx amp.Context) {
+	tb.ctx = ctx
 	if tb.recovered {
 		// A restarted replica may have slept through decisions; ask for
 		// everything from its first undelivered slot — and keep asking on
@@ -169,9 +174,7 @@ func (tb *TOBroadcast) Broadcast(ctx amp.Context, payload any) rbcast.MsgID {
 	tb.pending[id] = payload
 	tb.unsched++
 	ctx.Broadcast(toPayload{ID: id, Payload: payload})
-	if tb.onNewWork != nil {
-		tb.onNewWork()
-	}
+	tb.mux.ensureWindow()
 	return id
 }
 
@@ -230,9 +233,7 @@ func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			tb.held = append(tb.held, m.ID)
 		}
 		tb.pending[m.ID] = m.Payload
-		if tb.onNewWork != nil {
-			tb.onNewWork()
-		}
+		tb.mux.ensureWindow()
 	case tbFetch:
 		if from == ctx.ID() {
 			return // our own broadcast looping back
@@ -246,17 +247,17 @@ func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		if m.MaxSeen > tb.maxSeen {
 			tb.maxSeen = m.MaxSeen // learn how far behind we are
 		}
-		if m.Slot < 0 || tb.isDecided(m.Slot) {
-			return // frontier-only answer, or a duplicate
+		if m.Slot < 0 {
+			tb.mux.ensureWindow() // a gap below a peer's frontier: a leader fills it
+			return
 		}
-		if tb.persistDecide != nil {
-			tb.persistDecide(m.Slot, m.Batch)
-		}
-		tb.onSlotDecide(m.Slot, m.Batch, ctx.Now())
+		tb.mux.onDecide(m.Slot, m.Batch, ctx.Now())
 	}
 }
 
-// answerFetch serves one anti-entropy request, rate-limited per peer
+// answerFetch serves one anti-entropy request — a tbFetch, or a ballot
+// for a slot this replica has decided (see synodMux.OnMessage), whose
+// floor is that slot — rate-limited per peer
 // and chunked: at most tbFetchChunk retained slots starting at the
 // requester's floor, no more often than every tbFetchMinGap ticks. A
 // request we have nothing for is still acknowledged with a
@@ -296,12 +297,7 @@ func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 		return
 	}
 	tb.relayLingering(ctx)
-	gap := false
-	if tb.maxSeen >= tb.nextDeliver {
-		_, have := tb.decided[tb.nextDeliver]
-		gap = !have
-	}
-	if gap || tb.fetchPending {
+	if tb.maxSeen >= tb.nextDecide || tb.fetchPending { // nextDecide: the first slot missing here
 		ctx.Broadcast(tbFetch{From: tb.nextDeliver})
 	}
 	if tb.maxSeen > tb.gossiped {
@@ -327,16 +323,9 @@ func (tb *TOBroadcast) relayLingering(ctx amp.Context) {
 	tb.heldOld, tb.held = tb.held, tb.heldOld[:0]
 }
 
-// proposalFor builds slot's batch: the unscheduled backlog in
-// deterministic (MsgID) order, with concurrent window slots taking
-// disjoint maxBatch-sized portions by their offset from the decide
-// frontier. Slot frontier+k proposing the k'th portion (instead of
-// every slot proposing the same head) is what makes pipelining carry
-// k× the commands rather than decide the same batch k times — the
-// scheduled/delivered dedup keeps overlap safe when frontiers move
-// between ballot start and decision, but disjointness is what makes
-// the extra slots worth their traffic.
-func (tb *TOBroadcast) proposalFor(slot int) any {
+// proposal builds the head slot's batch: the first maxBatch unscheduled
+// commands in deterministic (MsgID) order, or none for a gap fill.
+func (tb *TOBroadcast) proposal() any {
 	b := make(batch, 0, len(tb.pending))
 	for id, p := range tb.pending {
 		if tb.scheduled[id] {
@@ -350,36 +339,18 @@ func (tb *TOBroadcast) proposalFor(slot int) any {
 		}
 		return b[i].ID.Seq < b[j].ID.Seq
 	})
-	off := 0
-	if slot > tb.nextDecide {
-		if tb.maxBatch <= 0 {
-			return batch{} // unbounded batches: the head slot takes everything
-		}
-		off = (slot - tb.nextDecide) * tb.maxBatch
-	}
-	if off >= len(b) {
-		return batch{} // nothing left for this slot: gap fill
-	}
-	b = b[off:]
 	if tb.maxBatch > 0 && len(b) > tb.maxBatch {
 		b = b[:tb.maxBatch]
 	}
 	return b
 }
 
-// backlogReaches reports whether the unscheduled backlog is deep enough
-// to give slot a non-empty proposal — the gate that keeps the pipeline
-// window from running k concurrent ballots over the same single
-// command (quadrupling consensus traffic for zero extra throughput,
-// and enough to saturate a stop-and-wait link under fault injection).
-func (tb *TOBroadcast) backlogReaches(slot int) bool {
-	if slot <= tb.nextDecide {
-		return tb.unsched > 0
-	}
-	if tb.maxBatch <= 0 {
-		return false
-	}
-	return tb.unsched > (slot-tb.nextDecide)*tb.maxBatch
+// wantsBallot reports whether a leader should run ballots for slot: it
+// is the head slot (the first undecided one), and there are unscheduled
+// commands to order or a decision known above it — the gap fill,
+// without which an out-of-order decision would strand delivery forever.
+func (tb *TOBroadcast) wantsBallot(slot int) bool {
+	return slot == tb.nextDecide && (tb.unsched > 0 || tb.maxSeen > slot)
 }
 
 // isDecided reports whether slot s has a known decision (including ones
@@ -394,10 +365,7 @@ func (tb *TOBroadcast) isDecided(s int) bool {
 
 // onSlotDecide records slot s's batch and delivers ready slots in order.
 func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
-	b, ok := v.(batch)
-	if !ok {
-		b = nil
-	}
+	b, _ := v.(batch)
 	if tb.isDecided(s) {
 		return
 	}
@@ -415,20 +383,11 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 	if s > tb.maxSeen {
 		tb.maxSeen = s
 	}
-	if s == tb.nextDecide {
-		for {
-			if _, ok := tb.decided[tb.nextDecide]; !ok {
-				break
-			}
-			tb.nextDecide++
-		}
+	for tb.isDecided(tb.nextDecide) {
+		tb.nextDecide++
 	}
-	for {
-		db, ok := tb.decided[tb.nextDeliver]
-		if !ok {
-			break
-		}
-		for _, e := range db {
+	for ; tb.nextDeliver < tb.nextDecide; tb.nextDeliver++ {
+		for _, e := range tb.decided[tb.nextDeliver] {
 			if tb.delivered.has(e.ID) {
 				continue
 			}
@@ -439,7 +398,6 @@ func (tb *TOBroadcast) onSlotDecide(s int, v any, at amp.Time) {
 				tb.onDeliver(e, at)
 			}
 		}
-		tb.nextDeliver++
 	}
 	tb.compact()
 	if tb.afterDecide != nil {
@@ -497,7 +455,6 @@ type Command struct {
 
 // Defaults for the tunables below.
 const (
-	DefaultPipeline  = 4
 	DefaultRetention = 1024
 	DefaultMaxBatch  = 1024
 )
@@ -508,7 +465,6 @@ type NodeOption func(*nodeConfig)
 type nodeConfig struct {
 	journal      Journal
 	recovery     *Recovery
-	pipeline     int
 	pace         amp.Time // least ticks between ballot starts (see ensureWindow)
 	maxBatch     int
 	leaseTTL     amp.Time
@@ -540,16 +496,8 @@ func WithRecovery(rec *Recovery) NodeOption {
 	return func(c *nodeConfig) { c.recovery = rec }
 }
 
-// WithPipeline sets how many consensus slots may run ballots
-// concurrently (default DefaultPipeline). Higher values let decisions
-// for slots s+1..s+k proceed without stalling on slot s; delivery order
-// is unaffected.
-func WithPipeline(k int) NodeOption {
-	return func(c *nodeConfig) { c.pipeline = k }
-}
-
 // WithMaxBatch caps the number of commands a proposer packs into one
-// slot (default DefaultMaxBatch).
+// slot (default DefaultMaxBatch): it bounds a decided batch's frame.
 func WithMaxBatch(m int) NodeOption {
 	return func(c *nodeConfig) { c.maxBatch = m }
 }
@@ -628,15 +576,11 @@ func WithCompaction(records, bytes int64) NodeOption {
 // materialized on first use and garbage-collected once delivered.
 func NewNode(n int, opts ...NodeOption) *Node {
 	cfg := nodeConfig{
-		pipeline: DefaultPipeline,
 		pace:     1,
 		maxBatch: DefaultMaxBatch,
 	}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.pipeline < 1 {
-		cfg.pipeline = 1
 	}
 	node := &Node{
 		state: make(map[string]any),
@@ -649,12 +593,11 @@ func NewNode(n int, opts ...NodeOption) *Node {
 	det.LeaseMargin = cfg.leaseMargin
 	tb := newTOBroadcast(n, det, func(e Entry, at amp.Time) { node.apply(e, at) })
 	tb.maxBatch = cfg.maxBatch
-	if j := cfg.journal; j != nil {
-		tb.persistSeq = j.SaveSeq
-		tb.persistDecide = func(slot int, b batch) { j.SaveDecide(slot, b) }
+	if cfg.journal != nil {
+		tb.persistSeq = cfg.journal.SaveSeq
 	}
-	mux := newSynodMux(tb, det, cfg.journal, cfg.pipeline, cfg.pace)
-	tb.onNewWork = mux.ensureWindow
+	mux := newSynodMux(tb, det, cfg.journal, cfg.pace)
+	tb.mux = mux
 	det.OnLeaderChange = func(int, amp.Time) { mux.ensureWindow() }
 	node.TO = tb
 	node.Omega = det

@@ -83,13 +83,12 @@ func TestRSMTenThousandSlotsBoundedMemory(t *testing.T) {
 			t.Fatalf("replica %d delivered %d slots, want > 10000 (commands too batched to exercise slot turnover)",
 				i, nd.SlotsDelivered())
 		}
-		if live := nd.LiveInstances(); live > DefaultPipeline {
-			t.Fatalf("replica %d holds %d live instances after quiescing, want <= %d (GC leak)",
-				i, live, DefaultPipeline)
+		if live := nd.LiveInstances(); live > 1 {
+			t.Fatalf("replica %d holds %d live instances after quiescing, want <= 1 (GC leak)", i, live)
 		}
-		if got := nd.RetainedBatches(); got > DefaultRetention+DefaultPipeline {
+		if got := nd.RetainedBatches(); got > DefaultRetention {
 			t.Fatalf("replica %d retains %d decided batches, want <= %d (compaction leak)",
-				i, got, DefaultRetention+DefaultPipeline)
+				i, got, DefaultRetention)
 		}
 		if got := len(nd.TO.delivered.above); got > 16 {
 			t.Fatalf("replica %d delivered-dedup map has %d entries, want watermark-bounded", i, got)
@@ -103,18 +102,18 @@ func TestRSMTenThousandSlotsBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestRSMPipelineDisjointBatches floods the group with a burst far
-// larger than one batch, with a small batch cap so the pipeline window
-// actually opens. Invariants: exactly-once apply, identical order
-// everywhere, and real batching (fewer slots than commands) — i.e. the
-// concurrent window slots carried disjoint portions of the backlog
-// instead of re-deciding the same head batch.
-func TestRSMPipelineDisjointBatches(t *testing.T) {
+// TestRSMBurstBatchesDisjoint floods the group with a burst far larger
+// than one batch, with a small batch cap so the backlog spans many
+// slots. Invariants: exactly-once apply, identical order everywhere,
+// and real batching (fewer slots than commands, none below the
+// ceil(total/maxBatch) floor) — i.e. consecutive head slots carried
+// disjoint portions of the backlog instead of re-deciding one batch.
+func TestRSMBurstBatchesDisjoint(t *testing.T) {
 	const n, perNode, maxBatch = 3, 70, 8
 	const total = n * perNode
 	for seed := int64(0); seed < 3; seed++ {
 		c := newTunedCluster(n,
-			[]NodeOption{WithMaxBatch(maxBatch), WithPipeline(4)},
+			[]NodeOption{WithMaxBatch(maxBatch)},
 			amp.WithSeed(seed), amp.WithDelay(amp.UniformDelay{Min: 1, Max: 4}))
 		for i := 0; i < n; i++ {
 			i := i

@@ -20,9 +20,9 @@ import (
 // and decided-but-undelivered batches) for slots at or above the
 // delivery frontier. Slots below the frontier are deliberately absent:
 // the running replica already forgets their instances once delivered
-// (synodMux.gc), and muxLearn/anti-entropy answer stragglers from
-// peers, so the snapshot preserves exactly the state a live replica
-// keeps.
+// (synodMux.gc), and peers answer a straggler's fetch or ballot for
+// such a slot with its decided batch, so the snapshot preserves exactly
+// the state a live replica keeps.
 //
 // The install protocol is crash-safe by construction:
 //

@@ -119,7 +119,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		return func(e rsm.Entry, _ amp.Time) { applied[j] = append(applied[j], e.ID) }
 	}
 	build := func(j int, rec *rsm.Recovery) *jobq.Node { // rec is nil on first boot
-		nd := jobq.New(jqReplicas, cfgs[j], rsm.WithMaxBatch(8), rsm.WithPipeline(2),
+		nd := jobq.New(jqReplicas, cfgs[j], rsm.WithMaxBatch(8),
 			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.RSM.Omega.Period = 16
 		// The cap oracle: the job records at every live apply point here.

@@ -9,17 +9,17 @@ import (
 	"distbasics/internal/scenario"
 )
 
-// KV is the schedule-fuzz model for the batched, pipelined replication
-// pipeline underlying cmd/basicskv: clients submit bursts of commands
-// (several per wave, mirroring the kv engine's staged submission)
-// against replicas configured with a small MaxBatch and a multi-slot
-// Pipeline, so every run forces batch packing and concurrently open
-// consensus slots. The oracle checks the invariants batching and
-// pipelining must not break: exactly-once apply (no entry ID delivered
-// twice at any replica), identical total order (pairwise prefix
-// equality of the applied ID sequences across replicas), and — on
-// benign even seeds — every burst completing with fewer consensus
-// slots than applied commands (batching actually happened). Odd seeds
+// KV is the schedule-fuzz model for the batched replication path
+// underlying cmd/basicskv: clients submit bursts of commands (several
+// per wave, mirroring the kv engine's staged submission) against
+// replicas configured with a small MaxBatch, so every run forces batch
+// packing and bursts spread over consecutive consensus slots. The
+// oracle checks the invariants batching must not break: exactly-once
+// apply (no entry ID delivered twice at any replica), identical total
+// order (pairwise prefix equality of the applied ID sequences across
+// replicas), and — on benign even seeds — every burst completing with
+// fewer consensus slots than applied commands (batching actually
+// happened). Odd seeds
 // add a bounded fault schedule that always heals: a minority
 // partition, a crash-recovery of the bystander replica, and sometimes
 // a lossy window; under faults stalled bursts stay pending.
@@ -28,14 +28,13 @@ type KV struct{}
 // kvReplicas/kvClients fix the cluster shape: replicas 0..2 each run
 // one client chain, replica 3 is a bystander (and the fault schedule's
 // crash victim). kvMaxBatch < kvBurstLen forces every burst across
-// multiple slots; kvPipeline > 1 lets those slots run concurrently.
+// multiple slots.
 const (
 	kvReplicas = 4
 	kvClients  = 3
 	kvBursts   = 6
 	kvBurstLen = 7
 	kvMaxBatch = 4
-	kvPipeline = 3
 )
 
 // Name implements scenario.Model.
@@ -88,7 +87,7 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 	}
 	build := func(j int, rec *rsm.Recovery) *rsm.Node { // rec is nil on first boot
-		nd := rsm.NewNode(kvReplicas, rsm.WithMaxBatch(kvMaxBatch), rsm.WithPipeline(kvPipeline),
+		nd := rsm.NewNode(kvReplicas, rsm.WithMaxBatch(kvMaxBatch),
 			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.Omega.Period = 16
 		return nd
@@ -139,7 +138,7 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 			}
 			// Stage a whole burst back-to-back: with kvMaxBatch below the
 			// burst length, the proposer must pack it across several
-			// pipelined slots.
+			// consecutive slots.
 			for i := 0; i < kvBurstLen && next < len(chain); i++ {
 				op := chain[next]
 				key := fmt.Sprintf("k%d", op.Key)
