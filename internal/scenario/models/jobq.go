@@ -1,6 +1,7 @@
 package models
 
 import (
+	"encoding/gob"
 	"fmt"
 	"reflect"
 
@@ -102,6 +103,7 @@ func (*JobQ) Generate(seed uint64) *scenario.Scenario {
 func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
 	cfg := scenario.NewRand(sc.Seed).Derive(100)
+	jobq.RegisterWire(gob.Register) // jobq.Cmd rides in journaled batches and snapshots
 
 	// Per-replica applied entry sequences for the order oracle,
 	// captured by a construction-time apply hook (so a snapshot-crash

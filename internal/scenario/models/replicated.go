@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 
 	"distbasics/internal/amp"
@@ -97,12 +98,16 @@ func genSnapCrash(rng *scenario.Rand, from int64, proc int, minDown, spread int6
 // after install step `step` (SnapStepNone = a clean install). The
 // caller then crashes the replica and later reboots a NEW incarnation
 // from whatever j.Recovery() holds — the old snapshot or the new one,
-// never a hybrid.
+// never a hybrid. Any other Compact error (a snapshot that does not
+// encode) fails the run: the fault would otherwise never install.
 func snapCrash(res *scenario.Result, p int, step rsm.SnapStep, j *rsm.MemJournal, nd *rsm.Node) {
 	j.SetInstallCrash(step)
 	err := nd.Compact()
 	j.SetInstallCrash(rsm.SnapStepNone)
 	res.Tracef("snapcrash p%d step=%d err=%v", p, step, err)
+	if err != nil && !errors.Is(err, rsm.ErrInstallInterrupted) {
+		res.Failf("snapshot-crash compaction at p%d failed: %v", p, err)
+	}
 }
 
 // recoveredBase is how many applies rec's snapshot covers: the absolute
