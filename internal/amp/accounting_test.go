@@ -191,6 +191,34 @@ func TestRecoverAtSemantics(t *testing.T) {
 	checkStats(t, sim, 2, 1, 1)
 }
 
+// TestKillAtOutlivesRecoverAt kills a process inside a crash-recovery
+// window: the window's recovery must not resume the killed incarnation
+// (no upcall, no delivery), and only a Replace boots its successor.
+func TestKillAtOutlivesRecoverAt(t *testing.T) {
+	r := &recoverable{}
+	sim := NewSim([]Process{r, &sink{}}, WithDelay(FixedDelay{D: 1}))
+	ctx1 := sim.ctxs[1]
+	next := &sink{}
+	sim.CrashAt(0, 5)
+	sim.KillAt(0, 10)
+	sim.RecoverAt(0, 20)
+	sim.Schedule(25, func() { ctx1.Send(0, "to the dead") })
+	sim.Schedule(30, func() {
+		if !sim.Crashed(0) {
+			t.Error("RecoverAt resumed a killed process")
+		}
+		sim.Replace(0, next)
+	})
+	sim.Schedule(35, func() { ctx1.Send(0, "to the successor") })
+	sim.Run(0)
+	if len(r.recovered) != 0 || len(r.got) != 0 {
+		t.Fatalf("killed incarnation ran: recovered %v, got %v", r.recovered, r.got)
+	}
+	if sim.Crashed(0) || len(next.got) != 1 {
+		t.Fatalf("successor: crashed=%v got %v, want up with one delivery", sim.Crashed(0), next.got)
+	}
+}
+
 func TestCrashAfterSendsThenRecover(t *testing.T) {
 	// A budget-crash followed by recovery resets the budget to unlimited.
 	sim, sinks := newSinkSim(3)

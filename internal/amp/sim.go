@@ -41,6 +41,7 @@ type Sim struct {
 	advs []Adversary
 
 	crashed    []bool
+	killed     []bool // crashed by KillAt: RecoverAt does not revive it, Replace does
 	halted     []bool
 	epoch      []int // incarnation counter per pid; stale-epoch timers are dropped
 	sendBudget []int // -1 = unlimited; otherwise remaining sends before crash
@@ -82,6 +83,7 @@ func NewSim(procs []Process, opts ...SimOption) *Sim {
 		delay:      FixedDelay{D: 1},
 		rng:        newRand(1),
 		crashed:    make([]bool, n),
+		killed:     make([]bool, n),
 		halted:     make([]bool, n),
 		epoch:      make([]int, n),
 		sendBudget: make([]int, n),
@@ -138,6 +140,7 @@ const (
 	evTimer
 	evClosure
 	evCrash
+	evKill
 	evRecover
 )
 
@@ -268,8 +271,22 @@ func (s *Sim) CrashAt(pid int, at Time) {
 	s.push(e)
 }
 
+// KillAt schedules a kill of pid at virtual time at: a crash that no
+// RecoverAt undoes, only a Replace — the kill -9 of an incarnation whose
+// successor boots from its journal. A crash-recovery window that closes
+// in between must not resume the dead incarnation.
+func (s *Sim) KillAt(pid int, at Time) {
+	validatePID(pid, s.n)
+	if at < s.now {
+		at = s.now
+	}
+	e := s.newEvent()
+	e.at, e.kind, e.to = at, evKill, pid
+	s.push(e)
+}
+
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
-// crashed then, it resumes sending and receiving (messages dropped while
+// crashed (not killed) then, it resumes sending and receiving (messages dropped while
 // it was down stay lost — the crash-recovery model with volatile channel
 // state). A send budget exhausted by CrashAfterSends is reset to
 // unlimited. If the process implements Recoverer, OnRecover runs inside
@@ -303,8 +320,8 @@ func (s *Sim) Crashed(pid int) bool {
 // abandoned (its armed timers are invalidated — they belong to a dead
 // process), pid is un-crashed if it was down, and p.Init runs
 // immediately. This is the simulation analogue of a kill -9 restart
-// from a journal: crash the pid, rebuild a process from the recovered
-// state, then Replace it. Call it inside the event loop (a Schedule
+// from a journal: kill the pid (KillAt), rebuild a process from the
+// recovered state, then Replace it. Call it inside the event loop (a Schedule
 // closure) or before Run. Messages already in flight to pid are
 // delivered to the new incarnation — the network does not know the
 // process restarted — which is exactly the duplicate/straggler traffic
@@ -314,6 +331,7 @@ func (s *Sim) Replace(pid int, p Process) {
 	s.epoch[pid]++
 	s.procs[pid] = p
 	s.crashed[pid] = false
+	s.killed[pid] = false
 	s.halted[pid] = false
 	if s.sendBudget[pid] == 0 {
 		s.sendBudget[pid] = -1
@@ -355,8 +373,10 @@ func (s *Sim) Run(until Time) int {
 			e.fn()
 		case evCrash:
 			s.crashed[e.to] = true
+		case evKill:
+			s.crashed[e.to], s.killed[e.to] = true, true
 		case evRecover:
-			if s.crashed[e.to] {
+			if s.crashed[e.to] && !s.killed[e.to] {
 				s.crashed[e.to] = false
 				if s.sendBudget[e.to] == 0 {
 					s.sendBudget[e.to] = -1

@@ -139,7 +139,7 @@ func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, j
 				return
 			}
 			snapCrash(res, p, step, journals[p], node(p))
-			sim.CrashAt(p, sim.Now())
+			sim.KillAt(p, sim.Now())
 		})
 		sim.Schedule(amp.Time(f.Until), func() {
 			rec := journals[p].Recovery()
