@@ -261,43 +261,31 @@ func (s *Sim) Schedule(at Time, fn func()) {
 // CrashAt schedules a crash of pid at virtual time at: from then on it
 // neither sends nor receives (messages in flight to it are dropped at
 // delivery). Crash failures are premature halts, per §2.4.
-func (s *Sim) CrashAt(pid int, at Time) {
-	validatePID(pid, s.n)
-	if at < s.now {
-		at = s.now
-	}
-	e := s.newEvent()
-	e.at, e.kind, e.to = at, evCrash, pid
-	s.push(e)
-}
+func (s *Sim) CrashAt(pid int, at Time) { s.procEvent(pid, at, evCrash) }
 
 // KillAt schedules a kill of pid at virtual time at: a crash that no
 // RecoverAt undoes, only a Replace — the kill -9 of an incarnation whose
 // successor boots from its journal. A crash-recovery window that closes
 // in between must not resume the dead incarnation.
-func (s *Sim) KillAt(pid int, at Time) {
-	validatePID(pid, s.n)
-	if at < s.now {
-		at = s.now
-	}
-	e := s.newEvent()
-	e.at, e.kind, e.to = at, evKill, pid
-	s.push(e)
-}
+func (s *Sim) KillAt(pid int, at Time) { s.procEvent(pid, at, evKill) }
 
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
-// crashed (not killed) then, it resumes sending and receiving (messages dropped while
-// it was down stay lost — the crash-recovery model with volatile channel
-// state). A send budget exhausted by CrashAfterSends is reset to
-// unlimited. If the process implements Recoverer, OnRecover runs inside
-// the event loop at recovery time.
-func (s *Sim) RecoverAt(pid int, at Time) {
+// crashed (not killed) then, it resumes sending and receiving (messages
+// dropped while it was down stay lost — the crash-recovery model with
+// volatile channel state). A send budget exhausted by CrashAfterSends is
+// reset to unlimited. If the process implements Recoverer, OnRecover
+// runs inside the event loop at recovery time.
+func (s *Sim) RecoverAt(pid int, at Time) { s.procEvent(pid, at, evRecover) }
+
+// procEvent schedules a crash, kill or recovery of pid at virtual time
+// at (>= now).
+func (s *Sim) procEvent(pid int, at Time, kind eventKind) {
 	validatePID(pid, s.n)
 	if at < s.now {
 		at = s.now
 	}
 	e := s.newEvent()
-	e.at, e.kind, e.to = at, evRecover, pid
+	e.at, e.kind, e.to = at, kind, pid
 	s.push(e)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -34,8 +35,9 @@ import (
 //   - The next TO-broadcast sequence number. Reusing a (sender, seq)
 //     MsgID after restart would collide with a pre-crash command.
 //
-// Journals are bounded by snapshot compaction (see snapshot.go): a
-// Compactor journal truncates its history behind an installed Snapshot,
+// FileJournal is the one implementation, in the daemons and in the
+// scenario models alike. It is bounded by snapshot compaction (see
+// snapshot.go): it truncates its history behind an installed Snapshot,
 // and recovery seeds from the snapshot plus the suffix segment.
 
 // Acceptor is the journaled Paxos acceptor triple for one slot.
@@ -77,151 +79,6 @@ func (rec *Recovery) slots() []int {
 	return out
 }
 
-// MemJournal is an in-memory Journal for deterministic in-harness
-// restarts (the scenario models) and tests. It implements Compactor
-// with the same install-protocol states as FileJournal — including the
-// SIGKILL-between-steps intermediate states via SetInstallCrash — so
-// model restarts exercise the identical snapshot-plus-suffix recovery
-// code path, not a map-replay shortcut. Snapshots round-trip through
-// the real gob encoding.
-type MemJournal struct {
-	mu        sync.Mutex
-	rec       Recovery
-	records   int64
-	lifeRecs  int64
-	gen       int
-	snapBytes []byte // the "renamed" snapshot (valid at recovery)
-	snapGen   int
-	tmpBytes  []byte // the "snapshot.tmp" (ignored at recovery)
-	snapshots int64
-	crash     SnapStep
-}
-
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal {
-	return &MemJournal{rec: Recovery{Accepts: map[int]Acceptor{}, Decides: map[int][]Entry{}}}
-}
-
-// SaveSeq implements Journal.
-func (m *MemJournal) SaveSeq(next int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rec.NextSeq = next
-	m.records++
-	m.lifeRecs++
-}
-
-// SaveAccept implements Journal.
-func (m *MemJournal) SaveAccept(slot int, a Acceptor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rec.Accepts[slot] = a
-	m.records++
-	m.lifeRecs++
-}
-
-// SaveDecide implements Journal.
-func (m *MemJournal) SaveDecide(slot int, b []Entry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rec.Decides[slot] = append([]Entry(nil), b...)
-	m.records++
-	m.lifeRecs++
-}
-
-// Install implements Compactor: the in-memory analogue of the file
-// install protocol. The record log is the "segment": a completed
-// install truncates it behind the encoded snapshot; a crash step leaves
-// the corresponding intermediate state (tmp written; renamed with the
-// old segment still attached; fresh segment with the old not yet
-// dropped) for Recovery to resolve exactly as OpenFileJournal would.
-func (m *MemJournal) Install(snap *Snapshot) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap.Gen = m.gen + 1
-	buf, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	m.tmpBytes = buf
-	if m.crash == SnapStepTmp {
-		return ErrInstallInterrupted
-	}
-	m.snapBytes, m.snapGen, m.tmpBytes = buf, snap.Gen, nil
-	if m.crash == SnapStepRename {
-		return ErrInstallInterrupted
-	}
-	// Fresh segment: the old record log is superseded by the snapshot.
-	m.gen = snap.Gen
-	m.rec = Recovery{Accepts: map[int]Acceptor{}, Decides: map[int][]Entry{}}
-	m.records = 0
-	m.snapshots++
-	if m.crash == SnapStepFresh {
-		return ErrInstallInterrupted // old-segment delete is a no-op in memory
-	}
-	return nil
-}
-
-// SetInstallCrash arms a simulated SIGKILL at the given install step
-// (SnapStepNone disarms). After an ErrInstallInterrupted the journal
-// must be treated as a crashed process's: stop appending and rebuild
-// the node from Recovery.
-func (m *MemJournal) SetInstallCrash(s SnapStep) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.crash = s
-}
-
-// Stats implements Compactor. Byte counters are zero: MemJournal does
-// not model record framing, only record counts.
-func (m *MemJournal) Stats() JournalStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return JournalStats{
-		Records:     m.records,
-		LifeRecords: m.lifeRecs,
-		Gen:         m.gen,
-		Snapshots:   m.snapshots,
-	}
-}
-
-// Recovery returns a deep-enough snapshot to seed a restarted node,
-// resolving any interrupted install the way OpenFileJournal does: a
-// valid "renamed" snapshot wins, and the record log counts as its
-// suffix only if it belongs to the snapshot's generation (a log from
-// the pre-install generation is superseded — its contents are covered
-// by the snapshot).
-func (m *MemJournal) Recovery() *Recovery {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var snap *Snapshot
-	if m.snapBytes != nil {
-		snap, _ = decodeSnapshot(m.snapBytes)
-	}
-	if snap != nil && m.snapGen != m.gen {
-		// Crashed between rename and fresh segment: the snapshot is
-		// durable and the stale segment is discarded.
-		return &Recovery{
-			Accepts: map[int]Acceptor{},
-			Decides: map[int][]Entry{},
-			Snap:    snap,
-		}
-	}
-	rec := &Recovery{
-		NextSeq: m.rec.NextSeq,
-		Accepts: make(map[int]Acceptor, len(m.rec.Accepts)),
-		Decides: make(map[int][]Entry, len(m.rec.Decides)),
-		Snap:    snap,
-	}
-	for s, a := range m.rec.Accepts {
-		rec.Accepts[s] = a
-	}
-	for s, b := range m.rec.Decides {
-		rec.Decides[s] = append([]Entry(nil), b...)
-	}
-	return rec
-}
-
 // journalRec is one record of the on-disk journal stream.
 type journalRec struct {
 	Kind  uint8 // 1 = seq, 2 = accept, 3 = decide
@@ -231,8 +88,8 @@ type journalRec struct {
 	Batch []Entry
 }
 
-// FileJournal is a Compactor journal backed by one active segment file
-// plus an optional snapshot file. Each record is a length-prefixed,
+// FileJournal is a Journal backed by one active segment file plus an
+// optional snapshot file. Each record is a length-prefixed,
 // self-contained gob stream ([u32 BE len][gob bytes]) — independently
 // decodable, so a reopened journal can append without colliding with
 // the previous writer's gob type state, and a SIGKILL loses at most the
@@ -313,19 +170,24 @@ func segGens(path string) []int {
 //     (created empty if the crash preceded it) and every other segment
 //     is deleted — their contents predate the snapshot;
 //   - a torn or corrupt P.snap is deleted and all surviving segments
-//     replay in generation order (the pre-install state).
+//     replay in generation order (the pre-install state);
+//   - a P.snap whose frame checks out but whose body does not decode
+//     (a renamed or unregistered type) is an error, and the file stays:
+//     its install committed, so the older segments are already gone.
 func OpenFileJournal(path string) (*FileJournal, *Recovery, error) {
 	RegisterWire(gob.Register) // journal payloads ride through `any` fields
 	_ = os.Remove(path + ".snap.tmp")
 
 	var snap *Snapshot
 	if data, err := os.ReadFile(path + ".snap"); err == nil {
-		var ok bool
-		if snap, ok = decodeSnapshot(data); !ok {
+		snap, err = decodeSnapshot(data)
+		switch {
+		case errors.Is(err, errSnapTorn):
 			// Corrupt beyond the install protocol's reach (the rename is
 			// atomic): fall back to the surviving segments.
 			_ = os.Remove(path + ".snap")
-			snap = nil
+		case err != nil:
+			return nil, nil, fmt.Errorf("rsm: open snapshot %s.snap: %w", path, err)
 		}
 	}
 
@@ -334,24 +196,18 @@ func OpenFileJournal(path string) (*FileJournal, *Recovery, error) {
 	gens := segGens(path)
 
 	if snap != nil {
-		j.gen = snap.Gen
+		// Every other segment predates the snapshot; its own generation's
+		// (created empty if the crash preceded it) is the suffix.
 		for _, g := range gens {
 			if g != snap.Gen {
 				_ = os.Remove(segPath(path, g))
 			}
 		}
-		f, records, valid, err := openSegment(segPath(path, snap.Gen), rec, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		j.f, j.records, j.size = f, records, valid
-		j.lifeRecs, j.lifeBytes = records, valid
-		j.maybeWarn()
-		return j, rec, nil
+		gens = []int{snap.Gen}
 	}
 
-	// No (valid) snapshot: replay every surviving segment oldest first;
-	// the newest stays active for appends.
+	// Replay every surviving segment oldest first; the newest stays
+	// active for appends.
 	if len(gens) == 0 {
 		gens = []int{0}
 	}
@@ -489,13 +345,13 @@ func (j *FileJournal) maybeWarn() {
 		j.path, j.records, j.size)
 }
 
-// Install implements Compactor: the crash-safe snapshot truncation
-// protocol (write tmp → fsync → atomic rename → fsync dir → fresh
-// segment → delete old segment). It must be called with no concurrent
-// appends in flight for the snapshot's coverage to hold — rsm runs it
-// synchronously inside the event loop. On ErrInstallInterrupted (a
-// test-armed crash step, see SetInstallCrash) the journal must be
-// treated as a crashed process's and reopened.
+// Install runs the crash-safe snapshot truncation protocol (write tmp
+// → fsync → atomic rename → fsync dir → fresh segment → delete old
+// segment). It must be called with no concurrent appends in flight for
+// the snapshot's coverage to hold — rsm runs it synchronously inside
+// the event loop. On ErrInstallInterrupted (a test-armed crash step,
+// see SetInstallCrash) the journal must be treated as a crashed
+// process's and reopened.
 func (j *FileJournal) Install(snap *Snapshot) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -572,7 +428,7 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Stats implements Compactor.
+// Stats returns the journal's counters.
 func (j *FileJournal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -587,23 +443,6 @@ func (j *FileJournal) Stats() JournalStats {
 		WriteErrs:   j.writeErrs,
 		Degraded:    j.writeErrs > 0,
 	}
-}
-
-// Records returns the number of valid records in the active segment:
-// those replayed at open plus those appended since. See Stats for the
-// lifetime counters and the degraded flag.
-func (j *FileJournal) Records() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.records
-}
-
-// Size returns the active segment's valid byte size (torn tails at
-// open are excluded; appends are counted as written).
-func (j *FileJournal) Size() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.size
 }
 
 // Degraded reports whether any append has failed since open: the

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"bytes"
+	"fmt"
 	"log"
 	"os"
 	"path/filepath"
@@ -47,12 +48,16 @@ func TestDuplicateSlotDecide(t *testing.T) {
 	}
 }
 
-// TestMemJournalRecovery runs a cluster with journaling on node 0,
-// "kills" it (drops the node), rebuilds from the journal snapshot, and
-// checks state and sequence numbers survive.
-func TestMemJournalRecovery(t *testing.T) {
+// TestJournalRecovery runs a cluster with journaling on node 0,
+// "kills" it (drops the node and closes its journal), rebuilds from the
+// reopened journal, and checks state and sequence numbers survive.
+func TestJournalRecovery(t *testing.T) {
 	const n = 3
-	j := NewMemJournal()
+	path := filepath.Join(t.TempDir(), "node0.journal")
+	j, _, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	procs := make([]amp.Process, n)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -75,7 +80,12 @@ func TestMemJournalRecovery(t *testing.T) {
 		t.Fatalf("pre-crash node applied %d entries, want 2", nodes[0].Len())
 	}
 
-	rec := j.Recovery()
+	j.Close()
+	j, rec, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	if rec.NextSeq != 2 {
 		t.Fatalf("journaled NextSeq = %d, want 2", rec.NextSeq)
 	}
@@ -109,12 +119,18 @@ func TestMemJournalRecovery(t *testing.T) {
 // every promise/accept lands in the journal before the reply leaves.
 func TestAcceptorJournaling(t *testing.T) {
 	const n = 3
-	journals := make([]*MemJournal, n)
+	dir := t.TempDir()
+	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("node%d.journal", i)) }
+	journals := make([]*FileJournal, n)
 	procs := make([]amp.Process, n)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		journals[i] = NewMemJournal()
-		nodes[i] = NewNode(n, WithJournal(journals[i]))
+		j, _, err := OpenFileJournal(path(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals[i] = j
+		nodes[i] = NewNode(n, WithJournal(j))
 		procs[i] = nodes[i].Stack
 	}
 	sim := amp.NewSim(procs, amp.WithDelay(amp.FixedDelay{D: 2}))
@@ -123,7 +139,12 @@ func TestAcceptorJournaling(t *testing.T) {
 	})
 	sim.Run(20_000)
 	for i := 0; i < n; i++ {
-		rec := journals[i].Recovery()
+		journals[i].Close()
+		j, rec, err := OpenFileJournal(path(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
 		a, ok := rec.Accepts[0]
 		if !ok {
 			t.Fatalf("node %d journaled no acceptor state for slot 0", i)
@@ -238,22 +259,22 @@ func TestFileJournalAccountingAndGrowthWarning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Records() != 0 || j.Size() != 0 {
-		t.Fatalf("fresh journal: records=%d size=%d", j.Records(), j.Size())
+	if st := j.Stats(); st.Records != 0 || st.Bytes != 0 {
+		t.Fatalf("fresh journal: records=%d bytes=%d", st.Records, st.Bytes)
 	}
 	j.SaveSeq(1)
 	j.SaveAccept(0, Acceptor{Promised: 1})
 	j.SaveDecide(0, []Entry{{ID: rbcast.MsgID{Sender: 0, Seq: 0}, Payload: Command{Op: "put", Key: "a", Val: 1}}})
-	if j.Records() != 3 {
-		t.Fatalf("records = %d, want 3", j.Records())
+	if got := j.Stats().Records; got != 3 {
+		t.Fatalf("records = %d, want 3", got)
 	}
-	sz := j.Size()
+	sz := j.Stats().Bytes
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sz != fi.Size() {
-		t.Fatalf("Size() = %d, file is %d", sz, fi.Size())
+		t.Fatalf("Stats().Bytes = %d, file is %d", sz, fi.Size())
 	}
 	j.Close()
 
@@ -269,8 +290,8 @@ func TestFileJournalAccountingAndGrowthWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Records() != 3 || j2.Size() != sz {
-		t.Fatalf("reopened: records=%d size=%d, want 3/%d", j2.Records(), j2.Size(), sz)
+	if st := j2.Stats(); st.Records != 3 || st.Bytes != sz {
+		t.Fatalf("reopened: records=%d bytes=%d, want 3/%d", st.Records, st.Bytes, sz)
 	}
 
 	// Growth warning: lower the threshold, capture log output, confirm

@@ -439,10 +439,9 @@ type Node struct {
 	applies int
 
 	snapshotter  Snapshotter
-	compactor    Compactor
+	journal      *FileJournal // the journal Compact installs into; nil without a FileJournal
 	compactRecs  int64
 	compactBytes int64
-	compactions  int
 	compactWarn  bool
 }
 
@@ -562,9 +561,9 @@ func WithSnapshotter(s Snapshotter) NodeOption {
 // WithCompaction enables automatic journal compaction when the
 // journal's active segment reaches records records or bytes bytes
 // (either 0 disables that threshold; both 0 disables auto-compaction).
-// Requires a Compactor journal (FileJournal, MemJournal); on each
-// trigger the replica captures a snapshot inside the event loop and
-// the journal installs it crash-safely, truncating its history.
+// Requires a FileJournal (WithJournal); on each trigger the replica
+// captures a snapshot inside the event loop and the journal installs
+// it crash-safely, truncating its history.
 func WithCompaction(records, bytes int64) NodeOption {
 	return func(c *nodeConfig) { c.compactRecs, c.compactBytes = records, bytes }
 }
@@ -603,12 +602,10 @@ func NewNode(n int, opts ...NodeOption) *Node {
 	node.Omega = det
 	node.mux = mux
 	node.snapshotter = cfg.snapshotter
-	if cfg.journal != nil {
-		if c, ok := cfg.journal.(Compactor); ok {
-			node.compactor = c
-			node.compactRecs = cfg.compactRecs
-			node.compactBytes = cfg.compactBytes
-		}
+	if fj, ok := cfg.journal.(*FileJournal); ok {
+		node.journal = fj
+		node.compactRecs = cfg.compactRecs
+		node.compactBytes = cfg.compactBytes
 	}
 	if rec := cfg.recovery; rec != nil {
 		tb.recovered = true
@@ -630,7 +627,7 @@ func NewNode(n int, opts ...NodeOption) *Node {
 			tb.onSlotDecide(s, batch(rec.Decides[s]), 0)
 		}
 	}
-	if node.compactor != nil && (node.compactRecs > 0 || node.compactBytes > 0) {
+	if node.journal != nil && (node.compactRecs > 0 || node.compactBytes > 0) {
 		// Installed after replay: recovery itself never re-compacts.
 		tb.afterDecide = node.maybeCompact
 	}
@@ -731,28 +728,24 @@ func (nd *Node) captureSnapshot() (*Snapshot, error) {
 }
 
 // Compact captures a snapshot and installs it into the replica's
-// Compactor journal, truncating the journal's history behind it. Must
+// FileJournal, truncating the journal's history behind it. Must
 // be called inside the event loop (auto-compaction via WithCompaction
 // does) or with the runtime stopped (scenario-model restart forcing).
 func (nd *Node) Compact() error {
-	if nd.compactor == nil {
-		return errors.New("rsm: Compact requires a Compactor journal (WithJournal with FileJournal or MemJournal)")
+	if nd.journal == nil {
+		return errors.New("rsm: Compact requires a FileJournal (WithJournal)")
 	}
 	snap, err := nd.captureSnapshot()
 	if err != nil {
 		return err
 	}
-	if err := nd.compactor.Install(snap); err != nil {
-		return err
-	}
-	nd.compactions++
-	return nil
+	return nd.journal.Install(snap)
 }
 
 // maybeCompact is the afterDecide hook: compact when the journal's
 // active segment crosses a configured threshold.
 func (nd *Node) maybeCompact() {
-	st := nd.compactor.Stats()
+	st := nd.journal.Stats()
 	if (nd.compactRecs <= 0 || st.Records < nd.compactRecs) &&
 		(nd.compactBytes <= 0 || st.Bytes < nd.compactBytes) {
 		return
@@ -761,19 +754,6 @@ func (nd *Node) maybeCompact() {
 		nd.compactWarn = true
 		log.Printf("rsm: auto-compaction failed (will not retry-log): %v", err)
 	}
-}
-
-// Compactions returns the number of snapshot installs this replica has
-// completed since construction.
-func (nd *Node) Compactions() int { return nd.compactions }
-
-// JournalStats returns the attached Compactor journal's counters, or
-// false when the replica has no compactor journal.
-func (nd *Node) JournalStats() (JournalStats, bool) {
-	if nd.compactor == nil {
-		return JournalStats{}, false
-	}
-	return nd.compactor.Stats(), true
 }
 
 // Submit TO-broadcasts a command from this replica. Must be called inside

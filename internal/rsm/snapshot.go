@@ -45,7 +45,9 @@ import (
 //   - after the delete: the install completed.
 //
 // A corrupted (not merely torn) snapshot file falls back to replaying
-// whatever segments still exist, oldest first.
+// whatever segments still exist, oldest first. A snapshot whose frame
+// checks out but whose body does not decode is an open error instead:
+// its install committed, so the segments it covered are gone.
 
 // Snapshotter lets an application state machine ride the snapshot: the
 // rsm built-in KV map is always captured, but applications that
@@ -81,7 +83,7 @@ type Snapshot struct {
 	Gen       int // journal segment generation that starts after this snapshot
 }
 
-// JournalStats is a Compactor's operational counters. Records/Bytes
+// JournalStats is a FileJournal's operational counters. Records/Bytes
 // cover the current (post-snapshot) segment; LifeRecords/LifeBytes
 // count everything this journal instance has seen — records replayed at
 // open plus records appended since, across compactions — so
@@ -101,16 +103,6 @@ type JournalStats struct {
 	Degraded    bool
 }
 
-// Compactor is a Journal that supports snapshot truncation. Install
-// atomically replaces the journal's history with snap plus a fresh
-// (empty) segment; Stats exposes the growth counters the auto-compaction
-// thresholds and the `stat` RPC read.
-type Compactor interface {
-	Journal
-	Install(snap *Snapshot) error
-	Stats() JournalStats
-}
-
 // DefaultCompactRecords / DefaultCompactBytes are the auto-compaction
 // thresholds hosts use when a config leaves them zero: well below the
 // FileJournal growth warning, and small enough that a recovery's suffix
@@ -121,7 +113,7 @@ const (
 )
 
 // SnapStep identifies a point inside the snapshot install protocol.
-// Journals accept a crash step via SetInstallCrash so tests and
+// FileJournal accepts a crash step via SetInstallCrash so tests and
 // scenario models can simulate a SIGKILL landing after exactly that
 // step: the install performs its effects up to and including the step,
 // then returns ErrInstallInterrupted without completing.
@@ -170,24 +162,29 @@ func encodeSnapshot(snap *Snapshot) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeSnapshot parses the on-disk snapshot format; any torn, short,
-// or corrupt input yields (nil, false).
-func decodeSnapshot(data []byte) (*Snapshot, bool) {
+// errSnapTorn reports a snapshot file that fails its magic, length or
+// CRC check: torn or corrupt, never the result of a committed install.
+var errSnapTorn = errors.New("rsm: torn or corrupt snapshot")
+
+// decodeSnapshot parses the on-disk snapshot format. Torn, short or
+// corrupt input yields errSnapTorn; a frame that checks out but whose
+// body does not decode yields the decoder's error.
+func decodeSnapshot(data []byte) (*Snapshot, error) {
 	RegisterWire(gob.Register)
 	if len(data) < 12 || !bytes.Equal(data[:4], snapMagic[:]) {
-		return nil, false
+		return nil, errSnapTorn
 	}
 	n := binary.BigEndian.Uint32(data[4:8])
 	if n == 0 || n > snapMaxLen || int64(len(data)) < 12+int64(n) {
-		return nil, false
+		return nil, errSnapTorn
 	}
 	body := data[12 : 12+n]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[8:12]) {
-		return nil, false
+		return nil, errSnapTorn
 	}
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
-		return nil, false
+		return nil, fmt.Errorf("rsm: decode snapshot: %w", err)
 	}
-	return &snap, true
+	return &snap, nil
 }

@@ -2,9 +2,11 @@ package rsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -103,17 +105,10 @@ func TestSnapshotCompactionEquivalence(t *testing.T) {
 			t.Fatalf("node %d applied %d, want %d", i, nodes[i].Len(), want)
 		}
 	}
-	if nodes[0].Compactions() == 0 {
-		t.Fatal("compacting node never compacted")
-	}
-	st, ok := nodes[0].JournalStats()
-	if !ok {
-		t.Fatal("no journal stats from compacting node")
-	}
-	if st.Snapshots == 0 || st.Records >= st.LifeRecords {
+	if st := jc.Stats(); st.Snapshots == 0 || st.Records >= st.LifeRecords {
 		t.Fatalf("journal not truncated: %+v", st)
 	}
-	fullRecs := jf.Records()
+	fullRecs := jf.Stats().Records
 	jc.Close()
 	jf.Close()
 
@@ -134,9 +129,9 @@ func TestSnapshotCompactionEquivalence(t *testing.T) {
 	if recF.Snap != nil {
 		t.Fatal("append-only journal unexpectedly has a snapshot")
 	}
-	if jc2.Records() >= fullRecs {
+	if got := jc2.Stats().Records; got >= fullRecs {
 		t.Fatalf("restarted compacted journal (%d records) not smaller than uncompacted history (%d)",
-			jc2.Records(), fullRecs)
+			got, fullRecs)
 	}
 
 	fromSnap := NewNode(n, WithRecovery(recC))
@@ -156,8 +151,10 @@ func TestSnapshotCompactionEquivalence(t *testing.T) {
 // TestInstallCrashEveryStep arms a simulated SIGKILL at each step of
 // the install protocol in turn, reopens the journal from disk after
 // every crash, and checks the rebuilt replica always matches the
-// pre-crash state — old or new snapshot, never a hybrid — and keeps
-// working (new appends, another compaction) afterwards.
+// pre-crash state — old or new snapshot, never a hybrid — that the
+// recovery carries the snapshot exactly when the install passed the
+// rename, and that the journal keeps working (new appends, another
+// compaction) afterwards.
 func TestInstallCrashEveryStep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "steps.journal")
 	j, rec, err := OpenFileJournal(path)
@@ -175,15 +172,19 @@ func TestInstallCrashEveryStep(t *testing.T) {
 	feed("a", 1)
 	feed("b", 2)
 
+	// The tmp step runs first, so no earlier install has left a snapshot
+	// behind: a recovered snapshot is this step's.
 	steps := []struct {
 		step    SnapStep
 		crashes bool
+		renamed bool // the install got past the rename, its commit point
 	}{
-		{SnapStepTmp, true},
-		{SnapStepRename, true},
-		{SnapStepFresh, true},
-		{SnapStepNone, false},
+		{SnapStepTmp, true, false},
+		{SnapStepRename, true, true},
+		{SnapStepFresh, true, true},
+		{SnapStepNone, false, true},
 	}
+	gen := 0
 	for i, tc := range steps {
 		pre := stateFingerprint(t, nd)
 		j.SetInstallCrash(tc.step)
@@ -194,8 +195,18 @@ func TestInstallCrashEveryStep(t *testing.T) {
 		if !tc.crashes && err != nil {
 			t.Fatalf("clean compact failed: %v", err)
 		}
+		if tc.renamed {
+			gen++
+		}
+		if !tc.crashes {
+			// A completed install truncates behind the snapshot.
+			if st := j.Stats(); st.Records != 0 || st.Snapshots != 1 || st.Gen != gen {
+				t.Fatalf("post-install stats: %+v, want Records 0, Snapshots 1, Gen %d", st, gen)
+			}
+		}
 
 		// The "process" is dead: reopen from disk and rebuild.
+		j.Close()
 		j2, rec2, err := OpenFileJournal(path)
 		if err != nil {
 			t.Fatalf("step %v: reopen after crash: %v", tc.step, err)
@@ -204,10 +215,11 @@ func TestInstallCrashEveryStep(t *testing.T) {
 		if post := stateFingerprint(t, nd2); !bytes.Equal(pre, post) {
 			t.Fatalf("step %v: recovered state diverges:\npre  %q\npost %q", tc.step, pre, post)
 		}
-		if tc.step == SnapStepRename || tc.step == SnapStepFresh {
-			if rec2.Snap == nil {
-				t.Fatalf("step %v: snapshot was renamed but recovery ignored it", tc.step)
-			}
+		if (rec2.Snap != nil) != tc.renamed {
+			t.Fatalf("step %v: recovered snapshot %v, want one iff the install passed the rename", tc.step, rec2.Snap != nil)
+		}
+		if st := j2.Stats(); st.Gen != gen {
+			t.Fatalf("step %v: reopened at generation %d, want %d", tc.step, st.Gen, gen)
 		}
 		nd, j = nd2, j2
 		// Keep the history moving so each iteration crashes a different
@@ -220,7 +232,7 @@ func TestInstallCrashEveryStep(t *testing.T) {
 	if err := nd.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Records(); got != 0 {
+	if got := j.Stats().Records; got != 0 {
 		t.Fatalf("post-compaction segment has %d records, want 0", got)
 	}
 	j.Close()
@@ -352,46 +364,41 @@ func TestTornSnapshotInstallTable(t *testing.T) {
 	}
 }
 
-// TestMemJournalCompactionParity drives MemJournal through the same
-// install protocol, including every crash step, and checks a rebuilt
-// node sees the identical state — and that the recovery carries the
-// snapshot (not a map-replay shortcut) once the install passed the
-// rename point.
-func TestMemJournalCompactionParity(t *testing.T) {
-	for _, step := range []SnapStep{SnapStepTmp, SnapStepRename, SnapStepFresh, SnapStepNone} {
-		j := NewMemJournal()
-		nd := NewNode(3, WithJournal(j))
-		feedDecide(nd, j, 0, []Entry{putEntry(0, 0, "a", 1)})
-		feedDecide(nd, j, 1, []Entry{putEntry(1, 0, "b", 2)})
-		pre := stateFingerprint(t, nd)
+// TestUndecodableSnapshotIsKept writes a snapshot whose frame passes
+// the magic, length and CRC checks but whose body is not a Snapshot (as
+// a renamed or unregistered wire type leaves it). Its install
+// committed and deleted the segments it covers, so falling back to the
+// suffix would silently lose the prefix: the open must fail and leave
+// the file for the operator.
+func TestUndecodableSnapshotIsKept(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.journal")
+	j, rec, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := NewNode(3, WithJournal(j), WithRecovery(rec))
+	feedDecide(nd, j, 0, []Entry{putEntry(0, 0, "a", 1)})
+	if err := nd.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	feedDecide(nd, j, 1, []Entry{putEntry(1, 0, "b", 2)})
+	j.Close()
 
-		j.SetInstallCrash(step)
-		err := nd.Compact()
-		if step != SnapStepNone && !errors.Is(err, ErrInstallInterrupted) {
-			t.Fatalf("step %v: err = %v, want ErrInstallInterrupted", step, err)
-		}
-		if step == SnapStepNone && err != nil {
-			t.Fatal(err)
-		}
+	body := []byte("checksummed, but not a gob-encoded Snapshot")
+	frame := append([]byte(nil), snapMagic[:]...)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	frame = append(frame, body...)
+	if err := os.WriteFile(path+".snap", frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-		rec := j.Recovery()
-		if step == SnapStepTmp && rec.Snap != nil {
-			t.Fatalf("step %v: tmp-stage crash surfaced a snapshot", step)
-		}
-		if step != SnapStepTmp && rec.Snap == nil {
-			t.Fatalf("step %v: renamed snapshot ignored by recovery", step)
-		}
-		nd2 := NewNode(3, WithRecovery(rec))
-		if post := stateFingerprint(t, nd2); !bytes.Equal(pre, post) {
-			t.Fatalf("step %v: recovered state diverges:\npre  %q\npost %q", step, pre, post)
-		}
-
-		// Parity with FileJournal: a completed install truncates.
-		if step == SnapStepNone {
-			if st := j.Stats(); st.Records != 0 || st.Snapshots != 1 || st.Gen != 1 {
-				t.Fatalf("post-install stats: %+v", st)
-			}
-		}
+	if j, _, err := OpenFileJournal(path); err == nil {
+		j.Close()
+		t.Fatal("journal with an undecodable committed snapshot opened without error")
+	}
+	if got, err := os.ReadFile(path + ".snap"); err != nil || !bytes.Equal(got, frame) {
+		t.Fatalf("snapshot file not kept as written (err %v)", err)
 	}
 }
 
@@ -464,12 +471,12 @@ func TestAutoCompactionThreshold(t *testing.T) {
 	for s := 0; s < 100; s++ {
 		feedDecide(nd, j, s, []Entry{putEntry(s%3, s/3, fmt.Sprintf("k%d", s%5), s)})
 	}
-	if nd.Compactions() == 0 {
+	st := j.Stats()
+	if st.Snapshots == 0 {
 		t.Fatal("threshold never triggered a compaction")
 	}
-	st, _ := nd.JournalStats()
-	if st.Records >= 100 || st.Snapshots != int64(nd.Compactions()) || st.Gen == 0 {
-		t.Fatalf("stats after auto-compaction: %+v (compactions=%d)", st, nd.Compactions())
+	if st.Records >= 100 || st.Gen != int(st.Snapshots) {
+		t.Fatalf("stats after auto-compaction: %+v", st)
 	}
 	if st.LifeRecords != 100 {
 		t.Fatalf("lifetime records = %d, want 100", st.LifeRecords)

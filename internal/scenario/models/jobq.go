@@ -115,14 +115,18 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	applied := make([][]rbcast.MsgID, jqReplicas)
 	inc := make([]int, jqReplicas)
 	nodes := make([]*jobq.Node, jqReplicas)
-	journals := make([]*rsm.MemJournal, jqReplicas)
+	js, ok := openJournals(res, jqReplicas)
+	defer js.close()
+	if !ok {
+		return res
+	}
 	cfgs := make([]jobq.Config, jqReplicas)
 	hook := func(j int) func(e rsm.Entry, at amp.Time) {
 		return func(e rsm.Entry, _ amp.Time) { applied[j] = append(applied[j], e.ID) }
 	}
 	build := func(j int, rec *rsm.Recovery) *jobq.Node { // rec is nil on first boot
 		nd := jobq.New(jqReplicas, cfgs[j], rsm.WithMaxBatch(8),
-			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
+			rsm.WithJournal(js.cur(j)), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.RSM.Omega.Period = 16
 		// The cap oracle: the job records at every live apply point here.
 		nd.Subscribe(func(ev jobq.Event, _ rsm.Entry, at amp.Time) {
@@ -140,7 +144,6 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	procs := make([]amp.Process, jqReplicas)
 	for j := 0; j < jqReplicas; j++ {
-		journals[j] = rsm.NewMemJournal()
 		cfgs[j] = jobq.Config{
 			Grace:        jqGrace,
 			StepEvery:    jqStep,
@@ -201,7 +204,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	// fresh node with a fresh runner. The queue oracles below are
 	// unchanged — a restart may delay jobs, never strand or
 	// double-complete them.
-	simSnapCrashes(sim, sc, res, journals, applied, func(p int) *rsm.Node { return nodes[p].RSM },
+	simSnapCrashes(sim, sc, res, js, applied, func(p int) *rsm.Node { return nodes[p].RSM },
 		func(p int, rec *rsm.Recovery, base int) {
 			inc[p]++
 			nodes[p] = build(p, rec)

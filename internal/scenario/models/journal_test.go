@@ -1,9 +1,11 @@
 package models_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
+	"distbasics/internal/scenario"
 	"distbasics/internal/scenario/models"
 )
 
@@ -24,5 +26,21 @@ func TestJobQSnapCrashInstalls(t *testing.T) {
 	}
 	if !strings.Contains(r.TraceString(), "snapcrash p3 step=3 err=rsm: snapshot install interrupted") {
 		t.Fatalf("jobq seed 1 no longer interrupts its install after the fresh segment:\n%s", r.TraceString())
+	}
+}
+
+// TestModelsLeaveNoJournals runs a faulty seed of every model that
+// journals (odd seeds crash and reboot replicas from their journals)
+// and checks each run removed its journal directory.
+func TestModelsLeaveNoJournals(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, m := range []scenario.Model{&models.KV{}, &models.JobQ{}, &models.Transport{}} {
+		if r := m.Run(m.Generate(1)); r.Failed {
+			t.Fatalf("%s seed 1 failed: %s", m.Name(), r.Reason)
+		}
+		if left, _ := os.ReadDir(tmp); len(left) > 0 {
+			t.Fatalf("%s left %s behind", m.Name(), left[0].Name())
+		}
 	}
 }

@@ -72,7 +72,11 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 	seen := make([]map[rbcast.MsgID]bool, kvReplicas)
 	clientCB := make([]func(e rsm.Entry), kvReplicas)
 	nodes := make([]*rsm.Node, kvReplicas)
-	journals := make([]*rsm.MemJournal, kvReplicas)
+	js, ok := openJournals(res, kvReplicas)
+	defer js.close()
+	if !ok {
+		return res
+	}
 	hook := func(j int) func(e rsm.Entry, at amp.Time) {
 		return func(e rsm.Entry, _ amp.Time) {
 			if seen[j][e.ID] {
@@ -88,13 +92,12 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	build := func(j int, rec *rsm.Recovery) *rsm.Node { // rec is nil on first boot
 		nd := rsm.NewNode(kvReplicas, rsm.WithMaxBatch(kvMaxBatch),
-			rsm.WithJournal(journals[j]), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
+			rsm.WithJournal(js.cur(j)), rsm.WithApplyHook(hook(j)), rsm.WithRecovery(rec))
 		nd.Omega.Period = 16
 		return nd
 	}
 	procs := make([]amp.Process, kvReplicas)
 	for j := 0; j < kvReplicas; j++ {
-		journals[j] = rsm.NewMemJournal()
 		seen[j] = make(map[rbcast.MsgID]bool)
 		nodes[j] = build(j, nil)
 		procs[j] = nodes[j].Stack
@@ -107,7 +110,7 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 	// Snapshot-crash faults (simSnapCrashes): the rebooted incarnation
 	// must slot back into the same total order and never re-apply an
 	// entry within an incarnation, so seen is rewound with applied.
-	simSnapCrashes(sim, sc, res, journals, applied, func(p int) *rsm.Node { return nodes[p] },
+	simSnapCrashes(sim, sc, res, js, applied, func(p int) *rsm.Node { return nodes[p] },
 		func(p int, rec *rsm.Recovery, base int) {
 			seen[p] = make(map[rbcast.MsgID]bool, base)
 			for _, id := range applied[p] {
@@ -130,8 +133,8 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 		burst := make(map[rbcast.MsgID]bool)
 		var submit func()
 		submit = func() {
-			// A crashed client replica cannot submit (and must not touch
-			// its journal-sharing successor's state): retry after restart.
+			// A crashed client replica cannot submit (a killed one's
+			// journal is closed): retry after restart.
 			if sim.Crashed(c) {
 				sim.Schedule(sim.Now()+200, submit)
 				return

@@ -3,6 +3,8 @@ package models
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
@@ -14,9 +16,9 @@ import (
 // This file holds, once, what the models of a replicated or
 // history-checked system each used to rebuild: the linearizability
 // verdict (abd, abdmulti, rsm, transport, universal), the applied-order
-// oracle (kv, jobq, transport), the snapshot-crash fault (kv, jobq on
-// amp.Sim; transport on Loopback) and the put-then-read-at-apply client
-// chain (rsm, transport). The models keep their own trace formats and
+// oracle (kv, jobq, transport), the replicas' journals and the
+// snapshot-crash fault (kv, jobq on amp.Sim; transport on Loopback) and
+// the put-then-read-at-apply client chain (rsm, transport). The models keep their own trace formats and
 // failure messages: a Result is a reproducer, byte for byte.
 
 // traceHistory counts h's completed and pending operations into res and
@@ -93,14 +95,75 @@ func genSnapCrash(rng *scenario.Rand, from int64, proc int, minDown, spread int6
 	}
 }
 
+// journals is one run's replica journals: the daemons' FileJournal, one
+// per replica, in one temporary directory. A crash closes the victim's
+// journal and a reboot opens it again, as node.StartTCP does after a
+// kill -9. A journal the disk refuses to open fails the run.
+type journals struct {
+	res *scenario.Result
+	dir string
+	inc [][]*rsm.FileJournal // per replica, every incarnation's journal, the current one last
+}
+
+// openJournals creates the run's directory and n empty journals in it;
+// false (res failed) when the disk refuses. The caller defers close
+// either way.
+func openJournals(res *scenario.Result, n int) (*journals, bool) {
+	js := &journals{res: res, inc: make([][]*rsm.FileJournal, n)}
+	var err error
+	if js.dir, err = os.MkdirTemp("", "basics-journals-"); err != nil {
+		res.Failf("journal directory: %v", err)
+		return js, false
+	}
+	for p := range js.inc {
+		js.reopen(p)
+	}
+	return js, !res.Failed
+}
+
+// cur is replica p's current journal.
+func (js *journals) cur(p int) *rsm.FileJournal { return js.inc[p][len(js.inc[p])-1] }
+
+// crash closes replica p's journal: its process is dead.
+func (js *journals) crash(p int) { js.cur(p).Close() }
+
+// reopen opens replica p's journal and returns what it recovers, or nil
+// (the run failed) when the disk refuses.
+func (js *journals) reopen(p int) *rsm.Recovery {
+	j, rec, err := rsm.OpenFileJournal(filepath.Join(js.dir, fmt.Sprintf("r%d.journal", p)))
+	if err != nil {
+		js.res.Failf("open replica %d's journal: %v", p, err)
+		return nil
+	}
+	js.inc[p] = append(js.inc[p], j)
+	return rec
+}
+
+// close fails the run if any journal of it lost an append (a record
+// the replica acted on that its recovery would not see), then closes
+// every journal and removes the directory. Deferred, it runs on a model
+// panic too.
+func (js *journals) close() {
+	for p, inc := range js.inc {
+		for _, j := range inc {
+			if st := j.Stats(); st.WriteErrs > 0 {
+				js.res.Failf("replica %d's journal lost %d appends", p, st.WriteErrs)
+			}
+			j.Close()
+		}
+	}
+	os.RemoveAll(js.dir) // "" when MkdirTemp failed: a no-op
+}
+
 // snapCrash is the first half of a snapshot-crash fault, run inside the
 // victim's event loop: compact nd's journal j with a SIGKILL landing
 // after install step `step` (SnapStepNone = a clean install). The
 // caller then crashes the replica and later reboots a NEW incarnation
-// from whatever j.Recovery() holds — the old snapshot or the new one,
-// never a hybrid. Any other Compact error (a snapshot that does not
-// encode) fails the run: the fault would otherwise never install.
-func snapCrash(res *scenario.Result, p int, step rsm.SnapStep, j *rsm.MemJournal, nd *rsm.Node) {
+// from whatever the reopened journal recovers — the old snapshot or the
+// new one, never a hybrid. Any other Compact error (a snapshot that
+// does not encode) fails the run: the fault would otherwise never
+// install.
+func snapCrash(res *scenario.Result, p int, step rsm.SnapStep, j *rsm.FileJournal, nd *rsm.Node) {
 	j.SetInstallCrash(step)
 	err := nd.Compact()
 	j.SetInstallCrash(rsm.SnapStepNone)
@@ -120,17 +183,17 @@ func recoveredBase(rec *rsm.Recovery) int {
 }
 
 // simSnapCrashes schedules sc's snapshot-crash faults on sim: at From
-// the victim (node(p), journal journals[p]) runs snapCrash and crashes;
-// at Until applied[p] — the sequence the victim's construction-time
-// apply hook records — is rewound to the recovered snapshot's coverage
-// (recovery replays the suffix through the same hook) and reboot builds
-// and installs the new incarnation from rec. The models' oracles are
-// unchanged by the fault: the rebooted replica must slot back into the
-// same total order.
-func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, journals []*rsm.MemJournal,
+// the victim (node(p), journal js.cur(p)) runs snapCrash, is killed,
+// and its journal closes; at Until the journal is reopened, applied[p] —
+// the sequence the victim's construction-time apply hook records — is
+// rewound to the recovered snapshot's coverage (recovery replays the
+// suffix through the same hook) and reboot builds and installs the new
+// incarnation from rec. The models' oracles are unchanged by the
+// fault: the rebooted replica must slot back into the same total order.
+func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, js *journals,
 	applied [][]rbcast.MsgID, node func(p int) *rsm.Node, reboot func(p int, rec *rsm.Recovery, base int)) {
 	for _, f := range sc.Faults {
-		if f.Kind != scenario.FaultSnapCrash || f.Proc < 0 || f.Proc >= len(journals) {
+		if f.Kind != scenario.FaultSnapCrash || f.Proc < 0 || f.Proc >= len(js.inc) {
 			continue
 		}
 		p, step := f.Proc, rsm.SnapStep(f.Pct%4)
@@ -138,11 +201,17 @@ func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, j
 			if sim.Crashed(p) {
 				return
 			}
-			snapCrash(res, p, step, journals[p], node(p))
+			snapCrash(res, p, step, js.cur(p), node(p))
 			sim.KillAt(p, sim.Now())
+			// p handles what is already due this tick before the kill lands.
+			sim.Schedule(sim.Now(), func() { js.crash(p) })
 		})
 		sim.Schedule(amp.Time(f.Until), func() {
-			rec := journals[p].Recovery()
+			js.crash(p) // a no-op unless From found p already crashed
+			rec := js.reopen(p)
+			if rec == nil {
+				return // the run failed; p stays down
+			}
 			base := min(recoveredBase(rec), len(applied[p]))
 			applied[p] = applied[p][:base]
 			reboot(p, rec, base)

@@ -133,16 +133,19 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	rec := check.NewRecorder()
 
 	nodes := make([]*node.Replica, tpReplicas)
-	journals := make([]*rsm.MemJournal, tpReplicas)
+	js, ok := openJournals(res, tpReplicas)
+	defer js.close()
+	if !ok {
+		return res
+	}
 	for i := 0; i < tpReplicas; i++ {
-		journals[i] = rsm.NewMemJournal()
-		nodes[i] = tpStart(sc, i, lb, rsm.WithJournal(journals[i]))
+		nodes[i] = tpStart(sc, i, lb, rsm.WithJournal(js.cur(i)))
 	}
 
-	// Crash faults: stop the victim's runtime and take its endpoint down
-	// at From; at Until rebuild the whole stack from the journal (the
-	// in-process kill -9). The restarted node catches up via the TO
-	// layer's anti-entropy fetch. Snapshot-crash faults additionally run
+	// Crash faults: stop the victim's runtime, close its journal and take
+	// its endpoint down at From; at Until reopen the journal and rebuild
+	// the whole stack from it (the in-process kill -9). The restarted
+	// node catches up via the TO layer's anti-entropy fetch. Snapshot-crash faults additionally run
 	// a compaction inside the event loop first, with the install
 	// interrupted after step Pct — the reboot then recovers the old or
 	// new snapshot, never a hybrid. down/fired keep overlapping windows
@@ -151,13 +154,6 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 	// so the order oracle below compares absolute positions.
 	down := make([]bool, tpReplicas)
 	appliedBase := make([]int, tpReplicas)
-	restart := func(p int) {
-		lb.SetDown(p, false)
-		rec := journals[p].Recovery()
-		appliedBase[p] = recoveredBase(rec)
-		nodes[p] = tpStart(sc, p, lb, rsm.WithJournal(journals[p]), rsm.WithRecovery(rec))
-		down[p] = false
-	}
 	for _, f := range sc.Faults {
 		p, snap := f.Proc, f.Kind == scenario.FaultSnapCrash
 		if p < 0 || p >= tpReplicas || (!snap && f.Kind != scenario.FaultCrash) {
@@ -171,9 +167,10 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 			fired, down[p] = true, true
 			if snap {
 				step := rsm.SnapStep(f.Pct % 4)
-				nodes[p].RT.Do(func(amp.Context) { snapCrash(res, p, step, journals[p], nodes[p].Node) })
+				nodes[p].RT.Do(func(amp.Context) { snapCrash(res, p, step, js.cur(p), nodes[p].Node) })
 			}
 			nodes[p].RT.Stop()
+			js.crash(p)
 			lb.SetDown(p, true)
 			if !snap {
 				res.Tracef("crash p%d @%d", p, f.From)
@@ -186,7 +183,14 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 			if !fired {
 				return
 			}
-			restart(p)
+			rec := js.reopen(p)
+			if rec == nil {
+				return // the run failed; p stays down
+			}
+			lb.SetDown(p, false)
+			appliedBase[p] = recoveredBase(rec)
+			nodes[p] = tpStart(sc, p, lb, rsm.WithJournal(js.cur(p)), rsm.WithRecovery(rec))
+			down[p] = false
 			if snap {
 				res.Tracef("snaprestart p%d @%d base=%d", p, f.Until, appliedBase[p])
 			} else {

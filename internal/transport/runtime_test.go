@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -161,7 +162,11 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 	const n = 3
 	lb := NewLoopback(n)
 	clock := lb.Clock()
-	journal := rsm.NewMemJournal()
+	path := filepath.Join(t.TempDir(), "node2.journal")
+	journal, _, err := rsm.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := make([]*rsm.Node, n)
 	rts := make([]*Runtime, n)
 	for i := 0; i < n; i++ {
@@ -181,9 +186,10 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 		t.Fatalf("node 2 applied %d before kill", nodes[2].Len())
 	}
 
-	// kill -9 node 2: runtime stops, endpoint goes down.
+	// kill -9 node 2: runtime stops, endpoint goes down, journal closes.
 	rts[2].Stop()
 	lb.SetDown(2, true)
+	journal.Close()
 	rts[0].Do(func(amp.Context) { nodes[0].Submit(nodes[0].Ctx(), rsm.Command{Op: "put", Key: "during", Val: 2}) })
 	lb.Run(300_000)
 	if nodes[0].Len() != 2 || nodes[1].Len() != 2 {
@@ -192,7 +198,12 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 
 	// Restart node 2 from its journal; it must catch up.
 	lb.SetDown(2, false)
-	restarted := rsm.NewNode(n, rsm.WithJournal(journal), rsm.WithRecovery(journal.Recovery()))
+	journal, rec, err := rsm.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	restarted := rsm.NewNode(n, rsm.WithJournal(journal), rsm.WithRecovery(rec))
 	restarted.Omega.Period = 40
 	res2 := NewResilient(lb.Node(2), clock, Policy{Seed: 3})
 	rt2 := NewRuntime(res2, clock, restarted.Stack, WithRuntimeSeed(3))
