@@ -18,8 +18,9 @@ import (
 // verdict (abd, abdmulti, rsm, transport, universal), the applied-order
 // oracle (kv, jobq, transport), the replicas' journals and the
 // snapshot-crash fault (kv, jobq on amp.Sim; transport on Loopback) and
-// the put-then-read-at-apply client chain (rsm, transport). The models keep their own trace formats and
-// failure messages: a Result is a reproducer, byte for byte.
+// the put-then-read-at-apply client chain (rsm, transport). The models
+// keep their own trace formats and failure messages: a Result is a
+// reproducer, byte for byte.
 
 // traceHistory counts h's completed and pending operations into res and
 // traces one line per operation.
@@ -105,9 +106,8 @@ type journals struct {
 	inc [][]*rsm.FileJournal // per replica, every incarnation's journal, the current one last
 }
 
-// openJournals creates the run's directory and n empty journals in it;
-// false (res failed) when the disk refuses. The caller defers close
-// either way.
+// openJournals creates the run's directory and n empty journals in it,
+// or fails res and returns false; the caller defers close either way.
 func openJournals(res *scenario.Result, n int) (*journals, bool) {
 	js := &journals{res: res, inc: make([][]*rsm.FileJournal, n)}
 	var err error

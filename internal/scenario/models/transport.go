@@ -142,11 +142,11 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 		nodes[i] = tpStart(sc, i, lb, rsm.WithJournal(js.cur(i)))
 	}
 
-	// Crash faults: stop the victim's runtime, close its journal and take
-	// its endpoint down at From; at Until reopen the journal and rebuild
-	// the whole stack from it (the in-process kill -9). The restarted
-	// node catches up via the TO layer's anti-entropy fetch. Snapshot-crash faults additionally run
-	// a compaction inside the event loop first, with the install
+	// Crash faults: at From stop the victim's runtime, close its journal
+	// and take its endpoint down; at Until reopen the journal and rebuild
+	// the stack from it (the in-process kill -9), which catches up via the
+	// TO layer's anti-entropy fetch. Snapshot-crash faults additionally
+	// run a compaction inside the event loop first, with the install
 	// interrupted after step Pct — the reboot then recovers the old or
 	// new snapshot, never a hybrid. down/fired keep overlapping windows
 	// on one victim from double-stopping or double-starting a stack;
