@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"distbasics/internal/scenario"
 	"distbasics/internal/scenario/models"
@@ -133,10 +134,12 @@ func campaign(names string, start, seeds uint64, mutants int, out, corpusDir str
 			Model: m, Start: start, Count: seeds, Mutants: mutants,
 			Log: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 		}
+		start := time.Now()
 		failures, stats := c.Run()
-		fmt.Printf("%s: %d runs (%d seeds + %d mutants), %d failures (%d unique), %d signatures (%d after seeds), corpus %d, %d completed + %d pending ops\n",
+		fmt.Printf("%s: %d runs (%d seeds + %d mutants), %d failures (%d unique), %d signatures (%d after seeds), corpus %d, %d completed + %d pending ops, %v wall\n",
 			m.Name(), stats.Runs, seeds, stats.Runs-int(seeds), stats.Failures, len(failures),
-			len(stats.Coverage), stats.SeedSignatures, len(stats.Corpus), stats.Completed, stats.Pending)
+			len(stats.Coverage), stats.SeedSignatures, len(stats.Corpus), stats.Completed, stats.Pending,
+			time.Since(start).Round(time.Millisecond))
 		if stats.ShrinkRuns > 0 {
 			fmt.Printf("  (shrinking spent %d runs)\n", stats.ShrinkRuns)
 		}

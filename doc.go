@@ -30,7 +30,8 @@
 // records replaces the per-message binary heap (same-timestamp deliveries
 // drain as batches; steady-state simulation allocates nothing per
 // message), and a pluggable Adversary interface (message drop, partition
-// with heal, crash-recovery, timing skew) replaces ad-hoc fault hooks.
+// with heal, timing skew) replaces ad-hoc network-fault hooks; process
+// faults are the simulator's crash windows (a pause) and kills.
 // That is what lets E9 run ABD registers at n=2048 and E10 the replicated
 // state machine at n=1024. The rewrite is fenced three ways: a legacy-heap
 // shim held to identical delivery orders over hundreds of seeded

@@ -1,6 +1,10 @@
 package amp
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 // These tests pin the simulator's message-accounting semantics (the amp
 // mirror of internal/round/accounting_test.go). MessagesSent counts send
@@ -63,13 +67,13 @@ func TestAccountingPartitionWindow(t *testing.T) {
 	}
 }
 
-func TestAccountingCrashRecovery(t *testing.T) {
+func TestAccountingCrashWindow(t *testing.T) {
 	// p1 is down during [10, 30): a message arriving at t=15 is dropped at
 	// delivery, one arriving at t=35 is delivered, and p1's own send
 	// attempt while crashed is not counted at all.
-	sim, sinks := newSinkSim(2,
-		WithDelay(FixedDelay{D: 5}),
-		WithAdversary(CrashRecovery(1, 10, 30)))
+	sim, sinks := newSinkSim(2, WithDelay(FixedDelay{D: 5}))
+	sim.CrashAt(1, 10)
+	sim.RecoverAt(1, 30)
 	ctx0, ctx1 := sim.ctxs[0], sim.ctxs[1]
 	sim.Schedule(10, func() { ctx0.Send(1, "lost") })     // arrives 15: dropped
 	sim.Schedule(15, func() { ctx1.Send(0, "silenced") }) // p1 crashed: no send
@@ -161,41 +165,110 @@ func TestAccountingIsolateCutsBothDirections(t *testing.T) {
 	}
 }
 
-// recoverable counts OnRecover upcalls.
-type recoverable struct {
+// pauser is a sink with timers: Init arms one timer per entry of arm
+// (due time by timer id), OnTimer records (time, id), and timer 1
+// re-arms itself every period ticks (0 = one-shot).
+type pauser struct {
 	sink
-	recovered []Time
+	arm    map[int]Time
+	period Time
+	fired  []Time
+	ids    []int
 }
 
-func (r *recoverable) OnRecover(ctx Context) { r.recovered = append(r.recovered, ctx.Now()) }
+func (p *pauser) Init(ctx Context) {
+	for id := 1; id <= len(p.arm); id++ {
+		ctx.SetTimer(p.arm[id], id)
+	}
+}
 
+func (p *pauser) OnTimer(ctx Context, id int) {
+	p.fired = append(p.fired, ctx.Now())
+	p.ids = append(p.ids, id)
+	if id == 1 && p.period > 0 {
+		ctx.SetTimer(p.period, id)
+	}
+}
+
+// TestRecoverAtSemantics: a crash window is a pause. The timers that
+// came due inside it fire at the recovery, in their original due order;
+// the message that arrived inside it stays lost; a RecoverAt of a
+// process that is up is a no-op.
 func TestRecoverAtSemantics(t *testing.T) {
-	r := &recoverable{}
-	sim := NewSim([]Process{r, &sink{}}, WithDelay(FixedDelay{D: 1}))
+	p := &pauser{arm: map[int]Time{1: 3, 2: 15, 3: 12, 4: 30}}
+	sim := NewSim([]Process{p, &sink{}}, WithDelay(FixedDelay{D: 1}))
 	ctx1 := sim.ctxs[1]
 	sim.CrashAt(0, 5)
 	sim.RecoverAt(0, 20)
-	sim.RecoverAt(1, 20) // not crashed: no-op, no upcall
+	sim.RecoverAt(1, 20) // not crashed: no-op
 	sim.Schedule(10, func() { ctx1.Send(0, "lost") })
 	sim.Schedule(25, func() { ctx1.Send(0, "kept") })
+	// At t=19 the two recoveries, the "kept" send and timer 4 are
+	// queued; timers 2 and 3 are parked, not queued.
+	if sim.Run(19); sim.QueuedEvents() != 4 {
+		t.Fatalf("queued %d events during the pause, want 4", sim.QueuedEvents())
+	}
 	sim.Run(0)
 	if sim.Crashed(0) {
 		t.Fatal("p0 must be recovered")
 	}
-	if len(r.recovered) != 1 || r.recovered[0] != 20 {
-		t.Fatalf("OnRecover fired %v, want exactly once at t=20", r.recovered)
+	wantAt, wantID := []Time{3, 20, 20, 30}, []int{1, 3, 2, 4}
+	if !reflect.DeepEqual(p.fired, wantAt) || !reflect.DeepEqual(p.ids, wantID) {
+		t.Fatalf("timers fired at %v ids %v, want at %v ids %v", p.fired, p.ids, wantAt, wantID)
 	}
-	if len(r.got) != 1 || r.got[0] != "kept" {
-		t.Fatalf("p0 got %v, want [kept]", r.got)
+	if len(p.got) != 1 || p.got[0] != "kept" {
+		t.Fatalf("p0 got %v, want [kept]", p.got)
 	}
 	checkStats(t, sim, 2, 1, 1)
 }
 
+// TestPeriodicChainSurvivesCrashWindow: a chain re-armed only in its
+// own OnTimer outlives a crash window longer than its period — the
+// heartbeat of a paused process resumes at its recovery.
+func TestPeriodicChainSurvivesCrashWindow(t *testing.T) {
+	p := &pauser{arm: map[int]Time{1: 10}, period: 10}
+	sim := NewSim([]Process{p})
+	sim.CrashAt(0, 15)
+	sim.RecoverAt(0, 63)
+	sim.Run(100)
+	if want := []Time{10, 63, 73, 83, 93}; !reflect.DeepEqual(p.fired, want) {
+		t.Fatalf("chain fired at %v, want %v", p.fired, want)
+	}
+}
+
+// TestAfterIsAProcessTimer: an After closure waits out a pause, dies
+// with its incarnation (a kill, then Replace) and with a halt, and
+// runs for the successor when the successor arms it.
+func TestAfterIsAProcessTimer(t *testing.T) {
+	sim, _ := newSinkSim(2)
+	var ran []string
+	after := func(pid int, d Time, name string) {
+		sim.After(pid, d, func() { ran = append(ran, fmt.Sprintf("%s@%d", name, sim.Now())) })
+	}
+	sim.CrashAt(0, 5)
+	sim.RecoverAt(0, 20)
+	sim.KillAt(0, 40)
+	after(0, 10, "paused")
+	after(0, 0, "floor") // d < 1 counts as 1
+	after(0, 45, "killed")
+	sim.Schedule(50, func() {
+		sim.Replace(0, &sink{})
+		after(0, 5, "successor")
+	})
+	sim.Schedule(60, func() { sim.ctxs[1].Halt() })
+	after(1, 70, "halted")
+	sim.Run(0)
+	if want := []string{"floor@1", "paused@20", "successor@55"}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("After closures ran %v, want %v", ran, want)
+	}
+}
+
 // TestKillAtOutlivesRecoverAt kills a process inside a crash-recovery
 // window: the window's recovery must not resume the killed incarnation
-// (no upcall, no delivery), and only a Replace boots its successor.
+// (no parked timer fires, no delivery), and only a Replace boots its
+// successor.
 func TestKillAtOutlivesRecoverAt(t *testing.T) {
-	r := &recoverable{}
+	r := &pauser{arm: map[int]Time{1: 8, 2: 22}}
 	sim := NewSim([]Process{r, &sink{}}, WithDelay(FixedDelay{D: 1}))
 	ctx1 := sim.ctxs[1]
 	next := &sink{}
@@ -211,8 +284,8 @@ func TestKillAtOutlivesRecoverAt(t *testing.T) {
 	})
 	sim.Schedule(35, func() { ctx1.Send(0, "to the successor") })
 	sim.Run(0)
-	if len(r.recovered) != 0 || len(r.got) != 0 {
-		t.Fatalf("killed incarnation ran: recovered %v, got %v", r.recovered, r.got)
+	if len(r.fired) != 0 || len(r.got) != 0 {
+		t.Fatalf("killed incarnation ran: timers %v, got %v", r.fired, r.got)
 	}
 	if sim.Crashed(0) || len(next.got) != 1 {
 		t.Fatalf("successor: crashed=%v got %v, want up with one delivery", sim.Crashed(0), next.got)

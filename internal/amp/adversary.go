@@ -2,12 +2,14 @@ package amp
 
 import "math/rand"
 
-// This file is the simulator's fault-injection surface. The paper's
+// This file is the simulator's network-fault surface. The paper's
 // asynchronous algorithms are only as trustworthy as the adversarial
 // schedules they are exercised under, so the Sim exposes a pluggable
 // Adversary interface instead of ad-hoc drop hooks: message loss,
-// network partitions that heal, crash-recovery, and timing skew are all
-// expressed as composable adversaries installed with WithAdversary.
+// network partitions that heal, and timing skew are all expressed as
+// composable adversaries installed with WithAdversary. An adversary
+// judges messages only; process faults are the Sim's own
+// CrashAt/KillAt/RecoverAt.
 //
 // Adversaries carry their own seeded randomness (never the simulator's
 // delay stream), so installing one cannot perturb message delays or
@@ -39,21 +41,6 @@ type AdversaryFunc func(src, dst int, at Time) Verdict
 
 // Judge implements Adversary.
 func (f AdversaryFunc) Judge(src, dst int, at Time) Verdict { return f(src, dst, at) }
-
-// Installer is an optional Adversary extension: Install runs once, at the
-// start of the first Run, before any process's Init. Adversaries use it
-// to schedule process-fault events (CrashAt, RecoverAt) on the simulator.
-type Installer interface {
-	Install(s *Sim)
-}
-
-// Recoverer is an optional Process extension for the crash-recovery
-// model: OnRecover is invoked inside the event loop when the harness
-// recovers the process after a crash (Sim.RecoverAt or the CrashRecovery
-// adversary).
-type Recoverer interface {
-	OnRecover(ctx Context)
-}
 
 // WithAdversary installs one or more adversaries, consulted in order on
 // every send.
@@ -151,31 +138,6 @@ func Isolate(from, until Time, pids ...int) Adversary {
 	return AdversaryFunc(func(src, dst int, at Time) Verdict {
 		return Verdict{Drop: inWindow(at, from, until) && (cut[src] || cut[dst])}
 	})
-}
-
-// crashRecovery schedules one crash/recover pair via Install.
-type crashRecovery struct {
-	pid                int
-	crashAt, recoverAt Time
-}
-
-// CrashRecovery returns an adversary that crashes pid at crashAt and, if
-// recoverAt > crashAt, recovers it at recoverAt (see Sim.RecoverAt for
-// the recovery semantics). Its Judge never drops anything; the faults are
-// injected through the Installer hook.
-func CrashRecovery(pid int, crashAt, recoverAt Time) Adversary {
-	return &crashRecovery{pid: pid, crashAt: crashAt, recoverAt: recoverAt}
-}
-
-// Judge implements Adversary.
-func (c *crashRecovery) Judge(_, _ int, _ Time) Verdict { return Verdict{} }
-
-// Install implements Installer.
-func (c *crashRecovery) Install(s *Sim) {
-	s.CrashAt(c.pid, c.crashAt)
-	if c.recoverAt > c.crashAt {
-		s.RecoverAt(c.pid, c.recoverAt)
-	}
 }
 
 // SkewLinks returns a timing-skew adversary: every message matched by

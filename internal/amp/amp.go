@@ -36,14 +36,14 @@
 //
 // # Adversaries
 //
-// Faults are injected through the Adversary interface (adversary.go):
-// WithAdversary composes message-drop (NewDrop, NewDropWindow), partition
-// with heal (Partition, Isolate), crash-recovery (CrashRecovery, via
-// Sim.RecoverAt and the optional Recoverer upcall), and timing-skew
-// (SkewLinks) adversaries, each carrying its own seeded randomness so
-// installing one never perturbs delay or coin-flip streams. Sent,
-// delivered, and dropped message counts are tracked per simulation
-// (accounting_test.go pins the semantics).
+// Adversaries judge messages (adversary.go): WithAdversary composes
+// message-drop (NewDrop, NewDropWindow), partition with heal (Partition,
+// Isolate) and timing-skew (SkewLinks) adversaries, each carrying its own
+// seeded randomness. Process faults are the Sim's CrashAt/KillAt/
+// RecoverAt. A crash window (CrashAt … RecoverAt) is a pause, as of a
+// SIGSTOP'd daemon: its timers fire at recovery, in due order, and the
+// messages that arrived meanwhile are lost. KillAt + Replace is the
+// amnesia path. accounting_test.go pins the message counts.
 //
 // # How E8–E13 map onto the simulator
 //

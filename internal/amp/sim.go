@@ -20,10 +20,10 @@ import (
 // kept behind WithHeapEvents for differential testing; both engines yield
 // the identical (time, sequence-number) event order.
 //
-// Network and process faults are injected through the Adversary interface
-// (message drops, partitions with heal, crash-recovery, timing skew — see
-// adversary.go) plus the CrashAt/CrashAfterSends/RecoverAt scheduling
-// calls.
+// Network faults are Adversaries (adversary.go); process faults are the
+// CrashAt/KillAt/RecoverAt/CrashAfterSends calls. A crash window is a
+// pause: timers that come due in it fire at RecoverAt, as a SIGSTOP'd
+// daemon's do on SIGCONT. KillAt + Replace is the amnesia path.
 type Sim struct {
 	n     int
 	procs []Process
@@ -43,8 +43,9 @@ type Sim struct {
 	crashed    []bool
 	killed     []bool // crashed by KillAt: RecoverAt does not revive it, Replace does
 	halted     []bool
-	epoch      []int // incarnation counter per pid; stale-epoch timers are dropped
-	sendBudget []int // -1 = unlimited; otherwise remaining sends before crash
+	epoch      []int      // incarnation counter per pid; stale-epoch timers are dropped
+	parked     [][]*event // per pid, timers that came due while it was crashed, in due order
+	sendBudget []int      // -1 = unlimited; otherwise remaining sends before crash
 	delivered  int
 	sent       int
 	dropped    int
@@ -86,6 +87,7 @@ func NewSim(procs []Process, opts ...SimOption) *Sim {
 		killed:     make([]bool, n),
 		halted:     make([]bool, n),
 		epoch:      make([]int, n),
+		parked:     make([][]*event, n),
 		sendBudget: make([]int, n),
 	}
 	for i := range s.sendBudget {
@@ -113,18 +115,12 @@ func NewSim(procs []Process, opts ...SimOption) *Sim {
 // first event is processed. Deferring Init to Run (rather than NewSim)
 // lets crash injection configured between NewSim and Run — in particular
 // CrashAfterSends(pid, 0), "crash before sending anything" — truncate
-// Init-time broadcasts. Adversaries implementing Installer get their
-// Install hook here, before any process runs.
+// Init-time broadcasts.
 func (s *Sim) initOnce() {
 	if s.inited {
 		return
 	}
 	s.inited = true
-	for _, a := range s.advs {
-		if in, ok := a.(Installer); ok {
-			in.Install(s)
-		}
-	}
 	for i, p := range s.procs {
 		if !s.crashed[i] {
 			p.Init(s.ctxs[i])
@@ -152,8 +148,8 @@ type event struct {
 	from int
 	msg  Message
 	tid  int
-	ep   int // timer events: incarnation that armed the timer
-	fn   func()
+	ep   int    // timer events: incarnation that armed the timer
+	fn   func() // closures, and After's timers instead of OnTimer
 }
 
 type eventHeap []*event
@@ -238,7 +234,8 @@ func (s *Sim) MessagesDelivered() int { return s.delivered }
 func (s *Sim) MessagesDropped() int { return s.dropped }
 
 // QueuedEvents reports how many events are pending (in-flight messages,
-// armed timers, scheduled closures and crash/recovery injections).
+// armed timers, scheduled closures and crash/recovery injections); the
+// timers a crash window parked are not queued until RecoverAt.
 func (s *Sim) QueuedEvents() int {
 	if s.legacy {
 		return len(s.events)
@@ -248,7 +245,7 @@ func (s *Sim) QueuedEvents() int {
 
 // Schedule runs fn at virtual time at (>= now) inside the event loop —
 // the mechanism for test drivers ("clients") to invoke protocol
-// operations at chosen times.
+// operations at chosen times. It belongs to no process (see After).
 func (s *Sim) Schedule(at Time, fn func()) {
 	if at < s.now {
 		at = s.now
@@ -258,9 +255,26 @@ func (s *Sim) Schedule(at Time, fn func()) {
 	s.push(e)
 }
 
+// After runs fn d time units from now as a timer of pid: like one armed
+// with SetTimer, it waits out a crash window and dies with its
+// incarnation (KillAt, Replace) or a halt. Hosts defer work on a
+// process's behalf with it.
+func (s *Sim) After(pid int, d Time, fn func()) {
+	validatePID(pid, s.n)
+	s.timer(pid, d, 0, fn)
+}
+
+// timer arms a timer of pid's current incarnation, d >= 1 from now.
+func (s *Sim) timer(pid int, d Time, id int, fn func()) {
+	e := s.newEvent()
+	e.at, e.kind, e.to, e.tid, e.ep, e.fn = s.now+max(d, 1), evTimer, pid, id, s.epoch[pid], fn
+	s.push(e)
+}
+
 // CrashAt schedules a crash of pid at virtual time at: from then on it
 // neither sends nor receives (messages in flight to it are dropped at
-// delivery). Crash failures are premature halts, per §2.4.
+// delivery) and its timers wait. Without a RecoverAt that is the paper's
+// crash, a premature halt (§2.4).
 func (s *Sim) CrashAt(pid int, at Time) { s.procEvent(pid, at, evCrash) }
 
 // KillAt schedules a kill of pid at virtual time at: a crash that no
@@ -270,11 +284,9 @@ func (s *Sim) CrashAt(pid int, at Time) { s.procEvent(pid, at, evCrash) }
 func (s *Sim) KillAt(pid int, at Time) { s.procEvent(pid, at, evKill) }
 
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
-// crashed (not killed) then, it resumes sending and receiving (messages
-// dropped while it was down stay lost — the crash-recovery model with
-// volatile channel state). A send budget exhausted by CrashAfterSends is
-// reset to unlimited. If the process implements Recoverer, OnRecover
-// runs inside the event loop at recovery time.
+// crashed (not killed) then, it resumes where it paused: the timers that
+// came due meanwhile fire now, in due order, and the messages stay lost.
+// A send budget exhausted by CrashAfterSends is reset to unlimited.
 func (s *Sim) RecoverAt(pid int, at Time) { s.procEvent(pid, at, evRecover) }
 
 // procEvent schedules a crash, kill or recovery of pid at virtual time
@@ -317,6 +329,7 @@ func (s *Sim) Crashed(pid int) bool {
 func (s *Sim) Replace(pid int, p Process) {
 	validatePID(pid, s.n)
 	s.epoch[pid]++
+	s.parked[pid] = nil
 	s.procs[pid] = p
 	s.crashed[pid] = false
 	s.killed[pid] = false
@@ -353,8 +366,15 @@ func (s *Sim) Run(until Time) int {
 		case evTimer:
 			// A timer armed by a replaced incarnation must not fire into
 			// its successor: Replace bumps the pid's epoch, and the stale
-			// event is discarded here.
-			if !s.crashed[e.to] && !s.halted[e.to] && e.ep == s.epoch[e.to] {
+			// event is discarded here. A paused process's timer waits.
+			switch {
+			case s.halted[e.to] || s.killed[e.to] || e.ep != s.epoch[e.to]:
+			case s.crashed[e.to]:
+				s.parked[e.to] = append(s.parked[e.to], e)
+				continue
+			case e.fn != nil:
+				e.fn()
+			default:
 				s.procs[e.to].OnTimer(s.ctxs[e.to], e.tid)
 			}
 		case evClosure:
@@ -369,9 +389,11 @@ func (s *Sim) Run(until Time) int {
 				if s.sendBudget[e.to] == 0 {
 					s.sendBudget[e.to] = -1
 				}
-				if r, ok := s.procs[e.to].(Recoverer); ok {
-					r.OnRecover(s.ctxs[e.to])
+				for _, t := range s.parked[e.to] {
+					t.at = s.now
+					s.push(t)
 				}
+				s.parked[e.to] = s.parked[e.to][:0]
 			}
 		default:
 			panic(fmt.Sprintf("amp: unknown event kind %d", e.kind))
@@ -446,12 +468,4 @@ func (c *simCtx) Broadcast(msg Message) {
 	}
 }
 
-func (c *simCtx) SetTimer(d Time, id int) {
-	if d < 1 {
-		d = 1
-	}
-	e := c.sim.newEvent()
-	e.at, e.kind, e.to, e.tid = c.sim.now+d, evTimer, c.id, id
-	e.ep = c.sim.epoch[c.id]
-	c.sim.push(e)
-}
+func (c *simCtx) SetTimer(d Time, id int) { c.sim.timer(c.id, d, id, nil) }

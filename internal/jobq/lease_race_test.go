@@ -49,16 +49,7 @@ func newJQSim(n int, cfg Config, cost amp.Time, opts ...amp.SimOption) *jqCluste
 		j := j
 		r := NewRunner(c.nodes[j], j)
 		r.RetryEvery = 100
-		r.Defer = func(d amp.Time, f func()) {
-			if d < 1 {
-				d = 1
-			}
-			c.sim.Schedule(c.sim.Now()+d, func() {
-				if !c.sim.Crashed(j) {
-					f()
-				}
-			})
-		}
+		r.Defer = func(d amp.Time, f func()) { c.sim.After(j, d, f) }
 		r.Cost = func(Job) amp.Time { return cost }
 		c.runners[j] = r
 	}
@@ -137,27 +128,27 @@ func TestLeaseLapseReassignStaleCompletion(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryResumesAssignedWork: a worker crashes mid-attempt
-// and recovers before its lease grace expires; Runner.Start's resume
-// path re-executes the still-assigned attempt with the ORIGINAL token,
-// and the completion counts exactly once.
-func TestCrashRecoveryResumesAssignedWork(t *testing.T) {
+// TestCrashWindowResumesAssignedWork: a worker pauses mid-attempt
+// (a crash window) and recovers before its lease grace expires; its
+// deferred work waits out the pause, so the still-assigned attempt
+// completes with the ORIGINAL token, and the completion counts exactly
+// once. A second Start after the recovery (the rejoin + re-execute
+// path cmd/basicsjobd runs after a kill -9 restart) changes nothing.
+func TestCrashWindowResumesAssignedWork(t *testing.T) {
 	cfg := Config{
 		Grace:     2000, // grace outlives the crash: no expiry, the attempt survives
 		StepEvery: 25,
 		Retry:     RetryPolicy{Base: 40, Cap: 200, Seed: 13},
 	}
-	c := newJQCluster(t, 3, cfg, 400, amp.CrashRecovery(2, 300, 900))
+	c := newJQCluster(t, 3, cfg, 400)
 	sim, nodes := c.sim, c.nodes
+	sim.CrashAt(2, 300)
+	sim.RecoverAt(2, 900)
 
 	sim.Schedule(2, c.runners[2].Start)
 	sim.Schedule(30, func() {
 		nodes[0].Propose(nodes[0].Ctx(), Cmd{Kind: CmdSubmit, Job: "a", Budget: 2, Payload: 1})
 	})
-	// The in-process crash model: the adversary silences the proc and
-	// the Crashed gate drops its deferred work; Start after recovery is
-	// the rejoin + re-execute path — exactly what cmd/basicsjobd does
-	// from its journal after a real kill -9.
 	sim.Schedule(910, c.runners[2].Start)
 
 	sim.Run(8_000)

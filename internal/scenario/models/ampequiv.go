@@ -152,7 +152,7 @@ func runChatter(sc *scenario.Scenario, legacy bool) ([]chatterEntry, [4]int, []b
 		procs[i] = &chatterProc{budget: budget, trace: &trace}
 	}
 	// Split faults: send budgets and non-recovering crashes install via
-	// Sim methods, everything else via the shared adversary bridge.
+	// Sim methods first, everything else via the shared fault bridge.
 	var advFaults []scenario.Fault
 	var budgets, crashAt []scenario.Fault
 	for _, f := range sc.Faults {
@@ -176,6 +176,7 @@ func runChatter(sc *scenario.Scenario, legacy bool) ([]chatterEntry, [4]int, []b
 	for _, f := range crashAt {
 		sim.CrashAt(f.Proc, amp.Time(f.From))
 	}
+	ampCrashes(sim, advFaults)
 	for _, f := range budgets {
 		sim.CrashAfterSends(f.Proc, f.Pct)
 	}

@@ -6,21 +6,18 @@ import (
 )
 
 // This file is the shared bridge between the scenario DSL's fault
-// vocabulary and the amp simulator's composable Adversary interface,
-// used by every amp-backed model (abd, rsm, benor). Fault generation
-// and fault wiring live here once, instead of once per package as in
-// the pre-harness fuzz fences.
+// vocabulary and the amp simulator, used by every amp-backed model:
+// network faults become Adversaries, crash faults the Sim's own. Fault
+// generation and wiring live here once, not once per package.
 
-// ampAdversaries maps scenario faults onto amp adversaries, in list
-// order (the Sim consults adversaries in installation order).
+// ampAdversaries maps the scenario's network faults onto amp
+// adversaries, in list order (the Sim consults them in that order).
 func ampAdversaries(faults []scenario.Fault) []amp.Adversary {
 	var advs []amp.Adversary
 	for _, f := range faults {
 		switch f.Kind {
 		case scenario.FaultPartition:
 			advs = append(advs, amp.Partition(amp.Time(f.From), amp.Time(f.Until), f.Group))
-		case scenario.FaultCrash:
-			advs = append(advs, amp.CrashRecovery(f.Proc, amp.Time(f.From), amp.Time(f.Until)))
 		case scenario.FaultDrop:
 			advs = append(advs, amp.NewDropWindow(f.Sub, float64(f.Pct)/100, amp.Time(f.From), amp.Time(f.Until)))
 		case scenario.FaultIsolate:
@@ -30,6 +27,20 @@ func ampAdversaries(faults []scenario.Fault) []amp.Adversary {
 		}
 	}
 	return advs
+}
+
+// ampCrashes schedules the scenario's crash faults on sim, in list
+// order: a crash at From and, if Until > From, a recovery (the end of a
+// pause) at Until. Models call it just before their first sim.Run.
+func ampCrashes(sim *amp.Sim, faults []scenario.Fault) {
+	for _, f := range faults {
+		if f.Kind == scenario.FaultCrash {
+			sim.CrashAt(f.Proc, amp.Time(f.From))
+			if f.Until > f.From {
+				sim.RecoverAt(f.Proc, amp.Time(f.Until))
+			}
+		}
+	}
 }
 
 // genAmpFaults draws a random fault schedule for an n-process amp

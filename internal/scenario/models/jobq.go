@@ -56,6 +56,9 @@ const (
 	jqStep     = 40
 	jqGrace    = 300
 	jqCap      = 3 // MaxPerWorker
+	// jqPerOp is boundWork's bound: seeds 1–120 apply at most 211
+	// commands for 18 jobs (11.7 per job).
+	jqPerOp = 24
 )
 
 // Name implements scenario.Model.
@@ -109,11 +112,8 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	// captured by a construction-time apply hook (so a snapshot-crash
 	// restart's recovery replay is observed too: applied[] is rewound
 	// to the recovered snapshot's coverage and the replayed suffix
-	// re-extends it through the same hook). inc guards deferred work:
-	// a closure armed by a replaced incarnation must not run into its
-	// successor — the sim analogue of kill -9 killing in-flight work.
+	// re-extends it through the same hook).
 	applied := make([][]rbcast.MsgID, jqReplicas)
-	inc := make([]int, jqReplicas)
 	nodes := make([]*jobq.Node, jqReplicas)
 	js, ok := openJournals(res, jqReplicas)
 	defer js.close()
@@ -160,21 +160,11 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 
 	// Workers: one per replica. Work outcomes are a deterministic
 	// function of (payload, attempt) so reassignment cannot change what
-	// an attempt would have done — only which attempt lands.
-	runners := make([]*jobq.Runner, jqReplicas)
+	// an attempt would have done — only which attempt lands. Deferred
+	// work is a timer of the replica's process (amp.Sim.After).
 	mkRunner := func(j int) *jobq.Runner {
 		r := jobq.NewRunner(nodes[j], j)
-		ep := inc[j]
-		r.Defer = func(d amp.Time, f func()) {
-			if d < 1 {
-				d = 1
-			}
-			sim.Schedule(sim.Now()+d, func() {
-				if !sim.Crashed(j) && inc[j] == ep {
-					f()
-				}
-			})
-		}
+		r.Defer = func(d amp.Time, f func()) { sim.After(j, d, f) }
 		r.Cost = func(j jobq.Job) amp.Time {
 			cost, _, _ := jqSpecDecode(j.Payload.(int))
 			if cost < 1 {
@@ -195,9 +185,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		return r
 	}
 	for j := 0; j < jqReplicas; j++ {
-		j := j
-		runners[j] = mkRunner(j)
-		sim.Schedule(amp.Time(2+j), func() { runners[j].Start() })
+		sim.Schedule(amp.Time(2+j), mkRunner(j).Start)
 	}
 
 	// Snapshot-crash faults (simSnapCrashes): the new incarnation is a
@@ -206,11 +194,9 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 	// double-complete them.
 	simSnapCrashes(sim, sc, res, js, applied, func(p int) *rsm.Node { return nodes[p].RSM },
 		func(p int, rec *rsm.Recovery, base int) {
-			inc[p]++
 			nodes[p] = build(p, rec)
 			sim.Replace(p, nodes[p].RSM.Stack)
-			runners[p] = mkRunner(p)
-			runners[p].Start()
+			mkRunner(p).Start()
 			res.Tracef("snaprestart p%d base=%d", p, base)
 		})
 
@@ -229,21 +215,6 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 			sim.Schedule(sim.Now()+jqStep, pulse)
 		}
 		sim.Schedule(amp.Time(10+j), pulse)
-	}
-
-	// A crash-recovered replica resumes its runner: rejoin if expired,
-	// re-execute whatever the (journal-equivalent, in-memory) state
-	// still assigns to it. This is the same path cmd/basicsjobd runs
-	// after a real kill -9 restart.
-	for _, f := range sc.Faults {
-		if f.Kind == scenario.FaultCrash && f.Proc >= 0 && f.Proc < jqReplicas {
-			p := f.Proc
-			sim.Schedule(amp.Time(f.Until)+2, func() {
-				if !sim.Crashed(p) {
-					runners[p].Start()
-				}
-			})
-		}
 	}
 
 	// Clients: submit each job with bounded idempotent retries (the job
@@ -281,6 +252,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		sim.Schedule(amp.Time(100+i*120+int(think.Int63n(90))), submit)
 	}
 
+	ampCrashes(sim, sc.Faults)
 	sim.Run(jqHorizon)
 
 	// Reference replica: the most advanced apply point.
@@ -346,6 +318,7 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		res.Failf("counter drift: completions=%d (#completed=%d) deadletters=%d (#failed=%d) effects=%d",
 			ctr.Completions, completed, ctr.DeadLetters, failed, effects)
 	}
+	boundWork(res, jqPerOp, len(subs), jqReplicas, func(p int) int { return nodes[p].RSM.Len() })
 	res.Completed = completed + failed
 	res.Pending = len(subs) - res.Completed
 

@@ -163,6 +163,7 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 		sim.Schedule(amp.Time(1+think.Int63n(100)), submit)
 	}
+	ampCrashes(sim, sc.Faults)
 	sim.Run(400_000)
 	res.Pending = submitted - res.Completed
 
@@ -175,6 +176,7 @@ func (*KV) Run(sc *scenario.Scenario) *scenario.Result {
 			return res
 		}
 	}
+	boundWork(res, putPerOp, submitted, kvReplicas, func(p int) int { return nodes[p].Len() })
 	slots := nodes[0].SlotsDelivered()
 	for j := 0; j < kvReplicas; j++ {
 		res.Tracef("replica %d applied %d", j, len(applied[j]))

@@ -1,12 +1,12 @@
 // Package models holds the scenario-harness adapters (scenario.Model
 // implementations) for every execution model in the repository:
 //
-//   - abd, rsm, benor — asynchronous message passing (amp) systems
-//     under composed amp adversaries, checked for linearizability or
-//     agreement/validity.
+//   - abd, abdmulti, rsm, kv, jobq, benor — asynchronous message
+//     passing (amp) systems under amp adversaries and crash windows
+//     (pauses), checked for linearizability, agreement or the queue's.
 //   - transport — the rsm cluster over the real-transport runtime
-//     (Loopback+Chaos+Resilient), with crash faults rebuilding a
-//     replica from its journal, checked for linearizability.
+//     (Loopback+Chaos+Resilient), checked for linearizability. Its crash
+//     window is still a journal restart, not a pause.
 //   - universal — the shared-memory universal construction under
 //     scenario-scheduled crashes, checked per key against KVSpec.
 //   - ampequiv, shmequiv, roundequiv, check, flp — golden-equivalence

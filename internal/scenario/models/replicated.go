@@ -18,7 +18,8 @@ import (
 // verdict (abd, abdmulti, rsm, transport, universal), the applied-order
 // oracle (kv, jobq, transport), the replicas' journals and the
 // snapshot-crash fault (kv, jobq on amp.Sim; transport on Loopback) and
-// the put-then-read-at-apply client chain (rsm, transport). The models
+// the put-then-read-at-apply client chain (rsm, transport), and the
+// bounded-work oracle (rsm, kv, jobq, transport). The models
 // keep their own trace formats and failure messages: a Result is a
 // reproducer, byte for byte.
 
@@ -82,6 +83,24 @@ func divergence(a, b []rbcast.MsgID, aBase, bBase int) int {
 		}
 	}
 	return -1
+}
+
+// putPerOp is boundWork's bound for the put models (rsm, kv, transport):
+// a put is one command, and seeds 1–120 apply at most 1.0 per put.
+const putPerOp = 2
+
+// boundWork is the bounded-work oracle: a run fails when its most
+// advanced replica (applies(p), p < n) applied more than perOp commands
+// per submitted op, so a runaway — a rejoin loop, a retry storm — fails
+// its seed instead of passing slowly.
+func boundWork(res *scenario.Result, perOp, ops, n int, applies func(p int) int) {
+	most := 0
+	for p := 0; p < n; p++ {
+		most = max(most, applies(p))
+	}
+	if most > perOp*max(ops, 1) {
+		res.Failf("unbounded work: a replica applied %d commands for %d submitted ops (bound %d per op)", most, ops, perOp)
+	}
 }
 
 // genSnapCrash draws a snapshot-crash fault: at from, replica proc

@@ -75,8 +75,10 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 			done: func() {},
 		}.start()
 	}
+	ampCrashes(sim, sc.Faults)
 	sim.Run(400_000)
 
+	boundWork(res, putPerOp, len(sc.Ops), rsmReplicas, func(p int) int { return nodes[p].Len() })
 	h := rec.History()
 	traceHistory(res, h)
 	return linearizeKeyed(res, h)

@@ -240,6 +240,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 		return out
 	}
+	boundWork(res, putPerOp, total, tpReplicas, func(p int) int { return nodes[p].Node.Len() })
 	ref := ids(0)
 	for i := 1; i < tpReplicas; i++ {
 		got := ids(i)
