@@ -2,7 +2,7 @@
 // the repository's basics, composed exactly as the paper argues they
 // should be (§5: failure detectors + total-order broadcast + the
 // replicated state machine): the scheduler's entire state — jobs with
-// their Pending→Assigned→Running→Completed/Failed lifecycle, per-job
+// their Pending→Assigned→Completed/Failed lifecycle, per-job
 // attempt counters and retry budgets, and the set of live workers — is
 // a deterministic state machine replicated via internal/rsm, while
 // everything time-dependent (worker-liveness grace, retry backoff) is
@@ -22,8 +22,9 @@
 // Placement rides the same rule. Every replica holds the worker set and
 // a failure detector, so the replica a job is submitted at names the
 // worker of its first attempt in the submit itself (Node.Submit): a
-// healthy job is two consensus rounds, not three. Apply takes the choice
-// iff that worker is joined and holds fewer jobs than the cap the command
+// healthy job is two commands in two consensus rounds, the submit and
+// the worker's complete (or fail). Apply takes the choice iff that
+// worker is joined and holds fewer jobs than the cap the command
 // carries, at that point of the total order, so MaxPerWorker is a hard
 // bound however many replicas place at once.
 //
@@ -57,9 +58,12 @@ type JobState uint8
 const (
 	// Pending jobs await (re)assignment.
 	Pending JobState = iota
-	// Assigned jobs have a worker that has not yet reported starting.
+	// Assigned jobs have a worker executing (or about to execute) the
+	// current attempt.
 	Assigned
-	// Running jobs have a worker that reported starting the attempt.
+	// Running is Assigned after a CmdStart, which only journals written
+	// before runners stopped proposing it hold; every reader treats the
+	// two alike.
 	Running
 	// Completed is terminal success; exactly one completion had effect.
 	Completed
@@ -107,8 +111,9 @@ const (
 	// job.Attempt+1: the scheduler's (Ω leader's) command for jobs no
 	// placement took and for retries. Refused when the worker holds Cap jobs.
 	CmdAssign
-	// CmdStart is the worker's acknowledgment that the attempt is
-	// executing (Assigned→Running).
+	// CmdStart marks the attempt executing (Assigned→Running). No runner
+	// proposes it: a healthy job is submit, then complete or fail. It
+	// keeps its value and apply arm so older journals still replay.
 	CmdStart
 	// CmdComplete reports attempt success. Worker+Attempt are the
 	// idempotency token; a mismatch is a stale completion and is
@@ -183,7 +188,7 @@ type Job struct {
 type Counters struct {
 	Submitted   int // jobs accepted
 	Assigns     int // attempts begun
-	Starts      int // attempts acknowledged Running
+	Starts      int // CmdStarts applied (0 unless replayed from an older journal)
 	Completions int // completions accepted (= total effects)
 	Retries     int // failed attempts returned to Pending
 	Expiries    int // worker expirations (lease lapses + voluntary leaves)

@@ -113,19 +113,15 @@ func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
 	}
 }
 
-// execute runs one attempt: acknowledge Running in the turn the
-// assignment applies (or the runner restarts), then report the outcome
-// after the job's cost. j is the assignment-time snapshot; j.Attempt is
-// the idempotency token for the whole attempt.
+// execute runs one attempt: it reports the outcome after the job's
+// cost, and proposes nothing before that. j is the assignment-time
+// snapshot; j.Attempt is the idempotency token for the whole attempt.
 func (r *Runner) execute(j Job) {
 	cost := amp.Time(1)
 	if r.Cost != nil {
 		if c := r.Cost(j); c > 0 {
 			cost = c
 		}
-	}
-	if j.State == Assigned { // a resumed Running attempt already said so
-		r.nd.Propose(r.nd.Ctx(), Cmd{Kind: CmdStart, Job: j.ID, Worker: r.self, Attempt: j.Attempt})
 	}
 	r.Defer(cost, func() {
 		if r.stopped {

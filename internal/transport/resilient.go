@@ -214,16 +214,19 @@ func (r *Resilient) onFrame(from int, frame []byte) {
 	kind, seq := frame[0], binary.BigEndian.Uint64(frame[1:envSize])
 	switch kind {
 	case envData:
-		// Ack first (fire-and-forget), then deliver. Every duplicate is
-		// re-acked: the sender's ack may have been the lost half.
-		_ = r.inner.Send(from, appendEnvelope(envAck, seq, nil))
+		// Ack (fire-and-forget), then deliver. Every duplicate is
+		// re-acked: the sender's ack may have been the lost half. With
+		// no handler yet (a peer dials before Runtime.Start) nothing is
+		// acked, so the sender retransmits instead of losing the frame.
 		r.mu.Lock()
 		h := r.h
 		r.mu.Unlock()
-		if h != nil {
-			r.stats.Delivered.Add(1)
-			h(from, frame[envSize:])
+		if h == nil {
+			return
 		}
+		_ = r.inner.Send(from, appendEnvelope(envAck, seq, nil))
+		r.stats.Delivered.Add(1)
+		h(from, frame[envSize:])
 	case envAck:
 		r.links[from].onAck(seq)
 	default:

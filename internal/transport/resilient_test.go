@@ -502,3 +502,16 @@ func TestResilientClosedSendErrors(t *testing.T) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
+
+// TestResilientNoHandlerNoAck: a data frame that arrives before the
+// Runtime installs its handler (a peer dials while a daemon is still
+// starting) is neither delivered nor acked, so its sender retransmits
+// it rather than losing it.
+func TestResilientNoHandlerNoAck(t *testing.T) {
+	inner := newMockInner(0, 2)
+	r := NewResilient(inner, NewLoopback(0).Clock(), Policy{})
+	inner.deliver(1, appendEnvelope(envData, 1, []byte("early")))
+	if sent := inner.sentTo(1); len(sent) != 0 || r.Stats().Delivered.Load() != 0 {
+		t.Fatalf("a frame with no handler: %d frames sent back, %d delivered; want no ack and no delivery", len(sent), r.Stats().Delivered.Load())
+	}
+}

@@ -34,6 +34,9 @@ type Runtime struct {
 	rng     *rand.Rand
 	stopped bool
 	halted  bool
+	// toSelf is the byte path's FIFO of messages to self, drained by
+	// exec once the sending handler returns.
+	toSelf []amp.Message
 
 	suspectSrc func() []bool
 	suspects   []atomic.Bool
@@ -145,8 +148,9 @@ func (rt *Runtime) onValue(from int, msg any) {
 	rt.exec(func() { rt.proc.OnMessage(rt.ctx, from, msg) })
 }
 
-// exec runs f under the actor mutex, then publishes the suspicion
-// snapshot and kicks retracted peers.
+// exec runs f under the actor mutex, then delivers the messages f (and
+// those deliveries) sent to self, in order, until the process halts;
+// then publishes the suspicion snapshot and kicks retracted peers.
 func (rt *Runtime) exec(f func()) {
 	var retracted []int
 	rt.mu.Lock()
@@ -155,6 +159,11 @@ func (rt *Runtime) exec(f func()) {
 		return
 	}
 	f()
+	for i := 0; i < len(rt.toSelf) && !rt.halted; i++ {
+		rt.proc.OnMessage(rt.ctx, rt.id, rt.toSelf[i])
+	}
+	clear(rt.toSelf)
+	rt.toSelf = rt.toSelf[:0]
 	if rt.suspectSrc != nil {
 		snap := rt.suspectSrc()
 		for i := 0; i < rt.n && i < len(snap); i++ {
@@ -193,34 +202,49 @@ func (c *rtCtx) Rand() *rand.Rand { return c.rt.rng }
 // Halt implements amp.Context.
 func (c *rtCtx) Halt() { c.rt.halted = true }
 
-// Send implements amp.Context: encode and hand to the transport.
-// Transport-level errors (shed, closed) are counted, not surfaced —
-// the amp contract has no send errors; reliability is the Resilient
-// layer's and the protocol's job.
-func (c *rtCtx) Send(to int, msg amp.Message) {
-	if c.rt.vt != nil {
-		if err := c.rt.vt.SendValue(to, msg); err != nil {
-			c.rt.SendErrs.Add(1)
-		}
-		return
-	}
-	frame, err := c.rt.codec.Encode(msg)
-	if err != nil {
-		// An unregistered type is a programming error: every message a
-		// protocol can send must be covered by its RegisterWire.
-		panic(err)
-	}
-	if err := c.rt.tr.Send(to, frame); err != nil {
-		c.rt.SendErrs.Add(1)
+// Send implements amp.Context. Transport-level errors (shed, closed)
+// are counted, not surfaced — the amp contract has no send errors;
+// reliability is the Resilient layer's and the protocol's job.
+func (c *rtCtx) Send(to int, msg amp.Message) { c.rt.send(to, msg, nil) }
+
+// Broadcast implements amp.Context (self included, per the paper's
+// convention). On the byte path the message is encoded once and the
+// same frame goes to every peer.
+func (c *rtCtx) Broadcast(msg amp.Message) {
+	var frame []byte
+	for i := 0; i < c.rt.n; i++ {
+		frame = c.rt.send(i, msg, frame)
 	}
 }
 
-// Broadcast implements amp.Context (self included, per the paper's
-// convention; the transport's self path delivers it like any frame).
-func (c *rtCtx) Broadcast(msg amp.Message) {
-	for i := 0; i < c.rt.n; i++ {
-		c.Send(i, msg)
+// send hands msg to the value path if the transport has one. On the
+// byte path a message to self never becomes a frame: it joins toSelf,
+// which exec drains in this turn once the sending handler returns. A
+// message to a peer goes as frame, encoded here if nil; send returns
+// it for the next peer (Transport.Send does not alias it).
+func (rt *Runtime) send(to int, msg amp.Message, frame []byte) []byte {
+	if rt.vt != nil {
+		if err := rt.vt.SendValue(to, msg); err != nil {
+			rt.SendErrs.Add(1)
+		}
+		return nil
 	}
+	if to == rt.id {
+		rt.toSelf = append(rt.toSelf, msg)
+		return frame
+	}
+	if frame == nil {
+		var err error
+		if frame, err = rt.codec.Encode(msg); err != nil {
+			// An unregistered type is a programming error: every message a
+			// protocol can send must be covered by its RegisterWire.
+			panic(err)
+		}
+	}
+	if err := rt.tr.Send(to, frame); err != nil {
+		rt.SendErrs.Add(1)
+	}
+	return frame
 }
 
 // SetTimer implements amp.Context.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -379,5 +380,114 @@ func TestRuntimeContextBehaviours(t *testing.T) {
 			lb.Run(300)
 			tc.check(t, procs)
 		})
+	}
+}
+
+// selfProc records the keys of the messages it handles, in order. A
+// message keyed in cascade makes it send that key's follow-up to
+// itself; the key haltOn makes it halt.
+type selfProc struct {
+	got     []string
+	cascade map[string]string
+	haltOn  string
+}
+
+func (p *selfProc) Init(amp.Context)         {}
+func (p *selfProc) OnTimer(amp.Context, int) {}
+func (p *selfProc) OnMessage(ctx amp.Context, _ int, m amp.Message) {
+	key := m.(rsm.Command).Key
+	p.got = append(p.got, key)
+	if next, ok := p.cascade[key]; ok {
+		ctx.Send(ctx.ID(), rsm.Command{Key: next})
+	}
+	if key == p.haltOn {
+		ctx.Halt()
+	}
+}
+
+// sendRecorder records the frames a Runtime hands to the transport
+// below it.
+type sendRecorder struct {
+	Transport
+	frames map[int][][]byte
+}
+
+func (s *sendRecorder) Send(to int, frame []byte) error {
+	s.frames[to] = append(s.frames[to], frame)
+	return s.Transport.Send(to, frame)
+}
+
+// newSelfRuntime starts p as process 0 of an n-process Loopback under
+// Resilient, the byte path: the Runtime sees no ValueTransport.
+func newSelfRuntime(n int, p *selfProc) (*Loopback, *Resilient, *sendRecorder, *Runtime) {
+	amp.RegisterWire(Register)
+	rsm.RegisterWire(Register)
+	lb := NewLoopback(n)
+	res := NewResilient(lb.Node(0), lb.Clock(), Policy{Seed: 1})
+	rec := &sendRecorder{Transport: res, frames: map[int][][]byte{}}
+	rt := NewRuntime(rec, lb.Clock(), p)
+	rt.Start()
+	return lb, res, rec, rt
+}
+
+// TestRuntimeSelfMessageIsAValue: on the byte path a message to self is
+// handled exactly once, in FIFO order, in the sending turn, after the
+// sending handler has returned, and never reaches the transport.
+func TestRuntimeSelfMessageIsAValue(t *testing.T) {
+	p := &selfProc{cascade: map[string]string{"a": "a2"}}
+	lb, res, rec, rt := newSelfRuntime(2, p)
+	var during []string
+	rt.Do(func(ctx amp.Context) {
+		for _, k := range []string{"a", "b", "c"} {
+			ctx.Send(0, rsm.Command{Key: k})
+		}
+		during = append(during, p.got...)
+	})
+	if want := []string{"a", "b", "c", "a2"}; len(during) != 0 || !slices.Equal(p.got, want) {
+		t.Fatalf("handled %v while sending and %v by the end of the turn, want none and %v", during, p.got, want)
+	}
+	lb.Run(1000)
+	if len(p.got) != 4 || res.Stats().Sent.Load() != 0 || len(rec.frames) != 0 {
+		t.Fatalf("after the turn: handled %v, %d Resilient sends, frames %v; want 4 messages and no frames", p.got, res.Stats().Sent.Load(), rec.frames)
+	}
+}
+
+// TestRuntimeBroadcastEncodesOnce: a byte-path broadcast hands one
+// frame — the same bytes — to each of the n-1 peers' links, and its
+// self copy is handled as a value.
+func TestRuntimeBroadcastEncodesOnce(t *testing.T) {
+	const n = 4
+	p := &selfProc{}
+	_, res, rec, rt := newSelfRuntime(n, p)
+	rt.Do(func(ctx amp.Context) { ctx.Broadcast(rsm.Command{Key: "b"}) })
+	if got := res.Stats().Sent.Load(); got != n-1 {
+		t.Fatalf("one broadcast added %d to Resilient Sent, want %d", got, n-1)
+	}
+	first := rec.frames[1]
+	for to := 1; to < n; to++ {
+		f := rec.frames[to]
+		if len(f) != 1 || &f[0][0] != &first[0][0] {
+			t.Fatalf("peer %d got frames %v, want the one frame peer 1 got", to, f)
+		}
+	}
+	if len(rec.frames[0]) != 0 || !slices.Equal(p.got, []string{"b"}) {
+		t.Fatalf("self: %d frames, handled %v; want no frame and the message once", len(rec.frames[0]), p.got)
+	}
+}
+
+// TestRuntimeHaltStopsSelfCascade: a process that halts while handling
+// a message to self handles nothing after it, queued or later.
+func TestRuntimeHaltStopsSelfCascade(t *testing.T) {
+	p := &selfProc{cascade: map[string]string{"a": "a2", "b": "b2"}, haltOn: "b"}
+	lb, _, _, rt := newSelfRuntime(2, p)
+	rt.Do(func(ctx amp.Context) {
+		for _, k := range []string{"a", "b", "c"} {
+			ctx.Send(0, rsm.Command{Key: k})
+		}
+	})
+	rt.Do(func(ctx amp.Context) { ctx.Send(0, rsm.Command{Key: "late"}) })
+	lb.Run(1000)
+	if want := []string{"a", "b"}; !slices.Equal(p.got, want) {
+		t.Fatalf("handled %v, want %v and nothing after the halt", p.got, want)
 	}
 }

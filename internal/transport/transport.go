@@ -64,8 +64,13 @@
 // concrete types each protocol package registers via its RegisterWire
 // function — unless the transport offers the in-process ValueTransport
 // fast path, in which case message values cross uncopied and the codec
-// is skipped. cmd/basicsd builds a node binary, workload driver, and
-// kill -9 end-to-end harness on top; internal/scenario/models/transport
+// is skipped. On the byte path a message to self never becomes a frame:
+// the Runtime queues the value and handles it in the same turn, after
+// the sending handler returns, so it costs no encode, sequence number,
+// ack or decode; and a broadcast is encoded once, its one frame handed
+// to every peer's link. cmd/basicsd builds a node binary, workload
+// driver, and kill -9 end-to-end harness on top;
+// internal/scenario/models/transport
 // drives the Loopback+Chaos stack through seeded fault schedules with
 // the linearizable-KV oracle.
 package transport
