@@ -236,6 +236,7 @@ func runE2E(opt e2eOptions) (err error) {
 		dumpArtifacts(cl, h, orders, bases)
 		return cl.Fail(err)
 	}
+	cl.LogStats()
 	log.Printf("e2e: PASS — %d ops linearizable over %d partitions, %d nodes agree on %d applied entries, %d unique ids",
 		len(h), partitions, opt.Nodes, len(orders[0]), len(uids))
 	cl.Passed()

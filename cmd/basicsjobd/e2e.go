@@ -201,7 +201,7 @@ func runE2E(opt e2eOptions) (err error) {
 		dumpArtifacts(cl, perNode)
 		return cl.Fail(err)
 	}
-	logStats(cl)
+	cl.LogStats()
 	log.Printf("e2e: PASS — %d jobs all terminal on %d agreeing replicas: %s", len(plans), opt.Nodes, summary)
 	cl.Passed()
 	return nil
@@ -321,19 +321,6 @@ func collectJobs(clients []string, plans []jobPlan) ([]map[string]map[string]any
 		time.Sleep(300 * time.Millisecond)
 	}
 	return last, fmt.Errorf("cluster did not drain/converge within 90s: %w", lastWhy)
-}
-
-// logStats prints each node's queue counters and transport-resilience
-// counters — the satellite observability surface, exercised end to end.
-func logStats(cl *node.Cluster) {
-	for i := range cl.Clients {
-		resp, err := cl.Stats(i)
-		if err != nil || resp.Net == nil {
-			continue
-		}
-		log.Printf("e2e: node %d: applied=%d queue=%v net: sent=%d delivered=%d retries=%d retryDropped=%d shed=%d",
-			i, resp.Applied, resp.Val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Retries, resp.Net.RetryDropped, resp.Net.Shed)
-	}
 }
 
 // dumpArtifacts writes every node's view of every job next to the node

@@ -175,11 +175,14 @@
 // fault-injecting Chaos wrapper — to amp.Context, so the
 // abd/rbcast/mpcons/rsm processes run unmodified over real concurrency,
 // on one of two clocks (Loopback's virtual one, or transport.RealClock).
-// The shared Resilient layer adds the robustness contract (per-link
-// send timeouts, bounded retry with exponential backoff and jitter,
-// heartbeat-driven degradation to a bounded shed queue when internal/fd
-// suspects a peer; see the internal/transport package docs for the
-// precise guarantees).
+// The shared Resilient layer adds the robustness contract: a frame goes
+// once, straight to the backend; a send the backend refuses (a peer
+// restarting) is retried with exponential backoff and jitter up to a
+// budget; frames to a peer internal/fd suspects park in a bounded shed
+// queue. Nothing is acknowledged: TCP delivers in order, and a frame
+// lost anyway is recovered by the protocols, which the simulator
+// already runs over lossy channels (see the internal/transport package
+// docs for the precise guarantees).
 //
 // The three daemons below — basicsd, basicskv, basicsjobd — are one
 // node skeleton with three state machines plugged in. internal/node

@@ -227,6 +227,25 @@ func (c *Cluster) Stats(i int) (clientrpc.Response, error) {
 	return rpc.Stats(5 * time.Second)
 }
 
+// LogStats prints each node's applied count, its daemon's own stat
+// value if any, and its transport counters: frames sent and delivered,
+// retries of refused sends, and the two loss modes (retry budget
+// exhausted, queue shed).
+func (c *Cluster) LogStats() {
+	for i := range c.Clients {
+		resp, err := c.Stats(i)
+		if err != nil || resp.Net == nil {
+			continue
+		}
+		val := ""
+		if resp.Val != nil {
+			val = fmt.Sprintf(" val=%v", resp.Val)
+		}
+		log.Printf("e2e: node %d: applied=%d%s net: sent=%d delivered=%d retries=%d retryDropped=%d shed=%d",
+			i, resp.Applied, val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Retries, resp.Net.RetryDropped, resp.Net.Shed)
+	}
+}
+
 // CheckJournals is the journal-growth leg of a run with Compact set:
 // every node that wrote enough to reach the forced threshold must
 // actually have compacted — at least one snapshot installed, and the

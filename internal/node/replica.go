@@ -13,9 +13,12 @@ import (
 )
 
 // HeartbeatPeriod is the Ω heartbeat period, in ticks, of every replica
-// on the Resilient stack. The simulation-scale default (8) outruns a
-// chaos-degraded link's service rate (one in-flight frame per link);
-// real clusters heartbeat at a rate the links sustain.
+// on the Resilient stack. Ω suspects a peer after three silent periods
+// (fd.Detector's initial timeout), so the period sets both how soon a
+// crash is noticed (240 ms at the default 2 ms tick) and what the
+// heartbeats cost; kv's read lease and jobq's worker grace are sized
+// against it. The simulation-scale default (8) would send five times
+// the heartbeats for a detection time no daemon needs.
 const HeartbeatPeriod amp.Time = 40
 
 // RPCTimeout bounds one consensus round-trip from the client's side.
@@ -23,13 +26,14 @@ const HeartbeatPeriod amp.Time = 40
 // enough that an e2e driver can mark the op pending and move on.
 const RPCTimeout = 15 * time.Second
 
-// tcpPolicy is the retry policy tuned to localhost TCP under the
-// default 2ms tick: the socket RTT is sub-tick, so a 25-tick (50ms)
-// send timeout is already many RTTs out, and retries back off from
-// 20ms to a 500ms cap. (Compare tpPolicy in internal/scenario/models:
-// policies are tuned to the transport's RTT, not fixed constants.)
+// tcpPolicy is the retry policy for localhost TCP under the default
+// 2ms tick. Only a refused send retries (a peer not listening yet, or
+// restarting), backing off from 20ms to a 500ms cap: long enough that a
+// dead peer costs few dials, short enough that a deployment whose
+// processes start a millisecond apart forms its first quorum after one
+// backoff. (Compare tpPolicy in internal/scenario/models.)
 func tcpPolicy(id int) transport.Policy {
-	return transport.Policy{SendTimeout: 25, RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
+	return transport.Policy{RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
 }
 
 // Replica is one running rsm replica: the state machine's Node under

@@ -96,7 +96,7 @@ func TestStartLoopback(t *testing.T) {
 	lb := transport.NewLoopback(n)
 	reps := make([]*Replica, n)
 	for i := range reps {
-		policy := transport.Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 80, Seed: int64(i + 1)}
+		policy := transport.Policy{RetryBase: 5, RetryCap: 80, Seed: int64(i + 1)}
 		reps[i] = Start(rsm.NewNode(n), lb.Node(i), lb.Clock(), policy, int64(i+1))
 		if reps[i].Node.Omega.Period != HeartbeatPeriod {
 			t.Fatalf("replica %d heartbeats every %d ticks", i, reps[i].Node.Omega.Period)

@@ -72,11 +72,10 @@ func (*Transport) Generate(seed uint64) *scenario.Scenario {
 	return sc
 }
 
-// tpPolicy is the retry policy tuned to Loopback's ~2-tick RTT (see the
-// runtime tests: the 40-tick wall-clock default saturates a virtual
-// cluster under chaos).
+// tpPolicy is the retry policy for Loopback's one-tick frames: a send
+// refused by a down or closed endpoint retries a few ticks later.
 func tpPolicy(seed int64) transport.Policy {
-	return transport.Policy{SendTimeout: 10, RetryBase: 5, RetryCap: 80, Seed: seed}
+	return transport.Policy{RetryBase: 5, RetryCap: 80, Seed: seed}
 }
 
 // tpStart builds and starts replica i's stack on lb under the scenario's

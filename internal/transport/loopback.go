@@ -19,8 +19,8 @@ import (
 //
 // Its Clock is also the repository's one manually driven clock: a
 // node-less NewLoopback(0).Clock() with Run(Now()+d) as "advance" is
-// what the Resilient and Runtime policy tests step through timeout ->
-// backoff -> retransmit cycles without sleeping.
+// what the Resilient and Runtime policy tests step through refusal ->
+// backoff -> retry cycles without sleeping.
 type Loopback struct {
 	mu    sync.Mutex
 	now   amp.Time

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
+	"bytes"
 	"sync"
 	"sync/atomic"
 
@@ -10,15 +10,18 @@ import (
 )
 
 // Policy is the shared robustness contract every backend runs under
-// when wrapped by Resilient: per-link send timeout, bounded retry with
-// exponential backoff plus seeded jitter, and failure-detector-driven
-// degradation for suspected peers. All durations are clock ticks, so
-// one policy works over the virtual Loopback clock and the wall clock.
+// when wrapped by Resilient: bounded retry, with exponential backoff
+// plus seeded jitter, of a send the inner transport refuses, and
+// failure-detector-driven degradation for suspected peers. All
+// durations are clock ticks, so one policy works over the virtual
+// Loopback clock and the wall clock.
 type Policy struct {
-	// SendTimeout is how long one attempt waits for an ack (default 40).
+	// SendTimeout is ignored: a frame the inner transport accepts is
+	// done, and nothing waits for an acknowledgement. The field exists
+	// only because the frozen bench/ sets it.
 	SendTimeout amp.Time
-	// RetryBase is the backoff before the first retransmission; it
-	// doubles per attempt (default 20).
+	// RetryBase is the backoff before the first retry of a refused
+	// frame; it doubles per attempt (default 20).
 	RetryBase amp.Time
 	// RetryCap bounds the backoff (default 400).
 	RetryCap amp.Time
@@ -26,11 +29,11 @@ type Policy struct {
 	// (default 25; negative for none), so synchronized retry storms
 	// decorrelate.
 	JitterPct int
-	// Budget is the maximum number of attempts per frame (default 8);
-	// exhaustion drops the frame with a *RetryError.
+	// Budget is the maximum number of attempts per refused frame
+	// (default 8); exhaustion drops the frame with a *RetryError.
 	Budget int
-	// QueueCap bounds the per-link queue of frames waiting behind an
-	// in-flight or suspected-peer send (default 256); beyond it frames
+	// QueueCap bounds the per-link queue of frames waiting behind a
+	// refused frame or a suspected peer (default 256); beyond it frames
 	// are shed with a *ShedError.
 	QueueCap int
 	// ProbeEvery is how often a link with parked frames re-checks a
@@ -47,9 +50,6 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.SendTimeout <= 0 {
-		p.SendTimeout = 40
-	}
 	if p.RetryBase <= 0 {
 		p.RetryBase = 20
 	}
@@ -68,32 +68,25 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Backoff returns the jittered backoff delay before retransmission
+// Backoff returns the jittered backoff delay after refused attempt
 // `attempt` (1-based), drawing jitter from rng. Exposed for the policy
 // unit tests.
 func (p Policy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
 	return amp.Backoff(p.RetryBase, p.RetryCap, p.JitterPct, attempt, rng)
 }
 
-// Resilient envelope: [kind byte][seq uint64 BE][payload...]. Acks
-// carry the acknowledged seq and no payload.
-const (
-	envData = 0x00
-	envAck  = 0x01
-	envSize = 9
-)
-
-func appendEnvelope(kind byte, seq uint64, payload []byte) []byte {
-	buf := make([]byte, 0, envSize+len(payload))
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	return append(buf, payload...)
-}
-
-// Resilient wraps a Transport with the Policy's at-least-once
-// retry/timeout/backoff machinery. See the package documentation for
-// the full contract. Duplicates are possible by design (a lost ack
-// retransmits a delivered frame); layers above must be idempotent.
+// Resilient wraps a Transport with the Policy. Each link hands a frame
+// straight to the inner transport, which owns delivery: TCP delivers in
+// order or its connection fails. A send the inner transport refuses
+// synchronously (a dial or write error: a local signal that puts
+// nothing on the wire) is retried after a jittered backoff, up to
+// Policy.Budget attempts, and the frames sent after it wait behind it
+// in the link's bounded queue, so a link stays FIFO; this is what
+// carries frames across a peer's restart. While the failure detector
+// suspects the peer the link parks its frames instead. Nothing is
+// acknowledged: a frame the inner transport accepted and then lost (a
+// dying connection's kernel buffer, a chaos drop) stays lost, and the
+// protocols recover it (see the package documentation).
 type Resilient struct {
 	inner  Transport
 	clock  Clock
@@ -110,8 +103,8 @@ type Resilient struct {
 	OnDrop func(to int, err error)
 }
 
-// NewResilient wraps inner under policy, using clock for timeouts and
-// backoff.
+// NewResilient wraps inner under policy, using clock for backoff and
+// probes.
 func NewResilient(inner Transport, clock Clock, policy Policy) *Resilient {
 	r := &Resilient{inner: inner, clock: clock, policy: policy.withDefaults()}
 	r.links = make([]*link, inner.N())
@@ -146,11 +139,7 @@ func (r *Resilient) Close() error {
 	r.closed.Store(true)
 	for _, l := range r.links {
 		l.mu.Lock()
-		if l.timer != nil {
-			l.timer.Stop()
-			l.timer = nil
-		}
-		l.inflight = nil
+		l.stopLocked()
 		l.queue = nil
 		l.mu.Unlock()
 	}
@@ -165,22 +154,19 @@ func (r *Resilient) Kick(peer int) {
 	r.links[peer].kick()
 }
 
-// QueueLen returns the number of frames parked on the link to peer
+// QueueLen returns the number of frames waiting on the link to peer
 // (test introspection).
 func (r *Resilient) QueueLen(peer int) int {
 	l := r.links[peer]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.queue)
-	if l.inflight != nil {
-		n++
-	}
-	return n
+	return len(l.queue)
 }
 
-// Send implements Transport: the frame is enqueued on the per-peer
-// link and retried until acked, dropped by budget exhaustion, or shed
-// at the queue cap (the only synchronous error besides ErrClosed).
+// Send implements Transport: an idle link hands the frame to the inner
+// transport at once; otherwise it waits in the link's queue, to be
+// retried, parked, dropped by budget exhaustion, or shed at the queue
+// cap (the only synchronous error besides ErrClosed).
 func (r *Resilient) Send(to int, frame []byte) error {
 	validatePeer(to, r.N())
 	if r.closed.Load() {
@@ -205,148 +191,128 @@ func (r *Resilient) suspected(peer int) bool {
 	return r.policy.Suspected(peer)
 }
 
-// onFrame is the inner transport's delivery upcall.
+// onFrame is the inner transport's delivery upcall. A frame that
+// arrives before Handle (a peer dials while this node is still
+// starting) is counted in Dropped; the protocols recover it like any
+// other lost frame.
 func (r *Resilient) onFrame(from int, frame []byte) {
-	if len(frame) < envSize {
+	r.mu.Lock()
+	h := r.h
+	r.mu.Unlock()
+	if h == nil {
 		r.stats.Dropped.Add(1)
 		return
 	}
-	kind, seq := frame[0], binary.BigEndian.Uint64(frame[1:envSize])
-	switch kind {
-	case envData:
-		// Ack (fire-and-forget), then deliver. Every duplicate is
-		// re-acked: the sender's ack may have been the lost half. With
-		// no handler yet (a peer dials before Runtime.Start) nothing is
-		// acked, so the sender retransmits instead of losing the frame.
-		r.mu.Lock()
-		h := r.h
-		r.mu.Unlock()
-		if h == nil {
-			return
-		}
-		_ = r.inner.Send(from, appendEnvelope(envAck, seq, nil))
-		r.stats.Delivered.Add(1)
-		h(from, frame[envSize:])
-	case envAck:
-		r.links[from].onAck(seq)
-	default:
-		r.stats.Dropped.Add(1)
-	}
+	r.stats.Delivered.Add(1)
+	h(from, frame)
 }
 
-// link is the per-peer retry state machine. Lock ordering: a link's
-// mutex may be held while calling inner.Send (backends never deliver
-// synchronously back into the caller), but never while invoking
+// link is the per-peer send path. The queue holds, in send order, the
+// frames that cannot go yet: a refused frame at the head and those sent
+// after it, or a suspected peer's parked frames. A link with queued
+// frames always has a backoff or probe timer pending. Lock ordering: a
+// link's mutex may be held while calling inner.Send (backends never
+// deliver synchronously back into the caller), but never while invoking
 // delivery or OnDrop upcalls.
 type link struct {
 	r    *Resilient
 	peer int
 
-	mu          sync.Mutex
-	rng         splitmix.Source // private jitter stream
-	nextSeq     uint64
-	queue       [][]byte // payloads parked behind inflight/suspicion
-	inflight    []byte   // encoded data frame being retried
-	inflightSeq uint64
-	attempts    int
-	timer       Timer // pending ack-timeout, backoff, or probe
-	lastErr     error
+	mu       sync.Mutex
+	rng      splitmix.Source // private jitter stream
+	queue    [][]byte        // frames waiting to go; the head goes next
+	attempts int             // refused attempts of the head frame
+	lastErr  error           // the head frame's last refusal
+	timer    Timer           // pending backoff or probe
+	gen      uint64          // bumped per timer armed or stopped, so a stale one is a no-op
 }
 
-func (l *link) send(payload []byte) error {
+func (l *link) send(frame []byte) error {
 	l.mu.Lock()
-	if l.inflight != nil || l.r.suspected(l.peer) {
-		if len(l.queue) >= l.r.policy.QueueCap {
-			n := len(l.queue)
-			l.mu.Unlock()
-			l.r.stats.Shed.Add(1)
-			err := &ShedError{To: l.peer, Queued: n}
-			if cb := l.r.OnDrop; cb != nil {
-				cb(l.peer, err)
-			}
-			return err
-		}
-		l.queue = append(l.queue, append([]byte(nil), payload...))
-		// A suspected idle link needs a probe to ever drain.
-		if l.inflight == nil && l.timer == nil {
-			l.armProbeLocked()
+	if len(l.queue) == 0 && !l.r.suspected(l.peer) {
+		if !l.attemptLocked(frame) {
+			l.queue = append(l.queue, bytes.Clone(frame))
 		}
 		l.mu.Unlock()
 		return nil
 	}
-	l.startLocked(append([]byte(nil), payload...))
+	if len(l.queue) >= l.r.policy.QueueCap {
+		n := len(l.queue)
+		l.mu.Unlock()
+		l.r.stats.Shed.Add(1)
+		err := &ShedError{To: l.peer, Queued: n}
+		if cb := l.r.OnDrop; cb != nil {
+			cb(l.peer, err)
+		}
+		return err
+	}
+	l.queue = append(l.queue, bytes.Clone(frame))
+	// A suspected idle link needs a probe to ever drain.
+	if l.timer == nil {
+		l.armLocked(l.r.policy.ProbeEvery, l.probe)
+	}
 	l.mu.Unlock()
 	return nil
 }
 
-// startLocked begins transmission of a fresh payload (l.mu held).
-func (l *link) startLocked(payload []byte) {
-	l.nextSeq++
-	l.inflightSeq = l.nextSeq
-	l.inflight = appendEnvelope(envData, l.inflightSeq, payload)
-	l.attempts = 0
-	l.lastErr = nil
-	l.transmitLocked()
-}
-
-// transmitLocked performs one attempt of the in-flight frame (l.mu
-// held).
-func (l *link) transmitLocked() {
+// attemptLocked hands frame to the inner transport and reports whether
+// it was taken (l.mu held). A refusal counts against the frame's budget
+// and arms the backoff that retries it.
+func (l *link) attemptLocked(frame []byte) bool {
 	l.attempts++
 	if l.attempts > 1 {
 		l.r.stats.Retries.Add(1)
 	}
 	l.r.stats.Sent.Add(1)
-	err := l.r.inner.Send(l.peer, l.inflight)
-	seq := l.inflightSeq
-	if l.timer != nil {
-		l.timer.Stop()
+	err := l.r.inner.Send(l.peer, frame)
+	if err == nil {
+		l.attempts, l.lastErr = 0, nil
+		return true
 	}
-	if err != nil {
-		// Synchronous failure: no ack will come; go straight to backoff.
-		l.lastErr = err
-		delay := l.r.policy.Backoff(l.attempts, &l.rng)
-		l.timer = l.r.clock.AfterFunc(delay, func() { l.onTimeout(seq, true) })
-		return
-	}
-	l.timer = l.r.clock.AfterFunc(l.r.policy.SendTimeout, func() { l.onTimeout(seq, false) })
+	l.lastErr = err
+	l.armLocked(l.r.policy.Backoff(l.attempts, &l.rng), l.retry)
+	return false
 }
 
-// onTimeout handles an expired ack wait, or the backoff after a refused
-// attempt (refused), for seq; only the former backs off before retrying.
-func (l *link) onTimeout(seq uint64, refused bool) {
+// drainLocked hands queued frames over in order until the queue is
+// empty or one is refused; while the peer is suspected it parks them
+// behind a probe instead (l.mu held).
+func (l *link) drainLocked() {
+	for len(l.queue) > 0 {
+		if l.r.suspected(l.peer) {
+			l.armLocked(l.r.policy.ProbeEvery, l.probe)
+			return
+		}
+		if !l.attemptLocked(l.queue[0]) {
+			return
+		}
+		l.popLocked()
+	}
+}
+
+func (l *link) popLocked() {
+	l.queue[0] = nil
+	l.queue = l.queue[1:]
+}
+
+// retry fires one backoff after the head frame was refused. A head
+// frame out of budget is dropped, unless the peer is suspected: then
+// it stays parked, keeping its attempt count.
+func (l *link) retry(gen uint64) {
 	var dropErr error
 	l.mu.Lock()
-	if l.inflight == nil || l.inflightSeq != seq || l.r.closed.Load() {
+	if !l.firedLocked(gen) {
 		l.mu.Unlock()
 		return
 	}
-	l.timer = nil
-	if l.r.suspected(l.peer) {
-		// Degrade: stop burning budget, park the frame at the queue head
-		// and probe until the detector retracts. The frame keeps its
-		// attempt count.
-		l.queue = append([][]byte{l.inflight[envSize:]}, l.queue...)
-		l.inflight = nil
-		l.armProbeLocked()
-		l.mu.Unlock()
-		return
-	}
-	if l.attempts >= l.r.policy.Budget {
-		last := l.lastErr
-		dropErr = &RetryError{To: l.peer, Seq: seq, Attempts: l.attempts, Last: last}
-		l.inflight = nil
+	if l.attempts >= l.r.policy.Budget && !l.r.suspected(l.peer) {
+		dropErr = &RetryError{To: l.peer, Attempts: l.attempts, Last: l.lastErr}
 		l.r.stats.Dropped.Add(1)
-		l.advanceLocked()
-		l.mu.Unlock()
-	} else if refused {
-		l.transmitLocked()
-		l.mu.Unlock()
-	} else {
-		delay := l.r.policy.Backoff(l.attempts, &l.rng)
-		l.timer = l.r.clock.AfterFunc(delay, func() { l.retransmit(seq) })
-		l.mu.Unlock()
+		l.popLocked()
+		l.attempts, l.lastErr = 0, nil
 	}
+	l.drainLocked()
+	l.mu.Unlock()
 	if dropErr != nil {
 		if cb := l.r.OnDrop; cb != nil {
 			cb(l.peer, dropErr)
@@ -354,89 +320,58 @@ func (l *link) onTimeout(seq uint64, refused bool) {
 	}
 }
 
-// retransmit re-sends the in-flight frame after its backoff.
-func (l *link) retransmit(seq uint64) {
+// probe fires for a link with parked frames: one real attempt of the
+// head frame, even while the peer is still suspected. This is what
+// keeps suspicion recoverable — if probes only re-checked the flag, two
+// nodes suspecting each other would park both directions of heartbeat
+// traffic and the false partition could never heal. While suspicion
+// lasts, the degraded link sends one frame per ProbeEvery.
+func (l *link) probe(gen uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.inflight == nil || l.inflightSeq != seq || l.r.closed.Load() {
+	if !l.firedLocked(gen) {
 		return
 	}
-	l.timer = nil
-	l.transmitLocked()
+	if l.attemptLocked(l.queue[0]) {
+		l.popLocked()
+		l.drainLocked()
+	}
 }
 
-// onAck completes the in-flight frame and advances the queue.
-func (l *link) onAck(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.inflight == nil || l.inflightSeq != seq {
-		return // stale or duplicate ack
-	}
-	l.r.stats.Acked.Add(1)
-	if l.timer != nil {
-		l.timer.Stop()
-		l.timer = nil
-	}
-	l.inflight = nil
-	l.attempts = 0
-	l.advanceLocked()
-}
-
-// advanceLocked starts the next queued frame, if any and if the peer
-// is not suspect (l.mu held).
-func (l *link) advanceLocked() {
-	if l.inflight != nil || len(l.queue) == 0 {
-		return
-	}
-	if l.r.suspected(l.peer) {
-		l.armProbeLocked()
-		return
-	}
-	payload := l.queue[0]
-	l.queue = l.queue[1:]
-	l.startLocked(payload)
-}
-
-// armProbeLocked schedules a suspicion re-check (l.mu held).
-func (l *link) armProbeLocked() {
-	if l.timer != nil {
-		l.timer.Stop()
-	}
-	l.timer = l.r.clock.AfterFunc(l.r.policy.ProbeEvery, l.probe)
-}
-
-// probe fires for a link with parked frames: one REAL transmission
-// attempt of the head frame, even while the peer is still suspected.
-// This is what keeps suspicion recoverable — if probes only re-checked
-// the flag, two nodes suspecting each other would park both directions
-// of heartbeat traffic and the false partition could never heal. While
-// suspicion lasts, onTimeout re-parks the frame without burning budget,
-// so the degraded link costs one frame per ProbeEvery.
-func (l *link) probe() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.r.closed.Load() || l.inflight != nil {
-		return
-	}
-	l.timer = nil
-	if len(l.queue) == 0 {
-		return
-	}
-	payload := l.queue[0]
-	l.queue = l.queue[1:]
-	l.startLocked(payload)
-}
-
-// kick drains parked frames if the link is idle.
+// kick drains the queue now, instead of at the pending backoff or
+// probe.
 func (l *link) kick() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.r.closed.Load() || l.inflight != nil {
+	if l.r.closed.Load() {
 		return
 	}
+	l.stopLocked()
+	l.drainLocked()
+}
+
+// firedLocked reports whether the timer of generation gen is the
+// link's pending one, and if so clears it (l.mu held).
+func (l *link) firedLocked(gen uint64) bool {
+	if gen != l.gen || l.r.closed.Load() {
+		return false
+	}
+	l.timer = nil
+	return true
+}
+
+// armLocked replaces the pending timer with f, d ticks out (l.mu held).
+func (l *link) armLocked(d amp.Time, f func(gen uint64)) {
+	l.stopLocked()
+	gen := l.gen
+	l.timer = l.r.clock.AfterFunc(d, func() { f(gen) })
+}
+
+// stopLocked cancels the pending timer, if any (l.mu held).
+func (l *link) stopLocked() {
+	l.gen++
 	if l.timer != nil {
 		l.timer.Stop()
 		l.timer = nil
 	}
-	l.advanceLocked()
 }

@@ -204,7 +204,7 @@ func (c *rtCtx) Halt() { c.rt.halted = true }
 
 // Send implements amp.Context. Transport-level errors (shed, closed)
 // are counted, not surfaced — the amp contract has no send errors;
-// reliability is the Resilient layer's and the protocol's job.
+// recovering lost messages is the protocol's job.
 func (c *rtCtx) Send(to int, msg amp.Message) { c.rt.send(to, msg, nil) }
 
 // Broadcast implements amp.Context (self included, per the paper's

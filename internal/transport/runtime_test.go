@@ -35,19 +35,13 @@ func newLBCluster(t *testing.T, n int, chaos []ChaosRule) *lbCluster {
 			}
 			tr = NewChaos(tr, clock, rules...)
 		}
-		// The retry policy must be tuned to the transport: loopback RTT is
-		// ~2 ticks, and with acks also subject to chaos the effective
-		// round-trip loss is ~1-(1-p)^2, so a 40-tick SendTimeout makes
-		// per-link service time exceed the heartbeat rate and the cluster
-		// saturates. Timeout a few RTTs out, retry quickly.
-		res := NewResilient(tr, clock, Policy{
-			SendTimeout: 10, RetryBase: 5, RetryCap: 80, Seed: int64(i + 1),
-		})
+		// The retry policy is tuned to the transport: a send refused by a
+		// down or closed endpoint retries a few loopback ticks later.
+		res := NewResilient(tr, clock, Policy{RetryBase: 5, RetryCap: 80, Seed: int64(i + 1)})
 		nd := rsm.NewNode(n)
-		// The simulation-scale heartbeat period (8) outruns the link
-		// service rate under chaos (one in-flight frame per link, plus
-		// retry latency) and the backlog starves consensus traffic.
-		// Real-transport clusters heartbeat at a rate the links sustain.
+		// node.HeartbeatPeriod: every replica on the Resilient stack
+		// heartbeats at 40 ticks, and this cluster is that stack minus
+		// the sockets.
 		nd.Omega.Period = 40
 		rt := NewRuntime(res, clock, nd.Stack,
 			WithRuntimeSeed(int64(i+1)),

@@ -14,12 +14,14 @@ import (
 // simplex — each endpoint dials its own outbound connection per peer
 // and identifies itself with a hello frame, while inbound connections
 // are read-only — so reconnecting after a peer death is purely a
-// sender-side decision: the next Send re-dials. TCP makes no delivery
-// or retry promises beyond the kernel's; wrap with Resilient for the
-// robustness contract (a peer killed with SIGKILL looks like write
-// errors and missing acks, which Resilient turns into backoff, fd
-// degradation, and recovery once the peer restarts and its listener
-// rebinds).
+// sender-side decision: the next Send re-dials. A frame to self takes
+// the same path, over a connection to this endpoint's own listener.
+// TCP makes no delivery or retry promises beyond the kernel's: it
+// delivers a connection's frames in order, and those written into a
+// connection that dies are lost. Wrap with Resilient for the
+// robustness contract: a peer killed with SIGKILL looks like dial and
+// write errors, which Resilient turns into backoff, fd degradation, and
+// recovery once the peer restarts and its listener rebinds.
 type TCP struct {
 	self  int
 	addrs []string
@@ -32,9 +34,7 @@ type TCP struct {
 	peers   []*tcpPeer
 	inbound map[net.Conn]struct{}
 
-	selfCh chan []byte
-	done   chan struct{}
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // TCPOptions is empty — the backend's timeouts and bounds are the
@@ -45,7 +45,6 @@ type TCPOptions struct{}
 const (
 	dialTimeout  = 500 * time.Millisecond // connection establishment
 	writeTimeout = 500 * time.Millisecond // one frame write
-	selfQueue    = 4096                   // buffered loopback frames to self
 )
 
 // tcpPeer is the outbound connection slot for one peer.
@@ -55,8 +54,7 @@ type tcpPeer struct {
 }
 
 // NewTCP returns a TCP transport for endpoint self of the given peer
-// address list, listening on addrs[self]. Frames sent to self bypass
-// the network through a bounded in-process queue.
+// address list, listening on addrs[self].
 func NewTCP(self int, addrs []string, _ TCPOptions) (*TCP, error) {
 	validatePeer(self, len(addrs))
 	t := &TCP{
@@ -64,8 +62,6 @@ func NewTCP(self int, addrs []string, _ TCPOptions) (*TCP, error) {
 		addrs:   append([]string(nil), addrs...),
 		peers:   make([]*tcpPeer, len(addrs)),
 		inbound: make(map[net.Conn]struct{}),
-		selfCh:  make(chan []byte, selfQueue),
-		done:    make(chan struct{}),
 	}
 	for i := range t.peers {
 		t.peers[i] = &tcpPeer{}
@@ -75,9 +71,8 @@ func NewTCP(self int, addrs []string, _ TCPOptions) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addrs[self], err)
 	}
 	t.ln = ln
-	t.wg.Add(2)
+	t.wg.Add(1)
 	go t.acceptLoop()
-	go t.selfLoop()
 	return t, nil
 }
 
@@ -131,17 +126,6 @@ func (t *TCP) Send(to int, frame []byte) error {
 	if closed {
 		return ErrClosed
 	}
-	if to == t.self {
-		cp := append([]byte(nil), frame...)
-		select {
-		case t.selfCh <- cp:
-			t.stats.Sent.Add(1)
-			return nil
-		default:
-			t.stats.Dropped.Add(1)
-			return fmt.Errorf("transport: self queue full (%d frames)", cap(t.selfCh))
-		}
-	}
 	buf, err := AppendFrame(nil, frame, DefaultMaxFrame)
 	if err != nil {
 		return err
@@ -167,9 +151,13 @@ func (t *TCP) Send(to int, frame []byte) error {
 }
 
 // dial opens the outbound connection to peer `to` and sends the hello
-// frame identifying this endpoint.
+// frame identifying this endpoint. Self is dialled at the bound
+// address, since addrs[self] may name port 0.
 func (t *TCP) dial(to int) (net.Conn, error) {
-	addr := t.peerAddr(to)
+	addr := t.Addr()
+	if to != t.self {
+		addr = t.peerAddr(to)
+	}
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial peer %d (%s): %w", to, addr, err)
@@ -242,23 +230,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// selfLoop delivers self-addressed frames asynchronously (so a handler
-// sending to itself can never deadlock on its own delivery).
-func (t *TCP) selfLoop() {
-	defer t.wg.Done()
-	for {
-		select {
-		case <-t.done:
-			return
-		case frame := <-t.selfCh:
-			if h := t.handler(); h != nil {
-				t.stats.Delivered.Add(1)
-				h(t.self, frame)
-			}
-		}
-	}
-}
-
 // Close implements Transport.
 func (t *TCP) Close() error {
 	t.mu.Lock()
@@ -272,7 +243,6 @@ func (t *TCP) Close() error {
 		conn.Close()
 	}
 	t.mu.Unlock()
-	close(t.done)
 	t.ln.Close()
 	for _, p := range t.peers {
 		p.mu.Lock()

@@ -29,29 +29,39 @@
 //
 // # The robustness contract (Resilient)
 //
-// All backends share one robustness layer, Resilient (resilient.go),
-// which turns a lossy fire-and-forget transport into bounded
-// at-least-once delivery:
+// All backends share one robustness layer, Resilient (resilient.go).
+// It adds no reliability of its own on the wire: TCP already delivers
+// in order, and the protocols above are built for channels that lose
+// and reorder messages, as the simulator checks them. The contract is:
 //
-//   - Every data frame carries a per-link sequence number and is
-//     retransmitted until acknowledged, with a per-link send timeout
-//     and exponential backoff plus seeded jitter between attempts
-//     (Policy.RetryBase doubling up to Policy.RetryCap, +/-
-//     Policy.JitterPct percent).
-//   - The retry budget is bounded (Policy.Budget attempts): exhaustion
-//     surfaces a typed *RetryError through OnDrop and the Dropped
-//     counter, and the link moves on to its next queued frame — a dead
-//     peer can delay a link, never wedge it.
+//   - At most once per accepted send: a frame the inner transport
+//     accepts is handed over once and never retransmitted. Chaos may
+//     still duplicate or reorder it, and a frame accepted into a dying
+//     connection is lost.
+//   - A send the inner transport refuses synchronously (a dial or
+//     write error, e.g. a peer that is restarting) is retried with
+//     exponential backoff plus seeded jitter (Policy.RetryBase
+//     doubling up to Policy.RetryCap, +/- Policy.JitterPct percent),
+//     and the frames sent after it wait behind it. The budget is
+//     bounded (Policy.Budget attempts): exhaustion surfaces a typed
+//     *RetryError through OnDrop and the Dropped counter, and the link
+//     moves on to its next queued frame — a dead peer can delay a
+//     link, never wedge it.
 //   - Heartbeat liveness is wired in from internal/fd: when
-//     Policy.Suspected reports a peer suspect, the link stops burning
-//     its retry budget and parks outgoing frames in a bounded queue
-//     (Policy.QueueCap). Beyond the cap frames are shed with a typed
+//     Policy.Suspected reports a peer suspect, the link parks outgoing
+//     frames in a bounded queue (Policy.QueueCap) instead of burning
+//     its retry budget. Beyond the cap frames are shed with a typed
 //     *ShedError and counted — never unbounded growth, never a hang. A
 //     probe timer (and Kick, invoked by the Runtime when a suspicion
 //     retracts) drains the queue once the peer looks alive again.
-//   - Delivery is at-least-once: an ack lost to the network means the
-//     frame is retransmitted and delivered twice. Protocol layers must
-//     be idempotent (rsm.Node dedups applies by message ID).
+//   - Loss is recovered by the protocols, which therefore tolerate
+//     duplicates (rsm.Node dedups applies by message ID): Synod retries
+//     its ballot, total-order broadcast fetches missing slots, gossips
+//     its frontier and relays a lingering payload, Ω heartbeats
+//     periodically, and a jobq worker re-proposes until its report
+//     applies. One gap remains: a client payload whose originating
+//     broadcast is lost on every link is never re-sent, and its
+//     command stays pending.
 //
 // # Running real protocol stacks
 //
@@ -66,12 +76,11 @@
 // fast path, in which case message values cross uncopied and the codec
 // is skipped. On the byte path a message to self never becomes a frame:
 // the Runtime queues the value and handles it in the same turn, after
-// the sending handler returns, so it costs no encode, sequence number,
-// ack or decode; and a broadcast is encoded once, its one frame handed
-// to every peer's link. cmd/basicsd builds a node binary, workload
-// driver, and kill -9 end-to-end harness on top;
-// internal/scenario/models/transport
-// drives the Loopback+Chaos stack through seeded fault schedules with
+// the sending handler returns, so it costs no encode, frame or decode;
+// and a broadcast is encoded once, its one frame handed to every
+// peer's link. cmd/basicsd builds a node binary, a workload and a
+// kill -9 end-to-end harness on top; internal/scenario/models/transport
+// runs the Loopback+Chaos stack through seeded fault schedules with
 // the linearizable-KV oracle.
 package transport
 
@@ -90,7 +99,8 @@ type Handler func(from int, frame []byte)
 // by ids in [0, n). Send is fire-and-forget at this layer: an error
 // reports a local, synchronous failure (closed transport, unreachable
 // peer, oversized frame); successful return does not imply delivery.
-// Wrap with Resilient for retry/timeout/backoff semantics.
+// Wrap with Resilient for the retry of refused sends and
+// suspected-peer parking.
 type Transport interface {
 	// Self returns this endpoint's id.
 	Self() int
@@ -115,9 +125,9 @@ type ValueHandler func(from int, msg any)
 // once sent (the Sim scheduler delivers values without copying), so an
 // in-process network may alias them; serialization buys nothing but
 // CPU time there. The Runtime uses this path automatically when the
-// transport provides it. Wrappers that need real bytes to do their job
-// (Chaos corruption, Resilient framing, TCP) simply don't implement
-// it, so fault injection and wire traffic keep the full codec.
+// transport provides it. Chaos (corruption needs real bytes), TCP and
+// Resilient don't implement it, so fault injection and wire traffic
+// keep the full codec.
 type ValueTransport interface {
 	// SendValue queues msg for delivery to peer `to`. Both ends must
 	// treat msg as immutable.
@@ -145,22 +155,21 @@ var (
 	ErrDown = errors.New("transport: peer down")
 )
 
-// RetryError reports that a frame exhausted its retry budget without
-// an acknowledgment. It wraps the last attempt's error (or a timeout).
+// RetryError reports that the inner transport refused every one of a
+// frame's Policy.Budget attempts. It wraps the last refusal.
 type RetryError struct {
 	To       int
-	Seq      uint64
 	Attempts int
 	Last     error
 }
 
 // Error implements error.
 func (e *RetryError) Error() string {
-	return fmt.Sprintf("transport: frame seq %d to peer %d dropped after %d attempts: %v",
-		e.Seq, e.To, e.Attempts, e.Last)
+	return fmt.Sprintf("transport: frame to peer %d dropped after %d refused attempts: %v",
+		e.To, e.Attempts, e.Last)
 }
 
-// Unwrap exposes the last attempt's error.
+// Unwrap exposes the last refusal.
 func (e *RetryError) Unwrap() error { return e.Last }
 
 // ShedError reports that a frame was shed because the link's bounded
@@ -179,16 +188,15 @@ func (e *ShedError) Error() string {
 // and may be read concurrently.
 type Stats struct {
 	// Sent counts frames handed to the underlying transport (including
-	// retransmissions and chaos duplicates).
+	// retries of refused sends and chaos duplicates).
 	Sent atomic.Uint64
 	// Delivered counts frames handed to the delivery upcall.
 	Delivered atomic.Uint64
-	// Acked counts acknowledged data frames (Resilient only).
-	Acked atomic.Uint64
-	// Retries counts retransmission attempts (Resilient only).
+	// Retries counts attempts after a refused one (Resilient only).
 	Retries atomic.Uint64
-	// Dropped counts frames abandoned after budget exhaustion
-	// (Resilient) or by chaos injection (Chaos).
+	// Dropped counts frames abandoned after budget exhaustion or
+	// arriving before a handler (Resilient), or by chaos injection
+	// (Chaos).
 	Dropped atomic.Uint64
 	// Shed counts frames rejected at the queue cap (Resilient only).
 	Shed atomic.Uint64
