@@ -6,10 +6,15 @@
 // -mutants more runs that mutate coverage-novel scenarios
 // (scenario.Campaign; -mutants=0 is plain independent-seed sampling).
 // Every failure is shrunk to a minimal reproducer and written to -out;
-// -corpus-out archives the coverage-novel scenarios:
+// -corpus-out archives the coverage-novel scenarios; -digests-out writes
+// one "model seed digest" line per generated seed (scenario.Result's
+// Digest), so a diff of two such files lists the seeds whose answers
+// moved. internal/scenario/models/testdata/digests.txt is that file for
+// seeds 1–120 of every model:
 //
 //	basicsfuzz -models=all -seeds=200
 //	basicsfuzz -models=abd,benor -seeds=500 -mutants=1500 -out=fuzz-repro -corpus-out=fuzz-corpus
+//	basicsfuzz -models=all -seeds=120 -digests-out=internal/scenario/models/testdata/digests.txt
 //
 // Replay mode re-runs one scenario — the invocation every harness
 // failure message prints:
@@ -43,6 +48,7 @@ func main() {
 		mutants    = flag.Int("mutants", 0, "runs per model spent mutating coverage-novel scenarios after the seeds")
 		outFlag    = flag.String("out", "", "directory to write found-crasher reproducers (empty = don't write)")
 		corpusOut  = flag.String("corpus-out", "", "directory to archive the coverage-novel scenarios")
+		digestsOut = flag.String("digests-out", "", "file to write one \"model seed digest\" line per generated seed")
 		verbose    = flag.Bool("v", false, "print run traces")
 	)
 	flag.Parse()
@@ -53,7 +59,7 @@ func main() {
 	case *modelFlag != "":
 		os.Exit(replaySeed(*modelFlag, *seedFlag, *verbose))
 	default:
-		os.Exit(campaign(*modelsFlag, *startFlag, *seedsFlag, *mutants, *outFlag, *corpusOut, *verbose))
+		os.Exit(campaign(*modelsFlag, *startFlag, *seedsFlag, *mutants, *outFlag, *corpusOut, *digestsOut, *verbose))
 	}
 }
 
@@ -115,7 +121,7 @@ func replay(m scenario.Model, sc *scenario.Scenario, verbose bool) int {
 	return 0
 }
 
-func campaign(names string, start, seeds uint64, mutants int, out, corpusDir string, verbose bool) int {
+func campaign(names string, start, seeds uint64, mutants int, out, corpusDir, digestsOut string, verbose bool) int {
 	selected := models.All()
 	if names != "all" {
 		selected = nil
@@ -129,17 +135,21 @@ func campaign(names string, start, seeds uint64, mutants int, out, corpusDir str
 		}
 	}
 	exit := 0
+	var digests strings.Builder
 	for _, m := range selected {
 		c := &scenario.Campaign{
 			Model: m, Start: start, Count: seeds, Mutants: mutants,
 			Log: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 		}
-		start := time.Now()
+		began := time.Now()
 		failures, stats := c.Run()
 		fmt.Printf("%s: %d runs (%d seeds + %d mutants), %d failures (%d unique), %d signatures (%d after seeds), corpus %d, %d completed + %d pending ops, %v wall\n",
 			m.Name(), stats.Runs, seeds, stats.Runs-int(seeds), stats.Failures, len(failures),
 			len(stats.Coverage), stats.SeedSignatures, len(stats.Corpus), stats.Completed, stats.Pending,
-			time.Since(start).Round(time.Millisecond))
+			time.Since(began).Round(time.Millisecond))
+		for i, d := range stats.Digests {
+			fmt.Fprintf(&digests, "%s %d %s\n", m.Name(), start+uint64(i), d)
+		}
 		if stats.ShrinkRuns > 0 {
 			fmt.Printf("  (shrinking spent %d runs)\n", stats.ShrinkRuns)
 		}
@@ -173,6 +183,12 @@ func campaign(names string, start, seeds uint64, mutants int, out, corpusDir str
 				}
 			}
 			fmt.Printf("  corpus archived to %s (%d scenarios)\n", corpusDir, len(stats.Corpus))
+		}
+	}
+	if digestsOut != "" {
+		if err := os.WriteFile(digestsOut, []byte(digests.String()), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		}
 	}
 	return exit

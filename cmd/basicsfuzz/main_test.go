@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distbasics/internal/scenario"
@@ -74,5 +77,34 @@ func TestCampaignWritesReproducer(t *testing.T) {
 	sound, _ := models.ByName("abd")
 	if sound.Run(dec).Failed {
 		t.Fatal("decoded reproducer fails even under the sound model")
+	}
+}
+
+func TestCampaignDigestsOutIsStable(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("digests%d.txt", i))
+		if code := campaign("abd,check,flp", 1, 4, 0, "", "", path, false); code != 0 {
+			t.Fatalf("campaign = %d, want 0", code)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two runs wrote different digests:\n%s\n%s", files[0], files[1])
+	}
+	lines := strings.Split(strings.TrimSuffix(string(files[0]), "\n"), "\n")
+	if len(lines) != 3*4 {
+		t.Fatalf("%d lines, want one per model × seed (12):\n%s", len(lines), files[0])
+	}
+	for i, line := range lines {
+		want := fmt.Sprintf("%s %d ", []string{"abd", "check", "flp"}[i/4], 1+i%4)
+		if !strings.HasPrefix(line, want) || len(line) != len(want)+16 {
+			t.Errorf("line %d = %q, want %q + 16 hex digits", i, line, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 )
@@ -39,6 +41,15 @@ func (r *Result) Failf(format string, args ...any) {
 
 // TraceString returns the trace as one newline-joined string.
 func (r *Result) TraceString() string { return strings.Join(r.Trace, "\n") }
+
+// Digest fingerprints everything a Result carries: the first 16 hex
+// digits of the sha256 of Failed|Reason|Completed|Pending|Trace. Two
+// engines, or two versions of one, answer a scenario alike iff their
+// digests match; basicsfuzz -digests-out writes one per generated seed.
+func (r *Result) Digest() string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%v|%v|%v|%v|%v", r.Failed, r.Reason, r.Completed, r.Pending, r.Trace))
+	return hex.EncodeToString(sum[:8])
+}
 
 // Model adapts one execution model to the harness. Implementations live
 // in internal/scenario/models; each wires a Scenario's ops, faults, and
@@ -119,6 +130,9 @@ type Stats struct {
 	// Corpus holds the coverage-novel scenarios, in discovery order
 	// (basicsfuzz -corpus-out writes them as .scenario files).
 	Corpus []*Scenario
+	// Digests holds Result.Digest of each generated seed, in seed order
+	// (mutants get none).
+	Digests []string
 }
 
 // Run executes the campaign. Every failing run is counted; the first
@@ -135,7 +149,7 @@ func (c *Campaign) Run() ([]Failure, Stats) {
 	var failures []Failure
 	stats := Stats{Coverage: make(map[string]bool)}
 	seenFail := make(map[string]bool)
-	try := func(sc *Scenario, f Failure) {
+	try := func(sc *Scenario, f Failure) *Result {
 		res := Run(c.Model, sc)
 		stats.Runs++
 		stats.Completed += res.Completed
@@ -148,7 +162,7 @@ func (c *Campaign) Run() ([]Failure, Stats) {
 			stats.Corpus = append(stats.Corpus, sc)
 		}
 		if !res.Failed {
-			return
+			return res
 		}
 		stats.Failures++
 		if shape := coverageShape(res.Reason); !seenFail[shape] {
@@ -165,9 +179,10 @@ func (c *Campaign) Run() ([]Failure, Stats) {
 			logf("%s: shrunk to %s in %d runs", c.Model.Name(), shrunk.Summary(), runs)
 			failures = append(failures, f)
 		}
+		return res
 	}
 	for seed := c.Start; seed < c.Start+c.Count; seed++ {
-		try(c.Model.Generate(seed), Failure{Seed: seed})
+		stats.Digests = append(stats.Digests, try(c.Model.Generate(seed), Failure{Seed: seed}).Digest())
 	}
 	stats.SeedSignatures = len(stats.Coverage)
 	mrng := NewRand(c.Start).Derive(0xFACADE)
