@@ -119,7 +119,7 @@
 // (crashes and recoveries, partitions and heals, message loss, timing
 // skew, explicit schedule choices) from a single uint64 seed and drives
 // any execution model through small adapters (internal/scenario/models:
-// abd, abdmulti, rsm, benor, universal, ampequiv, shmequiv, shmexplore,
+// abd, abdmulti, rsm, benor, universal, ampchatter, shmexec, shmexplore,
 // roundequiv, check, flp, dynnet, madv). Each adapter checks an oracle —
 // linearizability via internal/check, agreement/validity predicates, or
 // golden equivalence against a preserved legacy engine — and replay is

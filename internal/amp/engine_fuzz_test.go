@@ -1,7 +1,7 @@
 package amp_test
 
 // Seeded differential sweep of the two event engines on the scenario
-// harness: the "ampequiv" model runs the same chatter scenario through
+// harness: the "ampchatter" model runs the same chatter scenario through
 // the calendar queue and the legacy heap and requires identical traces,
 // stats, crash vectors, and final times. FuzzEngineEquivalence exposes
 // the same property as a native Go fuzz target (`go test -fuzz`), with
@@ -17,7 +17,7 @@ import (
 // TestEngineEquivalence drives 220 random seeded scenarios through both
 // engines and requires identical traces and state.
 func TestEngineEquivalence(t *testing.T) {
-	m := &models.AmpEquiv{}
+	m := &models.AmpChatter{}
 	for seed := uint64(1); seed <= 220; seed++ {
 		res := m.Run(m.Generate(seed))
 		if res.Failed {
@@ -30,7 +30,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 1234, 99999} {
 		f.Add(seed)
 	}
-	m := &models.AmpEquiv{}
+	m := &models.AmpChatter{}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		res := m.Run(m.Generate(seed))
 		if res.Failed {

@@ -18,8 +18,8 @@ import (
 // seedBudget balances coverage against runtime per model (rsm and
 // universal drive six-figure virtual-time simulations per seed).
 var seedBudget = map[string]uint64{
-	"abd": 6, "abdmulti": 2, "rsm": 2, "kv": 2, "jobq": 2, "benor": 6, "universal": 2, "ampequiv": 8,
-	"shmequiv": 10, "shmexplore": 4, "roundequiv": 1, "check": 15, "flp": 4,
+	"abd": 6, "abdmulti": 2, "rsm": 2, "kv": 2, "jobq": 2, "benor": 6, "universal": 2, "ampchatter": 8,
+	"shmexec": 10, "shmexplore": 4, "roundequiv": 1, "check": 15, "flp": 4,
 	"dynnet": 10, "madv": 6, "transport": 2,
 }
 

@@ -134,7 +134,6 @@ func (*FLP) Run(sc *scenario.Scenario) *scenario.Result {
 	serial := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes})
 	par := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, Workers: 4})
 	res.Tracef("proto=%T n=%d inputs=%v crashes=%d", proto, n, inputs, crashes)
-	res.Tracef("legacy: %s configs=%d", flpReportDigest(legacy), legacy.Configs)
 	res.Tracef("serial: %s configs=%d", flpReportDigest(serial), serial.Configs)
 	res.Tracef("parallel: %s configs=%d", flpReportDigest(par), par.Configs)
 	if d := flpReportDigest(serial); d != flpReportDigest(legacy) || serial.Configs != legacy.Configs {

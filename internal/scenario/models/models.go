@@ -39,8 +39,8 @@ func All() []scenario.Model {
 		&Transport{},
 		&BenOr{},
 		&Universal{},
-		&AmpEquiv{},
-		&ShmEquiv{},
+		&AmpChatter{},
+		&ShmExec{},
 		&ShmExplore{},
 		&RoundEquiv{},
 		&Check{},

@@ -9,26 +9,29 @@ import (
 	"distbasics/internal/shm"
 )
 
-// ShmEquiv is the differential model for the shared-memory engines: the
-// rebuilt coroutine-arena engine (shm.Execute) must produce outcomes
-// identical to the seed-era channel engine (shm.ExecuteLegacy) for the
-// same program under the same policy, across racy bodies, crashes,
-// cutoffs, and solo schedules. The scenario's Ops carry one process
-// body descriptor each (Key = body shape, Val = repetitions), so the
-// shrinker can peel processes off a divergence.
-type ShmEquiv struct{}
+// ShmExec runs seeded racy programs on the shared-memory engine
+// (shm.Execute) across crashes, cutoffs and solo schedules. Its oracle
+// shares no code with the engine: the Outcome's books balance — Steps
+// is the sum of StepsBy, no process both finished and crashed, a crashed
+// process has no output, Cutoff and Stopped are not both set, and with
+// neither set every process finished or crashed. The coroutine engine
+// must also match the seed-era channel engine (shm.ExecuteLegacy). The
+// scenario's Ops carry one process body descriptor each (Key = body
+// shape, Val = repetitions), so the shrinker can peel processes off a
+// failure.
+type ShmExec struct{}
 
 // Name implements scenario.Model.
-func (*ShmEquiv) Name() string { return "shmequiv" }
+func (*ShmExec) Name() string { return "shmexec" }
 
 // shmBodyKinds is the number of body shapes in buildShmRun.
 const shmBodyKinds = 5
 
 // Generate implements scenario.Model.
-func (*ShmEquiv) Generate(seed uint64) *scenario.Scenario {
+func (*ShmExec) Generate(seed uint64) *scenario.Scenario {
 	rng := scenario.NewRand(seed)
 	n := 1 + rng.Intn(4)
-	sc := &scenario.Scenario{Model: "shmequiv", Seed: seed, Procs: n}
+	sc := &scenario.Scenario{Model: "shmexec", Seed: seed, Procs: n}
 	for i := 0; i < n; i++ {
 		sc.Ops = append(sc.Ops, scenario.Op{
 			Proc: i, Kind: scenario.OpBody,
@@ -125,7 +128,7 @@ func shmPolicyFor(sc *scenario.Scenario) (func() shm.Policy, int) {
 }
 
 // Run implements scenario.Model.
-func (*ShmEquiv) Run(sc *scenario.Scenario) *scenario.Result {
+func (*ShmExec) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
 	if len(sc.Ops) == 0 {
 		res.Tracef("degenerate: no bodies")
@@ -135,14 +138,42 @@ func (*ShmEquiv) Run(sc *scenario.Scenario) *scenario.Result {
 	got := shm.Execute(buildShmRun(sc), mkPolicy(), maxSteps)
 	want := shm.ExecuteLegacy(buildShmRun(sc), mkPolicy(), maxSteps)
 	res.Tracef("bodies=%d maxSteps=%d", len(sc.Ops), maxSteps)
-	res.Tracef("new:    %s", outcomeString(got))
-	res.Tracef("legacy: %s", outcomeString(want))
+	res.Tracef("outcome: %s", outcomeString(got))
 	if !reflect.DeepEqual(got, want) {
 		res.Failf("engine outcomes diverge: new %s, legacy %s", outcomeString(got), outcomeString(want))
 		return res
 	}
+	if msg := unbalancedBooks(got); msg != "" {
+		res.Failf("%s", msg)
+	}
 	res.Completed = got.Steps
 	return res
+}
+
+// unbalancedBooks describes the first way o's accounting is
+// inconsistent ("" if it balances).
+func unbalancedBooks(o *shm.Outcome) string {
+	sum := 0
+	for _, s := range o.StepsBy {
+		sum += s
+	}
+	if sum != o.Steps {
+		return fmt.Sprintf("Steps = %d but StepsBy sums to %d", o.Steps, sum)
+	}
+	if o.Cutoff && o.Stopped {
+		return "Cutoff and Stopped both set"
+	}
+	for i := range o.Finished {
+		switch {
+		case o.Finished[i] && o.Crashed[i]:
+			return fmt.Sprintf("process %d both finished and crashed", i)
+		case o.Crashed[i] && o.Outputs[i] != nil:
+			return fmt.Sprintf("crashed process %d has output %v", i, o.Outputs[i])
+		case !o.Cutoff && !o.Stopped && !o.Finished[i] && !o.Crashed[i]:
+			return fmt.Sprintf("process %d neither finished nor crashed in a complete run", i)
+		}
+	}
+	return ""
 }
 
 // outcomeString renders an Outcome deterministically.

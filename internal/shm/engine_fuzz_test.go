@@ -1,7 +1,7 @@
 package shm_test
 
 // Seeded differential sweep of the controlled-execution engines on the
-// scenario harness: the "shmequiv" model runs the same random program —
+// scenario harness: the "shmexec" model runs the same random program —
 // racy bodies, crashes, cutoffs, solo schedules — through the rebuilt
 // coroutine engine and the seed-era channel engine and requires
 // identical outcomes. FuzzExecuteEquivalence exposes the same property
@@ -16,7 +16,7 @@ import (
 )
 
 func TestExecuteMatchesLegacy(t *testing.T) {
-	m := &models.ShmEquiv{}
+	m := &models.ShmExec{}
 	for seed := uint64(0); seed < 120; seed++ {
 		res := m.Run(m.Generate(seed))
 		if res.Failed {
@@ -43,7 +43,7 @@ func FuzzExecuteEquivalence(f *testing.F) {
 	for _, seed := range []uint64{0, 3, 17, 256, 88888} {
 		f.Add(seed)
 	}
-	m := &models.ShmEquiv{}
+	m := &models.ShmExec{}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		res := m.Run(m.Generate(seed))
 		if res.Failed {
