@@ -10,6 +10,21 @@
 // claim-vs-measured harness (experiments E0–E16), the three daemons, and
 // the one benchmark, bench/.
 //
+// # Definitions no engine runs
+//
+// Three packages state a definition of the paper and check it with their
+// own tests, and no engine, model or daemon builds on them, so each has
+// exactly one non-test importer, cmd/basicsbench, whose experiments
+// measure them: internal/core (§2's task — input vectors, output vectors
+// and the relation T — and the model descriptors; E0), internal/central
+// (§2.4's centralized solution to any task, which blocks once the
+// coordinator crashes; E0) and internal/procadv (§5.4's process
+// adversaries, the core/survivor-set duality and the A-resilient gather
+// harness; E15). They stay packages: folded into cmd/basicsbench they
+// would be an experiment's private helpers with no test of their own,
+// and folded into an engine package they would be code the engine never
+// calls.
+//
 // # The synchronous round engine
 //
 // The synchronous experiments (E1–E3 and the LOCAL-model examples) run on
@@ -33,9 +48,10 @@
 // with heal, timing skew) replaces ad-hoc network-fault hooks; process
 // faults are the simulator's crash windows (a pause) and kills.
 // That is what lets E9 run ABD registers at n=2048 and E10 the replicated
-// state machine at n=1024. The rewrite is fenced three ways: a legacy-heap
-// shim held to identical delivery orders over hundreds of seeded
-// adversarial scenarios, schedule-fuzzed ABD histories checked by
+// state machine at n=1024. The rewrite is fenced three ways: the delivery
+// orders the replaced heap gave on hundreds of seeded adversarial
+// scenarios, frozen as the ampchatter model's digests before the heap
+// was deleted, schedule-fuzzed ABD histories checked by
 // internal/check's linearizability checker, and termination/agreement
 // property tests for Ben-Or and indulgent consensus under drop
 // adversaries. See the internal/amp package documentation for the
@@ -55,10 +71,9 @@
 // are enumerated without re-executing interior tree nodes, and can fan
 // the top-level decision frontier out across parallel workers while
 // still reporting the first violation in depth-first order. The seed
-// engine and explorer survive behind shm.ExecuteLegacy and
-// shm.ExploreOpts.Legacy; differential tests hold the rebuilt paths to
-// identical outcomes, execution counts, and violation schedules. The
-// speedup (more than an order of magnitude per explored execution in E4)
+// engine and explorer are deleted; the outcomes, execution counts and
+// violation schedules they agreed on are frozen in the shmexec and
+// shmexplore models' digests and in pinned tests. The speedup (more than an order of magnitude per explored execution in E4)
 // is spent on scale: uncapped register-violation search, exhaustive n=3
 // hierarchy entries with two crashes, the universal construction at n=8
 // with 64 ops per process, and obstruction-free k-set agreement at n=64.
@@ -79,10 +94,12 @@
 // explorer — the FLP impossibility of §2.4/§5.1 made executable —
 // identifies configurations by canonical binary encodings over interned
 // states, explores copy-on-write with undo instead of cloning, and fans
-// the root's branches across Options.Workers. Both seed engines
-// survive (check.LinearizableLegacy, flp.Options.Legacy) as oracles for
-// randomized equivalence property tests: identical verdicts, witness
-// orders, explored-state and configuration counts. Every linearization
+// the root's branches across Options.Workers. The seed checker survives
+// (check.LinearizableLegacy) as the oracle of randomized equivalence
+// property tests — identical verdicts, witness orders and explored-state
+// counts — because it is the only second opinion on linearizability.
+// The seed flp explorer is deleted; the configuration counts it agreed on
+// are frozen in the flp model's digests and a pinned table. Every linearization
 // witness the suite produces replays through check.ValidateOrder. The
 // speedup funds the fences: schedule-fuzzed multi-register ABD and RSM
 // histories and universal-construction KV histories of 200+ operations
@@ -106,9 +123,10 @@
 // crash p, ascending — for the schedule-equality fences, where the
 // reduction takes steps before crashes. The reduction is fenced
 // differentially: randomized program families run under full
-// enumeration, serial DPOR, parallel DPOR, and the legacy engines,
-// requiring identical violation presence, replayable violation
-// schedules, and exact serial/parallel agreement; the fences are
+// enumeration, serial DPOR and parallel DPOR, requiring identical
+// violation presence, replayable violation schedules, exact
+// serial/parallel agreement, and full-search answers equal to the
+// deleted seed explorers' (pinned digests); the fences are
 // mutation-verified by wiring deliberately-wrong dependence relations
 // and requiring the fences to catch them.
 //
@@ -119,12 +137,22 @@
 // (crashes and recoveries, partitions and heals, message loss, timing
 // skew, explicit schedule choices) from a single uint64 seed and drives
 // any execution model through small adapters (internal/scenario/models:
-// abd, abdmulti, rsm, benor, universal, ampchatter, shmexec, shmexplore,
-// roundequiv, check, flp, dynnet, madv). Each adapter checks an oracle —
-// linearizability via internal/check, agreement/validity predicates, or
-// golden equivalence against a preserved legacy engine — and replay is
-// byte-stable: the same scenario always produces the identical trace
-// and verdict, which determinism tests assert per adapter. The harness
+// abd, abdmulti, rsm, kv, jobq, transport, benor, universal, ampchatter,
+// shmexec, shmexplore, roundequiv, check, flp, dynnet, madv). Each
+// adapter checks an oracle — linearizability via internal/check,
+// agreement/validity predicates, invariants that share no code with the
+// engine (balanced message and step books), or serial against parallel
+// search — and replay is byte-stable: the same scenario always produces
+// the identical trace and verdict, which determinism tests assert per
+// adapter. Each run's Result has a digest (the sha256 of its verdict,
+// counts and trace), and internal/scenario/models/testdata/digests.txt
+// holds it for seeds 1–120 of every model: written by
+//
+//	go run ./cmd/basicsfuzz -models=all -seeds=120 -digests-out=internal/scenario/models/testdata/digests.txt
+//
+// and checked by CI with git diff, so a change that moves any model's
+// answers shows as the list of moved seeds. It is also where the deleted
+// seed engines' answers live (see the models package). The harness
 // is mutation-verified: deliberately weakened algorithms (an ABD read
 // quorum below majority, a Ben-Or coin that ignores phase-2 reports)
 // are caught by the oracles and shrunk to pinned minimal reproducers.
@@ -158,10 +186,9 @@
 //	go run ./cmd/basicsfuzz -models=all -seeds=500 -out=repro/
 //
 // and the native Go fuzz targets (FuzzCheckerEquivalence in
-// internal/check, FuzzEngineEquivalence in internal/amp,
-// FuzzExecuteEquivalence in internal/shm, FuzzCodecRoundTrip in
-// internal/transport) expose the same properties to `go test -fuzz`,
-// with seed corpora under each package's testdata/fuzz. CI runs a short
+// internal/check, FuzzCodecRoundTrip in internal/transport) expose the
+// checker's equivalence and the frame codec to `go test -fuzz`, with
+// seed corpora under each package's testdata/fuzz. CI runs a short
 // smoke of each target on every PR and a nightly large-budget campaign
 // across all models, uploading any found reproducers as artifacts.
 //

@@ -14,8 +14,7 @@ import "math/rand"
 // Adversaries carry their own seeded randomness (never the simulator's
 // delay stream), so installing one cannot perturb message delays or
 // per-process random draws — a run with and without an adversary differs
-// only by the adversary's own verdicts, and the calendar-queue and
-// legacy-heap engines see bit-identical adversary behavior.
+// only by the adversary's own verdicts.
 
 // Verdict is an adversary's decision on one message.
 type Verdict struct {

@@ -29,10 +29,10 @@
 // reused across deliveries, and per-process rand sources materialize
 // lazily from pre-drawn seeds, which together make steady-state
 // simulation allocation-free — the difference between E9/E10 at n=5 and
-// at n in the thousands. The pre-rewrite binary-heap loop survives behind
-// WithHeapEvents; equivalence_test.go holds both engines to identical
-// delivery orders and process states across hundreds of seeded
-// adversarial scenarios.
+// at n in the thousands. The binary-heap loop it replaced is deleted: the
+// answers both engines agreed on are frozen in the ampchatter model's
+// per-seed digests (internal/scenario/models/testdata/digests.txt) and in
+// equivalence_test.go.
 //
 // # Adversaries
 //

@@ -8,8 +8,7 @@ import "container/heap"
 // wait in a small overflow heap. Delays in this repository are almost
 // always tiny (FixedDelay Δ, heartbeat periods, post-GST bounds), so the
 // ring absorbs the hot path; only pre-GST "arbitrary" delays touch the
-// overflow heap, which is exactly the structure the whole queue used to
-// be.
+// overflow heap.
 const calWidth Time = 32
 
 // calBucket holds every queued event of one virtual-time tick, in push
@@ -22,8 +21,8 @@ type calBucket struct {
 }
 
 // calQueue is a calendar (timing-wheel) event queue with an overflow
-// heap. It yields events in exactly the (at, seq) order of the binary
-// heap it replaces:
+// heap. It yields events in (at, seq) order, as one binary heap over
+// every event would:
 //
 //   - buckets are visited in increasing time order;
 //   - within a bucket, events drain in append order, which is seq order;
@@ -121,3 +120,24 @@ func (q *calQueue) pop(until Time) *event {
 
 // len reports the number of queued events.
 func (q *calQueue) len() int { return q.ring + len(q.over) }
+
+// eventHeap is the overflow: a binary heap in (at, seq) order.
+type eventHeap []*event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}

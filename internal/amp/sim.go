@@ -1,7 +1,6 @@
 package amp
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -16,9 +15,8 @@ import (
 // an array read instead of two O(log n) heap fix-ups, and all deliveries
 // sharing a timestamp drain from one bucket as a batch. Event records are
 // pooled and reused across deliveries, so a quiescent-state simulation
-// allocates nothing per message. The legacy binary-heap event loop is
-// kept behind WithHeapEvents for differential testing; both engines yield
-// the identical (time, sequence-number) event order.
+// allocates nothing per message. Events leave the queue in (time,
+// sequence-number) order.
 //
 // Network faults are Adversaries (adversary.go); process faults are the
 // CrashAt/KillAt/RecoverAt/CrashAfterSends calls. A crash window is a
@@ -33,10 +31,8 @@ type Sim struct {
 	seq   uint64
 	now   Time
 
-	q      calQueue
-	events eventHeap // legacy engine (WithHeapEvents)
-	legacy bool
-	pool   []*event
+	q    calQueue
+	pool []*event
 
 	advs []Adversary
 
@@ -64,14 +60,6 @@ func WithDelay(d DelayModel) SimOption {
 // per-process Rand sources derive from it). Default seed 1.
 func WithSeed(seed int64) SimOption {
 	return func(s *Sim) { s.rng = newRand(seed) }
-}
-
-// WithHeapEvents selects the legacy binary-heap event queue the simulator
-// used before the calendar-queue rewrite. It exists so differential tests
-// can hold both engines to identical delivery orders; there is no reason
-// to use it otherwise.
-func WithHeapEvents() SimOption {
-	return func(s *Sim) { s.legacy = true }
 }
 
 // NewSim builds a simulator over the given processes (procs[i] is process
@@ -152,26 +140,6 @@ type event struct {
 	fn   func() // closures, and After's timers instead of OnTimer
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // newEvent takes a record from the pool (or allocates one) — the pool is
 // what keeps steady-state simulation allocation-free.
 func (s *Sim) newEvent() *event {
@@ -192,26 +160,7 @@ func (s *Sim) freeEvent(e *event) {
 func (s *Sim) push(e *event) {
 	e.seq = s.seq
 	s.seq++
-	if s.legacy {
-		heap.Push(&s.events, e)
-		return
-	}
 	s.q.push(e)
-}
-
-// popNext dequeues the earliest event, honoring the until bound (0 = no
-// bound); it returns nil when the run should stop.
-func (s *Sim) popNext(until Time) *event {
-	if s.legacy {
-		if len(s.events) == 0 {
-			return nil
-		}
-		if until > 0 && s.events[0].at > until {
-			return nil
-		}
-		return heap.Pop(&s.events).(*event)
-	}
-	return s.q.pop(until)
 }
 
 // Now returns the current virtual time.
@@ -236,12 +185,7 @@ func (s *Sim) MessagesDropped() int { return s.dropped }
 // QueuedEvents reports how many events are pending (in-flight messages,
 // armed timers, scheduled closures and crash/recovery injections); the
 // timers a crash window parked are not queued until RecoverAt.
-func (s *Sim) QueuedEvents() int {
-	if s.legacy {
-		return len(s.events)
-	}
-	return s.q.len()
-}
+func (s *Sim) QueuedEvents() int { return s.q.len() }
 
 // Schedule runs fn at virtual time at (>= now) inside the event loop —
 // the mechanism for test drivers ("clients") to invoke protocol
@@ -349,7 +293,7 @@ func (s *Sim) Run(until Time) int {
 	s.initOnce()
 	processed := 0
 	for {
-		e := s.popNext(until)
+		e := s.q.pop(until)
 		if e == nil {
 			break
 		}

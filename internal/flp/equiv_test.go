@@ -1,103 +1,113 @@
 package flp_test
 
-// Equivalence fencing for the rebuilt explorer, running on the shared
-// scenario harness: the "flp" model draws a protocol (shipped wait-all
-// / wait-majority or a seeded lottery protocol — models.LotteryProto),
-// inputs, and a crash budget from each seed and requires the rebuilt
-// serial engine and the parallel frontier to match the preserved seed
-// engine (Options.Legacy) on Decided sets, valence, violation
-// classification, and Configs counts. The deterministic exhaustive pins
-// (every input vector of the shipped protocols, truncation,
-// uncomparable message bodies, large decision values, structured
-// violation messages) stay explicit below.
+// Frozen answers of the seed explorer (Sprintf keys, full clones),
+// recorded while it ran beside the rebuilt search and agreed with it:
+// every input vector of the shipped protocols with and without a crash,
+// uncomparable message bodies, and large decision values. The seeded
+// random sweep that compared the two engines is frozen in the flp
+// model's digests (internal/scenario/models/testdata/digests.txt).
 
 import (
 	"fmt"
 	"testing"
 
 	"distbasics/internal/flp"
-	"distbasics/internal/scenario"
-	"distbasics/internal/scenario/models"
 )
 
-// reportsEquivalent asserts full serial equivalence (Configs included).
-func reportsEquivalent(t *testing.T, label string, legacy, got flp.Report) {
-	t.Helper()
-	for v := 0; v <= 1; v++ {
-		if got.Decided[v] != legacy.Decided[v] {
-			t.Errorf("%s: Decided[%d]=%v, legacy %v", label, v, got.Decided[v], legacy.Decided[v])
+// reportDigest renders the Report fields the seed engine was compared
+// on, as the flp model's trace renders them.
+func reportDigest(r flp.Report) string {
+	b := func(x bool) string {
+		if x {
+			return "1"
 		}
+		return "0"
 	}
-	if got.Valence() != legacy.Valence() {
-		t.Errorf("%s: valence %v, legacy %v", label, got.Valence(), legacy.Valence())
-	}
-	if (got.AgreementViolation != "") != (legacy.AgreementViolation != "") {
-		t.Errorf("%s: agreement violation %q, legacy %q", label, got.AgreementViolation, legacy.AgreementViolation)
-	}
-	if (got.TerminationViolation != "") != (legacy.TerminationViolation != "") {
-		t.Errorf("%s: termination violation %q, legacy %q", label, got.TerminationViolation, legacy.TerminationViolation)
-	}
-	if got.Truncated != legacy.Truncated {
-		t.Errorf("%s: Truncated=%v, legacy %v", label, got.Truncated, legacy.Truncated)
-	}
-	if got.Configs != legacy.Configs {
-		t.Errorf("%s: Configs %d, legacy %d", label, got.Configs, legacy.Configs)
-	}
+	return "decided=" + b(r.Decided[0]) + b(r.Decided[1]) +
+		" valence=" + r.Valence().String() +
+		" agreementViolated=" + b(r.AgreementViolation != "") +
+		" terminationViolated=" + b(r.TerminationViolation != "") +
+		" truncated=" + b(r.Truncated)
 }
 
-// allInputs enumerates every binary input vector of length n.
-func allInputs(n int) [][]int {
-	var out [][]int
-	for bits := 0; bits < 1<<uint(n); bits++ {
-		inputs := make([]int, n)
-		for i := range inputs {
-			inputs[i] = (bits >> uint(i)) & 1
-		}
-		out = append(out, inputs)
-	}
-	return out
+// shippedGoldens is the seed engine's (reportDigest, Configs) for every
+// input vector of both shipped candidates at n = 2 and 3, with and
+// without a crash.
+var shippedGoldens = []struct {
+	proto   flp.Protocol
+	inputs  []int
+	crashes int
+	digest  string
+	configs int
+}{
+	{flp.WaitAll{Procs: 2}, []int{0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitAll{Procs: 2}, []int{1, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitAll{Procs: 2}, []int{0, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitAll{Procs: 2}, []int{1, 1}, 0, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitAll{Procs: 2}, []int{0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitAll{Procs: 2}, []int{1, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitAll{Procs: 2}, []int{0, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitAll{Procs: 2}, []int{1, 1}, 1, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitMajority{Procs: 2}, []int{0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitMajority{Procs: 2}, []int{1, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitMajority{Procs: 2}, []int{0, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitMajority{Procs: 2}, []int{1, 1}, 0, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=0 truncated=0", 7},
+	{flp.WaitMajority{Procs: 2}, []int{0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitMajority{Procs: 2}, []int{1, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitMajority{Procs: 2}, []int{0, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitMajority{Procs: 2}, []int{1, 1}, 1, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=1 truncated=0", 27},
+	{flp.WaitAll{Procs: 3}, []int{0, 0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{1, 0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{0, 1, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{1, 1, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{0, 0, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{1, 0, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{0, 1, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{1, 1, 1}, 0, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+	{flp.WaitAll{Procs: 3}, []int{0, 0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{1, 0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{0, 1, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{1, 1, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{0, 0, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{1, 0, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{0, 1, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitAll{Procs: 3}, []int{1, 1, 1}, 1, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	{flp.WaitMajority{Procs: 3}, []int{0, 0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{1, 0, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{0, 1, 0}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{1, 1, 0}, 0, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{0, 0, 1}, 0, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{1, 0, 1}, 0, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, 0, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{1, 1, 1}, 0, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=0 truncated=0", 141},
+	{flp.WaitMajority{Procs: 3}, []int{0, 0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{1, 0, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{0, 1, 0}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{1, 1, 0}, 1, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{0, 0, 1}, 1, "decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{1, 0, 1}, 1, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, 1, "decided=11 valence=bivalent agreementViolated=1 terminationViolated=0 truncated=0", 843},
+	{flp.WaitMajority{Procs: 3}, []int{1, 1, 1}, 1, "decided=01 valence=1-valent agreementViolated=0 terminationViolated=0 truncated=0", 843},
 }
 
-// TestExploreMatchesLegacyOnShippedProtocols keeps the exhaustive
-// deterministic pin: every input vector, both shipped candidates, with
-// and without crashes.
 func TestExploreMatchesLegacyOnShippedProtocols(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		for _, proto := range []flp.Protocol{flp.WaitAll{Procs: n}, flp.WaitMajority{Procs: n}} {
-			for _, crashes := range []int{0, 1} {
-				for _, inputs := range allInputs(n) {
-					legacy := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, Legacy: true})
-					got := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes})
-					label := fmt.Sprintf("%T n=%d crashes=%d inputs=%v", proto, n, crashes, inputs)
-					reportsEquivalent(t, label, legacy, got)
-				}
-			}
+	for _, g := range shippedGoldens {
+		got := flp.Explore(g.proto, g.inputs, flp.Options{MaxCrashes: g.crashes})
+		if d := reportDigest(got); d != g.digest || got.Configs != g.configs {
+			t.Errorf("%T n=%d crashes=%d inputs=%v: %s configs=%d, golden %s configs=%d",
+				g.proto, g.proto.N(), g.crashes, g.inputs, d, got.Configs, g.digest, g.configs)
 		}
 	}
 }
 
-// TestExploreMatchesLegacyOnSeededScenarios is the randomized sweep on
-// the harness: legacy vs. serial vs. parallel (shared-dedup Configs
-// equality included) per seed, with the exact replay invocation on
-// failure. It subsumes the pre-harness lottery-protocol and
-// parallel-vs-serial sweeps.
-func TestExploreMatchesLegacyOnSeededScenarios(t *testing.T) {
-	m := &models.FLP{}
-	for seed := uint64(1); seed <= 60; seed++ {
-		res := m.Run(m.Generate(seed))
-		if res.Failed {
-			scenario.Reportf(t, m.Name(), seed, "explorer equivalence broken: %s", res.Reason)
-		}
-	}
-}
-
-// TestExploreTruncationBothEngines pins the truncation contract on both
-// engines (counts under truncation are engine-specific, the flag isn't).
+// TestExploreTruncationBothEngines pins the truncation contract on the
+// serial and the parallel search (counts under truncation are
+// engine-specific, the flag isn't).
 func TestExploreTruncationBothEngines(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, MaxConfigs: 3, Legacy: legacy})
+	for _, workers := range []int{1, 4} {
+		rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, MaxConfigs: 3, Workers: workers})
 		if !rep.Truncated {
-			t.Errorf("legacy=%v: MaxConfigs=3 must truncate", legacy)
+			t.Errorf("workers=%d: MaxConfigs=3 must truncate", workers)
 		}
 	}
 }
@@ -128,19 +138,28 @@ func (p sliceBodyProto) Deliver(pid int, st flp.State, from int, body any) (flp.
 func (p sliceBodyProto) Decision(st flp.State) (int, bool) { return p.inner.Decision(st) }
 
 // TestUncomparableBodiesMatchLegacy: protocols with slice-valued
-// message bodies must not panic on the rebuilt path and must report the
-// same results as the seed engine.
+// message bodies must not panic and must report what the seed engine
+// reported.
 func TestUncomparableBodiesMatchLegacy(t *testing.T) {
 	proto := sliceBodyProto{inner: flp.WaitAll{Procs: 3}}
-	for _, crashes := range []int{0, 1} {
-		legacy := flp.Explore(proto, []int{0, 1, 1}, flp.Options{MaxCrashes: crashes, Legacy: true})
+	golden := []struct {
+		digest  string
+		configs int
+	}{
+		{"decided=10 valence=0-valent agreementViolated=0 terminationViolated=0 truncated=0", 80},
+		{"decided=10 valence=0-valent agreementViolated=0 terminationViolated=1 truncated=0", 614},
+	}
+	for crashes, g := range golden {
 		got := flp.Explore(proto, []int{0, 1, 1}, flp.Options{MaxCrashes: crashes})
-		reportsEquivalent(t, fmt.Sprintf("slice bodies crashes=%d", crashes), legacy, got)
+		if d := reportDigest(got); d != g.digest || got.Configs != g.configs {
+			t.Errorf("slice bodies crashes=%d: %s configs=%d, golden %s configs=%d",
+				crashes, d, got.Configs, g.digest, g.configs)
+		}
 	}
 }
 
 // bigDecisionProto wraps WaitAll but reports decisions shifted far past
-// int8 range — the legacy engine handled arbitrary decision values, so
+// int8 range — the seed engine handled arbitrary decision values, so
 // the rebuilt decision cache must too.
 type bigDecisionProto struct{ inner flp.WaitAll }
 
@@ -160,16 +179,11 @@ func (p bigDecisionProto) Decision(st flp.State) (int, bool) {
 }
 
 func TestLargeDecisionValuesMatchLegacy(t *testing.T) {
-	proto := bigDecisionProto{inner: flp.WaitAll{Procs: 2}}
-	legacy := flp.Explore(proto, []int{1, 1}, flp.Options{Legacy: true})
-	got := flp.Explore(proto, []int{1, 1}, flp.Options{})
-	if !legacy.Decided[201] {
-		t.Fatalf("legacy oracle broken: Decided=%v", legacy.Decided)
-	}
-	if !got.Decided[201] || got.Configs != legacy.Configs ||
-		(got.TerminationViolation != "") != (legacy.TerminationViolation != "") {
-		t.Fatalf("large decisions diverge: legacy Decided=%v configs=%d term=%q; new Decided=%v configs=%d term=%q",
-			legacy.Decided, legacy.Configs, legacy.TerminationViolation,
+	got := flp.Explore(bigDecisionProto{inner: flp.WaitAll{Procs: 2}}, []int{1, 1}, flp.Options{})
+	// The seed engine decided only 201, over 7 configurations, and found
+	// no termination violation.
+	if fmt.Sprint(got.Decided) != "map[201:true]" || got.Configs != 7 || got.TerminationViolation != "" {
+		t.Fatalf("large decisions: Decided=%v configs=%d term=%q, golden map[201:true] configs=7 no violation",
 			got.Decided, got.Configs, got.TerminationViolation)
 	}
 }
@@ -178,22 +192,20 @@ func TestLargeDecisionValuesMatchLegacy(t *testing.T) {
 // and values, and never embed a rendered configuration (the seed's %#v
 // keys grew unbounded with n).
 func TestViolationMessagesAreStructured(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, Legacy: legacy})
-		if rep.AgreementViolation == "" {
-			t.Fatalf("legacy=%v: expected an agreement violation", legacy)
-		}
-		if len(rep.AgreementViolation) > 160 {
-			t.Errorf("legacy=%v: agreement violation message too long (%d bytes): %q",
-				legacy, len(rep.AgreementViolation), rep.AgreementViolation)
-		}
-		repAll := flp.Explore(flp.WaitAll{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, Legacy: legacy})
-		if repAll.TerminationViolation == "" {
-			t.Fatalf("legacy=%v: expected a termination violation", legacy)
-		}
-		if len(repAll.TerminationViolation) > 160 {
-			t.Errorf("legacy=%v: termination violation message too long (%d bytes): %q",
-				legacy, len(repAll.TerminationViolation), repAll.TerminationViolation)
-		}
+	rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1})
+	if rep.AgreementViolation == "" {
+		t.Fatal("expected an agreement violation")
+	}
+	if len(rep.AgreementViolation) > 160 {
+		t.Errorf("agreement violation message too long (%d bytes): %q",
+			len(rep.AgreementViolation), rep.AgreementViolation)
+	}
+	repAll := flp.Explore(flp.WaitAll{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1})
+	if repAll.TerminationViolation == "" {
+		t.Fatal("expected a termination violation")
+	}
+	if len(repAll.TerminationViolation) > 160 {
+		t.Errorf("termination violation message too long (%d bytes): %q",
+			len(repAll.TerminationViolation), repAll.TerminationViolation)
 	}
 }

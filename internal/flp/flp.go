@@ -87,10 +87,11 @@
 // order-independent fixpoint, DPOR or not. Reports merge
 // deterministically in branch order.
 //
-// The seed explorer is preserved behind Options.Legacy and fenced by
-// equivalence property tests: identical Decided sets, valences,
-// violation classifications, and Configs counts against the full
-// search; the full search in turn is the reference the reduction is
+// The seed explorer (Sprintf keys, full clones) is deleted. The Decided
+// sets, valences, violation classifications and Configs counts it agreed
+// on are frozen in the flp model's digests
+// (internal/scenario/models/testdata/digests.txt) and in equiv_test.go's
+// table; the full search in turn is the reference the reduction is
 // fenced against (dpor_test.go).
 package flp
 
@@ -225,17 +226,13 @@ type Options struct {
 	// under MaxConfigs is approximate because the budget races across
 	// workers, and violation message details may differ run to run.
 	Workers int
-	// Legacy runs the seed explorer (Sprintf keys, full clones) instead
-	// of the rebuilt engine — the oracle for equivalence tests.
-	Legacy bool
 	// DPOR enables dynamic partial-order reduction (see the package
 	// comment): deliveries to different processes commute, so the search
 	// prunes reorderings of independent deliveries and crashes with
 	// per-node sleep masks. Decided sets, valences, and the presence of
 	// agreement and termination violations are preserved exactly; Configs
 	// counts only the configurations the pruned search visits (fewer than
-	// the full search), and violation message details may differ. Ignored
-	// under Legacy.
+	// the full search), and violation message details may differ.
 	DPOR bool
 }
 
@@ -249,9 +246,6 @@ const MaxProcs = 64
 // from the given inputs and reports reachable decisions, agreement
 // violations, and termination violations.
 func Explore(proto Protocol, inputs []int, opts Options) Report {
-	if opts.Legacy {
-		return exploreLegacy(proto, inputs, opts)
-	}
 	n := proto.N()
 	if len(inputs) != n {
 		panic(fmt.Sprintf("flp: %d inputs for %d processes", len(inputs), n))

@@ -1,9 +1,6 @@
 package models
 
 import (
-	"fmt"
-	"reflect"
-
 	"distbasics/internal/amp"
 	"distbasics/internal/scenario"
 )
@@ -14,9 +11,8 @@ import (
 // oracle shares no code with the simulator: virtual time never runs
 // backwards along the delivery trace, and at quiescence every sent
 // message was delivered or dropped and no event is left queued (the
-// MessagesDropped contract). The calendar queue must also match the
-// legacy binary heap (WithHeapEvents) on delivery order, stats, crash
-// vectors and final virtual time.
+// MessagesDropped contract). The answers the retired binary-heap engine
+// agreed on are frozen in testdata/digests.txt.
 type AmpChatter struct{}
 
 // Name implements scenario.Model.
@@ -129,9 +125,9 @@ func (*AmpChatter) Generate(seed uint64) *scenario.Scenario {
 	return sc
 }
 
-// runChatter executes the scenario on one engine and returns the global
-// delivery/timer trace plus a state snapshot.
-func runChatter(sc *scenario.Scenario, legacy bool) ([]chatterEntry, [4]int, []bool, amp.Time) {
+// runChatter executes the scenario and returns the global delivery/timer
+// trace plus a state snapshot.
+func runChatter(sc *scenario.Scenario) ([]chatterEntry, [4]int, []bool, amp.Time) {
 	cfg := scenario.NewRand(sc.Seed).Derive(100)
 	budget := 3 + cfg.Intn(5)
 	var delay amp.DelayModel
@@ -172,9 +168,6 @@ func runChatter(sc *scenario.Scenario, legacy bool) ([]chatterEntry, [4]int, []b
 	if advs := ampAdversaries(advFaults); len(advs) > 0 {
 		opts = append(opts, amp.WithAdversary(advs...))
 	}
-	if legacy {
-		opts = append(opts, amp.WithHeapEvents())
-	}
 	sim := amp.NewSim(procs, opts...)
 	for _, f := range crashAt {
 		sim.CrashAt(f.Proc, amp.Time(f.From))
@@ -198,8 +191,9 @@ func runChatter(sc *scenario.Scenario, legacy bool) ([]chatterEntry, [4]int, []b
 // Run implements scenario.Model.
 func (*AmpChatter) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
-	trace, stats, crashed, now := runChatter(sc, false)
-	ltrace, lstats, lcrashed, lnow := runChatter(sc, true)
+	trace, stats, crashed, now := runChatter(sc)
+	// "calendar" names the simulator's event queue; the label is part of
+	// the frozen digests.
 	res.Tracef("calendar: %d entries, sent/delivered/dropped/queued=%v, crashed=%v, now=%d",
 		len(trace), stats, crashed, now)
 	for i, e := range trace {
@@ -211,27 +205,6 @@ func (*AmpChatter) Run(sc *scenario.Scenario) *scenario.Result {
 	if sent, delivered, dropped, queued := stats[0], stats[1], stats[2], stats[3]; sent != delivered+dropped || queued != 0 {
 		res.Failf("books do not balance at quiescence: sent %d, delivered %d + dropped %d, %d events queued",
 			sent, delivered, dropped, queued)
-	}
-	if !reflect.DeepEqual(trace, ltrace) {
-		i := 0
-		for i < len(trace) && i < len(ltrace) && trace[i] == ltrace[i] {
-			i++
-		}
-		detail := "trailing entries missing"
-		if i < len(trace) && i < len(ltrace) {
-			detail = fmt.Sprintf("calendar %+v vs heap %+v", trace[i], ltrace[i])
-		}
-		res.Failf("delivery traces diverge at entry %d (calendar %d entries, heap %d): %s",
-			i, len(trace), len(ltrace), detail)
-	}
-	if stats != lstats {
-		res.Failf("stats diverge: calendar sent/delivered/dropped/queued=%v, heap %v", stats, lstats)
-	}
-	if !reflect.DeepEqual(crashed, lcrashed) {
-		res.Failf("crash vectors diverge: %v vs %v", crashed, lcrashed)
-	}
-	if now != lnow {
-		res.Failf("final virtual times diverge: %d vs %d", now, lnow)
 	}
 	res.Completed = len(trace)
 	return res

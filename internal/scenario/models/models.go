@@ -9,9 +9,16 @@
 //     window is still a journal restart, not a pause.
 //   - universal — the shared-memory universal construction under
 //     scenario-scheduled crashes, checked per key against KVSpec.
-//   - ampequiv, shmequiv, roundequiv, check, flp — golden-equivalence
-//     models: the rebuilt engines must match their preserved legacy
-//     twins on seeded random workloads.
+//   - ampchatter, shmexec — random chatter on the amp simulator and
+//     random racy programs on the shared-memory engine, checked by
+//     oracles that share no code with the engine (monotone virtual time
+//     and balanced message books; balanced step books).
+//   - shmexplore, flp — the exhaustive explorers, serial against
+//     parallel and full search against DPOR.
+//   - roundequiv — the round engine's sequential path against its
+//     worker-pool paths.
+//   - check — the linearizability checker against its preserved seed
+//     implementation (check.LinearizableLegacy) and across memo tiers.
 //   - dynnet, madv — the synchronous round model under random dynamic
 //     communication graphs and message adversaries, checked against the
 //     dissemination and lattice invariants of §3.3.
@@ -19,7 +26,11 @@
 // Every adapter is deterministic: the same scenario replays to a
 // byte-identical scenario.Result (asserted by the determinism tests),
 // which is what makes a reported seed a complete reproducer and makes
-// shrinking sound.
+// shrinking sound. testdata/digests.txt freezes every model's Result
+// digest for seeds 1–120 (basicsfuzz -digests-out regenerates it). For
+// ampchatter, shmexec, shmexplore and flp those are also the answers of
+// the deleted seed-era engines, recorded while both engines ran and
+// agreed.
 package models
 
 import (

@@ -16,7 +16,7 @@ package shm
 // decision tree): each instrumented execution records the enabled set at
 // every decision point, so the DFS enumerates sibling branches from the
 // recording instead of re-executing the program at interior nodes the
-// way the seed explorer did (ExploreOpts.Legacy). All executions of a
+// way the seed explorer did. All executions of a
 // search share one coroutine arena (engine.go), and the top-level
 // decision frontier can be fanned out across parallel workers
 // (ExploreOpts.Workers) with the reported violation still the first one
@@ -43,7 +43,9 @@ package shm
 // sleep set stays empty: the extension steps the lowest enabled process,
 // nothing is abandoned, and every schedule is a leaf. Children are then
 // ordered as the seed explorer ordered them (childDecision), so
-// Executions, Violation and Schedule equal ExploreOpts.Legacy's exactly.
+// Executions, Violation and Schedule equal the deleted seed explorer's
+// exactly (its answers are pinned: the shmexplore model's digests,
+// dpor_test.go's fence digest, agreement's E4 rows).
 // That one bool is all that tells the two searches apart: it gates the
 // sleep entry of a finished child (DFS backtrack and frontier
 // expansion), the child order, the crash-dependence restart below, and

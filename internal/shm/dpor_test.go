@@ -1,8 +1,9 @@
 package shm
 
 import (
+	"crypto/sha256"
 	"fmt"
-	"hash/maphash"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -120,21 +121,21 @@ func (g dporGenProg) factory() *Run {
 	return &Run{Bodies: bodies}
 }
 
-// dporOutcomeCheck flags a seed-dependent subset of outcomes as
+// dporOutcomeCheck flags a salt-dependent subset of outcomes as
 // violations. Every field it hashes is invariant under commuting
 // adjacent independent steps, so an outcome is flagged consistently
 // across all members of a Mazurkiewicz class — which is what makes
 // "DPOR and full enumeration agree on violation presence" a theorem the
 // fence can check rather than a coincidence.
-func dporOutcomeCheck(hseed maphash.Seed, modulus uint64) func(out *Outcome) string {
+func dporOutcomeCheck(salt, modulus uint64) func(out *Outcome) string {
 	return func(out *Outcome) string {
-		var h maphash.Hash
-		h.SetSeed(hseed)
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d;", salt)
 		for i := range out.Outputs {
 			v, _ := out.Outputs[i].(int)
-			fmt.Fprintf(&h, "%d:%v:%v:%d;", v, out.Finished[i], out.Crashed[i], out.StepsBy[i])
+			fmt.Fprintf(h, "%d:%v:%v:%d;", v, out.Finished[i], out.Crashed[i], out.StepsBy[i])
 		}
-		fmt.Fprintf(&h, "steps=%d cutoff=%v", out.Steps, out.Cutoff)
+		fmt.Fprintf(h, "steps=%d cutoff=%v", out.Steps, out.Cutoff)
 		if h.Sum64()%modulus == 0 {
 			return fmt.Sprintf("flagged outcome (outputs %v)", out.Outputs)
 		}
@@ -146,14 +147,19 @@ func dporOutcomeCheck(hseed maphash.Seed, modulus uint64) func(out *Outcome) str
 // programs (with crash branching and step-budget cutoffs), DPOR and full
 // enumeration must agree on violation presence, both violating schedules
 // must replay to flagged outcomes, serial and parallel DPOR must agree
-// exactly, and the full explorer must keep matching the legacy engine.
+// exactly, and the full explorer must keep the seed explorer's answers.
 func TestDPORDifferentialFence(t *testing.T) {
 	runDPORFence(t, 160, true)
 }
 
+// fenceFullDigest is the sha256 over every fence seed's full-search
+// (Executions, Violation), recorded while the seed-era explorer ran
+// beside the full search and agreed with it on every seed.
+const fenceFullDigest = "88cf290ff3c68ecae1e2ed3ebaf5242d61157ff1e238765e0cc9066916078e49"
+
 func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 	t.Helper()
-	hseed := maphash.MakeSeed()
+	fullSum := sha256.New()
 	var fullTotal, dporTotal, violations, cutoffs int
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		g := genDPORProgram(seed)
@@ -161,20 +167,14 @@ func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 		opts := ExploreOpts{
 			Factory:    g.factory,
 			MaxCrashes: rng.Intn(3),
-			Check:      dporOutcomeCheck(hseed, 5),
+			Check:      dporOutcomeCheck(0, 5),
 		}
 		if rng.Intn(3) == 0 {
 			opts.MaxSteps = 2 + rng.Intn(4) // force cutoff leaves
 		}
 
 		full := Explore(opts)
-		legacyOpts := opts
-		legacyOpts.Legacy = true
-		legacy := Explore(legacyOpts)
-		if full.Executions != legacy.Executions || full.Violation != legacy.Violation {
-			t.Fatalf("seed %d: full explorer diverged from legacy: %d/%q vs %d/%q",
-				seed, full.Executions, full.Violation, legacy.Executions, legacy.Violation)
-		}
+		fmt.Fprintf(fullSum, "%d %d %q\n", seed, full.Executions, full.Violation)
 
 		dporOpts := opts
 		dporOpts.DPOR = true
@@ -234,6 +234,9 @@ func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 			cutoffs++
 		}
 	}
+	if got := fmt.Sprintf("%x", fullSum.Sum(nil)); got != fenceFullDigest {
+		t.Fatalf("full-search digest over the fence seeds = %s, want %s", got, fenceFullDigest)
+	}
 	if wantAllAgree {
 		if violations == 0 {
 			t.Fatal("fence exercised no violating seeds — the check modulus is mistuned")
@@ -256,9 +259,9 @@ func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 // at least one seed — proving the fence actually constrains the
 // dependence relation rather than passing vacuously. Full enumeration
 // runs the same loop with nothing asleep, and runDPORFence fatals when
-// full != legacy whatever wantAllAgree says, so this is also the proof
-// that the full reference stays full while the shared loop's dependence
-// relation is wrong.
+// the full search's digest moves whatever wantAllAgree says, so this is
+// also the proof that the full reference stays full while the shared
+// loop's dependence relation is wrong.
 func TestDPORFenceCatchesWrongDependence(t *testing.T) {
 	orig := dporDepends
 	dporDepends = func(a, b dporAcc) bool { return false }

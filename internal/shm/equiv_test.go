@@ -1,25 +1,22 @@
 package shm
 
-// Differential fences for the rebuilt engine and explorer: the coroutine
-// engine must produce outcomes identical to the seed-era channel engine
-// (ExecuteLegacy) under seeded policies with crashes and cutoffs, and the
-// leaf-only explorer — serial and parallel — must report byte-identical
-// execution counts, violations, and violation schedules to the seed DFS.
-//
-// The seeded random-program Execute sweep lives on the scenario harness
-// (the "shmequiv" model, driven from engine_fuzz_test.go and fuzz-fenced
-// by FuzzExecuteEquivalence); this in-package file keeps the explorer
-// differentials and the StopRun test, which reach engine internals.
+// Frozen answers of the seed-era channel engine and its DFS explorer,
+// recorded while they ran beside the rebuilt engine and explorer and
+// agreed with them: StopRun outcomes and the enabled sets they report,
+// a tree of cutoff leaves, and a replayed violation. The seeded random
+// sweeps that compared the two engines are frozen in the shmexec and
+// shmexplore models' digests (internal/scenario/models/testdata).
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// stopRunProgramFactory builds a small racy program for the StopRun
-// differential (the harness's shmequiv model owns the full random
-// program family).
+// stopRunProgramFactory builds a small racy program for the StopRun pin
+// (the harness's shmexec model owns the full random program family).
 func stopRunProgramFactory(seed int64) func() *Run {
 	return func() *Run {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,50 +44,31 @@ func stopRunProgramFactory(seed int64) func() *Run {
 	}
 }
 
+// stopRunDigest is the sha256 over the 40 seeds' "seed outcome enabled"
+// lines, as the seed engine reported them.
+const stopRunDigest = "2bda27e379de3c3da9b83c76a5f0f0e1324b1566627c224542da23de036bbf86"
+
 func TestExecuteStopRunMatchesLegacy(t *testing.T) {
 	// A FixedPolicy whose schedule runs out mid-execution must stop the
-	// run identically on both engines, reporting Stopped (not Cutoff).
+	// run, reporting Stopped (not Cutoff) and the processes still enabled.
+	sum := sha256.New()
 	for seed := int64(0); seed < 40; seed++ {
 		factory := stopRunProgramFactory(seed)
 		sched := []Decision{{Kind: StepProc, Pid: 0}, {Kind: StepProc, Pid: 0}}
-		got, gotEnabled := executeInternal(factory(), &FixedPolicy{Schedule: sched}, 0)
-		want, wantEnabled := executeLegacy(factory(), &FixedPolicy{Schedule: sched}, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: stop-run outcomes diverge\nnew:    %+v\nlegacy: %+v", seed, got, want)
-		}
-		if !reflect.DeepEqual(gotEnabled, wantEnabled) {
-			t.Fatalf("seed %d: stopped enabled sets diverge: %v vs %v", seed, gotEnabled, wantEnabled)
-		}
+		got, enabled := executeInternal(factory(), &FixedPolicy{Schedule: sched}, 0)
 		if got.Stopped && got.Cutoff {
 			t.Fatalf("seed %d: Stopped and Cutoff both set", seed)
 		}
+		fmt.Fprintf(sum, "%d %+v %v\n", seed, *got, enabled)
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != stopRunDigest {
+		t.Fatalf("stop-run outcomes digest %s, want %s", got, stopRunDigest)
 	}
 }
-
-func exploreResultsEqual(t *testing.T, label string, got, want *ExploreResult) {
-	t.Helper()
-	if got.Executions != want.Executions {
-		t.Fatalf("%s: executions %d, legacy %d", label, got.Executions, want.Executions)
-	}
-	if got.Violation != want.Violation {
-		t.Fatalf("%s: violation %q, legacy %q", label, got.Violation, want.Violation)
-	}
-	if !reflect.DeepEqual(got.Schedule, want.Schedule) {
-		t.Fatalf("%s: schedules diverge\nnew:    %v\nlegacy: %v", label, got.Schedule, want.Schedule)
-	}
-	if got.Truncated != want.Truncated {
-		t.Fatalf("%s: truncated %v, legacy %v", label, got.Truncated, want.Truncated)
-	}
-}
-
-// The seeded random explorer differential sweep (legacy vs rebuilt vs
-// parallel) lives on the scenario harness — the "shmexplore" model,
-// driven from engine_fuzz_test.go. The tests below keep the fixed
-// deterministic pins.
 
 func TestExploreCutoffLeavesMatchLegacy(t *testing.T) {
 	// Unbounded spinners force every branch to the per-execution step
-	// budget: cutoff leaves must count and report identically.
+	// budget: cutoff leaves must count and report as the seed DFS did.
 	factory := func() *Run {
 		reg := NewRegister(0)
 		spin := func(p *Proc) any {
@@ -104,7 +82,7 @@ func TestExploreCutoffLeavesMatchLegacy(t *testing.T) {
 		return &Run{Bodies: []func(*Proc) any{spin, setter}}
 	}
 	cutoffs := 0
-	opts := ExploreOpts{
+	got := Explore(ExploreOpts{
 		Factory:    factory,
 		MaxCrashes: 1,
 		MaxSteps:   12,
@@ -117,15 +95,13 @@ func TestExploreCutoffLeavesMatchLegacy(t *testing.T) {
 			}
 			return ""
 		},
+	})
+	if want := (ExploreResult{Executions: 103}); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("cutoff tree: %+v, want %+v", *got, want)
 	}
-	got := Explore(opts)
-	if cutoffs == 0 {
-		t.Fatal("no cutoff leaves explored")
+	if cutoffs != 25 {
+		t.Fatalf("%d cutoff leaves, want 25", cutoffs)
 	}
-	legacy := opts
-	legacy.Legacy = true
-	want := Explore(legacy)
-	exploreResultsEqual(t, "cutoff tree", got, want)
 }
 
 func TestReplayViolationMatchesLegacyReplay(t *testing.T) {
@@ -147,15 +123,23 @@ func TestReplayViolationMatchesLegacyReplay(t *testing.T) {
 		return "lost update"
 	}
 	res := Explore(ExploreOpts{Factory: factory, Check: check})
-	if res.Violation == "" {
-		t.Fatal("no violation found")
+	step := func(pid int) Decision { return Decision{Kind: StepProc, Pid: pid} }
+	if want := []Decision{step(0), step(1), step(0), step(0), step(1), step(1)}; !reflect.DeepEqual(res.Schedule, want) {
+		t.Fatalf("violating schedule %v, want %v", res.Schedule, want)
 	}
 	got, err := ReplayViolation(factory, res.Schedule, 0)
 	if err != nil {
 		t.Fatalf("replay failed: %v", err)
 	}
-	want, _ := executeLegacy(factory(), &FixedPolicy{Schedule: res.Schedule}, DefaultExploreSteps)
+	// The outcome the seed engine gave for this schedule.
+	want := &Outcome{
+		Outputs:  []any{1, 1},
+		Finished: []bool{true, true},
+		Crashed:  []bool{false, false},
+		Steps:    6,
+		StepsBy:  []int{3, 3},
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed outcomes diverge\nnew:    %+v\nlegacy: %+v", got, want)
+		t.Fatalf("replayed outcome\ngot:  %+v\nwant: %+v", got, want)
 	}
 }

@@ -54,12 +54,8 @@ type ExploreOpts struct {
 	// the pruned search finds one — but Executions shrinks (it counts
 	// class representatives) and the reported Schedule may be a
 	// permutation of the one full enumeration would report. Composes with
-	// Workers and MaxExecutions; ignored under Legacy.
+	// Workers and MaxExecutions.
 	DPOR bool
-	// Legacy runs the seed-era explorer (an execution per tree node on
-	// the goroutine-per-process engine), the differential-testing fence
-	// for the leaf-only explorer.
-	Legacy bool
 }
 
 // DefaultExploreSteps bounds per-execution steps during exploration.
@@ -82,9 +78,6 @@ type ExploreResult struct {
 // 64 processes are supported (an exhaustive search beyond that is
 // intractable anyway).
 func Explore(opts ExploreOpts) *ExploreResult {
-	if opts.Legacy {
-		return exploreLegacy(opts)
-	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultExploreSteps

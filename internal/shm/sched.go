@@ -36,9 +36,11 @@
 // prune schedules that differ only by reordering independent steps, one
 // execution per Mazurkiewicz trace class, with violation presence
 // preserved (the E4 hierarchy rows at n=4 drop from 58920 executions to
-// 3472) — and without it nothing is put to sleep. The seed-era engine and
-// explorer remain available behind ExecuteLegacy and ExploreOpts.Legacy
-// (legacy.go); differential tests pin the rebuilt paths to them.
+// 3472) — and without it nothing is put to sleep. The seed-era
+// goroutine-per-process engine and its DFS are deleted: the answers both
+// engines agreed on are frozen in the shmexec and shmexplore models'
+// digests (internal/scenario/models/testdata/digests.txt) and in this
+// package's pinned tests.
 package shm
 
 import (
@@ -61,10 +63,9 @@ type Proc struct {
 	id  int // algorithm-visible identity
 	sid int // scheduler identity
 
-	eng *engine      // controlled coroutine engine (Execute, Explore)
-	fre *freeSched   // ExecuteFree's mutex scheduler
-	leg *legacySched // seed-era channel engine (ExecuteLegacy)
-	// all nil: direct mode — ops execute immediately (NewDirectProc)
+	eng *engine    // controlled coroutine engine (Execute, Explore)
+	fre *freeSched // ExecuteFree's mutex scheduler
+	// both nil: direct mode — ops execute immediately (NewDirectProc)
 }
 
 // ID returns the algorithm-visible process identity (0-based).
@@ -100,8 +101,6 @@ func (p *Proc) atomic(op func()) {
 		p.eng.stepAcc(p.sid, 0, true, op)
 	case p.fre != nil:
 		p.fre.step(p.sid, op)
-	case p.leg != nil:
-		p.leg.step(p.sid, op)
 	default:
 		op()
 	}
