@@ -137,7 +137,7 @@
 // (crashes and recoveries, partitions and heals, message loss, timing
 // skew, explicit schedule choices) from a single uint64 seed and drives
 // any execution model through small adapters (internal/scenario/models:
-// abd, abdmulti, rsm, kv, jobq, transport, benor, universal, ampchatter,
+// abd, abdmulti, rsm, jobq, transport, benor, universal, ampchatter,
 // shmexec, shmexplore, roundequiv, check, flp, dynnet, madv). Each
 // adapter checks an oracle — linearizability via internal/check,
 // agreement/validity predicates, invariants that share no code with the
@@ -295,9 +295,9 @@
 // and lease constants, lease semantics, and fallback conditions. A subprocess test
 // kills -9 one of three serve processes, restarts it from its journals
 // and reads every acknowledged key back through it. The batching
-// invariants themselves are fuzzed by the scenario harness's kv model
+// invariants under it are fuzzed by the scenario harness's rsm model
 // (exactly-once apply, identical applied order across replicas,
-// batching evidence on benign seeds).
+// batching evidence on benign seeds); no model runs internal/kv yet.
 //
 // # Running a job queue
 //

@@ -20,7 +20,7 @@
 //	◇P     Period+slack, the slack doubled on a     Suspects; FalseSuspicions stops
 //	       false suspicion                          growing after GST
 //	◇S     ◇P's                                     Trusted: some unsuspected id
-//	Ω      InitialTimeout, +TimeoutStep on a        Leader: the smallest unsuspected
+//	Ω      InitialTimeout, +Period on a             Leader: the smallest unsuspected
 //	       false suspicion                          id (and the leases of lease.go)
 //
 // Under partial synchrony (amp.GSTDelay) an adapted timeout eventually
@@ -53,9 +53,6 @@ type Detector struct {
 	Period amp.Time
 	// InitialTimeout is the starting suspicion timeout (default 3*Period).
 	InitialTimeout amp.Time
-	// TimeoutStep is added to a peer's timeout after each false suspicion
-	// (default Period).
-	TimeoutStep amp.Time
 	// OnLeaderChange, if set, is invoked whenever Leader() changes, with
 	// the new leader and the time.
 	OnLeaderChange func(leader int, at amp.Time)
@@ -120,17 +117,14 @@ func NewDetector(n int) *Detector {
 }
 
 // addStep is Ω's timeout rule: every false suspicion buys the peer one
-// more TimeoutStep.
-func addStep(d *Detector, timeout amp.Time) amp.Time { return timeout + d.TimeoutStep }
+// more Period.
+func addStep(d *Detector, timeout amp.Time) amp.Time { return timeout + d.Period }
 
 // Init implements amp.Component.
 func (d *Detector) Init(ctx amp.Context) {
 	d.id = ctx.ID()
 	if d.InitialTimeout == 0 {
 		d.InitialTimeout = 3 * d.Period
-	}
-	if d.TimeoutStep == 0 {
-		d.TimeoutStep = d.Period
 	}
 	d.lastHeard = make([]amp.Time, d.n)
 	d.timeout = make([]amp.Time, d.n)

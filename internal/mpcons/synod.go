@@ -26,17 +26,6 @@ type Synod struct {
 	Enabled func() bool
 	// Omega supplies the leader estimate (same Stack, separate slot).
 	Omega *fd.Detector
-	// RetryPeriod is how often an undecided leader re-attempts a ballot
-	// (default 40 virtual units), starting one period after Init: the
-	// timer is the liveness fallback, not the start signal. A host that
-	// knows when there is something to decide (rsm's slot multiplexer)
-	// calls Kick then; a standalone instance waits out the first period,
-	// which is also time for Ω to settle. Consecutive retries that abandon
-	// a still-inflight ballot back the period off exponentially (capped
-	// at 16x): restarting ballots faster than replies return only floods
-	// the leader's inbound links with stale promises, delaying replies
-	// further — a self-sustaining retry storm under lossy transports.
-	RetryPeriod amp.Time
 	// OnDecide fires on decision.
 	OnDecide DecideFn
 	// LeaseHolder, if set, reports the read-lease holder this process is
@@ -191,9 +180,6 @@ func (s *Synod) acceptorChanged() {
 func (s *Synod) Init(ctx amp.Context) {
 	s.n = ctx.N()
 	s.id = ctx.ID()
-	if s.RetryPeriod == 0 {
-		s.RetryPeriod = 40
-	}
 	s.armRetry(ctx)
 }
 
@@ -246,15 +232,25 @@ func (s *Synod) OnTimer(ctx amp.Context, id int) {
 // moment this process's grant to another leaseholder lapses if that
 // comes first — the first instant a ballot from here can succeed.
 func (s *Synod) armRetry(ctx amp.Context) {
-	d := s.RetryPeriod << s.stalls
+	d := synodRetryPeriod << s.stalls
 	if w := s.leaseWait(ctx); w > 0 && w < d {
 		d = w
 	}
 	ctx.SetTimer(d, synodRetryTimer)
 }
 
-// synodMaxStalls caps the retry backoff at RetryPeriod << 4 = 16x.
-const synodMaxStalls = 4
+// synodRetryPeriod is how often an undecided leader re-attempts a
+// ballot, from one period after Init: the timer is the liveness
+// fallback, not the start signal (a host that knows there is something
+// to decide calls Kick; a standalone instance's first period lets Ω
+// settle). Retries that abandon a still-inflight ballot back off
+// exponentially, up to 16x: restarting ballots faster than replies
+// return only floods the leader's inbound links with stale promises —
+// a self-sustaining retry storm under lossy transports.
+const (
+	synodRetryPeriod amp.Time = 40
+	synodMaxStalls            = 4
+)
 
 func (s *Synod) startBallot(ctx amp.Context) {
 	// Ballots are id+1 mod n classes, strictly increasing.

@@ -91,7 +91,7 @@ func TestSynodKickStartsFirstBallotOnly(t *testing.T) {
 	ctx := &probeCtx{}
 	s.Init(ctx)
 	if ctx.armed[0] != 40 {
-		t.Fatalf("first retry armed %d ticks out, want RetryPeriod 40", ctx.armed[0])
+		t.Fatalf("first retry armed %d ticks out, want synodRetryPeriod 40", ctx.armed[0])
 	}
 	s.Kick(ctx)
 	s.Kick(ctx)

@@ -76,10 +76,10 @@ func genAmpFaults(rng *scenario.Rand, n int, horizon int64) []scenario.Fault {
 	return faults
 }
 
-// genHealingFaults draws the bounded schedule of the rsm-backed Sim
-// models (rsm, kv), every fault of which heals: one minority partition
-// window, one crash-recovery of the bystander replica, and sometimes an
-// early lossy window.
+// genHealingFaults draws the rsm model's bounded fault schedule, every
+// fault of which heals: one minority partition window, one
+// crash-recovery of the bystander replica, and sometimes an early lossy
+// window.
 func genHealingFaults(rng *scenario.Rand, replicas, bystander int) []scenario.Fault {
 	from := 200 + rng.Int63n(800)
 	faults := []scenario.Fault{{

@@ -1,90 +1,115 @@
 package models_test
 
-// The harness's acceptance gate: replay is byte-stable. For every
-// adapter, generating the same seed twice yields identical scenarios,
-// running the same scenario twice yields identical Results (traces and
-// verdicts included), and the textual encoding round-trips — so a
-// reported seed, an encoded reproducer file, and a pinned Go literal
-// are all complete reproducers.
+// The harness's acceptance gate, as one sweep over one table: each seed
+// of every model is generated twice, run once and its decoded encoding
+// run once more, and three tests read the answers.
+//
+//   - TestReplayIsByteStablePerAdapter: replay is byte-stable —
+//     generating a seed twice yields identical scenarios, the textual
+//     encoding round-trips, and the decoded scenario's Result equals the
+//     original's, traces and verdicts included — so a reported seed, an
+//     encoded reproducer file and a pinned Go literal are all complete
+//     reproducers.
+//   - TestAllModelsGreen: every seed passes its model's oracle.
+//   - TestModelDigests (digests_test.go): every Result digest equals the
+//     golden store's.
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"distbasics/internal/scenario"
 	"distbasics/internal/scenario/models"
 )
 
-// seedBudget balances coverage against runtime per model (rsm and
-// universal drive six-figure virtual-time simulations per seed).
-var seedBudget = map[string]uint64{
-	"abd": 6, "abdmulti": 2, "rsm": 2, "kv": 2, "jobq": 2, "benor": 6, "universal": 2, "ampchatter": 8,
-	"shmexec": 10, "shmexplore": 4, "roundequiv": 1, "check": 15, "flp": 4,
-	"dynnet": 10, "madv": 6, "transport": 2,
+// seedBudget is how many seeds (from 1) the sweep runs of a model: all
+// 120 of the golden store for the models whose 120-seed campaign takes
+// well under a second, a few of the ones that take seconds.
+func seedBudget(model string) uint64 {
+	switch model {
+	case "rsm", "jobq", "transport", "roundequiv":
+		return 2
+	case "shmexplore":
+		return 4
+	}
+	return 120
+}
+
+// seedRun is the sweep's answer for one seed: the Result's digest, what
+// broke replay and what the oracle rejected ("" for none).
+type seedRun struct {
+	digest, replay, failure string
+}
+
+// sweep runs every model's budget once per test binary, in seed order.
+var sweep = sync.OnceValue(func() map[string][]seedRun {
+	out := make(map[string][]seedRun)
+	for _, m := range models.All() {
+		for seed := uint64(1); seed <= seedBudget(m.Name()); seed++ {
+			out[m.Name()] = append(out[m.Name()], runSeed(m, seed))
+		}
+	}
+	return out
+})
+
+func runSeed(m scenario.Model, seed uint64) (r seedRun) {
+	sc := m.Generate(seed)
+	res := scenario.Run(m, sc)
+	r.digest = res.Digest()
+	if res.Failed {
+		shrunk, _ := scenario.Shrink(m, sc, 500)
+		r.failure = fmt.Sprintf("oracle failure: %s (shrunk to %s)", res.Reason, shrunk.Summary())
+	}
+	if sc.Model != m.Name() || sc.Seed != seed {
+		r.replay = fmt.Sprintf("Generate mislabeled the scenario: model=%q seed=%d", sc.Model, sc.Seed)
+		return r
+	}
+	if sc2 := m.Generate(seed); !reflect.DeepEqual(sc, sc2) {
+		r.replay = "Generate is not deterministic"
+		return r
+	}
+	dec, err := scenario.Decode(sc.Encode())
+	switch {
+	case err != nil:
+		r.replay = fmt.Sprintf("encoding does not decode: %v", err)
+	case !reflect.DeepEqual(dec, sc):
+		r.replay = fmt.Sprintf("encode/decode is not a round trip:\n%+v\n%+v", sc, dec)
+	case !reflect.DeepEqual(res, scenario.Run(m, dec)):
+		r.replay = "replay is not byte-stable: the decoded scenario's trace or verdict differs from the original's"
+	}
+	return r
+}
+
+// eachSeed runs check on every swept seed of every model, in a subtest
+// per model.
+func eachSeed(t *testing.T, check func(t *testing.T, model string, seed uint64, r seedRun)) {
+	runs := sweep()
+	for _, m := range models.All() {
+		t.Run(m.Name(), func(t *testing.T) {
+			for i, r := range runs[m.Name()] {
+				check(t, m.Name(), uint64(i+1), r)
+			}
+		})
+	}
 }
 
 func TestReplayIsByteStablePerAdapter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full determinism sweep is seconds-long")
-	}
-	for _, m := range models.All() {
-		m := m
-		t.Run(m.Name(), func(t *testing.T) {
-			budget, ok := seedBudget[m.Name()]
-			if !ok {
-				t.Fatalf("model %q missing from seedBudget — add it", m.Name())
-			}
-			for seed := uint64(1); seed <= budget; seed++ {
-				sc := m.Generate(seed)
-				if sc.Model != m.Name() || sc.Seed != seed {
-					t.Fatalf("Generate(%d) mislabeled scenario: model=%q seed=%d", seed, sc.Model, sc.Seed)
-				}
-				if sc2 := m.Generate(seed); !reflect.DeepEqual(sc, sc2) {
-					t.Fatalf("seed %d: Generate is not deterministic", seed)
-				}
-				r1 := m.Run(sc)
-				r2 := m.Run(sc.Clone())
-				if !reflect.DeepEqual(r1, r2) {
-					scenario.Reportf(t, m.Name(), seed, "replay is not byte-stable: traces/verdicts differ between two runs of the same scenario")
-					return
-				}
-				dec, err := scenario.Decode(sc.Encode())
-				if err != nil {
-					t.Fatalf("seed %d: encoding does not decode: %v", seed, err)
-				}
-				if !reflect.DeepEqual(dec, sc) {
-					t.Fatalf("seed %d: encode/decode is not a round trip:\n%+v\n%+v", seed, sc, dec)
-				}
-				r3 := m.Run(dec)
-				if !reflect.DeepEqual(r1, r3) {
-					scenario.Reportf(t, m.Name(), seed, "decoded scenario replays differently from the original")
-					return
-				}
-			}
-		})
-	}
+	eachSeed(t, func(t *testing.T, model string, seed uint64, r seedRun) {
+		if r.replay != "" {
+			scenario.Reportf(t, model, seed, "%s", r.replay)
+		}
+	})
 }
 
-// TestAllModelsGreen is the cross-model oracle fence: every registered
-// model must pass its oracle on a band of seeds. Any failure is a real
-// bug (or a generator that produces illegal scenarios) and is reported
-// with its replay invocation.
+// TestAllModelsGreen is the cross-model oracle fence. Any failure is a
+// real bug (or a generator that produces illegal scenarios) and is
+// reported shrunk, with its replay invocation.
 func TestAllModelsGreen(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full model sweep is seconds-long")
-	}
-	for _, m := range models.All() {
-		m := m
-		t.Run(m.Name(), func(t *testing.T) {
-			c := &scenario.Campaign{Model: m, Start: 1, Count: seedBudget[m.Name()], MaxShrinkRuns: 500}
-			failures, stats := c.Run()
-			for _, f := range failures {
-				scenario.Reportf(t, m.Name(), f.Seed, "oracle failure: %s (shrunk to %s)",
-					f.Result.Reason, f.Shrunk.Summary())
-			}
-			if stats.Runs != int(seedBudget[m.Name()]) {
-				t.Fatalf("campaign ran %d seeds, want %d", stats.Runs, seedBudget[m.Name()])
-			}
-		})
-	}
+	eachSeed(t, func(t *testing.T, model string, seed uint64, r seedRun) {
+		if r.failure != "" {
+			scenario.Reportf(t, model, seed, "%s", r.failure)
+		}
+	})
 }

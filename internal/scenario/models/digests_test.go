@@ -8,8 +8,8 @@ package models_test
 //
 // A change that moves a model's answers regenerates the file, and the
 // git diff is the list of moved seeds. CI regenerates all of it and
-// requires an empty diff; this test checks a slice cheap enough for
-// every `go test` run.
+// requires an empty diff; this test checks the seeds the sweep
+// (determinism_test.go) runs.
 
 import (
 	"bufio"
@@ -24,17 +24,6 @@ import (
 )
 
 const digestsFile = "testdata/digests.txt"
-
-// digestSeeds is the slice TestModelDigests replays: seeds 1–120 of
-// every model whose 120-seed campaign takes well under a second, and
-// seeds 1–2 of the ones that take seconds.
-func digestSeeds(model string) uint64 {
-	switch model {
-	case "roundequiv", "rsm", "kv", "jobq", "transport", "shmexplore":
-		return 2
-	}
-	return 120
-}
 
 // readDigests parses the golden store, requiring models.All() order,
 // then seed order, seeds 1–120.
@@ -86,16 +75,10 @@ func readDigests(t *testing.T) map[string][]string {
 
 func TestModelDigests(t *testing.T) {
 	golden := readDigests(t)
-	for _, m := range models.All() {
-		m := m
-		t.Run(m.Name(), func(t *testing.T) {
-			for seed := uint64(1); seed <= digestSeeds(m.Name()); seed++ {
-				res := scenario.Run(m, m.Generate(seed))
-				if got, want := res.Digest(), golden[m.Name()][seed-1]; got != want {
-					scenario.Reportf(t, m.Name(), seed, "digest %s, %s has %s (regenerate it if the move is meant, and say why)",
-						got, digestsFile, want)
-				}
-			}
-		})
-	}
+	eachSeed(t, func(t *testing.T, model string, seed uint64, r seedRun) {
+		if want := golden[model][seed-1]; r.digest != want {
+			scenario.Reportf(t, model, seed, "digest %s, %s has %s (regenerate it if the move is meant, and say why)",
+				r.digest, digestsFile, want)
+		}
+	})
 }

@@ -35,7 +35,7 @@ func TestJobQSnapCrashInstalls(t *testing.T) {
 func TestModelsLeaveNoJournals(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	for _, m := range []scenario.Model{&models.KV{}, &models.JobQ{}, &models.Transport{}} {
+	for _, m := range []scenario.Model{&models.RSM{}, &models.JobQ{}, &models.Transport{}} {
 		if r := m.Run(m.Generate(1)); r.Failed {
 			t.Fatalf("%s seed 1 failed: %s", m.Name(), r.Reason)
 		}

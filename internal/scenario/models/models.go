@@ -1,9 +1,10 @@
 // Package models holds the scenario-harness adapters (scenario.Model
 // implementations) for every execution model in the repository:
 //
-//   - abd, abdmulti, rsm, kv, jobq, benor — asynchronous message
-//     passing (amp) systems under amp adversaries and crash windows
-//     (pauses), checked for linearizability, agreement or the queue's.
+//   - abd, abdmulti, rsm, jobq, benor — asynchronous message passing
+//     (amp) systems under amp adversaries and crash windows (pauses),
+//     checked for linearizability, agreement or the queue's. rsm and
+//     jobq journal every replica and snapshot-crash one.
 //   - transport — the rsm cluster over the real-transport runtime
 //     (Loopback+Chaos+Resilient), checked for linearizability. Its crash
 //     window is still a journal restart, not a pause.
@@ -45,7 +46,6 @@ func All() []scenario.Model {
 		&ABD{},
 		&ABDMulti{},
 		&RSM{},
-		&KV{},
 		&JobQ{},
 		&Transport{},
 		&BenOr{},

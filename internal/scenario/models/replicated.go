@@ -16,10 +16,10 @@ import (
 // This file holds, once, what the models of a replicated or
 // history-checked system each used to rebuild: the linearizability
 // verdict (abd, abdmulti, rsm, transport, universal), the applied-order
-// oracle (kv, jobq, transport), the replicas' journals and the
-// snapshot-crash fault (kv, jobq on amp.Sim; transport on Loopback) and
-// the put-then-read-at-apply client chain (rsm, transport), and the
-// bounded-work oracle (rsm, kv, jobq, transport). The models
+// oracle (rsm, jobq, transport), the replicas' journals and the
+// snapshot-crash fault (rsm, jobq on amp.Sim; transport on Loopback) and
+// the put-then-read-at-apply client chains (rsm, transport), and the
+// bounded-work oracle (rsm, jobq, transport). The models
 // keep their own trace formats and failure messages: a Result is a
 // reproducer, byte for byte.
 
@@ -85,7 +85,7 @@ func divergence(a, b []rbcast.MsgID, aBase, bBase int) int {
 	return -1
 }
 
-// putPerOp is boundWork's bound for the put models (rsm, kv, transport):
+// putPerOp is boundWork's bound for the put models (rsm, transport):
 // a put is one command, and seeds 1–120 apply at most 1.0 per put.
 const putPerOp = 2
 
@@ -238,56 +238,78 @@ func simSnapCrashes(sim *amp.Sim, sc *scenario.Scenario, res *scenario.Result, j
 	}
 }
 
-// putChain is one client's chain of puts to keys it owns, through its
-// own replica: a put returns when THAT replica applies it, and the
-// follow-up read of the key's local state at the apply point is a valid
-// linearization read, because the client's prior puts are exactly the
-// completed operations on the key. The next put follows a think time
-// later.
+// putChain is one client's puts through its own replica, one chain per
+// key it puts (in first-appearance order), chain b being history
+// process proc+b*stride. The client submits the next put of every
+// unfinished chain back to back, a burst; a put returns when THAT
+// replica applies it, and the follow-up read of the key's local state at
+// the apply point is a valid linearization read, because the chain's
+// prior puts are exactly the completed operations on the key. The next
+// burst follows a think time after the last put of this one returns.
 type putChain struct {
-	rec  *check.Recorder
-	proc int
-	ops  []scenario.Op
-	node *rsm.Node // the client's replica
+	rec          *check.Recorder
+	proc, stride int
+	ops          []scenario.Op
+	node         *rsm.Node // the client's replica
 	// submit proposes cmd at the replica, entering its event loop the
 	// way the run's runtime requires; after is the run's timer.
 	submit func(cmd rsm.Command) rbcast.MsgID
 	after  func(d amp.Time, f func())
-	// think draws the delays: below first ticks before the first put,
-	// below gap ticks between an apply and the next put.
+	// think draws the delays: below first ticks before the first burst,
+	// below gap ticks between a burst's last apply and the next burst.
 	think      *scenario.Rand
 	first, gap int64
 	done       func() // called after each completed put
 }
 
-// start arms the chain (an empty one — a shrunk scenario — arms nothing).
+// keyChain is one key's puts within a putChain.
+type keyChain struct {
+	proc int
+	key  string
+	vals []int             // the values still to put, the next first
+	inv  *check.Invocation // the put in flight
+}
+
+// start arms the client (one without ops — a shrunk scenario — arms
+// nothing).
 func (pc putChain) start() {
-	if len(pc.ops) == 0 {
+	var chains []*keyChain
+	byKey := make(map[int]*keyChain)
+	for _, op := range pc.ops {
+		ch := byKey[op.Key]
+		if ch == nil {
+			ch = &keyChain{proc: pc.proc + len(chains)*pc.stride, key: fmt.Sprintf("k%d", op.Key)}
+			byKey[op.Key] = ch
+			chains = append(chains, ch)
+		}
+		ch.vals = append(ch.vals, op.Val)
+	}
+	if len(chains) == 0 {
 		return
 	}
-	next := 0
-	var waitID rbcast.MsgID
-	var inv *check.Invocation
-	key := func() string { return fmt.Sprintf("k%d", pc.ops[next].Key) }
-	submit := func() {
-		if next >= len(pc.ops) {
-			return
+	wait := make(map[rbcast.MsgID]*keyChain)
+	burst := func() {
+		for _, ch := range chains {
+			if len(ch.vals) > 0 {
+				val := ch.vals[0]
+				ch.inv = pc.rec.Call(ch.proc, check.KeyedOp{Key: ch.key, Op: check.WriteOp{V: val}})
+				wait[pc.submit(rsm.Command{Op: "put", Key: ch.key, Val: val})] = ch
+			}
 		}
-		val := pc.ops[next].Val
-		inv = pc.rec.Call(pc.proc, check.KeyedOp{Key: key(), Op: check.WriteOp{V: val}})
-		waitID = pc.submit(rsm.Command{Op: "put", Key: key(), Val: val})
 	}
 	pc.node.OnApply = func(e rsm.Entry, _ amp.Time) {
-		if inv == nil || e.ID != waitID {
+		ch := wait[e.ID]
+		if ch == nil {
 			return
 		}
-		inv.Return(nil)
-		inv = nil
-		rinv := pc.rec.Call(pc.proc, check.KeyedOp{Key: key(), Op: check.ReadOp{}})
-		rinv.Return(pc.node.Get(key()))
-		next++
+		delete(wait, e.ID)
+		ch.inv.Return(nil)
+		pc.rec.Call(ch.proc, check.KeyedOp{Key: ch.key, Op: check.ReadOp{}}).Return(pc.node.Get(ch.key))
+		ch.vals = ch.vals[1:]
 		pc.done()
-		pc.after(amp.Time(1+pc.think.Int63n(pc.gap)), submit)
+		if len(wait) == 0 {
+			pc.after(amp.Time(1+pc.think.Int63n(pc.gap)), burst)
+		}
 	}
-	pc.after(amp.Time(1+pc.think.Int63n(pc.first)), submit)
+	pc.after(amp.Time(1+pc.think.Int63n(pc.first)), burst)
 }

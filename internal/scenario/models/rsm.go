@@ -8,25 +8,29 @@ import (
 	"distbasics/internal/scenario"
 )
 
-// RSM is the schedule-fuzz linearizability model for the replicated
-// state machine: several client replicas each own one key and chain put
-// commands through TO-broadcast, treating a command as returned when its
-// own replica applies it (Node.OnApply) and reading the key's local
-// state at that point — a valid linearization read, because the client's
-// prior puts are exactly the completed ops on that key. The combined
-// multi-key history is checked per key via RegisterArraySpec's
-// Partitioner. Even seeds run benign schedules (every chain completes);
-// odd seeds add a bounded fault schedule that always heals, under which
-// stalled commands stay pending.
+// RSM is the schedule-fuzz model of the replicated state machine (§5.1:
+// TO-broadcast over Ω-driven consensus) on amp.Sim, with the daemons'
+// journals on every replica. Client replicas 0..4 each own three keys
+// and run a put chain per key (putChain), submitting one put per chain
+// back to back: a burst above MaxBatch, so it spans slots. Replica 5 is
+// the bystander. The oracles: per-key linearizability of the history;
+// exactly-once apply per replica incarnation; identical total order
+// (pairwise agreement at every absolute apply position both replicas
+// hold); bounded work; and on benign (even) seeds, every put returning,
+// in fewer slots than puts when a burst exceeds MaxBatch (batching
+// happened). Odd seeds add faults that always heal (genHealingFaults)
+// and a snapshot-crash of the bystander (simSnapCrashes), which must
+// slot back into the same total order; stalled puts stay pending.
 type RSM struct{}
 
-// rsmReplicas/rsmClients/rsmPuts fix the cluster shape: replicas 0..4
-// each own one key, replica 5 is a bystander (and the fault schedule's
-// crash victim).
 const (
 	rsmReplicas = 6
 	rsmClients  = 5
-	rsmPuts     = 21
+	rsmKeys     = 3 // per client: client c owns c, c+5 and c+10
+	rsmPuts     = 7 // per key
+	rsmMaxBatch = 2 // below a burst of rsmKeys
+	rsmChunk    = 10_000
+	rsmHorizon  = 400_000
 )
 
 // Name implements scenario.Model.
@@ -38,11 +42,14 @@ func (*RSM) Generate(seed uint64) *scenario.Scenario {
 	sc := &scenario.Scenario{Model: "rsm", Seed: seed, Procs: rsmReplicas}
 	for c := 0; c < rsmClients; c++ {
 		for k := 1; k <= rsmPuts; k++ {
-			sc.Ops = append(sc.Ops, scenario.Op{Proc: c, Kind: scenario.OpPut, Key: c, Val: k})
+			for b := 0; b < rsmKeys; b++ {
+				sc.Ops = append(sc.Ops, scenario.Op{Proc: c, Kind: scenario.OpPut, Key: c + b*rsmClients, Val: k})
+			}
 		}
 	}
 	if seed%2 == 1 {
 		sc.Faults = genHealingFaults(rng, rsmReplicas, rsmClients)
+		sc.Faults = append(sc.Faults, genSnapCrash(rng, 400+rng.Int63n(1_500), rsmClients, 300, 900))
 	}
 	return sc
 }
@@ -51,35 +58,124 @@ func (*RSM) Generate(seed uint64) *scenario.Scenario {
 func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
 	cfg := scenario.NewRand(sc.Seed).Derive(100)
-	rec := check.NewRecorder()
+	hist := check.NewRecorder()
+	js, ok := openJournals(res, rsmReplicas)
+	defer js.close()
+	if !ok {
+		return res
+	}
 
+	// applied[j] is replica j's applied IDs at absolute apply positions
+	// and seen[j] its current incarnation's, both recorded by a
+	// construction-time hook (WithApplyHook), which a reboot's recovery
+	// replay goes through too: a reboot rewinds both to the recovered
+	// snapshot's coverage and the replayed suffix re-extends them.
+	applied := make([][]rbcast.MsgID, rsmReplicas)
+	seen := make([]map[rbcast.MsgID]bool, rsmReplicas)
+	build := func(j int, rec *rsm.Recovery) *rsm.Node { // rec is nil on first boot
+		nd := rsm.NewNode(rsmReplicas, rsm.WithMaxBatch(rsmMaxBatch), rsm.WithJournal(js.cur(j)), rsm.WithRecovery(rec),
+			rsm.WithApplyHook(func(e rsm.Entry, _ amp.Time) {
+				if seen[j][e.ID] {
+					res.Failf("replica %d applied %v twice", j, e.ID)
+					return
+				}
+				seen[j][e.ID] = true
+				applied[j] = append(applied[j], e.ID)
+			}))
+		nd.Omega.Period = 16
+		return nd
+	}
 	nodes := make([]*rsm.Node, rsmReplicas)
 	procs := make([]amp.Process, rsmReplicas)
-	for j := 0; j < rsmReplicas; j++ {
-		nodes[j] = rsm.NewNode(rsmReplicas)
-		nodes[j].Omega.Period = 16
+	for j := range nodes {
+		seen[j] = make(map[rbcast.MsgID]bool)
+		nodes[j] = build(j, nil)
 		procs[j] = nodes[j].Stack
 	}
 	sim := amp.NewSim(procs,
 		amp.WithSeed(cfg.Int63()),
 		amp.WithDelay(amp.UniformDelay{Min: 1, Max: amp.Time(2 + cfg.Int63n(6))}),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
+	simSnapCrashes(sim, sc, res, js, applied, func(p int) *rsm.Node { return nodes[p] },
+		func(p int, rec *rsm.Recovery, base int) {
+			seen[p] = make(map[rbcast.MsgID]bool, base)
+			for _, id := range applied[p] {
+				seen[p][id] = true
+			}
+			nodes[p] = build(p, rec)
+			sim.Replace(p, nodes[p].Stack)
+			res.Tracef("snaprestart p%d base=%d applied=%d", p, base, len(applied[p]))
+		})
 
+	total, done, widest := 0, 0, 0 // widest: the most keys one client puts
 	for c := 0; c < rsmClients; c++ {
-		nd := nodes[c]
+		ops := sc.OpsFor(c)
+		total += len(ops)
+		keys := make(map[int]bool)
+		for _, op := range ops {
+			keys[op.Key] = true
+		}
+		widest = max(widest, len(keys))
 		putChain{
-			rec: rec, proc: c, ops: sc.OpsFor(c), node: nd,
-			submit: func(cmd rsm.Command) rbcast.MsgID { return nd.Submit(nd.Ctx(), cmd) },
-			after:  func(d amp.Time, f func()) { sim.Schedule(sim.Now()+d, f) },
-			think:  scenario.NewRand(sc.Seed).Derive(uint64(200 + c)), first: 100, gap: 120,
-			done: func() {},
+			rec: hist, proc: c, stride: rsmClients, ops: ops, node: nodes[c],
+			submit: func(cmd rsm.Command) rbcast.MsgID { return nodes[c].Submit(nodes[c].Ctx(), cmd) },
+			after: func(d amp.Time, f func()) {
+				var try func()
+				try = func() {
+					if sim.Crashed(c) { // a paused or killed client submits nothing
+						sim.Schedule(sim.Now()+200, try)
+						return
+					}
+					f()
+				}
+				sim.Schedule(sim.Now()+d, try)
+			},
+			think: scenario.NewRand(sc.Seed).Derive(uint64(200 + c)), first: 100, gap: 120,
+			done: func() { done++ },
 		}.start()
 	}
 	ampCrashes(sim, sc.Faults)
-	sim.Run(400_000)
+	// Run in fixed chunks, stopping at the first boundary where every
+	// put has returned and every fault window has closed (chunk
+	// boundaries are part of the scenario's definition, so replays
+	// agree).
+	var quiet amp.Time
+	for _, f := range sc.Faults {
+		quiet = max(quiet, amp.Time(f.Until))
+	}
+	for until := amp.Time(rsmChunk); until <= rsmHorizon; until += rsmChunk {
+		sim.Run(until)
+		if done == total && until >= quiet {
+			break
+		}
+	}
 
-	boundWork(res, putPerOp, len(sc.Ops), rsmReplicas, func(p int) int { return nodes[p].Len() })
-	h := rec.History()
+	h := hist.History()
 	traceHistory(res, h)
+	for a := 0; a < rsmReplicas; a++ {
+		for b := a + 1; b < rsmReplicas; b++ {
+			if i := divergence(applied[a], applied[b], 0, 0); i >= 0 {
+				res.Failf("order divergence at entry %d: replica %d %v, replica %d %v", i, a, applied[a][i], b, applied[b][i])
+				return res
+			}
+		}
+	}
+	boundWork(res, putPerOp, len(sc.Ops), rsmReplicas, func(p int) int { return nodes[p].Len() })
+	slots := 0
+	for j, nd := range nodes {
+		slots = max(slots, nd.SlotsDelivered())
+		res.Tracef("replica %d applied %d", j, len(applied[j]))
+	}
+	res.Tracef("slots=%d, %d of %d puts returned", slots, done, total)
+	if len(sc.Faults) == 0 {
+		if done < total {
+			res.Failf("benign run returned %d of %d puts", done, total)
+			return res
+		}
+		if widest > rsmMaxBatch && slots >= done {
+			res.Failf("no batching: %d slots for %d puts", slots, done)
+			return res
+		}
+	}
 	return linearizeKeyed(res, h)
 }

@@ -206,7 +206,7 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 		ops := sc.OpsFor(c)
 		total += len(ops)
 		putChain{
-			rec: rec, proc: c, ops: ops, node: nodes[c].Node,
+			rec: rec, proc: c, stride: tpClients, ops: ops, node: nodes[c].Node,
 			submit: func(cmd rsm.Command) (id rbcast.MsgID) {
 				nodes[c].RT.Do(func(amp.Context) { id = nodes[c].Node.Submit(nodes[c].Node.Ctx(), cmd) })
 				return id

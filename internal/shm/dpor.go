@@ -69,10 +69,12 @@ package shm
 // calls of DPOR explorations, and per-execution normalization of raw ids
 // against the window the call reserved. Deterministic factories create
 // the same objects in the same order, so "k-th object created" names the
-// same program object in every execution. If the window's object count
-// ever deviates from the first execution's (a non-deterministic factory,
-// or foreign construction racing the window), normalization degrades
-// every access to conflicts-with-everything — no pruning, never wrong.
+// same program object in every execution. Construction on other
+// goroutines cannot shift a window: the first execution's window is
+// built with their draws held off, and a later one that counts more
+// objects is built again that way (dporRuns.make). If the count still deviates (a non-deterministic
+// factory), normalization degrades every access to
+// conflicts-with-everything — no pruning, never wrong.
 //
 // # Step budgets and crashes
 //
@@ -99,6 +101,7 @@ package shm
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -107,15 +110,41 @@ import (
 // zero id is reserved for "unknown object" (conflicts with everything).
 var objSeq atomic.Uint64
 
-// dporFactoryMu serializes object construction during DPOR explorations
-// so each Factory call owns a contiguous id window.
-var dporFactoryMu sync.Mutex
+// dporFactoryMu serializes the Factory calls of DPOR explorations. A
+// fenced call (dporRuns.make) also holds drawGate, which every other
+// goroutine's draw read-locks, so its window holds its own objects only;
+// fencer names the goroutine that draws past the gate.
+var (
+	dporFactoryMu sync.Mutex
+	drawGate      sync.RWMutex
+	fencer        atomic.Uint64
+)
 
 // newObjID reserves one creation-order object identity.
-func newObjID() uint64 { return objSeq.Add(1) }
+func newObjID() uint64 { return newObjIDBlock(1) }
 
 // newObjIDBlock reserves m consecutive identities, returning the first.
-func newObjIDBlock(m int) uint64 { return objSeq.Add(uint64(m)) - uint64(m) + 1 }
+func newObjIDBlock(m int) uint64 {
+	if g := fencer.Load(); g == 0 || g != goid() {
+		drawGate.RLock()
+		defer drawGate.RUnlock()
+	}
+	return objSeq.Add(uint64(m)) - uint64(m) + 1
+}
+
+// goid is the calling goroutine's id, off its stack trace's first line
+// ("goroutine 17 [running]:"). Only draws during a fenced call pay it.
+func goid() uint64 {
+	var buf [32]byte
+	var id uint64
+	for _, c := range buf[len("goroutine "):runtime.Stack(buf[:], false)] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
+}
 
 // oidNone marks a step that touches no shared object (Yield).
 const oidNone = ^uint64(0)
@@ -234,41 +263,58 @@ func (d *dporRec) record(sid int, oid uint64, write bool) {
 
 // dporRuns is the shared per-exploration factory state: every Factory
 // call goes through make, which reserves the id window and checks that
-// the call constructed the same number of objects as the first one.
+// the call constructed as many objects as the first one.
 type dporRuns struct {
-	expected  atomic.Int64 // objects per Factory call; -1 until known
+	expected  int64 // objects per Factory call, -1 until known; under dporFactoryMu
 	unstable  atomic.Bool
 	crashDep  bool        // this attempt's crash/step dependence mode
 	sawCutoff atomic.Bool // some counted execution hit the step budget
 }
 
 func newDPORRuns(crashDep bool) *dporRuns {
-	r := &dporRuns{crashDep: crashDep}
-	r.expected.Store(-1)
-	return r
+	return &dporRuns{expected: -1, crashDep: crashDep}
 }
 
 // make runs the factory under the construction mutex and returns the run
-// with its id window. With the reduction off nothing is ever asleep and
-// no access class is ever consulted, so there is no window to reserve:
-// the mutex, which would serialize the workers' Factory calls, is skipped.
+// with its id window. The first call is fenced, so its count is the
+// factory's own; a later window that counts more drew other goroutines'
+// ids and is made again, fenced. Any other deviation is the factory's
+// (it is not deterministic) and turns normalization off. With the
+// reduction off no access class is ever consulted, so there is no window
+// to reserve and no mutex to serialize the workers' Factory calls.
 func (r *dporRuns) make(opts *ExploreOpts) (*Run, uint64, uint64) {
 	if !opts.DPOR {
 		return opts.Factory(), 0, 0
 	}
 	dporFactoryMu.Lock()
-	base := objSeq.Load()
-	run := opts.Factory()
-	count := objSeq.Load() - base
-	dporFactoryMu.Unlock()
-	exp := r.expected.Load()
-	switch {
-	case exp == int64(count):
-	case exp == -1 && r.expected.CompareAndSwap(-1, int64(count)):
-	default:
-		r.unstable.Store(true)
+	defer dporFactoryMu.Unlock()
+	for fenced := r.expected < 0; ; fenced = true {
+		run, base, count := factoryWindow(opts.Factory, fenced)
+		switch {
+		case r.expected < 0:
+			r.expected = int64(count)
+		case int64(count) > r.expected && !fenced:
+			continue
+		case int64(count) != r.expected:
+			r.unstable.Store(true)
+		}
+		return run, base, count
 	}
-	return run, base, count
+}
+
+// factoryWindow calls factory, fenced or not, and returns its run and id window.
+func factoryWindow(factory func() *Run, fenced bool) (*Run, uint64, uint64) {
+	if fenced {
+		drawGate.Lock()
+		fencer.Store(goid())
+		defer func() {
+			fencer.Store(0)
+			drawGate.Unlock()
+		}()
+	}
+	base := objSeq.Load()
+	run := factory()
+	return run, base, objSeq.Load() - base
 }
 
 // childDecision maps a child index to its scheduling decision. Full

@@ -270,3 +270,39 @@ func TestDPORFenceCatchesWrongDependence(t *testing.T) {
 		t.Fatal("fence did not catch an always-independent dependence relation")
 	}
 }
+
+// TestDPORCountsIgnoreForeignConstruction constructs shared objects on
+// another goroutine throughout DPOR searches: their ids land inside the
+// searches' Factory windows, and each serial and parallel search must
+// still prune exactly as it does alone.
+func TestDPORCountsIgnoreForeignConstruction(t *testing.T) {
+	const seeds = 40
+	opts := func(seed int64, workers int) ExploreOpts {
+		return ExploreOpts{Factory: genDPORProgram(seed).factory, MaxCrashes: int(seed % 2), DPOR: true, Workers: workers,
+			Check: func(*Outcome) string { return "" }}
+	}
+	var alone [seeds]int
+	for seed := range alone {
+		alone[seed] = Explore(opts(int64(seed), 1)).Executions
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				NewRegister(0)
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+	for seed, want := range alone {
+		for _, workers := range []int{1, 2} {
+			if got := Explore(opts(int64(seed), workers)).Executions; got != want {
+				t.Fatalf("seed %d, %d workers: %d executions beside foreign construction, %d alone", seed, workers, got, want)
+			}
+		}
+	}
+}

@@ -21,7 +21,8 @@ type ExploreOpts struct {
 	// Factory builds a fresh program (fresh shared objects, fresh bodies).
 	// Called once per explored execution — plus a few extra times to size
 	// the engine and, with Workers > 1, to partition the frontier — so
-	// bodies must be deterministic and construction side-effect free.
+	// bodies must be deterministic and construction side-effect free, and
+	// a DPOR search's Factory builds its objects on the calling goroutine.
 	Factory func() *Run
 	// MaxCrashes enables crash branching: at every decision point, in
 	// addition to stepping each enabled process, the explorer also tries
