@@ -271,8 +271,8 @@ type keyChain struct {
 }
 
 // start arms the client (one without ops — a shrunk scenario — arms
-// nothing).
-func (pc putChain) start() {
+// nothing) and returns its burst: the number of keys it puts.
+func (pc putChain) start() int {
 	var chains []*keyChain
 	byKey := make(map[int]*keyChain)
 	for _, op := range pc.ops {
@@ -285,7 +285,7 @@ func (pc putChain) start() {
 		ch.vals = append(ch.vals, op.Val)
 	}
 	if len(chains) == 0 {
-		return
+		return 0
 	}
 	wait := make(map[rbcast.MsgID]*keyChain)
 	burst := func() {
@@ -312,4 +312,5 @@ func (pc putChain) start() {
 		}
 	}
 	pc.after(amp.Time(1+pc.think.Int63n(pc.first)), burst)
+	return len(chains)
 }

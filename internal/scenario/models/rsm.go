@@ -107,16 +107,11 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 			res.Tracef("snaprestart p%d base=%d applied=%d", p, base, len(applied[p]))
 		})
 
-	total, done, widest := 0, 0, 0 // widest: the most keys one client puts
+	total, done, widest := 0, 0, 0 // widest: the largest burst
 	for c := 0; c < rsmClients; c++ {
 		ops := sc.OpsFor(c)
 		total += len(ops)
-		keys := make(map[int]bool)
-		for _, op := range ops {
-			keys[op.Key] = true
-		}
-		widest = max(widest, len(keys))
-		putChain{
+		widest = max(widest, putChain{
 			rec: hist, proc: c, stride: rsmClients, ops: ops, node: nodes[c],
 			submit: func(cmd rsm.Command) rbcast.MsgID { return nodes[c].Submit(nodes[c].Ctx(), cmd) },
 			after: func(d amp.Time, f func()) {
@@ -132,7 +127,7 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 			},
 			think: scenario.NewRand(sc.Seed).Derive(uint64(200 + c)), first: 100, gap: 120,
 			done: func() { done++ },
-		}.start()
+		}.start())
 	}
 	ampCrashes(sim, sc.Faults)
 	// Run in fixed chunks, stopping at the first boundary where every
