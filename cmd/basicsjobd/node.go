@@ -100,7 +100,6 @@ func runServe(cfgPath string, id int) (*server, error) {
 // loop; its Defer rides the real clock back into the loop.
 func (s *server) newRunner(clock transport.Clock) *jobq.Runner {
 	r := jobq.NewRunner(s.nd, s.id)
-	r.RetryEvery = runnerRetryTicks
 	r.Defer = func(d amp.Time, f func()) {
 		clock.AfterFunc(d, func() { s.rep.RT.Do(func(amp.Context) { f() }) })
 	}

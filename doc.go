@@ -311,15 +311,15 @@
 // echo) enforces exactly-once completion no matter how many duplicate
 // or stale reports race in. Timing policy — the lease grace that
 // declares a continuously-suspected worker dead (fd.SuspectedSince),
-// the jittered exponential backoff between a job's attempts, the
-// re-proposal pacing — is read against the acting Ω leader's own clock
-// and never needs clock agreement; a failover leader re-derives it
-// from its own detector and seed. Jobs whose attempt budget is
-// exhausted are dead-lettered (the poison-job escape hatch), and
-// everything a worker proposes is at-least-once: joins and outcome
-// reports re-issue until the replicated state reflects them, because
-// the first command in the total order wins and the rest are counted
-// as stale rejections, never second effects.
+// and the jittered exponential backoff between a job's attempts — is
+// read against the acting Ω leader's own clock and never needs clock
+// agreement; a failover leader re-derives it from its own detector and
+// seed. Jobs whose attempt budget is exhausted are dead-lettered (the
+// poison-job escape hatch). Every command is proposed once: the rsm
+// layer re-sends a payload until it is ordered, and the duplicates that
+// remain (a restarted worker re-executing an attempt) are harmless,
+// because the first command in the total order wins and the rest are
+// counted as stale rejections, never second effects.
 //
 //	basicsjobd serve -config cluster.json -id 0
 //	basicsjobd e2e

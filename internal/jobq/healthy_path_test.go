@@ -141,7 +141,7 @@ func TestPlacementRaceKeepsTheCap(t *testing.T) {
 // job on a worker whose expiry is ordered just before the submit. The
 // placement is refused at apply, the job is Pending — and the leader's
 // own in-flight entry for it must be gone by the time its scheduler pass
-// runs in that same turn, or the job would sit out ReproposeEvery.
+// runs in that same turn, or no pass would ever assign the job.
 func TestRefusedPlacementIsRescheduledAtOnce(t *testing.T) {
 	c := playedCluster(3, Config{}, 0, 2)
 	nd := c.nodes[0]
@@ -161,7 +161,7 @@ func TestRefusedPlacementIsRescheduledAtOnce(t *testing.T) {
 	c.sim.Schedule(300, func() {
 		nd.Propose(nd.Ctx(), Cmd{Kind: CmdExpire, Worker: 2})
 		nd.Submit(nd.Ctx(), "a", 3, nil)
-		if got := nd.assigning["a"].worker; got != 2 {
+		if got := nd.assigning["a"]; got != 2 {
 			t.Errorf("leader placed a on worker %d, want the idle worker 2", got)
 		}
 	})

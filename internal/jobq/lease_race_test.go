@@ -48,7 +48,6 @@ func newJQSim(n int, cfg Config, cost amp.Time, opts ...amp.SimOption) *jqCluste
 	for j := 0; j < n; j++ {
 		j := j
 		r := NewRunner(c.nodes[j], j)
-		r.RetryEvery = 100
 		r.Defer = func(d amp.Time, f func()) { c.sim.After(j, d, f) }
 		r.Cost = func(Job) amp.Time { return cost }
 		c.runners[j] = r
@@ -60,8 +59,9 @@ func newJQSim(n int, cfg Config, cost amp.Time, opts ...amp.SimOption) *jqCluste
 // race, end to end over the real detector/consensus stack: worker 2 is
 // assigned a job and then isolated; its suspicion ages past the grace
 // period, the scheduler expires its lease and reassigns the job;
-// meanwhile the isolated worker finishes the work and keeps trying to
-// report it. When the partition heals, the original worker's
+// meanwhile the isolated worker finishes the work and reports it once,
+// a proposal its rsm replica sends again every sync period while the
+// partition lasts. When the partition heals, the original worker's
 // completion — carrying attempt 1 as its idempotency token — must lose
 // to the apply-time validation at every replica: exactly one effect,
 // credited to the reassigned worker, and the stale report counted as
@@ -91,7 +91,7 @@ func TestLeaseLapseReassignStaleCompletion(t *testing.T) {
 
 	// Belt and braces for the race: the moment the partition heals, the
 	// reappearing worker explicitly reports its stale attempt-1
-	// completion (on top of whatever its report loop re-proposes).
+	// completion (on top of the report its replica is still sending).
 	sim.Schedule(heal+1, func() {
 		nodes[2].Propose(nodes[2].Ctx(), Cmd{Kind: CmdComplete, Job: "a", Worker: 2, Attempt: 1, Result: "stale"})
 	})

@@ -28,13 +28,9 @@ type Config struct {
 	// with (default 50). The healthy path does not wait for it: the
 	// leader runs a pass whenever an applied command changes what is
 	// schedulable (see onApply). The pulse serves what no apply announces:
-	// a back-off running out, a suspicion aging past Grace, a lost proposal.
+	// a back-off running out, a suspicion aging past Grace. A proposal
+	// is never made twice: internal/rsm re-sends it until it is ordered.
 	StepEvery amp.Time
-	// ReproposeEvery is how long the scheduler waits for a proposal
-	// (assign/expire) to take effect before proposing it again —
-	// proposals can be lost to leader changes and partitions, and a
-	// duplicate is validated away at apply time (default 8*StepEvery).
-	ReproposeEvery amp.Time
 	// Retry is the reassignment backoff policy.
 	Retry RetryPolicy
 }
@@ -48,9 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StepEvery <= 0 {
 		c.StepEvery = 50
-	}
-	if c.ReproposeEvery <= 0 {
-		c.ReproposeEvery = 8 * c.StepEvery
 	}
 	c.Retry = c.Retry.withDefaults()
 	return c
@@ -72,21 +65,14 @@ type Node struct {
 	// reassignment time on THIS replica's clock. Every replica tracks it
 	// (cheap) so whichever replica becomes leader enforces backoff.
 	eligibleAt map[string]amp.Time
-	// assigning (by job) and expiring (by worker) hold this replica's
-	// in-flight proposals — the leader's assigns and expiries, and any
-	// replica's placements (Submit) — so the leader does not flood
-	// consensus re-proposing every Step while a decision is in flight,
-	// and so a choice of worker counts the jobs proposed here, which the
-	// replicated state does not show yet, against their worker's cap.
-	assigning map[string]assignment
-	expiring  map[int]amp.Time
+	// assigning (job → worker) and expiring (by worker) hold this
+	// replica's proposals — the leader's assigns and expiries, and any
+	// replica's placements (Submit) — until they apply, so each is made
+	// once, and so a choice of worker counts the jobs proposed here,
+	// which the replicated state does not show yet, against its cap.
+	assigning map[string]int
+	expiring  map[int]bool
 	rng       splitmix.Source
-}
-
-// assignment is one in-flight proposal that names a worker for a job.
-type assignment struct {
-	worker int
-	at     amp.Time
 }
 
 // New builds a queue replica for an n-replica group. The rsm options
@@ -98,8 +84,8 @@ func New(n int, cfg Config, opts ...rsm.NodeOption) *Node {
 		cfg:        cfg.withDefaults(),
 		st:         NewState(),
 		eligibleAt: make(map[string]amp.Time),
-		assigning:  make(map[string]assignment),
-		expiring:   make(map[int]amp.Time),
+		assigning:  make(map[string]int),
+		expiring:   make(map[int]bool),
 	}
 	jn.rng = splitmix.New(uint64(jn.cfg.Retry.Seed))
 	opts = append(opts, rsm.WithApplyHook(jn.onApply), rsm.WithSnapshotter(jn))
@@ -137,8 +123,8 @@ func (jn *Node) Propose(ctx amp.Context, c Cmd) rbcast.MsgID {
 // a job it refuses is the scheduler's. Must run inside the event loop.
 func (jn *Node) Submit(ctx amp.Context, job string, budget int, payload any) rbcast.MsgID {
 	c := Cmd{Kind: CmdSubmit, Job: job, Budget: budget, Payload: payload}
-	if w := leastLoaded(jn.candidates(ctx, ctx.Now()), jn.cfg.MaxPerWorker, ctx.ID()); w != nil {
-		jn.assigning[job] = assignment{worker: w.id, at: ctx.Now()}
+	if w := leastLoaded(jn.candidates(ctx), jn.cfg.MaxPerWorker, ctx.ID()); w != nil {
+		jn.assigning[job] = w.id
 		c.Worker, c.Attempt, c.Cap = w.id, 1, jn.cfg.MaxPerWorker
 	}
 	return jn.Propose(ctx, c)
@@ -166,9 +152,13 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	}
 	ev := jn.st.Apply(jc)
 	// An applied submit or assign settles what this replica proposed for
-	// the job, refused or not: the next pass must not sit out ReproposeEvery.
-	if jc.Kind == CmdSubmit || ev.Kind == EvAssigned || jc.Kind == CmdAssign && jn.assigning[jc.Job].worker == jc.Worker {
+	// the job, and an applied expiry for the worker, refused or not: an
+	// entry left behind would block the job (or the worker's expiry).
+	if jc.Kind == CmdSubmit || ev.Kind == EvAssigned || jc.Kind == CmdAssign && jn.assigning[jc.Job] == jc.Worker {
 		delete(jn.assigning, jc.Job)
+	}
+	if jc.Kind == CmdExpire {
+		delete(jn.expiring, jc.Worker)
 	}
 	switch ev.Kind {
 	case EvAssigned:
@@ -179,7 +169,6 @@ func (jn *Node) onApply(e rsm.Entry, at amp.Time) {
 	case EvCompleted, EvDeadLettered:
 		delete(jn.eligibleAt, ev.Job)
 	case EvWorkerExpired, EvWorkerLeft:
-		delete(jn.expiring, ev.Worker)
 		// Released jobs lost their worker, not the work: one base delay
 		// (jittered), not the exponential curve — expiry is the lease's
 		// fault, not the job's.
@@ -228,10 +217,10 @@ func (jn *Node) expireWorkers(ctx amp.Context, now amp.Time) {
 		if !ok || now-since < jn.cfg.Grace {
 			continue
 		}
-		if at, ok := jn.expiring[w]; ok && jn.inFlight(at, now) {
+		if jn.expiring[w] {
 			continue
 		}
-		jn.expiring[w] = now
+		jn.expiring[w] = true
 		jn.Propose(ctx, Cmd{Kind: CmdExpire, Worker: w})
 	}
 }
@@ -243,12 +232,10 @@ type candidate struct{ id, load int }
 // suspect with their load: what the replicated state shows plus what was
 // proposed here and is not yet decided — several choices are made per
 // consensus round trip, and each would otherwise see the same idle worker.
-func (jn *Node) candidates(ctx amp.Context, now amp.Time) []candidate {
+func (jn *Node) candidates(ctx amp.Context) []candidate {
 	proposed := make(map[int]int)
-	for _, a := range jn.assigning {
-		if jn.inFlight(a.at, now) {
-			proposed[a.worker]++
-		}
+	for _, w := range jn.assigning {
+		proposed[w]++
 	}
 	var cands []candidate
 	for _, w := range jn.st.Workers() {
@@ -278,27 +265,21 @@ func (jn *Node) assign(ctx amp.Context, now amp.Time) {
 	if len(jn.st.pending) == 0 {
 		return
 	}
-	cands := jn.candidates(ctx, now)
+	cands := jn.candidates(ctx)
 	for _, pos := range jn.st.pending {
 		id := jn.st.order[pos]
 		if jn.eligibleAt[id] > now {
 			continue
 		}
-		if a, ok := jn.assigning[id]; ok && jn.inFlight(a.at, now) {
+		if _, ok := jn.assigning[id]; ok {
 			continue
 		}
 		best := leastLoaded(cands, jn.cfg.MaxPerWorker, -1)
 		if best == nil {
 			break // all workers full; retry next Step
 		}
-		jn.assigning[id] = assignment{worker: best.id, at: now}
+		jn.assigning[id] = best.id
 		jn.Propose(ctx, Cmd{Kind: CmdAssign, Job: id, Worker: best.id, Attempt: jn.st.jobs[id].Attempt + 1, Cap: jn.cfg.MaxPerWorker})
 		best.load++
 	}
-}
-
-// inFlight reports whether a scheduler proposal made at `at` is still
-// awaited: one per ReproposeEvery until its effect clears it.
-func (jn *Node) inFlight(at, now amp.Time) bool {
-	return now-at < jn.cfg.ReproposeEvery
 }

@@ -12,17 +12,16 @@ import (
 // replicas (worker ID == replica ID), which is what lets the failure
 // detector's suspicion double as the worker lease.
 //
-// Reporting is at-least-once: join and outcome proposals are re-issued
-// every RetryEvery until the replicated state reflects them, because a
-// single TO-broadcast's dissemination can be lost to a partition or
-// drop window and nothing below the runner retransmits it. That makes
-// duplicates routine rather than exceptional — and harmless, since the
-// state machine validates every command: of N copies of the same
-// completion, the first in the total order has the effect and the rest
-// are rejected. A Runner never trusts its own liveness either: its
-// completion may race a lease expiry that already released (and
-// reassigned) the job, and the attempt token — not the runner —
-// decides which effect counts.
+// A Runner proposes each join and each outcome once: internal/rsm
+// re-sends a proposal until it is ordered, through partitions and drop
+// windows alike. Duplicates still happen (a rejoin raced by a second
+// expiry, a restart re-executing an attempt it already reported) and
+// are harmless, since the state machine validates every command: of N
+// copies of the same completion, the first in the total order has the
+// effect and the rest are rejected. A Runner never trusts its own
+// liveness either: its completion may race a lease expiry that already
+// released (and reassigned) the job, and the attempt token — not the
+// runner — decides which effect counts.
 //
 // Everything here runs inside the replica's event loop via the
 // host-provided Defer.
@@ -41,9 +40,6 @@ type Runner struct {
 	// RejoinDelay is how long an expired-but-alive worker waits before
 	// rejoining (default 50).
 	RejoinDelay amp.Time
-	// RetryEvery is the re-proposal period for unacknowledged join and
-	// outcome commands (default 500).
-	RetryEvery amp.Time
 
 	nd      *Node
 	self    int
@@ -54,7 +50,7 @@ type Runner struct {
 // the exported fields, then call Start (inside the event loop, or via
 // a deferred host hook).
 func NewRunner(nd *Node, self int) *Runner {
-	r := &Runner{nd: nd, self: self, RejoinDelay: 50, RetryEvery: 500}
+	r := &Runner{nd: nd, self: self, RejoinDelay: 50}
 	nd.Subscribe(r.onEvent)
 	return r
 }
@@ -67,7 +63,7 @@ func NewRunner(nd *Node, self int) *Runner {
 // stale token is rejected). Must run inside the event loop.
 func (r *Runner) Start() {
 	r.stopped = false
-	r.Defer(1, r.ensureJoin)
+	r.Defer(1, r.join)
 	for _, j := range r.nd.State().Jobs() {
 		if (j.State == Assigned || j.State == Running) && j.Worker == r.self {
 			r.execute(j)
@@ -80,15 +76,13 @@ func (r *Runner) Start() {
 // crash needs no Stop — its timers die with it.
 func (r *Runner) Stop() { r.stopped = true }
 
-// ensureJoin proposes CmdJoin until the replicated state lists this
-// worker (at-least-once against lost dissemination; a duplicate join
-// is a validated no-op).
-func (r *Runner) ensureJoin() {
+// join proposes CmdJoin unless the local state lists this worker (a
+// duplicate join is a validated no-op).
+func (r *Runner) join() {
 	if r.stopped || r.nd.State().Alive(r.self) {
 		return
 	}
 	r.nd.Propose(r.nd.Ctx(), Cmd{Kind: CmdJoin, Worker: r.self})
-	r.Defer(r.RetryEvery, r.ensureJoin)
 }
 
 // onEvent reacts to applied queue commands.
@@ -109,13 +103,18 @@ func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
 		if d <= 0 {
 			d = 1
 		}
-		r.Defer(d, r.ensureJoin)
+		r.Defer(d, r.join)
 	}
 }
 
-// execute runs one attempt: it reports the outcome after the job's
-// cost, and proposes nothing before that. j is the assignment-time
-// snapshot; j.Attempt is the idempotency token for the whole attempt.
+// execute runs one attempt: it proposes the outcome after the job's
+// cost, and nothing before that. j is the assignment-time snapshot;
+// j.Attempt is the idempotency token for the whole attempt. The outcome
+// is not proposed when the local view shows the attempt settled
+// (terminal, released, or reassigned). That view can lag, so a
+// reappearing worker may still report an attempt the cluster has
+// reassigned: its token loses the apply-time validation and is counted
+// Stale, never a second effect.
 func (r *Runner) execute(j Job) {
 	cost := amp.Time(1)
 	if r.Cost != nil {
@@ -127,6 +126,10 @@ func (r *Runner) execute(j Job) {
 		if r.stopped {
 			return
 		}
+		cur, ok := r.nd.State().Job(j.ID)
+		if !ok || cur.State.Terminal() || cur.Worker != r.self || cur.Attempt != j.Attempt {
+			return // settled, or no longer our attempt
+		}
 		var out Cmd
 		if r.Work == nil {
 			out = Cmd{Kind: CmdComplete, Job: j.ID, Worker: r.self, Attempt: j.Attempt}
@@ -135,25 +138,6 @@ func (r *Runner) execute(j Job) {
 		} else {
 			out = Cmd{Kind: CmdFail, Job: j.ID, Worker: r.self, Attempt: j.Attempt, Err: errMsg}
 		}
-		r.report(j, out)
+		r.nd.Propose(r.nd.Ctx(), out)
 	})
-}
-
-// report proposes the attempt's outcome, re-proposing until the local
-// view shows the attempt settled (terminal, released, or reassigned).
-// The guard reads the LOCAL state, which can lag — a reappearing
-// worker may well re-propose an outcome for a job the cluster has
-// already reassigned. That is by design: the proposal's attempt token
-// loses the apply-time validation race and is counted Stale, never a
-// second effect.
-func (r *Runner) report(j Job, out Cmd) {
-	if r.stopped {
-		return
-	}
-	cur, ok := r.nd.State().Job(j.ID)
-	if !ok || cur.State.Terminal() || cur.Worker != r.self || cur.Attempt != j.Attempt {
-		return // settled, or no longer our attempt
-	}
-	r.nd.Propose(r.nd.Ctx(), out)
-	r.Defer(r.RetryEvery, func() { r.report(j, out) })
 }

@@ -33,6 +33,12 @@
 // the lease is not held (leader flap, partition, lease disabled), the
 // read falls back to a consensus no-op command whose apply point is
 // its linearization point.
+//
+// # Unknown outcomes
+//
+// A command whose replica stays up is applied once a majority is up:
+// rsm re-sends it until it is ordered. One whose replica crashed first
+// may or may not have applied, and is its client's to retry.
 package kv
 
 import (

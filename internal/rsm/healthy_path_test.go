@@ -110,11 +110,13 @@ func TestHealthyPathTicks(t *testing.T) {
 
 // tapCounts is what the replicas of a tapped cluster count and lose.
 type tapCounts struct {
-	payloads int  // toPayload frames from anybody but the payload's originator
-	decides  int  // synDecide frames from anybody but node 0, the leader
-	answers  int  // frames that teach a decided slot outside a Synod decide
-	deaf     int  // a follower that loses every synDecide frame (0: none)
-	blind    bool // the deaf follower also loses every frontier gossip
+	payloads  int  // toPayload frames from anybody but the payload's originator
+	resends   int  // toPayload frames its originator sent again
+	decides   int  // synDecide frames from anybody but node 0, the leader
+	answers   int  // frames that teach a decided slot outside a Synod decide
+	frontiers int  // frontier-only tbDecided frames sent to one replica
+	deaf      int  // a follower that loses every synDecide frame (0: none)
+	blind     bool // the deaf follower also loses every frontier-only frame
 }
 
 // muxComponent is the synod mux's position in NewNode's Stack.
@@ -129,6 +131,24 @@ type relayTap struct {
 	c  *tapCounts
 }
 
+// Init hands the replica a context that counts the frontier-only
+// answers it sends (a gossip is a broadcast).
+func (p relayTap) Init(ctx amp.Context) { p.Process.Init(frontierTap{Context: ctx, c: p.c}) }
+
+type frontierTap struct {
+	amp.Context
+	c *tapCounts
+}
+
+func (f frontierTap) Send(to int, msg amp.Message) {
+	if inner := reflect.ValueOf(msg).FieldByName("Inner"); inner.IsValid() {
+		if d, ok := inner.Interface().(tbDecided); ok && d.Slot < 0 {
+			f.c.frontiers++
+		}
+	}
+	f.Context.Send(to, msg)
+}
+
 func (p relayTap) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 	// The Stack's envelope type is amp's own; its fields are exported.
 	env := reflect.ValueOf(msg)
@@ -137,6 +157,8 @@ func (p relayTap) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 		case toPayload:
 			if from != m.ID.Sender {
 				p.c.payloads++
+			} else if m.Lingered {
+				p.c.resends++
 			}
 		case tbDecided:
 			if m.Slot >= 0 {
@@ -216,11 +238,16 @@ func TestHealthyRunRelaysNoDecide(t *testing.T) {
 // TestHealthyRunAnswersNoDecidedSlot: with every link up but delays
 // spread, acceptor replies reach the leader after it decided. A late
 // reply teaches nobody anything and is dropped; only a ballot for a
-// decided slot is answered, and a healthy run sends none.
+// decided slot is answered, and a healthy run sends none. Nor does
+// any payload linger a sync period, so no originator sends one again
+// and nobody answers one with its frontier.
 func TestHealthyRunAnswersNoDecidedSlot(t *testing.T) {
 	counts := healthyRun(t, amp.WithSeed(7), amp.WithDelay(amp.UniformDelay{Min: 1, Max: 4}))
 	if counts.answers != 0 {
 		t.Errorf("%d frames answered a decided slot, want 0 on a healthy run", counts.answers)
+	}
+	if counts.resends != 0 || counts.frontiers != 0 {
+		t.Errorf("%d payload frames re-sent by their originator and %d frontier-only answers, want 0 on a healthy run", counts.resends, counts.frontiers)
 	}
 }
 
@@ -346,6 +373,80 @@ func TestLingeringPayloadIsRelayed(t *testing.T) {
 		t.Errorf("%d relayed toPayload frames, want one broadcast from the one holder", relays)
 	}
 	t.Logf("payload held by one follower at %d, applied at %v after %d relayed frames", submitAt+1, appliedAt[:2], counts.payloads)
+}
+
+// TestLostBroadcastIsResent: the originator's broadcast, and every frame
+// it sends for three sync periods, is lost on every link, so no other
+// replica holds the payload to relay. The originator sends it again
+// once per sync period while it stays unscheduled, and every replica
+// applies it within two sync periods of the loss window closing.
+func TestLostBroadcastIsResent(t *testing.T) {
+	const n, submitAt, origin = 3, 1000, 2
+	const healAt = submitAt + 3*tbSyncPeriod
+	var counts tapCounts
+	c := newTappedCluster(n, &counts, amp.WithDelay(amp.FixedDelay{D: 1}),
+		amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, at amp.Time) amp.Verdict {
+			return amp.Verdict{Drop: src == origin && dst != origin && at >= submitAt && at < healAt}
+		})))
+	appliedAt := make([]amp.Time, n)
+	for i, nd := range c.nodes {
+		nd.OnApply = func(_ Entry, at amp.Time) { appliedAt[i] = at }
+	}
+	c.sim.Schedule(submitAt, func() { c.nodes[origin].Submit(c.nodes[origin].Ctx(), Command{Op: "put", Key: "k", Val: 1}) })
+	c.sim.Run(healAt + 10*tbSyncPeriod)
+
+	for i, nd := range c.nodes {
+		switch at := appliedAt[i]; {
+		case nd.Len() != 1 || nd.Get("k") != 1:
+			t.Errorf("replica %d applied %d commands (k = %v), want the lost broadcast's one", i, nd.Len(), nd.Get("k"))
+		case at > healAt+2*tbSyncPeriod:
+			t.Errorf("replica %d applied it at %d, want within two sync periods of the loss window closing at %d", i, at, healAt)
+		}
+	}
+	if counts.resends == 0 || counts.payloads != 0 {
+		t.Errorf("%d re-sent frames from the originator and %d relays, want the originator's re-sends only", counts.resends, counts.payloads)
+	}
+	t.Logf("loss window closed at %d; applied at %v after %d re-sent frames", healAt, appliedAt, counts.resends)
+}
+
+// TestResentPayloadIsAnsweredWithFrontier: follower 1 submits a command
+// and loses the decision of its slot, and the frontier gossip that
+// follows it; nothing is submitted after it. So nothing tells it that
+// it is behind: its payload lingers unscheduled. It sends the payload
+// again, its peers, which delivered it, answer with their frontier, and
+// it fetches the slot and applies the command within four sync periods.
+func TestResentPayloadIsAnsweredWithFrontier(t *testing.T) {
+	const n, submitAt, origin = 3, 1000, 1
+	counts := tapCounts{blind: true}
+	c := newTappedCluster(n, &counts, amp.WithDelay(amp.FixedDelay{D: 1}))
+	appliedAt := make([]amp.Time, n)
+	for i, nd := range c.nodes {
+		nd.OnApply = func(_ Entry, at amp.Time) { appliedAt[i] = at }
+	}
+	c.sim.Schedule(submitAt, func() {
+		counts.deaf = origin
+		c.nodes[origin].Submit(c.nodes[origin].Ctx(), Command{Op: "put", Key: "k", Val: 1})
+	})
+	// Peers gossip a moved frontier on their next sync timer, within a
+	// period of the decision; the originator hears frontier frames again
+	// only after that.
+	c.sim.Schedule(submitAt+tbSyncPeriod+10, func() { counts.blind = false })
+	c.sim.Run(submitAt + 10*tbSyncPeriod)
+
+	decided := appliedAt[0]
+	if decided < submitAt || c.nodes[2].Len() != 1 {
+		t.Fatalf("leader applied the command at %d, follower 2 applied %d commands: want both on the healthy path", decided, c.nodes[2].Len())
+	}
+	switch at := appliedAt[origin]; {
+	case c.nodes[origin].Len() != 1 || c.nodes[origin].Get("k") != 1:
+		t.Errorf("the originator applied %d commands (k = %v), want its own", c.nodes[origin].Len(), c.nodes[origin].Get("k"))
+	case at > submitAt+4*tbSyncPeriod:
+		t.Errorf("the originator applied its command at %d, want within four sync periods of its submit at %d", at, submitAt)
+	}
+	if counts.resends == 0 || counts.frontiers == 0 {
+		t.Errorf("%d re-sent frames and %d frontier answers, want both", counts.resends, counts.frontiers)
+	}
+	t.Logf("decided at %d; the originator applied it at %d after %d re-sent frames and %d frontier answers", decided, appliedAt[origin], counts.resends, counts.frontiers)
 }
 
 // TestPaceSpacesBallotStarts pins what the mux's pace promises, with a pace

@@ -8,10 +8,12 @@
 //
 // Dissemination and ordering are separate layers: a payload goes from its
 // originator to every replica once (n frames, not n²), the leader orders
-// what it holds, and a decided batch carries its payloads. A replica
-// relays only a payload that is still unordered a sync period after it
-// arrived: its originator crashed or was cut off mid-broadcast. Only the
-// leader broadcasts a decision; a replica that missed one fetches it.
+// what it holds, and a decided batch carries its payloads. A payload
+// still unordered a sync period after it was sent is sent again: by its
+// originator every period until a decision schedules it, by another
+// holder once. A replica that has delivered such a copy answers with its
+// decide frontier. Only the leader broadcasts a decision; a replica that
+// missed one fetches it.
 //
 // Consensus slots are allocated lazily and garbage-collected: a replica
 // group runs an unbounded sequence of Synod instances, materializing one
@@ -60,8 +62,8 @@ type TOBroadcast struct {
 	persistSeq func(next int) // journal hook, may be nil
 	pending    map[rbcast.MsgID]any
 	delivered  idSet
-	// held and heldOld: other replicas' payloads first received since the
-	// last sync timer and in the period before it (see relayLingering).
+	// held and heldOld: payloads first received or sent since the last
+	// sync timer and in the period before it (see relayLingering).
 	held, heldOld []rbcast.MsgID
 	scheduled     map[rbcast.MsgID]bool // in a decided-but-undelivered batch
 
@@ -124,11 +126,12 @@ const (
 )
 
 // toPayload disseminates an application message to all replicas' pending
-// sets: sent by its originator to everybody, and relayed by a replica
-// only if it lingers there (relayLingering).
+// sets: sent by its originator to everybody, and sent again only if it
+// lingers unordered (relayLingering), then with Lingered set.
 type toPayload struct {
-	ID      rbcast.MsgID
-	Payload any
+	ID       rbcast.MsgID
+	Payload  any
+	Lingered bool
 }
 
 // newTOBroadcast is internal; NewNode wires it with its synod mux.
@@ -173,6 +176,7 @@ func (tb *TOBroadcast) Broadcast(ctx amp.Context, payload any) rbcast.MsgID {
 	}
 	tb.pending[id] = payload
 	tb.unsched++
+	tb.held = append(tb.held, id)
 	ctx.Broadcast(toPayload{ID: id, Payload: payload})
 	tb.mux.ensureWindow()
 	return id
@@ -226,6 +230,10 @@ func (tb *TOBroadcast) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 	switch m := msg.(type) {
 	case toPayload:
 		if tb.delivered.has(m.ID) {
+			if m.Lingered && from != ctx.ID() {
+				// The sender missed the decision: tell it the frontier.
+				ctx.Send(from, tbDecided{Slot: -1, MaxSeen: tb.maxSeen})
+			}
 			return // late duplicate of an already-ordered message
 		}
 		if _, ok := tb.pending[m.ID]; !ok && !tb.scheduled[m.ID] {
@@ -310,14 +318,17 @@ func (tb *TOBroadcast) OnTimer(ctx amp.Context, id int) {
 	ctx.SetTimer(tbSyncPeriod, tbSyncTimer)
 }
 
-// relayLingering re-broadcasts, once each, the payloads of other
-// replicas held here for a full sync period with no decision scheduling
-// them: reliable broadcast's agreement clause. A healthy group orders a
+// relayLingering re-broadcasts the payloads held here for a full sync
+// period with no decision scheduling them: another replica's once, this
+// replica's own every period until one does. A healthy group orders a
 // payload within a ballot, so nothing gets that old.
 func (tb *TOBroadcast) relayLingering(ctx amp.Context) {
 	for _, id := range tb.heldOld {
 		if p, ok := tb.pending[id]; ok && !tb.scheduled[id] {
-			ctx.Broadcast(toPayload{ID: id, Payload: p})
+			ctx.Broadcast(toPayload{ID: id, Payload: p, Lingered: true})
+			if id.Sender == ctx.ID() {
+				tb.held = append(tb.held, id)
+			}
 		}
 	}
 	tb.heldOld, tb.held = tb.held, tb.heldOld[:0]
@@ -767,9 +778,9 @@ func (nd *Node) Ctx() amp.Context { return nd.Stack.Ctx(1) }
 
 // apply executes one delivered command on the local state. It is
 // idempotent by (proposer, seq): the TO layer already dedups batch
-// entries, but over a real at-least-once transport a retransmitted
-// decide could reach the delivery path twice, and applying a command
-// twice would corrupt the replica (and its linearizability history).
+// entries (a re-sent entry can be decided in two slots), but a decide
+// that reached the delivery path twice must not apply a command twice,
+// which would corrupt the replica (and its linearizability history).
 func (nd *Node) apply(e Entry, at amp.Time) {
 	if nd.seen.has(e.ID) {
 		return

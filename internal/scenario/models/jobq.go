@@ -26,7 +26,7 @@ import (
 //     may delay a job through expiry, release, and reassignment, but
 //     may never strand it.
 //   - exactly-once completion: despite lease expirations, reassignment
-//     races, at-least-once reporting, and reappearing workers, no job
+//     races, re-executed attempts, and reappearing workers, no job
 //     records more than one effect (Job.Effects ≤ 1, == 1 iff
 //     Completed).
 //
@@ -56,8 +56,9 @@ const (
 	jqStep     = 40
 	jqGrace    = 300
 	jqCap      = 3 // MaxPerWorker
-	// jqPerOp is boundWork's bound: seeds 1–120 apply at most 211
-	// commands for 18 jobs (11.7 per job).
+	// jqPerOp is boundWork's bound: seeds 1–120 apply at most 136
+	// commands for 18 jobs (7.6 per job; 173 while the scheduler and
+	// the workers re-proposed on timers).
 	jqPerOp = 24
 )
 

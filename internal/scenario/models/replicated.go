@@ -18,8 +18,8 @@ import (
 // verdict (abd, abdmulti, rsm, transport, universal), the applied-order
 // oracle (rsm, jobq, transport), the replicas' journals and the
 // snapshot-crash fault (rsm, jobq on amp.Sim; transport on Loopback) and
-// the put-then-read-at-apply client chains (rsm, transport), and the
-// bounded-work oracle (rsm, jobq, transport). The models
+// the put-then-read-at-apply client chains and their liveness oracle
+// (rsm, transport), and the bounded-work oracle (rsm, jobq, transport). The models
 // keep their own trace formats and failure messages: a Result is a
 // reproducer, byte for byte.
 
@@ -101,6 +101,23 @@ func boundWork(res *scenario.Result, perOp, ops, n int, applies func(p int) int)
 	if most > perOp*max(ops, 1) {
 		res.Failf("unbounded work: a replica applied %d commands for %d submitted ops (bound %d per op)", most, ops, perOp)
 	}
+}
+
+// stranded is the liveness oracle of the put models (rsm, transport):
+// every put has returned once the faults heal. A crash of a client
+// (below clients), whose unordered puts are its caller's to retry, or
+// one that never heals exempts the run; generated scenarios have none.
+func stranded(res *scenario.Result, sc *scenario.Scenario, clients, done, total int) bool {
+	for _, f := range sc.Faults {
+		crash := f.Kind == scenario.FaultCrash || f.Kind == scenario.FaultSnapCrash
+		if crash && (f.Proc < clients || f.Until <= f.From) {
+			return false
+		}
+	}
+	if done < total {
+		res.Failf("stranded: %d of %d puts returned", done, total)
+	}
+	return done < total
 }
 
 // genSnapCrash draws a snapshot-crash fault: at from, replica proc

@@ -16,11 +16,14 @@ import (
 // the bystander. The oracles: per-key linearizability of the history;
 // exactly-once apply per replica incarnation; identical total order
 // (pairwise agreement at every absolute apply position both replicas
-// hold); bounded work; and on benign (even) seeds, every put returning,
-// in fewer slots than puts when a burst exceeds MaxBatch (batching
-// happened). Odd seeds add faults that always heal (genHealingFaults)
-// and a snapshot-crash of the bystander (simSnapCrashes), which must
-// slot back into the same total order; stalled puts stay pending.
+// hold); bounded work, judged at every chunk boundary; every put
+// returning, on every seed; and on benign (even) seeds, in fewer slots
+// than puts when a burst exceeds MaxBatch (batching happened). Odd seeds
+// add faults that always heal (genHealingFaults) and a snapshot-crash of
+// the bystander (simSnapCrashes), which must slot back into the same
+// total order. Only the bystander ever loses its memory, so every put's
+// originator is up once the faults heal, and the TO layer must deliver
+// what it broadcast: a put still pending at the horizon was stranded.
 type RSM struct{}
 
 const (
@@ -131,15 +134,18 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	ampCrashes(sim, sc.Faults)
 	// Run in fixed chunks, stopping at the first boundary where every
-	// put has returned and every fault window has closed (chunk
-	// boundaries are part of the scenario's definition, so replays
-	// agree).
+	// put has returned and every fault window has closed, or where a
+	// replica has done more work than the bound allows (chunk boundaries
+	// are part of the scenario's definition, so replays agree).
 	var quiet amp.Time
 	for _, f := range sc.Faults {
 		quiet = max(quiet, amp.Time(f.Until))
 	}
 	for until := amp.Time(rsmChunk); until <= rsmHorizon; until += rsmChunk {
 		sim.Run(until)
+		if boundWork(res, putPerOp, len(sc.Ops), rsmReplicas, func(p int) int { return nodes[p].Len() }); res.Failed {
+			break
+		}
 		if done == total && until >= quiet {
 			break
 		}
@@ -155,22 +161,18 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 			}
 		}
 	}
-	boundWork(res, putPerOp, len(sc.Ops), rsmReplicas, func(p int) int { return nodes[p].Len() })
 	slots := 0
 	for j, nd := range nodes {
 		slots = max(slots, nd.SlotsDelivered())
 		res.Tracef("replica %d applied %d", j, len(applied[j]))
 	}
 	res.Tracef("slots=%d, %d of %d puts returned", slots, done, total)
-	if len(sc.Faults) == 0 {
-		if done < total {
-			res.Failf("benign run returned %d of %d puts", done, total)
-			return res
-		}
-		if widest > rsmMaxBatch && slots >= done {
-			res.Failf("no batching: %d slots for %d puts", slots, done)
-			return res
-		}
+	if stranded(res, sc, rsmClients, done, total) {
+		return res
+	}
+	if len(sc.Faults) == 0 && widest > rsmMaxBatch && slots >= done {
+		res.Failf("no batching: %d slots for %d puts", slots, done)
+		return res
 	}
 	return linearizeKeyed(res, h)
 }

@@ -19,7 +19,8 @@ import (
 // per-client keys and the combined history is checked for per-key
 // linearizability; a crash fault stops a replica's runtime mid-run and
 // rebuilds it from its journal (the deterministic twin of the e2e
-// kill -9 demo).
+// kill -9 demo). Only the bystander crashes and every fault heals, so
+// every put must return (stranded), as in the rsm model.
 type Transport struct{}
 
 // tpReplicas/tpClients/tpPuts fix the cluster shape: replicas 0..2 are
@@ -248,6 +249,9 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 				i, a, ref[a-appliedBase[0]], got[a-appliedBase[i]])
 			return res
 		}
+	}
+	if stranded(res, sc, tpClients, done, total) {
+		return res
 	}
 	return linearizeKeyed(res, h)
 }

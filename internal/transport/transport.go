@@ -57,11 +57,11 @@
 //   - Loss is recovered by the protocols, which therefore tolerate
 //     duplicates (rsm.Node dedups applies by message ID): Synod retries
 //     its ballot, total-order broadcast fetches missing slots, gossips
-//     its frontier and relays a lingering payload, Ω heartbeats
-//     periodically, and a jobq worker re-proposes until its report
-//     applies. One gap remains: a client payload whose originating
-//     broadcast is lost on every link is never re-sent, and its
-//     command stays pending.
+//     its frontier, re-sends a lingering payload (its originator every
+//     sync period until it is ordered, another holder once) and answers
+//     a late copy of a delivered one with its frontier, and Ω heartbeats
+//     periodically. A command whose originator stays up is applied
+//     everywhere once the network heals.
 //
 // # Running real protocol stacks
 //
