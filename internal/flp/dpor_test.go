@@ -7,7 +7,7 @@ import (
 )
 
 // fenceLottery is a seeded flooding protocol for the DPOR fence (a
-// sibling of the scenario harness's LotteryProto, re-declared here
+// sibling of the scenario harness's lotteryProto, re-declared here
 // because the models package imports flp): flood the input, decide on a
 // seed-derived lottery over the heard multiset once Threshold processes
 // have been heard from. Different seeds hit different valences and

@@ -192,9 +192,7 @@ func runChatter(sc *scenario.Scenario) ([]chatterEntry, [4]int, []bool, amp.Time
 func (*AmpChatter) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
 	trace, stats, crashed, now := runChatter(sc)
-	// "calendar" names the simulator's event queue; the label is part of
-	// the frozen digests.
-	res.Tracef("calendar: %d entries, sent/delivered/dropped/queued=%v, crashed=%v, now=%d",
+	res.Tracef("%d entries, sent/delivered/dropped/queued=%v, crashed=%v, now=%d",
 		len(trace), stats, crashed, now)
 	for i, e := range trace {
 		res.Tracef("@%d p%d from=%d payload=%d", e.At, e.Proc, e.From, e.Payload)

@@ -20,13 +20,13 @@ type FLP struct{}
 // Name implements scenario.Model.
 func (*FLP) Name() string { return "flp" }
 
-// LotteryProto is a seeded family of deterministic flooding protocols:
+// lotteryProto is a seeded family of deterministic flooding protocols:
 // each process floods its input, then decides once it has heard from
 // Threshold processes, on a value drawn deterministically from the seed
 // and the multiset of heard values. Different seeds give protocols with
 // different valence and violation profiles — richer equivalence fodder
 // than the two shipped candidates.
-type LotteryProto struct {
+type lotteryProto struct {
 	Procs     int
 	Threshold int
 	Seed      uint64
@@ -48,10 +48,10 @@ func lotterySplitmix(x uint64) uint64 {
 }
 
 // N implements flp.Protocol.
-func (p LotteryProto) N() int { return p.Procs }
+func (p lotteryProto) N() int { return p.Procs }
 
 // Initial implements flp.Protocol.
-func (p LotteryProto) Initial(pid int, input int) (flp.State, []flp.Outgoing) {
+func (p lotteryProto) Initial(pid int, input int) (flp.State, []flp.Outgoing) {
 	s := lotState{Heard: 1 << uint(pid), Vals: input << uint(pid), Decided: -1}
 	outs := make([]flp.Outgoing, 0, p.Procs-1)
 	for i := 0; i < p.Procs; i++ {
@@ -63,7 +63,7 @@ func (p LotteryProto) Initial(pid int, input int) (flp.State, []flp.Outgoing) {
 }
 
 // Deliver implements flp.Protocol.
-func (p LotteryProto) Deliver(_ int, st flp.State, from int, body any) (flp.State, []flp.Outgoing) {
+func (p lotteryProto) Deliver(_ int, st flp.State, from int, body any) (flp.State, []flp.Outgoing) {
 	s := st.(lotState)
 	if s.Decided >= 0 {
 		return s, nil
@@ -75,7 +75,7 @@ func (p LotteryProto) Deliver(_ int, st flp.State, from int, body any) (flp.Stat
 	return p.maybeDecide(s), nil
 }
 
-func (p LotteryProto) maybeDecide(s lotState) lotState {
+func (p lotteryProto) maybeDecide(s lotState) lotState {
 	if s.Decided < 0 && bits.OnesCount(uint(s.Heard)) >= p.Threshold {
 		s.Decided = int(lotterySplitmix(p.Seed^uint64(s.Heard)<<20^uint64(s.Vals)) & 1)
 	}
@@ -83,7 +83,7 @@ func (p LotteryProto) maybeDecide(s lotState) lotState {
 }
 
 // Decision implements flp.Protocol.
-func (p LotteryProto) Decision(st flp.State) (int, bool) {
+func (p lotteryProto) Decision(st flp.State) (int, bool) {
 	s := st.(lotState)
 	return s.Decided, s.Decided >= 0
 }
@@ -116,13 +116,14 @@ func (*FLP) Run(sc *scenario.Scenario) *scenario.Result {
 	cfg := scenario.NewRand(sc.Seed).Derive(100)
 	n := 2 + cfg.Intn(2)
 	var proto flp.Protocol
+	name := "lottery"
 	switch cfg.Intn(4) {
 	case 0:
-		proto = flp.WaitAll{Procs: n}
+		proto, name = flp.WaitAll{Procs: n}, "wait-all"
 	case 1:
-		proto = flp.WaitMajority{Procs: n}
+		proto, name = flp.WaitMajority{Procs: n}, "wait-majority"
 	default:
-		proto = LotteryProto{Procs: n, Threshold: 1 + cfg.Intn(n), Seed: cfg.Uint64()}
+		proto = lotteryProto{Procs: n, Threshold: 1 + cfg.Intn(n), Seed: cfg.Uint64()}
 	}
 	inputs := make([]int, n)
 	for i := range inputs {
@@ -132,7 +133,7 @@ func (*FLP) Run(sc *scenario.Scenario) *scenario.Result {
 
 	serial := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes})
 	par := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, Workers: 4})
-	res.Tracef("proto=%T n=%d inputs=%v crashes=%d", proto, n, inputs, crashes)
+	res.Tracef("proto=%s%+v inputs=%v crashes=%d", name, proto, inputs, crashes)
 	res.Tracef("serial: %s configs=%d", flpReportDigest(serial), serial.Configs)
 	res.Tracef("parallel: %s configs=%d", flpReportDigest(par), par.Configs)
 	if d := flpReportDigest(par); d != flpReportDigest(serial) || par.Configs != serial.Configs {
