@@ -44,7 +44,7 @@
 //     match the job's current assignment and the job is not terminal, so
 //     a reassigned-then-reappearing worker's stale completion can never
 //     apply a second effect.
-//   - Once: every command is proposed once; internal/rsm re-sends it
+//   - Proposals: every command is proposed once; internal/rsm re-sends it
 //     until it is ordered. A submit lost in its replica's crash is the
 //     client's to retry (the job ID dedups).
 package jobq

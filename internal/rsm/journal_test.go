@@ -36,15 +36,22 @@ func TestApplyIdempotent(t *testing.T) {
 
 // TestDuplicateSlotDecide feeds the same slot decision to the TO layer
 // twice — as a tbDecided answer (to a fetch or to a ballot for the slot)
-// or a re-ballot's decide can deliver it after the first — and checks
-// the delivery is not duplicated.
+// or a re-ballot's decide can deliver it after the first — and decides
+// its entry again in the next slot. Whatever order the decides arrive
+// in, each entry is applied once: no model reaches either dedup, so
+// this test is what keeps them.
 func TestDuplicateSlotDecide(t *testing.T) {
-	nd := NewNode(3)
-	b := batch{{ID: rbcast.MsgID{Sender: 0, Seq: 0}, Payload: Command{Op: "put", Key: "k", Val: "v"}}}
-	nd.TO.onSlotDecide(0, b, 10)
-	nd.TO.onSlotDecide(0, b, 11) // duplicate decision
-	if got := nd.Len(); got != 1 {
-		t.Fatalf("duplicate slot decide applied %d entries, want 1", got)
+	e := Entry{ID: rbcast.MsgID{Sender: 0, Seq: 0}, Payload: Command{Op: "put", Key: "k", Val: "v"}}
+	f := Entry{ID: rbcast.MsgID{Sender: 1, Seq: 0}, Payload: Command{Op: "put", Key: "k", Val: "w"}}
+	s0, s1 := batch{e}, batch{e, f}
+	for _, order := range [][]int{{0, 0, 1}, {1, 0, 0}, {0, 1, 0}} {
+		nd := NewNode(3)
+		for i, s := range order {
+			nd.TO.onSlotDecide(s, []batch{s0, s1}[s], amp.Time(10+i))
+		}
+		if got := nd.Len(); got != 2 || nd.Get("k") != "w" {
+			t.Errorf("decides of slots %v applied %d entries (k = %v), want 2 (k = w)", order, got, nd.Get("k"))
+		}
 	}
 }
 

@@ -777,10 +777,10 @@ func (nd *Node) Submit(ctx amp.Context, cmd Command) rbcast.MsgID {
 func (nd *Node) Ctx() amp.Context { return nd.Stack.Ctx(1) }
 
 // apply executes one delivered command on the local state. It is
-// idempotent by (proposer, seq): the TO layer already dedups batch
-// entries (a re-sent entry can be decided in two slots), but a decide
-// that reached the delivery path twice must not apply a command twice,
-// which would corrupt the replica (and its linearizability history).
+// idempotent by (proposer, seq), as the TO layer's delivery is: no path
+// is known to hand it an entry twice (TestDuplicateSlotDecide makes
+// one), but one that did would corrupt the replica (and its
+// linearizability history).
 func (nd *Node) apply(e Entry, at amp.Time) {
 	if nd.seen.has(e.ID) {
 		return

@@ -1,11 +1,9 @@
 package rsm
 
 import (
-	"slices"
 	"testing"
 
 	"distbasics/internal/amp"
-	"distbasics/internal/rbcast"
 )
 
 // rsmCluster builds n replicas over a simulator.
@@ -286,42 +284,6 @@ func TestRSMPartitionHealPrefixConsistency(t *testing.T) {
 	for i := 3; i < 5; i++ {
 		if got := c.nodes[i].Len(); got < 1 || got > len(cmds) {
 			t.Fatalf("minority replica %d applied %d commands, want within [1, %d]", i, got, len(cmds))
-		}
-	}
-}
-
-// TestEntryDecidedTwiceAppliesOnce drives both apply dedups: entry e is
-// decided in two slots, as when a leader that missed the first decide
-// orders a payload its originator sent again, and slot 0's decide
-// arrives twice, as over a transport that delivers a frame twice. Each
-// replica, whatever order the decides reach it in, applies e once and
-// then f.
-func TestEntryDecidedTwiceAppliesOnce(t *testing.T) {
-	const n = 3
-	c := newRSMCluster(n, amp.WithDelay(amp.FixedDelay{D: 1}))
-	e := Entry{ID: rbcast.MsgID{Sender: 1}, Payload: Command{Op: "put", Key: "k", Val: 1}}
-	f := Entry{ID: rbcast.MsgID{Sender: 2}, Payload: Command{Op: "put", Key: "k", Val: 2}}
-	s0 := tbDecided{Slot: 0, Batch: batch{e}, MaxSeen: 1}
-	s1 := tbDecided{Slot: 1, Batch: batch{e, f}, MaxSeen: 1}
-	orders := [][]tbDecided{{s0, s0, s1}, {s1, s0, s0}, {s0, s1, s0}}
-	c.sim.Schedule(500, func() {
-		for i, nd := range c.nodes {
-			for _, d := range orders[i] {
-				nd.TO.OnMessage(nd.TO.ctx, (i+1)%n, d)
-			}
-		}
-	})
-	c.sim.Run(2000)
-	for i, nd := range c.nodes {
-		var got []rbcast.MsgID
-		for _, a := range nd.Applied() {
-			got = append(got, a.ID)
-		}
-		if want := []rbcast.MsgID{e.ID, f.ID}; !slices.Equal(got, want) || nd.Len() != 2 {
-			t.Errorf("replica %d applied %v (Len %d), want %v", i, got, nd.Len(), want)
-		}
-		if v := nd.Get("k"); v != 2 {
-			t.Errorf("replica %d reads k = %v, want 2", i, v)
 		}
 	}
 }

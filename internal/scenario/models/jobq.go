@@ -57,8 +57,7 @@ const (
 	jqGrace    = 300
 	jqCap      = 3 // MaxPerWorker
 	// jqPerOp is boundWork's bound: seeds 1–120 apply at most 136
-	// commands for 18 jobs (7.6 per job; 173 while the scheduler and
-	// the workers re-proposed on timers).
+	// commands for 18 jobs (7.6 per job).
 	jqPerOp = 24
 )
 
