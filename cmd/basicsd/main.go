@@ -2,8 +2,9 @@
 // the deployment twin of the deterministic Loopback simulations. The
 // node stack is the same at every layer that matters: an rsm replica
 // (Ω failure detector + TO-broadcast + per-slot Synod consensus) driven
-// through transport.Runtime over Resilient (bounded retry of refused
-// sends with backoff+jitter, suspected-peer parking) over TCP, optionally
+// through transport.Runtime over TCP (a writer goroutine per peer, so a
+// send never waits on a socket; a full buffer sheds, a refused dial is
+// retried with backoff), optionally
 // wrapped in Chaos for fault injection, with a FileJournal making the
 // process safe to kill -9 and restart. That stack is internal/node, the
 // skeleton shared with basicskv and basicsjobd; this command adds the

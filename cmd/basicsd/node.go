@@ -15,7 +15,7 @@ import (
 )
 
 // server is one running basicsd node: the shared replica skeleton
-// (internal/node: TCP(+Chaos)→Resilient→Runtime under an rsm replica,
+// (internal/node: TCP(+Chaos)→Runtime under an rsm replica,
 // journaled), the shared KV front end (kv.Replica: submit-and-wait plus
 // the put/del/get verbs — no lease is configured here, so a get is
 // always a consensus no-op read at its apply point) and this daemon's

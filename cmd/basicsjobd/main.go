@@ -30,8 +30,8 @@
 //	    completion effect, every replica must agree on every record, and
 //	    poison jobs must sit dead-lettered at their attempt budget.
 //
-// The node stack under the queue (journal, TCP, Resilient, Runtime, Ω
-// wiring, stat counters) and the e2e's subprocess harness are
+// The node stack under the queue (journal, TCP, Runtime, stat
+// counters) and the e2e's subprocess harness are
 // internal/node, shared with basicsd and basicskv. The load benchmark
 // is `bash bench/run.sh` (workload jobq-tcp-steady; see bench/README.md).
 package main

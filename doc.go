@@ -202,14 +202,15 @@
 // fault-injecting Chaos wrapper — to amp.Context, so the
 // abd/rbcast/mpcons/rsm processes run unmodified over real concurrency,
 // on one of two clocks (Loopback's virtual one, or transport.RealClock).
-// The shared Resilient layer adds the robustness contract: a frame goes
-// once, straight to the backend; a send the backend refuses (a peer
-// restarting) is retried with exponential backoff and jitter up to a
-// budget; frames to a peer internal/fd suspects park in a bounded shed
-// queue. Nothing is acknowledged: TCP delivers in order, and a frame
-// lost anyway is recovered by the protocols, which the simulator
-// already runs over lossy channels (see the internal/transport package
-// docs for the precise guarantees).
+// TCP keeps the simulator's contract that a send never waits: Send
+// frames into a bounded per-peer buffer and returns, and one writer
+// goroutine per peer dials, writes everything buffered in one writev,
+// and redials a refused peer (a peer restarting) with backoff. A full
+// buffer sheds the frame, counted; a failed write loses its batch.
+// Nothing is acknowledged or retransmitted: a frame lost is recovered
+// by the protocols, which the simulator already runs over lossy
+// channels (see the internal/transport package docs for the precise
+// guarantees).
 //
 // The three daemons below — basicsd, basicskv, basicsjobd — are one
 // node skeleton with three state machines plugged in. internal/node
@@ -218,8 +219,7 @@
 // and compaction threshold the kill -9 harness writes — clock unit,
 // batching, leases and queue policy are constants; an unknown key fails
 // the load), the bring-up (open journal →
-// recover → TCP → Chaos → Resilient → Runtime with the Ω suspicion
-// wiring → start), the stat counters, the
+// recover → TCP → Chaos → Runtime → start), the stat counters, the
 // submit-then-wait-for-local-apply table behind every client write,
 // and the subprocess harness (spawn, kill -9, restart, bounded-journal
 // assertion) that the kill -9 tests of all three run on. A daemon's own

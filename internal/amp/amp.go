@@ -14,7 +14,7 @@
 //     4Δ; the fast-read variant's 2Δ) exactly.
 //   - transport.Runtime: everything real — the same Process over byte
 //     frames on the in-process Loopback, on TCP sockets with a wall
-//     clock, under Chaos and the Resilient retry layer. It is what the
+//     clock, under Chaos. It is what the
 //     daemons deploy and what runs the protocols on real goroutines
 //     under the race detector.
 //

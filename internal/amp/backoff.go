@@ -3,8 +3,8 @@ package amp
 import "distbasics/internal/splitmix"
 
 // Backoff is the tree's one retry curve, shared by every layer that
-// retries against a possibly-degraded resource (transport.Policy for
-// frames, jobq.RetryPolicy for jobs): the delay before retry number
+// retries against a possibly-degraded resource (TCP's redials, without
+// jitter; jobq.RetryPolicy for jobs): the delay before retry number
 // attempt (1-based) is base, doubling per attempt, bounded by ceiling, then
 // spread uniformly by ± jitterPct percent drawn from rng so that a
 // burst of same-aged failures decorrelates; never less than one tick.

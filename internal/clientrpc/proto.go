@@ -40,13 +40,14 @@ type Response struct {
 	Journal   *JournalStats `json:"journal,omitempty"`
 }
 
-// NetStats is the transport-resilience counter snapshot a daemon's
-// "stat" op reports: how hard the retry layer is working (Retries), and
-// the two loss modes it makes explicit — frames abandoned after the
-// retry budget (RetryDropped, transport.RetryError) and frames rejected
-// at the per-peer queue cap (Shed, transport.ShedError). A climbing
-// RetryDropped/Shed on a "healthy" node is the operational signal that
-// the network, not consensus, is the bottleneck.
+// NetStats is the TCP transport's counter snapshot a daemon's "stat" op
+// reports: frames accepted (Sent) and delivered, redials of a peer that
+// refused or dropped its connection (Retries), and the transport's one
+// explicit loss mode, frames refused at a full per-peer send buffer
+// (Shed, transport.ShedError). A climbing Shed on a "healthy" node is
+// the operational signal that a peer, not consensus, is the bottleneck.
+// RetryDropped is always 0; it stays only because the frozen bench/
+// reads it.
 type NetStats struct {
 	Sent         uint64 `json:"sent"`
 	Delivered    uint64 `json:"delivered"`

@@ -35,8 +35,8 @@
 //     back to Pending.
 //   - Retry: a failed or released attempt re-enters Pending with its
 //     attempt count intact; the leader gates reassignment behind an
-//     exponential, seeded-jitter backoff (RetryPolicy, mirroring
-//     transport.Policy's shape).
+//     exponential, seeded-jitter backoff (RetryPolicy, amp.Backoff's
+//     curve).
 //   - Circuit breaker: an attempt that fails (or is lost to expiry) at
 //     attempt == budget parks the job in Failed — the dead-letter state.
 //     Poison jobs degrade to a bounded cost instead of a hot loop.

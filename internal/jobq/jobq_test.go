@@ -153,7 +153,7 @@ func TestExpiryOnFinalAttemptDeadLetters(t *testing.T) {
 	}
 }
 
-// TestBackoffCurve checks the transport.Policy-shaped schedule:
+// TestBackoffCurve checks the amp.Backoff schedule:
 // jitterless Base doubling to Cap, never below 1.
 func TestBackoffCurve(t *testing.T) {
 	p := RetryPolicy{Base: 50, Cap: 300, JitterPct: -1}.withDefaults()

@@ -6,12 +6,10 @@ import (
 )
 
 // RetryPolicy governs when a failed or released job becomes eligible
-// for reassignment. It has transport.Policy's shape — amp.Backoff's
-// exponential base-to-cap curve with seeded ± jitter, and an attempt
-// budget — because the problem is the same at a different layer:
-// bounded, decorrelated retries against a possibly-degraded resource,
-// with a hard stop (there the frame is dropped with a RetryError, here
-// the job is parked in the Failed dead-letter state).
+// for reassignment: amp.Backoff's exponential base-to-cap curve with
+// seeded ± jitter, and an attempt budget — bounded, decorrelated
+// retries against a possibly-degraded resource, with a hard stop (the
+// job is parked in the Failed dead-letter state).
 //
 // The policy is LEADER-LOCAL, not replicated: backoff deadlines are
 // read against the scheduling leader's own clock, so replicas never
@@ -48,7 +46,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // Backoff returns the jittered delay before the job may be reassigned
 // after its attempt'th attempt failed: Base after the first, doubling
-// per attempt, bounded by Cap (amp.Backoff, transport.Policy's curve too).
+// per attempt, bounded by Cap (amp.Backoff).
 func (p RetryPolicy) Backoff(attempt int, rng *splitmix.Source) amp.Time {
 	return amp.Backoff(p.Base, p.Cap, p.JitterPct, attempt, rng)
 }

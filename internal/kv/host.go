@@ -12,7 +12,8 @@ import (
 
 // Host is one process's side of a multi-process sharded KV: it runs
 // replica Self of EVERY shard, each shard over its own TCP transport
-// mesh (plus the Resilient retry layer), and answers client RPCs by
+// mesh (node.StartTCP: a send never waits on a peer's socket), and
+// answers client RPCs by
 // routing each key to its local replica of the owning shard. A write
 // submitted here disseminates to the other processes' replicas of the
 // same shard; reads take the lease fast path when this process leads

@@ -228,9 +228,8 @@ func (c *Cluster) Stats(i int) (clientrpc.Response, error) {
 }
 
 // LogStats prints each node's applied count, its daemon's own stat
-// value if any, and its transport counters: frames sent and delivered,
-// retries of refused sends, and the two loss modes (retry budget
-// exhausted, queue shed).
+// value if any, and its TCP counters: frames sent and delivered, frames
+// shed at a full send buffer, and redials.
 func (c *Cluster) LogStats() {
 	for i := range c.Clients {
 		resp, err := c.Stats(i)
@@ -241,8 +240,8 @@ func (c *Cluster) LogStats() {
 		if resp.Val != nil {
 			val = fmt.Sprintf(" val=%v", resp.Val)
 		}
-		log.Printf("e2e: node %d: applied=%d%s net: sent=%d delivered=%d retries=%d retryDropped=%d shed=%d",
-			i, resp.Applied, val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Retries, resp.Net.RetryDropped, resp.Net.Shed)
+		log.Printf("e2e: node %d: applied=%d%s net: sent=%d delivered=%d shed=%d redials=%d",
+			i, resp.Applied, val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Shed, resp.Net.Retries)
 	}
 }
 

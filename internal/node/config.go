@@ -8,9 +8,10 @@
 //   - the cluster file (Config): addresses, journal paths and faults —
 //     load (unknown keys refused), validate, write, and the conversion
 //     to per-sender chaos rules;
-//   - the replica bring-up (Start, StartTCP): journal → recovery → TCP →
-//     Chaos → Resilient → Runtime with the Ω suspect wiring, plus the
-//     stat snapshots (NetStats, JournalStats) and the
+//   - the replica bring-up (Start, StartTCP): journal → recovery → TCP
+//     (one writer goroutine per peer; a send never waits on a socket) →
+//     Chaos → Runtime, plus the stat snapshots (NetStats: TCP's sent,
+//     delivered, shed and redial counts; JournalStats) and the
 //     submit-then-wait-for-local-apply table (Waiters);
 //   - the subprocess harness of the kill -9 e2es (E2EOptions, Cluster):
 //     spawn, SIGKILL, restart, readiness, port allocation, and the

@@ -13,12 +13,14 @@ import (
 )
 
 // HeartbeatPeriod is the Ω heartbeat period, in ticks, of every replica
-// on the Resilient stack. Ω suspects a peer after three silent periods
+// Start brings up. Ω suspects a peer after three silent periods
 // (fd.Detector's initial timeout), so the period sets both how soon a
 // crash is noticed (240 ms at the default 2 ms tick) and what the
 // heartbeats cost; kv's read lease and jobq's worker grace are sized
-// against it. The simulation-scale default (8) would send five times
-// the heartbeats for a detection time no daemon needs.
+// against it. Suspicion steers the protocols only: the transport sends
+// to a suspected peer as to any other. The simulation-scale default (8)
+// would send five times the heartbeats for a detection time no daemon
+// needs.
 const HeartbeatPeriod amp.Time = 40
 
 // RPCTimeout bounds one consensus round-trip from the client's side.
@@ -26,50 +28,31 @@ const HeartbeatPeriod amp.Time = 40
 // enough that an e2e driver can mark the op pending and move on.
 const RPCTimeout = 15 * time.Second
 
-// tcpPolicy is the retry policy for localhost TCP under the default
-// 2ms tick. Only a refused send retries (a peer not listening yet, or
-// restarting), backing off from 20ms to a 500ms cap: long enough that a
-// dead peer costs few dials, short enough that a deployment whose
-// processes start a millisecond apart forms its first quorum after one
-// backoff. (Compare tpPolicy in internal/scenario/models.)
-func tcpPolicy(id int) transport.Policy {
-	return transport.Policy{RetryBase: 10, RetryCap: 250, Seed: int64(id + 1)}
-}
-
-// Replica is one running rsm replica: the state machine's Node under
-// Runtime over Resilient over the transport it was started on.
+// Replica is one running rsm replica: the state machine's Node under a
+// Runtime straight over the transport it was started on.
 type Replica struct {
 	Node *rsm.Node
 	RT   *transport.Runtime
-	Res  *transport.Resilient
 
 	tcp     *transport.TCP   // nil off StartTCP
 	journal *rsm.FileJournal // nil without persistence
 }
 
-// Start runs nd over tr: the Resilient retry layer under policy, the
-// Runtime seeded with seed, and the circular Ω wiring between them —
-// the detector's suspicions park a dead peer's frames, a retraction
-// kicks the link. nd must be fully hooked up (OnApply, subscribers)
+// Start runs nd over tr in a Runtime seeded with seed, at
+// HeartbeatPeriod. nd must be fully hooked up (OnApply, subscribers)
 // before the call: peers may deliver from the moment it returns.
-func Start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, policy transport.Policy, seed int64) *Replica {
+func Start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, seed int64) *Replica {
 	r := &Replica{}
-	r.start(nd, tr, clock, policy, seed)
+	r.start(nd, tr, clock, seed)
 	return r
 }
 
 // start fills r in before the runtime starts, so a hook that captured
 // r (see StartTCP) finds it complete when the first event runs.
-func (r *Replica) start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, policy transport.Policy, seed int64) {
+func (r *Replica) start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, seed int64) {
 	nd.Omega.Period = HeartbeatPeriod
 	r.Node = nd
-	r.Res = transport.NewResilient(tr, clock, policy)
-	r.RT = transport.NewRuntime(r.Res, clock, nd.Stack,
-		transport.WithRuntimeSeed(seed),
-		transport.WithSuspectSource(nd.Omega.Suspects),
-		transport.WithSuspectKick(r.Res.Kick),
-	)
-	r.Res.SetSuspected(r.RT.Suspected)
+	r.RT = transport.NewRuntime(tr, clock, nd.Stack, transport.WithRuntimeSeed(seed))
 	r.RT.Start()
 }
 
@@ -131,7 +114,7 @@ func StartTCP(sp Spec, clock transport.Clock, build func(r *Replica, opts ...rsm
 		tr = transport.NewChaos(tr, clock, sp.Chaos...)
 	}
 	r.tcp = tcp
-	r.start(nd, tr, clock, tcpPolicy(sp.Self), sp.Seed)
+	r.start(nd, tr, clock, sp.Seed)
 	return r, nil
 }
 
@@ -168,19 +151,21 @@ func (r *Replica) Applied() (n int) {
 	return n
 }
 
-// NetStats snapshots the Resilient layer's counters for the "stat" op,
-// summed over reps: retry-exhaustion drops and queue sheds are the
-// transport's two explicit loss modes, and surfacing them per process
-// is what lets the e2e harness (and an operator) tell "slow consensus"
-// from "dying links".
+// NetStats snapshots the TCP transport's counters for the "stat" op,
+// summed over the reps started by StartTCP: frames accepted, delivered,
+// shed at a full send buffer (the transport's one explicit loss mode)
+// and redials. Surfacing them per process is what lets the e2e harness
+// (and an operator) tell "slow consensus" from "dying links".
 func NetStats(reps ...*Replica) *clientrpc.NetStats {
 	out := &clientrpc.NetStats{}
 	for _, r := range reps {
-		st := r.Res.Stats()
+		if r.tcp == nil {
+			continue
+		}
+		st := r.tcp.Stats()
 		out.Sent += st.Sent.Load()
 		out.Delivered += st.Delivered.Load()
 		out.Retries += st.Retries.Load()
-		out.RetryDropped += st.Dropped.Load()
 		out.Shed += st.Shed.Load()
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"distbasics/internal/amp"
+	"distbasics/internal/clientrpc"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/transport"
@@ -88,7 +89,8 @@ func TestWaitersSubmit(t *testing.T) {
 
 // TestStartLoopback runs three replicas on node.Start over Loopback (the
 // scenario transport model's shape) and checks the wiring Start owns:
-// the heartbeat period, a working consensus path, and the stat helpers.
+// the heartbeat period, a working consensus path, and the stat helpers,
+// which have no TCP counters and no journal to report here.
 func TestStartLoopback(t *testing.T) {
 	amp.RegisterWire(transport.Register)
 	rsm.RegisterWire(transport.Register)
@@ -96,8 +98,7 @@ func TestStartLoopback(t *testing.T) {
 	lb := transport.NewLoopback(n)
 	reps := make([]*Replica, n)
 	for i := range reps {
-		policy := transport.Policy{RetryBase: 5, RetryCap: 80, Seed: int64(i + 1)}
-		reps[i] = Start(rsm.NewNode(n), lb.Node(i), lb.Clock(), policy, int64(i+1))
+		reps[i] = Start(rsm.NewNode(n), lb.Node(i), lb.Clock(), int64(i+1))
 		if reps[i].Node.Omega.Period != HeartbeatPeriod {
 			t.Fatalf("replica %d heartbeats every %d ticks", i, reps[i].Node.Omega.Period)
 		}
@@ -113,9 +114,8 @@ func TestStartLoopback(t *testing.T) {
 			t.Fatalf("replica %d: applied %d, k=%v", i, r.Applied(), r.Node.Get("k"))
 		}
 	}
-	one, all := NetStats(reps[0]), NetStats(reps...)
-	if one.Sent == 0 || one.Delivered == 0 || all.Sent <= one.Sent || all.Delivered <= one.Delivered {
-		t.Fatalf("net stats do not sum over replicas: one %+v, all %+v", one, all)
+	if ns := NetStats(reps...); *ns != (clientrpc.NetStats{}) {
+		t.Fatalf("net stats without TCP: %+v", ns)
 	}
 	if js := JournalStats(reps...); js != nil {
 		t.Fatalf("journal stats without a journal: %+v", js)
@@ -173,5 +173,37 @@ func TestStartTCPRecovers(t *testing.T) {
 	r.RT.Do(func(amp.Context) { k = r.Node.Get("k") })
 	if r.Applied() != 8 || k != 7 {
 		t.Fatalf("recovered replica: applied %d, k=%v", r.Applied(), k)
+	}
+}
+
+// TestNetStatsSumsTCP starts a two-replica group over TCP and checks
+// that NetStats reads each replica's TCP counters and sums them.
+func TestNetStatsSumsTCP(t *testing.T) {
+	addrs, err := AllocAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]*Replica, 2)
+	var w Waiters[any]
+	for i := range reps {
+		r, err := StartTCP(Spec{Self: i, Peers: addrs, Seed: int64(i + 1)}, transport.NewRealClock(time.Millisecond), func(_ *Replica, opts ...rsm.NodeOption) *rsm.Node {
+			nd := rsm.NewNode(2, opts...)
+			nd.OnApply = func(e rsm.Entry, _ amp.Time) { w.Complete(e.ID, func() any { return nil }) }
+			return nd
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		reps[i] = r
+	}
+	r := reps[0]
+	cmd := rsm.Command{Op: "put", Key: "k", Val: 1}
+	if _, err := w.Submit(r.RT, RPCTimeout, func() rbcast.MsgID { return r.Node.Submit(r.Node.Ctx(), cmd) }); err != nil {
+		t.Fatal(err)
+	}
+	one, all := NetStats(reps[0]), NetStats(reps...)
+	if one.Sent == 0 || one.Delivered == 0 || all.Sent <= one.Sent || all.Delivered <= one.Delivered || all.Shed != 0 {
+		t.Fatalf("net stats do not sum over replicas: one %+v, all %+v", one, all)
 	}
 }

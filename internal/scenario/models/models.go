@@ -6,7 +6,7 @@
 //     checked for linearizability, agreement or the queue's. rsm and
 //     jobq journal every replica and snapshot-crash one.
 //   - transport — the rsm cluster over the real-transport runtime
-//     (Loopback+Chaos+Resilient), checked for linearizability. Its crash
+//     (Loopback+Chaos+Runtime), checked for linearizability. Its crash
 //     window is still a journal restart, not a pause.
 //   - universal — the shared-memory universal construction under
 //     scenario-scheduled crashes, checked per key against KVSpec.

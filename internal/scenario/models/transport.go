@@ -11,16 +11,15 @@ import (
 )
 
 // Transport is the scenario adapter for the real-transport runtime: the
-// rsm cluster runs over the full Loopback+Chaos+Resilient+Runtime stack
-// (the same layering cmd/basicsd deploys over TCP, minus the sockets)
-// instead of amp.Sim, so the campaign fuzzes the transport layer's
-// retry/backoff/shedding machinery and the failure-detector degradation
-// contract, not just the protocols above them. Clients chain puts to
-// per-client keys and the combined history is checked for per-key
-// linearizability; a crash fault stops a replica's runtime mid-run and
-// rebuilds it from its journal (the deterministic twin of the e2e
-// kill -9 demo). Only the bystander crashes and every fault heals, so
-// every put must return (stranded), as in the rsm model.
+// rsm cluster runs over the Loopback+Chaos+Runtime stack (node.Start,
+// as cmd/basicsd deploys over TCP+Chaos, minus the sockets) instead of
+// amp.Sim, so the campaign fuzzes the Runtime's byte path, the codec,
+// Chaos and node's bring-up, not just the protocols above them. Clients
+// chain puts to per-client keys and the combined history is checked for
+// per-key linearizability; a crash fault stops a replica's runtime
+// mid-run and rebuilds it from its journal (the deterministic twin of
+// the e2e kill -9 demo). Only the bystander crashes and every fault
+// heals, so every put must return (stranded), as in the rsm model.
 type Transport struct{}
 
 // tpReplicas/tpClients/tpPuts fix the cluster shape: replicas 0..2 are
@@ -73,19 +72,13 @@ func (*Transport) Generate(seed uint64) *scenario.Scenario {
 	return sc
 }
 
-// tpPolicy is the retry policy for Loopback's one-tick frames: a send
-// refused by a down or closed endpoint retries a few ticks later.
-func tpPolicy(seed int64) transport.Policy {
-	return transport.Policy{RetryBase: 5, RetryCap: 80, Seed: seed}
-}
-
 // tpStart builds and starts replica i's stack on lb under the scenario's
 // chaos schedule — the daemons' own bring-up (node.Start), here on
 // Loopback and its virtual clock; crash faults tear the stack down and
 // rebuild it in place.
 func tpStart(sc *scenario.Scenario, i int, lb *transport.Loopback, opts ...rsm.NodeOption) *node.Replica {
 	tr := transport.NewChaos(lb.Node(i), lb.Clock(), tpChaos(sc, i)...)
-	return node.Start(rsm.NewNode(tpReplicas, opts...), tr, lb.Clock(), tpPolicy(int64(i+1)), int64(i+1))
+	return node.Start(rsm.NewNode(tpReplicas, opts...), tr, lb.Clock(), int64(i+1))
 }
 
 // tpChaos maps scenario faults onto each sender's chaos rule schedule.

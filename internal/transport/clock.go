@@ -6,12 +6,11 @@ import (
 	"distbasics/internal/amp"
 )
 
-// Clock is the time source the robustness layer and the Runtime share.
-// Time is measured in amp.Time ticks so the same retry policies and
-// failure-detector periods work over both implementations: Loopback's
-// virtual clock (Loopback.Clock, advanced only by Loopback.Run — also
-// the manual clock of the policy unit tests) and the wall clock
-// (RealClock). Implementations must be safe for concurrent use.
+// Clock is the Runtime's and Chaos's time source. Time is measured in
+// amp.Time ticks so the same timers and failure-detector periods work
+// over both implementations: Loopback's virtual clock (Loopback.Clock,
+// advanced only by Loopback.Run) and the wall clock (RealClock).
+// Implementations must be safe for concurrent use.
 type Clock interface {
 	// Now returns the current tick.
 	Now() amp.Time

@@ -18,9 +18,10 @@ import (
 // restarted node re-installs its handler via Node(i).Handle.
 //
 // Its Clock is also the repository's one manually driven clock: a
-// node-less NewLoopback(0).Clock() with Run(Now()+d) as "advance" is
-// what the Resilient and Runtime policy tests step through refusal ->
-// backoff -> retry cycles without sleeping.
+// node-less NewLoopback(0).Clock() with Run(Now()+d) as "advance" steps
+// timers in tests without sleeping. Send to a down or closed endpoint
+// is refused at once and the frame is gone: with no retry layer above
+// it, a Loopback node is the lossy channel of the simulator.
 type Loopback struct {
 	mu    sync.Mutex
 	now   amp.Time

@@ -13,15 +13,9 @@ import (
 // unmodified over Loopback, TCP, or a Chaos wrapper. The simulator's
 // actor model is preserved: handlers and timers execute one at a time
 // under the runtime's mutex, in delivery order on the deterministic
-// Loopback and in arrival order over TCP.
-//
-// The runtime is also where transport liveness meets internal/fd: a
-// suspect source (WithSuspectSource, typically fd.Detector.Suspects of
-// a detector hosted in the same stack) is snapshotted after every
-// event under the actor mutex into a lock-free view that the Resilient
-// layer's Policy.Suspected may read from any goroutine, and suspicion
-// retractions Kick the corresponding link so parked frames drain
-// immediately.
+// Loopback and in arrival order over TCP. A send inside a handler
+// hands the frame to the transport and returns; over TCP that is an
+// append to the peer's buffer, so no handler waits on a socket.
 type Runtime struct {
 	tr    Transport
 	vt    ValueTransport // non-nil when tr offers the value fast path
@@ -38,10 +32,6 @@ type Runtime struct {
 	// exec once the sending handler returns.
 	toSelf []amp.Message
 
-	suspectSrc func() []bool
-	suspects   []atomic.Bool
-	kick       func(peer int)
-
 	// DecodeErrs and SendErrs count frames that failed to decode and
 	// sends the transport rejected synchronously (shed, closed).
 	DecodeErrs, SendErrs atomic.Uint64
@@ -57,32 +47,16 @@ func WithRuntimeSeed(seed int64) RuntimeOption {
 	return func(rt *Runtime) { rt.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithSuspectSource installs the failure-detector snapshot source. It
-// is called after every handler/timer execution, under the actor
-// mutex, and its result is published to Suspected.
-func WithSuspectSource(src func() []bool) RuntimeOption {
-	return func(rt *Runtime) { rt.suspectSrc = src }
-}
-
-// WithSuspectKick installs a callback invoked (outside the actor
-// mutex) whenever a peer's suspicion retracts — wire it to
-// Resilient.Kick so parked frames drain as soon as the detector
-// changes its mind.
-func WithSuspectKick(kick func(peer int)) RuntimeOption {
-	return func(rt *Runtime) { rt.kick = kick }
-}
-
 // NewRuntime builds a runtime for proc over tr and clock. Call Start
 // to install the handler and run Init.
 func NewRuntime(tr Transport, clock Clock, proc amp.Process, opts ...RuntimeOption) *Runtime {
 	rt := &Runtime{
-		tr:       tr,
-		clock:    clock,
-		proc:     proc,
-		id:       tr.Self(),
-		n:        tr.N(),
-		rng:      rand.New(rand.NewSource(1)),
-		suspects: make([]atomic.Bool, tr.N()),
+		tr:    tr,
+		clock: clock,
+		proc:  proc,
+		id:    tr.Self(),
+		n:     tr.N(),
+		rng:   rand.New(rand.NewSource(1)),
 	}
 	for _, o := range opts {
 		o(rt)
@@ -124,15 +98,6 @@ func (rt *Runtime) Do(f func(ctx amp.Context)) {
 	rt.exec(func() { f(rt.ctx) })
 }
 
-// Suspected reports the latest published suspicion snapshot for peer;
-// safe from any goroutine, lock-free (wire it into Policy.Suspected).
-func (rt *Runtime) Suspected(peer int) bool {
-	if peer < 0 || peer >= rt.n {
-		return false
-	}
-	return rt.suspects[peer].Load()
-}
-
 // onFrame decodes and dispatches one inbound frame.
 func (rt *Runtime) onFrame(from int, frame []byte) {
 	msg, err := rt.codec.Decode(frame)
@@ -149,13 +114,11 @@ func (rt *Runtime) onValue(from int, msg any) {
 }
 
 // exec runs f under the actor mutex, then delivers the messages f (and
-// those deliveries) sent to self, in order, until the process halts;
-// then publishes the suspicion snapshot and kicks retracted peers.
+// those deliveries) sent to self, in order, until the process halts.
 func (rt *Runtime) exec(f func()) {
-	var retracted []int
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.stopped || rt.halted {
-		rt.mu.Unlock()
 		return
 	}
 	f()
@@ -164,24 +127,6 @@ func (rt *Runtime) exec(f func()) {
 	}
 	clear(rt.toSelf)
 	rt.toSelf = rt.toSelf[:0]
-	if rt.suspectSrc != nil {
-		snap := rt.suspectSrc()
-		for i := 0; i < rt.n && i < len(snap); i++ {
-			was := rt.suspects[i].Load()
-			if was != snap[i] {
-				rt.suspects[i].Store(snap[i])
-				if was && !snap[i] {
-					retracted = append(retracted, i)
-				}
-			}
-		}
-	}
-	rt.mu.Unlock()
-	if rt.kick != nil {
-		for _, p := range retracted {
-			rt.kick(p)
-		}
-	}
 }
 
 // rtCtx implements amp.Context over the runtime.

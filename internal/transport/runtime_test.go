@@ -10,13 +10,13 @@ import (
 	"distbasics/internal/rsm"
 )
 
-// lbCluster is an rsm cluster over Loopback + Resilient + Runtime: the
-// full real-transport stack minus the sockets, fully deterministic.
+// lbCluster is an rsm cluster of Runtimes straight over Loopback (or
+// Loopback + Chaos): the real-transport stack minus the sockets, fully
+// deterministic.
 type lbCluster struct {
 	lb    *Loopback
 	nodes []*rsm.Node
 	rts   []*Runtime
-	res   []*Resilient
 }
 
 func newLBCluster(t *testing.T, n int, chaos []ChaosRule) *lbCluster {
@@ -35,23 +35,14 @@ func newLBCluster(t *testing.T, n int, chaos []ChaosRule) *lbCluster {
 			}
 			tr = NewChaos(tr, clock, rules...)
 		}
-		// The retry policy is tuned to the transport: a send refused by a
-		// down or closed endpoint retries a few loopback ticks later.
-		res := NewResilient(tr, clock, Policy{RetryBase: 5, RetryCap: 80, Seed: int64(i + 1)})
 		nd := rsm.NewNode(n)
-		// node.HeartbeatPeriod: every replica on the Resilient stack
-		// heartbeats at 40 ticks, and this cluster is that stack minus
-		// the sockets.
+		// node.HeartbeatPeriod: every daemon replica heartbeats at 40
+		// ticks, and this cluster is that stack minus the sockets.
 		nd.Omega.Period = 40
-		rt := NewRuntime(res, clock, nd.Stack,
-			WithRuntimeSeed(int64(i+1)),
-			WithSuspectSource(nd.Omega.Suspects),
-		)
-		res.SetSuspected(rt.Suspected)
+		rt := NewRuntime(tr, clock, nd.Stack, WithRuntimeSeed(int64(i+1)))
 		rt.Start()
 		c.nodes = append(c.nodes, nd)
 		c.rts = append(c.rts, rt)
-		c.res = append(c.res, res)
 	}
 	return c
 }
@@ -90,8 +81,8 @@ func TestRuntimeRSMOverLoopback(t *testing.T) {
 }
 
 func TestRuntimeRSMUnderChaos(t *testing.T) {
-	// 20% drops + delays + duplicates: Resilient retries push the
-	// protocol through, and idempotent apply absorbs the duplicates.
+	// 20% drops + delays + duplicates: the protocols' own re-sends push
+	// the command through, and idempotent apply absorbs the duplicates.
 	c := newLBCluster(t, 3, []ChaosRule{
 		{Kind: ChaosDrop, Pct: 20, Seed: 101},
 		{Kind: ChaosDelay, Pct: 6, Seed: 202},
@@ -171,8 +162,7 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 		}
 		nodes[i] = rsm.NewNode(n, opts...)
 		nodes[i].Omega.Period = 40
-		res := NewResilient(lb.Node(i), clock, Policy{Seed: int64(i + 1)})
-		rts[i] = NewRuntime(res, clock, nodes[i].Stack, WithRuntimeSeed(int64(i+1)))
+		rts[i] = NewRuntime(lb.Node(i), clock, nodes[i].Stack, WithRuntimeSeed(int64(i+1)))
 		rts[i].Start()
 	}
 	rts[0].Do(func(amp.Context) { nodes[0].Submit(nodes[0].Ctx(), rsm.Command{Op: "put", Key: "pre", Val: 1}) })
@@ -200,8 +190,7 @@ func TestRuntimeStopIsRestartable(t *testing.T) {
 	defer journal.Close()
 	restarted := rsm.NewNode(n, rsm.WithJournal(journal), rsm.WithRecovery(rec))
 	restarted.Omega.Period = 40
-	res2 := NewResilient(lb.Node(2), clock, Policy{Seed: 3})
-	rt2 := NewRuntime(res2, clock, restarted.Stack, WithRuntimeSeed(3))
+	rt2 := NewRuntime(lb.Node(2), clock, restarted.Stack, WithRuntimeSeed(3))
 	rt2.Start()
 	if restarted.Len() != 1 || restarted.Get("pre") != 1 {
 		t.Fatalf("journal replay: %d applied, pre=%v", restarted.Len(), restarted.Get("pre"))
@@ -411,17 +400,16 @@ func (s *sendRecorder) Send(to int, frame []byte) error {
 	return s.Transport.Send(to, frame)
 }
 
-// newSelfRuntime starts p as process 0 of an n-process Loopback under
-// Resilient, the byte path: the Runtime sees no ValueTransport.
-func newSelfRuntime(n int, p *selfProc) (*Loopback, *Resilient, *sendRecorder, *Runtime) {
+// newSelfRuntime starts p as process 0 of an n-process Loopback behind
+// a sendRecorder, the byte path: the Runtime sees no ValueTransport.
+func newSelfRuntime(n int, p *selfProc) (*Loopback, *sendRecorder, *Runtime) {
 	amp.RegisterWire(Register)
 	rsm.RegisterWire(Register)
 	lb := NewLoopback(n)
-	res := NewResilient(lb.Node(0), lb.Clock(), Policy{Seed: 1})
-	rec := &sendRecorder{Transport: res, frames: map[int][][]byte{}}
+	rec := &sendRecorder{Transport: lb.Node(0), frames: map[int][][]byte{}}
 	rt := NewRuntime(rec, lb.Clock(), p)
 	rt.Start()
-	return lb, res, rec, rt
+	return lb, rec, rt
 }
 
 // TestRuntimeSelfMessageIsAValue: on the byte path a message to self is
@@ -429,7 +417,7 @@ func newSelfRuntime(n int, p *selfProc) (*Loopback, *Resilient, *sendRecorder, *
 // sending handler has returned, and never reaches the transport.
 func TestRuntimeSelfMessageIsAValue(t *testing.T) {
 	p := &selfProc{cascade: map[string]string{"a": "a2"}}
-	lb, res, rec, rt := newSelfRuntime(2, p)
+	lb, rec, rt := newSelfRuntime(2, p)
 	var during []string
 	rt.Do(func(ctx amp.Context) {
 		for _, k := range []string{"a", "b", "c"} {
@@ -441,8 +429,8 @@ func TestRuntimeSelfMessageIsAValue(t *testing.T) {
 		t.Fatalf("handled %v while sending and %v by the end of the turn, want none and %v", during, p.got, want)
 	}
 	lb.Run(1000)
-	if len(p.got) != 4 || res.Stats().Sent.Load() != 0 || len(rec.frames) != 0 {
-		t.Fatalf("after the turn: handled %v, %d Resilient sends, frames %v; want 4 messages and no frames", p.got, res.Stats().Sent.Load(), rec.frames)
+	if len(p.got) != 4 || lb.Stats().Sent.Load() != 0 || len(rec.frames) != 0 {
+		t.Fatalf("after the turn: handled %v, %d Loopback sends, frames %v; want 4 messages and no frames", p.got, lb.Stats().Sent.Load(), rec.frames)
 	}
 }
 
@@ -452,10 +440,10 @@ func TestRuntimeSelfMessageIsAValue(t *testing.T) {
 func TestRuntimeBroadcastEncodesOnce(t *testing.T) {
 	const n = 4
 	p := &selfProc{}
-	_, res, rec, rt := newSelfRuntime(n, p)
+	lb, rec, rt := newSelfRuntime(n, p)
 	rt.Do(func(ctx amp.Context) { ctx.Broadcast(rsm.Command{Key: "b"}) })
-	if got := res.Stats().Sent.Load(); got != n-1 {
-		t.Fatalf("one broadcast added %d to Resilient Sent, want %d", got, n-1)
+	if got := lb.Stats().Sent.Load(); got != n-1 {
+		t.Fatalf("one broadcast added %d to Loopback Sent, want %d", got, n-1)
 	}
 	first := rec.frames[1]
 	for to := 1; to < n; to++ {
@@ -473,7 +461,7 @@ func TestRuntimeBroadcastEncodesOnce(t *testing.T) {
 // a message to self handles nothing after it, queued or later.
 func TestRuntimeHaltStopsSelfCascade(t *testing.T) {
 	p := &selfProc{cascade: map[string]string{"a": "a2", "b": "b2"}, haltOn: "b"}
-	lb, _, _, rt := newSelfRuntime(2, p)
+	lb, _, rt := newSelfRuntime(2, p)
 	rt.Do(func(ctx amp.Context) {
 		for _, k := range []string{"a", "b", "c"} {
 			ctx.Send(0, rsm.Command{Key: k})

@@ -2,11 +2,18 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"distbasics/internal/amp"
+	"distbasics/internal/rsm"
 )
 
 // newTCPPair builds two connected TCP endpoints on ephemeral localhost
@@ -119,7 +126,8 @@ func TestTCPManyFramesInOrder(t *testing.T) {
 
 // TestTCPReconnectAfterPeerRestart kills one endpoint (closing its
 // listener and connections, as SIGKILL would), restarts it on the same
-// port, and checks the surviving side's dial-on-demand reconnects.
+// port, and checks the surviving side's writer notices the dead
+// connection, redials, and delivers to the new incarnation.
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
 	t0, err := NewTCP(0, addrs, TCPOptions{})
@@ -144,21 +152,21 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	port := t1.Addr()
 	t1.Close()
 
-	// Sends now fail (maybe not the very first: a write into a dead
-	// socket can succeed before the RST comes back). Eventually they
-	// error, and the connection is torn down for re-dial.
+	// Sends still succeed: they only buffer. A write into the dead
+	// socket can succeed before the RST comes back; a later one fails,
+	// and the writer drops its batch and redials, refused.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for t0.Stats().Retries.Load() == 0 {
 		if err := t0.Send(1, []byte("into the void")); err != nil {
-			break
+			t.Fatalf("send to a dead peer: %v", err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("sends to a dead peer never failed")
+			t.Fatal("the writer never noticed the dead peer")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Restart on the same port.
+	// Restart on the same port; the writer's next redial lands.
 	t1b, err := NewTCP(1, []string{t0.Addr(), port}, TCPOptions{})
 	if err != nil {
 		t.Fatalf("restart on %s: %v", port, err)
@@ -166,112 +174,91 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	defer t1b.Close()
 	var c2 collector
 	t1b.Handle(c2.handler)
-
-	// The survivor re-dials on demand; retry until it lands.
+	if err := t0.Send(1, []byte("after restart")); err != nil {
+		t.Fatal(err)
+	}
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		if err := t0.Send(1, []byte("after restart")); err == nil {
+		c2.mu.Lock()
+		n := len(c2.frames)
+		last := ""
+		if n > 0 {
+			last = c2.frames[n-1]
+		}
+		c2.mu.Unlock()
+		if last == "after restart" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("reconnect never succeeded")
+			t.Fatalf("post-restart delivery: %d frames, last %q", n, last)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	got := c2.waitLen(t, 1)
-	if got[len(got)-1] != "after restart" {
-		t.Fatalf("post-restart delivery: %q", got)
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-// TestTCPResilientSurvivesRestart layers Resilient over TCP and checks
-// a frame sent while the peer is down is retried, on each refused dial,
-// until the peer comes back — no caller-visible error at all.
-func TestTCPResilientSurvivesRestart(t *testing.T) {
+// TestTCPSurvivesRestart: frames sent while the peer is not listening
+// wait in its buffer while the writer's dials are refused, and arrive,
+// in order, once the peer listens again — one backoff later at most.
+func TestTCPSurvivesRestart(t *testing.T) {
 	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
 	t0, err := NewTCP(0, addrs, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer t0.Close()
 	t1, err := NewTCP(1, addrs, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0.SetPeerAddr(1, t1.Addr())
-	t1.SetPeerAddr(0, t0.Addr())
-	clock := NewRealClock(time.Millisecond)
-	r0 := NewResilient(t0, clock, Policy{RetryBase: 10, RetryCap: 100, Budget: 200})
-	defer r0.Close()
-	r0.Handle(func(int, []byte) {})
-
 	port := t1.Addr()
 	t1.Close() // peer dead before the send
+	t0.SetPeerAddr(1, port)
 
-	if err := r0.Send(1, []byte("patient frame")); err != nil {
-		t.Fatalf("resilient send must queue, not fail: %v", err)
+	want := []string{"patient", "frames", "in order"}
+	for _, f := range want {
+		if err := t0.Send(1, []byte(f)); err != nil {
+			t.Fatalf("send must buffer, not fail: %v", err)
+		}
 	}
-	time.Sleep(50 * time.Millisecond) // a few failed attempts
+	for t0.Stats().Retries.Load() == 0 { // refused, then refused again after one backoff
+		time.Sleep(time.Millisecond)
+	}
 
 	t1b, err := NewTCP(1, []string{t0.Addr(), port}, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t1b.Close()
-	r1 := NewResilient(t1b, clock, Policy{})
-	defer r1.Close()
 	var c collector
-	r1.Handle(c.handler)
-
-	got := c.waitLen(t, 1)
-	if got[0] != "patient frame" {
-		t.Fatalf("delivered %q", got[0])
+	t1b.Handle(c.handler)
+	up := time.Now()
+	got := c.waitLen(t, len(want))
+	if waited := time.Since(up); waited > time.Duration(redialCap)*time.Millisecond {
+		t.Fatalf("delivered %v after the peer listened, more than one capped backoff", waited)
 	}
-	if r0.Stats().Retries.Load() == 0 {
-		t.Fatal("expected at least one retry while the peer was down")
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	if t0.Stats().Retries.Load() == 0 {
+		t.Fatal("expected at least one redial while the peer was down")
 	}
 }
 
-// TestTCPResilientConcurrentSenders drives one Resilient link from
-// several goroutines while a third party flips the peer's suspicion and
-// kicks the link: every frame arrives, and each sender's frames arrive
-// in the order it sent them (one queue per link, one connection).
-func TestTCPResilientConcurrentSenders(t *testing.T) {
+// TestTCPConcurrentSenders drives one peer's buffer from several
+// goroutines: every frame arrives, and each sender's frames arrive in
+// the order it sent them (one buffer and one connection per peer).
+func TestTCPConcurrentSenders(t *testing.T) {
 	t0, t1 := newTCPPair(t)
-	clock := NewRealClock(time.Millisecond)
 	const senders, each = 4, 100
-	var suspected atomic.Bool
-	r0 := NewResilient(t0, clock, Policy{
-		QueueCap:  senders * each, // parking, not shedding, is under test
-		Suspected: func(int) bool { return suspected.Load() },
-	})
-	r1 := NewResilient(t1, clock, Policy{})
 	var c collector
-	r1.Handle(c.handler)
-
-	stop := make(chan struct{})
-	flipped := make(chan struct{})
-	go func() {
-		defer close(flipped)
-		for {
-			select {
-			case <-stop:
-				suspected.Store(false)
-				r0.Kick(1)
-				return
-			default:
-			}
-			suspected.Store(!suspected.Load())
-			r0.Kick(1)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
+	t1.Handle(c.handler)
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := r0.Send(1, []byte(fmt.Sprintf("%d:%d", g, i))); err != nil {
+				if err := t0.Send(1, []byte(fmt.Sprintf("%d:%d", g, i))); err != nil {
 					t.Errorf("sender %d frame %d: %v", g, i, err)
 					return
 				}
@@ -279,8 +266,6 @@ func TestTCPResilientConcurrentSenders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	<-flipped
 
 	got := c.waitLen(t, senders*each)
 	next := make([]int, senders)
@@ -293,5 +278,124 @@ func TestTCPResilientConcurrentSenders(t *testing.T) {
 			t.Fatalf("sender %d: frame %d arrived when %d was next", g, i, next[g])
 		}
 		next[g]++
+	}
+}
+
+// stalledPeer is a listener that accepts connections and never reads
+// from them: a peer that is stopped, or whose handler never returns.
+func stalledPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	})
+	return ln.Addr().String()
+}
+
+// TestTCPSendNeverBlocksActor: a Runtime sends an 8 KB message to a
+// peer that accepts and never reads, every turn for 10 s. Once the
+// socket and the peer's buffer are full, every further frame is refused
+// and counted as shed, and no turn waits on the socket. Before the
+// writer, a send wrote on the caller, and a turn stalled for the write
+// timeout (500 ms) each time the socket filled. The bound on the slowest
+// turn is stall, not 1 ms: on a 2-core host, turns of a Runtime sending
+// 16 KB messages to a transport that discards every frame already reach
+// 12 ms (GC and scheduling), so the typical turn is what is held to 1 ms.
+func TestTCPSendNeverBlocksActor(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	amp.RegisterWire(Register)
+	rsm.RegisterWire(Register)
+	tr, err := NewTCP(0, []string{"127.0.0.1:0", stalledPeer(t)}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rt := NewRuntime(tr, NewRealClock(0), &orderProc{})
+	rt.Start()
+	msg := rsm.Command{Op: "pad", Val: strings.Repeat("x", 8<<10)}
+	var took []time.Duration
+	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); {
+		t0 := time.Now()
+		rt.Do(func(ctx amp.Context) { ctx.Send(1, msg) })
+		took = append(took, time.Since(t0))
+		time.Sleep(100 * time.Microsecond)
+	}
+	slices.Sort(took)
+	turns, median, worst := uint64(len(took)), took[len(took)/2], took[len(took)-1]
+	st := tr.Stats()
+	sent, shed := st.Sent.Load(), st.Shed.Load()
+	t.Logf("%d turns: median %v, slowest %v; %d frames sent, %d shed", turns, median, worst, sent, shed)
+	if worst >= stall || median >= time.Millisecond {
+		t.Fatalf("turns took %v (median) and %v (slowest), want under 1ms and %v", median, worst, stall)
+	}
+	if shed == 0 || sent+shed != turns || rt.SendErrs.Load() != shed {
+		t.Fatalf("%d turns: sent %d, shed %d, runtime send errors %d; want sheds beyond the buffer, each counted once", turns, sent, shed, rt.SendErrs.Load())
+	}
+}
+
+// TestTCPCloseStopsWriters: Close stops every writer — idle, backing
+// off from a refused dial, or blocked writing to a peer that does not
+// read — and the goroutine count returns to where it was; a Send after
+// Close returns ErrClosed.
+func TestTCPCloseStopsWriters(t *testing.T) {
+	base := runtime.NumGoroutine()
+	stalled := stalledPeer(t)
+	dead, err := NewTCP(0, []string{"127.0.0.1:0"}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr()
+	dead.Close()
+	tr, err := NewTCP(0, []string{"127.0.0.1:0", stalled, deadAddr}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 64<<10)
+	for i := 0; i < 200; i++ { // 13 MB: more than the socket and the buffer take
+		tr.Send(1, frame)
+	}
+	tr.Send(0, frame)
+	tr.Send(2, frame)
+	for tr.Stats().Retries.Load() == 0 { // peer 2's writer is backing off
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	tr.Close()
+	if took := time.Since(t0); took >= 250*time.Millisecond {
+		t.Fatalf("Close took %v: a blocked write was not cut", took)
+	}
+	if err := tr.Send(1, frame); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send after close: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+1 { // the stalled peer's accept loop
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

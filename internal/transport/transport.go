@@ -16,9 +16,9 @@
 //     scenario harness — the same seed always yields the same delivery
 //     order, so transport-level runs are replayable and shrinkable by
 //     cmd/basicsfuzz like every other engine.
-//   - TCP (tcp.go): length-prefixed binary frames (codec.go) over a
-//     per-destination connection pool with dial timeouts and automatic
-//     reconnect. Connections are simplex: each direction dials its own,
+//   - TCP (tcp.go): length-prefixed binary frames (codec.go), one
+//     outbound connection per peer, written by that peer's writer
+//     goroutine. Connections are simplex: each direction dials its own,
 //     which makes reconnect after a peer death a local decision of the
 //     sender.
 //   - Chaos (chaos.go): a wrapping transport that injects drops,
@@ -27,33 +27,30 @@
 //     verdict wins; delays accumulate) so the simulator's fault
 //     vocabulary translates one-to-one to real backends.
 //
-// # The robustness contract (Resilient)
+// # The robustness contract
 //
-// All backends share one robustness layer, Resilient (resilient.go).
-// It adds no reliability of its own on the wire: TCP already delivers
-// in order, and the protocols above are built for channels that lose
-// and reorder messages, as the simulator checks them. The contract is:
+// A send never waits and never fails because of the network, as in the
+// simulator: the channel delays or loses frames, and the protocols
+// above are built for that. TCP keeps the contract:
 //
-//   - At most once per accepted send: a frame the inner transport
-//     accepts is handed over once and never retransmitted. Chaos may
-//     still duplicate or reorder it, and a frame accepted into a dying
-//     connection is lost.
-//   - A send the inner transport refuses synchronously (a dial or
-//     write error, e.g. a peer that is restarting) is retried with
-//     exponential backoff plus seeded jitter (Policy.RetryBase
-//     doubling up to Policy.RetryCap, +/- Policy.JitterPct percent),
-//     and the frames sent after it wait behind it. The budget is
-//     bounded (Policy.Budget attempts): exhaustion surfaces a typed
-//     *RetryError through OnDrop and the Dropped counter, and the link
-//     moves on to its next queued frame — a dead peer can delay a
-//     link, never wedge it.
-//   - Heartbeat liveness is wired in from internal/fd: when
-//     Policy.Suspected reports a peer suspect, the link parks outgoing
-//     frames in a bounded queue (Policy.QueueCap) instead of burning
-//     its retry budget. Beyond the cap frames are shed with a typed
-//     *ShedError and counted — never unbounded growth, never a hang. A
-//     probe timer (and Kick, invoked by the Runtime when a suspicion
-//     retracts) drains the queue once the peer looks alive again.
+//   - A writer per peer. Send frames into the peer's bounded buffer
+//     (sendBufCap, 4 MiB) and returns. One goroutine per peer dials,
+//     writes everything buffered in one writev(2), and redials. No
+//     handler, timer or client call waits on a socket, so a slow or
+//     stopped peer cannot stall the node that sends to it.
+//   - A full buffer sheds. Send returns a *ShedError and counts it in
+//     Stats.Shed; the Runtime counts it too, and to the protocol the
+//     frame is lost.
+//   - Redial with backoff. A refused dial is retried after amp.Backoff,
+//     20 ms doubling to a 500 ms cap. What is buffered meanwhile goes
+//     out once the peer listens, so a peer that is starting or
+//     restarting gets it.
+//   - At most once. A frame is written once and never retransmitted; a
+//     failed write closes its connection and loses the batch in flight.
+//     Chaos may still duplicate or reorder frames.
+//   - No suspicion parking. The transport knows nothing of the failure
+//     detector: a suspected peer's frames go while its socket takes
+//     them, and are shed once its buffer is full.
 //   - Loss is recovered by the protocols, which therefore tolerate
 //     duplicates (rsm.Node dedups applies by message ID): Synod retries
 //     its ballot, total-order broadcast fetches missing slots, gossips
@@ -97,10 +94,9 @@ type Handler func(from int, frame []byte)
 
 // Transport moves opaque byte frames between n fixed peers, identified
 // by ids in [0, n). Send is fire-and-forget at this layer: an error
-// reports a local, synchronous failure (closed transport, unreachable
-// peer, oversized frame); successful return does not imply delivery.
-// Wrap with Resilient for the retry of refused sends and
-// suspected-peer parking.
+// reports a local, synchronous failure (closed transport, a Loopback
+// endpoint marked down, oversized frame, full buffer); successful return
+// does not imply delivery.
 type Transport interface {
 	// Self returns this endpoint's id.
 	Self() int
@@ -125,9 +121,9 @@ type ValueHandler func(from int, msg any)
 // once sent (the Sim scheduler delivers values without copying), so an
 // in-process network may alias them; serialization buys nothing but
 // CPU time there. The Runtime uses this path automatically when the
-// transport provides it. Chaos (corruption needs real bytes), TCP and
-// Resilient don't implement it, so fault injection and wire traffic
-// keep the full codec.
+// transport provides it. Chaos (corruption needs real bytes) and TCP
+// don't implement it, so fault injection and wire traffic keep the full
+// codec.
 type ValueTransport interface {
 	// SendValue queues msg for delivery to peer `to`. Both ends must
 	// treat msg as immutable.
@@ -137,8 +133,7 @@ type ValueTransport interface {
 	HandleValue(h ValueHandler)
 }
 
-// Typed errors of the transport layer. Resilient wraps them with
-// per-frame context (RetryError, ShedError).
+// Typed errors of the transport layer.
 var (
 	// ErrClosed reports a send on a closed transport.
 	ErrClosed = errors.New("transport: closed")
@@ -155,50 +150,32 @@ var (
 	ErrDown = errors.New("transport: peer down")
 )
 
-// RetryError reports that the inner transport refused every one of a
-// frame's Policy.Budget attempts. It wraps the last refusal.
-type RetryError struct {
-	To       int
-	Attempts int
-	Last     error
-}
-
-// Error implements error.
-func (e *RetryError) Error() string {
-	return fmt.Sprintf("transport: frame to peer %d dropped after %d refused attempts: %v",
-		e.To, e.Attempts, e.Last)
-}
-
-// Unwrap exposes the last refusal.
-func (e *RetryError) Unwrap() error { return e.Last }
-
-// ShedError reports that a frame was shed because the link's bounded
-// queue to a suspected or slow peer was full.
+// ShedError reports that TCP refused a frame because the peer's bounded
+// send buffer was full: Buffered bytes were waiting for a peer that is
+// not reading.
 type ShedError struct {
-	To     int
-	Queued int
+	To       int
+	Buffered int
 }
 
 // Error implements error.
 func (e *ShedError) Error() string {
-	return fmt.Sprintf("transport: frame to peer %d shed (queue at cap %d)", e.To, e.Queued)
+	return fmt.Sprintf("transport: frame to peer %d shed (%d bytes buffered)", e.To, e.Buffered)
 }
 
 // Stats are monotone event counters. All fields are updated atomically
 // and may be read concurrently.
 type Stats struct {
-	// Sent counts frames handed to the underlying transport (including
-	// retries of refused sends and chaos duplicates).
+	// Sent counts frames accepted by Send (Loopback, TCP).
 	Sent atomic.Uint64
 	// Delivered counts frames handed to the delivery upcall.
 	Delivered atomic.Uint64
-	// Retries counts attempts after a refused one (Resilient only).
+	// Retries counts redials of a peer after its first dial (TCP only).
 	Retries atomic.Uint64
-	// Dropped counts frames abandoned after budget exhaustion or
-	// arriving before a handler (Resilient), or by chaos injection
-	// (Chaos).
+	// Dropped counts frames lost to chaos injection (Chaos) or
+	// addressed to a down, closed or handler-less endpoint (Loopback).
 	Dropped atomic.Uint64
-	// Shed counts frames rejected at the queue cap (Resilient only).
+	// Shed counts frames refused at a full send buffer (TCP only).
 	Shed atomic.Uint64
 	// Duplicated counts chaos-injected duplicate deliveries (Chaos
 	// only).
