@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +68,13 @@ func (c *collector) waitLen(t *testing.T, n int) []string {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// snapshot returns the frames delivered so far.
+func (c *collector) snapshot() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.frames...)
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -196,32 +205,89 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
-// TestTCPSurvivesRestart: frames sent while the peer is not listening
-// wait in its buffer while the writer's dials are refused, and arrive,
-// in order, once the peer listens again — one backoff later at most.
-func TestTCPSurvivesRestart(t *testing.T) {
+// downPeer returns endpoint 0 of a two-endpoint TCP pair whose peer 1
+// was started and closed, so dials to it are refused, and the port the
+// peer listened on, for restarting it.
+func downPeer(t *testing.T) (*TCP, string) {
+	t.Helper()
 	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
 	t0, err := NewTCP(0, addrs, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer t0.Close()
+	t.Cleanup(func() { t0.Close() })
 	t1, err := NewTCP(1, addrs, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	port := t1.Addr()
-	t1.Close() // peer dead before the send
+	t1.Close()
 	t0.SetPeerAddr(1, port)
+	return t0, port
+}
+
+// waitRetries waits until t's writers have redialled at least n times.
+func waitRetries(t *testing.T, tr *TCP, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().Retries.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d redials after 5 s, want %d", tr.Stats().Retries.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPResilientSurvivesRestart layers Resilient over TCP, as the
+// bench/ clusters do, with the peer dead before the sends: no Send
+// reports an error, TCP's writer redials while the dials are refused,
+// and the frames arrive, in order, once the peer listens again.
+func TestTCPResilientSurvivesRestart(t *testing.T) {
+	t0, port := downPeer(t)
+	clock := NewRealClock(time.Millisecond)
+	r0 := NewResilient(t0, clock, Policy{RetryBase: 10, RetryCap: 100})
+	r0.Handle(func(int, []byte) {})
 
 	want := []string{"patient", "frames", "in order"}
 	for _, f := range want {
-		if err := t0.Send(1, []byte(f)); err != nil {
+		if err := r0.Send(1, []byte(f)); err != nil {
 			t.Fatalf("send must buffer, not fail: %v", err)
 		}
 	}
-	for t0.Stats().Retries.Load() == 0 { // refused, then refused again after one backoff
-		time.Sleep(time.Millisecond)
+	waitRetries(t, t0, 1)
+
+	t1b, err := NewTCP(1, []string{t0.Addr(), port}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1b.Close()
+	r1 := NewResilient(t1b, clock, Policy{})
+	var c collector
+	r1.Handle(c.handler)
+	if got := c.waitLen(t, len(want)); !slices.Equal(got, want) {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+}
+
+// TestResilientRefusedSendWaitsOneBackoff: a frame sent through
+// Resilient over TCP to a peer that refuses the dial waits in the
+// buffer. Each refusal costs one backoff, not a busy redial, and once
+// the peer listens the frame goes out on the writer's next dial.
+func TestResilientRefusedSendWaitsOneBackoff(t *testing.T) {
+	t0, port := downPeer(t)
+	r0 := NewResilient(t0, NewRealClock(time.Millisecond), Policy{})
+	r0.Handle(func(int, []byte) {})
+
+	start := time.Now()
+	if err := r0.Send(1, []byte("x")); err != nil {
+		t.Fatalf("send to a refusing peer: %v", err)
+	}
+	// The third dial follows two refusals and the two backoffs after
+	// them; a slow host only makes it later.
+	waitRetries(t, t0, 2)
+	backoffs := amp.Backoff(redialBase, redialCap, -1, 1, nil) + amp.Backoff(redialBase, redialCap, -1, 2, nil)
+	if waited := time.Since(start); waited < time.Duration(backoffs)*time.Millisecond {
+		t.Fatalf("third dial %v after the send, before two backoffs (%d ms)", waited, backoffs)
 	}
 
 	t1b, err := NewTCP(1, []string{t0.Addr(), port}, TCPOptions{})
@@ -229,18 +295,99 @@ func TestTCPSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t1b.Close()
+	// Every dial that starts after this read finds the peer listening.
+	redials := t0.Stats().Retries.Load()
+	up := time.Now()
 	var c collector
 	t1b.Handle(c.handler)
-	up := time.Now()
-	got := c.waitLen(t, len(want))
+	if got := c.waitLen(t, 1); got[0] != "x" {
+		t.Fatalf("delivered %q", got)
+	}
+	if after := t0.Stats().Retries.Load(); after > redials+1 {
+		t.Fatalf("%d redials after the peer listened, want at most one", after-redials)
+	}
 	if waited := time.Since(up); waited > time.Duration(redialCap)*time.Millisecond {
 		t.Fatalf("delivered %v after the peer listened, more than one capped backoff", waited)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("delivered %q, want %q", got, want)
+}
+
+// TestResilientSynchronousSendErrorRetries: a peer that reads each
+// connection's hello and then resets it makes the writer's writes fail.
+// Through Resilient over TCP no Send reports that failure; the writer
+// closes the connection and redials, once per failed write, and frames
+// sent once a real endpoint listens on the port are delivered.
+func TestResilientSynchronousSendErrorRetries(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if t0.Stats().Retries.Load() == 0 {
-		t.Fatal("expected at least one redial while the peer was down")
+	port := ln.Addr().String()
+	var accepted atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hello := make([]byte, FrameOverhead+4)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conn.SetReadDeadline(time.Now().Add(time.Second))
+			io.ReadFull(conn, hello)
+			conn.(*net.TCPConn).SetLinger(0) // Close sends a reset
+			conn.Close()
+		}
+	}()
+	defer func() { ln.Close(); <-done }()
+
+	t0, err := NewTCP(0, []string{"127.0.0.1:0", port}, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Close()
+	r0 := NewResilient(t0, NewRealClock(time.Millisecond), Policy{})
+	r0.Handle(func(int, []byte) {})
+
+	// A write into a reset connection can succeed before the reset comes
+	// back; a later one fails, and the writer redials, which the peer
+	// accepts. So every redial here follows a failed write.
+	deadline := time.Now().Add(5 * time.Second)
+	for t0.Stats().Retries.Load() < 2 {
+		if err := r0.Send(1, []byte("into the reset")); err != nil {
+			t.Fatalf("send to a resetting peer: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d redials after 5 s of failed writes, want 2", t0.Stats().Retries.Load())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := accepted.Load(); n < 2 {
+		t.Fatalf("peer accepted %d connections, want one per redial", n)
+	}
+	ln.Close()
+	<-done
+
+	t1, err := NewTCP(1, []string{t0.Addr(), port}, TCPOptions{})
+	if err != nil {
+		t.Fatalf("listen on %s: %v", port, err)
+	}
+	defer t1.Close()
+	var c collector
+	t1.Handle(c.handler)
+	// The writer may still hold the last reset connection: the write on
+	// it fails and loses its batch, as any write the reset cuts does, and
+	// the redial after it reaches t1. A frame sent into the resets may
+	// still be buffered and arrive first.
+	deadline = time.Now().Add(5 * time.Second)
+	for !slices.Contains(c.snapshot(), "after the resets") {
+		if err := r0.Send(1, []byte("after the resets")); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no delivery after the resets in 5 s")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
