@@ -95,7 +95,7 @@ func runE1() []row {
 	detail := ""
 	for _, n := range []int{16, 256, 4096, 1 << 16, 1 << 20} {
 		procs := local.NewColeVishkinRing(n)
-		sys, err := round.NewSystem(graph.Ring(n), procs, round.WithParallelCompute())
+		sys, err := round.NewSystem(graph.Ring(n), procs)
 		if err != nil {
 			return []row{{claim: "Cole–Vishkin runs", measured: err.Error(), ok: false}}
 		}

@@ -31,12 +31,12 @@
 // internal/round, an engine rebuilt for scale: pooled slice-backed
 // mailboxes reused across rounds, per-System cached adversary digraphs (the adv:∅ fast path
 // never builds a graph at all, and the madv adversaries refill one scratch
-// digraph per round), a persistent GOMAXPROCS-sized worker pool instead of
-// goroutine-per-process fan-out, and a quiescent-round skip. See the
-// internal/round package documentation for the architecture; differential
-// tests in that package hold the engine's two execution paths (sequential,
-// worker-pool parallel) to byte-identical Results, and to Results pinned on
-// the seed engine and on the map-mailbox path the slots replaced.
+// digraph per round), and a quiescent-round skip, with no allocation per
+// round. It has one execution path, a loop over the processes per phase.
+// See the internal/round package documentation for the architecture;
+// tests in that package pin its Results to digests of seeded workloads,
+// and to Results recorded on the seed engine and on the map-mailbox path
+// the slots replaced.
 //
 // # The asynchronous simulator
 //
@@ -138,7 +138,7 @@
 // skew, explicit schedule choices) from a single uint64 seed and drives
 // any execution model through small adapters (internal/scenario/models:
 // abd, abdmulti, rsm, jobq, transport, benor, universal, ampchatter,
-// shmexec, shmexplore, roundequiv, check, flp, dynnet, madv). Each
+// shmexec, shmexplore, check, flp, dynnet, madv). Each
 // adapter checks an oracle — linearizability via internal/check,
 // agreement/validity predicates, invariants that share no code with the
 // engine (balanced message and step books), or serial against parallel

@@ -28,7 +28,7 @@ func main() {
 		*n, local.LogStar(*n), local.LogStar(*n)+3)
 
 	procs := local.NewColeVishkinRing(*n)
-	sys, err := round.NewSystem(graph.Ring(*n), procs, round.WithParallelCompute())
+	sys, err := round.NewSystem(graph.Ring(*n), procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "building system:", err)
 		os.Exit(1)

@@ -165,20 +165,6 @@ func (d *Digraph) IsTournamentComplete() bool {
 	return true
 }
 
-// CompleteDigraph returns the digraph with all n(n-1) arcs (the adv:∅
-// communication graph on a complete network).
-func CompleteDigraph(n int) *Digraph {
-	d := NewDigraph(n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				d.AddArc(u, v)
-			}
-		}
-	}
-	return d
-}
-
 // DigraphFromGraph returns the symmetric digraph with both arcs for each
 // undirected edge of g.
 func DigraphFromGraph(g *Graph) *Digraph {

@@ -6,8 +6,8 @@
 // The representation is a growing []Pair plus a membership bitmap. A
 // round's payload is a capped prefix of the pair slice, so sending to every
 // neighbor shares one backing array with no copying; because the owner only
-// ever appends — never mutates an entry a receiver can see — that sharing
-// stays safe even under the round engine's parallel compute phase.
+// ever appends — never mutates an entry a receiver can see — a receiver's
+// view of that array never changes under it.
 package knowset
 
 // Pair is one <id, value> element of the flooding payload.

@@ -48,8 +48,8 @@ func scratchDigraph(d **graph.Digraph, base *graph.Graph) *graph.Digraph {
 // the processes compute any computable function of their inputs, with every
 // input reaching every process in at most n-1 rounds.
 //
-// SpanningTree is safe for concurrent use by a parallel engine because its
-// RNG access is serialized.
+// SpanningTree is safe for concurrent use because its RNG access is
+// serialized.
 type SpanningTree struct {
 	mu      sync.Mutex
 	rng     *rand.Rand

@@ -1,14 +1,13 @@
 package round_test
 
-// Differential tests of the engine's execution paths, running on the
-// shared scenario harness: the "roundequiv" model executes each seeded
-// workload (Cole–Vishkin ring, TreeFlood under TREE and Drop
-// adversaries, Flood grid) on the sequential path and the worker-pool
-// parallel paths, and requires byte-identical Results. A second set of
-// tests pins Result fields captured on the original map-churning engine
-// (pre-rewrite), and a third pins what the map-mailbox path (the
+// Tests that pin the engine's Results. TestEngineEquivalence pins the
+// Results of four seeded workloads (Cole–Vishkin ring, TreeFlood under
+// TREE and Drop adversaries, Flood grid) to digests recorded when the
+// map-mailbox path and the worker pool were still there to agree with.
+// A second set pins Result fields captured on the original map-churning
+// engine (pre-rewrite), and a third pins what the map-mailbox path (the
 // Send(r) Outbox / Compute(r, Inbox) pair every algorithm carried beside
-// the slot pair until it was deleted) produced, so neither change
+// the slot pair until it was deleted) produced, so no engine change
 // altered observable behavior.
 
 import (
@@ -23,7 +22,6 @@ import (
 	"distbasics/internal/madv"
 	"distbasics/internal/round"
 	"distbasics/internal/scenario"
-	"distbasics/internal/scenario/models"
 )
 
 // digest is the first 16 hex digits of sha256 over v's %v rendering.
@@ -31,24 +29,64 @@ func digest(v any) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))[:16]
 }
 
-// TestEngineEquivalence is the seeded property test: for each workload
-// the sequential path and the worker-pool parallel path (two pool
-// sizes) must agree on every Result field — and on the digest of the
-// reference Results recorded when the map-mailbox path was still there
-// to agree with. Failures print the exact basicsfuzz replay invocation.
+// seededWorkload is one seeded system construction: a base graph, its
+// processes, an adversary, and a round budget.
+type seededWorkload struct {
+	name   string
+	base   *graph.Graph
+	procs  []round.Process
+	adv    round.Adversary
+	rounds int
+}
+
+// seededWorkloads derives the four workloads of one seed.
+func seededWorkloads(seed uint64) []seededWorkload {
+	rng := scenario.NewRand(seed)
+	nRing := 64 + rng.Intn(512)
+	nTree := 8 + rng.Intn(120)
+	nDrop := 4 + rng.Intn(60)
+	advSeed := rng.Int63()
+	inputs := func(n int) []any {
+		in := make([]any, n)
+		for i := range in {
+			in[i] = i * 7
+		}
+		return in
+	}
+	grid := graph.Grid(9, 9)
+	return []seededWorkload{
+		{"cole-vishkin-ring", graph.Ring(nRing), local.NewColeVishkinRing(nRing), round.None{}, local.CVIterations(nRing) + 8},
+		{"treeflood-spanning-tree", graph.Complete(nTree), dynnet.NewTreeFlood(inputs(nTree), nTree-1),
+			madv.NewSpanningTree(advSeed), nTree - 1},
+		{"treeflood-drop", graph.Complete(nDrop), dynnet.NewTreeFlood(inputs(nDrop), 3*nDrop),
+			madv.NewDrop(advSeed, 0.4), 3 * nDrop},
+		{"flood-grid", grid, local.NewFlood(inputs(81), grid.Diameter(), nil), round.None{}, grid.Diameter()},
+	}
+}
+
+// TestEngineEquivalence runs each seed's workloads and requires the
+// digest of their Results to equal the one recorded for that seed.
 func TestEngineEquivalence(t *testing.T) {
 	want := []string{
 		"ab3f0e62188cf8ef", "d8a73ec5def557a4", "f7ffef7ecfee53e8",
 		"84b75c87edf1e993", "7e1ddf74febc4d4d", "39b87c97132022ba",
 	}
-	m := &models.RoundEquiv{}
 	for seed := uint64(1); seed <= 6; seed++ {
-		res := m.Run(m.Generate(seed))
-		if res.Failed {
-			scenario.Reportf(t, m.Name(), seed, "engine paths diverge: %s", res.Reason)
+		var lines []string
+		for _, w := range seededWorkloads(seed) {
+			sys, err := round.NewSystem(w.base, w.procs, round.WithAdversary(w.adv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sys.Run(w.rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%s: rounds=%d halted=%v sent=%d delivered=%d haltRound=%v outputs=%v",
+				w.name, r.Rounds, r.AllHalted, r.MessagesSent, r.MessagesDelivered, r.HaltRound, r.Outputs))
 		}
-		if got := digest(strings.Join(res.Trace, "\n")); got != want[seed-1] {
-			scenario.Reportf(t, m.Name(), seed, "Results digest %s, recorded %s", got, want[seed-1])
+		if got := digest(strings.Join(lines, "\n")); got != want[seed-1] {
+			t.Errorf("seed %d: Results digest %s, recorded %s", seed, got, want[seed-1])
 		}
 	}
 }
@@ -74,17 +112,15 @@ func TestPortedAlgorithmsMatchMapMailboxes(t *testing.T) {
 		{64, 9, 960, "02860faa954e76f7"},
 		{1000, 10, 16000, "5cd031d4d22060e9"},
 	} {
-		for _, opts := range [][]round.Option{nil, {round.WithParallelCompute()}} {
-			sys, err := round.NewSystem(graph.Ring(c.n), local.NewMISRing(c.n), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.Run(local.CVIterations(c.n) + 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("mis-ring-%d/%d options", c.n, len(opts)), res, c.rounds, c.sent, c.sent, c.outputs)
+		sys, err := round.NewSystem(graph.Ring(c.n), local.NewMISRing(c.n))
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := sys.Run(local.CVIterations(c.n) + 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("mis-ring-%d", c.n), res, c.rounds, c.sent, c.sent, c.outputs)
 	}
 	inputs := make([]int, 12)
 	for i := range inputs {

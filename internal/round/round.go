@@ -29,20 +29,16 @@
 //     reuse a scratch Digraph (see graph.Digraph.Reset) instead of
 //     reallocating one.
 //
-//   - Worker-pool compute. WithParallelCompute runs the send, receive, and
-//     compute phases on a persistent pool of GOMAXPROCS goroutines
-//     processing contiguous vertex chunks, with a barrier between phases —
-//     not the goroutine-per-process fan-out of the original engine.
-//
 //   - Quiescent-round skip. A round in which no live process sent anything
 //     skips the receive phase and buffer clearing entirely (the adversary
 //     is still consulted so that seeded adversaries consume the same
 //     random stream regardless of traffic).
 //
-// There are two execution paths, sequential and worker-pool, and one
-// mailbox; TestEngineMatchesSeedEngine pins Results recorded on the original
-// engine and the roundequiv scenario model holds the two paths to each
-// other.
+// There is one execution path: Run walks the processes in index order for
+// each phase, so the lock-step automaton of §3.1 is the loop that runs.
+// TestEngineMatchesSeedEngine pins Results recorded on the original engine,
+// TestEngineEquivalence pins Results of seeded workloads, and
+// TestRunAllocatesNothingPerRound pins the hot path's zero allocations.
 //
 // # Running the experiments
 //
@@ -146,52 +142,25 @@ func WithAdversary(a Adversary) Option {
 	return func(s *System) { s.adv = a }
 }
 
-// WithParallelCompute runs each round's send, receive, and compute phases on
-// a persistent worker pool (one worker per CPU, contiguous vertex chunks,
-// barrier between phases). Results are identical to sequential execution
-// because a process only touches its own state and its own mailbox slots;
-// this exists both to exercise the algorithms under real concurrency and to
-// scale the big LOCAL-model experiments.
-func WithParallelCompute() Option {
-	return func(s *System) { s.parallel = true }
-}
-
-// WithWorkers sets the worker-pool size used by WithParallelCompute
-// (default: GOMAXPROCS). Values below 1 are ignored.
-func WithWorkers(k int) Option {
-	return func(s *System) {
-		if k >= 1 {
-			s.workers = k
-		}
-	}
-}
-
 // System is a synchronous system SMPn[adv:AD]: a base graph, one Process
 // per vertex, and a message adversary.
 type System struct {
-	base     *graph.Graph
-	procs    []Process
-	adv      Adversary
-	parallel bool
-	workers  int
+	base  *graph.Graph
+	procs []Process
+	adv   Adversary
 
 	// Engine state. The topology is recomputed at the start of every Run
 	// (the base graph may change between Runs) but all slices below are
 	// allocated once and reused, so repeated Runs — and every round within
 	// one — allocate nothing here.
-	topo    *topology
-	outBuf  []Message // flat outgoing slots, indexed by topo layout
-	inBuf   []Message // flat incoming slots
-	halted  []bool
-	haltNow []bool
+	topo   *topology
+	outBuf []Message // flat outgoing slots, indexed by topo layout
+	inBuf  []Message // flat incoming slots
+	halted []bool
 }
 
 // ErrSize is returned when the process slice does not match the graph.
 var ErrSize = errors.New("round: len(procs) must equal base.N()")
-
-// parallelMinN is the smallest system for which the worker pool is engaged;
-// below it, dispatch overhead exceeds the whole round's work.
-const parallelMinN = 64
 
 // NewSystem builds a synchronous system over base with the given processes
 // (procs[i] runs at vertex i). The base graph must not be mutated while a
@@ -204,7 +173,7 @@ func NewSystem(base *graph.Graph, procs []Process, opts ...Option) (*System, err
 		}
 		return nil, fmt.Errorf("%w: %d procs, %d vertices", ErrSize, len(procs), n)
 	}
-	s := &System{base: base, procs: procs, adv: None{}, workers: defaultWorkers()}
+	s := &System{base: base, procs: procs, adv: None{}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -229,30 +198,12 @@ func (s *System) Run(maxRounds int) (*Result, error) {
 	haltedCount := 0
 	_, advIsNone := s.adv.(None)
 
-	var pool *workerPool
-	var sentBy, delivBy []int
-	if s.parallel && n >= parallelMinN {
-		pool = newWorkerPool(s.workers)
-		defer pool.close()
-		sentBy = make([]int, pool.Chunks())
-		delivBy = make([]int, pool.Chunks())
-	}
-
 	for r := 1; r <= maxRounds && haltedCount < n; r++ {
 		res.Rounds = r
 
 		// Send phase: live processes fill their outgoing slots, restricted
 		// to base-graph neighbors.
-		sent := 0
-		if pool != nil {
-			clear(sentBy)
-			pool.run(n, func(lo, hi, c int) { sentBy[c] += s.sendRange(r, lo, hi) })
-			for _, c := range sentBy {
-				sent += c
-			}
-		} else {
-			sent = s.sendRange(r, 0, n)
-		}
+		sent := s.send(r)
 		res.MessagesSent += sent
 
 		// Adversary chooses G_r; arcs not in G_r are suppressed. Under the
@@ -270,33 +221,11 @@ func (s *System) Run(maxRounds int) (*Result, error) {
 		// Receive phase: deliver surviving messages into incoming slots.
 		// A quiescent round (nothing sent) skips delivery and clearing.
 		if sent > 0 {
-			delivered := 0
-			if pool != nil {
-				clear(delivBy)
-				pool.run(n, func(lo, hi, c int) { delivBy[c] += s.recvRange(gr, full, lo, hi) })
-				for _, c := range delivBy {
-					delivered += c
-				}
-			} else {
-				delivered = s.recvRange(gr, full, 0, n)
-			}
-			res.MessagesDelivered += delivered
+			res.MessagesDelivered += s.recv(gr, full)
 		}
 
 		// Local computation phase.
-		if pool != nil {
-			pool.run(n, func(lo, hi, _ int) { s.computeRange(r, lo, hi) })
-		} else {
-			s.computeRange(r, 0, n)
-		}
-		for i, h := range s.haltNow {
-			if h {
-				s.haltNow[i] = false
-				s.halted[i] = true
-				res.HaltRound[i] = r
-				haltedCount++
-			}
-		}
+		haltedCount += s.compute(r, res.HaltRound)
 
 		if sent > 0 {
 			clear(s.outBuf)
@@ -327,24 +256,21 @@ func (s *System) prepare(n int) {
 	}
 	if len(s.halted) != n {
 		s.halted = make([]bool, n)
-		s.haltNow = make([]bool, n)
 	} else {
 		clear(s.halted)
-		clear(s.haltNow)
 	}
 }
 
-// sendRange runs the send phase for vertices [lo, hi) and returns the number
-// of messages sent.
-func (s *System) sendRange(r, lo, hi int) int {
+// send runs the send phase and returns the number of messages sent.
+func (s *System) send(r int) int {
 	t := s.topo
 	sent := 0
-	for i := lo; i < hi; i++ {
+	for i, p := range s.procs {
 		if s.halted[i] {
 			continue
 		}
 		slots := s.outBuf[t.off[i]:t.off[i+1]]
-		s.procs[i].Send(r, Outbox{slots: slots})
+		p.Send(r, Outbox{slots: slots})
 		for _, m := range slots {
 			if m != nil {
 				sent++
@@ -354,13 +280,13 @@ func (s *System) sendRange(r, lo, hi int) int {
 	return sent
 }
 
-// recvRange runs the receive phase for receivers [lo, hi): for each live
-// receiver it scans its neighbors' reverse slots and copies messages whose
-// arc survived the adversary. It returns the number of deliveries.
-func (s *System) recvRange(gr *graph.Digraph, full bool, lo, hi int) int {
+// recv runs the receive phase: for each live receiver it scans its
+// neighbors' reverse slots and copies messages whose arc survived the
+// adversary. It returns the number of deliveries.
+func (s *System) recv(gr *graph.Digraph, full bool) int {
 	t := s.topo
 	delivered := 0
-	for i := lo; i < hi; i++ {
+	for i := range s.procs {
 		if s.halted[i] {
 			continue
 		}
@@ -379,15 +305,22 @@ func (s *System) recvRange(gr *graph.Digraph, full bool, lo, hi int) int {
 	return delivered
 }
 
-// computeRange runs the compute phase for vertices [lo, hi), recording halt
-// decisions in s.haltNow (bookkeeping is applied after the phase barrier).
-func (s *System) computeRange(r, lo, hi int) {
+// compute runs the compute phase of round r. A process that halts is
+// marked at once, with r recorded in haltRound: no process reads another's
+// halted flag during the phase. It returns the number that halted.
+func (s *System) compute(r int, haltRound []int) int {
 	t := s.topo
-	for i := lo; i < hi; i++ {
+	halts := 0
+	for i, p := range s.procs {
 		if s.halted[i] {
 			continue
 		}
 		from, to := t.off[i], t.off[i+1]
-		s.haltNow[i] = s.procs[i].Compute(r, Inbox{slots: s.inBuf[from:to], nbrs: t.nbrs[from:to]})
+		if p.Compute(r, Inbox{slots: s.inBuf[from:to], nbrs: t.nbrs[from:to]}) {
+			s.halted[i] = true
+			haltRound[i] = r
+			halts++
+		}
 	}
+	return halts
 }

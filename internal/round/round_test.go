@@ -211,26 +211,54 @@ func TestFullAdversarySuppressesEverything(t *testing.T) {
 	}
 }
 
-func TestParallelComputeMatchesSequential(t *testing.T) {
-	g := graph.Complete(6)
-	seqSys, seqProcs := newEchoSystem(t, g, 4)
-	parSys, parProcs := newEchoSystem(t, g, 4, WithParallelCompute())
-	seqRes, err := seqSys.Run(10)
-	if err != nil {
-		t.Fatal(err)
+// quietProc sends itself to every neighbor each round and counts what it
+// receives, allocating nothing after Init.
+type quietProc struct{ heard int }
+
+func (p *quietProc) Init(Env)               { p.heard = 0 }
+func (p *quietProc) Send(_ int, out Outbox) { out.Broadcast(p) }
+func (p *quietProc) Compute(_ int, in Inbox) bool {
+	for k := 0; k < in.Deg(); k++ {
+		if in.At(k) != nil {
+			p.heard++
+		}
 	}
-	parRes, err := parSys.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqRes.Rounds != parRes.Rounds || seqRes.MessagesDelivered != parRes.MessagesDelivered {
-		t.Fatalf("sequential %+v vs parallel %+v", seqRes, parRes)
-	}
-	for i := range seqProcs {
-		for src, cnt := range seqProcs[i].received {
-			if parProcs[i].received[src] != cnt {
-				t.Fatalf("process %d: parallel received %v, sequential %v", i, parProcs[i].received, seqProcs[i].received)
-			}
+	return false
+}
+func (p *quietProc) Output() any { return nil }
+
+// TestRunAllocatesNothingPerRound pins the package doc's "zero
+// allocations on the hot path": with processes that allocate nothing,
+// Run(k)'s allocation count does not grow with k, under None and under
+// an adversary that returns one prebuilt digraph.
+func TestRunAllocatesNothingPerRound(t *testing.T) {
+	g := graph.Ring(256)
+	gr := graph.DigraphFromGraph(g)
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"none", nil},
+		{"adversary", []Option{WithAdversary(AdversaryFunc(func(int, *graph.Graph, []Process) *graph.Digraph { return gr }))}},
+	} {
+		procs := make([]Process, g.N())
+		for i := range procs {
+			procs[i] = &quietProc{}
+		}
+		sys, err := NewSystem(g, procs, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				res, err := sys.Run(rounds)
+				if err != nil || res.Rounds != rounds || res.MessagesDelivered != 2*256*rounds {
+					t.Fatalf("Run(%d) = %+v, %v", rounds, res, err)
+				}
+			})
+		}
+		if one, fifty := allocs(1), allocs(50); fifty > one {
+			t.Errorf("%s: Run(1) allocates %.0f, Run(50) %.0f: a round allocates", c.name, one, fifty)
 		}
 	}
 }

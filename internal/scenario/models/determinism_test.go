@@ -29,7 +29,7 @@ import (
 // well under a second, a few of the ones that take seconds.
 func seedBudget(model string) uint64 {
 	switch model {
-	case "rsm", "jobq", "transport", "roundequiv":
+	case "rsm", "jobq", "transport":
 		return 2
 	case "shmexplore":
 		return 4

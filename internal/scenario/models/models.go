@@ -16,8 +16,6 @@
 //     and balanced message books; balanced step books).
 //   - shmexplore, flp — the exhaustive explorers, serial against
 //     parallel and full search against DPOR.
-//   - roundequiv — the round engine's sequential path against its
-//     worker-pool paths.
 //   - check — the linearizability checker against its preserved seed
 //     implementation (check.LinearizableLegacy) and across memo tiers.
 //   - dynnet, madv — the synchronous round model under random dynamic
@@ -53,7 +51,6 @@ func All() []scenario.Model {
 		&AmpChatter{},
 		&ShmExec{},
 		&ShmExplore{},
-		&RoundEquiv{},
 		&Check{},
 		&FLP{},
 		&DynNet{},

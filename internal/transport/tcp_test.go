@@ -238,19 +238,17 @@ func waitRetries(t *testing.T, tr *TCP, n uint64) {
 	}
 }
 
-// TestTCPResilientSurvivesRestart layers Resilient over TCP, as the
-// bench/ clusters do, with the peer dead before the sends: no Send
-// reports an error, TCP's writer redials while the dials are refused,
-// and the frames arrive, in order, once the peer listens again.
-func TestTCPResilientSurvivesRestart(t *testing.T) {
+// TestTCPPeerDownBeforeSends: with the peer dead before the sends, no
+// Send reports an error, the writer redials while the dials are
+// refused, and the frames arrive, in order, once the peer listens
+// again.
+func TestTCPPeerDownBeforeSends(t *testing.T) {
 	t0, port := downPeer(t)
-	clock := NewRealClock(time.Millisecond)
-	r0 := NewResilient(t0, clock, Policy{RetryBase: 10, RetryCap: 100})
-	r0.Handle(func(int, []byte) {})
+	t0.Handle(func(int, []byte) {})
 
 	want := []string{"patient", "frames", "in order"}
 	for _, f := range want {
-		if err := r0.Send(1, []byte(f)); err != nil {
+		if err := t0.Send(1, []byte(f)); err != nil {
 			t.Fatalf("send must buffer, not fail: %v", err)
 		}
 	}
@@ -261,25 +259,23 @@ func TestTCPResilientSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t1b.Close()
-	r1 := NewResilient(t1b, clock, Policy{})
 	var c collector
-	r1.Handle(c.handler)
+	t1b.Handle(c.handler)
 	if got := c.waitLen(t, len(want)); !slices.Equal(got, want) {
 		t.Fatalf("delivered %q, want %q", got, want)
 	}
 }
 
-// TestResilientRefusedSendWaitsOneBackoff: a frame sent through
-// Resilient over TCP to a peer that refuses the dial waits in the
-// buffer. Each refusal costs one backoff, not a busy redial, and once
-// the peer listens the frame goes out on the writer's next dial.
-func TestResilientRefusedSendWaitsOneBackoff(t *testing.T) {
+// TestTCPRefusedSendWaitsOneBackoff: a frame sent to a peer that
+// refuses the dial waits in the buffer. Each refusal costs one backoff,
+// not a busy redial, and once the peer listens the frame goes out on
+// the writer's next dial.
+func TestTCPRefusedSendWaitsOneBackoff(t *testing.T) {
 	t0, port := downPeer(t)
-	r0 := NewResilient(t0, NewRealClock(time.Millisecond), Policy{})
-	r0.Handle(func(int, []byte) {})
+	t0.Handle(func(int, []byte) {})
 
 	start := time.Now()
-	if err := r0.Send(1, []byte("x")); err != nil {
+	if err := t0.Send(1, []byte("x")); err != nil {
 		t.Fatalf("send to a refusing peer: %v", err)
 	}
 	// The third dial follows two refusals and the two backoffs after
@@ -311,12 +307,12 @@ func TestResilientRefusedSendWaitsOneBackoff(t *testing.T) {
 	}
 }
 
-// TestResilientSynchronousSendErrorRetries: a peer that reads each
-// connection's hello and then resets it makes the writer's writes fail.
-// Through Resilient over TCP no Send reports that failure; the writer
-// closes the connection and redials, once per failed write, and frames
-// sent once a real endpoint listens on the port are delivered.
-func TestResilientSynchronousSendErrorRetries(t *testing.T) {
+// TestTCPFailedWriteRedials: a peer that reads each connection's hello
+// and then resets it makes the writer's writes fail. No Send reports
+// that failure; the writer closes the connection and redials, once per
+// failed write, and frames sent once a real endpoint listens on the
+// port are delivered.
+func TestTCPFailedWriteRedials(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -346,15 +342,14 @@ func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t0.Close()
-	r0 := NewResilient(t0, NewRealClock(time.Millisecond), Policy{})
-	r0.Handle(func(int, []byte) {})
+	t0.Handle(func(int, []byte) {})
 
 	// A write into a reset connection can succeed before the reset comes
 	// back; a later one fails, and the writer redials, which the peer
 	// accepts. So every redial here follows a failed write.
 	deadline := time.Now().Add(5 * time.Second)
 	for t0.Stats().Retries.Load() < 2 {
-		if err := r0.Send(1, []byte("into the reset")); err != nil {
+		if err := t0.Send(1, []byte("into the reset")); err != nil {
 			t.Fatalf("send to a resetting peer: %v", err)
 		}
 		if time.Now().After(deadline) {
@@ -381,7 +376,7 @@ func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 	// still be buffered and arrive first.
 	deadline = time.Now().Add(5 * time.Second)
 	for !slices.Contains(c.snapshot(), "after the resets") {
-		if err := r0.Send(1, []byte("after the resets")); err != nil {
+		if err := t0.Send(1, []byte("after the resets")); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
