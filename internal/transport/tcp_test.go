@@ -238,11 +238,11 @@ func waitRetries(t *testing.T, tr *TCP, n uint64) {
 	}
 }
 
-// TestTCPPeerDownBeforeSends: with the peer dead before the sends, no
-// Send reports an error, the writer redials while the dials are
-// refused, and the frames arrive, in order, once the peer listens
+// TestTCPResilientSurvivesRestart: with the peer dead before the
+// sends, no Send reports an error, the writer redials while the dials
+// are refused, and the frames arrive, in order, once the peer listens
 // again.
-func TestTCPPeerDownBeforeSends(t *testing.T) {
+func TestTCPResilientSurvivesRestart(t *testing.T) {
 	t0, port := downPeer(t)
 	t0.Handle(func(int, []byte) {})
 
@@ -266,11 +266,11 @@ func TestTCPPeerDownBeforeSends(t *testing.T) {
 	}
 }
 
-// TestTCPRefusedSendWaitsOneBackoff: a frame sent to a peer that
-// refuses the dial waits in the buffer. Each refusal costs one backoff,
-// not a busy redial, and once the peer listens the frame goes out on
-// the writer's next dial.
-func TestTCPRefusedSendWaitsOneBackoff(t *testing.T) {
+// TestResilientRefusedSendWaitsOneBackoff: a frame sent over TCP to a
+// peer that refuses the dial waits in the buffer. Each refusal costs
+// one backoff, not a busy redial, and once the peer listens the frame
+// goes out on the writer's next dial.
+func TestResilientRefusedSendWaitsOneBackoff(t *testing.T) {
 	t0, port := downPeer(t)
 	t0.Handle(func(int, []byte) {})
 
@@ -307,12 +307,12 @@ func TestTCPRefusedSendWaitsOneBackoff(t *testing.T) {
 	}
 }
 
-// TestTCPFailedWriteRedials: a peer that reads each connection's hello
-// and then resets it makes the writer's writes fail. No Send reports
-// that failure; the writer closes the connection and redials, once per
-// failed write, and frames sent once a real endpoint listens on the
-// port are delivered.
-func TestTCPFailedWriteRedials(t *testing.T) {
+// TestResilientSynchronousSendErrorRetries: a peer that reads each
+// connection's hello and then resets it makes TCP's writes fail. No
+// Send reports that failure; the writer closes the connection and
+// redials, once per failed write, and frames sent once a real endpoint
+// listens on the port are delivered.
+func TestResilientSynchronousSendErrorRetries(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
