@@ -135,7 +135,6 @@ func (*FLP) Run(sc *scenario.Scenario) *scenario.Result {
 	par := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, Workers: 4})
 	res.Tracef("proto=%s%+v inputs=%v crashes=%d", name, proto, inputs, crashes)
 	res.Tracef("serial: %s configs=%d", flpReportDigest(serial), serial.Configs)
-	res.Tracef("parallel: %s configs=%d", flpReportDigest(par), par.Configs)
 	if d := flpReportDigest(par); d != flpReportDigest(serial) || par.Configs != serial.Configs {
 		res.Failf("parallel explorer diverges from serial: %s configs=%d vs %s configs=%d",
 			d, par.Configs, flpReportDigest(serial), serial.Configs)
