@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"distbasics/internal/agreement"
@@ -22,11 +21,10 @@ import (
 func runE4() []row {
 	var rows []row
 
-	// verify explores every schedule with up to n-1 crashes, fanned out
-	// across the cores.
+	// verify explores every schedule with up to n-1 crashes.
 	verify := func(n int, e agreement.HierarchyEntry, proposals ...any) *shm.ExploreResult {
 		return agreement.VerifyConsensusExhaustive(proposals, func() agreement.Consensus { return e.Factory(n) },
-			true, shm.ExploreOpts{Workers: runtime.GOMAXPROCS(0)})
+			true, shm.ExploreOpts{})
 	}
 
 	for _, e := range agreement.Hierarchy() {

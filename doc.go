@@ -68,9 +68,8 @@
 // sorted view. The exhaustive explorer — the machinery behind the
 // consensus-hierarchy table of E4 — executes once per complete schedule,
 // recording the enabled set at every decision point so sibling branches
-// are enumerated without re-executing interior tree nodes, and can fan
-// the top-level decision frontier out across parallel workers while
-// still reporting the first violation in depth-first order. The seed
+// are enumerated without re-executing interior tree nodes, in one
+// depth-first search on the calling goroutine. The seed
 // engine and explorer are deleted; the outcomes, execution counts and
 // violation schedules they agreed on are frozen in the shmexec and
 // shmexplore models' digests and in pinned tests. The speedup (more than an order of magnitude per explored execution in E4)
@@ -93,8 +92,8 @@
 // 63-operation cap to 63 per partition. internal/flp's exhaustive
 // explorer — the FLP impossibility of §2.4/§5.1 made executable —
 // identifies configurations by canonical binary encodings over interned
-// states, explores copy-on-write with undo instead of cloning, and fans
-// the root's branches across Options.Workers. The seed checker survives
+// states, and explores copy-on-write with undo instead of cloning, in one
+// depth-first search on the calling goroutine. The seed checker survives
 // (check.LinearizableLegacy) as the oracle of randomized equivalence
 // property tests — identical verdicts, witness orders and explored-state
 // counts — because it is the only second opinion on linearizability.
@@ -116,17 +115,17 @@
 // which is what makes those instances exhaustible at all. In neither
 // package is the reduction a second search: there is one sleep-set
 // search (in internal/flp over one mask-carrying seen-table, in
-// internal/shm over one leaf-only DFS, frontier expansion and engine
-// extension), and full enumeration is that search with nothing put to
+// internal/shm one leaf-only DFS over one engine extension), each
+// serial, and full enumeration is that search with nothing put to
 // sleep (see the flp package comment and shm/dpor.go). In internal/shm
 // full enumeration also keeps the seed explorer's child order — step p,
 // crash p, ascending — for the schedule-equality fences, where the
 // reduction takes steps before crashes. The reduction is fenced
 // differentially: randomized program families run under full
-// enumeration, serial DPOR and parallel DPOR, requiring identical
-// violation presence, replayable violation schedules, exact
-// serial/parallel agreement, and full-search answers equal to the
-// deleted seed explorers' (pinned digests); the fences are
+// enumeration and DPOR, requiring identical violation presence,
+// replayable violation schedules, no more executions than the full
+// search, and full-search answers equal to the deleted seed explorers'
+// (pinned digests); the fences are
 // mutation-verified by wiring deliberately-wrong dependence relations
 // and requiring the fences to catch them.
 //
@@ -141,8 +140,8 @@
 // shmexec, shmexplore, check, flp, dynnet, madv). Each
 // adapter checks an oracle — linearizability via internal/check,
 // agreement/validity predicates, invariants that share no code with the
-// engine (balanced message and step books), or serial against parallel
-// search — and replay is byte-stable: the same scenario always produces
+// engine (balanced message and step books), or full search against its
+// reduction — and replay is byte-stable: the same scenario always produces
 // the identical trace and verdict, which determinism tests assert per
 // adapter. Each run's Result has a digest (the sha256 of its verdict,
 // counts and trace), and internal/scenario/models/testdata/digests.txt

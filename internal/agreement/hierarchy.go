@@ -103,7 +103,7 @@ func Hierarchy() []HierarchyEntry {
 // of non-crashed processes. It completes the caller's opts with what the
 // consensus specification fixes — Factory, Check, and the crash budget:
 // the wait-free model's n-1 when crashes is true, none otherwise — and
-// leaves the search's own knobs (Workers, DPOR, MaxSteps, ...) as given.
+// leaves the search's own knobs (DPOR, MaxSteps, MaxExecutions) as given.
 //
 // Binary objects (sticky bit) take proposals in {0,1}.
 func VerifyConsensusExhaustive(proposals []any, factory func() Consensus, crashes bool, opts shm.ExploreOpts) *shm.ExploreResult {

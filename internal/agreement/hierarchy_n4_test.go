@@ -1,7 +1,6 @@
 package agreement
 
 import (
-	"fmt"
 	"testing"
 
 	"distbasics/internal/shm"
@@ -57,25 +56,15 @@ func TestHierarchyN4UnderDPOR(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := n4Opts(tc.factory, 3)
 			opts.DPOR = true
-			serial := shm.Explore(opts)
-
-			parOpts := opts
-			parOpts.Workers = 4
-			parallel := shm.Explore(parOpts)
-			if parallel.Executions != serial.Executions || parallel.Violation != serial.Violation ||
-				fmt.Sprint(parallel.Schedule) != fmt.Sprint(serial.Schedule) {
-				t.Errorf("parallel DPOR diverged: %d/%q vs serial %d/%q",
-					parallel.Executions, parallel.Violation, serial.Executions, serial.Violation)
+			dpor := shm.Explore(opts)
+			if dpor.Executions != tc.goldenDPOR {
+				t.Errorf("DPOR executions = %d, golden %d", dpor.Executions, tc.goldenDPOR)
 			}
-
-			if serial.Executions != tc.goldenDPOR {
-				t.Errorf("DPOR executions = %d, golden %d", serial.Executions, tc.goldenDPOR)
-			}
-			if (serial.Violation != "") != tc.wantViolation {
-				t.Errorf("violation %q, wantViolation %v", serial.Violation, tc.wantViolation)
+			if (dpor.Violation != "") != tc.wantViolation {
+				t.Errorf("violation %q, wantViolation %v", dpor.Violation, tc.wantViolation)
 			}
 			if tc.wantViolation {
-				out, err := shm.ReplayViolation(opts.Factory, serial.Schedule, opts.MaxSteps)
+				out, err := shm.ReplayViolation(opts.Factory, dpor.Schedule, opts.MaxSteps)
 				if err != nil {
 					t.Fatalf("violation schedule failed to replay: %v", err)
 				}
@@ -91,12 +80,12 @@ func TestHierarchyN4UnderDPOR(t *testing.T) {
 				if full.Violation != "" {
 					t.Errorf("full enumeration found a violation DPOR missed: %q", full.Violation)
 				}
-				if full.Executions <= serial.Executions {
-					t.Errorf("no reduction: full %d vs DPOR %d", full.Executions, serial.Executions)
+				if full.Executions <= dpor.Executions {
+					t.Errorf("no reduction: full %d vs DPOR %d", full.Executions, dpor.Executions)
 				}
 				t.Logf("n=4 %s: full %d executions, DPOR %d (%.1fx)",
-					tc.name, full.Executions, serial.Executions,
-					float64(full.Executions)/float64(serial.Executions))
+					tc.name, full.Executions, dpor.Executions,
+					float64(full.Executions)/float64(dpor.Executions))
 			}
 		})
 	}

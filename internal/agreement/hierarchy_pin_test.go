@@ -1,9 +1,9 @@
 package agreement
 
-// Pins the E4 consensus-hierarchy exploration workloads across explorer
-// engines: for every hierarchy row the serial and parallel explorers must
-// report the execution counts, violations and violation schedules the
-// seed-era explorer gave, recorded while it ran beside them and agreed.
+// Pins the E4 consensus-hierarchy exploration workloads: for every
+// hierarchy row the explorer must report the execution counts,
+// violations and violation schedules the seed-era explorer gave,
+// recorded while it ran beside the rebuilt one and agreed.
 
 import (
 	"reflect"
@@ -59,31 +59,25 @@ func TestHierarchyExplorationPinnedAcrossEngines(t *testing.T) {
 		}
 		t.Run(e.Object, func(t *testing.T) {
 			opts := e4Opts(e.Factory)
-			serial := shm.Explore(opts)
-
-			parOpts := opts
-			parOpts.Workers = 4
-			parallel := shm.Explore(parOpts)
+			got := shm.Explore(opts)
 
 			wantViolation := e.ConsensusNumber == 1
 			var wantSchedule []shm.Decision
 			if wantViolation {
 				wantSchedule = goldenRegisterSchedule
 			}
-			for label, got := range map[string]*shm.ExploreResult{"serial": serial, "parallel": parallel} {
-				if want := goldenE4Executions[e.Object]; got.Executions != want {
-					t.Errorf("%s executions = %d, golden %d", label, got.Executions, want)
-				}
-				if (got.Violation != "") != wantViolation {
-					t.Errorf("%s violation %q, wantViolation %v", label, got.Violation, wantViolation)
-				}
-				if !reflect.DeepEqual(got.Schedule, wantSchedule) {
-					t.Errorf("%s schedule %v, golden %v", label, got.Schedule, wantSchedule)
-				}
+			if want := goldenE4Executions[e.Object]; got.Executions != want {
+				t.Errorf("executions = %d, golden %d", got.Executions, want)
+			}
+			if (got.Violation != "") != wantViolation {
+				t.Errorf("violation %q, wantViolation %v", got.Violation, wantViolation)
+			}
+			if !reflect.DeepEqual(got.Schedule, wantSchedule) {
+				t.Errorf("schedule %v, golden %v", got.Schedule, wantSchedule)
 			}
 			if wantViolation {
 				// The violating schedule must replay to the same violation.
-				out, err := shm.ReplayViolation(opts.Factory, serial.Schedule, opts.MaxSteps)
+				out, err := shm.ReplayViolation(opts.Factory, got.Schedule, opts.MaxSteps)
 				if err != nil {
 					t.Errorf("pinned violation schedule failed to replay: %v", err)
 				}
@@ -111,16 +105,10 @@ func TestMultivaluedExplorationPinnedAcrossEngines(t *testing.T) {
 			},
 		}
 	}
-	serial := shm.Explore(mk())
-	parOpts := mk()
-	parOpts.Workers = 4
-	parallel := shm.Explore(parOpts)
-	for label, got := range map[string]*shm.ExploreResult{"serial": serial, "parallel": parallel} {
-		// 1103 is the seed explorer's count, recorded before it was deleted.
-		if got.Executions != 1103 || got.Violation != "" {
-			t.Fatalf("%s multivalued exploration: %d/%q, want 1103 executions and no violation",
-				label, got.Executions, got.Violation)
-		}
+	// 1103 is the seed explorer's count, recorded before it was deleted.
+	if got := shm.Explore(mk()); got.Executions != 1103 || got.Violation != "" {
+		t.Fatalf("multivalued exploration: %d/%q, want 1103 executions and no violation",
+			got.Executions, got.Violation)
 	}
 }
 
@@ -149,7 +137,6 @@ func TestHierarchyThreeProcessConsensus(t *testing.T) {
 					return &shm.Run{Bodies: bodies}
 				},
 				MaxCrashes: 2,
-				Workers:    4,
 				Check: func(out *shm.Outcome) string {
 					return CheckConsensusOutcome(out, []any{0, 1, 0})
 				},

@@ -1,15 +1,9 @@
 package flp
 
-// The search: one depth-first loop over one mutable configuration, one
-// mask-carrying seen-table, one fan-out of the root's branches. See the
+// The search: one depth-first loop over one mutable configuration and
+// one mask-carrying seen-table, on the calling goroutine. See the
 // package comment for the commutation rule and why the table stores
 // masks.
-
-import (
-	"hash/maphash"
-	"sync"
-	"sync/atomic"
-)
 
 // dporCovered decides whether a revisited configuration's stored sleep
 // masks cover the current ones (prune) or not (re-explore with the
@@ -36,56 +30,36 @@ func (m sleepMask) subset(o sleepMask) bool {
 
 // seenTable maps each explored configuration (by canonical encoding) to
 // the sleep masks it was explored with, and counts first visits against
-// MaxConfigs. A serial search has one shard and never locks it; parallel
-// workers share 64 mutex-guarded ones.
+// MaxConfigs.
 type seenTable struct {
-	shards []seenShard
-	count  atomic.Int64
-	limit  int64
-}
-
-type seenShard struct {
-	mu sync.Mutex
-	m  map[string]sleepMask
+	m     map[string]sleepMask
+	count int
+	limit int
 }
 
 func newSeenTable(opts Options) *seenTable {
-	shards, limit := 1, opts.MaxConfigs
-	if opts.Workers > 1 {
-		shards = 64
-	}
+	limit := opts.MaxConfigs
 	if limit == 0 {
 		limit = DefaultMaxConfigs
 	}
-	st := &seenTable{shards: make([]seenShard, shards), limit: int64(limit)}
-	for i := range st.shards {
-		st.shards[i].m = make(map[string]sleepMask)
-	}
-	return st
+	return &seenTable{m: make(map[string]sleepMask), limit: limit}
 }
-
-var seenTableSeed = maphash.MakeSeed()
 
 // visit reports whether the caller should explore the configuration's
 // branches: on a first visit (counted, unless the budget is exhausted),
 // or on a revisit whose masks the stored ones do not cover — then the
 // intersection is stored BEFORE re-exploring, so cycles terminate.
 func (st *seenTable) visit(key []byte, cur sleepMask) (explore, truncated bool) {
-	sh := &st.shards[0]
-	if len(st.shards) > 1 {
-		sh = &st.shards[maphash.Bytes(seenTableSeed, key)%uint64(len(st.shards))]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	if stored, dup := sh.m[string(key)]; dup {
+	if stored, dup := st.m[string(key)]; dup {
 		if dporCovered(stored, cur) {
 			return false, false
 		}
-		sh.m[string(key)] = sleepMask{stored.recv & cur.recv, stored.crash & cur.crash}
+		st.m[string(key)] = sleepMask{stored.recv & cur.recv, stored.crash & cur.crash}
 		return true, false
 	}
-	sh.m[string(key)] = cur
-	if st.count.Add(1) > st.limit {
+	st.m[string(key)] = cur
+	st.count++
+	if st.count > st.limit {
 		return false, true
 	}
 	return true, false
@@ -93,7 +67,7 @@ func (st *seenTable) visit(key []byte, cur sleepMask) (explore, truncated bool) 
 
 // configs is the number of configurations counted, capped at the budget.
 func (st *seenTable) configs() int {
-	return int(min(st.count.Load(), st.limit))
+	return min(st.count, st.limit)
 }
 
 // visit explores the current configuration with the given sleep masks.
@@ -261,79 +235,4 @@ func (e *explorer) crashBranch(pid int, sleep sleepMask) {
 	e.crashedMask &^= 1 << uint(pid)
 	e.buf = append(e.buf[:0], save...)
 	e.scratch = append(e.scratch, save)
-}
-
-// exploreParallel charges the root configuration, then fans its
-// branches out across opts.Workers goroutines. Workers keep private
-// mutable configurations and read-through interning caches but share
-// the id assignment and the seen-table, so every reachable configuration
-// is explored by exactly one worker per mask set and the union of their
-// reports matches the serial search's. Reports merge in branch order.
-func exploreParallel(proto Protocol, inputs []int, opts Options, seen *seenTable) Report {
-	glob := &internTable{stateIDs: make(map[any]uint32), bodyIDs: make(map[any]uint32)}
-	root := newExplorer(proto, inputs, opts, seen, glob)
-	seen.visit(root.configKey(), sleepMask{}) // the root: all asleep, no decisions
-
-	// The root holds one wake per process and nothing else, so its
-	// branches and the masks visit would hand them are known statically.
-	type branch struct {
-		pid   int
-		crash bool // crash pid; otherwise deliver its wake, buffer message pid
-		sleep sleepMask
-	}
-	var branches []branch
-	var sleep sleepMask
-	for pid := 0; pid < root.n; pid++ {
-		branches = append(branches, branch{pid, false, sleep})
-		if opts.DPOR {
-			sleep.recv |= 1 << uint(pid)
-		}
-	}
-	if opts.MaxCrashes > 0 {
-		for pid := 0; pid < root.n; pid++ {
-			branches = append(branches, branch{pid, true, sleep})
-			if opts.DPOR {
-				sleep.crash |= 1 << uint(pid)
-			}
-		}
-	}
-
-	subs := make([]*explorer, len(branches))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(opts.Workers, len(branches)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(branches) {
-					return
-				}
-				sub := newExplorer(proto, inputs, opts, seen, glob)
-				subs[bi] = sub
-				if br := branches[bi]; br.crash {
-					sub.crashBranch(br.pid, br.sleep)
-				} else {
-					sub.deliverAt(br.pid, br.sleep)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	rep := Report{Decided: make(map[int]bool), Configs: seen.configs()}
-	for _, sub := range subs {
-		for v := range sub.rep.Decided {
-			rep.Decided[v] = true
-		}
-		if rep.AgreementViolation == "" {
-			rep.AgreementViolation = sub.rep.AgreementViolation
-		}
-		if rep.TerminationViolation == "" {
-			rep.TerminationViolation = sub.rep.TerminationViolation
-		}
-		rep.Truncated = rep.Truncated || sub.rep.Truncated
-	}
-	return rep
 }

@@ -207,8 +207,8 @@ func flpFenceCases(yield func(label string, proto Protocol, inputs []int, crashe
 	}
 }
 
-// runFLPDPORFence compares full enumeration against serial and parallel
-// DPOR on every fence case. With wantAgree it fails on any divergence;
+// runFLPDPORFence compares full enumeration against DPOR on every fence
+// case. With wantAgree it fails on any divergence;
 // otherwise it returns how many cases diverged (for mutation
 // verification).
 func runFLPDPORFence(t *testing.T, wantAgree bool) (disagreed int) {
@@ -217,19 +217,9 @@ func runFLPDPORFence(t *testing.T, wantAgree bool) (disagreed int) {
 	for _, c := range collectFLPFenceCases() {
 		full := Explore(c.proto, c.inputs, Options{MaxCrashes: c.crashes})
 		dpor := Explore(c.proto, c.inputs, Options{MaxCrashes: c.crashes, DPOR: true})
-		dporPar := Explore(c.proto, c.inputs, Options{MaxCrashes: c.crashes, DPOR: true, Workers: 4})
 
-		// Serial==parallel and dpor<=full are theorems of the SOUND relation
-		// (the order-independent fixpoint in dpor.go). Under the mutant they
-		// are just more ways for the fence to catch it.
-		if d, dp := flpDigest(dpor), flpDigest(dporPar); d != dp || dpor.Configs != dporPar.Configs {
-			if wantAgree {
-				t.Fatalf("%s: serial DPOR diverged from parallel DPOR:\n  serial:   %s configs=%d\n  parallel: %s configs=%d",
-					c.label, d, dpor.Configs, dp, dporPar.Configs)
-			}
-			disagreed++
-			continue
-		}
+		// dpor<=full is a theorem of the SOUND relation. Under the mutant it
+		// is just one more way for the fence to catch it.
 		if dpor.Configs > full.Configs {
 			if wantAgree {
 				t.Fatalf("%s: DPOR visited more configs (%d) than the full search (%d)", c.label, dpor.Configs, full.Configs)
@@ -273,9 +263,9 @@ func collectFLPFenceCases() []flpFenceCase {
 	return out
 }
 
-// TestFLPDPORDifferentialFence: serial and parallel DPOR must agree with
-// each other exactly (digest and Configs) and with the full search on
-// Decided sets, valence, and violation presence, on every fence case.
+// TestFLPDPORDifferentialFence: DPOR must agree with the full search on
+// Decided sets, valence, and violation presence, over no more
+// configurations, on every fence case.
 func TestFLPDPORDifferentialFence(t *testing.T) {
 	runFLPDPORFence(t, true)
 }
@@ -283,20 +273,12 @@ func TestFLPDPORDifferentialFence(t *testing.T) {
 // TestWaitMajorityN4DPOR pins the acceptance workload the reduction was
 // built for: a wait-majority n=4 instance with one crash, exhausted
 // under DPOR at a third of the full search's configurations — both
-// counts pinned, digests required to agree, serial and parallel DPOR
-// required to match exactly.
+// counts pinned, digests required to agree.
 func TestWaitMajorityN4DPOR(t *testing.T) {
 	inputs := []int{0, 1, 0, 1}
-	opts := Options{MaxCrashes: 1, DPOR: true}
-	dpor := Explore(WaitMajority{Procs: 4}, inputs, opts)
-	opts.Workers = 4
-	par := Explore(WaitMajority{Procs: 4}, inputs, opts)
+	dpor := Explore(WaitMajority{Procs: 4}, inputs, Options{MaxCrashes: 1, DPOR: true})
 	full := Explore(WaitMajority{Procs: 4}, inputs, Options{MaxCrashes: 1})
 
-	if d, p := flpDigest(dpor), flpDigest(par); d != p || dpor.Configs != par.Configs {
-		t.Fatalf("serial/parallel DPOR diverged:\n  serial:   %s configs=%d\n  parallel: %s configs=%d",
-			d, dpor.Configs, p, par.Configs)
-	}
 	if flpDigest(dpor) != flpDigest(full) {
 		t.Fatalf("DPOR digest diverged from full search:\n  full: %s\n  dpor: %s",
 			flpDigest(full), flpDigest(dpor))

@@ -101,13 +101,16 @@ func TestExploreMatchesLegacyOnShippedProtocols(t *testing.T) {
 }
 
 // TestExploreTruncationBothEngines pins the truncation contract on the
-// serial and the parallel search (counts under truncation are
-// engine-specific, the flag isn't).
+// full search and its reduction: the flag is set, and Configs is the
+// budget exactly.
 func TestExploreTruncationBothEngines(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, MaxConfigs: 3, Workers: workers})
+	for _, dpor := range []bool{false, true} {
+		rep := flp.Explore(flp.WaitMajority{Procs: 3}, []int{0, 1, 1}, flp.Options{MaxCrashes: 1, MaxConfigs: 3, DPOR: dpor})
 		if !rep.Truncated {
-			t.Errorf("workers=%d: MaxConfigs=3 must truncate", workers)
+			t.Errorf("DPOR=%v: MaxConfigs=3 must truncate", dpor)
+		}
+		if rep.Configs != 3 {
+			t.Errorf("DPOR=%v: Configs=%d under MaxConfigs=3, want 3", dpor, rep.Configs)
 		}
 	}
 }

@@ -78,14 +78,9 @@
 // crash: 39425 against 118357) while Decided sets, valences, and
 // violation presence are preserved.
 //
-// Options.Workers mirrors shm.ExploreOpts.Workers: the root's branches
-// fan out across parallel workers. Workers keep private mutable
-// configurations but share the id-assignment tables (through per-worker
-// read-through caches) and one seen-table, sharded and mutex-guarded.
-// Decided sets, valences, violation classifications, and untruncated
-// Configs counts all match the serial search — the explored set is an
-// order-independent fixpoint, DPOR or not. Reports merge
-// deterministically in branch order.
+// The search runs on the calling goroutine, so Protocol needs no
+// synchronization, and a MaxConfigs truncation cuts at the same
+// configuration on every run.
 //
 // The seed explorer (Sprintf keys, full clones) is deleted. The Decided
 // sets, valences, violation classifications and Configs counts it agreed
@@ -100,7 +95,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 )
 
 // State is an opaque per-process protocol state. States (and message
@@ -175,9 +169,8 @@ type Report struct {
 	// TerminationViolation is set when some complete execution (with at
 	// most MaxCrashes crashes) ends with a correct, undecided process.
 	TerminationViolation string
-	// Configs counts distinct configurations visited (identical to the
-	// serial count when Workers > 1 and the exploration is not
-	// truncated, since workers share one deduplication table).
+	// Configs counts distinct configurations visited, capped at
+	// MaxConfigs.
 	Configs int
 	// Truncated reports that exploration hit MaxConfigs and results are
 	// a lower bound.
@@ -217,14 +210,7 @@ type Options struct {
 	MaxCrashes int
 	// MaxConfigs caps visited configurations (0 = DefaultMaxConfigs).
 	MaxConfigs int
-	// Workers splits the top-level branch frontier across this many
-	// parallel explorers (0 or 1 = serial), mirroring
-	// shm.ExploreOpts.Workers. Workers share one sharded seen-table, so
-	// no configuration is explored twice with the same sleep masks:
-	// Decided sets, valences, violation classifications, and (untruncated)
-	// Configs counts are identical to the serial engine's. Truncation
-	// under MaxConfigs is approximate because the budget races across
-	// workers, and violation message details may differ run to run.
+	// Deprecated: ignored; the search is serial.
 	Workers int
 	// DPOR enables dynamic partial-order reduction (see the package
 	// comment): deliveries to different processes commute, so the search
@@ -253,13 +239,9 @@ func Explore(proto Protocol, inputs []int, opts Options) Report {
 	if n > MaxProcs {
 		panic(fmt.Sprintf("flp: %d processes, max %d", n, MaxProcs))
 	}
-	seen := newSeenTable(opts)
-	if opts.Workers > 1 {
-		return exploreParallel(proto, inputs, opts, seen)
-	}
-	e := newExplorer(proto, inputs, opts, seen, nil)
+	e := newExplorer(proto, inputs, opts)
 	e.visit(sleepMask{})
-	e.rep.Configs = seen.configs()
+	e.rep.Configs = e.seen.configs()
 	return *e.rep
 }
 
@@ -305,26 +287,14 @@ type explorer struct {
 	bodyIDs  map[any]uint32
 	skey     internKeyer
 	bkey     internKeyer
-	glob     *internTable // shared id assignment across workers (nil when serial)
 
-	dpor    bool       // Options.DPOR: explored branches go to sleep for their later siblings
-	seen    *seenTable // shared across workers when parallel
+	dpor    bool // Options.DPOR: explored branches go to sleep for their later siblings
+	seen    *seenTable
 	keyBuf  []byte
 	msgKeys []uint64
 	scratch [][]emsg // buffer snapshots for crash branches
 
 	rep *Report
-}
-
-// internTable assigns globally consistent state and body ids across
-// parallel workers, so the same configuration produces the same
-// canonical encoding no matter which worker reaches it. Workers keep
-// read-through caches (explorer.stateIDs / bodyIDs), so the lock is
-// taken only on each worker's first sight of a value.
-type internTable struct {
-	mu       sync.Mutex
-	stateIDs map[any]uint32
-	bodyIDs  map[any]uint32
 }
 
 // rendered is the interning identity of an uncomparable value.
@@ -353,7 +323,7 @@ func (k *internKeyer) key(v any) any {
 	return rendered(fmt.Sprintf("%T|%#v", v, v))
 }
 
-func newExplorer(proto Protocol, inputs []int, opts Options, seen *seenTable, glob *internTable) *explorer {
+func newExplorer(proto Protocol, inputs []int, opts Options) *explorer {
 	n := proto.N()
 	e := &explorer{
 		proto:      proto,
@@ -363,9 +333,8 @@ func newExplorer(proto Protocol, inputs []int, opts Options, seen *seenTable, gl
 		stateID:    make([]uint32, n),
 		stateIDs:   make(map[any]uint32),
 		bodyIDs:    make(map[any]uint32),
-		glob:       glob,
 		dpor:       opts.DPOR,
-		seen:       seen,
+		seen:       newSeenTable(opts),
 		rep:        &Report{Decided: make(map[int]bool)},
 	}
 	for i := 0; i < n; i++ {
@@ -376,33 +345,18 @@ func newExplorer(proto Protocol, inputs []int, opts Options, seen *seenTable, gl
 	return e
 }
 
-// internState returns the id of s, assigning one on first sight —
-// locally when serial, from the shared table when parallel.
+// internState returns the id of s, assigning the next one on first
+// sight.
 func (e *explorer) internState(s State) uint32 {
 	ks := e.skey.key(s)
 	if id, ok := e.stateIDs[ks]; ok {
 		return id
 	}
-	var id uint32
-	if e.glob != nil {
-		e.glob.mu.Lock()
-		gid, ok := e.glob.stateIDs[ks]
-		if !ok {
-			gid = uint32(len(e.glob.stateIDs))
-			e.glob.stateIDs[ks] = gid
-		}
-		e.glob.mu.Unlock()
-		id = gid
-	} else {
-		id = uint32(len(e.stateVal))
-	}
+	id := uint32(len(e.stateVal))
 	e.stateIDs[ks] = id
-	for uint32(len(e.stateVal)) <= id {
-		e.stateVal = append(e.stateVal, nil)
-		e.decKnown = append(e.decKnown, 0)
-		e.decVal = append(e.decVal, 0)
-	}
-	e.stateVal[id] = s
+	e.stateVal = append(e.stateVal, s)
+	e.decKnown = append(e.decKnown, 0)
+	e.decVal = append(e.decVal, 0)
 	return id
 }
 
@@ -412,19 +366,7 @@ func (e *explorer) internBody(body any) uint32 {
 	if id, ok := e.bodyIDs[kb]; ok {
 		return id
 	}
-	var id uint32
-	if e.glob != nil {
-		e.glob.mu.Lock()
-		gid, ok := e.glob.bodyIDs[kb]
-		if !ok {
-			gid = uint32(len(e.glob.bodyIDs))
-			e.glob.bodyIDs[kb] = gid
-		}
-		e.glob.mu.Unlock()
-		id = gid
-	} else {
-		id = uint32(len(e.bodyIDs))
-	}
+	id := uint32(len(e.bodyIDs))
 	e.bodyIDs[kb] = id
 	return id
 }

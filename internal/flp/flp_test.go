@@ -183,35 +183,21 @@ func TestExplorePanicsOnBadInputLen(t *testing.T) {
 
 // TestFullSearchPutsNothingToSleep: with DPOR off the sleep-set search
 // is full enumeration — every mask stored in the seen-table is empty and
-// Configs is the table's size — serial and with two workers.
+// Configs is the table's size.
 func TestFullSearchPutsNothingToSleep(t *testing.T) {
-	proto, inputs := WaitMajority{Procs: 3}, []int{0, 1, 1}
-	for _, workers := range []int{1, 2} {
-		opts := Options{MaxCrashes: 1, Workers: workers}
-		seen := newSeenTable(opts)
-		var configs int
-		if workers > 1 {
-			configs = exploreParallel(proto, inputs, opts, seen).Configs
-		} else {
-			e := newExplorer(proto, inputs, opts, seen, nil)
-			e.visit(sleepMask{})
-			configs = seen.configs()
+	e := newExplorer(WaitMajority{Procs: 3}, []int{0, 1, 1}, Options{MaxCrashes: 1})
+	e.visit(sleepMask{})
+	configs := e.seen.configs()
+	for _, mask := range e.seen.m {
+		if mask != (sleepMask{}) {
+			t.Fatalf("stored mask %+v, want empty", mask)
 		}
-		size := 0
-		for i := range seen.shards {
-			size += len(seen.shards[i].m)
-			for _, mask := range seen.shards[i].m {
-				if mask != (sleepMask{}) {
-					t.Fatalf("workers=%d: stored mask %+v, want empty", workers, mask)
-				}
-			}
-		}
-		if configs != size {
-			t.Errorf("workers=%d: Configs=%d, table holds %d", workers, configs, size)
-		}
-		// 843 is the seed engine's Configs, recorded before it was deleted.
-		if configs != 843 {
-			t.Errorf("workers=%d: Configs=%d, seed engine 843", workers, configs)
-		}
+	}
+	if size := len(e.seen.m); configs != size {
+		t.Errorf("Configs=%d, table holds %d", configs, size)
+	}
+	// 843 is the seed engine's Configs, recorded before it was deleted.
+	if configs != 843 {
+		t.Errorf("Configs=%d, seed engine 843", configs)
 	}
 }

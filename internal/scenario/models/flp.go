@@ -10,10 +10,8 @@ import (
 // FLP is the differential model for the FLP-style exhaustive explorer:
 // for a seeded family of deterministic "lottery" flooding protocols
 // (and the shipped wait-all/wait-majority candidates on some seeds),
-// the parallel frontier must match the serial search on the Decided
-// set, valence, violation classification and Configs count, and the
-// DPOR search must match both on everything but Configs, over no more
-// configurations. The answers the retired seed engine agreed on are
+// the DPOR search must match the full search on the Decided set,
+// valence and violation classification, over no more configurations. The answers the retired seed engine agreed on are
 // frozen in testdata/digests.txt.
 type FLP struct{}
 
@@ -131,31 +129,19 @@ func (*FLP) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	crashes := cfg.Intn(2)
 
-	serial := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes})
-	par := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, Workers: 4})
+	full := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes})
 	res.Tracef("proto=%s%+v inputs=%v crashes=%d", name, proto, inputs, crashes)
-	res.Tracef("serial: %s configs=%d", flpReportDigest(serial), serial.Configs)
-	if d := flpReportDigest(par); d != flpReportDigest(serial) || par.Configs != serial.Configs {
-		res.Failf("parallel explorer diverges from serial: %s configs=%d vs %s configs=%d",
-			d, par.Configs, flpReportDigest(serial), serial.Configs)
-	}
-	// DPOR rows: serial and parallel reduced searches must match each
-	// other exactly (Configs included — the explored set is an
-	// order-independent fixpoint) and match the full search on the
+	res.Tracef("serial: %s configs=%d", flpReportDigest(full), full.Configs)
+	// DPOR rows: the reduced search must match the full search on the
 	// digest, over no more configurations.
-	dporS := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, DPOR: true})
-	dporP := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, DPOR: true, Workers: 4})
-	res.Tracef("dpor: %s configs=%d", flpReportDigest(dporS), dporS.Configs)
-	if d := flpReportDigest(dporP); d != flpReportDigest(dporS) || dporP.Configs != dporS.Configs {
-		res.Failf("parallel DPOR diverges from serial DPOR: %s configs=%d vs %s configs=%d",
-			d, dporP.Configs, flpReportDigest(dporS), dporS.Configs)
+	dpor := flp.Explore(proto, inputs, flp.Options{MaxCrashes: crashes, DPOR: true})
+	res.Tracef("dpor: %s configs=%d", flpReportDigest(dpor), dpor.Configs)
+	if d := flpReportDigest(dpor); d != flpReportDigest(full) {
+		res.Failf("DPOR digest diverges from full search: %s vs %s", d, flpReportDigest(full))
 	}
-	if d := flpReportDigest(dporS); d != flpReportDigest(serial) {
-		res.Failf("DPOR digest diverges from full search: %s vs %s", d, flpReportDigest(serial))
+	if dpor.Configs > full.Configs {
+		res.Failf("DPOR visited more configs (%d) than the full search (%d)", dpor.Configs, full.Configs)
 	}
-	if dporS.Configs > serial.Configs {
-		res.Failf("DPOR visited more configs (%d) than the full search (%d)", dporS.Configs, serial.Configs)
-	}
-	res.Completed = serial.Configs
+	res.Completed = full.Configs
 	return res
 }

@@ -14,8 +14,8 @@
 //     random racy programs on the shared-memory engine, checked by
 //     oracles that share no code with the engine (monotone virtual time
 //     and balanced message books; balanced step books).
-//   - shmexplore, flp — the exhaustive explorers, serial against
-//     parallel and full search against DPOR.
+//   - shmexplore, flp — the exhaustive explorers, full search against
+//     DPOR.
 //   - check — the linearizability checker against its preserved seed
 //     implementation (check.LinearizableLegacy) and across memo tiers.
 //   - dynnet, madv — the synchronous round model under random dynamic

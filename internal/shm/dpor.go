@@ -16,11 +16,8 @@ package shm
 // decision tree): each instrumented execution records the enabled set at
 // every decision point, so the DFS enumerates sibling branches from the
 // recording instead of re-executing the program at interior nodes the
-// way the seed explorer did. All executions of a
-// search share one coroutine arena (engine.go), and the top-level
-// decision frontier can be fanned out across parallel workers
-// (ExploreOpts.Workers) with the reported violation still the first one
-// in depth-first order.
+// way the seed explorer did. All executions of a search run on the
+// calling goroutine and share one coroutine arena (engine.go).
 //
 // Each node of the decision tree carries a sleep set: transitions whose
 // subtrees are already covered by an earlier sibling branch. Descending
@@ -33,8 +30,7 @@ package shm
 // counted, not checked). In a tree search (no state caching) sleep sets
 // alone visit exactly one complete execution per Mazurkiewicz class,
 // which is optimal for trace reduction; the persistent/backtrack set at
-// every node is the full enabled set, which is trivially persistent and
-// keeps the search embarrassingly partitionable across workers (the
+// every node is the full enabled set, which is trivially persistent (the
 // pruned partial executions are the price, bounded by one per abandoned
 // class).
 //
@@ -47,9 +43,9 @@ package shm
 // exactly (its answers are pinned: the shmexplore model's digests,
 // dpor_test.go's fence digest, agreement's E4 rows).
 // That one bool is all that tells the two searches apart: it gates the
-// sleep entry of a finished child (DFS backtrack and frontier
-// expansion), the child order, the crash-dependence restart below, and
-// the construction mutex of dporRuns.make.
+// sleep entry of a finished child on backtrack, the child order, the
+// crash-dependence restart below, and the construction mutex of
+// dporRuns.make.
 //
 // # Dependence relation
 //
@@ -95,9 +91,8 @@ package shm
 // independent). The mode is static when the caller set MaxSteps; under
 // the default budget the search runs with full reduction and, if a
 // cutoff is nonetheless observed without a violation, is restarted in
-// the dependent mode — the trigger is computed from counted executions
-// only, which serial and parallel searches visit identically, so the
-// restart decision is exploration-order independent.
+// the dependent mode. The trigger is computed from counted executions
+// only; a pruned partial execution never sets it.
 
 import (
 	"math/bits"
@@ -261,14 +256,14 @@ func (d *dporRec) record(sid int, oid uint64, write bool) {
 	d.accs = append(d.accs, dporStep{acc: dporAcc{cls: cls, write: write}, pid: uint8(sid)})
 }
 
-// dporRuns is the shared per-exploration factory state: every Factory
-// call goes through make, which reserves the id window and checks that
-// the call constructed as many objects as the first one.
+// dporRuns is the per-exploration factory state: every Factory call
+// goes through make, which reserves the id window and checks that the
+// call constructed as many objects as the first one.
 type dporRuns struct {
-	expected  int64 // objects per Factory call, -1 until known; under dporFactoryMu
-	unstable  atomic.Bool
-	crashDep  bool        // this attempt's crash/step dependence mode
-	sawCutoff atomic.Bool // some counted execution hit the step budget
+	expected  int64 // objects per Factory call, -1 until known
+	unstable  bool  // some call deviated: every access is clsConflict
+	crashDep  bool  // this attempt's crash/step dependence mode
+	sawCutoff bool  // some counted execution hit the step budget
 }
 
 func newDPORRuns(crashDep bool) *dporRuns {
@@ -281,7 +276,7 @@ func newDPORRuns(crashDep bool) *dporRuns {
 // ids and is made again, fenced. Any other deviation is the factory's
 // (it is not deterministic) and turns normalization off. With the
 // reduction off no access class is ever consulted, so there is no window
-// to reserve and no mutex to serialize the workers' Factory calls.
+// to reserve.
 func (r *dporRuns) make(opts *ExploreOpts) (*Run, uint64, uint64) {
 	if !opts.DPOR {
 		return opts.Factory(), 0, 0
@@ -296,7 +291,7 @@ func (r *dporRuns) make(opts *ExploreOpts) (*Run, uint64, uint64) {
 		case int64(count) > r.expected && !fenced:
 			continue
 		case int64(count) != r.expected:
-			r.unstable.Store(true)
+			r.unstable = true
 		}
 		return run, base, count
 	}
@@ -359,10 +354,10 @@ type dporLevel struct {
 	curAcc  dporAcc // access of the step child currently descending
 }
 
-// dporExplorer runs the leaf-only sleep-set DFS over one subtree, reusing
-// a single engine, outcome, and recording buffer across all of the
-// subtree's executions, plus an arena of per-level sleep sets managed
-// with the same LIFO discipline as the level stack.
+// dporExplorer runs the leaf-only sleep-set DFS, reusing a single
+// engine, outcome, and recording buffer across all of the search's
+// executions, plus an arena of per-level sleep sets managed with the
+// same LIFO discipline as the level stack.
 type dporExplorer struct {
 	eng      *engine
 	opts     *ExploreOpts
@@ -373,39 +368,21 @@ type dporExplorer struct {
 	prefix   []Decision
 	stack    []dporLevel
 	arena    []dporSleep
-
-	rootResult // of the subtree last explored
+	res      ExploreResult
 }
 
-func newDPORExplorer(eng *engine, opts *ExploreOpts, runs *dporRuns, maxSteps, n int) *dporExplorer {
-	eng.dpor = &dporRec{crashDep: runs.crashDep}
-	return &dporExplorer{eng: eng, opts: opts, runs: runs, maxSteps: maxSteps, out: newOutcome(n)}
-}
-
-// explore runs the DFS over all extensions of base (a schedule prefix
-// containing baseCrashes crashes, whose at-node sleep set is baseSleep),
-// counting from zero into s.executions and stopping at the subtree's
-// first violation. cont is polled between leaves; returning false stops the
-// search. If first is non-nil it (with its id window) is used as the
-// program for the initial execution in place of a Factory call.
-func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []Decision, baseCrashes int, baseSleep []dporSleep, cont func() bool) {
-	s.prefix = append(s.prefix[:0], base...)
-	s.stack = s.stack[:0]
-	s.arena = append(s.arena[:0], baseSleep...)
-	s.rootResult = rootResult{}
+// explore runs the DFS from the root, stopping at the first violation
+// or, between leaves, once MaxExecutions executions are counted. first
+// (with its id window) is the program of the initial execution, in
+// place of a Factory call.
+func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64) {
 	dpor := s.opts.DPOR // the reduction: finished children go to sleep, steps-first child order
-	crashes := baseCrashes
-	baseSteps := 0
-	for _, d := range base {
-		if d.Kind == StepProc {
-			baseSteps++
-		}
-	}
-	// The sleep set handed to the next execution: at-node before the
-	// first execution; after a backtrack, the branch level's set
-	// (including sibling entries), which the engine filters through the
-	// branch decision (filterLast).
-	curOff, curLen := 0, len(baseSleep)
+	crashes := 0
+	// The sleep set handed to the next execution: empty at the root;
+	// after a backtrack, the branch level's set (including sibling
+	// entries), which the engine filters through the branch decision
+	// (filterLast).
+	curOff, curLen := 0, 0
 	filterLast := false
 	parent := -1 // stack index of the level being branched from
 	for {
@@ -415,14 +392,14 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 			run, rb, rc = s.runs.make(s.opts)
 		}
 		first = nil
-		s.eng.dpor.setExec(rb, rc, s.runs.unstable.Load())
+		s.eng.dpor.setExec(rb, rc, s.runs.unstable)
 		var prunedWord uint64
 		var pruned bool
 		s.rec, prunedWord, pruned = s.eng.runExploreDPOR(run.Bodies, s.prefix, s.arena[curOff:curOff+curLen], filterLast, s.maxSteps, s.out, s.rec[:0])
 		accs := s.eng.dpor.accs
 		// stepIdx of the first extension decision point; also resolve the
 		// branch step's access now that it has executed.
-		stepIdx := baseSteps
+		stepIdx := 0
 		if parent >= 0 {
 			L := &s.stack[parent]
 			stepIdx = L.stepIdx
@@ -432,18 +409,18 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 			}
 		}
 		if !pruned {
-			s.executions++
+			s.res.Executions++
 			if s.out.Cutoff {
-				s.runs.sawCutoff.Store(true)
+				s.runs.sawCutoff = true
 			}
 			if reason := s.opts.Check(s.out); reason != "" {
-				s.violation = reason
+				s.res.Violation = reason
 				sched := make([]Decision, 0, len(s.prefix)+len(s.rec))
 				sched = append(sched, s.prefix...)
 				for i := range s.rec {
 					sched = append(sched, Decision{Kind: StepProc, Pid: int(accs[stepIdx+i].pid)})
 				}
-				s.schedule = sched
+				s.res.Schedule = sched
 				return
 			}
 		}
@@ -502,7 +479,7 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 		// non-sleeping child and descend into it.
 		for {
 			if len(s.stack) == 0 {
-				return // subtree exhausted
+				return // tree exhausted
 			}
 			idx := len(s.stack) - 1
 			top := &s.stack[idx]
@@ -526,7 +503,7 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 			if next >= 0 {
 				top.child = next
 				d := childDecision(top.word, next, canCrash, dpor)
-				s.prefix = s.prefix[:len(base)+len(s.stack)]
+				s.prefix = s.prefix[:len(s.stack)]
 				s.prefix[len(s.prefix)-1] = d
 				crashes = top.crashes
 				if d.Kind == CrashProc {
@@ -539,15 +516,16 @@ func (s *dporExplorer) explore(first *Run, firstBase, firstCount uint64, base []
 			}
 			s.stack = s.stack[:idx]
 		}
-		if !cont() {
+		if limit := s.opts.MaxExecutions; limit > 0 && s.res.Executions >= limit {
+			s.res.Truncated = true
 			return
 		}
 	}
 }
 
-// exploreAttempt runs one search, serial or parallel, in the given
-// crash/step dependence mode, and reports whether some counted execution
-// hit the step budget (Explore's restart trigger).
+// exploreAttempt runs one search in the given crash/step dependence
+// mode, and reports whether some counted execution hit the step budget
+// (Explore's restart trigger).
 func exploreAttempt(opts *ExploreOpts, maxSteps int, crashDep bool) (*ExploreResult, bool) {
 	runs := newDPORRuns(crashDep)
 	first, base, count := runs.make(opts)
@@ -555,124 +533,11 @@ func exploreAttempt(opts *ExploreOpts, maxSteps int, crashDep bool) (*ExploreRes
 	if n > 64 {
 		panic("shm: Explore supports at most 64 processes")
 	}
-	if opts.Workers > 1 && opts.MaxExecutions == 0 && n > 0 {
-		return exploreFanOut(opts, runs, n, maxSteps, first, base, count), runs.sawCutoff.Load()
-	}
-	res := &ExploreResult{}
+	s := &dporExplorer{opts: opts, runs: runs, maxSteps: maxSteps, out: newOutcome(n)}
 	withEngine(n, func(eng *engine) {
-		sub := newDPORExplorer(eng, opts, runs, maxSteps, n)
-		sub.explore(first, base, count, nil, 0, nil, func() bool {
-			res.Truncated = opts.MaxExecutions > 0 && sub.executions >= opts.MaxExecutions
-			return !res.Truncated
-		})
-		res.Executions, res.Violation, res.Schedule = sub.executions, sub.violation, sub.schedule
+		eng.dpor = &dporRec{crashDep: crashDep}
+		s.eng = eng
+		s.explore(first, base, count)
 	})
-	return res, runs.sawCutoff.Load()
-}
-
-// exploreFanOut fans the exploration out over the top-level decision
-// frontier: the tree is expanded breadth-first (order-preserving) until
-// it is wider than the worker count, then workers claim subtrees in
-// depth-first order (dispatchRoots). The expansion replicates the serial
-// DFS's sleep sets exactly — children are enumerated in the search's
-// child order, sleeping children are skipped, and under the reduction
-// each explored sibling is added to the sleep set of the ones after it —
-// so the workers' subtrees partition exactly the serial search's leaves
-// and Executions/Violation/Schedule match a serial run.
-func exploreFanOut(opts *ExploreOpts, runs *dporRuns, n, maxSteps int, first *Run, firstBase, firstCount uint64) *ExploreResult {
-	type dNode struct {
-		prefix  []Decision
-		crashes int
-		sleep   []dporSleep // at-node sleep set
-		word    uint64      // enabled set at the node (valid when !leaf)
-		leaf    bool
-	}
-
-	target := opts.Workers * 4
-	var frontier []dNode
-	withEngine(n, func(eng *engine) {
-		eng.dpor = &dporRec{crashDep: runs.crashDep}
-		scratch := newOutcome(n)
-		// probe replays prefix and reports the enabled set at its end plus
-		// the access of the prefix's last step (the branch step whose
-		// sibling sleep entry is being built).
-		probe := func(prefix []Decision) (uint64, bool, dporAcc) {
-			run := first
-			rb, rc := firstBase, firstCount
-			if run == nil {
-				run, rb, rc = runs.make(opts)
-			}
-			first = nil
-			eng.dpor.setExec(rb, rc, runs.unstable.Load())
-			w, ok := eng.probe(run.Bodies, prefix, maxSteps, scratch)
-			var last dporAcc
-			if accs := eng.dpor.accs; len(accs) > 0 {
-				last = accs[len(accs)-1].acc
-			}
-			return w, ok, last
-		}
-		rootWord, rootOK, _ := probe(nil)
-		frontier = []dNode{{word: rootWord, leaf: !rootOK}}
-		for len(frontier) < target {
-			expanded := false
-			next := make([]dNode, 0, 2*len(frontier))
-			for _, nd := range frontier {
-				if nd.leaf {
-					next = append(next, nd)
-					continue
-				}
-				expanded = true
-				canCrash := nd.crashes < opts.MaxCrashes
-				nc := bits.OnesCount64(nd.word)
-				if canCrash {
-					nc *= 2
-				}
-				cur := append([]dporSleep(nil), nd.sleep...)
-				for c := 0; c < nc; c++ {
-					d := childDecision(nd.word, c, canCrash, opts.DPOR)
-					if dporSleepContains(cur, d) {
-						continue
-					}
-					child := dNode{
-						prefix:  append(append(make([]Decision, 0, len(nd.prefix)+1), nd.prefix...), d),
-						crashes: nd.crashes,
-					}
-					var acc dporAcc
-					if d.Kind == CrashProc {
-						// Crashing d.Pid disables exactly it and takes no
-						// steps, so the child's node is known without a probe.
-						child.crashes++
-						child.word = nd.word &^ (1 << uint(d.Pid))
-						child.leaf = child.word == 0
-					} else {
-						w, ok, last := probe(child.prefix)
-						acc = last
-						child.word, child.leaf = w, !ok
-					}
-					child.sleep = dporFilterSleep(append([]dporSleep(nil), cur...), uint8(d.Pid), d.Kind == CrashProc, acc, runs.crashDep)
-					next = append(next, child)
-					if opts.DPOR {
-						cur = append(cur, dporSleep{pid: uint8(d.Pid), crash: d.Kind == CrashProc, acc: acc})
-					}
-				}
-			}
-			widened := len(next) > len(frontier)
-			frontier = next
-			// Stop when nothing expanded (all leaves) or when a pass added
-			// no width — a chain-shaped tree top would otherwise make each
-			// pass replay an ever-longer prefix for no extra parallelism.
-			if !expanded || !widened {
-				break
-			}
-		}
-	})
-
-	return dispatchRoots(opts.Workers, n, len(frontier), func(weng *engine) func(int, func() bool) rootResult {
-		sub := newDPORExplorer(weng, opts, runs, maxSteps, n)
-		return func(r int, cont func() bool) rootResult {
-			nd := frontier[r]
-			sub.explore(nil, 0, 0, nd.prefix, nd.crashes, nd.sleep, cont)
-			return sub.rootResult
-		}
-	})
+	return &s.res, runs.sawCutoff
 }

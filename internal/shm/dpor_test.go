@@ -179,21 +179,9 @@ func runDPORFence(t *testing.T, seeds int, wantAllAgree bool) (disagreed int) {
 		dporOpts := opts
 		dporOpts.DPOR = true
 		dpor := Explore(dporOpts)
-		parOpts := dporOpts
-		parOpts.Workers = 4
-		dporPar := Explore(parOpts)
 
-		// Serial==parallel and dpor<=full (below) are theorems of the SOUND
+		// Agreement and dpor<=full (below) are theorems of the SOUND
 		// dependence relation only; under the mutant they count as catches.
-		if dpor.Executions != dporPar.Executions || dpor.Violation != dporPar.Violation ||
-			fmt.Sprint(dpor.Schedule) != fmt.Sprint(dporPar.Schedule) {
-			if wantAllAgree {
-				t.Fatalf("seed %d: serial DPOR %d/%q diverged from parallel DPOR %d/%q",
-					seed, dpor.Executions, dpor.Violation, dporPar.Executions, dporPar.Violation)
-			}
-			disagreed++
-			continue
-		}
 		agree := (dpor.Violation != "") == (full.Violation != "")
 		if !agree {
 			disagreed++
@@ -273,17 +261,17 @@ func TestDPORFenceCatchesWrongDependence(t *testing.T) {
 
 // TestDPORCountsIgnoreForeignConstruction constructs shared objects on
 // another goroutine throughout DPOR searches: their ids land inside the
-// searches' Factory windows, and each serial and parallel search must
-// still prune exactly as it does alone.
+// searches' Factory windows, and each search must still prune exactly as
+// it does alone.
 func TestDPORCountsIgnoreForeignConstruction(t *testing.T) {
 	const seeds = 40
-	opts := func(seed int64, workers int) ExploreOpts {
-		return ExploreOpts{Factory: genDPORProgram(seed).factory, MaxCrashes: int(seed % 2), DPOR: true, Workers: workers,
+	opts := func(seed int64) ExploreOpts {
+		return ExploreOpts{Factory: genDPORProgram(seed).factory, MaxCrashes: int(seed % 2), DPOR: true,
 			Check: func(*Outcome) string { return "" }}
 	}
 	var alone [seeds]int
 	for seed := range alone {
-		alone[seed] = Explore(opts(int64(seed), 1)).Executions
+		alone[seed] = Explore(opts(int64(seed))).Executions
 	}
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -299,10 +287,8 @@ func TestDPORCountsIgnoreForeignConstruction(t *testing.T) {
 	}()
 	defer func() { close(stop); <-stopped }()
 	for seed, want := range alone {
-		for _, workers := range []int{1, 2} {
-			if got := Explore(opts(int64(seed), workers)).Executions; got != want {
-				t.Fatalf("seed %d, %d workers: %d executions beside foreign construction, %d alone", seed, workers, got, want)
-			}
+		if got := Explore(opts(int64(seed))).Executions; got != want {
+			t.Fatalf("seed %d: %d executions beside foreign construction, %d alone", seed, got, want)
 		}
 	}
 }

@@ -513,25 +513,6 @@ func (e *engine) runExploreDPOR(bodies []func(*Proc) any, prefix []Decision, sle
 	return rec, 0, false
 }
 
-// probe replays prefix (recording step accesses into e.dpor.accs: the
-// frontier expansion needs each branch step's access to build sibling
-// sleep entries) and reports the enabled set at its end: ok is false when
-// the run ends within (or exactly at) the prefix, i.e. the prefix is a
-// complete schedule. The execution is aborted either way; the outcome is
-// scratch. Supports n <= 64.
-func (e *engine) probe(bodies []func(*Proc) any, prefix []Decision, maxSteps int, out *Outcome) (uint64, bool) {
-	e.dpor.accs = e.dpor.accs[:0]
-	e.beginExplore(bodies, out)
-	e.replay(prefix)
-	if e.live == 0 || out.Steps >= maxSteps {
-		e.crashAllEnabled()
-		return 0, false
-	}
-	w := e.words[0]
-	e.crashAllEnabled()
-	return w, true
-}
-
 func newOutcome(n int) *Outcome {
 	return &Outcome{
 		Outputs:  make([]any, n),

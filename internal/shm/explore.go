@@ -6,23 +6,22 @@ package shm
 // optionally, every crash pattern). This is how the consensus-hierarchy
 // table (E4) is validated rather than asserted.
 //
-// This file is the API, the parallel root dispatcher and the replay; the
-// one search behind Explore — full enumeration and its partial-order
-// reduction alike — is described and implemented in dpor.go.
+// This file is the API and the replay; the one search behind Explore —
+// full enumeration and its partial-order reduction alike, on the calling
+// goroutine — is described and implemented in dpor.go.
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // ExploreOpts configures an exhaustive exploration.
 type ExploreOpts struct {
 	// Factory builds a fresh program (fresh shared objects, fresh bodies).
-	// Called once per explored execution — plus a few extra times to size
-	// the engine and, with Workers > 1, to partition the frontier — so
+	// Called once per execution the search runs, counted or pruned (the
+	// first call also sizes the engine), and again from the start when the
+	// search restarts, so
 	// bodies must be deterministic and construction side-effect free, and
 	// a DPOR search's Factory builds its objects on the calling goroutine.
+	// Factory and Check are called from the goroutine that called
+	// Explore, one at a time.
 	Factory func() *Run
 	// MaxCrashes enables crash branching: at every decision point, in
 	// addition to stepping each enabled process, the explorer also tries
@@ -39,12 +38,9 @@ type ExploreOpts struct {
 	// only for the duration of the call.
 	Check func(out *Outcome) string
 	// MaxExecutions caps the number of executions explored (0 =
-	// unlimited). A non-zero cap forces serial exploration.
+	// unlimited).
 	MaxExecutions int
-	// Workers > 1 splits the top-level decision frontier across that many
-	// parallel workers. The result is deterministic — Executions,
-	// Violation, and Schedule match a serial run — but Factory and Check
-	// must be safe for concurrent use.
+	// Deprecated: ignored; the search is serial.
 	Workers int
 	// DPOR enables dynamic partial-order reduction (dpor.go): the same
 	// search, but a finished child is put to sleep for its later siblings,
@@ -55,7 +51,7 @@ type ExploreOpts struct {
 	// the pruned search finds one — but Executions shrinks (it counts
 	// class representatives) and the reported Schedule may be a
 	// permutation of the one full enumeration would report. Composes with
-	// Workers and MaxExecutions.
+	// MaxExecutions.
 	DPOR bool
 }
 
@@ -92,74 +88,6 @@ func Explore(opts ExploreOpts) *ExploreResult {
 	res, sawCutoff := exploreAttempt(&opts, maxSteps, crashDep)
 	if opts.DPOR && !crashDep && opts.MaxCrashes > 0 && res.Violation == "" && sawCutoff {
 		res, _ = exploreAttempt(&opts, maxSteps, true)
-	}
-	return res
-}
-
-// rootResult is what exploring one frontier root's subtree produced.
-type rootResult struct {
-	executions int
-	violation  string
-	schedule   []Decision
-}
-
-// dispatchRoots is the parallel root dispatcher of the search: workers
-// claim the frontier's roots in depth-first order and explore each
-// with the function newWorker built for their engine, which polls
-// cont between leaves and stops when it returns false. The first
-// violation in global DFS order wins, and the execution count matches a
-// serial run: serial DFS would have fully explored every subtree before
-// the winning one and stopped inside it, so later subtrees are
-// abandoned or discarded.
-func dispatchRoots(workers, n, roots int, newWorker func(*engine) func(r int, cont func() bool) rootResult) *ExploreResult {
-	results := make([]rootResult, roots)
-	var nextRoot atomic.Int64
-	var minViol atomic.Int64
-	minViol.Store(int64(roots)) // sentinel: no violation yet
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			withEngine(n, func(weng *engine) {
-				explore := newWorker(weng)
-				for {
-					r := int(nextRoot.Add(1) - 1)
-					if r >= roots {
-						return
-					}
-					beaten := func() bool { return int64(r) > minViol.Load() }
-					if beaten() {
-						continue // an earlier subtree already holds a violation
-					}
-					res := explore(r, func() bool { return !beaten() })
-					if beaten() {
-						continue
-					}
-					results[r] = res
-					if res.violation != "" {
-						for {
-							cur := minViol.Load()
-							if int64(r) >= cur || minViol.CompareAndSwap(cur, int64(r)) {
-								break
-							}
-						}
-					}
-				}
-			})
-		}()
-	}
-	wg.Wait()
-
-	res := &ExploreResult{}
-	last := roots - 1
-	if rmin := int(minViol.Load()); rmin < roots {
-		last = rmin
-		res.Violation = results[rmin].violation
-		res.Schedule = results[rmin].schedule
-	}
-	for r := 0; r <= last; r++ {
-		res.Executions += results[r].executions
 	}
 	return res
 }

@@ -28,9 +28,8 @@
 // process cost one switch total. The exhaustive explorer (explore.go,
 // dpor.go) executes once per complete schedule — recording the enabled
 // set at every decision point, so sibling branches are enumerated
-// without re-executing interior tree nodes — optionally fanning the
-// top-level decision frontier out across parallel workers, and reuses
-// one arena across the millions of executions of a search. It is one
+// without re-executing interior tree nodes — and reuses one arena across
+// the millions of executions of a search. It is one
 // sleep-set search: ExploreOpts.DPOR turns on dynamic partial-order
 // reduction — steps that touch disjoint objects commute, so sleep sets
 // prune schedules that differ only by reordering independent steps, one
