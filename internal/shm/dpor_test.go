@@ -273,9 +273,11 @@ func TestDPORCountsIgnoreForeignConstruction(t *testing.T) {
 	for seed := range alone {
 		alone[seed] = Explore(opts(int64(seed))).Executions
 	}
-	stop, stopped := make(chan struct{}), make(chan struct{})
+	stop, stopped, running := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
+		NewRegister(0)
+		close(running)
 		for {
 			select {
 			case <-stop:
@@ -286,6 +288,7 @@ func TestDPORCountsIgnoreForeignConstruction(t *testing.T) {
 		}
 	}()
 	defer func() { close(stop); <-stopped }()
+	<-running // the searches below must overlap its draws, not precede them
 	for seed, want := range alone {
 		if got := Explore(opts(int64(seed))).Executions; got != want {
 			t.Fatalf("seed %d: %d executions beside foreign construction, %d alone", seed, got, want)
