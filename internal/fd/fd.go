@@ -214,7 +214,9 @@ func (d *Detector) refreshLeader(ctx amp.Context) {
 	}
 	// Own id competes too (a process never suspects itself).
 	if d.leader != lead {
+		d.track(ctx.Now())
 		d.leader = lead
+		d.track(ctx.Now())
 		d.changes = append(d.changes, LeaderChange{Leader: lead, At: ctx.Now()})
 		if d.OnLeaderChange != nil {
 			d.OnLeaderChange(lead, ctx.Now())

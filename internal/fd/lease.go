@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"math"
+
 	"distbasics/internal/amp"
 )
 
@@ -66,6 +68,14 @@ type leaseState struct {
 
 	grantExp []amp.Time // per-peer expiry of grants received (holder side)
 	held     bool       // last observed HoldsLease, for OnLeaseChange
+
+	// The current unbroken run of HoldsLease, tracked exactly: between
+	// two changes of the state above only expiries and selfCounts' lapse
+	// move HoldsLease, so each change first accounts for the interval
+	// since the last one (see track).
+	streak  bool     // HoldsLease held at every tick since `since`
+	since   amp.Time // start of that run (valid while streak)
+	tracked amp.Time // the time the run is accounted up to
 }
 
 // initLease is called from Detector.Init.
@@ -86,6 +96,7 @@ func (d *Detector) maybeGrant(ctx amp.Context, from, seq int) {
 	if d.lease.grantTo != from && now < d.lease.grantUntil {
 		return // an earlier grant to someone else is still live
 	}
+	d.track(now)
 	if d.lease.grantTo != from {
 		// Granting renounces any lease we hold (or could claim from
 		// grants received while we led).
@@ -95,6 +106,7 @@ func (d *Detector) maybeGrant(ctx amp.Context, from, seq int) {
 	}
 	d.lease.grantTo = from
 	d.lease.grantUntil = now + d.LeaseTTL
+	d.track(now)
 	ctx.Send(from, leaseGrant{Seq: seq})
 	d.updateLease(ctx)
 }
@@ -113,7 +125,9 @@ func (d *Detector) onGrant(ctx amp.Context, from, seq int) {
 	// rate skew and tick jitter cannot stretch it past the granter's
 	// promise (see the Detector field doc).
 	if exp := sent + d.LeaseTTL - d.LeaseMargin; exp > d.lease.grantExp[from] {
+		d.track(ctx.Now())
 		d.lease.grantExp[from] = exp
+		d.track(ctx.Now())
 	}
 	d.updateLease(ctx)
 }
@@ -148,8 +162,76 @@ func (d *Detector) HoldsLease(now amp.Time) bool {
 // is zeroed. Without this, a process that regained leadership and fresh
 // peer grants while an old promise was still live could complete a
 // second majority overlapping the promisee's.
-func (d *Detector) selfCounts(now amp.Time) bool {
-	return d.lease.grantTo < 0 || d.lease.grantTo == d.id || now >= d.lease.grantUntil
+func (d *Detector) selfCounts(now amp.Time) bool { return now >= d.selfFrom() }
+
+// selfFrom is when selfCounts starts to hold: the expiry of a grant out
+// to another process, or always when there is none.
+func (d *Detector) selfFrom() amp.Time {
+	if d.lease.grantTo >= 0 && d.lease.grantTo != d.id {
+		return d.lease.grantUntil
+	}
+	return math.MinInt64
+}
+
+// LeaseSince reports when the current unbroken run of HoldsLease began,
+// if HoldsLease holds at now (which must not precede the last event
+// the detector handled). A holder whose belief lapsed, even for one
+// tick, starts a new run: in the gap a rival may have committed writes
+// it has not seen, so what it knew before proves nothing now.
+func (d *Detector) LeaseSince(now amp.Time) (amp.Time, bool) {
+	if d.LeaseTTL <= 0 || d.lease.grantExp == nil {
+		return 0, false
+	}
+	d.track(now)
+	return d.lease.since, d.lease.streak
+}
+
+// track accounts for HoldsLease over (tracked, now] under the lease
+// state as it stands, then at now itself. Every change of that state
+// (leader, grants out, grants in) calls it before and after. Between
+// changes HoldsLease(x) is exactly selfFrom <= x < peersUntil: self
+// counts from the lapse of a grant out to another process, and the
+// peers' count stays a majority until the n/2-th latest grant expires.
+func (d *Detector) track(now amp.Time) {
+	if d.LeaseTTL <= 0 || now < d.lease.tracked {
+		return
+	}
+	from := d.lease.tracked + 1
+	d.lease.tracked = now
+	if d.leader != d.id {
+		d.lease.streak = false
+		return
+	}
+	selfFrom := d.selfFrom()
+	peersUntil := amp.Time(math.MaxInt64)
+	if need := d.n / 2; need > 0 {
+		peersUntil = math.MinInt64
+		for i, e := range d.lease.grantExp {
+			later := 0
+			for j, f := range d.lease.grantExp {
+				if j != d.id && f >= e {
+					later++
+				}
+			}
+			if i != d.id && later >= need {
+				peersUntil = max(peersUntil, e)
+			}
+		}
+	}
+	switch {
+	case from > now: // the state changed at now: re-read now alone
+		if now < selfFrom || now >= peersUntil {
+			d.lease.streak = false
+		} else if !d.lease.streak {
+			d.lease.streak, d.lease.since = true, now
+		}
+	case d.lease.streak && selfFrom <= from && peersUntil > now:
+		// unbroken since the last account
+	default:
+		start := max(selfFrom, from)
+		d.lease.streak = start <= now && peersUntil > now
+		d.lease.since = start
+	}
 }
 
 // GrantHolder reports the process this detector is currently bound to

@@ -286,3 +286,36 @@ func (g *grantCtx) Broadcast(msg amp.Message)   {}
 func (g *grantCtx) SetTimer(d amp.Time, id int) {}
 func (g *grantCtx) Rand() *rand.Rand            { return rand.New(rand.NewSource(1)) }
 func (g *grantCtx) Halt()                       {}
+
+// TestLeaseSinceTracksUnbrokenRuns: LeaseSince names the start of the
+// current unbroken run of HoldsLease. A renewal that lands before the
+// last grant lapses continues the run; one that lands after starts a
+// new run, even when nothing observed the lapse in between.
+func TestLeaseSinceTracksUnbrokenRuns(t *testing.T) {
+	d := NewDetector(3)
+	d.LeaseTTL = 100
+	ctx := &grantCtx{}
+	d.Init(ctx) // heartbeat 0 sent at 0; this process leads
+	grant := func(sentAt, arrives amp.Time) {
+		ctx.now = sentAt
+		d.sendHeartbeat(ctx)
+		ctx.now = arrives
+		d.onGrant(ctx, 1, d.lease.hbSeq-1)
+	}
+	if _, ok := d.LeaseSince(1); ok {
+		t.Fatal("a run before any grant")
+	}
+	ctx.now = 2
+	d.onGrant(ctx, 1, 0) // believed until 100
+	grant(60, 62)        // renewed before the lapse: until 160
+	if since, ok := d.LeaseSince(150); !ok || since != 2 {
+		t.Fatalf("LeaseSince(150) = %d, %v; want the run from 2", since, ok)
+	}
+	grant(200, 202) // lapsed at 160, unobserved
+	if since, ok := d.LeaseSince(202); !ok || since != 202 {
+		t.Fatalf("LeaseSince(202) = %d, %v; want a new run from 202", since, ok)
+	}
+	if _, ok := d.LeaseSince(302); ok {
+		t.Fatal("the run outlived its last grant")
+	}
+}

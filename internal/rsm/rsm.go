@@ -449,6 +449,12 @@ type Node struct {
 	seen    idSet                        // idempotency: dedup by (proposer, seq)
 	applies int
 
+	// With a read lease: when each command submitted here was submitted,
+	// until it applies, and the latest such time among those applied
+	// (HoldsLease's barrier; -1 before the first).
+	submitted map[rbcast.MsgID]amp.Time
+	barrier   amp.Time
+
 	snapshotter  Snapshotter
 	journal      *FileJournal // the journal Compact installs into; nil without a FileJournal
 	compactRecs  int64
@@ -593,10 +599,14 @@ func NewNode(n int, opts ...NodeOption) *Node {
 		o(&cfg)
 	}
 	node := &Node{
-		state: make(map[string]any),
-		seen:  newIDSet(n),
-		noLog: cfg.noLog,
-		hooks: cfg.hooks,
+		state:   make(map[string]any),
+		seen:    newIDSet(n),
+		noLog:   cfg.noLog,
+		hooks:   cfg.hooks,
+		barrier: -1,
+	}
+	if cfg.leaseTTL > 0 {
+		node.submitted = make(map[rbcast.MsgID]amp.Time)
 	}
 	det := fd.NewDetector(n)
 	det.LeaseTTL = cfg.leaseTTL
@@ -770,7 +780,11 @@ func (nd *Node) maybeCompact() {
 // Submit TO-broadcasts a command from this replica. Must be called inside
 // the event loop (e.g. via Sim.Schedule).
 func (nd *Node) Submit(ctx amp.Context, cmd Command) rbcast.MsgID {
-	return nd.TO.Broadcast(ctx, cmd)
+	id := nd.TO.Broadcast(ctx, cmd)
+	if nd.submitted != nil {
+		nd.submitted[id] = ctx.Now()
+	}
+	return id
 }
 
 // Ctx returns the TO component's context (for Schedule-driven Submits).
@@ -787,6 +801,10 @@ func (nd *Node) apply(e Entry, at amp.Time) {
 	}
 	nd.seen.add(e.ID)
 	nd.applies++
+	if at, ok := nd.submitted[e.ID]; ok {
+		delete(nd.submitted, e.ID)
+		nd.barrier = max(nd.barrier, at)
+	}
 	if !nd.noLog {
 		nd.applied = append(nd.applied, e)
 	}
@@ -821,11 +839,21 @@ func (nd *Node) Get(key string) any { return nd.state[key] }
 // Len returns the number of applied commands.
 func (nd *Node) Len() int { return nd.applies }
 
-// HoldsLease reports whether this replica currently holds the leader
-// read-lease (see WithReadLease): while true, its local state reflects
-// every committed write and Get serves linearizable reads without a
-// consensus round.
-func (nd *Node) HoldsLease(now amp.Time) bool { return nd.Omega.HoldsLease(now) }
+// HoldsLease reports whether this replica may serve reads from its
+// local state at now: it holds the leader read-lease (see
+// WithReadLease), and it has applied a command it submitted since its
+// current unbroken run of holding began (fd.Detector.LeaseSince). While
+// true, its local state reflects every committed write, and Get serves
+// linearizable reads without a consensus round: the lease keeps rivals
+// from committing during the run, and the command, ordered after every
+// write committed before it was submitted, shows that this replica has
+// applied those. A leader back from a pause or a partition has grants
+// again before it has caught up; until its first command applies, its
+// reads go through consensus, and the first such read is that command.
+func (nd *Node) HoldsLease(now amp.Time) bool {
+	since, ok := nd.Omega.LeaseSince(now)
+	return ok && since <= nd.barrier && nd.Omega.HoldsLease(now)
+}
 
 // SlotsDelivered returns the number of consensus slots this replica has
 // delivered (the batching ratio is Len()/SlotsDelivered()).

@@ -257,3 +257,46 @@ func TestRSMReadLeaseSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseReadWaitsForCatchUp: a leader paused past its lease misses a
+// write its successor commits. On resume its followers elect it again
+// and grant it a lease before it has caught up, so its grant set is
+// live (fd-level HoldsLease) while its state is stale. The replica's
+// HoldsLease must stay false until a command it submitted since has
+// applied; the first read through consensus is that command, returns
+// the new value, and brings lease reads back.
+func TestLeaseReadWaitsForCatchUp(t *testing.T) {
+	const ttl, pause, resume, read = 200, 500, 1200, 1400
+	c := newTunedCluster(3, []NodeOption{WithReadLease(ttl)}, amp.WithDelay(amp.FixedDelay{D: 1}))
+	l := c.nodes[0]
+	c.sim.Schedule(100, func() { l.Submit(l.Ctx(), Command{Op: "put", Key: "x", Val: 1}) })
+	c.sim.Schedule(pause-1, func() {
+		if !l.HoldsLease(c.sim.Now()) {
+			t.Error("leader 0 serves no lease reads before the pause")
+		}
+	})
+	c.sim.CrashAt(0, pause)
+	c.sim.RecoverAt(0, resume)
+	c.sim.Schedule(pause+10, func() { c.nodes[1].Submit(c.nodes[1].Ctx(), Command{Op: "put", Key: "x", Val: 2}) })
+	exposed := false // the grants alone would have served a stale read
+	for at := amp.Time(resume); at < read; at++ {
+		c.sim.Schedule(at, func() {
+			now := c.sim.Now()
+			if c.nodes[1].Get("x") != 2 {
+				return
+			}
+			exposed = exposed || (l.Omega.HoldsLease(now) && l.Get("x") != 2)
+			if l.HoldsLease(now) && l.Get("x") != 2 {
+				t.Errorf("at %d the resumed leader serves lease reads of x=%v, want 2", now, l.Get("x"))
+			}
+		})
+	}
+	c.sim.Schedule(read, func() { l.Submit(l.Ctx(), Command{Op: "get", Key: "x"}) })
+	c.sim.Run(read + 200)
+	if !exposed {
+		t.Error("the schedule never gave the stale leader a live grant set: it no longer tests the barrier")
+	}
+	if !l.HoldsLease(c.sim.Now()) || l.Get("x") != 2 {
+		t.Errorf("after a read through consensus: HoldsLease %v, x=%v; want true, 2", l.HoldsLease(c.sim.Now()), l.Get("x"))
+	}
+}
