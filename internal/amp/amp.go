@@ -43,7 +43,10 @@
 // RecoverAt. A crash window (CrashAt … RecoverAt) is a pause, as of a
 // SIGSTOP'd daemon: its timers fire at recovery, in due order, and the
 // messages that arrived meanwhile are lost. KillAt + Replace is the
-// amnesia path. accounting_test.go pins the message counts.
+// amnesia path. ClockRate runs one process's clock fast or slow inside a
+// window: its Now() and its timers count its own ticks, which is the
+// fault a read lease's margin must cover (every other process reads
+// global time). accounting_test.go pins the message counts.
 //
 // # How E8–E13 map onto the simulator
 //

@@ -1,6 +1,7 @@
 package amp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -348,5 +349,79 @@ func TestSimPerProcessRandDeterministic(t *testing.T) {
 	}
 	if x[0] == x[1] {
 		t.Fatal("distinct processes must draw from independent sources")
+	}
+}
+
+// clockProc re-arms a 50-tick timer and records, at each firing, the
+// global time and its own clock.
+type clockProc struct{ global, local []Time }
+
+func (tp *clockProc) Init(ctx Context)                { ctx.SetTimer(50, 0) }
+func (tp *clockProc) OnMessage(Context, int, Message) {}
+func (tp *clockProc) OnTimer(ctx Context, _ int) {
+	tp.local = append(tp.local, ctx.Now())
+	tp.global = append(tp.global, ctx.(*simCtx).sim.Now())
+	ctx.SetTimer(50, 0)
+}
+
+// TestClockRateWindow pins the clock-rate fault: inside the window p0's
+// clock and timers run at 90% (p1's at 110%) of global time, the local
+// clock is continuous at the edges and keeps the offset afterwards, and
+// a process without a window reads global time.
+func TestClockRateWindow(t *testing.T) {
+	slow, fast, plain := &clockProc{}, &clockProc{}, &clockProc{}
+	s := NewSim([]Process{slow, fast, plain})
+	s.ClockRate(0, 100, 300, -10)
+	s.ClockRate(1, 100, 300, 10)
+	s.Run(500)
+	// Inside the window a 50-tick timer takes 56 global ticks at 90%
+	// and 46 at 110%; the one that straddles an edge takes between.
+	wantSlow := []Time{50, 100, 156, 212, 267, 320, 370, 420, 470}
+	wantFast := []Time{50, 100, 146, 191, 237, 282, 330, 380, 430, 480}
+	if fmt.Sprint(slow.global) != fmt.Sprint(wantSlow) {
+		t.Errorf("slow clock's timers fired at %v, want %v", slow.global, wantSlow)
+	}
+	if fmt.Sprint(fast.global) != fmt.Sprint(wantFast) {
+		t.Errorf("fast clock's timers fired at %v, want %v", fast.global, wantFast)
+	}
+	for i, l := range slow.local {
+		if want := Time(50 * (i + 1)); l != want {
+			t.Errorf("slow clock read %d at its timer %d, want %d (timers count local ticks)", l, i, want)
+		}
+	}
+	for at, want := range map[Time][3]Time{100: {100, 100, 100}, 200: {190, 210, 200}, 300: {280, 320, 300}, 400: {380, 420, 400}} {
+		var got [3]Time
+		for p := range got {
+			got[p] = s.local(p, at)
+		}
+		if got != want {
+			t.Errorf("clocks at global %d read %v, want %v", at, got, want)
+		}
+	}
+	for g := Time(0); g < 400; g++ {
+		if d := s.local(0, g+1) - s.local(0, g); d < 0 || d > 1 {
+			t.Fatalf("slow clock steps %d at global %d: not continuous", d, g)
+		}
+	}
+	if fmt.Sprint(plain.global) != fmt.Sprint(plain.local) {
+		t.Errorf("a process without a window reads %v, global %v", plain.local, plain.global)
+	}
+}
+
+func TestClockRateRejectsOverlapAndStop(t *testing.T) {
+	for _, c := range []struct {
+		from, until Time
+		pct         int
+	}{{150, 250, 5}, {50, 101, 5}, {400, 500, -100}, {400, 400, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window [%d,%d) at %d%% accepted", c.from, c.until, c.pct)
+				}
+			}()
+			s := NewSim([]Process{&quiet{}})
+			s.ClockRate(0, 100, 300, -10)
+			s.ClockRate(0, c.from, c.until, c.pct)
+		}()
 	}
 }

@@ -19,9 +19,10 @@ import (
 // sequence-number) order.
 //
 // Network faults are Adversaries (adversary.go); process faults are the
-// CrashAt/KillAt/RecoverAt/CrashAfterSends calls. A crash window is a
-// pause: timers that come due in it fire at RecoverAt, as a SIGSTOP'd
-// daemon's do on SIGCONT. KillAt + Replace is the amnesia path.
+// CrashAt/KillAt/RecoverAt/CrashAfterSends calls and ClockRate windows.
+// A crash window is a pause: timers that come due in it fire at
+// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT. KillAt + Replace is
+// the amnesia path.
 type Sim struct {
 	n     int
 	procs []Process
@@ -39,9 +40,10 @@ type Sim struct {
 	crashed    []bool
 	killed     []bool // crashed by KillAt: RecoverAt does not revive it, Replace does
 	halted     []bool
-	epoch      []int      // incarnation counter per pid; stale-epoch timers are dropped
-	parked     [][]*event // per pid, timers that came due while it was crashed, in due order
-	sendBudget []int      // -1 = unlimited; otherwise remaining sends before crash
+	epoch      []int          // incarnation counter per pid; stale-epoch timers are dropped
+	parked     [][]*event     // per pid, timers that came due while it was crashed, in due order
+	sendBudget []int          // -1 = unlimited; otherwise remaining sends before crash
+	rates      [][]rateWindow // per pid, its clock-rate windows in time order
 	delivered  int
 	sent       int
 	dropped    int
@@ -77,6 +79,7 @@ func NewSim(procs []Process, opts ...SimOption) *Sim {
 		epoch:      make([]int, n),
 		parked:     make([][]*event, n),
 		sendBudget: make([]int, n),
+		rates:      make([][]rateWindow, n),
 	}
 	for i := range s.sendBudget {
 		s.sendBudget[i] = -1
@@ -208,11 +211,83 @@ func (s *Sim) After(pid int, d Time, fn func()) {
 	s.timer(pid, d, 0, fn)
 }
 
-// timer arms a timer of pid's current incarnation, d >= 1 from now.
+// timer arms a timer of pid's current incarnation, d >= 1 from now on
+// pid's own clock.
 func (s *Sim) timer(pid int, d Time, id int, fn func()) {
 	e := s.newEvent()
-	e.at, e.kind, e.to, e.tid, e.ep, e.fn = s.now+max(d, 1), evTimer, pid, id, s.epoch[pid], fn
+	e.at, e.kind, e.to, e.tid, e.ep, e.fn = s.due(pid, max(d, 1)), evTimer, pid, id, s.epoch[pid], fn
 	s.push(e)
+}
+
+// rateWindow runs a process's clock at (100+pct)% of global time
+// during [from, until).
+type rateWindow struct {
+	from, until Time
+	pct         int
+}
+
+// ClockRate makes pid's clock run at (100+pct)% of global time during
+// [from, until): its Now() and the timers it arms (SetTimer, After)
+// count its own ticks, so pct = -10 is a clock that loses one tick in
+// ten and pct = 10 one that gains one. The local clock is continuous at
+// the window's edges and keeps, after the window, the offset the window
+// built up. This is the real-clock fault a lease margin must cover:
+// every process times its grants on its own clock, and the Sim's
+// processes otherwise share one. Call it before Run; pct must exceed
+// -100 and pid's windows must not overlap.
+func (s *Sim) ClockRate(pid int, from, until Time, pct int) {
+	validatePID(pid, s.n)
+	if pct <= -100 || until <= from {
+		panic(fmt.Sprintf("amp: clock rate window [%d,%d) at %d%% is empty or stops the clock", from, until, 100+pct))
+	}
+	ws := s.rates[pid]
+	i := 0
+	for i < len(ws) && ws[i].from < from {
+		i++
+	}
+	if (i > 0 && ws[i-1].until > from) || (i < len(ws) && ws[i].from < until) {
+		panic(fmt.Sprintf("amp: clock rate window [%d,%d) overlaps another of p%d", from, until, pid))
+	}
+	s.rates[pid] = append(ws[:i], append([]rateWindow{{from, until, pct}}, ws[i:]...)...)
+}
+
+// local is pid's clock reading at global time g: g plus what each of
+// its rate windows gained or lost up to g.
+func (s *Sim) local(pid int, g Time) Time {
+	l := g
+	for _, w := range s.rates[pid] {
+		if g <= w.from {
+			break
+		}
+		span := min(g, w.until) - w.from
+		gain := span * Time(w.pct)
+		if gain < 0 {
+			gain -= 99 // round toward -inf, so the clock never runs backwards
+		}
+		l += gain / 100
+	}
+	return l
+}
+
+// due is the global time at which pid's clock has advanced d >= 1 ticks
+// from now: the first g > now with local(g) >= local(now) + d.
+func (s *Sim) due(pid int, d Time) Time {
+	if len(s.rates[pid]) == 0 {
+		return s.now + d
+	}
+	want := s.local(pid, s.now) + d
+	lo, hi := s.now, s.now+d // local(lo) < want
+	for s.local(pid, hi) < want {
+		lo, hi = hi, s.now+2*(hi-s.now)
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; s.local(pid, mid) < want {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // CrashAt schedules a crash of pid at virtual time at: from then on it
@@ -393,7 +468,7 @@ type simCtx struct {
 
 func (c *simCtx) ID() int   { return c.id }
 func (c *simCtx) N() int    { return c.sim.n }
-func (c *simCtx) Now() Time { return c.sim.now }
+func (c *simCtx) Now() Time { return c.sim.local(c.id, c.sim.now) }
 
 func (c *simCtx) Rand() *rand.Rand {
 	if c.rng == nil {

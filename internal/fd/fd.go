@@ -71,8 +71,11 @@ type Detector struct {
 	// heartbeat's network delay alone guarantees that and 0 is correct.
 	// Real clocks drift and real tick lengths jitter under load, so
 	// real-clock deployments must set a margin covering the worst-case
-	// rate skew over one TTL plus scheduling jitter (see
-	// kv.HostConfig.LeaseMargin). Must be < LeaseTTL to ever hold.
+	// rate skew over one TTL plus scheduling jitter. What a margin
+	// covers is measured, not assumed: the scenario harness's lease
+	// model slows the holder's clock (amp.Sim.ClockRate), and TTL/10 + 2
+	// holds to 15% skew, TTL/20 to 9%, none to 4% (internal/kv's
+	// hostLeaseMargin has the table). Must be < LeaseTTL to ever hold.
 	LeaseMargin amp.Time
 	// OnLeaseChange, if set, is invoked when HoldsLease transitions (as
 	// observed at grant arrivals and the periodic suspicion sweep; an

@@ -36,18 +36,35 @@ type HostConfig struct {
 // The Host's read lease, in ticks of transport.DefaultUnit (2ms).
 const (
 	// hostLeaseTTL is several heartbeat periods: at
-	// node.HeartbeatPeriod=40 a 500-tick lease is one second, renewed
-	// every 80ms.
-	hostLeaseTTL amp.Time = 500
+	// node.HeartbeatPeriod=40 a 250-tick lease is half a second, renewed
+	// every 80ms. It is also the outage after a holder dies: survivors
+	// honour its last grants for one TTL (TestHostLeaseConstants).
+	hostLeaseTTL amp.Time = 250
 	// hostLeaseMargin is subtracted from the holder-side validity of
 	// every lease grant. The lease protocol's safety needs the holder's
-	// belief to lapse before the granter's promise, which the
-	// virtual-time harness gets for free from its exact shared clock;
-	// under real clocks the two processes count their OWN ticks, which
-	// drift and jitter under load, so the Host path must leave slack:
-	// ~10% rate skew over one TTL plus two ticks of scheduling jitter.
+	// belief to lapse before the granter's promise, which processes on
+	// one clock get from the heartbeat's network delay alone; real
+	// processes count their OWN ticks, which drift and jitter under
+	// load, so the Host path must leave slack: TTL/10 + 2 = 27 ticks.
+	// The lease model (internal/scenario/models, TestLeaseMarginSweep)
+	// measures what a margin buys: the largest clock-rate skew — the
+	// holder's clock that much slow — at which 40 seeds of silenced
+	// leaders stay linearizable:
+	//
+	//	margin        0    TTL/20   TTL/10+2   TTL/5
+	//	ticks         0    12       27         50
+	//	safe skew     4%   9%       15%        23%
+	//
+	// The claim is 10% (the model's clock windows draw up to it, on any
+	// replica, in either direction); the rest is scheduling jitter.
 	hostLeaseMargin = hostLeaseTTL/10 + 2
 )
+
+// LeaseOptions are the read-lease options every Host replica runs: the
+// Host's TTL and margin. The lease model runs exactly these.
+func LeaseOptions() []rsm.NodeOption {
+	return []rsm.NodeOption{rsm.WithReadLease(hostLeaseTTL), rsm.WithLeaseMargin(hostLeaseMargin)}
+}
 
 // ShardShape checks the shape a HostConfig and basicskv's cluster file
 // share: one peer row per shard (shards 0 means one per row), at least
@@ -121,7 +138,7 @@ func (h *Host) startShard(s int) error {
 	}
 	var rep *Replica
 	stack, err := node.StartTCP(sp, h.clock, func(_ *node.Replica, opts ...rsm.NodeOption) *rsm.Node {
-		opts = append(opts, rsm.WithoutAppliedLog(), rsm.WithReadLease(hostLeaseTTL), rsm.WithLeaseMargin(hostLeaseMargin))
+		opts = append(append(opts, rsm.WithoutAppliedLog()), LeaseOptions()...)
 		rep = NewReplica(rsm.NewNode(n, opts...))
 		return rep.nd
 	})
@@ -153,7 +170,11 @@ func (h *Host) Handle(req clientrpc.Request) clientrpc.Response {
 		for _, stack := range h.stacks {
 			total += stack.Applied()
 		}
-		return clientrpc.Response{OK: true, Applied: total, Net: node.NetStats(h.stacks...), Journal: node.JournalStats(h.stacks...)}
+		gauges := make([]Gauges, len(h.shards))
+		for s, rep := range h.shards {
+			gauges[s] = rep.gauges()
+		}
+		return clientrpc.Response{OK: true, Applied: total, Val: gauges, Net: node.NetStats(h.stacks...), Journal: node.JournalStats(h.stacks...)}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -1,15 +1,18 @@
 package kv
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"distbasics/internal/amp"
 	"distbasics/internal/check"
 	"distbasics/internal/clientrpc"
 	"distbasics/internal/node"
+	"distbasics/internal/rsm"
 )
 
 // spreadKey builds a key routed by its two-hex-digit prefix, matching
@@ -229,22 +232,7 @@ func TestHostTCP(t *testing.T) {
 		t.Skip("real TCP mesh")
 	}
 	const replicas, shards = 3, 2
-	peers := make([][]string, shards)
-	for s := range peers {
-		var err error
-		if peers[s], err = node.AllocAddrs(replicas); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hosts := make([]*Host, replicas)
-	for i := range hosts {
-		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i})
-		if err != nil {
-			t.Fatalf("host %d: %v", i, err)
-		}
-		defer h.Close()
-		hosts[i] = h
-	}
+	hosts := startHosts(t, replicas, shards)
 	for i := 0; i < 16; i++ {
 		key := spreadKey(i, "tcp")
 		resp := hosts[i%replicas].Handle(reqPut(key, i))
@@ -274,6 +262,123 @@ func TestHostTCP(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("leader host never served a lease fast-path read under the real clock")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// startHosts brings up one Host per replica of a TCP cluster with the
+// given shard count, each closed when the test ends.
+func startHosts(t *testing.T, replicas, shards int) []*Host {
+	t.Helper()
+	peers := make([][]string, shards)
+	for s := range peers {
+		var err error
+		if peers[s], err = node.AllocAddrs(replicas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := make([]*Host, replicas)
+	for i := range hosts {
+		h, err := NewHost(HostConfig{Shards: shards, Peers: peers, Self: i})
+		if err != nil {
+			t.Fatalf("host %d: %v", i, err)
+		}
+		t.Cleanup(h.Close)
+		hosts[i] = h
+	}
+	return hosts
+}
+
+// TestHostLeaseConstants pins what the Host's lease constants must
+// satisfy, read from replicas built and started with LeaseOptions at
+// node.HeartbeatPeriod: the margin leaves a lease to hold; a grant
+// outlives three lost heartbeats (renewal is every period, so the
+// holder's belief spans four); and the TTL exceeds Ω's first detection
+// bound, so a failover's outage is the TTL and not the detector.
+func TestHostLeaseConstants(t *testing.T) {
+	nodes := make([]*rsm.Node, 3)
+	procs := make([]amp.Process, len(nodes))
+	for i := range nodes {
+		nodes[i] = rsm.NewNode(len(nodes), LeaseOptions()...)
+		nodes[i].Omega.Period = node.HeartbeatPeriod
+		procs[i] = nodes[i].Stack
+	}
+	amp.NewSim(procs).Run(1)
+	d := nodes[0].Omega
+	ttl, margin := d.LeaseTTL, d.LeaseMargin
+	if ttl != hostLeaseTTL || margin != hostLeaseMargin {
+		t.Fatalf("LeaseOptions set TTL %d and margin %d, want the Host's %d and %d", ttl, margin, hostLeaseTTL, hostLeaseMargin)
+	}
+	if margin >= ttl {
+		t.Errorf("margin %d >= TTL %d: no grant would ever be believed", margin, ttl)
+	}
+	if ttl-margin < 4*d.Period {
+		t.Errorf("a grant is believed for %d ticks, under four heartbeat periods (%d): three lost heartbeats lose the lease", ttl-margin, 4*d.Period)
+	}
+	// A silent leader is suspected at the first sweep after the initial
+	// timeout: sweeps run every Period.
+	if detect := d.InitialTimeout + d.Period; ttl <= detect {
+		t.Errorf("TTL %d <= Ω's first detection bound %d: the detector, not the lease, would set the outage", ttl, detect)
+	}
+	t.Logf("TTL %d, margin %d, belief %d = %.1f heartbeat periods, detection bound %d", ttl, margin, ttl-margin,
+		float64(ttl-margin)/float64(d.Period), d.InitialTimeout+d.Period)
+}
+
+// TestHostStatGauges: basicskv's stat reply carries, per shard, the
+// lease gauges a failover is read from — each present in the JSON a
+// client sees, and consistent across a settled cluster: every replica
+// follows replica 0, which holds the lease once a read has gone
+// through it, and a follower's acceptor is bound to it.
+func TestHostStatGauges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP mesh")
+	}
+	const replicas, shards = 3, 2
+	hosts := startHosts(t, replicas, shards)
+	stat := func(i int) []map[string]any {
+		raw, err := json.Marshal(hosts[i].Handle(clientrpc.Request{Op: "stat"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp struct {
+			Val []map[string]any `json:"val"`
+		}
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Val) != shards {
+			t.Fatalf("host %d stat carries %d shard gauges, want %d: %s", i, len(resp.Val), shards, raw)
+		}
+		for s, g := range resp.Val {
+			for _, k := range []string{"leader", "holdsLease", "grantHolder", "grantLeft", "resends"} {
+				if _, ok := g[k]; !ok {
+					t.Errorf("host %d shard %d stat has no %q gauge: %s", i, s, k, raw)
+				}
+			}
+		}
+		return resp.Val
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for s := 0; s < shards; s++ { // a read through each shard's leader: its barrier
+			hosts[0].Handle(reqGet(fmt.Sprintf("%02x", s*(256/shards))))
+		}
+		settled := true
+		for i := range hosts {
+			for s, g := range stat(i) {
+				want := i == 0
+				settled = settled && g["leader"] == 0.0 && g["holdsLease"] == want && g["grantHolder"] == 0.0
+				if i != 0 && settled && g["grantLeft"].(float64) <= 0 {
+					t.Errorf("host %d shard %d is bound to 0 with no grant left: %v", i, s, g)
+				}
+			}
+		}
+		if settled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no settled lease gauges in 10 s: %v / %v / %v", stat(0), stat(1), stat(2))
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

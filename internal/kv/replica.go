@@ -84,19 +84,61 @@ func (r *Replica) Submit(cmd rsm.Command) (any, error) {
 	return r.waiters.Submit(r.rt, node.RPCTimeout, func() rbcast.MsgID { return r.nd.Submit(r.nd.Ctx(), cmd) })
 }
 
-// leaseRead serves key locally iff this replica currently holds the
-// read lease (it is the Ω leader and a majority's grants are
-// unexpired). The read runs under the actor mutex, so it observes a
-// consistent applied prefix; the lease guarantees no other replica can
-// commit writes this replica has not seen while the grant set is live.
+// LeaseRead is the lease read's decision, made inside nd's event loop
+// (ctx is the context it runs in): key's local value iff nd holds the
+// read lease on its own clock (it is the Ω leader and a majority's
+// grants are unexpired). Inside the loop the read observes a consistent
+// applied prefix; the lease guarantees no other replica can commit
+// writes nd has not seen while the grant set is live. Every Replica
+// serves its lease reads through it, and the scenario harness's lease
+// model runs it under clock-rate faults.
+func LeaseRead(ctx amp.Context, nd *rsm.Node, key string) (val any, ok bool) {
+	if !nd.HoldsLease(ctx.Now()) {
+		return nil, false
+	}
+	return nd.Get(key), true
+}
+
+// leaseRead runs LeaseRead in the replica's event loop.
 func (r *Replica) leaseRead(key string) (val any, ok bool) {
-	r.rt.Do(func(ctx amp.Context) {
-		if r.nd.HoldsLease(ctx.Now()) {
-			val = r.nd.Get(key)
-			ok = true
-		}
-	})
+	r.rt.Do(func(ctx amp.Context) { val, ok = LeaseRead(ctx, r.nd, key) })
 	return val, ok
+}
+
+// Gauges is one shard replica's lease and dissemination state, the
+// per-shard entry of basicskv's "stat" reply (its Val). A failover's
+// outage reads off it: who each survivor follows, whose grant binds its
+// acceptor and for how many more ticks.
+type Gauges struct {
+	Leader int `json:"leader"` // the Ω leader this replica believes in
+	// HoldsLease is rsm.Node.HoldsLease: whether it serves lease reads
+	// now, which a leader holding grants does only once a command it
+	// submitted in the current run has applied.
+	HoldsLease bool `json:"holdsLease"`
+	// GrantHolder is the process this replica's acceptor must honour
+	// (-1 for none, itself while it holds grants), and GrantLeft the
+	// ticks its grant to another process has left.
+	GrantHolder int   `json:"grantHolder"`
+	GrantLeft   int64 `json:"grantLeft"`
+	// Resends counts the payloads this replica, as their originator,
+	// broadcast again because they were still unordered a sync period on.
+	Resends int `json:"resends"`
+}
+
+// gauges reads the replica's Gauges inside its event loop.
+func (r *Replica) gauges() (g Gauges) {
+	r.rt.Do(func(ctx amp.Context) {
+		now := ctx.Now()
+		g.Leader = r.nd.Omega.Leader()
+		g.HoldsLease = r.nd.HoldsLease(now)
+		var until amp.Time
+		g.GrantHolder, until, _ = r.nd.Omega.GrantHolder(now)
+		if until > now {
+			g.GrantLeft = int64(until - now)
+		}
+		g.Resends = r.nd.Resends()
+	})
+	return g
 }
 
 // Serve answers the KV verbs of a client RPC — put and del through

@@ -66,6 +66,7 @@ type TOBroadcast struct {
 	// sync timer and in the period before it (see relayLingering).
 	held, heldOld []rbcast.MsgID
 	scheduled     map[rbcast.MsgID]bool // in a decided-but-undelivered batch
+	resends       int                   // own payloads re-broadcast by relayLingering
 
 	decided      map[int]batch
 	nextDecide   int // first undecided slot (gates ballot initiation)
@@ -328,6 +329,7 @@ func (tb *TOBroadcast) relayLingering(ctx amp.Context) {
 			ctx.Broadcast(toPayload{ID: id, Payload: p, Lingered: true})
 			if id.Sender == ctx.ID() {
 				tb.held = append(tb.held, id)
+				tb.resends++
 			}
 		}
 	}
@@ -531,11 +533,12 @@ func WithReadLease(ttl amp.Time) NodeOption {
 }
 
 // WithLeaseMargin discounts the holder-side validity of every lease
-// grant by margin ticks (see fd.Detector.LeaseMargin). Virtual-time
-// simulations have rate-synchronized clocks and should leave it 0;
-// real-clock deployments must set it to cover clock drift and tick
-// jitter over one TTL, or a slow holder clock can believe a lease past
-// the granter's promise.
+// grant by margin ticks (see fd.Detector.LeaseMargin). Simulations
+// whose clocks run at one rate may leave it 0; real-clock deployments
+// must set it to cover clock drift and tick jitter over one TTL, or a
+// slow holder clock can believe a lease past the granter's promise.
+// The lease model measures the cover: TTL/10 + 2 holds to a 15% slow
+// holder clock, TTL/20 to 9%, 0 to 4% (internal/kv's hostLeaseMargin).
 func WithLeaseMargin(margin amp.Time) NodeOption {
 	return func(c *nodeConfig) { c.leaseMargin = margin }
 }
@@ -854,6 +857,11 @@ func (nd *Node) HoldsLease(now amp.Time) bool {
 	since, ok := nd.Omega.LeaseSince(now)
 	return ok && since <= nd.barrier && nd.Omega.HoldsLease(now)
 }
+
+// Resends returns how many times this replica, as originator, has
+// broadcast a payload again because it was still unordered a sync
+// period after it was sent (see relayLingering).
+func (nd *Node) Resends() int { return nd.TO.resends }
 
 // SlotsDelivered returns the number of consensus slots this replica has
 // delivered (the batching ratio is Len()/SlotsDelivered()).

@@ -152,7 +152,7 @@ func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 		sim.Schedule(amp.Time(1+think.Int63n(400)), func() { issue(0) })
 	}
-	ampCrashes(sim, sc.Faults)
+	ampProcFaults(sim, sc.Faults)
 	sim.Run(30_000)
 
 	h := check.History(ops)

@@ -144,7 +144,7 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 		sim.Schedule(amp.Time(1+think.Int63n(300)), func() { issue(0) })
 	}
-	ampCrashes(sim, sc.Faults)
+	ampProcFaults(sim, sc.Faults)
 	sim.Run(60_000)
 
 	h := check.History(ops)

@@ -172,7 +172,7 @@ func runChatter(sc *scenario.Scenario) ([]chatterEntry, [4]int, []bool, amp.Time
 	for _, f := range crashAt {
 		sim.CrashAt(f.Proc, amp.Time(f.From))
 	}
-	ampCrashes(sim, advFaults)
+	ampProcFaults(sim, advFaults)
 	for _, f := range budgets {
 		sim.CrashAfterSends(f.Proc, f.Pct)
 	}

@@ -1,14 +1,17 @@
 package models
 
 import (
+	"slices"
+
 	"distbasics/internal/amp"
 	"distbasics/internal/scenario"
 )
 
 // This file is the shared bridge between the scenario DSL's fault
 // vocabulary and the amp simulator, used by every amp-backed model:
-// network faults become Adversaries, crash faults the Sim's own. Fault
-// generation and wiring live here once, not once per package.
+// network faults become Adversaries, crash and clock faults the Sim's
+// own. Fault generation and wiring live here once, not once per
+// package.
 
 // ampAdversaries maps the scenario's network faults onto amp
 // adversaries, in list order (the Sim consults them in that order).
@@ -24,21 +27,50 @@ func ampAdversaries(faults []scenario.Fault) []amp.Adversary {
 			advs = append(advs, amp.Isolate(amp.Time(f.From), amp.Time(f.Until), f.Group...))
 		case scenario.FaultSkew:
 			advs = append(advs, amp.SkewLinks(amp.Time(f.Pct), func(src, _ int) bool { return src%2 == 0 }))
+		case scenario.FaultCut:
+			advs = append(advs, cut(amp.Time(f.From), amp.Time(f.Until), f.Proc, f.Group))
 		}
 	}
 	return advs
 }
 
-// ampCrashes schedules the scenario's crash faults on sim, in list
-// order: a crash at From and, if Until > From, a recovery (the end of a
-// pause) at Until. Models call it just before their first sim.Run.
-func ampCrashes(sim *amp.Sim, faults []scenario.Fault) {
+// cut drops what src sends to any process in dsts during [from,
+// until): an outbound-only cut, such as a leader whose heartbeats stop
+// reaching its followers while theirs still reach it.
+func cut(from, until amp.Time, src int, dsts []int) amp.Adversary {
+	to := make(map[int]bool, len(dsts))
+	for _, d := range dsts {
+		to[d] = true
+	}
+	return amp.AdversaryFunc(func(s, d int, at amp.Time) amp.Verdict {
+		return amp.Verdict{Drop: s == src && to[d] && at >= from && at < until}
+	})
+}
+
+// ampProcFaults schedules the scenario's process faults on sim, in list
+// order: for a crash, a crash at From and, if Until > From, a recovery
+// (the end of a pause) at Until; for a clock fault, a rate window. A
+// clock window that is empty or overlaps an earlier one of the same
+// process is skipped, and a rate below 10% is raised to it, so every
+// decoded or mutated scenario runs. Models call it just before their
+// first sim.Run.
+func ampProcFaults(sim *amp.Sim, faults []scenario.Fault) {
+	clocks := make(map[int][]scenario.Fault)
 	for _, f := range faults {
-		if f.Kind == scenario.FaultCrash {
+		switch f.Kind {
+		case scenario.FaultCrash:
 			sim.CrashAt(f.Proc, amp.Time(f.From))
 			if f.Until > f.From {
 				sim.RecoverAt(f.Proc, amp.Time(f.Until))
 			}
+		case scenario.FaultClock:
+			if f.Until <= f.From || slices.ContainsFunc(clocks[f.Proc], func(g scenario.Fault) bool {
+				return g.From < f.Until && f.From < g.Until
+			}) {
+				continue
+			}
+			clocks[f.Proc] = append(clocks[f.Proc], f)
+			sim.ClockRate(f.Proc, amp.Time(f.From), amp.Time(f.Until), max(f.Pct, -90))
 		}
 	}
 }

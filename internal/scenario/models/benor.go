@@ -90,7 +90,7 @@ func (m *BenOr) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithSeed(cfg.Int63()),
 		amp.WithDelay(ampDelay(cfg)),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
-	ampCrashes(sim, sc.Faults)
+	ampProcFaults(sim, sc.Faults)
 	sim.Run(60_000)
 
 	first := -1

@@ -26,7 +26,8 @@ import (
 
 // seedBudget is how many seeds (from 1) the sweep runs of a model: all
 // 120 of the golden store for the models whose 120-seed campaign takes
-// well under a second, a few of the ones that take seconds.
+// well under a second (lease: about 0.2 s), a few of the ones that take
+// seconds.
 func seedBudget(model string) uint64 {
 	switch model {
 	case "rsm", "jobq", "transport":

@@ -52,6 +52,7 @@ const (
 	jqJobsPer  = 6
 	jqBudget   = 3
 	jqHorizon  = 150_000
+	jqChunk    = 10_000 // boundWork is judged at every multiple
 	jqFaultHz  = 20_000 // faults are drawn over this prefix and heal well before jqHorizon
 	jqStep     = 40
 	jqGrace    = 300
@@ -252,8 +253,15 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		sim.Schedule(amp.Time(100+i*120+int(think.Int63n(90))), submit)
 	}
 
-	ampCrashes(sim, sc.Faults)
-	sim.Run(jqHorizon)
+	ampProcFaults(sim, sc.Faults)
+	// Judge bounded work at every chunk boundary, as the rsm model does:
+	// a runaway stops at the first chunk over the bound.
+	for until := amp.Time(jqChunk); until <= jqHorizon; until += jqChunk {
+		sim.Run(until)
+		if boundWork(res, jqPerOp, len(subs), jqReplicas, func(p int) int { return nodes[p].RSM.Len() }); res.Failed {
+			break
+		}
+	}
 
 	// Reference replica: the most advanced apply point.
 	ref := 0
@@ -318,7 +326,6 @@ func (*JobQ) Run(sc *scenario.Scenario) *scenario.Result {
 		res.Failf("counter drift: completions=%d (#completed=%d) deadletters=%d (#failed=%d) effects=%d",
 			ctr.Completions, completed, ctr.DeadLetters, failed, effects)
 	}
-	boundWork(res, jqPerOp, len(subs), jqReplicas, func(p int) int { return nodes[p].RSM.Len() })
 	res.Completed = completed + failed
 	res.Pending = len(subs) - res.Completed
 

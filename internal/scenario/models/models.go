@@ -8,6 +8,9 @@
 //   - transport — the rsm cluster over the real-transport runtime
 //     (Loopback+Chaos+Runtime), checked for linearizability. Its crash
 //     window is still a journal restart, not a pause.
+//   - lease — kv's lease read (kv.LeaseRead, kv.LeaseOptions) on three
+//     rsm replicas under partitions, outbound cuts, leader pauses and
+//     clock-rate windows, checked for linearizability.
 //   - universal — the shared-memory universal construction under
 //     scenario-scheduled crashes, checked per key against KVSpec.
 //   - ampchatter, shmexec — random chatter on the amp simulator and
@@ -46,6 +49,7 @@ func All() []scenario.Model {
 		&RSM{},
 		&JobQ{},
 		&Transport{},
+		&Lease{},
 		&BenOr{},
 		&Universal{},
 		&AmpChatter{},

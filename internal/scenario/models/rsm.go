@@ -132,7 +132,7 @@ func (*RSM) Run(sc *scenario.Scenario) *scenario.Result {
 			done: func() { done++ },
 		}.start())
 	}
-	ampCrashes(sim, sc.Faults)
+	ampProcFaults(sim, sc.Faults)
 	// Run in fixed chunks, stopping at the first boundary where every
 	// put has returned and every fault window has closed, or where a
 	// replica has done more work than the bound allows (chunk boundaries

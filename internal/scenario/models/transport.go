@@ -210,12 +210,20 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 			done: func() { done++ },
 		}.start()
 	}
-	// Run in fixed chunks with a deterministic early exit once every
-	// chain completes (chunk boundaries are part of the scenario's
-	// definition, so replays agree regardless of when chains finish).
-	for until := amp.Time(25_000); until <= tpHorizon; until += 25_000 {
+	// Run in fixed chunks: judge bounded work every 10k ticks, as the rsm
+	// model does, stopping at the first chunk over the bound, and exit at
+	// the first 25k boundary where every chain has completed (both
+	// boundaries are part of the scenario's definition, so replays agree
+	// regardless of when chains finish).
+	applies := func(p int) int { return nodes[p].Node.Len() }
+	for until := amp.Time(5_000); until <= tpHorizon; until += 5_000 {
 		lb.Run(until)
-		if done == total {
+		if until%10_000 == 0 {
+			if boundWork(res, putPerOp, total, tpReplicas, applies); res.Failed {
+				break
+			}
+		}
+		if until%25_000 == 0 && done == total {
 			break
 		}
 	}
@@ -233,7 +241,9 @@ func (*Transport) Run(sc *scenario.Scenario) *scenario.Result {
 		}
 		return out
 	}
-	boundWork(res, putPerOp, total, tpReplicas, func(p int) int { return nodes[p].Node.Len() })
+	if !res.Failed { // the exit boundary may fall between two judged chunks
+		boundWork(res, putPerOp, total, tpReplicas, applies)
+	}
 	ref := ids(0)
 	for i := 1; i < tpReplicas; i++ {
 		got := ids(i)

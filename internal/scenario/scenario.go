@@ -1,12 +1,13 @@
 // Package scenario is the deterministic scenario harness shared by every
 // execution model in this repository: a seed-deterministic DSL + engine
 // that generates adversarial runs (process crashes and recoveries,
-// partitions and heals, message loss, timing skew, schedule choices) from
-// a single uint64 seed, drives any of the three execution models through
-// small adapter interfaces (Model implementations live in
-// internal/scenario/models), checks an oracle (linearizability via
-// internal/check, agreement/validity predicates, golden equivalence
-// between legacy and rebuilt engines), and on failure automatically
+// partitions, outbound cuts and heals, message loss, timing and
+// clock-rate skew, schedule choices) from a single uint64 seed, drives
+// any of the three execution models through small adapter interfaces
+// (Model implementations live in internal/scenario/models), checks an
+// oracle (linearizability via internal/check, agreement/validity
+// predicates, golden equivalence between legacy and rebuilt engines),
+// and on failure automatically
 // shrinks the scenario — delta debugging over operations, fault events,
 // and schedule prefixes — to a minimal reproducer printed as a
 // copy-pasteable seed + trace literal.
@@ -124,19 +125,27 @@ const (
 	// restart from whatever the journal recovers at Until. Journaled
 	// models only; others ignore it.
 	FaultSnapCrash
+	// FaultClock runs Proc's clock (its Now() and its timers) at
+	// (100+Pct)% of global time during [From, Until) (amp.Sim.ClockRate:
+	// the rate skew a lease margin must cover).
+	FaultClock
+	// FaultCut drops every message Proc sends to a process in Group
+	// during [From, Until); the reverse direction is untouched (an
+	// asymmetric, outbound-only cut).
+	FaultCut
 )
 
 var faultKindNames = map[FaultKind]string{
 	FaultCrash: "crash", FaultPartition: "partition", FaultDrop: "drop",
 	FaultIsolate: "isolate", FaultSkew: "skew", FaultSendBudget: "sendbudget",
-	FaultSnapCrash: "snapcrash",
+	FaultSnapCrash: "snapcrash", FaultClock: "clock", FaultCut: "cut",
 }
 
 // faultKindConsts are the Go constant names, for GoLiteral.
 var faultKindConsts = map[FaultKind]string{
 	FaultCrash: "FaultCrash", FaultPartition: "FaultPartition", FaultDrop: "FaultDrop",
 	FaultIsolate: "FaultIsolate", FaultSkew: "FaultSkew", FaultSendBudget: "FaultSendBudget",
-	FaultSnapCrash: "FaultSnapCrash",
+	FaultSnapCrash: "FaultSnapCrash", FaultClock: "FaultClock", FaultCut: "FaultCut",
 }
 
 // opKindConsts are the Go constant names, for GoLiteral.
@@ -158,11 +167,13 @@ type Fault struct {
 	Proc  int
 	From  int64
 	Until int64
-	// Pct is a percentage (drop probability) or magnitude (skew units).
+	// Pct is a percentage (drop probability, clock rate offset) or
+	// magnitude (skew units).
 	Pct int
 	// Sub seeds the fault's private random stream (drop decisions).
 	Sub int64
-	// Group lists processes (partition island, isolation set).
+	// Group lists processes (partition island, isolation set, cut
+	// destinations).
 	Group []int
 }
 
