@@ -1,23 +1,23 @@
 package main
 
-import (
-	"distbasics/internal/jobq"
-	"distbasics/internal/node"
-)
+import "distbasics/internal/jobq"
 
 // The daemon's queue policy (ticks of transport.DefaultUnit, 2ms); what
 // it does not name — workers' cap, the back-off curve, the attempt
-// budget — is jobq's default. graceTicks = 10 heartbeats: a worker must
-// miss ~800ms of heartbeats continuously before its lease lapses and its
-// jobs are reassigned. stepTicks is the scheduler's fallback pulse (the
-// healthy path schedules on apply, see jobq.Config.StepEvery). Ballots
-// run at rsm's default pace, as kv's do: with one decide broadcast per
-// slot, five replicas on one box keep up with the clock unspaced.
+// budget — is jobq's default. graceTicks: a worker must be suspected
+// for 800ms continuously before its lease lapses and its jobs are
+// reassigned. It is a stated time, not a count of heartbeats, so a
+// shorter node.HeartbeatPeriod (a faster kv failover) does not also
+// shorten the hiccup a worker may have. stepTicks is the scheduler's
+// fallback pulse (the healthy path schedules on apply, see
+// jobq.Config.StepEvery). Ballots run at rsm's default pace, as kv's
+// do: with one decide broadcast per slot, five replicas on one box keep
+// up with the clock unspaced.
 // Nothing paces re-proposals: each command is proposed once, and rsm
 // re-sends a lingering payload (README.md: the congestion collapse that
 // timer-driven re-proposal caused).
 const (
-	graceTicks = 10 * node.HeartbeatPeriod
+	graceTicks = 400
 	stepTicks  = 25 // 50ms fallback pulse: bounds back-off/grace lateness, cheap when idle
 )
 

@@ -170,7 +170,7 @@ func runE2E(opt e2eOptions) (err error) {
 			cl.Kill9(v)
 		}
 		// Long enough for the survivors to elect a new leader, lapse the
-		// victims' worker leases (grace = 10 heartbeats ≈ 800ms), and
+		// victims' worker leases (grace 400 ticks = 800ms), and
 		// reassign their in-flight jobs.
 		time.Sleep(2 * time.Second)
 		log.Printf("e2e: restart nodes %v", opt.victims())

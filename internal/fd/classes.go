@@ -31,7 +31,9 @@ func doubleSlack(d *Detector, timeout amp.Time) amp.Time { return d.Period + 2*(
 // means "crashed", and no evidence to the contrary ever moves that
 // timeout. Accuracy is sound only if the bound really bounds heartbeat
 // latency — P is implementable in synchronous systems and only there,
-// which is why the asynchronous world of §5.3 needs Ω instead.
+// which is why the asynchronous world of §5.3 needs Ω instead. Its
+// FalseSuspicions stays 0 while the bound holds: the defining property
+// of P.
 type Perfect struct{ *Detector }
 
 // NewPerfect returns a perfect failure detector for n processes:
@@ -44,11 +46,6 @@ func NewPerfect(n int) *Perfect {
 	d.adapt = keep
 	return &Perfect{d}
 }
-
-// FalseSuspicions counts accuracy violations observed so far (a
-// suspected process spoke again). Always 0 when the bound holds — the
-// defining property of P.
-func (p *Perfect) FalseSuspicions() int { return p.falseSuspicions }
 
 // EventuallyPerfect is ◇P: strong completeness plus *eventual* strong
 // accuracy. Its rule is the table's second row: an optimistic slack

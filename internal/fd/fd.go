@@ -74,7 +74,7 @@ type Detector struct {
 	// rate skew over one TTL plus scheduling jitter. What a margin
 	// covers is measured, not assumed: the scenario harness's lease
 	// model slows the holder's clock (amp.Sim.ClockRate), and TTL/10 + 2
-	// holds to 15% skew, TTL/20 to 9%, none to 4% (internal/kv's
+	// holds to 16% skew, TTL/20 to 8%, none to 4% (internal/kv's
 	// hostLeaseMargin has the table). Must be < LeaseTTL to ever hold.
 	LeaseMargin amp.Time
 	// OnLeaseChange, if set, is invoked when HoldsLease transitions (as
@@ -258,6 +258,11 @@ func (d *Detector) Suspects() []bool {
 	copy(out, d.suspected)
 	return out
 }
+
+// FalseSuspicions counts the suspicions retracted so far (a suspected
+// peer spoke again): P's accuracy read-out, and on a live cluster what
+// a too-short timeout costs.
+func (d *Detector) FalseSuspicions() int { return d.falseSuspicions }
 
 // Changes returns the leader-change history (for stabilization analysis).
 func (d *Detector) Changes() []LeaderChange {

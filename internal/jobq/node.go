@@ -16,8 +16,8 @@ const Op = "jobq"
 type Config struct {
 	// Grace is how long a worker must stay CONTINUOUSLY suspected before
 	// the scheduler declares its lease lapsed and releases its jobs
-	// (default 10 heartbeat periods' worth: 400 ticks at the daemons'
-	// node.HeartbeatPeriod=40). Too short and a network hiccup
+	// (default 400 ticks, 800ms at the daemons' 2ms tick; a time, not a
+	// count of heartbeats). Too short and a network hiccup
 	// double-executes work (safe — the attempt token rejects one effect —
 	// but wasteful); too long and a crashed worker's jobs stall for the
 	// full grace.

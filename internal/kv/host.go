@@ -35,25 +35,27 @@ type HostConfig struct {
 
 // The Host's read lease, in ticks of transport.DefaultUnit (2ms).
 const (
-	// hostLeaseTTL is several heartbeat periods: at
-	// node.HeartbeatPeriod=40 a 250-tick lease is half a second, renewed
-	// every 80ms. It is also the outage after a holder dies: survivors
-	// honour its last grants for one TTL (TestHostLeaseConstants).
-	hostLeaseTTL amp.Time = 250
+	// hostLeaseTTL is five heartbeat periods: at node.HeartbeatPeriod=20
+	// a 100-tick lease is 200ms, renewed every 40ms. It is also the
+	// outage after a holder dies: survivors honour its last grants for
+	// one TTL, which Ω's first detection bound (80 ticks) stays under
+	// (TestHostLeaseConstants, TestFailoverOutageIsOneTTL).
+	hostLeaseTTL amp.Time = 100
 	// hostLeaseMargin is subtracted from the holder-side validity of
 	// every lease grant. The lease protocol's safety needs the holder's
 	// belief to lapse before the granter's promise, which processes on
 	// one clock get from the heartbeat's network delay alone; real
 	// processes count their OWN ticks, which drift and jitter under
-	// load, so the Host path must leave slack: TTL/10 + 2 = 27 ticks.
-	// The lease model (internal/scenario/models, TestLeaseMarginSweep)
-	// measures what a margin buys: the largest clock-rate skew — the
-	// holder's clock that much slow — at which 40 seeds of silenced
-	// leaders stay linearizable:
+	// load, so the Host path must leave slack: TTL/10 + 2 = 12 ticks, so
+	// a grant is believed for 88 (4.4 heartbeat periods). The lease
+	// model (internal/scenario/models, TestLeaseMarginSweep) measures
+	// what a margin buys: the largest clock-rate skew — the holder's
+	// clock that much slow — at which 40 seeds of silenced leaders stay
+	// linearizable, with the lease resolved into 300 sim ticks:
 	//
 	//	margin        0    TTL/20   TTL/10+2   TTL/5
-	//	ticks         0    12       27         50
-	//	safe skew     4%   9%       15%        23%
+	//	ticks         0    5        12         20
+	//	safe skew     4%   8%       16%        23%
 	//
 	// The claim is 10% (the model's clock windows draw up to it, on any
 	// replica, in either direction); the rest is scheduling jitter.

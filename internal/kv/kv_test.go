@@ -325,6 +325,60 @@ func TestHostLeaseConstants(t *testing.T) {
 		float64(ttl-margin)/float64(d.Period), d.InitialTimeout+d.Period)
 }
 
+// outageSlack is how far past one TTL a failover may run: the dead
+// holder's last heartbeat takes a tick to arrive, so its grant lapses
+// up to a tick after crash+TTL, and the successor's ballot then takes
+// prepare, promise, accept, accepted and decide, a tick each, and a
+// mux pace before the survivor applies.
+const outageSlack = 8
+
+// TestFailoverOutageIsOneTTL pins the outage kv-tcp-failover measures,
+// deterministically: three replicas with LeaseOptions at
+// node.HeartbeatPeriod on amp.Sim, links of one tick (a localhost frame
+// takes well under one), the leader crashes, and a survivor submits a
+// put the tick after. At every crash phase within a heartbeat period,
+// the ticks from the crash to a survivor's first commit exceed
+// TTL − Period (the dead holder heartbeat at most one Period before the
+// crash, and a grant is honoured for a TTL from its receipt) and stay
+// within TTL + outageSlack: the lease sets the outage, not Ω, whose
+// first detection bound is shorter.
+func TestFailoverOutageIsOneTTL(t *testing.T) {
+	const base = 1000
+	lo, hi := amp.Time(10*hostLeaseTTL), amp.Time(0)
+	for crashAt := amp.Time(base); crashAt < base+node.HeartbeatPeriod; crashAt++ {
+		nodes := make([]*rsm.Node, 3)
+		procs := make([]amp.Process, len(nodes))
+		var committed amp.Time
+		for i := range nodes {
+			nodes[i] = rsm.NewNode(len(nodes), LeaseOptions()...)
+			nodes[i].Omega.Period = node.HeartbeatPeriod
+			nodes[i].OnApply = func(_ rsm.Entry, at amp.Time) {
+				if at > crashAt && committed == 0 {
+					committed = at
+				}
+			}
+			procs[i] = nodes[i].Stack
+		}
+		sim := amp.NewSim(procs, amp.WithDelay(amp.FixedDelay{D: 1}))
+		sim.CrashAt(0, crashAt)
+		sim.Schedule(crashAt+1, func() {
+			if h, _, ok := nodes[1].Omega.GrantHolder(sim.Now()); !ok || h != 0 {
+				t.Errorf("crash at %d: survivor 1 is bound to (%d, %v), want the dead holder 0", crashAt, h, ok)
+			}
+			nodes[1].Submit(nodes[1].Ctx(), rsm.Command{Op: "put", Key: "x", Val: 1})
+		})
+		sim.Run(crashAt + 10*hostLeaseTTL)
+		outage := committed - crashAt
+		if committed == 0 || outage <= hostLeaseTTL-node.HeartbeatPeriod || outage > hostLeaseTTL+outageSlack {
+			t.Fatalf("crash at %d, first commit after it at %d: outage %d ticks, want in (%d, %d]",
+				crashAt, committed, outage, hostLeaseTTL-node.HeartbeatPeriod, hostLeaseTTL+outageSlack)
+		}
+		lo, hi = min(lo, outage), max(hi, outage)
+	}
+	t.Logf("kv failover on amp.Sim: outage %d–%d ticks over %d crash phases (TTL %d, heartbeat period %d)",
+		lo, hi, node.HeartbeatPeriod, hostLeaseTTL, node.HeartbeatPeriod)
+}
+
 // TestHostStatGauges: basicskv's stat reply carries, per shard, the
 // lease gauges a failover is read from — each present in the JSON a
 // client sees, and consistent across a settled cluster: every replica
@@ -351,7 +405,7 @@ func TestHostStatGauges(t *testing.T) {
 			t.Fatalf("host %d stat carries %d shard gauges, want %d: %s", i, len(resp.Val), shards, raw)
 		}
 		for s, g := range resp.Val {
-			for _, k := range []string{"leader", "holdsLease", "grantHolder", "grantLeft", "resends"} {
+			for _, k := range []string{"leader", "holdsLease", "grantHolder", "grantLeft", "resends", "leaderChanges", "falseSuspicions"} {
 				if _, ok := g[k]; !ok {
 					t.Errorf("host %d shard %d stat has no %q gauge: %s", i, s, k, raw)
 				}

@@ -123,6 +123,13 @@ type Gauges struct {
 	// Resends counts the payloads this replica, as their originator,
 	// broadcast again because they were still unordered a sync period on.
 	Resends int `json:"resends"`
+	// LeaderChanges counts the changes of Leader since start (the
+	// initial choice included), and FalseSuspicions the suspicions of a
+	// peer retracted when it spoke again: once a cluster without crashes
+	// is up, both stay put, or Ω's suspicion threshold is too short for
+	// the load.
+	LeaderChanges   int `json:"leaderChanges"`
+	FalseSuspicions int `json:"falseSuspicions"`
 }
 
 // gauges reads the replica's Gauges inside its event loop.
@@ -137,6 +144,8 @@ func (r *Replica) gauges() (g Gauges) {
 			g.GrantLeft = int64(until - now)
 		}
 		g.Resends = r.nd.Resends()
+		g.LeaderChanges = len(r.nd.Omega.Changes())
+		g.FalseSuspicions = r.nd.Omega.FalseSuspicions()
 	})
 	return g
 }

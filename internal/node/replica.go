@@ -14,14 +14,16 @@ import (
 
 // HeartbeatPeriod is the Ω heartbeat period, in ticks, of every replica
 // Start brings up. Ω suspects a peer after three silent periods
-// (fd.Detector's initial timeout), so the period sets both how soon a
-// crash is noticed (240 ms at the default 2 ms tick) and what the
-// heartbeats cost; kv's read lease and jobq's worker grace are sized
-// against it. Suspicion steers the protocols only: the transport sends
-// to a suspected peer as to any other. The simulation-scale default (8)
-// would send five times the heartbeats for a detection time no daemon
-// needs.
-const HeartbeatPeriod amp.Time = 40
+// (fd.Detector's initial timeout) at the first suspicion sweep after
+// them, so a crash is noticed 60–80 ticks (120–160 ms at the default
+// 2 ms tick) after the peer's last heartbeat, and the period also sets
+// what the heartbeats cost. kv's read lease is sized against it (a
+// grant outlives three lost heartbeats; TestHostLeaseConstants); jobq's
+// worker grace is a stated time instead. Suspicion steers the protocols
+// only: the transport sends to a suspected peer as to any other. The
+// simulation-scale default (8) would send two and a half times the
+// heartbeats for a detection time no daemon needs.
+const HeartbeatPeriod amp.Time = 20
 
 // RPCTimeout bounds one consensus round-trip from the client's side.
 // Long enough to ride out a chaos window plus leader re-election, short

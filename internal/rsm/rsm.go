@@ -537,8 +537,8 @@ func WithReadLease(ttl amp.Time) NodeOption {
 // whose clocks run at one rate may leave it 0; real-clock deployments
 // must set it to cover clock drift and tick jitter over one TTL, or a
 // slow holder clock can believe a lease past the granter's promise.
-// The lease model measures the cover: TTL/10 + 2 holds to a 15% slow
-// holder clock, TTL/20 to 9%, 0 to 4% (internal/kv's hostLeaseMargin).
+// The lease model measures the cover: TTL/10 + 2 holds to a 16% slow
+// holder clock, TTL/20 to 8%, 0 to 4% (internal/kv's hostLeaseMargin).
 func WithLeaseMargin(margin amp.Time) NodeOption {
 	return func(c *nodeConfig) { c.leaseMargin = margin }
 }

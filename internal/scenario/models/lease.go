@@ -17,7 +17,8 @@ import (
 // Lease is the schedule-fuzz model of the kv read lease, the one safety
 // claim here that rests on timing. Three replicas run the Host's lease
 // options (kv.LeaseOptions) at the daemons' heartbeat period
-// (node.HeartbeatPeriod) on amp.Sim, and every get makes the decision
+// (node.HeartbeatPeriod) on amp.Sim, in sim ticks finer than a daemon's
+// when the TTL is short (hostLease), and every get makes the decision
 // basicskv makes (kv.LeaseRead): served from local state while the
 // replica holds the lease on its own clock, else ordered through
 // consensus and read at its local apply. Each replica has a writer
@@ -30,11 +31,12 @@ import (
 // lapse at different times), or a pause. Its followers elect a rival,
 // which ballots the tick the victim's grants lapse. Most seeds also run
 // one clock at up to leaseSkew% off global time (amp.Sim.ClockRate)
-// across the fault, and the victim's reader polls it from C+150 for
-// 200 ticks: a holder whose belief outlives its granters' promises
+// across the fault, and the victim's reader polls it from 0.6 to 1.4
+// TTLs after C: a holder whose belief outlives its granters' promises
 // serves a stale value there, which is what the margin must prevent. A
 // paused or partitioned leader that its followers elect again once it
-// is back is what rsm.Node.HoldsLease's catch-up barrier is for.
+// is back is what rsm.Node.HoldsLease's catch-up barrier is for. Every
+// window scales with the TTL the model runs (hostLease).
 type Lease struct {
 	// Margin, when set, replaces the Host's lease margin with
 	// Margin(ttl): the mutation test runs 0, the margin sweep each value
@@ -51,7 +53,27 @@ const (
 	leaseSkew     = 10 // the largest |Pct| a generated clock window draws
 	leaseChunk    = 1_000
 	leaseHorizon  = 20_000
+	// leaseResolution is the fewest sim ticks the model resolves one TTL
+	// into. Network delays are 2–4 sim ticks and a rival's first commit
+	// comes about four of them after the lapse it waits for, so that
+	// latency alone covers (its ticks)/TTL of clock skew: at one sim tick
+	// per daemon tick and a 100-tick TTL, margin 0 held to 10% skew, and
+	// a missing margin hid behind the model's own delays. The generator's
+	// windows are written in ticks of a leaseResolution-tick TTL.
+	leaseResolution = 250
 )
+
+// hostLease is the lease the model runs: kv.LeaseOptions' TTL and margin
+// and node.HeartbeatPeriod, counted in sim ticks of 1/k daemon tick with
+// k = ceil(leaseResolution / TTL). The rsm's own timers (the mux pace,
+// the sync period) stay in sim ticks, so consensus runs faster against
+// the lease than in the daemons: the harsher side for a read lease.
+var hostLease = func() (l struct{ ttl, margin, period amp.Time }) {
+	d := rsm.NewNode(leaseReplicas, kv.LeaseOptions()...).Omega
+	k := (leaseResolution + d.LeaseTTL - 1) / d.LeaseTTL
+	l.ttl, l.margin, l.period = k*d.LeaseTTL, k*d.LeaseMargin, k*node.HeartbeatPeriod
+	return l
+}()
 
 // Name implements scenario.Model.
 func (*Lease) Name() string { return "lease" }
@@ -72,8 +94,10 @@ func (m *Lease) Generate(seed uint64) *scenario.Scenario {
 			others = append(others, p)
 		}
 	}
-	c := 300 + rng.Int63n(1_200)
-	heal := c + 300 + rng.Int63n(900)
+	// w(n) is n ticks of a leaseResolution-tick TTL, scaled to the TTL run.
+	w := func(n int64) int64 { return (n*int64(hostLease.ttl) + leaseResolution/2) / leaseResolution }
+	c := w(300) + rng.Int63n(w(1_200))
+	heal := c + w(300) + rng.Int63n(w(900))
 	switch rng.Intn(4) {
 	case 0:
 		sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultPartition, From: c, Until: heal, Group: []int{victim}})
@@ -83,13 +107,13 @@ func (m *Lease) Generate(seed uint64) *scenario.Scenario {
 		first := rng.Intn(len(others))
 		sc.Faults = append(sc.Faults,
 			scenario.Fault{Kind: scenario.FaultCut, Proc: victim, From: c, Until: heal, Group: []int{others[first]}},
-			scenario.Fault{Kind: scenario.FaultCut, Proc: victim, From: c + 20 + rng.Int63n(80), Until: heal, Group: []int{others[1-first]}})
+			scenario.Fault{Kind: scenario.FaultCut, Proc: victim, From: c + w(20) + rng.Int63n(w(80)), Until: heal, Group: []int{others[1-first]}})
 	case 3:
-		sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCrash, Proc: victim, From: c, Until: c + 150 + rng.Int63n(450)})
+		sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCrash, Proc: victim, From: c, Until: c + w(150) + rng.Int63n(w(450))})
 	}
 	if m.Skew != 0 || rng.Intn(4) != 0 {
 		f := scenario.Fault{Kind: scenario.FaultClock, Proc: rng.Intn(leaseReplicas),
-			From: max(0, c-rng.Int63n(400)), Until: c + 300 + rng.Int63n(900), Pct: 1 + rng.Intn(leaseSkew)}
+			From: max(0, c-rng.Int63n(w(400))), Until: c + w(300) + rng.Int63n(w(900)), Pct: 1 + rng.Intn(leaseSkew)}
 		if rng.Intn(2) == 0 {
 			f.Pct = -f.Pct
 		}
@@ -98,16 +122,25 @@ func (m *Lease) Generate(seed uint64) *scenario.Scenario {
 		}
 		sc.Faults = append(sc.Faults, f)
 	}
-	for p := 0; p < leaseReplicas; p++ {
-		for t := 50 + rng.Int63n(100); t < c+900; t += 100 + rng.Int63n(200) {
-			sc.Ops = append(sc.Ops, scenario.Op{Proc: p, Kind: scenario.OpPut, Key: rng.Intn(leaseKeys), Val: int(t)})
-		}
-		for t := 80 + rng.Int63n(200); t < c+900; t += 150 + rng.Int63n(250) {
-			sc.Ops = append(sc.Ops, scenario.Op{Proc: p, Kind: scenario.OpGet, Key: rng.Intn(leaseKeys), Val: int(t)})
+	// The checker takes at most check.MaxOps ops a key: the victim's
+	// polls go first, and the background ops give way to them.
+	var perKey [leaseKeys]int
+	add := func(op scenario.Op) {
+		if perKey[op.Key] < check.MaxOps {
+			perKey[op.Key]++
+			sc.Ops = append(sc.Ops, op)
 		}
 	}
-	for i, t := 0, c+150; t < c+350; i, t = i+1, t+3+rng.Int63n(5) {
-		sc.Ops = append(sc.Ops, scenario.Op{Proc: victim, Kind: scenario.OpGet, Key: i % leaseKeys, Val: int(t)})
+	for i, t := 0, c+w(150); t < c+w(350); i, t = i+1, t+w(3)+rng.Int63n(w(5)) {
+		add(scenario.Op{Proc: victim, Kind: scenario.OpGet, Key: i % leaseKeys, Val: int(t)})
+	}
+	for p := 0; p < leaseReplicas; p++ {
+		for t := w(50) + rng.Int63n(w(100)); t < c+w(900); t += w(100) + rng.Int63n(w(200)) {
+			add(scenario.Op{Proc: p, Kind: scenario.OpPut, Key: rng.Intn(leaseKeys), Val: int(t)})
+		}
+		for t := w(80) + rng.Int63n(w(200)); t < c+w(900); t += w(150) + rng.Int63n(w(250)) {
+			add(scenario.Op{Proc: p, Kind: scenario.OpGet, Key: rng.Intn(leaseKeys), Val: int(t)})
+		}
 	}
 	return sc
 }
@@ -123,7 +156,7 @@ func (m *Lease) Run(sc *scenario.Scenario) *scenario.Result {
 	waiting := make([]map[rbcast.MsgID]func(), leaseReplicas)
 	for j := range nodes {
 		nd := rsm.NewNode(leaseReplicas, kv.LeaseOptions()...)
-		nd.Omega.Period = node.HeartbeatPeriod
+		nd.Omega.Period, nd.Omega.LeaseTTL, nd.Omega.LeaseMargin = hostLease.period, hostLease.ttl, hostLease.margin
 		if m.Margin != nil {
 			nd.Omega.LeaseMargin = m.Margin(nd.Omega.LeaseTTL)
 		}
