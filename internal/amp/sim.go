@@ -21,8 +21,10 @@ import (
 // Network faults are Adversaries (adversary.go); process faults are the
 // CrashAt/KillAt/RecoverAt/CrashAfterSends calls and ClockRate windows.
 // A crash window is a pause: timers that come due in it fire at
-// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT. KillAt + Replace is
-// the amnesia path.
+// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT, and the process's
+// own self-sends are delivered then (other processes' messages stay
+// lost).
+// KillAt + Replace is the amnesia path.
 type Sim struct {
 	n     int
 	procs []Process
@@ -41,7 +43,7 @@ type Sim struct {
 	killed     []bool // crashed by KillAt: RecoverAt does not revive it, Replace does
 	halted     []bool
 	epoch      []int          // incarnation counter per pid; stale-epoch timers are dropped
-	parked     [][]*event     // per pid, timers that came due while it was crashed, in due order
+	parked     [][]*event     // per pid, timers and self-sends that came due while it was crashed, in due order
 	sendBudget []int          // -1 = unlimited; otherwise remaining sends before crash
 	rates      [][]rateWindow // per pid, its clock-rate windows in time order
 	delivered  int
@@ -180,14 +182,16 @@ func (s *Sim) MessagesDelivered() int { return s.delivered }
 
 // MessagesDropped reports how many sent messages were lost: dropped by an
 // adversary (or drop rule) at send time, or discarded at delivery because
-// the destination was crashed or halted. At quiescence,
+// the destination was crashed or halted (a paused process's self-send
+// counts here until its recovery delivers it). At quiescence,
 // sent == delivered + dropped; during a bounded Run the difference is the
 // in-flight count.
 func (s *Sim) MessagesDropped() int { return s.dropped }
 
 // QueuedEvents reports how many events are pending (in-flight messages,
 // armed timers, scheduled closures and crash/recovery injections); the
-// timers a crash window parked are not queued until RecoverAt.
+// timers and self-sends a crash window parked are not queued until
+// RecoverAt.
 func (s *Sim) QueuedEvents() int { return s.q.len() }
 
 // Schedule runs fn at virtual time at (>= now) inside the event loop —
@@ -303,8 +307,10 @@ func (s *Sim) CrashAt(pid int, at Time) { s.procEvent(pid, at, evCrash) }
 func (s *Sim) KillAt(pid int, at Time) { s.procEvent(pid, at, evKill) }
 
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
-// crashed (not killed) then, it resumes where it paused: the timers that
-// came due meanwhile fire now, in due order, and the messages stay lost.
+// crashed (not killed) then, it resumes where it paused: the self-sends
+// that arrived meanwhile are delivered first, in the recovery's own
+// event, then the timers that came due fire, in due order; the other
+// processes' messages stay lost.
 // A send budget exhausted by CrashAfterSends is reset to unlimited.
 func (s *Sim) RecoverAt(pid int, at Time) { s.procEvent(pid, at, evRecover) }
 
@@ -376,9 +382,17 @@ func (s *Sim) Run(until Time) int {
 		processed++
 		switch e.kind {
 		case evDeliver:
-			if s.crashed[e.to] || s.halted[e.to] {
+			switch {
+			case e.from == e.to && s.crashed[e.to] && !s.killed[e.to] && !s.halted[e.to]:
+				// A paused process keeps its own self-sends, as a daemon's
+				// Runtime does (it handles them in the sending turn): they
+				// wait for the recovery, counted dropped until then.
 				s.dropped++
-			} else {
+				s.parked[e.to] = append(s.parked[e.to], e)
+				continue
+			case s.crashed[e.to] || s.halted[e.to]:
+				s.dropped++
+			default:
 				s.delivered++
 				s.procs[e.to].OnMessage(s.ctxs[e.to], e.from, e.msg)
 			}
@@ -409,8 +423,25 @@ func (s *Sim) Run(until Time) int {
 					s.sendBudget[e.to] = -1
 				}
 				for _, t := range s.parked[e.to] {
-					t.at = s.now
-					s.push(t)
+					if t.kind == evTimer {
+						t.at = s.now
+						s.push(t)
+					}
+				}
+				// The self-sends go first, before anything else due now: a
+				// daemon had handled them before it was stopped. Each record
+				// is freed after its delivery, which may take it for a new
+				// event, so nothing walks the list again.
+				for _, t := range s.parked[e.to] {
+					if t.kind != evDeliver {
+						continue
+					}
+					if !s.halted[e.to] {
+						s.dropped--
+						s.delivered++
+						s.procs[e.to].OnMessage(s.ctxs[e.to], t.from, t.msg)
+					}
+					s.freeEvent(t)
 				}
 				s.parked[e.to] = s.parked[e.to][:0]
 			}

@@ -38,6 +38,20 @@ func TestMutationLeaseMarginZeroIsCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// TestPausedLeaderKeepsItsOwnDecide replays lease seed 7988: leader 0
+// broadcasts a put's decide in the tick before a pause (1600–1820), the
+// followers apply it and the put returns, and the leader's own copy
+// arrives inside the pause. The daemons' Runtime handles a self-send in
+// the sending turn, so amp.Sim delivers it at the recovery, before
+// anything else: otherwise the resumed leader, still holding its lease,
+// serves the old value to its first read.
+func TestPausedLeaderKeepsItsOwnDecide(t *testing.T) {
+	m := &models.Lease{}
+	if res := m.Run(m.Generate(7988)); res.Failed {
+		scenario.Reportf(t, m.Name(), 7988, "%s", res.Reason)
+	}
+}
+
 // TestLeaseMarginSweep publishes the margin: for each candidate margin
 // it finds the largest clock-rate skew (the holder's clock that much
 // slow, the worst direction) at which every one of leaseSweepSeeds
