@@ -266,13 +266,14 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		})
 		return clientrpc.Response{OK: true, Val: all, Applied: len(all)}
 	case "stat":
-		var n int
+		var n, earlyStarts, earlyDropped int
 		var ctr jobq.Counters
 		var workers []int
 		s.rep.RT.Do(func(amp.Context) {
 			n = s.nd.RSM.Len()
 			ctr = s.nd.State().Counters()
 			workers = s.nd.State().Workers()
+			earlyStarts, earlyDropped = s.runner.EarlyCounts()
 		})
 		return clientrpc.Response{OK: true, Applied: n, Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep), Val: map[string]any{
 			"submitted":   ctr.Submitted,
@@ -284,6 +285,9 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 			"deadLetters": ctr.DeadLetters,
 			"stale":       ctr.Stale,
 			"workers":     workers,
+			// this node's runner's (jobq.Runner.EarlyCounts), not replicated
+			"earlyStarts":  earlyStarts,
+			"earlyDropped": earlyDropped,
 		}}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}

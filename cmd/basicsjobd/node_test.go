@@ -12,7 +12,8 @@ import (
 
 // TestTimedOutRunLeavesNoWaiter: a "run" whose job outlives the RPC's
 // patience takes its terminal-waiter channel with it, instead of
-// leaving it in the table for the life of the process.
+// leaving it in the table for the life of the process. The node's stat
+// then reports its runner's early-start gauges.
 func TestTimedOutRunLeavesNoWaiter(t *testing.T) {
 	addrs, err := node.AllocAddrs(2)
 	if err != nil {
@@ -48,5 +49,16 @@ func TestTimedOutRunLeavesNoWaiter(t *testing.T) {
 	}
 	if n := waiters(); n != 0 {
 		t.Errorf("%d job-waiter entries after a completed run, want 0", n)
+	}
+
+	// stat carries the runner's early-start gauges. On a one-node
+	// cluster every placed job is placed here and starts early: the
+	// quick one at least, and the slow one too unless it was submitted
+	// before the worker's join applied.
+	val, _ := s.handle(clientrpc.Request{Op: "stat"}).Val.(map[string]any)
+	starts, ok1 := val["earlyStarts"].(int)
+	dropped, ok2 := val["earlyDropped"].(int)
+	if !ok1 || !ok2 || starts < 1 || starts > 2 || dropped != 0 {
+		t.Errorf("stat earlyStarts=%v earlyDropped=%v, want 1 or 2 and 0", val["earlyStarts"], val["earlyDropped"])
 	}
 }

@@ -26,7 +26,9 @@
 // the worker's complete (or fail). Apply takes the choice iff that
 // worker is joined and holds fewer jobs than the cap the command
 // carries, at that point of the total order, so MaxPerWorker is a hard
-// bound however many replicas place at once.
+// bound however many replicas place at once. Only the outcome waits for the
+// applied placement: a job placed on its submitter's own worker (itself on
+// ties) runs during the submit's round (Runner.startEarly).
 //
 //   - Liveness: workers are replicas; internal/fd's heartbeat suspicion
 //     is the worker lease. The scheduler (the Ω leader) expires a worker

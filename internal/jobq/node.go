@@ -73,6 +73,8 @@ type Node struct {
 	assigning map[string]int
 	expiring  map[int]bool
 	rng       splitmix.Source
+	// placed is Runner.startEarly, told of each new job Submit places here.
+	placed func(c Cmd)
 }
 
 // New builds a queue replica for an n-replica group. The rsm options
@@ -126,6 +128,9 @@ func (jn *Node) Submit(ctx amp.Context, job string, budget int, payload any) rbc
 	if w := leastLoaded(jn.candidates(ctx), jn.cfg.MaxPerWorker, ctx.ID()); w != nil {
 		jn.assigning[job] = w.id
 		c.Worker, c.Attempt, c.Cap = w.id, 1, jn.cfg.MaxPerWorker
+	}
+	if _, known := jn.st.jobs[job]; !known && c.Attempt == 1 && c.Worker == ctx.ID() && jn.placed != nil {
+		jn.placed(c)
 	}
 	return jn.Propose(ctx, c)
 }

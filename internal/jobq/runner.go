@@ -44,16 +44,24 @@ type Runner struct {
 	nd      *Node
 	self    int
 	stopped bool
+	// early: job → how many of (cost done, placement applied) hold
+	early                     map[string]int
+	earlyStarts, earlyDropped int
 }
 
 // NewRunner attaches a worker runner for replica self to nd. Configure
 // the exported fields, then call Start (inside the event loop, or via
 // a deferred host hook).
 func NewRunner(nd *Node, self int) *Runner {
-	r := &Runner{nd: nd, self: self, RejoinDelay: 50}
+	r := &Runner{nd: nd, self: self, RejoinDelay: 50, early: make(map[string]int)}
 	nd.Subscribe(r.onEvent)
+	nd.placed = r.startEarly
 	return r
 }
+
+// EarlyCounts reports the attempts startEarly began and those it dropped
+// unreported (placed elsewhere, or cut by a Start). Read in the event loop.
+func (r *Runner) EarlyCounts() (starts, dropped int) { return r.earlyStarts, r.earlyDropped }
 
 // Start (re)joins the queue and resumes any attempt the replicated
 // state still assigns to this worker — the restart path after a crash:
@@ -63,6 +71,8 @@ func NewRunner(nd *Node, self int) *Runner {
 // stale token is rejected). Must run inside the event loop.
 func (r *Runner) Start() {
 	r.stopped = false
+	r.earlyDropped += len(r.early) // the assigned ones are re-executed below
+	clear(r.early)
 	r.Defer(1, r.join)
 	for _, j := range r.nd.State().Jobs() {
 		if (j.State == Assigned || j.State == Running) && j.Worker == r.self {
@@ -87,6 +97,16 @@ func (r *Runner) join() {
 
 // onEvent reacts to applied queue commands.
 func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
+	if _, ok := r.early[ev.Job]; ok && ev.Kind == EvSubmitted && !r.stopped {
+		// The job's first submit applied; a later duplicate is an EvNop.
+		if ev.Worker == r.self {
+			r.earlyHolds(ev.Job)
+		} else { // refused, or an earlier duplicate placed it elsewhere
+			delete(r.early, ev.Job)
+			r.earlyDropped++
+		}
+		return
+	}
 	if r.stopped || ev.Worker != r.self {
 		return
 	}
@@ -107,37 +127,66 @@ func (r *Runner) onEvent(ev Event, _ rsm.Entry, _ amp.Time) {
 	}
 }
 
-// execute runs one attempt: it proposes the outcome after the job's
-// cost, and nothing before that. j is the assignment-time snapshot;
-// j.Attempt is the idempotency token for the whole attempt. The outcome
-// is not proposed when the local view shows the attempt settled
-// (terminal, released, or reassigned). That view can lag, so a
-// reappearing worker may still report an attempt the cluster has
-// reassigned: its token loses the apply-time validation and is counted
-// Stale, never a second effect.
-func (r *Runner) execute(j Job) {
-	cost := amp.Time(1)
-	if r.Cost != nil {
-		if c := r.Cost(j); c > 0 {
-			cost = c
-		}
+// startEarly is Node.Submit's hook for a job it places on this worker: the
+// cost runs while the submit is ordered; the outcome waits for the submit to
+// apply with the placement taken, and one applied without it drops it.
+func (r *Runner) startEarly(c Cmd) {
+	if _, ok := r.early[c.Job]; ok || r.stopped || c.Worker != r.self {
+		return
 	}
-	r.Defer(cost, func() {
-		if r.stopped {
-			return
+	r.early[c.Job] = 0
+	r.earlyStarts++
+	r.Defer(r.cost(Job{ID: c.Job, Payload: c.Payload, Budget: c.Budget, State: Assigned, Attempt: 1, Worker: r.self}), func() {
+		if _, ok := r.early[c.Job]; ok && !r.stopped {
+			r.earlyHolds(c.Job)
 		}
-		cur, ok := r.nd.State().Job(j.ID)
-		if !ok || cur.State.Terminal() || cur.Worker != r.self || cur.Attempt != j.Attempt {
-			return // settled, or no longer our attempt
-		}
-		var out Cmd
-		if r.Work == nil {
-			out = Cmd{Kind: CmdComplete, Job: j.ID, Worker: r.self, Attempt: j.Attempt}
-		} else if res, errMsg, ok := r.Work(j); ok {
-			out = Cmd{Kind: CmdComplete, Job: j.ID, Worker: r.self, Attempt: j.Attempt, Result: res}
-		} else {
-			out = Cmd{Kind: CmdFail, Job: j.ID, Worker: r.self, Attempt: j.Attempt, Err: errMsg}
-		}
-		r.nd.Propose(r.nd.Ctx(), out)
 	})
+}
+
+// earlyHolds counts a condition of id's early attempt and reports at two.
+func (r *Runner) earlyHolds(id string) {
+	if r.early[id]++; r.early[id] == 2 {
+		delete(r.early, id)
+		r.report(id, 1)
+	}
+}
+
+// execute runs one attempt: it proposes the outcome after the job's
+// cost. j is the assignment-time snapshot; j.Attempt is the idempotency
+// token for the whole attempt.
+func (r *Runner) execute(j Job) {
+	r.Defer(r.cost(j), func() {
+		if !r.stopped {
+			r.report(j.ID, j.Attempt)
+		}
+	})
+}
+
+// cost is j's execution time in ticks.
+func (r *Runner) cost(j Job) amp.Time {
+	if r.Cost == nil {
+		return 1
+	}
+	return max(1, r.Cost(j))
+}
+
+// report proposes the outcome of the attempt, Work'd on the applied job,
+// unless the local view shows the attempt settled (terminal, released,
+// or reassigned). That view can lag, so a reappearing worker may still
+// report an attempt the cluster has reassigned: its token loses the
+// apply-time validation and is counted Stale, never a second effect.
+func (r *Runner) report(id string, attempt int) {
+	j, ok := r.nd.State().Job(id)
+	if !ok || j.State.Terminal() || j.Worker != r.self || j.Attempt != attempt {
+		return // settled, or no longer our attempt
+	}
+	var out Cmd
+	if r.Work == nil {
+		out = Cmd{Kind: CmdComplete, Job: id, Worker: r.self, Attempt: attempt}
+	} else if res, errMsg, ok := r.Work(j); ok {
+		out = Cmd{Kind: CmdComplete, Job: id, Worker: r.self, Attempt: attempt, Result: res}
+	} else {
+		out = Cmd{Kind: CmdFail, Job: id, Worker: r.self, Attempt: attempt, Err: errMsg}
+	}
+	r.nd.Propose(r.nd.Ctx(), out)
 }
