@@ -41,13 +41,16 @@ import (
 //     sequential-grant rule exists to prevent.
 //
 // Enforcement is the acceptor's job, not the detector's: consensus
-// acceptors consult GrantHolder and ignore ballot messages from any
+// acceptors consult GrantHolder and refuse ballot messages from any
 // other proposer while a grant is live (see mpcons.Synod.LeaseHolder).
-// Dropping ballots never violates Paxos safety; at worst it delays a
+// Refusing ballots never violates Paxos safety; at worst it delays a
 // rival leader by one TTL — exactly one: the rival reads its own grant's
 // expiry from GrantHolder and runs its first ballot the tick it lapses,
-// not ballots into the lease and a back-off past its end. A leader that
-// loses its lease (or never had one) orders reads through consensus.
+// not ballots into the lease and a back-off past its end; a granter that
+// heard the holder later, and so is bound a little longer, answers that
+// ballot with the ticks its grant has left, and the rival retries then.
+// A leader that loses its lease (or never had one) orders reads through
+// consensus.
 
 // leaseGrant is the follower's time-bounded leadership promise; Seq
 // echoes the eliciting heartbeat.

@@ -3,6 +3,7 @@ package kv
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -329,8 +330,25 @@ func TestHostLeaseConstants(t *testing.T) {
 // holder's last heartbeat takes a tick to arrive, so its grant lapses
 // up to a tick after crash+TTL, and the successor's ballot then takes
 // prepare, promise, accept, accepted and decide, a tick each, and a
-// mux pace before the survivor applies.
+// mux pace before the survivor applies. A survivor that hears the holder
+// late stays bound that much longer, and refuses the successor's first
+// ballot; the refusal's hop brings the retry to within a tick of its
+// lapse, which the same slack covers up to 3 ticks late.
 const outageSlack = 8
+
+// lagLink delays every message on one link by Lag ticks more than the
+// rest, which take one.
+type lagLink struct {
+	From, To int
+	Lag      amp.Time
+}
+
+func (l lagLink) Delay(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
+	if src == l.From && dst == l.To {
+		return 1 + l.Lag
+	}
+	return 1
+}
 
 // TestFailoverOutageIsOneTTL pins the outage kv-tcp-failover measures,
 // deterministically: three replicas with LeaseOptions at
@@ -341,10 +359,26 @@ const outageSlack = 8
 // TTL − Period (the dead holder heartbeat at most one Period before the
 // crash, and a grant is honoured for a TTL from its receipt) and stay
 // within TTL + outageSlack: the lease sets the outage, not Ω, whose
-// first detection bound is shorter.
+// first detection bound is shorter. The same holds when survivor 2
+// hears the holder 1–3 ticks after survivor 1 and so stays bound that
+// much longer: its acceptor refuses the successor's first ballot and
+// says for how long, and the successor retries then, not a Synod retry
+// period later.
 func TestFailoverOutageIsOneTTL(t *testing.T) {
+	for lag := amp.Time(0); lag <= 3; lag++ {
+		lo, hi := failoverOutages(t, lagLink{From: 0, To: 2, Lag: lag})
+		t.Logf("kv failover on amp.Sim, survivor 2 %d ticks late: outage %d–%d ticks over %d crash phases (TTL %d, heartbeat period %d)",
+			lag, lo, hi, node.HeartbeatPeriod, hostLeaseTTL, node.HeartbeatPeriod)
+	}
+}
+
+// failoverOutages runs TestFailoverOutageIsOneTTL's crash at every phase
+// of a heartbeat period over links delayed by dm, checks each outage
+// and returns their range.
+func failoverOutages(t *testing.T, dm amp.DelayModel) (lo, hi amp.Time) {
+	t.Helper()
 	const base = 1000
-	lo, hi := amp.Time(10*hostLeaseTTL), amp.Time(0)
+	lo = 10 * hostLeaseTTL
 	for crashAt := amp.Time(base); crashAt < base+node.HeartbeatPeriod; crashAt++ {
 		nodes := make([]*rsm.Node, 3)
 		procs := make([]amp.Process, len(nodes))
@@ -359,7 +393,7 @@ func TestFailoverOutageIsOneTTL(t *testing.T) {
 			}
 			procs[i] = nodes[i].Stack
 		}
-		sim := amp.NewSim(procs, amp.WithDelay(amp.FixedDelay{D: 1}))
+		sim := amp.NewSim(procs, amp.WithDelay(dm))
 		sim.CrashAt(0, crashAt)
 		sim.Schedule(crashAt+1, func() {
 			if h, _, ok := nodes[1].Omega.GrantHolder(sim.Now()); !ok || h != 0 {
@@ -370,13 +404,12 @@ func TestFailoverOutageIsOneTTL(t *testing.T) {
 		sim.Run(crashAt + 10*hostLeaseTTL)
 		outage := committed - crashAt
 		if committed == 0 || outage <= hostLeaseTTL-node.HeartbeatPeriod || outage > hostLeaseTTL+outageSlack {
-			t.Fatalf("crash at %d, first commit after it at %d: outage %d ticks, want in (%d, %d]",
-				crashAt, committed, outage, hostLeaseTTL-node.HeartbeatPeriod, hostLeaseTTL+outageSlack)
+			t.Fatalf("%+v, crash at %d, first commit after it at %d: outage %d ticks, want in (%d, %d]",
+				dm, crashAt, committed, outage, hostLeaseTTL-node.HeartbeatPeriod, hostLeaseTTL+outageSlack)
 		}
 		lo, hi = min(lo, outage), max(hi, outage)
 	}
-	t.Logf("kv failover on amp.Sim: outage %d–%d ticks over %d crash phases (TTL %d, heartbeat period %d)",
-		lo, hi, node.HeartbeatPeriod, hostLeaseTTL, node.HeartbeatPeriod)
+	return lo, hi
 }
 
 // TestHostStatGauges: basicskv's stat reply carries, per shard, the

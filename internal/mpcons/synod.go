@@ -31,13 +31,15 @@ type Synod struct {
 	// LeaseHolder, if set, reports the read-lease holder this process is
 	// currently bound to honor and when that binding lapses (see
 	// fd.Detector.GrantHolder). While a holder h is live, the acceptor
-	// ignores prepare/accept messages from every other proposer — that
+	// refuses prepare/accept messages from every other proposer — that
 	// refusal is exactly the promise that makes h's local reads
 	// linearizable, since no rival ballot can assemble a quorum before
-	// the lease expires. Dropping ballots never violates Paxos safety;
-	// at worst it delays a rival leader by one lease TTL: the proposer
-	// reads the same binding, sends no ballot its own acceptor would
-	// refuse, and looks again at until.
+	// the lease expires. Refusing ballots never violates Paxos safety;
+	// at worst it delays a rival leader by one lease TTL, and no more:
+	// the proposer reads the same binding, sends no ballot its own
+	// acceptor would refuse, and looks again at until; an acceptor bound
+	// by a grant to another process says how long it stays bound, and
+	// the proposer retries the moment that has passed.
 	LeaseHolder func(now amp.Time) (holder int, until amp.Time, ok bool)
 	// OnAcceptorChange, if set, fires synchronously whenever the acceptor
 	// triple (promised, acceptedBal, acceptedVal) changes — BEFORE the
@@ -63,7 +65,8 @@ type Synod struct {
 	accepteds map[int]bool
 	propVal   any
 
-	stalls int // consecutive retries that found a ballot still inflight
+	stalls int      // consecutive retries that found a ballot still inflight
+	due    amp.Time // when the retry timer chain next runs (see OnTimer)
 
 	decided    bool
 	decidedVal any
@@ -88,8 +91,15 @@ type (
 		Val any
 	}
 	synAccepted struct{ Bal int }
-	synReject   struct{ Promised int }
-	synDecide   struct{ Val any }
+	// synReject refuses a ballot: one below Promised, or, when Bound >
+	// 0, ballot Bal, for a lease that binds the acceptor to another
+	// process Bound more ticks.
+	synReject struct {
+		Promised int
+		Bal      int
+		Bound    amp.Time
+	}
+	synDecide struct{ Val any }
 )
 
 // IsBallot reports whether msg is a proposer's ballot message (a prepare
@@ -144,14 +154,24 @@ func (s *Synod) Release() {
 	s.OnAcceptorChange = nil
 }
 
-// leaseBlocks reports whether a live read-lease forbids acting on a
-// ballot message from proposer `from`.
-func (s *Synod) leaseBlocks(ctx amp.Context, from int) bool {
+// leaseBlocks reports whether a live read-lease forbids acting on
+// ballot bal from proposer `from`, and if so refuses it. An acceptor
+// bound by its grant to another process tells the proposer how long the
+// grant lasts; one that holds the lease itself says nothing, since its
+// own renewals keep extending it.
+func (s *Synod) leaseBlocks(ctx amp.Context, from, bal int) bool {
 	if s.LeaseHolder == nil {
 		return false
 	}
-	h, _, ok := s.LeaseHolder(ctx.Now())
-	return ok && h != from
+	now := ctx.Now()
+	h, until, ok := s.LeaseHolder(now)
+	if !ok || h == from {
+		return false
+	}
+	if until > now {
+		ctx.Send(from, synReject{Bal: bal, Bound: until - now})
+	}
+	return true
 }
 
 // leaseWait is the proposer's reading of leaseBlocks: how long this
@@ -209,9 +229,11 @@ func (s *Synod) Kick(ctx amp.Context) bool {
 // Once decided, it watches for the relay: the decision's sender may have
 // crashed mid-broadcast, and a decided Ω leader runs no ballot, so the
 // decision is relayed once Ω stops naming the sender, which otherwise
-// needs no help.
+// needs no help. The loop is one chain: a timer that fires before the
+// chain's due time was overtaken by an earlier retry (see retryAt) and
+// does nothing.
 func (s *Synod) OnTimer(ctx amp.Context, id int) {
-	if id != synodRetryTimer || (s.decided && s.relayFrom == s.id) {
+	if id != synodRetryTimer || ctx.Now() < s.due || (s.decided && s.relayFrom == s.id) {
 		return
 	}
 	if s.decided && (s.Omega == nil || s.Omega.Leader() != s.relayFrom) {
@@ -236,7 +258,17 @@ func (s *Synod) armRetry(ctx amp.Context) {
 	if w := s.leaseWait(ctx); w > 0 && w < d {
 		d = w
 	}
+	s.due = ctx.Now() + d
 	ctx.SetTimer(d, synodRetryTimer)
+}
+
+// retryAt brings the retry chain forward to d ticks from now, if it is
+// due later: the timer already armed then finds itself overtaken.
+func (s *Synod) retryAt(ctx amp.Context, d amp.Time) {
+	if now := ctx.Now(); now+d < s.due {
+		s.due = now + d
+		ctx.SetTimer(d, synodRetryTimer)
+	}
 }
 
 // synodRetryPeriod is how often an undecided leader re-attempts a
@@ -276,7 +308,7 @@ func (s *Synod) startBallot(ctx amp.Context) {
 func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 	switch m := msg.(type) {
 	case synPrepare:
-		if s.leaseBlocks(ctx, from) {
+		if s.leaseBlocks(ctx, from, m.Bal) {
 			return
 		}
 		if m.Bal > s.promised {
@@ -309,7 +341,7 @@ func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			ctx.Broadcast(synAccept{Bal: s.ballot, Val: s.propVal})
 		}
 	case synAccept:
-		if s.leaseBlocks(ctx, from) {
+		if s.leaseBlocks(ctx, from, m.Bal) {
 			return
 		}
 		if m.Bal >= s.promised {
@@ -331,7 +363,20 @@ func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			ctx.Broadcast(synDecide{Val: s.propVal})
 		}
 	case synReject:
-		if s.inBallot && m.Promised > s.ballot {
+		switch {
+		case !s.inBallot:
+		case m.Bound > 0:
+			// Refused for a lease another process holds there: a
+			// quorum may still form without that acceptor, so the
+			// ballot stays open, but if it has not completed when the
+			// binding lapses the retry comes then, not a period later.
+			// The refusal took a tick at least to get here (amp's least
+			// delay), so the lapse is at most Bound−1 ticks off; a
+			// retry that comes early is refused again, for what is left.
+			if m.Bal == s.ballot {
+				s.retryAt(ctx, max(m.Bound-1, 1))
+			}
+		case m.Promised > s.ballot:
 			s.inBallot = false // abandon; retry on the next timer tick
 		}
 	case synDecide:

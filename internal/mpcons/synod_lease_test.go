@@ -101,3 +101,91 @@ func TestSynodKickStartsFirstBallotOnly(t *testing.T) {
 		t.Fatalf("synPrepare at %v, want one, in the turn of the first Kick", ctx.prepares)
 	}
 }
+
+// TestSynodLeaseRefusalBringsRetryForward: an acceptor's refusal for a
+// lease it is bound to elsewhere moves the proposer's one retry chain
+// to the binding's lapse (a tick early: the refusal spent at least one
+// on the wire), and the timer it overtook does nothing when it fires.
+func TestSynodLeaseRefusalBringsRetryForward(t *testing.T) {
+	s := &Synod{Input: "v", Omega: fd.NewDetector(3)}
+	ctx := &probeCtx{}
+	s.Init(ctx) // retry due at 40
+	s.Kick(ctx) // ballot 1 at 0
+	ctx.now = 2
+	s.OnMessage(ctx, 2, synReject{Bal: s.ballot + 3, Bound: 9}) // another ballot's: ignored
+	s.OnMessage(ctx, 2, synReject{Bal: s.ballot, Bound: 9})     // bound until 11
+	if got := ctx.armed[len(ctx.armed)-1]; len(ctx.armed) != 2 || got != 8 {
+		t.Fatalf("timers armed %v, want the retry brought forward to 8 ticks from the refusal", ctx.armed)
+	}
+	for _, now := range []amp.Time{10, 40} { // the new chain's retry, then the overtaken timer
+		ctx.now = now
+		s.OnTimer(ctx, synodRetryTimer)
+	}
+	if len(ctx.prepares) != 2 || ctx.prepares[1] != 10 {
+		t.Fatalf("synPrepare at %v, want [0 10]: one ballot at the lapse and none from the overtaken timer", ctx.prepares)
+	}
+}
+
+// lagLink delays every message on one link by Lag ticks more than the
+// rest, which take one.
+type lagLink struct {
+	From, To int
+	Lag      amp.Time
+}
+
+func (l lagLink) Delay(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
+	if src == l.From && dst == l.To {
+		return 1 + l.Lag
+	}
+	return 1
+}
+
+// TestSynodSuccessorWaitsOutLateGranterOnly: three leased Synod
+// processes, holder 0 crashes, and survivor 2 hears its heartbeats lag
+// ticks after survivor 1 does, so 2 stays bound to the dead holder that
+// much longer than 1. Successor 1 runs its first ballot when its own
+// grant lapses; 2 refuses it and says for how long it is still bound,
+// and 1 retries then, at most a tick after the lapse. The decision
+// comes a ballot's five hops after that — not a retry period (40 ticks)
+// later, as when 2 dropped the ballot unanswered — at every crash phase
+// of a heartbeat period.
+func TestSynodSuccessorWaitsOutLateGranterOnly(t *testing.T) {
+	const period, ttl, base = 10, 50, 500
+	for lag := amp.Time(0); lag <= 3; lag++ {
+		for crashAt := amp.Time(base); crashAt < base+period; crashAt++ {
+			dets := make([]*fd.Detector, 3)
+			procs := make([]amp.Process, 3)
+			var decided amp.Time
+			var sim *amp.Sim
+			for i := range procs {
+				dets[i] = fd.NewDetector(3)
+				dets[i].Period, dets[i].LeaseTTL = period, ttl
+				syn := &Synod{
+					Input:       i,
+					Omega:       dets[i],
+					LeaseHolder: dets[i].GrantHolder,
+					Enabled:     func() bool { return sim.Now() > crashAt },
+				}
+				if i == 1 {
+					syn.OnDecide = func(_ any, at amp.Time) { decided = at }
+				}
+				procs[i] = amp.NewStack(dets[i], syn)
+			}
+			sim = amp.NewSim(procs, amp.WithDelay(lagLink{From: 0, To: 2, Lag: lag}))
+			sim.CrashAt(0, crashAt)
+			var lapse amp.Time
+			sim.Schedule(crashAt+5, func() { // the dead holder's last heartbeat has landed
+				h, until, ok := dets[2].GrantHolder(sim.Now())
+				if !ok || h != 0 {
+					t.Errorf("lag %d, crash at %d: survivor 2 is bound to (%d, %v), want the dead holder 0", lag, crashAt, h, ok)
+				}
+				lapse = until
+			})
+			sim.Run(crashAt + 4*ttl)
+			if decided <= lapse || decided > lapse+6 {
+				t.Fatalf("lag %d, crash at %d: survivor 1 decided at %d, want in (%d, %d]: right after 2's grant lapses",
+					lag, crashAt, decided, lapse, lapse+6)
+			}
+		}
+	}
+}
