@@ -17,7 +17,8 @@
 //	    line-delimited JSON on the node's client port:
 //	    {"op":"put","key":"x","val":1} / {"op":"get","key":"x"} /
 //	    {"op":"bcast","key":"tag"} / {"op":"uid"} / {"op":"order"} /
-//	    {"op":"stat"}.
+//	    {"op":"stat"} (applied count, TCP and journal counters, and
+//	    Ω's gauges: leader, leaderChanges, falseSuspicions, resends).
 //
 //	basicsd e2e [-dir DIR] [-keep]
 //	    The kill -9 survival demo: spawn a local 5-node cluster, run
@@ -43,9 +44,10 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "serve":
-		if err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
+		if _, err := runServe(node.ServeArgs(os.Args[2:], "id")); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
+		select {} // crash-stop: run until killed
 	case "e2e":
 		if err := runE2E(e2eOptions{E2EOptions: node.E2EArgs(os.Args[2:])}); err != nil {
 			log.Fatalf("e2e: FAIL: %v", err)

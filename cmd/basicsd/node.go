@@ -33,14 +33,14 @@ type server struct {
 }
 
 // runServe is the `basicsd serve` entrypoint: bring up node `id` of the
-// cluster described by the config file and serve client RPCs until
-// killed. There is no graceful shutdown path on purpose — the process
-// model is crash-stop (kill -9), and the journal plus the peers'
+// cluster described by the config file and serve client RPCs; main then
+// runs until killed. There is no graceful shutdown path on purpose — the
+// process model is crash-stop (kill -9), and the journal plus the peers'
 // anti-entropy carry it through restart.
-func runServe(cfgPath string, id int) error {
+func runServe(cfgPath string, id int) (*server, error) {
 	cfg := &node.Config{}
 	if err := node.Load(cfgPath, cfg); err != nil {
-		return err
+		return nil, err
 	}
 	s := &server{id: id, boot: time.Now().UnixNano()}
 	var err error
@@ -50,16 +50,16 @@ func runServe(cfgPath string, id int) error {
 		return nd
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.kv.Bind(s.rep.RT) // only client calls use it, and the RPC server is not up yet
 	if s.rpc, err = clientrpc.NewServer(cfg.Clients[id], s.handle); err != nil {
 		s.rep.Close()
-		return fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
+		return nil, fmt.Errorf("client listen %s: %w", cfg.Clients[id], err)
 	}
 	log.Printf("basicsd: node %d up: peers=%s clients=%s journal=%s",
 		id, s.rep.Addr(), s.rpc.Addr(), cfg.Journals[id])
-	select {} // crash-stop: run until killed
+	return s, nil
 }
 
 // handle serves one client request; it runs on a clientrpc pool
@@ -101,7 +101,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 		})
 		return clientrpc.Response{OK: true, Order: ids, OrderBase: base, Applied: base + len(ids)}
 	case "stat":
-		return clientrpc.Response{OK: true, Applied: s.rep.Applied(), Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep)}
+		return clientrpc.Response{OK: true, Applied: s.rep.Applied(), Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep), Gauges: node.Gauges(s.rep)}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -275,7 +275,7 @@ func (s *server) handle(req clientrpc.Request) clientrpc.Response {
 			workers = s.nd.State().Workers()
 			earlyStarts, earlyDropped = s.runner.EarlyCounts()
 		})
-		return clientrpc.Response{OK: true, Applied: n, Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep), Val: map[string]any{
+		return clientrpc.Response{OK: true, Applied: n, Net: node.NetStats(s.rep), Journal: node.JournalStats(s.rep), Gauges: node.Gauges(s.rep), Val: map[string]any{
 			"submitted":   ctr.Submitted,
 			"assigns":     ctr.Assigns,
 			"completions": ctr.Completions,

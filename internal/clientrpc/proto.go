@@ -38,6 +38,41 @@ type Response struct {
 	ID        string        `json:"id,omitempty"`
 	Net       *NetStats     `json:"net,omitempty"`
 	Journal   *JournalStats `json:"journal,omitempty"`
+	Gauges    []Gauges      `json:"gauges,omitempty"`
+}
+
+// Gauges is one replica group's failure-detector and consensus state,
+// one entry per group a daemon's "stat" op reports on (basicskv: one
+// per shard; basicsd and basicsjobd: one). A failover reads off it: who
+// each survivor follows and, where a read lease runs, whose grant binds
+// its acceptor and for how many more ticks.
+type Gauges struct {
+	Leader int `json:"leader"` // the Ω leader this replica believes in
+	// LeaderChanges counts the changes of Leader since start (the
+	// initial choice included), and FalseSuspicions the suspicions of a
+	// peer retracted when it spoke again: once a cluster without crashes
+	// is up, both stay put, or Ω's suspicion threshold is too short for
+	// the load.
+	LeaderChanges   int `json:"leaderChanges"`
+	FalseSuspicions int `json:"falseSuspicions"`
+	// Resends counts the payloads this replica, as their originator,
+	// broadcast again because they were still unordered a sync period on.
+	Resends int `json:"resends"`
+	// Lease is the read lease's state, where one runs (basicskv).
+	Lease *LeaseGauges `json:"lease,omitempty"`
+}
+
+// LeaseGauges is a replica's side of the read lease.
+type LeaseGauges struct {
+	// HoldsLease is rsm.Node.HoldsLease: whether it serves lease reads
+	// now, which a leader holding grants does only once a command it
+	// submitted in the current run has applied.
+	HoldsLease bool `json:"holdsLease"`
+	// GrantHolder is the process this replica's acceptor must honour
+	// (-1 for none, itself while it holds grants), and GrantLeft the
+	// ticks its grant to another process has left.
+	GrantHolder int   `json:"grantHolder"`
+	GrantLeft   int64 `json:"grantLeft"`
 }
 
 // NetStats is the TCP transport's counter snapshot a daemon's "stat" op

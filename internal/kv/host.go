@@ -35,27 +35,28 @@ type HostConfig struct {
 
 // The Host's read lease, in ticks of transport.DefaultUnit (2ms).
 const (
-	// hostLeaseTTL is five heartbeat periods: at node.HeartbeatPeriod=20
-	// a 100-tick lease is 200ms, renewed every 40ms. It is also the
+	// hostLeaseTTL is five heartbeat periods: at node.HeartbeatPeriod=10
+	// a 50-tick lease is 100ms, renewed every 20ms. It is also the
 	// outage after a holder dies: survivors honour its last grants for
-	// one TTL, which Ω's first detection bound (80 ticks) stays under
-	// (TestHostLeaseConstants, TestFailoverOutageIsOneTTL).
-	hostLeaseTTL amp.Time = 100
+	// one TTL, which Ω's first detection bound (40 ticks) stays under,
+	// and a survivor still bound a few ticks longer tells the successor
+	// when to retry (TestHostLeaseConstants, TestFailoverOutageIsOneTTL).
+	hostLeaseTTL amp.Time = 50
 	// hostLeaseMargin is subtracted from the holder-side validity of
 	// every lease grant. The lease protocol's safety needs the holder's
 	// belief to lapse before the granter's promise, which processes on
 	// one clock get from the heartbeat's network delay alone; real
 	// processes count their OWN ticks, which drift and jitter under
-	// load, so the Host path must leave slack: TTL/10 + 2 = 12 ticks, so
-	// a grant is believed for 88 (4.4 heartbeat periods). The lease
+	// load, so the Host path must leave slack: TTL/10 + 2 = 7 ticks, so
+	// a grant is believed for 43 (4.3 heartbeat periods). The lease
 	// model (internal/scenario/models, TestLeaseMarginSweep) measures
 	// what a margin buys: the largest clock-rate skew — the holder's
 	// clock that much slow — at which 40 seeds of silenced leaders stay
-	// linearizable, with the lease resolved into 300 sim ticks:
+	// linearizable, with the lease resolved into 250 sim ticks:
 	//
 	//	margin        0    TTL/20   TTL/10+2   TTL/5
-	//	ticks         0    5        12         20
-	//	safe skew     4%   8%       16%        23%
+	//	ticks         0    2        7          10
+	//	safe skew     4%   9%       18%        23%
 	//
 	// The claim is 10% (the model's clock windows draw up to it, on any
 	// replica, in either direction); the rest is scheduling jitter.
@@ -172,11 +173,7 @@ func (h *Host) Handle(req clientrpc.Request) clientrpc.Response {
 		for _, stack := range h.stacks {
 			total += stack.Applied()
 		}
-		gauges := make([]Gauges, len(h.shards))
-		for s, rep := range h.shards {
-			gauges[s] = rep.gauges()
-		}
-		return clientrpc.Response{OK: true, Applied: total, Val: gauges, Net: node.NetStats(h.stacks...), Journal: node.JournalStats(h.stacks...)}
+		return clientrpc.Response{OK: true, Applied: total, Net: node.NetStats(h.stacks...), Journal: node.JournalStats(h.stacks...), Gauges: node.Gauges(h.stacks...)}
 	default:
 		return clientrpc.Response{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -412,10 +412,10 @@ func failoverOutages(t *testing.T, dm amp.DelayModel) (lo, hi amp.Time) {
 	return lo, hi
 }
 
-// TestHostStatGauges: basicskv's stat reply carries, per shard, the
-// lease gauges a failover is read from — each present in the JSON a
-// client sees, and consistent across a settled cluster: every replica
-// follows replica 0, which holds the lease once a read has gone
+// TestHostStatGauges: basicskv's stat reply carries, per shard, the Ω,
+// rsm and lease gauges a failover is read from — each present in the
+// JSON a client sees, and consistent across a settled cluster: every
+// replica follows replica 0, which holds the lease once a read has gone
 // through it, and a follower's acceptor is bound to it.
 func TestHostStatGauges(t *testing.T) {
 	if testing.Short() {
@@ -429,22 +429,33 @@ func TestHostStatGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp struct {
-			Val []map[string]any `json:"val"`
+			Gauges []map[string]any `json:"gauges"`
 		}
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Val) != shards {
-			t.Fatalf("host %d stat carries %d shard gauges, want %d: %s", i, len(resp.Val), shards, raw)
+		if len(resp.Gauges) != shards {
+			t.Fatalf("host %d stat carries %d shard gauges, want %d: %s", i, len(resp.Gauges), shards, raw)
 		}
-		for s, g := range resp.Val {
-			for _, k := range []string{"leader", "holdsLease", "grantHolder", "grantLeft", "resends", "leaderChanges", "falseSuspicions"} {
+		out := make([]map[string]any, shards)
+		for s, g := range resp.Gauges {
+			lease, _ := g["lease"].(map[string]any)
+			out[s] = map[string]any{"leader": g["leader"]}
+			for k, v := range lease {
+				out[s][k] = v
+			}
+			for _, k := range []string{"leader", "resends", "leaderChanges", "falseSuspicions"} {
 				if _, ok := g[k]; !ok {
 					t.Errorf("host %d shard %d stat has no %q gauge: %s", i, s, k, raw)
 				}
 			}
+			for _, k := range []string{"holdsLease", "grantHolder", "grantLeft"} {
+				if _, ok := lease[k]; !ok {
+					t.Errorf("host %d shard %d stat has no lease %q gauge: %s", i, s, k, raw)
+				}
+			}
 		}
-		return resp.Val
+		return out
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -105,51 +105,6 @@ func (r *Replica) leaseRead(key string) (val any, ok bool) {
 	return val, ok
 }
 
-// Gauges is one shard replica's lease and dissemination state, the
-// per-shard entry of basicskv's "stat" reply (its Val). A failover's
-// outage reads off it: who each survivor follows, whose grant binds its
-// acceptor and for how many more ticks.
-type Gauges struct {
-	Leader int `json:"leader"` // the Ω leader this replica believes in
-	// HoldsLease is rsm.Node.HoldsLease: whether it serves lease reads
-	// now, which a leader holding grants does only once a command it
-	// submitted in the current run has applied.
-	HoldsLease bool `json:"holdsLease"`
-	// GrantHolder is the process this replica's acceptor must honour
-	// (-1 for none, itself while it holds grants), and GrantLeft the
-	// ticks its grant to another process has left.
-	GrantHolder int   `json:"grantHolder"`
-	GrantLeft   int64 `json:"grantLeft"`
-	// Resends counts the payloads this replica, as their originator,
-	// broadcast again because they were still unordered a sync period on.
-	Resends int `json:"resends"`
-	// LeaderChanges counts the changes of Leader since start (the
-	// initial choice included), and FalseSuspicions the suspicions of a
-	// peer retracted when it spoke again: once a cluster without crashes
-	// is up, both stay put, or Ω's suspicion threshold is too short for
-	// the load.
-	LeaderChanges   int `json:"leaderChanges"`
-	FalseSuspicions int `json:"falseSuspicions"`
-}
-
-// gauges reads the replica's Gauges inside its event loop.
-func (r *Replica) gauges() (g Gauges) {
-	r.rt.Do(func(ctx amp.Context) {
-		now := ctx.Now()
-		g.Leader = r.nd.Omega.Leader()
-		g.HoldsLease = r.nd.HoldsLease(now)
-		var until amp.Time
-		g.GrantHolder, until, _ = r.nd.Omega.GrantHolder(now)
-		if until > now {
-			g.GrantLeft = int64(until - now)
-		}
-		g.Resends = r.nd.Resends()
-		g.LeaderChanges = len(r.nd.Omega.Changes())
-		g.FalseSuspicions = r.nd.Omega.FalseSuspicions()
-	})
-	return g
-}
-
 // Serve answers the KV verbs of a client RPC — put and del through
 // consensus, get from the lease when held and else as a consensus no-op
 // read — and reports false for any other op.

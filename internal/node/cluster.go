@@ -228,8 +228,9 @@ func (c *Cluster) Stats(i int) (clientrpc.Response, error) {
 }
 
 // LogStats prints each node's applied count, its daemon's own stat
-// value if any, and its TCP counters: frames sent and delivered, frames
-// shed at a full send buffer, and redials.
+// value if any, Ω's record (leader, leader changes, false suspicions)
+// and its TCP counters: frames sent and delivered, frames shed at a
+// full send buffer, and redials.
 func (c *Cluster) LogStats() {
 	for i := range c.Clients {
 		resp, err := c.Stats(i)
@@ -239,6 +240,9 @@ func (c *Cluster) LogStats() {
 		val := ""
 		if resp.Val != nil {
 			val = fmt.Sprintf(" val=%v", resp.Val)
+		}
+		for _, g := range resp.Gauges {
+			val += fmt.Sprintf(" omega: leader=%d changes=%d false=%d", g.Leader, g.LeaderChanges, g.FalseSuspicions)
 		}
 		log.Printf("e2e: node %d: applied=%d%s net: sent=%d delivered=%d shed=%d redials=%d",
 			i, resp.Applied, val, resp.Net.Sent, resp.Net.Delivered, resp.Net.Shed, resp.Net.Retries)

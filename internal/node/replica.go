@@ -15,15 +15,17 @@ import (
 // HeartbeatPeriod is the Ω heartbeat period, in ticks, of every replica
 // Start brings up. Ω suspects a peer after three silent periods
 // (fd.Detector's initial timeout) at the first suspicion sweep after
-// them, so a crash is noticed 60–80 ticks (120–160 ms at the default
+// them, so a crash is noticed 30–40 ticks (60–80 ms at the default
 // 2 ms tick) after the peer's last heartbeat, and the period also sets
-// what the heartbeats cost. kv's read lease is sized against it (a
-// grant outlives three lost heartbeats; TestHostLeaseConstants); jobq's
-// worker grace is a stated time instead. Suspicion steers the protocols
-// only: the transport sends to a suspected peer as to any other. The
-// simulation-scale default (8) would send two and a half times the
-// heartbeats for a detection time no daemon needs.
-const HeartbeatPeriod amp.Time = 20
+// what the heartbeats cost: in a settled, idle group of three the
+// leader sends a heartbeat to each follower every period, and each
+// follower a heartbeat to each peer and a lease grant to the leader
+// (TestIdleFramesPerPeriod). kv's read lease is sized against it (a
+// grant outlives three lost heartbeats; TestHostLeaseConstants), and a
+// kv failover lasts one lease TTL; jobq's worker grace is a stated time
+// instead. Suspicion steers the protocols only: the transport sends to
+// a suspected peer as to any other.
+const HeartbeatPeriod amp.Time = 10
 
 // RPCTimeout bounds one consensus round-trip from the client's side.
 // Long enough to ride out a chaos window plus leader re-election, short
@@ -188,6 +190,34 @@ func JournalStats(reps ...*Replica) *clientrpc.JournalStats {
 			out = &clientrpc.JournalStats{}
 		}
 		addJournalStats(out, r.journal.Stats())
+	}
+	return out
+}
+
+// Gauges reads each rep's Ω, rsm and lease state inside its event loop
+// for the "stat" op, one entry per rep in the order given; the lease
+// part only where the rep runs a read lease.
+func Gauges(reps ...*Replica) []clientrpc.Gauges {
+	out := make([]clientrpc.Gauges, len(reps))
+	for i, r := range reps {
+		g, nd := &out[i], r.Node
+		r.RT.Do(func(ctx amp.Context) {
+			g.Leader = nd.Omega.Leader()
+			g.LeaderChanges = len(nd.Omega.Changes())
+			g.FalseSuspicions = nd.Omega.FalseSuspicions()
+			g.Resends = nd.Resends()
+			if nd.Omega.LeaseTTL <= 0 {
+				return
+			}
+			now := ctx.Now()
+			l := &clientrpc.LeaseGauges{HoldsLease: nd.HoldsLease(now)}
+			var until amp.Time
+			l.GrantHolder, until, _ = nd.Omega.GrantHolder(now)
+			if until > now {
+				l.GrantLeft = int64(until - now)
+			}
+			g.Lease = l
+		})
 	}
 	return out
 }

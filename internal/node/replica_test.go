@@ -2,6 +2,7 @@ package node
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,6 +121,70 @@ func TestStartLoopback(t *testing.T) {
 	if js := JournalStats(reps...); js != nil {
 		t.Fatalf("journal stats without a journal: %+v", js)
 	}
+}
+
+// tallyNode is a Loopback endpoint that counts the frames its replica
+// sends to peers, by the message's type inside amp's stack envelope.
+type tallyNode struct {
+	*transport.LoopbackNode
+	sent map[string]int
+}
+
+func (n tallyNode) SendValue(to int, msg any) error {
+	if to != n.Self() {
+		n.sent[reflect.ValueOf(msg).FieldByName("Inner").Elem().Type().Name()]++
+	}
+	return n.LoopbackNode.SendValue(to, msg)
+}
+
+// TestIdleFramesPerPeriod pins what a settled, idle replica group of
+// three on Start sends per HeartbeatPeriod with a read lease on, by
+// role: the leader a heartbeat to each follower; each follower a
+// heartbeat to each peer and a lease grant to the leader, in answer to
+// the leader's heartbeat. Nothing else: no ballots, fetches or gossip
+// once the last command has applied everywhere. That is 2 frames per
+// period at the leader and 3 at a follower, per replica group, and a
+// process sends it once per group it runs (basicskv: one per shard).
+func TestIdleFramesPerPeriod(t *testing.T) {
+	const n, periods = 3, 100
+	const ttl = 5 * HeartbeatPeriod // kv's lease, with its margin TTL/10+2
+	lb := transport.NewLoopback(n)
+	tallies := make([]tallyNode, n)
+	reps := make([]*Replica, n)
+	for i := range reps {
+		tallies[i] = tallyNode{LoopbackNode: lb.Node(i), sent: map[string]int{}}
+		nd := rsm.NewNode(n, rsm.WithReadLease(ttl), rsm.WithLeaseMargin(ttl/10+2))
+		reps[i] = Start(nd, tallies[i], lb.Clock(), int64(i+1))
+	}
+	nd := reps[1].Node
+	reps[1].RT.Do(func(amp.Context) { nd.Submit(nd.Ctx(), rsm.Command{Op: "put", Key: "k", Val: 1}) })
+	lb.Run(2_000)
+	for i, r := range reps {
+		if r.Applied() != 1 || r.Node.Omega.Leader() != 0 {
+			t.Fatalf("replica %d not settled: applied %d, leader %d", i, r.Applied(), r.Node.Omega.Leader())
+		}
+		clear(tallies[i].sent)
+	}
+	lb.Run(lb.Now() + periods*HeartbeatPeriod)
+	want := []map[string]int{
+		{"heartbeat": 2 * periods},
+		{"heartbeat": 2 * periods, "leaseGrant": periods},
+		{"heartbeat": 2 * periods, "leaseGrant": periods},
+	}
+	for i, tl := range tallies {
+		if !reflect.DeepEqual(tl.sent, want[i]) {
+			t.Errorf("replica %d sent %v over %d idle periods, want %v", i, tl.sent, periods, want[i])
+		}
+	}
+	t.Logf("idle frames per period of %d ticks: leader %d, followers %d and %d",
+		HeartbeatPeriod, total(tallies[0].sent)/periods, total(tallies[1].sent)/periods, total(tallies[2].sent)/periods)
+}
+
+func total(m map[string]int) (sum int) {
+	for _, v := range m {
+		sum += v
+	}
+	return sum
 }
 
 // TestStartTCPRecovers restarts a journaled one-replica group from its
