@@ -33,14 +33,24 @@ type HostConfig struct {
 	Journals []string
 }
 
-// The Host's read lease, in ticks of transport.DefaultUnit (2ms).
+// The Host's Ω heartbeat and read lease, in ticks of
+// transport.DefaultUnit (2ms).
 const (
-	// hostLeaseTTL is five heartbeat periods: at node.HeartbeatPeriod=10
-	// a 50-tick lease is 100ms, renewed every 20ms. It is also the
-	// outage after a holder dies: survivors honour its last grants for
-	// one TTL, which Ω's first detection bound (40 ticks) stays under,
-	// and a survivor still bound a few ticks longer tells the successor
-	// when to retry (TestHostLeaseConstants, TestFailoverOutageIsOneTTL).
+	// HostHeartbeatPeriod is the Ω heartbeat period of every Host
+	// replica, half the other daemons' node.HeartbeatPeriod: a kv
+	// failover lasts one lease TTL, which must exceed Ω's first
+	// detection bound, so the lease can be no shorter than the detector
+	// is slow. Ω suspects a peer three silent periods after its last
+	// heartbeat, at the next sweep: 30–40 ticks (60–80 ms). Each shard's
+	// idle group sends 2 frames a period at its leader and 3 at each
+	// follower (TestIdleFramesPerPeriod).
+	HostHeartbeatPeriod amp.Time = 10
+	// hostLeaseTTL is five heartbeat periods: a 50-tick lease is 100ms,
+	// renewed every 20ms. It is also the outage after a holder dies:
+	// survivors honour its last grants for one TTL, which Ω's first
+	// detection bound (40 ticks) stays under, and a survivor still bound
+	// a few ticks longer tells the successor when to retry
+	// (TestHostLeaseConstants, TestFailoverOutageIsOneTTL).
 	hostLeaseTTL amp.Time = 50
 	// hostLeaseMargin is subtracted from the holder-side validity of
 	// every lease grant. The lease protocol's safety needs the holder's
@@ -135,7 +145,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 func (h *Host) startShard(s int) error {
 	cfg := h.cfg
 	n := len(cfg.Peers[s])
-	sp := node.Spec{Self: cfg.Self, Peers: cfg.Peers[s], Seed: int64(s*n + cfg.Self + 1)}
+	sp := node.Spec{Self: cfg.Self, Peers: cfg.Peers[s], Seed: int64(s*n + cfg.Self + 1), Period: HostHeartbeatPeriod}
 	if len(cfg.Journals) > s {
 		sp.Journal = cfg.Journals[s]
 	}

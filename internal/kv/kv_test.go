@@ -225,8 +225,9 @@ func TestEngineLinearizable(t *testing.T) {
 }
 
 // TestHostTCP brings up a 3-replica, 2-shard Host mesh over real TCP
-// (three Hosts in one process — the transport neither knows nor cares)
-// and round-trips operations through each host, exercising
+// (three Hosts in one process — the transport neither knows nor cares),
+// at the Host's own heartbeat period, and round-trips operations
+// through each host, exercising
 // cross-process dissemination and the lease/fallback read paths.
 func TestHostTCP(t *testing.T) {
 	if testing.Short() {
@@ -234,6 +235,11 @@ func TestHostTCP(t *testing.T) {
 	}
 	const replicas, shards = 3, 2
 	hosts := startHosts(t, replicas, shards)
+	for s, stack := range hosts[0].stacks {
+		if p := stack.Node.Omega.Period; p != HostHeartbeatPeriod {
+			t.Fatalf("shard %d heartbeats every %d ticks, want HostHeartbeatPeriod %d", s, p, HostHeartbeatPeriod)
+		}
+	}
 	for i := 0; i < 16; i++ {
 		key := spreadKey(i, "tcp")
 		resp := hosts[i%replicas].Handle(reqPut(key, i))
@@ -293,7 +299,7 @@ func startHosts(t *testing.T, replicas, shards int) []*Host {
 
 // TestHostLeaseConstants pins what the Host's lease constants must
 // satisfy, read from replicas built and started with LeaseOptions at
-// node.HeartbeatPeriod: the margin leaves a lease to hold; a grant
+// HostHeartbeatPeriod: the margin leaves a lease to hold; a grant
 // outlives three lost heartbeats (renewal is every period, so the
 // holder's belief spans four); and the TTL exceeds Ω's first detection
 // bound, so a failover's outage is the TTL and not the detector.
@@ -302,7 +308,7 @@ func TestHostLeaseConstants(t *testing.T) {
 	procs := make([]amp.Process, len(nodes))
 	for i := range nodes {
 		nodes[i] = rsm.NewNode(len(nodes), LeaseOptions()...)
-		nodes[i].Omega.Period = node.HeartbeatPeriod
+		nodes[i].Omega.Period = HostHeartbeatPeriod
 		procs[i] = nodes[i].Stack
 	}
 	amp.NewSim(procs).Run(1)
@@ -336,23 +342,9 @@ func TestHostLeaseConstants(t *testing.T) {
 // lapse, which the same slack covers up to 3 ticks late.
 const outageSlack = 8
 
-// lagLink delays every message on one link by Lag ticks more than the
-// rest, which take one.
-type lagLink struct {
-	From, To int
-	Lag      amp.Time
-}
-
-func (l lagLink) Delay(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
-	if src == l.From && dst == l.To {
-		return 1 + l.Lag
-	}
-	return 1
-}
-
 // TestFailoverOutageIsOneTTL pins the outage kv-tcp-failover measures,
 // deterministically: three replicas with LeaseOptions at
-// node.HeartbeatPeriod on amp.Sim, links of one tick (a localhost frame
+// HostHeartbeatPeriod on amp.Sim, links of one tick (a localhost frame
 // takes well under one), the leader crashes, and a survivor submits a
 // put the tick after. At every crash phase within a heartbeat period,
 // the ticks from the crash to a survivor's first commit exceed
@@ -366,26 +358,26 @@ func (l lagLink) Delay(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
 // period later.
 func TestFailoverOutageIsOneTTL(t *testing.T) {
 	for lag := amp.Time(0); lag <= 3; lag++ {
-		lo, hi := failoverOutages(t, lagLink{From: 0, To: 2, Lag: lag})
+		lo, hi := failoverOutages(t, lag)
 		t.Logf("kv failover on amp.Sim, survivor 2 %d ticks late: outage %d–%d ticks over %d crash phases (TTL %d, heartbeat period %d)",
-			lag, lo, hi, node.HeartbeatPeriod, hostLeaseTTL, node.HeartbeatPeriod)
+			lag, lo, hi, HostHeartbeatPeriod, hostLeaseTTL, HostHeartbeatPeriod)
 	}
 }
 
 // failoverOutages runs TestFailoverOutageIsOneTTL's crash at every phase
-// of a heartbeat period over links delayed by dm, checks each outage
-// and returns their range.
-func failoverOutages(t *testing.T, dm amp.DelayModel) (lo, hi amp.Time) {
+// of a heartbeat period over links of one tick, lag more from 0 to 2,
+// checks each outage and returns their range.
+func failoverOutages(t *testing.T, lag amp.Time) (lo, hi amp.Time) {
 	t.Helper()
 	const base = 1000
 	lo = 10 * hostLeaseTTL
-	for crashAt := amp.Time(base); crashAt < base+node.HeartbeatPeriod; crashAt++ {
+	for crashAt := amp.Time(base); crashAt < base+HostHeartbeatPeriod; crashAt++ {
 		nodes := make([]*rsm.Node, 3)
 		procs := make([]amp.Process, len(nodes))
 		var committed amp.Time
 		for i := range nodes {
 			nodes[i] = rsm.NewNode(len(nodes), LeaseOptions()...)
-			nodes[i].Omega.Period = node.HeartbeatPeriod
+			nodes[i].Omega.Period = HostHeartbeatPeriod
 			nodes[i].OnApply = func(_ rsm.Entry, at amp.Time) {
 				if at > crashAt && committed == 0 {
 					committed = at
@@ -393,7 +385,12 @@ func failoverOutages(t *testing.T, dm amp.DelayModel) (lo, hi amp.Time) {
 			}
 			procs[i] = nodes[i].Stack
 		}
-		sim := amp.NewSim(procs, amp.WithDelay(dm))
+		sim := amp.NewSim(procs, amp.WithDelay(amp.DelayFunc(func(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
+			if src == 0 && dst == 2 {
+				return 1 + lag
+			}
+			return 1
+		})))
 		sim.CrashAt(0, crashAt)
 		sim.Schedule(crashAt+1, func() {
 			if h, _, ok := nodes[1].Omega.GrantHolder(sim.Now()); !ok || h != 0 {
@@ -403,9 +400,9 @@ func failoverOutages(t *testing.T, dm amp.DelayModel) (lo, hi amp.Time) {
 		})
 		sim.Run(crashAt + 10*hostLeaseTTL)
 		outage := committed - crashAt
-		if committed == 0 || outage <= hostLeaseTTL-node.HeartbeatPeriod || outage > hostLeaseTTL+outageSlack {
-			t.Fatalf("%+v, crash at %d, first commit after it at %d: outage %d ticks, want in (%d, %d]",
-				dm, crashAt, committed, outage, hostLeaseTTL-node.HeartbeatPeriod, hostLeaseTTL+outageSlack)
+		if committed == 0 || outage <= hostLeaseTTL-HostHeartbeatPeriod || outage > hostLeaseTTL+outageSlack {
+			t.Fatalf("survivor 2 %d ticks late, crash at %d, first commit after it at %d: outage %d ticks, want in (%d, %d]",
+				lag, crashAt, committed, outage, hostLeaseTTL-HostHeartbeatPeriod, hostLeaseTTL+outageSlack)
 		}
 		lo, hi = min(lo, outage), max(hi, outage)
 	}

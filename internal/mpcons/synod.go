@@ -39,7 +39,9 @@ type Synod struct {
 	// the proposer reads the same binding, sends no ballot its own
 	// acceptor would refuse, and looks again at until; an acceptor bound
 	// by a grant to another process says how long it stays bound, and
-	// the proposer retries the moment that has passed.
+	// the proposer retries the moment that has passed (the first such
+	// refusal since a ballot last completed; later ones keep the
+	// back-off).
 	LeaseHolder func(now amp.Time) (holder int, until amp.Time, ok bool)
 	// OnAcceptorChange, if set, fires synchronously whenever the acceptor
 	// triple (promised, acceptedBal, acceptedVal) changes — BEFORE the
@@ -278,7 +280,9 @@ func (s *Synod) retryAt(ctx amp.Context, d amp.Time) {
 // settle). Retries that abandon a still-inflight ballot back off
 // exponentially, up to 16x: restarting ballots faster than replies
 // return only floods the leader's inbound links with stale promises —
-// a self-sustaining retry storm under lossy transports.
+// a self-sustaining retry storm under lossy transports. One retry comes
+// sooner: the first after a lease refusal, at the refuser's lapse; the
+// back-off counts it, so the bound holds from the next one on.
 const (
 	synodRetryPeriod amp.Time = 40
 	synodMaxStalls            = 4
@@ -371,9 +375,13 @@ func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			// ballot stays open, but if it has not completed when the
 			// binding lapses the retry comes then, not a period later.
 			// The refusal took a tick at least to get here (amp's least
-			// delay), so the lapse is at most Bound−1 ticks off; a
-			// retry that comes early is refused again, for what is left.
-			if m.Bal == s.ballot {
+			// delay), so the lapse is at most Bound−1 ticks off. Only
+			// the first refusal since a ballot last completed (no
+			// stalls) brings the chain forward: that is a failover's
+			// ballot at its own grant's lapse. Later ones keep the
+			// back-off, so a process that takes itself for leader while
+			// the holder renews does not re-ballot every TTL.
+			if m.Bal == s.ballot && s.stalls == 0 {
 				s.retryAt(ctx, max(m.Bound-1, 1))
 			}
 		case m.Promised > s.ballot:

@@ -106,6 +106,8 @@ func TestSynodKickStartsFirstBallotOnly(t *testing.T) {
 // lease it is bound to elsewhere moves the proposer's one retry chain
 // to the binding's lapse (a tick early: the refusal spent at least one
 // on the wire), and the timer it overtook does nothing when it fires.
+// A refusal of the retry's ballot moves nothing: that retry counted a
+// stall, and the backed-off chain stands.
 func TestSynodLeaseRefusalBringsRetryForward(t *testing.T) {
 	s := &Synod{Input: "v", Omega: fd.NewDetector(3)}
 	ctx := &probeCtx{}
@@ -124,20 +126,12 @@ func TestSynodLeaseRefusalBringsRetryForward(t *testing.T) {
 	if len(ctx.prepares) != 2 || ctx.prepares[1] != 10 {
 		t.Fatalf("synPrepare at %v, want [0 10]: one ballot at the lapse and none from the overtaken timer", ctx.prepares)
 	}
-}
-
-// lagLink delays every message on one link by Lag ticks more than the
-// rest, which take one.
-type lagLink struct {
-	From, To int
-	Lag      amp.Time
-}
-
-func (l lagLink) Delay(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
-	if src == l.From && dst == l.To {
-		return 1 + l.Lag
+	ctx.now = 41
+	armed := len(ctx.armed)
+	s.OnMessage(ctx, 2, synReject{Bal: s.ballot, Bound: 9})
+	if len(ctx.armed) != armed || ctx.armed[armed-1] != 80 {
+		t.Fatalf("timers armed %v after a second refusal, want the backed-off 80 from the retry at 10 and nothing after it", ctx.armed)
 	}
-	return 1
 }
 
 // TestSynodSuccessorWaitsOutLateGranterOnly: three leased Synod
@@ -171,7 +165,12 @@ func TestSynodSuccessorWaitsOutLateGranterOnly(t *testing.T) {
 				}
 				procs[i] = amp.NewStack(dets[i], syn)
 			}
-			sim = amp.NewSim(procs, amp.WithDelay(lagLink{From: 0, To: 2, Lag: lag}))
+			sim = amp.NewSim(procs, amp.WithDelay(amp.DelayFunc(func(src, dst int, _ amp.Time, _ *rand.Rand) amp.Time {
+				if src == 0 && dst == 2 {
+					return 1 + lag
+				}
+				return 1
+			})))
 			sim.CrashAt(0, crashAt)
 			var lapse amp.Time
 			sim.Schedule(crashAt+5, func() { // the dead holder's last heartbeat has landed

@@ -13,19 +13,22 @@ import (
 )
 
 // HeartbeatPeriod is the Ω heartbeat period, in ticks, of every replica
-// Start brings up. Ω suspects a peer after three silent periods
-// (fd.Detector's initial timeout) at the first suspicion sweep after
-// them, so a crash is noticed 30–40 ticks (60–80 ms at the default
-// 2 ms tick) after the peer's last heartbeat, and the period also sets
-// what the heartbeats cost: in a settled, idle group of three the
-// leader sends a heartbeat to each follower every period, and each
-// follower a heartbeat to each peer and a lease grant to the leader
-// (TestIdleFramesPerPeriod). kv's read lease is sized against it (a
-// grant outlives three lost heartbeats; TestHostLeaseConstants), and a
-// kv failover lasts one lease TTL; jobq's worker grace is a stated time
-// instead. Suspicion steers the protocols only: the transport sends to
-// a suspected peer as to any other.
-const HeartbeatPeriod amp.Time = 10
+// Start brings up, and of a StartTCP replica whose Spec states none. Ω
+// suspects a peer after three silent periods (fd.Detector's initial
+// timeout) at the first suspicion sweep after them, so a crash is
+// noticed 60–80 ticks (120–160 ms at the default 2 ms tick) after the
+// peer's last heartbeat, and the period also sets what the heartbeats
+// cost: in a settled, idle group of three the leader sends a heartbeat
+// to each follower every period, and each follower a heartbeat to each
+// peer, plus a lease grant to the leader where a read lease runs
+// (TestIdleFramesPerPeriod). basicsd and basicsjobd run it; jobq's
+// worker grace is a stated time. kv states its own, shorter period
+// (kv.HostHeartbeatPeriod), which its read lease and so its failover
+// are sized against: under load, five basicsjobd processes on two
+// cores stall 45–60 ms at once, and at 10 ticks their 60 ms timeout
+// falsely suspected live peers. Suspicion steers the protocols only:
+// the transport sends to a suspected peer as to any other.
+const HeartbeatPeriod amp.Time = 20
 
 // RPCTimeout bounds one consensus round-trip from the client's side.
 // Long enough to ride out a chaos window plus leader re-election, short
@@ -47,14 +50,14 @@ type Replica struct {
 // before the call: peers may deliver from the moment it returns.
 func Start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, seed int64) *Replica {
 	r := &Replica{}
-	r.start(nd, tr, clock, seed)
+	r.start(nd, tr, clock, seed, HeartbeatPeriod)
 	return r
 }
 
 // start fills r in before the runtime starts, so a hook that captured
 // r (see StartTCP) finds it complete when the first event runs.
-func (r *Replica) start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, seed int64) {
-	nd.Omega.Period = HeartbeatPeriod
+func (r *Replica) start(nd *rsm.Node, tr transport.Transport, clock transport.Clock, seed int64, period amp.Time) {
+	nd.Omega.Period = period
 	r.Node = nd
 	r.RT = transport.NewRuntime(tr, clock, nd.Stack, transport.WithRuntimeSeed(seed))
 	r.RT.Start()
@@ -70,6 +73,8 @@ type Spec struct {
 	// CompactRecords is the journal's auto-compaction record threshold;
 	// 0 = rsm.DefaultCompactRecords (see Config.CompactRecords).
 	CompactRecords int64
+	// Period is Ω's heartbeat period in ticks; 0 = HeartbeatPeriod.
+	Period amp.Time
 }
 
 // StartTCP brings a replica up the way every daemon does: open the
@@ -118,7 +123,11 @@ func StartTCP(sp Spec, clock transport.Clock, build func(r *Replica, opts ...rsm
 		tr = transport.NewChaos(tr, clock, sp.Chaos...)
 	}
 	r.tcp = tcp
-	r.start(nd, tr, clock, sp.Seed)
+	period := sp.Period
+	if period == 0 {
+		period = HeartbeatPeriod
+	}
+	r.start(nd, tr, clock, sp.Seed, period)
 	return r, nil
 }
 

@@ -147,7 +147,7 @@ func (n tallyNode) SendValue(to int, msg any) error {
 // process sends it once per group it runs (basicskv: one per shard).
 func TestIdleFramesPerPeriod(t *testing.T) {
 	const n, periods = 3, 100
-	const ttl = 5 * HeartbeatPeriod // kv's lease, with its margin TTL/10+2
+	const ttl = 5 * HeartbeatPeriod // kv's lease shape: five periods, margin TTL/10+2
 	lb := transport.NewLoopback(n)
 	tallies := make([]tallyNode, n)
 	reps := make([]*Replica, n)

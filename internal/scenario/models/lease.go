@@ -8,7 +8,6 @@ import (
 	"distbasics/internal/amp"
 	"distbasics/internal/check"
 	"distbasics/internal/kv"
-	"distbasics/internal/node"
 	"distbasics/internal/rbcast"
 	"distbasics/internal/rsm"
 	"distbasics/internal/scenario"
@@ -16,8 +15,8 @@ import (
 
 // Lease is the schedule-fuzz model of the kv read lease, the one safety
 // claim here that rests on timing. Three replicas run the Host's lease
-// options (kv.LeaseOptions) at the daemons' heartbeat period
-// (node.HeartbeatPeriod) on amp.Sim, in sim ticks finer than a daemon's
+// options (kv.LeaseOptions) at the Host's heartbeat period
+// (kv.HostHeartbeatPeriod) on amp.Sim, in sim ticks finer than a daemon's
 // when the TTL is short (hostLease), and every get makes the decision
 // basicskv makes (kv.LeaseRead): served from local state while the
 // replica holds the lease on its own clock, else ordered through
@@ -64,14 +63,14 @@ const (
 )
 
 // hostLease is the lease the model runs: kv.LeaseOptions' TTL and margin
-// and node.HeartbeatPeriod, counted in sim ticks of 1/k daemon tick with
+// and its heartbeat period, counted in sim ticks of 1/k daemon tick with
 // k = ceil(leaseResolution / TTL). The rsm's own timers (the mux pace,
 // the sync period) stay in sim ticks, so consensus runs faster against
 // the lease than in the daemons: the harsher side for a read lease.
 var hostLease = func() (l struct{ ttl, margin, period amp.Time }) {
 	d := rsm.NewNode(leaseReplicas, kv.LeaseOptions()...).Omega
 	k := (leaseResolution + d.LeaseTTL - 1) / d.LeaseTTL
-	l.ttl, l.margin, l.period = k*d.LeaseTTL, k*d.LeaseMargin, k*node.HeartbeatPeriod
+	l.ttl, l.margin, l.period = k*d.LeaseTTL, k*d.LeaseMargin, k*kv.HostHeartbeatPeriod
 	return l
 }()
 

@@ -36,9 +36,9 @@ func newLBCluster(t *testing.T, n int, chaos []ChaosRule) *lbCluster {
 			tr = NewChaos(tr, clock, rules...)
 		}
 		nd := rsm.NewNode(n)
-		// node.HeartbeatPeriod: every daemon replica heartbeats at 10
+		// node.HeartbeatPeriod: every daemon replica heartbeats at 20
 		// ticks, and this cluster is that stack minus the sockets.
-		nd.Omega.Period = 10
+		nd.Omega.Period = 20
 		rt := NewRuntime(tr, clock, nd.Stack, WithRuntimeSeed(int64(i+1)))
 		rt.Start()
 		c.nodes = append(c.nodes, nd)
