@@ -12,7 +12,8 @@ import (
 // current Ω leader runs ballots, realizing the paper's "some process must
 // be more equal than the others" symmetry-breaking (§5.2). The deciding
 // leader broadcasts the decision; a learner relays it once, and only if
-// Ω stops naming its sender (see OnTimer): n decide frames, not n².
+// Ω stops naming its sender (see OnTimer): n decide frames, not n². A
+// learner whose copy was lost asks Ω's leader again (synAsk).
 type Synod struct {
 	// Input is this process's proposal.
 	Input any
@@ -72,7 +73,8 @@ type Synod struct {
 
 	decided    bool
 	decidedVal any
-	relayFrom  int // the decision's sender while a relay is owed, else this process
+	relayFrom  int  // the decision's sender while a relay is owed, else this process
+	waited     bool // undecided at the previous OnTimer (see OnTimer)
 }
 
 type promise struct {
@@ -102,6 +104,9 @@ type (
 		Bound    amp.Time
 	}
 	synDecide struct{ Val any }
+	// synAsk asks a decided process for the decision. Promised is the
+	// asker's promise, carried for traces: gob encodes no empty struct.
+	synAsk struct{ Promised int }
 )
 
 // IsBallot reports whether msg is a proposer's ballot message (a prepare
@@ -231,9 +236,12 @@ func (s *Synod) Kick(ctx amp.Context) bool {
 // Once decided, it watches for the relay: the decision's sender may have
 // crashed mid-broadcast, and a decided Ω leader runs no ballot, so the
 // decision is relayed once Ω stops naming the sender, which otherwise
-// needs no help. The loop is one chain: a timer that fires before the
-// chain's due time was overtaken by an earlier retry (see retryAt) and
-// does nothing.
+// needs no help. An undecided process that Ω does not name, and that
+// was undecided at the previous firing too, asks the leader: the
+// decision may have been sent while a lossy link dropped its copy, and
+// a stable leader never ballots for it again. The loop is one chain: a
+// timer that fires before the chain's due time was overtaken by an
+// earlier retry (see retryAt) and does nothing.
 func (s *Synod) OnTimer(ctx amp.Context, id int) {
 	if id != synodRetryTimer || ctx.Now() < s.due || (s.decided && s.relayFrom == s.id) {
 		return
@@ -248,7 +256,10 @@ func (s *Synod) OnTimer(ctx amp.Context, id int) {
 			s.stalls++ // the previous ballot never completed: back off
 		}
 		s.startBallot(ctx)
+	} else if !s.decided && s.waited && s.Omega != nil && s.Omega.Leader() != s.id {
+		ctx.Send(s.Omega.Leader(), synAsk{Promised: s.promised})
 	}
+	s.waited = !s.decided
 	s.armRetry(ctx)
 }
 
@@ -386,6 +397,10 @@ func (s *Synod) OnMessage(ctx amp.Context, from int, msg amp.Message) {
 			}
 		case m.Promised > s.ballot:
 			s.inBallot = false // abandon; retry on the next timer tick
+		}
+	case synAsk:
+		if s.decided {
+			ctx.Send(from, synDecide{Val: s.decidedVal})
 		}
 	case synDecide:
 		if s.decided {

@@ -16,4 +16,5 @@ func RegisterWire(reg func(any)) {
 	reg(boDecide{})
 	reg(condVal{})
 	reg(condDecide{})
+	reg(synAsk{})
 }

@@ -287,3 +287,38 @@ func TestRSMPartitionHealPrefixConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestRSMAppliesEverySlotAfterLossyWindow is the replicated log's side
+// of mpcons.TestSynodDecidesAfterLossyWindow: 40% of all messages
+// between processes are lost during [0, 600), while the replicas submit
+// commands round-robin, and nothing is lost afterwards. A replica's
+// messages to itself are steps of its own turn and are never lost. Once
+// the window closes, frontier gossip, fetches and re-sent payloads must
+// bring every replica to every slot: all of them apply every command,
+// in one order.
+func TestRSMAppliesEverySlotAfterLossyWindow(t *testing.T) {
+	const n, cmds = 4, 24
+	for seed := int64(0); seed < 15; seed++ {
+		drop := amp.NewDropWindow(seed*77+3, 0.4, 0, 600)
+		c := newRSMCluster(n,
+			amp.WithSeed(seed),
+			amp.WithDelay(amp.UniformDelay{Min: 1, Max: 5}),
+			amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, at amp.Time) amp.Verdict {
+				if src == dst {
+					return amp.Verdict{}
+				}
+				return drop.Judge(src, dst, at)
+			})))
+		for i := 0; i < cmds; i++ {
+			nd := c.nodes[i%n]
+			c.sim.Schedule(amp.Time(25*i), func() { nd.Submit(nd.Ctx(), Command{Op: "put", Key: key(i%n, i%5), Val: i}) })
+		}
+		c.sim.Run(600 + 20*tbSyncPeriod)
+		for i, nd := range c.nodes {
+			if nd.Len() != cmds {
+				t.Errorf("seed %d: replica %d applied %d of %d commands after the lossy window closed", seed, i, nd.Len(), cmds)
+			}
+		}
+		checkMutualConsistency(t, c.nodes, nil)
+	}
+}
