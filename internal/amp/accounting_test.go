@@ -92,12 +92,16 @@ func TestAccountingCrashWindow(t *testing.T) {
 }
 
 func TestAccountingDropAdversary(t *testing.T) {
-	// p = 1.0 drops every message: all sent, none delivered.
-	sim, _ := newSinkSim(3, WithAdversary(NewDrop(9, 1.0)))
+	// p = 1.0 drops every message between processes: all sent, and only
+	// the sender's own copy, which no adversary judges, delivered.
+	sim, sinks := newSinkSim(3, WithAdversary(NewDropWindow(9, 1.0, 0, 0)))
 	ctx0 := sim.ctxs[0]
 	sim.Schedule(1, func() { ctx0.Broadcast("x") })
 	sim.Run(0)
-	checkStats(t, sim, 3, 0, 3)
+	checkStats(t, sim, 3, 1, 2)
+	if len(sinks[0].got) != 1 || len(sinks[1].got)+len(sinks[2].got) != 0 {
+		t.Errorf("deliveries wrong: p0=%v p1=%v p2=%v", sinks[0].got, sinks[1].got, sinks[2].got)
+	}
 }
 
 func TestAccountingHaltedReceiver(t *testing.T) {
@@ -148,19 +152,19 @@ func TestAccountingSkewDelaysDelivery(t *testing.T) {
 }
 
 func TestAccountingIsolateCutsBothDirections(t *testing.T) {
-	// Isolate(1): messages to and from p1 drop, including p1→p1; the other
-	// processes communicate normally.
+	// Isolate(1): messages to and from p1 drop; p1→p1 is no channel's
+	// and delivers; the other processes communicate normally.
 	sim, sinks := newSinkSim(3, WithAdversary(Isolate(0, 0, 1)))
 	ctx0, ctx1 := sim.ctxs[0], sim.ctxs[1]
 	sim.Schedule(1, func() {
 		ctx0.Send(1, "in")   // dropped
 		ctx1.Send(0, "out")  // dropped
-		ctx1.Send(1, "self") // dropped
+		ctx1.Send(1, "self") // delivered
 		ctx0.Send(2, "ok")   // delivered
 	})
 	sim.Run(0)
-	checkStats(t, sim, 4, 1, 3)
-	if len(sinks[2].got) != 1 || len(sinks[0].got) != 0 || len(sinks[1].got) != 0 {
+	checkStats(t, sim, 4, 2, 2)
+	if len(sinks[2].got) != 1 || len(sinks[0].got) != 0 || !reflect.DeepEqual(sinks[1].got, []Message{"self"}) {
 		t.Errorf("deliveries wrong: p0=%v p1=%v p2=%v", sinks[0].got, sinks[1].got, sinks[2].got)
 	}
 }

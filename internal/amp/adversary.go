@@ -28,8 +28,10 @@ type Verdict struct {
 	Skew Time
 }
 
-// Adversary perturbs the network. Judge is consulted on every send, in
-// installation order: the first Drop verdict wins, Skews accumulate.
+// Adversary perturbs the network. Judge is consulted on every send to
+// another process, in installation order: the first Drop verdict wins,
+// Skews accumulate. A process's message to itself is a step of its own
+// turn, not a channel action, and no adversary sees it.
 // Implementations must be deterministic given their own seeded state.
 type Adversary interface {
 	Judge(src, dst int, at Time) Verdict
@@ -42,7 +44,7 @@ type AdversaryFunc func(src, dst int, at Time) Verdict
 func (f AdversaryFunc) Judge(src, dst int, at Time) Verdict { return f(src, dst, at) }
 
 // WithAdversary installs one or more adversaries, consulted in order on
-// every send.
+// every send to another process.
 func WithAdversary(advs ...Adversary) SimOption {
 	return func(s *Sim) { s.advs = append(s.advs, advs...) }
 }
@@ -60,15 +62,11 @@ type dropAdv struct {
 	from, until Time
 }
 
-// NewDrop returns an adversary that drops each message independently with
-// probability p, drawing from its own stream seeded with seed.
-func NewDrop(seed int64, p float64) Adversary {
-	return &dropAdv{rng: newRand(seed), p: p}
-}
-
-// NewDropWindow is NewDrop restricted to sends in [from, until); until <= 0
-// means forever. Outside the window no randomness is consumed, so the
-// post-window network is exactly the adversary-free one.
+// NewDropWindow returns an adversary that drops each message sent in
+// [from, until) independently with probability p, drawing from its own
+// stream seeded with seed; until <= 0 means forever. Outside the window
+// no randomness is consumed, so the post-window network is exactly the
+// adversary-free one.
 func NewDropWindow(seed int64, p float64, from, until Time) Adversary {
 	return &dropAdv{rng: newRand(seed), p: p, from: from, until: until}
 }
@@ -125,7 +123,7 @@ func (pa *partitionAdv) Judge(src, dst int, at Time) Verdict {
 // Isolate returns an adversary that cuts every listed process off the
 // network during [from, until) (until <= 0 = forever): all messages to or
 // from an isolated process are dropped, including between two isolated
-// processes. To the rest of the system this is indistinguishable from the
+// processes; an isolated process still hears itself. To the rest of the system this is indistinguishable from the
 // victims crashing at from — the "bounded drops" regime under which a
 // t-resilient algorithm must still terminate when at most t processes are
 // isolated.

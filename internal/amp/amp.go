@@ -37,7 +37,7 @@
 // # Adversaries
 //
 // Adversaries judge messages (adversary.go): WithAdversary composes
-// message-drop (NewDrop, NewDropWindow), partition with heal (Partition,
+// message-drop (NewDropWindow), partition with heal (Partition,
 // Isolate) and timing-skew (SkewLinks) adversaries, each carrying its own
 // seeded randomness. Process faults are the Sim's CrashAt/KillAt/
 // RecoverAt. A crash window (CrashAt … RecoverAt) is a pause, as of a

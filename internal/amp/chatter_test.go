@@ -13,8 +13,9 @@ import (
 // 1–120 to seeds 121–220: the sha256 over their Result digests. With
 // each trace's first line prefixed "calendar: ", the label it carried
 // then, the one recorded while both engines ran and agreed was
-// d2da6ac6…; it moved once since, when a paused process began to keep
-// its own self-sends (db3ef8a0… before).
+// d2da6ac6…; it moved since when a paused process began to keep its
+// own self-sends (db3ef8a0… before) and when adversaries stopped
+// judging a process's messages to itself (55a0e716… before).
 func TestEngineEquivalence(t *testing.T) {
 	m := &models.AmpChatter{}
 	h := sha256.New()
@@ -25,7 +26,7 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		fmt.Fprintf(h, "%s\n", res.Digest())
 	}
-	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "55a0e716123a8c86b95999404056e38a3af1a2afce52203255e78439fb94c437"; got != want {
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "e0731337b1ffacd033f0e7b202d1297c6651bc414cea03c68443ebfaf9ed8cf9"; got != want {
 		t.Fatalf("ampchatter seeds 121–220 digest %s, want %s", got, want)
 	}
 }

@@ -470,6 +470,9 @@ func (s *Sim) send(src, dst int, msg Message) {
 	s.sent++
 	var skew Time
 	for _, a := range s.advs {
+		if src == dst {
+			break // a message to oneself is no channel's to judge
+		}
 		v := a.Judge(src, dst, s.now)
 		if v.Drop {
 			s.dropped++

@@ -98,7 +98,7 @@ func TestBenOrSafeUnderUnboundedDrops(t *testing.T) {
 		sim := amp.NewSim(procs,
 			amp.WithSeed(seed),
 			amp.WithDelay(amp.UniformDelay{Min: 1, Max: 6}),
-			amp.WithAdversary(amp.NewDrop(seed*1000+7, 0.3)))
+			amp.WithAdversary(amp.NewDropWindow(seed*1000+7, 0.3, 0, 0)))
 		sim.Run(200_000)
 		anyDecided += checkAgreementValidity(t, seed, decs)
 	}
@@ -171,7 +171,7 @@ func TestSynodSafeUnderPermanentDrops(t *testing.T) {
 		sim := amp.NewSim(procs,
 			amp.WithSeed(seed),
 			amp.WithDelay(amp.UniformDelay{Min: 1, Max: 5}),
-			amp.WithAdversary(amp.NewDrop(seed*13+1, 0.3)))
+			amp.WithAdversary(amp.NewDropWindow(seed*13+1, 0.3, 0, 0)))
 		sim.Run(150_000)
 
 		var common any

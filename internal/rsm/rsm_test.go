@@ -299,16 +299,10 @@ func TestRSMPartitionHealPrefixConsistency(t *testing.T) {
 func TestRSMAppliesEverySlotAfterLossyWindow(t *testing.T) {
 	const n, cmds = 4, 24
 	for seed := int64(0); seed < 15; seed++ {
-		drop := amp.NewDropWindow(seed*77+3, 0.4, 0, 600)
 		c := newRSMCluster(n,
 			amp.WithSeed(seed),
 			amp.WithDelay(amp.UniformDelay{Min: 1, Max: 5}),
-			amp.WithAdversary(amp.AdversaryFunc(func(src, dst int, at amp.Time) amp.Verdict {
-				if src == dst {
-					return amp.Verdict{}
-				}
-				return drop.Judge(src, dst, at)
-			})))
+			amp.WithAdversary(amp.NewDropWindow(seed*77+3, 0.4, 0, 600)))
 		for i := 0; i < cmds; i++ {
 			nd := c.nodes[i%n]
 			c.sim.Schedule(amp.Time(25*i), func() { nd.Submit(nd.Ctx(), Command{Op: "put", Key: key(i%n, i%5), Val: i}) })
