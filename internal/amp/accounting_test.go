@@ -194,10 +194,11 @@ func (p *pauser) OnTimer(ctx Context, id int) {
 	}
 }
 
-// TestRecoverAtSemantics: a crash window is a pause. The timers and the
-// self-send that came due inside it fire at the recovery, in their
-// original due order; the other process's message that arrived inside
-// it stays lost; a RecoverAt of a process that is up is a no-op.
+// TestRecoverAtSemantics: a crash window is a pause. The timers that
+// came due inside it fire at the recovery, in their original due order;
+// a message to self sent just before it is delivered in its sending
+// turn; the other process's message that arrived inside it stays lost;
+// a RecoverAt of a process that is up is a no-op.
 func TestRecoverAtSemantics(t *testing.T) {
 	p := &pauser{arm: map[int]Time{1: 3, 2: 15, 3: 12, 4: 30}}
 	sim := NewSim([]Process{p, &sink{}}, WithDelay(FixedDelay{D: 1}))
@@ -205,11 +206,11 @@ func TestRecoverAtSemantics(t *testing.T) {
 	sim.CrashAt(0, 5)
 	sim.RecoverAt(0, 20)
 	sim.RecoverAt(1, 20)                                    // not crashed: no-op
-	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "self") }) // arrives at 5, after the crash
+	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "self") }) // delivered at 4, before the crash
 	sim.Schedule(10, func() { ctx1.Send(0, "lost") })
 	sim.Schedule(25, func() { ctx1.Send(0, "kept") })
 	// At t=19 the two recoveries, the "kept" send and timer 4 are
-	// queued; the self-send and timers 2 and 3 are parked, not queued.
+	// queued; timers 2 and 3 are parked, not queued.
 	if sim.Run(19); sim.QueuedEvents() != 4 {
 		t.Fatalf("queued %d events during the pause, want 4", sim.QueuedEvents())
 	}
@@ -235,20 +236,20 @@ func (a *armer) OnMessage(ctx Context, from int, m Message) {
 	ctx.SetTimer(5, 9)
 }
 
-// TestRecoveryDeliveryArmsATimer: the two self-sends a pause parked are
-// delivered at the recovery, and each arms a timer there. Those fire
-// once each, 5 ticks later, and the parked timer once, at the recovery:
-// the recovery must not hand a record it is still walking to a new
-// timer.
+// TestRecoveryDeliveryArmsATimer: two messages to self, sent just before
+// a pause, are delivered in their sending turns, and each arms a timer
+// that comes due inside the pause. Those fire once each at the
+// recovery, with the timer armed at Init, in due order: the recovery
+// hands each parked record back to the queue exactly once.
 func TestRecoveryDeliveryArmsATimer(t *testing.T) {
 	p := &armer{pauser{arm: map[int]Time{1: 12}}}
 	sim := NewSim([]Process{p})
 	sim.CrashAt(0, 5)
 	sim.RecoverAt(0, 20)
-	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "a") }) // arrives at 5, after the crash
+	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "a") }) // delivered at 4: timer 9 due at 9
 	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "b") })
 	sim.Run(0)
-	if wantAt, wantID := []Time{20, 25, 25}, []int{1, 9, 9}; !reflect.DeepEqual(p.fired, wantAt) || !reflect.DeepEqual(p.ids, wantID) {
+	if wantAt, wantID := []Time{20, 20, 20}, []int{9, 9, 1}; !reflect.DeepEqual(p.fired, wantAt) || !reflect.DeepEqual(p.ids, wantID) {
 		t.Fatalf("timers fired at %v ids %v, want at %v ids %v", p.fired, p.ids, wantAt, wantID)
 	}
 }
@@ -296,8 +297,8 @@ func TestAfterIsAProcessTimer(t *testing.T) {
 
 // TestKillAtOutlivesRecoverAt kills a process inside a crash-recovery
 // window: the window's recovery must not resume the killed incarnation
-// (no parked timer fires, no delivery, not even of its parked
-// self-send), and only a Replace boots its successor.
+// (no parked timer fires, no delivery), and only a Replace boots its
+// successor.
 func TestKillAtOutlivesRecoverAt(t *testing.T) {
 	r := &pauser{arm: map[int]Time{1: 8, 2: 22}}
 	sim := NewSim([]Process{r, &sink{}}, WithDelay(FixedDelay{D: 1}))
@@ -306,7 +307,6 @@ func TestKillAtOutlivesRecoverAt(t *testing.T) {
 	sim.CrashAt(0, 5)
 	sim.KillAt(0, 10)
 	sim.RecoverAt(0, 20)
-	sim.Schedule(4, func() { sim.ctxs[0].Send(0, "self") }) // parked at 5, lost to the kill
 	sim.Schedule(25, func() { ctx1.Send(0, "to the dead") })
 	sim.Schedule(30, func() {
 		if !sim.Crashed(0) {
@@ -333,11 +333,11 @@ func TestCrashAfterSendsThenRecover(t *testing.T) {
 	sim.Schedule(1, func() { ctx0.Broadcast("a") })  // 1 send (to self), then crash
 	sim.Schedule(20, func() { ctx0.Broadcast("b") }) // recovered: all 3 sends
 	sim.Run(0)
-	// "a"'s self-send arrives while p0 is crashed and waits for its
-	// recovery; "b"'s three sends all deliver.
-	checkStats(t, sim, 4, 4, 0)
-	if len(sinks[0].got) != 2 || sinks[0].got[0] != "a" {
-		t.Errorf("p0 got %v, want [a b]: a paused process keeps its self-send", sinks[0].got)
+	// "a"'s self copy is lost: the crash came in its sending turn;
+	// "b"'s three sends all deliver.
+	checkStats(t, sim, 4, 3, 1)
+	if !reflect.DeepEqual(sinks[0].got, []Message{"b"}) {
+		t.Errorf("p0 got %v, want [b]: a process that crashes mid-turn loses its message to self", sinks[0].got)
 	}
 	if got := len(sinks[1].got) + len(sinks[2].got); got != 2 {
 		t.Errorf("p1+p2 deliveries = %d, want 2 (one truncated, one full broadcast)", got)

@@ -14,8 +14,9 @@ import (
 // each trace's first line prefixed "calendar: ", the label it carried
 // then, the one recorded while both engines ran and agreed was
 // d2da6ac6…; it moved since when a paused process began to keep its
-// own self-sends (db3ef8a0… before) and when adversaries stopped
-// judging a process's messages to itself (55a0e716… before).
+// own self-sends (db3ef8a0… before), when adversaries stopped judging
+// a process's messages to itself (55a0e716… before) and when those
+// began to run in the sending turn (e0731337… before).
 func TestEngineEquivalence(t *testing.T) {
 	m := &models.AmpChatter{}
 	h := sha256.New()
@@ -26,7 +27,7 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		fmt.Fprintf(h, "%s\n", res.Digest())
 	}
-	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "e0731337b1ffacd033f0e7b202d1297c6651bc414cea03c68443ebfaf9ed8cf9"; got != want {
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "a9540aa752804a46510fe46761feb691743efeb9c93acfac41a8d82945780fe6"; got != want {
 		t.Fatalf("ampchatter seeds 121–220 digest %s, want %s", got, want)
 	}
 }

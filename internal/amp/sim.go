@@ -18,12 +18,17 @@ import (
 // allocates nothing per message. Events leave the queue in (time,
 // sequence-number) order.
 //
+// A message a process sends to itself is a step of the sending turn, as
+// in transport.Runtime: it is delivered after the event that sent it
+// (an Init, a delivery, a timer, a Schedule closure) returns and before
+// the next event is popped, FIFO, with no delay and no adversary; it is
+// lost only if the process is crashed or halted by then.
+//
 // Network faults are Adversaries (adversary.go); process faults are the
 // CrashAt/KillAt/RecoverAt/CrashAfterSends calls and ClockRate windows.
 // A crash window is a pause: timers that come due in it fire at
-// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT, and the process's
-// own self-sends are delivered then (other processes' messages stay
-// lost).
+// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT (other processes'
+// messages stay lost).
 // KillAt + Replace is the amnesia path.
 type Sim struct {
 	n     int
@@ -43,7 +48,8 @@ type Sim struct {
 	killed     []bool // crashed by KillAt: RecoverAt does not revive it, Replace does
 	halted     []bool
 	epoch      []int          // incarnation counter per pid; stale-epoch timers are dropped
-	parked     [][]*event     // per pid, timers and self-sends that came due while it was crashed, in due order
+	parked     [][]*event     // per pid, timers that came due while it was crashed, in due order
+	toSelf     []selfMsg      // messages to self sent in the current event, in send order
 	sendBudget []int          // -1 = unlimited; otherwise remaining sends before crash
 	rates      [][]rateWindow // per pid, its clock-rate windows in time order
 	delivered  int
@@ -117,8 +123,31 @@ func (s *Sim) initOnce() {
 	for i, p := range s.procs {
 		if !s.crashed[i] {
 			p.Init(s.ctxs[i])
+			s.drain()
 		}
 	}
+}
+
+// selfMsg is a message to self awaiting the end of its sender's turn.
+type selfMsg struct {
+	pid int
+	msg Message
+}
+
+// drain delivers the messages to self the current event sent, FIFO,
+// including those the deliveries send.
+func (s *Sim) drain() {
+	for i := 0; i < len(s.toSelf); i++ {
+		m := s.toSelf[i]
+		if s.crashed[m.pid] || s.halted[m.pid] {
+			s.dropped++
+			continue
+		}
+		s.delivered++
+		s.procs[m.pid].OnMessage(s.ctxs[m.pid], m.pid, m.msg)
+	}
+	clear(s.toSelf)
+	s.toSelf = s.toSelf[:0]
 }
 
 // event kinds.
@@ -181,17 +210,15 @@ func (s *Sim) MessagesSent() int { return s.sent }
 func (s *Sim) MessagesDelivered() int { return s.delivered }
 
 // MessagesDropped reports how many sent messages were lost: dropped by an
-// adversary (or drop rule) at send time, or discarded at delivery because
-// the destination was crashed or halted (a paused process's self-send
-// counts here until its recovery delivers it). At quiescence,
-// sent == delivered + dropped; during a bounded Run the difference is the
-// in-flight count.
+// adversary at send time, or discarded at delivery because the
+// destination was crashed or halted (a message to self: by the end of
+// the sending event). At quiescence, sent == delivered + dropped;
+// during a bounded Run the difference is the in-flight count.
 func (s *Sim) MessagesDropped() int { return s.dropped }
 
 // QueuedEvents reports how many events are pending (in-flight messages,
 // armed timers, scheduled closures and crash/recovery injections); the
-// timers and self-sends a crash window parked are not queued until
-// RecoverAt.
+// timers a crash window parked are not queued until RecoverAt.
 func (s *Sim) QueuedEvents() int { return s.q.len() }
 
 // Schedule runs fn at virtual time at (>= now) inside the event loop —
@@ -307,10 +334,9 @@ func (s *Sim) CrashAt(pid int, at Time) { s.procEvent(pid, at, evCrash) }
 func (s *Sim) KillAt(pid int, at Time) { s.procEvent(pid, at, evKill) }
 
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
-// crashed (not killed) then, it resumes where it paused: the self-sends
-// that arrived meanwhile are delivered first, in the recovery's own
-// event, then the timers that came due fire, in due order; the other
-// processes' messages stay lost.
+// crashed (not killed) then, it resumes where it paused: the timers that
+// came due meanwhile fire, in due order; the other processes' messages
+// stay lost.
 // A send budget exhausted by CrashAfterSends is reset to unlimited.
 func (s *Sim) RecoverAt(pid int, at Time) { s.procEvent(pid, at, evRecover) }
 
@@ -372,6 +398,7 @@ func (s *Sim) Replace(pid int, p Process) {
 // processed.
 func (s *Sim) Run(until Time) int {
 	s.initOnce()
+	s.drain() // sent outside the loop, by a Replace between Runs
 	processed := 0
 	for {
 		e := s.q.pop(until)
@@ -382,17 +409,9 @@ func (s *Sim) Run(until Time) int {
 		processed++
 		switch e.kind {
 		case evDeliver:
-			switch {
-			case e.from == e.to && s.crashed[e.to] && !s.killed[e.to] && !s.halted[e.to]:
-				// A paused process keeps its own self-sends, as a daemon's
-				// Runtime does (it handles them in the sending turn): they
-				// wait for the recovery, counted dropped until then.
+			if s.crashed[e.to] || s.halted[e.to] {
 				s.dropped++
-				s.parked[e.to] = append(s.parked[e.to], e)
-				continue
-			case s.crashed[e.to] || s.halted[e.to]:
-				s.dropped++
-			default:
+			} else {
 				s.delivered++
 				s.procs[e.to].OnMessage(s.ctxs[e.to], e.from, e.msg)
 			}
@@ -423,25 +442,8 @@ func (s *Sim) Run(until Time) int {
 					s.sendBudget[e.to] = -1
 				}
 				for _, t := range s.parked[e.to] {
-					if t.kind == evTimer {
-						t.at = s.now
-						s.push(t)
-					}
-				}
-				// The self-sends go first, before anything else due now: a
-				// daemon had handled them before it was stopped. Each record
-				// is freed after its delivery, which may take it for a new
-				// event, so nothing walks the list again.
-				for _, t := range s.parked[e.to] {
-					if t.kind != evDeliver {
-						continue
-					}
-					if !s.halted[e.to] {
-						s.dropped--
-						s.delivered++
-						s.procs[e.to].OnMessage(s.ctxs[e.to], t.from, t.msg)
-					}
-					s.freeEvent(t)
+					t.at = s.now
+					s.push(t)
 				}
 				s.parked[e.to] = s.parked[e.to][:0]
 			}
@@ -449,6 +451,7 @@ func (s *Sim) Run(until Time) int {
 			panic(fmt.Sprintf("amp: unknown event kind %d", e.kind))
 		}
 		s.freeEvent(e)
+		s.drain()
 	}
 	return processed
 }
@@ -468,11 +471,12 @@ func (s *Sim) send(src, dst int, msg Message) {
 		s.sendBudget[src]--
 	}
 	s.sent++
+	if src == dst {
+		s.toSelf = append(s.toSelf, selfMsg{src, msg})
+		return
+	}
 	var skew Time
 	for _, a := range s.advs {
-		if src == dst {
-			break // a message to oneself is no channel's to judge
-		}
 		v := a.Judge(src, dst, s.now)
 		if v.Drop {
 			s.dropped++

@@ -70,8 +70,11 @@ func (p *tracedDetector) OnTimer(ctx amp.Context, id int) {
 // bit: 24 seeds of chaotic-then-bounded delays with leases on and the
 // first leader crashing after GST, each seed's full trace hashed and
 // compared with the digest recorded before fd's heartbeat loops were
-// folded into this one (go test ./internal/fd -run Golden -update
-// rewrites the file; only a deliberate protocol change should).
+// folded into this one, re-recorded once when amp.Sim began to deliver
+// a process's message to itself in the sending turn: a heartbeat's self
+// copy no longer waits out a delay or draws one from the delay stream
+// (go test ./internal/fd -run Golden -update rewrites the file; only a
+// deliberate protocol or simulator change should).
 func TestDetectorTraceGolden(t *testing.T) {
 	const n, seeds, path = 4, 24, "testdata/detector_trace.golden"
 	var got strings.Builder

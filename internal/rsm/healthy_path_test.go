@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -235,14 +236,32 @@ func TestHealthyRunRelaysNoDecide(t *testing.T) {
 	}
 }
 
-// TestHealthyRunAnswersNoDecidedSlot: with every link up but delays
-// spread, acceptor replies reach the leader after it decided. A late
-// reply teaches nobody anything and is dropped; only a ballot for a
-// decided slot is answered, and a healthy run sends none. Nor does
+// fifoSpread draws each message's delay from [1, hi] but never lets it
+// arrive before an earlier message on the same link, the order TCP and
+// Loopback keep per link. n is the process count.
+func fifoSpread(n int, hi amp.Time) amp.DelayModel {
+	last := make([]amp.Time, n*n)
+	spread := amp.UniformDelay{Min: 1, Max: hi}
+	return amp.DelayFunc(func(src, dst int, at amp.Time, rng *rand.Rand) amp.Time {
+		d := max(spread.Delay(src, dst, at, rng), last[src*n+dst]-at)
+		last[src*n+dst] = at + d
+		return d
+	})
+}
+
+// TestHealthyRunAnswersNoDecidedSlot: with every link up and FIFO but
+// delays spread, acceptor replies reach the leader after it decided. A
+// late reply teaches nobody anything and is dropped; only a ballot for
+// a decided slot is answered, and a healthy run sends none. Nor does
 // any payload linger a sync period, so no originator sends one again
-// and nobody answers one with its frontier.
+// and nobody answers one with its frontier. FIFO is the condition: on
+// links that reorder, a leader whose own accepted completes its quorum
+// in the sending turn can decide and tell a follower before its slower
+// accept to that follower lands, and the follower answers that accept
+// as a ballot for a decided slot (seed 7 does once with
+// amp.UniformDelay).
 func TestHealthyRunAnswersNoDecidedSlot(t *testing.T) {
-	counts := healthyRun(t, amp.WithSeed(7), amp.WithDelay(amp.UniformDelay{Min: 1, Max: 4}))
+	counts := healthyRun(t, amp.WithSeed(7), amp.WithDelay(fifoSpread(3, 4)))
 	if counts.answers != 0 {
 		t.Errorf("%d frames answered a decided slot, want 0 on a healthy run", counts.answers)
 	}

@@ -66,13 +66,21 @@ func traceRegisterHistory(res *scenario.Result, h check.History) {
 	for _, op := range h {
 		if op.Return == check.Pending {
 			res.Pending++
-			res.Tracef("p%d %s pending @%d", op.Proc, regOpString(op.Arg), op.Call)
+			res.Tracef("p%d %s pending @%d", op.Proc, regOpString(op.Arg), op.Call/2)
 		} else {
 			res.Completed++
-			res.Tracef("p%d %s -> %v @[%d,%d]", op.Proc, regOpString(op.Arg), op.Out, op.Call, op.Return)
+			res.Tracef("p%d %s -> %v @[%d,%d]", op.Proc, regOpString(op.Arg), op.Out, op.Call/2, op.Return/2)
 		}
 	}
 }
+
+// callAt and returnAt stamp a register op at sim tick t: a call is 2t
+// and a return 2t+1. An op that completes in the tick it was called in
+// (a quorum of one, met by the caller's own message to itself, which
+// runs in the calling turn) still returns after its call, and ops that
+// meet at one tick stay concurrent, as ticks alone left them.
+func callAt(t amp.Time) int64   { return 2 * int64(t) }
+func returnAt(t amp.Time) int64 { return 2*int64(t) + 1 }
 
 // Run implements scenario.Model.
 func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
@@ -105,12 +113,12 @@ func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 
 	var ops []check.Op
 	call := func(proc int, arg any) int {
-		ops = append(ops, check.Op{Proc: proc, Arg: arg, Call: int64(sim.Now()), Return: check.Pending})
+		ops = append(ops, check.Op{Proc: proc, Arg: arg, Call: callAt(sim.Now()), Return: check.Pending})
 		return len(ops) - 1
 	}
 	ret := func(idx int, out any) {
 		ops[idx].Out = out
-		ops[idx].Return = int64(sim.Now())
+		ops[idx].Return = returnAt(sim.Now())
 	}
 
 	// Each process issues its scenario ops as a chain: the next op starts

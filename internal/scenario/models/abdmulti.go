@@ -93,13 +93,13 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 	call := func(proc, reg int, op any) int {
 		ops = append(ops, check.Op{
 			Proc: proc, Arg: check.KeyedOp{Key: reg, Op: op},
-			Call: int64(sim.Now()), Return: check.Pending,
+			Call: callAt(sim.Now()), Return: check.Pending,
 		})
 		return len(ops) - 1
 	}
 	ret := func(idx int, out any) {
 		ops[idx].Out = out
-		ops[idx].Return = int64(sim.Now())
+		ops[idx].Return = returnAt(sim.Now())
 	}
 
 	// One chain per scenario proc id: proc p drives register p/3; role

@@ -54,6 +54,41 @@ func (*BenOr) Generate(seed uint64) *scenario.Scenario {
 			Group: scenario.SortGroup(rng.Perm(n)[:k]),
 		})
 	}
+	// Half the seeds make that early decider on purpose, since a late
+	// window rarely meets the decision: one holder of the majority input
+	// hears no minority process, so it can decide in round 1, and its own
+	// links to every other process are cut from just after its round-1
+	// report, so its aux and its decide are lost and the others finish
+	// the round without them — on the estimate rule, which a sound coin
+	// keeps at the decided value and a broken one does not.
+	if rng.Bool() {
+		ones := 0
+		for _, op := range sc.Ops {
+			ones += op.Val
+		}
+		maj := 0
+		if 2*ones > n {
+			maj = 1
+		}
+		var holders, others []int
+		for _, op := range sc.Ops {
+			if op.Val == maj {
+				holders = append(holders, op.Proc)
+			}
+		}
+		victim := holders[rng.Intn(len(holders))]
+		until := 150 + rng.Int63n(500)
+		for _, op := range sc.Ops {
+			if op.Proc == victim {
+				continue
+			}
+			others = append(others, op.Proc)
+			if op.Val != maj {
+				sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCut, Proc: op.Proc, Until: until, Group: []int{victim}})
+			}
+		}
+		sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCut, Proc: victim, From: 1, Until: until, Group: others})
+	}
 	return sc
 }
 

@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"distbasics/internal/amp"
@@ -170,7 +169,7 @@ func (m *Lease) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	sim := amp.NewSim(procs,
 		amp.WithSeed(cfg.Int63()),
-		amp.WithDelay(selfFirst{amp.UniformDelay{Min: 2, Max: amp.Time(2 + cfg.Int63n(3))}}),
+		amp.WithDelay(amp.UniformDelay{Min: 2, Max: amp.Time(2 + cfg.Int63n(3))}),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
 	// One writer (history process p) and one reader (leaseReplicas+p)
@@ -245,21 +244,4 @@ func (m *Lease) Run(sc *scenario.Scenario) *scenario.Result {
 	}
 	res.Tracef("%d of %d ops returned; gets: %d lease, %d consensus", done, total, leaseReads, quorumReads)
 	return linearizeKeyed(res, h)
-}
-
-// selfFirst delivers a process's message to itself in one tick and any
-// other in at least two. amp.Sim sends a self copy through the network
-// like any other, but the daemons' transport.Runtime handles it in the
-// sending turn, before a peer can react to the same broadcast: a leader
-// applies its own decision before a follower can ack it, and a lease
-// read that follows the ack sees it. Without that order the model would
-// charge the lease with a race the deployed runtime does not have.
-type selfFirst struct{ amp.UniformDelay }
-
-// Delay implements amp.DelayModel.
-func (d selfFirst) Delay(src, dst int, at amp.Time, rng *rand.Rand) amp.Time {
-	if src == dst {
-		return 1
-	}
-	return d.UniformDelay.Delay(src, dst, at, rng)
 }

@@ -40,11 +40,11 @@ func TestMutationLeaseMarginZeroIsCaughtAndShrunk(t *testing.T) {
 
 // TestPausedLeaderKeepsItsOwnDecide replays lease seed 7988: leader 0
 // broadcasts a put's decide in the tick before a pause (1600–1820), the
-// followers apply it and the put returns, and the leader's own copy
-// arrives inside the pause. The daemons' Runtime handles a self-send in
-// the sending turn, so amp.Sim delivers it at the recovery, before
-// anything else: otherwise the resumed leader, still holding its lease,
-// serves the old value to its first read.
+// followers apply it and the put returns. The leader's own copy is a
+// step of the sending turn, in amp.Sim as in the daemons' Runtime, so
+// the leader has applied it before the pause: were it delayed into the
+// pause, the resumed leader, still holding its lease, would serve the
+// old value to its first read.
 func TestPausedLeaderKeepsItsOwnDecide(t *testing.T) {
 	m := &models.Lease{}
 	if res := m.Run(m.Generate(7988)); res.Failed {

@@ -62,42 +62,59 @@ func TestMutationBenOrCoinBiasIsCaughtAndShrunk(t *testing.T) {
 }
 
 // abdMutantReproducer is the shrunk reproducer found by
-// TestMutationWeakenedABDReadQuorumIsCaughtAndShrunk (seed 11, shrunk
-// from 17 ops / 4 faults): one write racing four reads across a
-// partition window. Pinned so the minimal scenario keeps failing under
-// the mutant and keeps passing under sound ABD.
+// TestMutationWeakenedABDReadQuorumIsCaughtAndShrunk (seed 6, shrunk
+// from 17 ops / 1 fault): five writes racing four reads at a replica
+// that a partition cuts off from the writer; with a quorum of one, the
+// reader's own reply, which runs in its calling turn, answers each read
+// with its stale copy. Pinned so the minimal scenario keeps failing
+// under the mutant and keeps passing under sound ABD.
 var abdMutantReproducer = &scenario.Scenario{
-	Model: "abd", Seed: 11, Procs: 6,
+	Model: "abd", Seed: 6, Procs: 5,
 	Ops: []scenario.Op{
 		{Proc: 0, Kind: scenario.OpWrite, Key: 0, Val: 1},
-		{Proc: 1, Kind: scenario.OpRead, Key: 0, Val: 0},
-		{Proc: 1, Kind: scenario.OpRead, Key: 0, Val: 0},
-		{Proc: 1, Kind: scenario.OpRead, Key: 0, Val: 0},
+		{Proc: 0, Kind: scenario.OpWrite, Key: 0, Val: 2},
+		{Proc: 0, Kind: scenario.OpWrite, Key: 0, Val: 3},
+		{Proc: 0, Kind: scenario.OpWrite, Key: 0, Val: 4},
+		{Proc: 0, Kind: scenario.OpWrite, Key: 0, Val: 5},
+		{Proc: 2, Kind: scenario.OpRead, Key: 0, Val: 0},
+		{Proc: 2, Kind: scenario.OpRead, Key: 0, Val: 0},
+		{Proc: 2, Kind: scenario.OpRead, Key: 0, Val: 0},
 		{Proc: 2, Kind: scenario.OpRead, Key: 0, Val: 0},
 	},
 	Faults: []scenario.Fault{
-		{Kind: scenario.FaultPartition, Proc: 0, From: 67, Until: 702, Pct: 0, Sub: 0, Group: []int{1, 4, 5}},
+		{Kind: scenario.FaultPartition, Proc: 0, From: 482, Until: 884, Pct: 0, Sub: 0, Group: []int{2, 3}},
 	},
 }
 
 // benorMutantReproducers are the shrunk reproducers found by
-// TestMutationBenOrCoinBiasIsCaughtAndShrunk: with the constant coin,
-// mixed inputs split the decisions even without faults.
+// TestMutationBenOrCoinBiasIsCaughtAndShrunk: one holder of the
+// majority input hears no minority process and decides in round 1, and
+// its links out are cut from just after its round-1 report; the others
+// finish the round without its aux and its decide, and the constant
+// coin takes them to the other value.
 var benorMutantReproducers = []struct {
 	bias int
 	sc   *scenario.Scenario
 }{
 	{bias: 1, sc: &scenario.Scenario{
-		Model: "benor", Seed: 10, Procs: 3,
+		Model: "benor", Seed: 16, Procs: 4,
 		Ops: []scenario.Op{
 			{Proc: 1, Kind: scenario.OpPropose, Key: 0, Val: 1},
 		},
+		Faults: []scenario.Fault{
+			{Kind: scenario.FaultCut, Proc: 1, From: 0, Until: 480, Pct: 0, Sub: 0, Group: []int{2}},
+			{Kind: scenario.FaultCut, Proc: 2, From: 1, Until: 480, Pct: 0, Sub: 0, Group: []int{0, 1, 3}},
+		},
 	}},
 	{bias: -1, sc: &scenario.Scenario{
-		Model: "benor", Seed: 17, Procs: 3,
+		Model: "benor", Seed: 26, Procs: 3,
 		Ops: []scenario.Op{
 			{Proc: 1, Kind: scenario.OpPropose, Key: 0, Val: 1},
 			{Proc: 2, Kind: scenario.OpPropose, Key: 0, Val: 1},
+		},
+		Faults: []scenario.Fault{
+			{Kind: scenario.FaultCut, Proc: 0, From: 0, Until: 295, Pct: 0, Sub: 0, Group: []int{2}},
+			{Kind: scenario.FaultCut, Proc: 2, From: 1, Until: 295, Pct: 0, Sub: 0, Group: []int{0, 1}},
 		},
 	}},
 }
