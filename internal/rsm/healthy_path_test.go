@@ -64,14 +64,16 @@ func (c *lbRSM) ticksToApply(t *testing.T, at, k int) amp.Time {
 
 // TestHealthyPathTicks pins "no timer on the healthy path": with a
 // settled leader and an idle window, a command costs exactly the Synod's
-// five message delays (prepare, promise, accept, accepted, decide) at
-// the leader and one more (the payload's way to the leader) at a
-// follower — the ballot starts in the turn the work arrives, not a
-// kickoff tick later — and nobody but the originator sends the payload
-// and nobody but the leader the decision, which bounds the messages per
-// command. A burst submitted in one turn
-// still shares one slot, because the proposal is built at phase 2. CI
-// greps this test's "ticks" lines into the PR log.
+// four message delays (prepare, promise, accept, accepted; the leader's
+// own decide runs in its sending turn) at the leader, and at a follower
+// two more (the payload's way to the leader, the decide's way back) —
+// the ballot starts in the turn the work arrives, not a kickoff tick
+// later — and nobody but the originator sends the payload and nobody
+// but the leader the decision, which bounds the messages per command;
+// messages to self are not counted, since they never reach the
+// transport. A burst submitted in one turn still shares one slot,
+// because the proposal is built at phase 2. CI greps this test's
+// "ticks" lines into the PR log.
 func TestHealthyPathTicks(t *testing.T) {
 	c := newLBRSM(t, 3)
 	const cmds = 50
@@ -81,8 +83,8 @@ func TestHealthyPathTicks(t *testing.T) {
 		max     amp.Time
 		maxMsgs float64
 	}{
-		{"leader", 0, 5, 25},
-		{"follower", 1, 6, 26.5},
+		{"leader", 0, 4, 15.36},
+		{"follower", 1, 6, 17.16},
 	} {
 		var total amp.Time
 		sent0 := c.lb.Stats().Sent.Load()
@@ -476,8 +478,8 @@ func TestPaceSpacesBallotStarts(t *testing.T) {
 	const pace = 12
 	c := newLBRSM(t, 3, func(c *nodeConfig) { c.pace = pace })
 	t0 := c.lb.Now()
-	if d := c.ticksToApply(t, 0, 1); d > 5 {
-		t.Fatalf("idle leader: applied after %d ticks, want <= 5", d)
+	if d := c.ticksToApply(t, 0, 1); d > 4 {
+		t.Fatalf("idle leader: applied after %d ticks, want <= 4", d)
 	}
 	slots := c.nodes[0].SlotsDelivered()
 	for i := 0; i < 2; i++ { // two more turns inside the pace
@@ -485,15 +487,15 @@ func TestPaceSpacesBallotStarts(t *testing.T) {
 		c.lb.Run(c.lb.Now() + 1)
 	}
 	c.ticksToApply(t, 0, 1)
-	if got := c.lb.Now() - t0; got != pace+5 {
-		t.Errorf("work inside the pace applied %d ticks after the previous start, want pace+5 = %d", got, pace+5)
+	if got := c.lb.Now() - t0; got != pace+4 {
+		t.Errorf("work inside the pace applied %d ticks after the previous start, want pace+4 = %d", got, pace+4)
 	}
 	if got := c.nodes[0].SlotsDelivered() - slots; got != 1 {
 		t.Errorf("three turns inside one pace took %d slots, want 1", got)
 	}
 	c.lb.Run(c.lb.Now() + pace)
-	if d := c.ticksToApply(t, 0, 1); d > 5 {
-		t.Errorf("leader idle for a pace: applied after %d ticks, want <= 5", d)
+	if d := c.ticksToApply(t, 0, 1); d > 4 {
+		t.Errorf("leader idle for a pace: applied after %d ticks, want <= 4", d)
 	}
 }
 

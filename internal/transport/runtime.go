@@ -28,8 +28,9 @@ type Runtime struct {
 	rng     *rand.Rand
 	stopped bool
 	halted  bool
-	// toSelf is the byte path's FIFO of messages to self, drained by
-	// exec once the sending handler returns.
+	// toSelf is the FIFO of messages to self, drained by exec once the
+	// sending handler returns: on either path a message to self is a
+	// step of the sending turn, never a network message.
 	toSelf []amp.Message
 
 	// DecodeErrs and SendErrs count frames that failed to decode and
@@ -154,7 +155,7 @@ func (c *rtCtx) Send(to int, msg amp.Message) { c.rt.send(to, msg, nil) }
 
 // Broadcast implements amp.Context (self included, per the paper's
 // convention). On the byte path the message is encoded once and the
-// same frame goes to every peer.
+// same frame goes to every peer; the self copy is never encoded.
 func (c *rtCtx) Broadcast(msg amp.Message) {
 	var frame []byte
 	for i := 0; i < c.rt.n; i++ {
@@ -162,21 +163,22 @@ func (c *rtCtx) Broadcast(msg amp.Message) {
 	}
 }
 
-// send hands msg to the value path if the transport has one. On the
-// byte path a message to self never becomes a frame: it joins toSelf,
-// which exec drains in this turn once the sending handler returns. A
-// message to a peer goes as frame, encoded here if nil; send returns
-// it for the next peer (Transport.Send does not alias it).
+// send queues a message to self on toSelf, which exec drains in this
+// turn once the sending handler returns: it reaches neither the
+// transport nor the codec. A message to a peer goes to the value path
+// if the transport has one, else as frame, encoded here if nil; send
+// returns the frame for the next peer (Transport.Send does not alias
+// it).
 func (rt *Runtime) send(to int, msg amp.Message, frame []byte) []byte {
+	if to == rt.id {
+		rt.toSelf = append(rt.toSelf, msg)
+		return frame
+	}
 	if rt.vt != nil {
 		if err := rt.vt.SendValue(to, msg); err != nil {
 			rt.SendErrs.Add(1)
 		}
 		return nil
-	}
-	if to == rt.id {
-		rt.toSelf = append(rt.toSelf, msg)
-		return frame
 	}
 	if frame == nil {
 		var err error

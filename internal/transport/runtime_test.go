@@ -299,8 +299,10 @@ func (p *ctxProc) Init(ctx amp.Context) {
 func (p *ctxProc) OnMessage(ctx amp.Context, from int, _ amp.Message) {
 	p.msgs = append(p.msgs, from)
 	p.last = ctx.Now()
-	if p.mode == "halt" {
-		// Keep traffic flowing so a halted process has something to ignore.
+	if p.mode == "halt" && from != ctx.ID() {
+		// Keep traffic flowing so a halted process has something to
+		// ignore. A reply to itself would run in this very turn, and
+		// its reply in the next, forever.
 		ctx.Send(from, rsm.Command{Op: "tock"})
 	}
 }
