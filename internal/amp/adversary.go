@@ -29,9 +29,9 @@ type Verdict struct {
 }
 
 // Adversary perturbs the network. Judge is consulted on every send to
-// another process, in installation order: the first Drop verdict wins,
-// Skews accumulate. A process's message to itself is a step of its own
-// turn, not a channel action, and no adversary sees it.
+// another process (a message to itself is a step of its turn, no
+// channel's), in installation order: the first Drop verdict wins, Skews
+// accumulate.
 // Implementations must be deterministic given their own seeded state.
 type Adversary interface {
 	Judge(src, dst int, at Time) Verdict
@@ -63,10 +63,9 @@ type dropAdv struct {
 }
 
 // NewDropWindow returns an adversary that drops each message sent in
-// [from, until) independently with probability p, drawing from its own
-// stream seeded with seed; until <= 0 means forever. Outside the window
-// no randomness is consumed, so the post-window network is exactly the
-// adversary-free one.
+// [from, until) (until <= 0: forever) with probability p, from its own
+// stream seeded with seed. Outside the window it draws nothing, so the
+// post-window network is exactly the adversary-free one.
 func NewDropWindow(seed int64, p float64, from, until Time) Adversary {
 	return &dropAdv{rng: newRand(seed), p: p, from: from, until: until}
 }
@@ -123,7 +122,8 @@ func (pa *partitionAdv) Judge(src, dst int, at Time) Verdict {
 // Isolate returns an adversary that cuts every listed process off the
 // network during [from, until) (until <= 0 = forever): all messages to or
 // from an isolated process are dropped, including between two isolated
-// processes; an isolated process still hears itself. To the rest of the system this is indistinguishable from the
+// processes (not its messages to itself). To the rest of the system
+// this is indistinguishable from the
 // victims crashing at from — the "bounded drops" regime under which a
 // t-resilient algorithm must still terminate when at most t processes are
 // isolated.

@@ -87,8 +87,10 @@ type Context interface {
 	// Now returns the current virtual time.
 	Now() Time
 	// Send queues msg for delivery to process `to` after the network's
-	// chosen delay. Sending to self is allowed (delivered like any other
-	// message).
+	// chosen delay. A message to self is a step of the sending turn: it
+	// is delivered once the current handler or event returns, FIFO,
+	// with no delay and no network fault, unless the process has
+	// crashed or halted by then.
 	Send(to int, msg Message)
 	// Broadcast sends msg to every process, including the sender (the
 	// paper's "send to all" convention: a broadcaster delivers to itself).
@@ -116,8 +118,8 @@ type Process interface {
 	OnTimer(ctx Context, id int)
 }
 
-// DelayModel chooses the delivery delay of each message. Implementations
-// must be deterministic given their own seeded state.
+// DelayModel chooses the delivery delay of each message between two
+// processes. Implementations must be deterministic given their seeds.
 type DelayModel interface {
 	// Delay returns the delivery delay for a message sent from src to dst
 	// at virtual time at. It must be >= 1.

@@ -18,18 +18,12 @@ import (
 // allocates nothing per message. Events leave the queue in (time,
 // sequence-number) order.
 //
-// A message a process sends to itself is a step of the sending turn, as
-// in transport.Runtime: it is delivered after the event that sent it
-// (an Init, a delivery, a timer, a Schedule closure) returns and before
-// the next event is popped, FIFO, with no delay and no adversary; it is
-// lost only if the process is crashed or halted by then.
-//
-// Network faults are Adversaries (adversary.go); process faults are the
-// CrashAt/KillAt/RecoverAt/CrashAfterSends calls and ClockRate windows.
-// A crash window is a pause: timers that come due in it fire at
-// RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT (other processes'
-// messages stay lost).
-// KillAt + Replace is the amnesia path.
+// A message to self runs in the sending event's turn (Context.Send), as
+// in transport.Runtime. Network faults are Adversaries (adversary.go);
+// process faults are the CrashAt/KillAt/RecoverAt/CrashAfterSends calls
+// and ClockRate windows. A crash window is a pause: timers that come due
+// in it fire at RecoverAt, as a SIGSTOP'd daemon's do on SIGCONT (other
+// processes' messages stay lost). KillAt + Replace is the amnesia path.
 type Sim struct {
 	n     int
 	procs []Process
@@ -49,7 +43,7 @@ type Sim struct {
 	halted     []bool
 	epoch      []int          // incarnation counter per pid; stale-epoch timers are dropped
 	parked     [][]*event     // per pid, timers that came due while it was crashed, in due order
-	toSelf     []selfMsg      // messages to self sent in the current event, in send order
+	toSelf     []event        // messages to self sent in the current event, in send order
 	sendBudget []int          // -1 = unlimited; otherwise remaining sends before crash
 	rates      [][]rateWindow // per pid, its clock-rate windows in time order
 	delivered  int
@@ -128,26 +122,24 @@ func (s *Sim) initOnce() {
 	}
 }
 
-// selfMsg is a message to self awaiting the end of its sender's turn.
-type selfMsg struct {
-	pid int
-	msg Message
-}
-
 // drain delivers the messages to self the current event sent, FIFO,
 // including those the deliveries send.
 func (s *Sim) drain() {
 	for i := 0; i < len(s.toSelf); i++ {
-		m := s.toSelf[i]
-		if s.crashed[m.pid] || s.halted[m.pid] {
-			s.dropped++
-			continue
-		}
-		s.delivered++
-		s.procs[m.pid].OnMessage(s.ctxs[m.pid], m.pid, m.msg)
+		s.deliver(s.toSelf[i].to, s.toSelf[i].to, s.toSelf[i].msg)
 	}
 	clear(s.toSelf)
 	s.toSelf = s.toSelf[:0]
+}
+
+// deliver hands msg to process to, unless it is crashed or halted.
+func (s *Sim) deliver(to, from int, msg Message) {
+	if s.crashed[to] || s.halted[to] {
+		s.dropped++
+		return
+	}
+	s.delivered++
+	s.procs[to].OnMessage(s.ctxs[to], from, msg)
 }
 
 // event kinds.
@@ -335,9 +327,8 @@ func (s *Sim) KillAt(pid int, at Time) { s.procEvent(pid, at, evKill) }
 
 // RecoverAt schedules a recovery of pid at virtual time at: if it is
 // crashed (not killed) then, it resumes where it paused: the timers that
-// came due meanwhile fire, in due order; the other processes' messages
-// stay lost.
-// A send budget exhausted by CrashAfterSends is reset to unlimited.
+// came due meanwhile fire, in due order; the messages sent to it stay
+// lost. A send budget exhausted by CrashAfterSends is reset to unlimited.
 func (s *Sim) RecoverAt(pid int, at Time) { s.procEvent(pid, at, evRecover) }
 
 // procEvent schedules a crash, kill or recovery of pid at virtual time
@@ -409,12 +400,7 @@ func (s *Sim) Run(until Time) int {
 		processed++
 		switch e.kind {
 		case evDeliver:
-			if s.crashed[e.to] || s.halted[e.to] {
-				s.dropped++
-			} else {
-				s.delivered++
-				s.procs[e.to].OnMessage(s.ctxs[e.to], e.from, e.msg)
-			}
+			s.deliver(e.to, e.from, e.msg)
 		case evTimer:
 			// A timer armed by a replaced incarnation must not fire into
 			// its successor: Replace bumps the pid's epoch, and the stale
@@ -472,7 +458,7 @@ func (s *Sim) send(src, dst int, msg Message) {
 	}
 	s.sent++
 	if src == dst {
-		s.toSelf = append(s.toSelf, selfMsg{src, msg})
+		s.toSelf = append(s.toSelf, event{to: src, msg: msg})
 		return
 	}
 	var skew Time

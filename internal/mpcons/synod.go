@@ -11,9 +11,9 @@ import (
 // leader. Every process is proposer, acceptor, and learner; only the
 // current Ω leader runs ballots, realizing the paper's "some process must
 // be more equal than the others" symmetry-breaking (§5.2). The deciding
-// leader broadcasts the decision; a learner relays it once, and only if
-// Ω stops naming its sender (see OnTimer): n decide frames, not n². A
-// learner whose copy was lost asks Ω's leader again (synAsk).
+// leader broadcasts the decision; a learner relays it once, only if Ω
+// stops naming its sender, or asks for a lost copy (see OnTimer): n
+// decide frames, not n².
 type Synod struct {
 	// Input is this process's proposal.
 	Input any
@@ -104,9 +104,7 @@ type (
 		Bound    amp.Time
 	}
 	synDecide struct{ Val any }
-	// synAsk asks a decided process for the decision. Promised is the
-	// asker's promise, carried for traces: gob encodes no empty struct.
-	synAsk struct{ Promised int }
+	synAsk    struct{ Promised int } // asks for the decision; gob needs a field
 )
 
 // IsBallot reports whether msg is a proposer's ballot message (a prepare
@@ -236,12 +234,10 @@ func (s *Synod) Kick(ctx amp.Context) bool {
 // Once decided, it watches for the relay: the decision's sender may have
 // crashed mid-broadcast, and a decided Ω leader runs no ballot, so the
 // decision is relayed once Ω stops naming the sender, which otherwise
-// needs no help. An undecided process that Ω does not name, and that
-// was undecided at the previous firing too, asks the leader: the
-// decision may have been sent while a lossy link dropped its copy, and
-// a stable leader never ballots for it again. The loop is one chain: a
-// timer that fires before the chain's due time was overtaken by an
-// earlier retry (see retryAt) and does nothing.
+// needs no help. An undecided process that Ω does not name, undecided
+// at the previous firing too, asks the leader for a decide a lossy link
+// may have dropped. The loop is one chain: a timer that fires before the
+// chain's due time was overtaken by a retry (see retryAt): it does nothing.
 func (s *Synod) OnTimer(ctx amp.Context, id int) {
 	if id != synodRetryTimer || ctx.Now() < s.due || (s.decided && s.relayFrom == s.id) {
 		return

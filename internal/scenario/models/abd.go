@@ -74,14 +74,6 @@ func traceRegisterHistory(res *scenario.Result, h check.History) {
 	}
 }
 
-// callAt and returnAt stamp a register op at sim tick t: a call is 2t
-// and a return 2t+1. An op that completes in the tick it was called in
-// (a quorum of one, met by the caller's own message to itself, which
-// runs in the calling turn) still returns after its call, and ops that
-// meet at one tick stay concurrent, as ticks alone left them.
-func callAt(t amp.Time) int64   { return 2 * int64(t) }
-func returnAt(t amp.Time) int64 { return 2*int64(t) + 1 }
-
 // Run implements scenario.Model.
 func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 	res := &scenario.Result{}
@@ -111,14 +103,16 @@ func (m *ABD) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithDelay(ampDelay(cfg)),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
+	// A call at tick t is history time 2t and a return 2t+1: an op done
+	// in its calling turn (by its own message to itself) still ends later.
 	var ops []check.Op
 	call := func(proc int, arg any) int {
-		ops = append(ops, check.Op{Proc: proc, Arg: arg, Call: callAt(sim.Now()), Return: check.Pending})
+		ops = append(ops, check.Op{Proc: proc, Arg: arg, Call: 2 * int64(sim.Now()), Return: check.Pending})
 		return len(ops) - 1
 	}
 	ret := func(idx int, out any) {
 		ops[idx].Out = out
-		ops[idx].Return = returnAt(sim.Now())
+		ops[idx].Return = 2*int64(sim.Now()) + 1
 	}
 
 	// Each process issues its scenario ops as a chain: the next op starts

@@ -89,17 +89,17 @@ func (*ABDMulti) Run(sc *scenario.Scenario) *scenario.Result {
 		amp.WithDelay(amp.UniformDelay{Min: 1, Max: amp.Time(2 + cfg.Int63n(10))}),
 		amp.WithAdversary(ampAdversaries(sc.Faults)...))
 
-	var ops []check.Op
+	var ops []check.Op // stamped as in ABD.Run
 	call := func(proc, reg int, op any) int {
 		ops = append(ops, check.Op{
 			Proc: proc, Arg: check.KeyedOp{Key: reg, Op: op},
-			Call: callAt(sim.Now()), Return: check.Pending,
+			Call: 2 * int64(sim.Now()), Return: check.Pending,
 		})
 		return len(ops) - 1
 	}
 	ret := func(idx int, out any) {
 		ops[idx].Out = out
-		ops[idx].Return = returnAt(sim.Now())
+		ops[idx].Return = 2*int64(sim.Now()) + 1
 	}
 
 	// One chain per scenario proc id: proc p drives register p/3; role

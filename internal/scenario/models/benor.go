@@ -31,6 +31,7 @@ func (*BenOr) Generate(seed uint64) *scenario.Scenario {
 	rng := scenario.NewRand(seed)
 	n := 3 + rng.Intn(3)
 	sc := &scenario.Scenario{Model: "benor", Seed: seed, Procs: n}
+	ones := 0
 	for p := 0; p < n; p++ {
 		v := rng.Intn(2)
 		if p == 0 {
@@ -40,51 +41,26 @@ func (*BenOr) Generate(seed uint64) *scenario.Scenario {
 			v = 1
 		}
 		sc.Ops = append(sc.Ops, scenario.Op{Proc: p, Kind: scenario.OpPropose, Val: v})
+		ones += v
 	}
 	sc.Faults = genAmpFaults(rng.Derive(1), n, 800)
-	// Half the seeds add a second, late partition window: the decide
-	// messages of an early decider get lost, which is exactly the window
-	// a broken coin needs to drive survivors to the other value.
+	// Half the seeds make an early decider whose aux and decide get lost,
+	// the state a broken coin needs to drive survivors to the other
+	// value: a holder of the majority input hears no minority process,
+	// and its links out are cut right after its round-1 report.
 	if rng.Bool() {
-		from := 60 + rng.Int63n(300)
-		k := 1 + rng.Intn(n/2)
-		sc.Faults = append(sc.Faults, scenario.Fault{
-			Kind: scenario.FaultPartition,
-			From: from, Until: from + 150 + rng.Int63n(500),
-			Group: scenario.SortGroup(rng.Perm(n)[:k]),
-		})
-	}
-	// Half the seeds make that early decider on purpose, since a late
-	// window rarely meets the decision: one holder of the majority input
-	// hears no minority process, so it can decide in round 1, and its own
-	// links to every other process are cut from just after its round-1
-	// report, so its aux and its decide are lost and the others finish
-	// the round without them — on the estimate rule, which a sound coin
-	// keeps at the decided value and a broken one does not.
-	if rng.Bool() {
-		ones := 0
-		for _, op := range sc.Ops {
-			ones += op.Val
-		}
-		maj := 0
+		victim := 0 // p0 proposes 0 and p1 proposes 1
 		if 2*ones > n {
-			maj = 1
+			victim = 1
 		}
-		var holders, others []int
-		for _, op := range sc.Ops {
-			if op.Val == maj {
-				holders = append(holders, op.Proc)
-			}
-		}
-		victim := holders[rng.Intn(len(holders))]
 		until := 150 + rng.Int63n(500)
-		for _, op := range sc.Ops {
-			if op.Proc == victim {
-				continue
+		var others []int
+		for p, op := range sc.Ops {
+			if op.Val != victim {
+				sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCut, Proc: p, Until: until, Group: []int{victim}})
 			}
-			others = append(others, op.Proc)
-			if op.Val != maj {
-				sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCut, Proc: op.Proc, Until: until, Group: []int{victim}})
+			if p != victim {
+				others = append(others, p)
 			}
 		}
 		sc.Faults = append(sc.Faults, scenario.Fault{Kind: scenario.FaultCut, Proc: victim, From: 1, Until: until, Group: others})

@@ -97,24 +97,25 @@ var benorMutantReproducers = []struct {
 	sc   *scenario.Scenario
 }{
 	{bias: 1, sc: &scenario.Scenario{
-		Model: "benor", Seed: 16, Procs: 4,
+		Model: "benor", Seed: 3, Procs: 3,
 		Ops: []scenario.Op{
 			{Proc: 1, Kind: scenario.OpPropose, Key: 0, Val: 1},
 		},
 		Faults: []scenario.Fault{
-			{Kind: scenario.FaultCut, Proc: 1, From: 0, Until: 480, Pct: 0, Sub: 0, Group: []int{2}},
-			{Kind: scenario.FaultCut, Proc: 2, From: 1, Until: 480, Pct: 0, Sub: 0, Group: []int{0, 1, 3}},
+			{Kind: scenario.FaultCut, Proc: 1, From: 0, Until: 183, Pct: 0, Sub: 0, Group: []int{0}},
+			{Kind: scenario.FaultCut, Proc: 0, From: 1, Until: 183, Pct: 0, Sub: 0, Group: []int{1, 2}},
 		},
 	}},
 	{bias: -1, sc: &scenario.Scenario{
-		Model: "benor", Seed: 26, Procs: 3,
+		Model: "benor", Seed: 76, Procs: 4,
 		Ops: []scenario.Op{
 			{Proc: 1, Kind: scenario.OpPropose, Key: 0, Val: 1},
 			{Proc: 2, Kind: scenario.OpPropose, Key: 0, Val: 1},
+			{Proc: 3, Kind: scenario.OpPropose, Key: 0, Val: 1},
 		},
 		Faults: []scenario.Fault{
-			{Kind: scenario.FaultCut, Proc: 0, From: 0, Until: 295, Pct: 0, Sub: 0, Group: []int{2}},
-			{Kind: scenario.FaultCut, Proc: 2, From: 1, Until: 295, Pct: 0, Sub: 0, Group: []int{0, 1}},
+			{Kind: scenario.FaultCut, Proc: 0, From: 0, Until: 647, Pct: 0, Sub: 0, Group: []int{1}},
+			{Kind: scenario.FaultCut, Proc: 1, From: 1, Until: 647, Pct: 0, Sub: 0, Group: []int{0, 2, 3}},
 		},
 	}},
 }

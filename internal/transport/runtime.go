@@ -29,8 +29,7 @@ type Runtime struct {
 	stopped bool
 	halted  bool
 	// toSelf is the FIFO of messages to self, drained by exec once the
-	// sending handler returns: on either path a message to self is a
-	// step of the sending turn, never a network message.
+	// sending handler returns (see send).
 	toSelf []amp.Message
 
 	// DecodeErrs and SendErrs count frames that failed to decode and
@@ -164,11 +163,10 @@ func (c *rtCtx) Broadcast(msg amp.Message) {
 }
 
 // send queues a message to self on toSelf, which exec drains in this
-// turn once the sending handler returns: it reaches neither the
-// transport nor the codec. A message to a peer goes to the value path
-// if the transport has one, else as frame, encoded here if nil; send
-// returns the frame for the next peer (Transport.Send does not alias
-// it).
+// turn once the handler returns: a step of the sending turn, on either
+// path. A message to a peer goes to the value path if the transport
+// has one, else as frame, encoded here if nil; send returns the frame
+// for the next peer (Transport.Send does not alias it).
 func (rt *Runtime) send(to int, msg amp.Message, frame []byte) []byte {
 	if to == rt.id {
 		rt.toSelf = append(rt.toSelf, msg)

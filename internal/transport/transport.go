@@ -72,13 +72,12 @@
 // function — unless the transport offers the in-process ValueTransport
 // fast path, in which case message values cross uncopied and the codec
 // is skipped. On either path a message to self never reaches the
-// transport: the Runtime queues the value and handles it in the same
-// turn, after the sending handler returns, as amp.Sim does, so it
-// costs no encode, frame, decode or network tick; and a broadcast is
-// encoded once, its one frame handed to every peer's link. cmd/basicsd builds a node binary, a workload and a
-// kill -9 end-to-end harness on top; internal/scenario/models/transport
-// runs the Loopback+Chaos stack through seeded fault schedules with
-// the linearizable-KV oracle.
+// transport: the Runtime handles it in the sending turn, after the
+// handler returns, as amp.Sim does; and a broadcast is encoded once,
+// its one frame handed to every peer's link. cmd/basicsd builds a node
+// binary, a workload and a kill -9 end-to-end harness on top;
+// internal/scenario/models/transport runs the Loopback+Chaos stack
+// through seeded fault schedules with the linearizable-KV oracle.
 package transport
 
 import (
@@ -121,10 +120,9 @@ type ValueHandler func(from int, msg any)
 // once sent (the Sim scheduler delivers values without copying), so an
 // in-process network may alias them; serialization buys nothing but
 // CPU time there. The Runtime uses this path automatically when the
-// transport provides it, for messages to peers: a message to self is
-// handled in the sending turn and never reaches SendValue. Chaos (corruption needs real bytes) and TCP
-// don't implement it, so fault injection and wire traffic keep the full
-// codec.
+// transport provides it, for messages to peers. Chaos (corruption
+// needs real bytes) and TCP don't implement it, so fault injection and
+// wire traffic keep the full codec.
 type ValueTransport interface {
 	// SendValue queues msg for delivery to peer `to`. Both ends must
 	// treat msg as immutable.
